@@ -99,15 +99,14 @@ void BM_VoteSimulatorOneStory(benchmark::State& state) {
   net_params.node_count = 8000;
   const graph::Digraph network =
       graph::preferential_attachment(net_params, net_rng);
-  for (auto _ : state) {
-    platform::Platform plat(network,
-                            std::vector<platform::UserProfile>(8000),
+  const platform::Site site(network, std::vector<platform::UserProfile>(8000),
                             platform::make_june2006_policy());
-    dynamics::VoteModelParams params;
-    params.step = 2.0;
-    dynamics::VoteSimulator sim(plat, params, stats::Rng(9));
-    const auto id = plat.submit(0, 0.6, 0.0);
-    benchmark::DoNotOptimize(sim.run_story(id, {0.6, 0.5}));
+  dynamics::VoteModelParams params;
+  params.step = 2.0;
+  const dynamics::VoteSimulator sim(site, params, stats::Rng(9));
+  for (auto _ : state) {
+    platform::StoryState story = site.submit(0, 0, 0.6, 0.0);
+    benchmark::DoNotOptimize(sim.run_story(story, {0.6, 0.5}));
   }
 }
 BENCHMARK(BM_VoteSimulatorOneStory);

@@ -62,10 +62,10 @@ int main(int argc, char** argv) {
   // Full platform view: narrow vs broad story from the same submitter.
   const auto users = platform::generate_population(
       platform::PopulationParams{.user_count = net_params.node_count}, rng);
-  platform::Platform plat(network, users, platform::make_june2006_policy());
+  const platform::Site site(network, users, platform::make_june2006_policy());
   dynamics::VoteModelParams vm;
   vm.step = 2.0;
-  dynamics::VoteSimulator sim(plat, vm, rng.fork());
+  const dynamics::VoteSimulator sim(site, vm, rng.fork());
 
   struct Case {
     const char* label;
@@ -77,10 +77,12 @@ int main(int argc, char** argv) {
   };
   stats::TextTable table({"story", "final votes", "promoted",
                           "in-network of first 10", "voters in submitter's community"});
+  platform::StoryId next_id = 0;
   for (const Case& c : cases) {
-    const auto id = plat.submit(/*submitter=*/0, c.traits.general, 0.0);
-    sim.run_story(id, c.traits);
-    const platform::Story& story = plat.story(id);
+    platform::StoryState state =
+        site.submit(next_id++, /*submitter=*/0, c.traits.general, 0.0);
+    sim.run_story(state, c.traits);
+    const platform::Story& story = state.story;
     std::size_t same_community = 0;
     for (platform::UserId voter : story.voters)
       if (truth[voter] == truth[0]) ++same_community;

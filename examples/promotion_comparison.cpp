@@ -61,22 +61,23 @@ int main(int argc, char** argv) {
 
   auto run_with_policy =
       [&](std::unique_ptr<platform::PromotionPolicy> policy) {
-        platform::Platform plat(network, users, std::move(policy));
+        const platform::Site site(network, users, std::move(policy));
         dynamics::VoteModelParams params;
         params.step = 2.0;
-        dynamics::VoteSimulator sim(plat, params, stats::Rng(7));
+        const dynamics::VoteSimulator sim(site, params, stats::Rng(7));
+        std::vector<dynamics::Submission> batch;
+        for (const Submission& s : submissions)
+          batch.emplace_back(s.submitter, s.traits);
+        const std::vector<dynamics::SimulatedStory> runs =
+            dynamics::simulate_batch(site, sim, batch, 2.0);
         std::size_t promoted = 0;
         std::size_t dull_top_promoted = 0;
         std::size_t interesting_promoted = 0;
-        platform::Minutes t = 0.0;
-        for (const Submission& s : submissions) {
-          const auto id = plat.submit(s.submitter, s.traits.general, t);
-          sim.run_story(id, s.traits);
-          t += 2.0;
-          const platform::Story& story = plat.story(id);
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+          const platform::Story& story = runs[k].story;
           if (!story.promoted()) continue;
           ++promoted;
-          if (s.dull_top) ++dull_top_promoted;
+          if (submissions[k].dull_top) ++dull_top_promoted;
           if (story.vote_count() > 520) ++interesting_promoted;
         }
         struct Result {

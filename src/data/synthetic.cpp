@@ -70,21 +70,22 @@ std::size_t peak_rss_bytes() {
 }
 
 struct GenerationCore {
-  std::unique_ptr<platform::Platform> plat;
+  std::unique_ptr<platform::Site> site;
+  std::vector<platform::Story> stories;  // by id
   std::vector<dynamics::StoryTraits> traits;
 };
 
 /// The generation pipeline shared by the in-memory and streamed drivers.
-/// Both consume the rng identically (the per-story hooks never draw), so
-/// they produce bit-identical platforms. `on_network` fires once, before
-/// the network is handed to the platform; `on_story` fires after each
-/// story's run finishes, while its vote columns are final and still
-/// resident — the streamed driver persists and releases them there.
+/// Both consume the rng identically (the hooks never draw), so they produce
+/// bit-identical corpora. `on_network` fires once, before the stories run;
+/// `on_story` fires for each finished story in id order, before the story
+/// is stored — the streamed path persists and drops its vote columns
+/// there. Stories simulate in parallel, so `on_story` may run on a pool
+/// thread (never two calls at once).
 GenerationCore run_generation(
     const SyntheticParams& params, stats::Rng& rng,
     const std::function<void(const graph::Digraph&)>& on_network,
-    const std::function<void(platform::Platform&, platform::StoryId)>&
-        on_story) {
+    const std::function<void(platform::Story&)>& on_story) {
   if (params.story_count == 0)
     throw std::invalid_argument("generate_corpus: story_count == 0");
   if (params.top_submitter_pool == 0 ||
@@ -113,20 +114,21 @@ GenerationCore run_generation(
 
   if (on_network) on_network(network);
 
-  // 3. Platform with the scenario's promotion rule.
-  auto plat = std::make_unique<platform::Platform>(
+  // 3. The immutable site with the scenario's promotion rule.
+  GenerationCore core;
+  core.site = std::make_unique<platform::Site>(
       std::move(network), std::move(users), make_policy(params));
+  const platform::Site& site = *core.site;
   // The model draws from per-story rng.split(story_id) substreams, but the
   // fork here still consumes one parent draw — keeping the trait-sampling
   // stream below identical to pre-Model corpora.
   const std::unique_ptr<dynamics::Model> model = params.make_model();
   const std::unique_ptr<dynamics::Simulator> sim =
-      model->make_simulator(*plat, rng.fork());
+      model->make_simulator(site, rng.fork());
 
-  // 4. Submissions: traits drawn per story; community appeal pulled up by
-  // the submitter's fan count (their personal audience).
-  GenerationCore core;
-  std::vector<std::pair<platform::UserId, dynamics::StoryTraits>> submissions;
+  // 4. Submissions, sampled serially: traits drawn per story; community
+  // appeal pulled up by the submitter's fan count (their personal audience).
+  std::vector<dynamics::Submission> submissions;
   submissions.reserve(params.story_count);
   core.traits.reserve(params.story_count);
   const stats::ZipfSampler top_picker(params.top_submitter_pool,
@@ -143,22 +145,20 @@ GenerationCore run_generation(
     dynamics::StoryTraits traits;
     traits.general = sample_general_appeal(params, top_submitter, rng);
     const double fan_pull = std::min(
-        1.0,
-        static_cast<double>(plat->network().fan_count(submitter)) / 100.0);
+        1.0, static_cast<double>(site.network().fan_count(submitter)) / 100.0);
     traits.community =
         sample_community_appeal(params, traits.general, fan_pull, rng);
     submissions.emplace_back(submitter, traits);
     core.traits.push_back(traits);
   }
 
-  platform::Platform& plat_ref = *plat;
-  dynamics::simulate_each(
-      plat_ref, *sim, submissions, params.submission_spacing,
-      [&](platform::StoryId id, dynamics::StoryRun&&) {
-        if (on_story) on_story(plat_ref, id);
-      });
-
-  core.plat = std::move(plat);
+  // 5. Every story, in parallel; each finished story's phase is final.
+  core.stories.reserve(params.story_count);
+  dynamics::simulate_each(site, *sim, submissions, params.submission_spacing,
+                          [&](dynamics::SimulatedStory&& done) {
+                            if (on_story) on_story(done.story);
+                            core.stories.push_back(std::move(done.story));
+                          });
   return core;
 }
 
@@ -178,19 +178,17 @@ SyntheticCorpus generate_corpus(const SyntheticParams& params,
   out.seed = rng.seed();
   GenerationCore core = run_generation(params, rng, nullptr, nullptr);
   out.traits = std::move(core.traits);
-  platform::Platform& plat = *core.plat;
 
-  // 5. Partition into front-page vs upcoming and rank users.
+  // 6. Partition into front-page vs upcoming and rank users.
   Corpus& corpus = out.corpus;
   corpus.model_id = params.model_id;
-  corpus.network = plat.network();
-  for (const platform::Story& s : plat.stories()) {
+  corpus.network = core.site->network();
+  for (const platform::Story& s : core.stories) {
     corpus.add_story(s, s.promoted() ? Corpus::Section::kFrontPage
                                      : Corpus::Section::kUpcoming);
   }
   const std::vector<std::uint32_t> reputation =
-      platform::promoted_submission_counts(plat.stories(),
-                                           params.user_count);
+      platform::promoted_submission_counts(core.stories, params.user_count);
   corpus.top_users =
       platform::top_user_ranking(reputation, corpus.network.in_degrees());
   obs::log_debug("data", "generated corpus",
@@ -215,18 +213,16 @@ StreamedCorpusInfo generate_corpus_to_snapshot(
       [&writer](const graph::Digraph& network) {
         writer.write_network(network);
       },
-      [&writer](platform::Platform& plat, platform::StoryId id) {
+      [&writer](platform::Story& s) {
         // The run is over, so the vote columns are final: persist them and
-        // drop them from the platform to keep the working set bounded.
-        const platform::Story& s = plat.story(id);
+        // drop them to keep the working set bounded.
         writer.add_votes(s.voters, s.times);
-        plat.release_votes(id);
+        s.voters = {};
+        s.times = {};
       });
-  platform::Platform& plat = *core.plat;
 
-  // Metadata is only final now — expire_stale during later stories' runs
-  // can still flip earlier phases — so it is written in one O(stories) pass.
-  for (const platform::Story& s : plat.stories()) {
+  // One O(stories) metadata pass; the vote columns are already on disk.
+  for (const platform::Story& s : core.stories) {
     writer.add_story(s);
     if (s.promoted())
       ++info.front_page_count;
@@ -234,9 +230,10 @@ StreamedCorpusInfo generate_corpus_to_snapshot(
       ++info.upcoming_count;
   }
   const std::vector<std::uint32_t> reputation =
-      platform::promoted_submission_counts(plat.stories(), params.user_count);
+      platform::promoted_submission_counts(core.stories, params.user_count);
   const std::vector<platform::UserId> top_users =
-      platform::top_user_ranking(reputation, plat.network().in_degrees());
+      platform::top_user_ranking(reputation,
+                                 core.site->network().in_degrees());
   writer.write_top_users(top_users);
   info.story_count = writer.story_count();
   info.total_votes = writer.total_votes();

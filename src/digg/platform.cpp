@@ -1,139 +1,99 @@
 #include "src/digg/platform.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/digg/story.h"
 
 namespace digg::platform {
 
-Platform::Platform(graph::Digraph network, std::vector<UserProfile> users,
-                   std::unique_ptr<PromotionPolicy> policy,
-                   QueueParams queue_params)
+Site::Site(graph::Digraph network, std::vector<UserProfile> users,
+           std::unique_ptr<PromotionPolicy> policy, QueueParams queue_params)
     : network_(std::move(network)),
       users_(std::move(users)),
       policy_(std::move(policy)),
       queue_params_(queue_params) {
-  if (!policy_) throw std::invalid_argument("Platform: null promotion policy");
+  if (!policy_) throw std::invalid_argument("Site: null promotion policy");
   if (users_.size() != network_.node_count())
     throw std::invalid_argument(
-        "Platform: user population and network size mismatch");
-  // Budget slots by the hybrid set's worst case — two word-packed bitmaps
-  // (1 bit per user each) plus slack for the sorted arrays and watcher pool.
-  // Reserve up front so slot addresses (and thus visibility() references)
-  // never move.
-  const std::size_t per_slot =
-      std::max<std::size_t>(1, users_.size()) / 4 + 4096;
-  vis_capacity_ = std::clamp<std::size_t>(kVisCacheBudgetBytes / per_slot, 8,
-                                          4096);
-  vis_slots_.reserve(vis_capacity_);
+        "Site: user population and network size mismatch");
 }
 
-StoryId Platform::submit(UserId submitter, double quality, Minutes now) {
+StoryState Site::submit(StoryId id, UserId submitter, double quality,
+                        Minutes now) const {
   if (submitter >= users_.size())
-    throw std::out_of_range("Platform::submit: unknown user");
-  const auto id = static_cast<StoryId>(stories_.size());
-  stories_.push_back(make_story(id, submitter, now, quality));
-  vis_slot_of_.push_back(kNoSlot);  // set materialises lazily on first use
-  upcoming_.push_front(id);
-  return id;
+    throw std::out_of_range("Site::submit: unknown user");
+  StoryState state{make_story(id, submitter, now, quality),
+                   VisibilitySet(network_)};
+  state.visibility.add_voter(submitter);
+  return state;
 }
 
-bool Platform::vote(StoryId story_id, UserId user, Minutes now) {
-  if (story_id >= stories_.size())
-    throw std::out_of_range("Platform::vote: unknown story");
+bool Site::vote(StoryState& state, UserId user, Minutes now) const {
   if (user >= users_.size())
-    throw std::out_of_range("Platform::vote: unknown user");
-  Story& s = stories_[story_id];
+    throw std::out_of_range("Site::vote: unknown user");
+  Story& s = state.story;
   if (s.phase == StoryPhase::kExpired)
-    throw std::logic_error("Platform::vote: story expired");
-  // Fetch the slot *before* appending the vote: a cache miss replays the
-  // current vote column, after which the incremental add_voter below brings
-  // the set to the post-vote state exactly once.
-  VisibilitySet& vis = visibility_slot(story_id);
+    throw std::logic_error("Site::vote: story expired");
   add_vote(s, user, now);
-  vis.add_voter(user);
-
+  state.visibility.add_voter(user);
   if (s.phase == StoryPhase::kUpcoming &&
       policy_->should_promote(s, network_, now)) {
     s.phase = StoryPhase::kFrontPage;
     s.promoted_at = now;
-    upcoming_.remove(story_id);
-    front_page_.push_front(story_id);
     return true;
   }
   return false;
 }
 
+bool Site::expire_if_stale(StoryState& state, Minutes now) const {
+  Story& s = state.story;
+  if (s.phase != StoryPhase::kUpcoming ||
+      !(now - s.submitted_at > queue_params_.upcoming_lifetime))
+    return false;
+  s.phase = StoryPhase::kExpired;
+  return true;
+}
+
+Platform::Platform(graph::Digraph network, std::vector<UserProfile> users,
+                   std::unique_ptr<PromotionPolicy> policy,
+                   QueueParams queue_params)
+    : site_(std::move(network), std::move(users), std::move(policy),
+            queue_params) {}
+
+StoryId Platform::submit(UserId submitter, double quality, Minutes now) {
+  const auto id = static_cast<StoryId>(states_.size());
+  states_.push_back(site_.submit(id, submitter, quality, now));
+  upcoming_.push_front(id);
+  return id;
+}
+
+bool Platform::vote(StoryId story_id, UserId user, Minutes now) {
+  if (story_id >= states_.size())
+    throw std::out_of_range("Platform::vote: unknown story");
+  if (!site_.vote(states_[story_id], user, now)) return false;
+  upcoming_.remove(story_id);
+  front_page_.push_front(story_id);
+  return true;
+}
+
 void Platform::expire_stale(Minutes now) {
   // Collect first: Listing::remove invalidates iteration order.
   std::vector<StoryId> stale;
-  for (StoryId id : upcoming_.items()) {
-    const Story& s = stories_[id];
-    if (now - s.submitted_at > queue_params_.upcoming_lifetime)
-      stale.push_back(id);
-  }
-  for (StoryId id : stale) {
-    stories_[id].phase = StoryPhase::kExpired;
-    upcoming_.remove(id);
-  }
+  for (StoryId id : upcoming_.items())
+    if (site_.expire_if_stale(states_[id], now)) stale.push_back(id);
+  for (StoryId id : stale) upcoming_.remove(id);
 }
 
-void Platform::release_votes(StoryId id) {
-  if (id >= stories_.size())
-    throw std::out_of_range("Platform::release_votes: unknown story");
-  Story& s = stories_[id];
-  s.voters = {};
-  s.times = {};
-  const std::uint32_t slot = vis_slot_of_[id];
-  if (slot != kNoSlot) {
-    vis_slot_of_[id] = kNoSlot;
-    VisSlot& vs = vis_slots_[slot];
-    // Keep vs.story = id: the eviction path indexes vis_slot_of_ by it, and
-    // re-clearing this story's (already empty) entry there is harmless.
-    vs.last_used = 0;  // first in line for reuse
-    vs.set.shed();
-  }
+const StoryState& Platform::state(StoryId id) const {
+  if (id >= states_.size())
+    throw std::out_of_range("Platform: unknown story");
+  return states_[id];
 }
 
-const Story& Platform::story(StoryId id) const {
-  if (id >= stories_.size())
-    throw std::out_of_range("Platform::story: unknown story");
-  return stories_[id];
-}
+const Story& Platform::story(StoryId id) const { return state(id).story; }
 
 const VisibilitySet& Platform::visibility(StoryId id) const {
-  if (id >= stories_.size())
-    throw std::out_of_range("Platform::visibility: unknown story");
-  return visibility_slot(id);
-}
-
-VisibilitySet& Platform::visibility_slot(StoryId id) const {
-  std::uint32_t slot = vis_slot_of_[id];
-  if (slot == kNoSlot) {
-    if (vis_slots_.size() < vis_capacity_) {
-      slot = static_cast<std::uint32_t>(vis_slots_.size());
-      vis_slots_.emplace_back();
-    } else {
-      // Evict the least recently used slot. Linear scan: capacity is a few
-      // hundred slots and misses are rare once the working set is resident.
-      slot = 0;
-      for (std::uint32_t i = 1; i < vis_slots_.size(); ++i) {
-        if (vis_slots_[i].last_used < vis_slots_[slot].last_used) slot = i;
-      }
-      vis_slot_of_[vis_slots_[slot].story] = kNoSlot;
-    }
-    VisSlot& vs = vis_slots_[slot];
-    vs.story = id;
-    vis_slot_of_[id] = slot;
-    vs.set.rebind(network_);
-    // Deterministic rebuild: replaying the vote column in order reproduces
-    // the exact watcher pool / exposure log the evicted set had.
-    for (UserId voter : stories_[id].voters) vs.set.add_voter(voter);
-  }
-  VisSlot& vs = vis_slots_[slot];
-  vs.last_used = ++vis_clock_;
-  return vs.set;
+  return state(id).visibility;
 }
 
 }  // namespace digg::platform

@@ -1,19 +1,17 @@
 #pragma once
-// The Digg platform simulator: owns the user population, the fan network,
-// all stories, the upcoming/front-page listings, and the promotion policy.
-// The vote *dynamics* (who votes when) live in src/dynamics; this class is
-// the mechanics — it validates votes, maintains per-story visibility, runs
-// the promotion check after every vote, and expires stale submissions.
-//
-// Visibility sets are served from a byte-budgeted LRU cache instead of one
-// resident set per story: even the hybrid representation (hybrid_set.h) can
-// reach two bitmap-mode sets (~1 bit per network node each) for a
-// long-running story, so materialising one per story would still dwarf the
-// vote columns on large sites. A missing set is rebuilt deterministically by
-// replaying the story's vote column (same insertion order → identical
-// watcher pool / exposure log), so eviction is invisible to callers apart
-// from the replay cost. References returned by visibility() stay valid until a *different*
-// story's set is requested; the dynamics layer already re-fetches per story.
+// The Digg platform mechanics, split by ownership so stories can be
+// simulated in parallel:
+//   - Site: the immutable part — fan network, user population, promotion
+//     policy and queue parameters. Workers share one Site read-only.
+//   - StoryState: one story's mutable part — its record plus its live
+//     Friends-interface visibility set. Owned by whichever worker simulates
+//     the story; the Site's const member functions step it (validate and
+//     record a vote, run the promotion check, expire a stale submission).
+//   - Platform: a whole site on one clock — a Site plus every story's state
+//     and the upcoming/front-page listings — for simulations in which
+//     stories compete (dynamics/site_sim.h). It keeps one visibility set per
+//     story.
+// The vote *dynamics* (who votes when) live in src/dynamics.
 
 #include <cstdint>
 #include <memory>
@@ -27,6 +25,58 @@
 
 namespace digg::platform {
 
+/// One story's mutable simulation state. The visibility set points into the
+/// Site's network, so a state must not outlive the Site that opened it.
+struct StoryState {
+  Story story;
+  VisibilitySet visibility;
+};
+
+/// The immutable site. Neither copyable nor movable: every StoryState's
+/// visibility set refers to the network stored here.
+class Site {
+ public:
+  Site(graph::Digraph network, std::vector<UserProfile> users,
+       std::unique_ptr<PromotionPolicy> policy, QueueParams queue_params = {});
+  Site(const Site&) = delete;
+  Site& operator=(const Site&) = delete;
+
+  /// Opens story `id`: records the submitter's own digg and makes their fans
+  /// watchers. Throws std::out_of_range for an unknown submitter.
+  [[nodiscard]] StoryState submit(StoryId id, UserId submitter,
+                                  double quality, Minutes now) const;
+
+  /// Records a digg on `state`. Returns true if this vote triggered
+  /// promotion. Throws std::out_of_range for an unknown user,
+  /// std::logic_error if the story expired, and std::invalid_argument for a
+  /// repeat or out-of-order vote.
+  bool vote(StoryState& state, UserId user, Minutes now) const;
+
+  /// Expires the story if it is still upcoming and older than the queue
+  /// lifetime. Returns true if this call expired it.
+  bool expire_if_stale(StoryState& state, Minutes now) const;
+
+  [[nodiscard]] const graph::Digraph& network() const noexcept {
+    return network_;
+  }
+  [[nodiscard]] const std::vector<UserProfile>& users() const noexcept {
+    return users_;
+  }
+  [[nodiscard]] const PromotionPolicy& policy() const noexcept {
+    return *policy_;
+  }
+  [[nodiscard]] const QueueParams& queue_params() const noexcept {
+    return queue_params_;
+  }
+
+ private:
+  graph::Digraph network_;
+  std::vector<UserProfile> users_;
+  std::unique_ptr<PromotionPolicy> policy_;
+  QueueParams queue_params_;
+};
+
+/// A whole site: every story's state plus the upcoming/front-page listings.
 class Platform {
  public:
   Platform(graph::Digraph network, std::vector<UserProfile> users,
@@ -44,72 +94,34 @@ class Platform {
   /// Expires upcoming stories older than the queue lifetime.
   void expire_stale(Minutes now);
 
-  /// Frees a finished story's vote columns and visibility cache slot once
-  /// the votes have been persisted elsewhere (streamed generation keeps the
-  /// working set bounded this way). Metadata — phase, promotion time, vote
-  /// count via the persisted copy — is unaffected; the story must not
-  /// receive further votes or visibility queries afterwards.
-  void release_votes(StoryId id);
-
   [[nodiscard]] const Story& story(StoryId id) const;
-  [[nodiscard]] const std::vector<Story>& stories() const noexcept {
-    return stories_;
-  }
+  /// Live visibility set of a story (who can see it via the Friends
+  /// interface right now). The reference stays valid until the next
+  /// submit().
+  [[nodiscard]] const VisibilitySet& visibility(StoryId id) const;
+
   [[nodiscard]] const Listing& upcoming() const noexcept { return upcoming_; }
   [[nodiscard]] const Listing& front_page() const noexcept {
     return front_page_;
   }
-  [[nodiscard]] const graph::Digraph& network() const noexcept {
-    return network_;
-  }
+  [[nodiscard]] const Site& site() const noexcept { return site_; }
   [[nodiscard]] const std::vector<UserProfile>& users() const noexcept {
-    return users_;
-  }
-  [[nodiscard]] const PromotionPolicy& policy() const noexcept {
-    return *policy_;
+    return site_.users();
   }
   [[nodiscard]] const QueueParams& queue_params() const noexcept {
-    return queue_params_;
+    return site_.queue_params();
   }
-  /// Live visibility set of a story (who can see it via the Friends
-  /// interface right now). The reference stays valid and current until the
-  /// next visibility()/vote() call for a *different* story, which may evict
-  /// this story's cache slot.
-  [[nodiscard]] const VisibilitySet& visibility(StoryId id) const;
-
   [[nodiscard]] std::size_t story_count() const noexcept {
-    return stories_.size();
+    return states_.size();
   }
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  /// Soft cap on resident visibility-set bytes; the per-slot estimate is
-  /// the hybrid set's bitmap-mode worst case, so the slot count adapts to
-  /// the network size.
-  static constexpr std::size_t kVisCacheBudgetBytes = 512ull << 20;
+  [[nodiscard]] const StoryState& state(StoryId id) const;
 
-  struct VisSlot {
-    VisibilitySet set;
-    StoryId story = kNoSlot;     // which story the slot currently holds
-    std::uint64_t last_used = 0;  // LRU clock value
-  };
-
-  /// Returns the (mutable) cached set for `id`, rebuilding it from the
-  /// story's vote column on a miss and bumping its LRU stamp.
-  VisibilitySet& visibility_slot(StoryId id) const;
-
-  graph::Digraph network_;
-  std::vector<UserProfile> users_;
-  std::unique_ptr<PromotionPolicy> policy_;
-  QueueParams queue_params_;
-  std::vector<Story> stories_;
+  Site site_;
+  std::vector<StoryState> states_;
   Listing upcoming_;
   Listing front_page_;
-
-  std::size_t vis_capacity_ = 0;             // max slots (from byte budget)
-  mutable std::vector<VisSlot> vis_slots_;   // reserved to capacity up front
-  mutable std::vector<std::uint32_t> vis_slot_of_;  // story -> slot / kNoSlot
-  mutable std::uint64_t vis_clock_ = 0;
 };
 
 }  // namespace digg::platform

@@ -12,11 +12,11 @@
 //     counter-based substream keyed on the *seed* (stats/rng.h). Story runs
 //     therefore do not depend on RNG-consumption order: simulating stories
 //     {0,1,2} or just {2} produces bit-identical votes for story 2 (given
-//     the same platform submissions). This is what unpins streamed
-//     generation from serial story order and what future parallel
-//     generation relies on.
-//   - run_story must not draw from any other stream, so eager and streamed
-//     corpus generation stay bit-identical (data/synthetic.cpp's contract).
+//     the same submissions).
+//   - run_story reads only the const site and its own story's state, and
+//     must not draw from any other stream. simulate_each relies on both to
+//     run stories in parallel: the corpus is bit-identical for any thread
+//     count, eager or streamed (data/synthetic.cpp).
 //
 // Identity: id() is a stable string recorded in snapshots (DIGGSNAP
 // MODELINFO section) and used by the CLI scenario parser. Renaming an id is
@@ -26,9 +26,11 @@
 // benches and the scenario CLI can override them generically
 // (--model-param step=2). Unknown names are rejected, not ignored.
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/digg/platform.h"
@@ -65,19 +67,22 @@ struct ModelParam {
   double value = 0.0;
 };
 
-/// A per-run simulator instance bound to one platform. Created by
-/// Model::make_simulator; drives already-submitted stories to their horizon,
-/// recording votes on the platform (promotion fires through the platform's
-/// policy, whichever is configured).
+/// A per-run simulator instance bound to one site. Created by
+/// Model::make_simulator; drives one story at a time from submission to its
+/// horizon, recording votes on the story's own state (promotion fires
+/// through the site's policy, whichever is configured).
 class Simulator {
  public:
   virtual ~Simulator() = default;
 
-  /// Simulates the full lifetime of an already-submitted story. Traits'
-  /// `general` should match the story's platform quality. All randomness
-  /// comes from the simulator's rng.split(id) substream (see the contract
-  /// above).
-  virtual StoryRun run_story(StoryId id, const StoryTraits& traits) = 0;
+  /// Simulates the full lifetime of an already-submitted story: steps
+  /// `state` against the const site until the horizon, or until the story
+  /// expires (still upcoming past the queue lifetime). Traits' `general`
+  /// should match the story's quality. All randomness comes from the
+  /// simulator's rng.split(id) substream (see the contract above), so
+  /// concurrent calls on distinct states are safe.
+  virtual StoryRun run_story(platform::StoryState& state,
+                             const StoryTraits& traits) const = 0;
 };
 
 /// A generative vote model: stable id + parameter set + simulator factory.
@@ -98,11 +103,37 @@ class Model {
 
   [[nodiscard]] virtual std::unique_ptr<Model> clone() const = 0;
 
-  /// Binds a simulator to `platform`, owning `rng` as its base stream.
-  /// The platform must outlive the simulator.
+  /// Binds a simulator to `site`, owning `rng` as its base stream.
+  /// The site must outlive the simulator.
   [[nodiscard]] virtual std::unique_ptr<Simulator> make_simulator(
-      platform::Platform& platform, stats::Rng rng) const = 0;
+      const platform::Site& site, stats::Rng rng) const = 0;
 };
+
+/// One finished story: its final record and the run's channel breakdown.
+struct SimulatedStory {
+  platform::Story story;
+  StoryRun run;
+};
+
+/// A story to simulate: its submitter and latent traits.
+using Submission = std::pair<UserId, StoryTraits>;
+
+/// Submits story k (id k) at k * spacing_minutes and simulates it to its
+/// horizon. Stories run in parallel on the runtime pool, each on its own
+/// state against the shared site, and reach `on_story` in id order through
+/// a reorder window of 64 stories per pool thread
+/// (runtime::parallel_for_ordered). The output is therefore bit-identical
+/// for any thread count. `on_story` calls never overlap but may run on pool
+/// threads. Works with any Simulator (any registered model).
+void simulate_each(const platform::Site& site, const Simulator& sim,
+                   const std::vector<Submission>& submissions,
+                   Minutes spacing_minutes,
+                   const std::function<void(SimulatedStory&&)>& on_story);
+
+/// simulate_each, collected: result k is story k.
+[[nodiscard]] std::vector<SimulatedStory> simulate_batch(
+    const platform::Site& site, const Simulator& sim,
+    const std::vector<Submission>& submissions, Minutes spacing_minutes);
 
 /// Stable ids of the built-in models (registered automatically).
 inline constexpr char kLegacyModelId[] = "two-mechanism";

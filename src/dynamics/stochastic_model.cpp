@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace digg::dynamics {
 
@@ -25,17 +24,17 @@ std::vector<double> channel_weights(
 
 }  // namespace
 
-StochasticSimulator::StochasticSimulator(platform::Platform& platform,
+StochasticSimulator::StochasticSimulator(const platform::Site& site,
                                          StochasticModelParams params,
                                          stats::Rng rng)
-    : platform_(&platform),
+    : site_(&site),
       params_(params),
       rng_(std::move(rng)),
-      front_sampler_(channel_weights(platform.users(),
+      front_sampler_(channel_weights(site.users(),
                                      params_.discovery_activity_cap,
                                      &platform::UserProfile::front_page_weight)),
       upcoming_sampler_(
-          channel_weights(platform.users(), params_.discovery_activity_cap,
+          channel_weights(site.users(), params_.discovery_activity_cap,
                           &platform::UserProfile::upcoming_weight)) {
   if (params_.step <= 0.0)
     throw std::invalid_argument("StochasticSimulator: step <= 0");
@@ -48,7 +47,8 @@ StochasticSimulator::StochasticSimulator(platform::Platform& platform,
 
 bool StochasticSimulator::pick_browser(const stats::DiscreteSampler& sampler,
                                        const platform::VisibilitySet& vis,
-                                       stats::Rng& rng, UserId& out_voter) {
+                                       stats::Rng& rng,
+                                       UserId& out_voter) const {
   // Rejection-sample a channel browser who has not acted on the story yet.
   // Watchers are excluded too: a fan of a prior voter encounters the story
   // through their Friends page clock, not through queue browsing.
@@ -62,18 +62,20 @@ bool StochasticSimulator::pick_browser(const stats::DiscreteSampler& sampler,
   return false;
 }
 
-StoryRun StochasticSimulator::run_story(StoryId id,
-                                        const StoryTraits& traits) {
+StoryRun StochasticSimulator::run_story(platform::StoryState& state,
+                                        const StoryTraits& traits) const {
   if (traits.general < 0.0 || traits.general > 1.0 ||
       traits.community < 0.0 || traits.community > 1.0)
     throw std::invalid_argument("run_story: traits outside [0,1]");
 
+  const platform::Story& s = state.story;
+  const platform::VisibilitySet& vis = state.visibility;
   // Model RNG contract (model.h): one substream per story, keyed on its id.
-  stats::Rng rng = rng_.split(id);
+  stats::Rng rng = rng_.split(s.id);
 
   StoryRun run;
-  run.story = id;
-  const Minutes t0 = platform_->story(id).submitted_at;
+  run.story = s.id;
+  const Minutes t0 = s.submitted_at;
   run.votes_over_time.append(0.0, 1.0);  // submitter's digg
 
   const double dt_days = params_.step / platform::kMinutesPerDay;
@@ -96,20 +98,18 @@ StoryRun StochasticSimulator::run_story(StoryId id,
   std::priority_queue<Clock, std::vector<Clock>, std::greater<Clock>> clocks;
   std::size_t pool_cursor = 0;
 
-  const auto& users = platform_->users();
+  const auto& users = site_->users();
   std::size_t last_recorded = 1;
+  std::uint64_t ticks = 0;
   for (Minutes t = t0 + params_.step; t - t0 <= params_.horizon;
        t += params_.step) {
-    const platform::Story& s = platform_->story(id);
-    if (s.phase == platform::StoryPhase::kUpcoming &&
-        t - t0 > platform_->queue_params().upcoming_lifetime) {
-      platform_->expire_stale(t);
-    }
-    if (platform_->story(id).phase == platform::StoryPhase::kExpired) break;
+    // Expiry is the story's own check: nothing else touches this state.
+    site_->expire_if_stale(state, t);
+    if (s.phase == platform::StoryPhase::kExpired) break;
+    ++ticks;
 
     // Friends channel: wind each newly exposed watcher's clock.
     {
-      const auto& vis = platform_->visibility(id);
       const auto& log = vis.exposure_log();
       for (; pool_cursor < log.size(); ++pool_cursor) {
         const UserId watcher = log[pool_cursor];
@@ -133,10 +133,9 @@ StoryRun StochasticSimulator::run_story(StoryId id,
     while (!clocks.empty() && clocks.top().first <= t) {
       const UserId watcher = clocks.top().second;
       clocks.pop();
-      const auto& vis = platform_->visibility(id);
       if (vis.has_voted(watcher)) continue;  // acted via another channel
       if (rng.bernoulli(p_fan)) {
-        platform_->vote(id, watcher, t);
+        site_->vote(state, watcher, t);
         ++run.fan_channel_votes;
       }
     }
@@ -159,7 +158,7 @@ StoryRun StochasticSimulator::run_story(StoryId id,
                                  params_.upcoming_digg_slope * traits.general);
       sampler = &upcoming_sampler_;
     } else {
-      const double fp_age = t - *platform_->story(id).promoted_at;
+      const double fp_age = t - *s.promoted_at;
       browse_rate = params_.front_page_browse_rate *
                     std::pow(0.5, fp_age / params_.novelty_half_life) *
                     params_.session_rate_scale * dt_days;
@@ -172,29 +171,30 @@ StoryRun StochasticSimulator::run_story(StoryId id,
     for (std::int64_t k = 0; k < browsers; ++k) {
       if (!rng.bernoulli(p_digg)) continue;
       UserId voter;
-      if (!pick_browser(*sampler, platform_->visibility(id), rng, voter))
-        break;
-      platform_->vote(id, voter, t);
+      if (!pick_browser(*sampler, vis, rng, voter)) break;
+      site_->vote(state, voter, t);
       ++run.discovery_votes;
     }
 
-    const std::size_t count = platform_->story(id).vote_count();
+    const std::size_t count = s.vote_count();
     if (count != last_recorded) {
       run.votes_over_time.append(t - t0, static_cast<double>(count));
       last_recorded = count;
     }
   }
-  const std::size_t final_count = platform_->story(id).vote_count();
   if (run.votes_over_time.times().back() < params_.horizon)
     run.votes_over_time.append(params_.horizon,
-                               static_cast<double>(final_count));
+                               static_cast<double>(s.vote_count()));
   static obs::Counter& stories =
       obs::Registry::global().counter("dynamics.stories_simulated");
+  static obs::Counter& ticks_simulated =
+      obs::Registry::global().counter("dynamics.ticks_simulated");
   static obs::Counter& fan_votes =
       obs::Registry::global().counter("dynamics.fan_votes");
   static obs::Counter& discovery_votes =
       obs::Registry::global().counter("dynamics.discovery_votes");
   stories.inc();
+  ticks_simulated.inc(ticks);
   fan_votes.inc(run.fan_channel_votes);
   discovery_votes.inc(run.discovery_votes);
   return run;

@@ -93,13 +93,14 @@ struct StochasticModelParams {
 /// Drives stories through the rate-based stochastic model.
 class StochasticSimulator final : public Simulator {
  public:
-  StochasticSimulator(platform::Platform& platform,
+  StochasticSimulator(const platform::Site& site,
                       StochasticModelParams params, stats::Rng rng);
 
-  StoryRun run_story(StoryId id, const StoryTraits& traits) override;
+  StoryRun run_story(platform::StoryState& state,
+                     const StoryTraits& traits) const override;
 
  private:
-  platform::Platform* platform_;
+  const platform::Site* site_;
   StochasticModelParams params_;
   stats::Rng rng_;  // base stream; per-story draws come from rng_.split(id)
   stats::DiscreteSampler front_sampler_;     // ω_u · w_front, capped
@@ -107,7 +108,7 @@ class StochasticSimulator final : public Simulator {
 
   bool pick_browser(const stats::DiscreteSampler& sampler,
                     const platform::VisibilitySet& vis, stats::Rng& rng,
-                    UserId& out_voter);
+                    UserId& out_voter) const;
 };
 
 /// The stochastic model as a registered dynamics::Model (id "stochastic").
@@ -123,8 +124,8 @@ class StochasticModel final : public Model {
     return std::make_unique<StochasticModel>(params_);
   }
   [[nodiscard]] std::unique_ptr<Simulator> make_simulator(
-      platform::Platform& platform, stats::Rng rng) const override {
-    return std::make_unique<StochasticSimulator>(platform, params_,
+      const platform::Site& site, stats::Rng rng) const override {
+    return std::make_unique<StochasticSimulator>(site, params_,
                                                  std::move(rng));
   }
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace digg::dynamics {
 
@@ -22,13 +21,13 @@ std::vector<double> capped_activity_weights(
 
 }  // namespace
 
-VoteSimulator::VoteSimulator(platform::Platform& platform,
+VoteSimulator::VoteSimulator(const platform::Site& site,
                              VoteModelParams params, stats::Rng rng)
-    : platform_(&platform),
+    : site_(&site),
       params_(std::move(params)),
       rng_(std::move(rng)),
       discovery_sampler_(capped_activity_weights(
-          platform.users(), params_.discovery_activity_cap)) {
+          site.users(), params_.discovery_activity_cap)) {
   if (params_.step <= 0.0)
     throw std::invalid_argument("VoteSimulator: step <= 0");
   if (params_.horizon < params_.step)
@@ -36,7 +35,8 @@ VoteSimulator::VoteSimulator(platform::Platform& platform,
 }
 
 bool VoteSimulator::pick_discovery_voter(const platform::VisibilitySet& vis,
-                                         stats::Rng& rng, UserId& out_voter) {
+                                         stats::Rng& rng,
+                                         UserId& out_voter) const {
   // Rejection-sample an out-of-network voter, weighted by (capped) activity:
   // Fig. 2(b)'s heavy-tailed per-user vote counts come from this skew, while
   // the long inactive tail is what makes most voters vote only once.
@@ -50,19 +50,22 @@ bool VoteSimulator::pick_discovery_voter(const platform::VisibilitySet& vis,
   return false;
 }
 
-StoryRun VoteSimulator::run_story(StoryId id, const StoryTraits& traits) {
+StoryRun VoteSimulator::run_story(platform::StoryState& state,
+                                  const StoryTraits& traits) const {
   if (traits.general < 0.0 || traits.general > 1.0 ||
       traits.community < 0.0 || traits.community > 1.0)
     throw std::invalid_argument("run_story: traits outside [0,1]");
 
+  const platform::Story& s = state.story;
+  const platform::VisibilitySet& vis = state.visibility;
   // The Model RNG contract (model.h): every draw for this story comes from
   // a substream keyed on the story id, derived from the base stream's seed —
   // independent of how many stories ran before, which unpins story order.
-  stats::Rng rng = rng_.split(id);
+  stats::Rng rng = rng_.split(s.id);
 
   StoryRun run;
-  run.story = id;
-  const Minutes t0 = platform_->story(id).submitted_at;
+  run.story = s.id;
+  const Minutes t0 = s.submitted_at;
   run.votes_over_time.append(0.0, 1.0);  // submitter's digg
 
   const double dt_days = params_.step / platform::kMinutesPerDay;
@@ -83,16 +86,13 @@ StoryRun VoteSimulator::run_story(StoryId id, const StoryTraits& traits) {
   std::size_t pool_cursor = 0;
 
   std::size_t last_recorded = 1;
+  std::uint64_t ticks = 0;
   for (Minutes t = t0 + params_.step; t - t0 <= params_.horizon;
        t += params_.step) {
-    const platform::Story& s = platform_->story(id);
-    if (s.phase == platform::StoryPhase::kUpcoming &&
-        t - t0 > platform_->queue_params().upcoming_lifetime) {
-      platform_->expire_stale(t);
-    }
-    if (platform_->story(id).phase == platform::StoryPhase::kExpired) break;
-
-    const auto& vis = platform_->visibility(id);
+    // Expiry is the story's own check: nothing else touches this state.
+    site_->expire_if_stale(state, t);
+    if (s.phase == platform::StoryPhase::kExpired) break;
+    ++ticks;
 
     // Mechanism 2: network-based spread. Ingest newly exposed watchers —
     // each is engaged (an active Friends-interface user) with probability
@@ -100,7 +100,7 @@ StoryRun VoteSimulator::run_story(StoryId id, const StoryTraits& traits) {
     // pending watchers consider the story this step.
     {
       const auto& log = vis.exposure_log();
-      const auto& users = platform_->users();
+      const auto& users = site_->users();
       for (; pool_cursor < log.size(); ++pool_cursor) {
         const UserId watcher = log[pool_cursor];
         const double engaged =
@@ -145,38 +145,39 @@ StoryRun VoteSimulator::run_story(StoryId id, const StoryTraits& traits) {
       const UserId candidate = pending[idx];
       pending[idx] = pending.back();
       pending.pop_back();
-      const auto& live = platform_->visibility(id);
-      if (live.has_voted(candidate)) continue;  // acted via another channel
+      if (vis.has_voted(candidate)) continue;  // acted via another channel
       if (rng.bernoulli(fan_digg_p)) {
-        platform_->vote(id, candidate, t);
+        site_->vote(state, candidate, t);
         ++run.fan_channel_votes;
       }
     }
     for (std::int64_t k = 0; k < discovery_votes; ++k) {
       UserId voter;
-      if (!pick_discovery_voter(platform_->visibility(id), rng, voter)) break;
-      platform_->vote(id, voter, t);
+      if (!pick_discovery_voter(vis, rng, voter)) break;
+      site_->vote(state, voter, t);
       ++run.discovery_votes;
     }
 
-    const std::size_t count = platform_->story(id).vote_count();
+    const std::size_t count = s.vote_count();
     if (count != last_recorded) {
       run.votes_over_time.append(t - t0, static_cast<double>(count));
       last_recorded = count;
     }
   }
   // Ensure the series covers the full horizon for resampling.
-  const std::size_t final_count = platform_->story(id).vote_count();
   if (run.votes_over_time.times().back() < params_.horizon)
     run.votes_over_time.append(params_.horizon,
-                               static_cast<double>(final_count));
+                               static_cast<double>(s.vote_count()));
   static obs::Counter& stories =
       obs::Registry::global().counter("dynamics.stories_simulated");
+  static obs::Counter& ticks_simulated =
+      obs::Registry::global().counter("dynamics.ticks_simulated");
   static obs::Counter& fan_votes =
       obs::Registry::global().counter("dynamics.fan_votes");
   static obs::Counter& discovery_votes =
       obs::Registry::global().counter("dynamics.discovery_votes");
   stories.inc();
+  ticks_simulated.inc(ticks);
   fan_votes.inc(run.fan_channel_votes);
   discovery_votes.inc(run.discovery_votes);
   return run;
@@ -230,35 +231,6 @@ bool VoteModel::set_param(std::string_view name, double value) {
     }
   }
   return false;
-}
-
-BatchResult simulate_batch(
-    platform::Platform& platform, Simulator& sim,
-    const std::vector<std::pair<UserId, StoryTraits>>& submissions,
-    Minutes spacing_minutes) {
-  BatchResult out;
-  out.ids.reserve(submissions.size());
-  out.runs.reserve(submissions.size());
-  simulate_each(platform, sim, submissions, spacing_minutes,
-                [&out](StoryId id, StoryRun&& run) {
-                  out.ids.push_back(id);
-                  out.runs.push_back(std::move(run));
-                });
-  return out;
-}
-
-void simulate_each(
-    platform::Platform& platform, Simulator& sim,
-    const std::vector<std::pair<UserId, StoryTraits>>& submissions,
-    Minutes spacing_minutes,
-    const std::function<void(StoryId, StoryRun&&)>& on_story) {
-  obs::Span span("simulate_batch", "dynamics");
-  Minutes t = 0.0;
-  for (const auto& [submitter, traits] : submissions) {
-    const StoryId id = platform.submit(submitter, traits.general, t);
-    on_story(id, sim.run_story(id, traits));
-    t += spacing_minutes;
-  }
 }
 
 }  // namespace digg::dynamics

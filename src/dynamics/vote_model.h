@@ -24,7 +24,6 @@
 // stories ran before it.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/digg/platform.h"
@@ -100,20 +99,21 @@ struct VoteModelParams {
   Minutes horizon = 4.0 * platform::kMinutesPerDay;
 };
 
-/// Drives the platform's stories through the two-mechanism vote model.
+/// Drives stories through the two-mechanism vote model.
 class VoteSimulator final : public Simulator {
  public:
-  VoteSimulator(platform::Platform& platform, VoteModelParams params,
+  VoteSimulator(const platform::Site& site, VoteModelParams params,
                 stats::Rng rng);
 
-  StoryRun run_story(StoryId id, const StoryTraits& traits) override;
+  StoryRun run_story(platform::StoryState& state,
+                     const StoryTraits& traits) const override;
 
   [[nodiscard]] const VoteModelParams& params() const noexcept {
     return params_;
   }
 
  private:
-  platform::Platform* platform_;
+  const platform::Site* site_;
   VoteModelParams params_;
   stats::Rng rng_;  // base stream; per-story draws come from rng_.split(id)
   stats::DiscreteSampler discovery_sampler_;  // activity-weighted, capped
@@ -121,7 +121,7 @@ class VoteSimulator final : public Simulator {
   /// Picks an out-of-network voter: an activity-weighted random user who has
   /// neither voted nor watches the story. Returns false if none found.
   bool pick_discovery_voter(const platform::VisibilitySet& vis,
-                            stats::Rng& rng, UserId& out_voter);
+                            stats::Rng& rng, UserId& out_voter) const;
 };
 
 /// The two-mechanism model as a registered dynamics::Model (id
@@ -138,8 +138,8 @@ class VoteModel final : public Model {
     return std::make_unique<VoteModel>(params_);
   }
   [[nodiscard]] std::unique_ptr<Simulator> make_simulator(
-      platform::Platform& platform, stats::Rng rng) const override {
-    return std::make_unique<VoteSimulator>(platform, params_, std::move(rng));
+      const platform::Site& site, stats::Rng rng) const override {
+    return std::make_unique<VoteSimulator>(site, params_, std::move(rng));
   }
 
   [[nodiscard]] const VoteModelParams& model_params() const noexcept {
@@ -149,32 +149,5 @@ class VoteModel final : public Model {
  private:
   VoteModelParams params_;
 };
-
-/// Convenience: submit + simulate a batch of stories with the given traits,
-/// spacing submissions `spacing_minutes` apart. The votes land on the
-/// platform either way; the returned runs add the per-channel breakdown.
-/// Works with any Simulator (any registered model).
-struct BatchResult {
-  std::vector<StoryId> ids;
-  std::vector<StoryRun> runs;
-};
-BatchResult simulate_batch(
-    platform::Platform& platform, Simulator& sim,
-    const std::vector<std::pair<UserId, StoryTraits>>& submissions,
-    Minutes spacing_minutes);
-
-/// Streaming counterpart of simulate_batch: submits and runs the same
-/// stories in the same order, but hands each finished run to `on_story`
-/// instead of accumulating a BatchResult — O(1) driver memory instead of
-/// O(stories) time series. Per-story draws come from split(story_id)
-/// substreams (the Model RNG contract), so both drivers produce
-/// bit-identical platforms for the same inputs.
-/// `on_story` may persist and then drop the story's vote columns
-/// (Platform::release_votes); the simulator never revisits a finished story.
-void simulate_each(
-    platform::Platform& platform, Simulator& sim,
-    const std::vector<std::pair<UserId, StoryTraits>>& submissions,
-    Minutes spacing_minutes,
-    const std::function<void(StoryId, StoryRun&&)>& on_story);
 
 }  // namespace digg::dynamics

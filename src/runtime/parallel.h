@@ -24,8 +24,11 @@
 // Nested parallel calls (a body that itself calls parallel_*) execute
 // inline on the calling worker — correct, just not further parallelized.
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -101,6 +104,73 @@ template <typename T, typename MapFn>
   parallel_for(
       n, [&](std::size_t i) { out[i] = fn(i); }, opts);
   return out;
+}
+
+/// Computes produce(i) for every i in [0, n) in parallel and hands each
+/// result to consume(i, T&&) in ascending index order — a bounded reorder
+/// window between a parallel producer and a sequential consumer. Production
+/// of index i waits until every index below i - window + 1 is consumed, so
+/// at most `window` results are held at once. Consume calls never overlap
+/// (whichever thread finishes the next index in order runs them), so the
+/// consumer needs no locking; it may run on any pool thread. Results and
+/// consume order are the same for any thread count. If produce or consume
+/// throws, no later index is consumed and the exception propagates as from
+/// parallel_for.
+template <typename T, typename ProduceFn, typename ConsumeFn>
+void parallel_for_ordered(std::size_t n, std::size_t window,
+                          ProduceFn&& produce, ConsumeFn&& consume,
+                          ParallelOptions opts = {}) {
+  if (window == 0) window = 1;
+  std::vector<std::optional<T>> ring(window);  // index i lives in i % window
+  std::mutex mu;
+  std::condition_variable advanced;
+  std::size_t next = 0;   // lowest index not yet consumed
+  bool draining = false;  // a thread is running consume calls
+  bool failed = false;
+  const auto fail = [&] {
+    const std::lock_guard<std::mutex> lock(mu);
+    failed = true;
+    advanced.notify_all();
+  };
+  parallel_for(
+      n,
+      [&](std::size_t i) {
+        {
+          // Cannot deadlock: chunks are claimed in ascending order, so the
+          // index `next` is always claimed by a thread that is not waiting.
+          std::unique_lock<std::mutex> lock(mu);
+          advanced.wait(lock, [&] { return failed || i < next + window; });
+          if (failed) return;
+        }
+        std::optional<T> value;
+        try {
+          value.emplace(produce(i));
+        } catch (...) {
+          fail();
+          throw;
+        }
+        std::unique_lock<std::mutex> lock(mu);
+        ring[i % window] = std::move(value);
+        if (draining || i != next) return;
+        draining = true;
+        while (!failed && ring[next % window].has_value()) {
+          const std::size_t k = next;
+          T ready = std::move(*ring[k % window]);
+          ring[k % window].reset();
+          lock.unlock();
+          try {
+            consume(k, std::move(ready));
+          } catch (...) {
+            fail();
+            throw;
+          }
+          lock.lock();
+          ++next;
+          advanced.notify_all();
+        }
+        draining = false;
+      },
+      opts);
 }
 
 /// Reduction over per-chunk partials: partial(c) = range_fn(begin, end) for

@@ -68,6 +68,8 @@ enum class ErrorCode : std::uint8_t {
   kDuplicateStory = 2, // submit for a story id already submitted
   kBadFrame = 3,       // malformed frame (connection is closed after this)
   kStopping = 4,       // event arrived while the server drains
+  kUnknownUser = 5,    // voter/submitter id outside the network; the
+                       // detail is the offending user id
 };
 
 struct VoteMsg {

@@ -157,6 +157,8 @@ void Server::frontend_main() {
   auto& submits_in = registry.counter("serve.submits");
   auto& backpressure = registry.counter("serve.backpressure");
   auto& bad_frames = registry.counter("serve.bad_frames");
+  auto& rejected_unknown_user = registry.counter("serve.rejected_unknown_user");
+  const std::size_t user_count = network_->node_count();
 
   struct Conn {
     int fd = -1;
@@ -245,6 +247,12 @@ void Server::frontend_main() {
     encode(ErrorMsg{code, detail}, c.wbuf);
     return flush_conn(c);
   };
+  // The engine indexes per-user state by id, so an id outside the network
+  // is refused here, before it reaches a shard.
+  auto reject_unknown_user = [&](Conn& c, std::uint32_t user) {
+    rejected_unknown_user.inc();
+    return send_error(c, ErrorCode::kUnknownUser, user);
+  };
 
   // Hands one decoded message to its queue. Returns false when the
   // connection must close (protocol misuse).
@@ -252,6 +260,7 @@ void Server::frontend_main() {
     if (const auto* v = std::get_if<VoteMsg>(&msg)) {
       const auto mapped = ids.lookup(v->story_id);
       if (mapped == 0) return send_error(c, ErrorCode::kUnknownStory, v->story_id);
+      if (v->voter >= user_count) return reject_unknown_user(c, v->voter);
       VoteEntry e{};
       e.seq = next_seq++;
       e.slot = mapped - 1;
@@ -269,6 +278,8 @@ void Server::frontend_main() {
     if (const auto* s = std::get_if<SubmitMsg>(&msg)) {
       if (ids.lookup(s->story_id) != 0)
         return send_error(c, ErrorCode::kDuplicateStory, s->story_id);
+      if (s->submitter >= user_count)
+        return reject_unknown_user(c, s->submitter);
       SubmitEntry e{};
       e.seq = next_seq++;
       e.slot = next_slot++;

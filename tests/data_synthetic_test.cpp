@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <set>
@@ -17,6 +20,7 @@
 #include "src/data/scenario.h"
 #include "src/data/snapshot.h"
 #include "src/dynamics/model.h"
+#include "src/runtime/thread_pool.h"
 
 namespace digg::data {
 namespace {
@@ -411,6 +415,157 @@ TEST(Scenarios, UnknownNameThrowsListingKnownNames) {
     EXPECT_NE(what.find("legacy"), std::string::npos) << what;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Golden corpora. Each digest covers every story's submitter, submission
+// time, quality, phase, promotion time and vote columns, plus the top-user
+// ranking, and was recorded from the serial story-at-a-time generator.
+// Parallel per-story generation must reproduce them bit for bit, eager and
+// streamed, at any thread count.
+
+void mix_bytes(std::uint64_t& h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;  // FNV-1a prime
+  }
+}
+
+template <typename T>
+void mix(std::uint64_t& h, const T& value) {
+  mix_bytes(h, &value, sizeof value);
+}
+
+std::uint64_t corpus_digest(const Corpus& corpus) {
+  std::vector<const Story*> stories;
+  for (const auto* list : {&corpus.front_page, &corpus.upcoming})
+    for (const Story& s : *list) stories.push_back(&s);
+  std::ranges::sort(stories, {}, [](const Story* s) { return s->id; });
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+  for (const Story* s : stories) {
+    mix(h, s->id);
+    mix(h, s->submitter);
+    mix(h, s->submitted_at);
+    mix(h, s->quality);
+    mix(h, static_cast<std::uint8_t>(s->phase));
+    mix(h, static_cast<std::uint8_t>(s->promoted() ? 1 : 0));
+    mix(h, s->promoted_at.value_or(0.0));
+    mix(h, static_cast<std::uint64_t>(s->vote_count()));
+    mix_bytes(h, s->voters().data(), s->voters().size_bytes());
+    mix_bytes(h, s->times().data(), s->times().size_bytes());
+  }
+  for (const UserId u : corpus.top_users) mix(h, u);
+  return h;
+}
+
+std::string file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+struct GoldenCase {
+  const char* label;
+  const char* scenario;
+  bool full_size;
+  platform::Minutes horizon;  // 0 keeps the scenario's horizon
+  std::uint64_t digest;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.label; }
+
+ScenarioSpec golden_spec(const GoldenCase& c) {
+  ScenarioSpec spec = make_scenario(c.scenario, 42);
+  if (!c.full_size) downscale(spec, 3000, 80);
+  if (c.horizon > 0.0) {
+    spec.params.vote_model.horizon = c.horizon;
+    spec.params.stochastic.horizon = c.horizon;
+  }
+  return spec;
+}
+
+class GoldenCorpus : public ::testing::TestWithParam<GoldenCase> {
+ protected:
+  void TearDown() override { runtime::set_default_threads(0); }
+};
+
+TEST_P(GoldenCorpus, EagerAndStreamedMatchAtOneAndFourThreads) {
+  const GoldenCase& c = GetParam();
+  const ScenarioSpec spec = golden_spec(c);
+  std::string snapshot_bytes[2];
+  const unsigned thread_counts[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    const unsigned threads = thread_counts[k];
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    runtime::set_default_threads(threads);
+
+    stats::Rng eager_rng(spec.seed);
+    const SyntheticCorpus eager = generate_corpus(spec.params, eager_rng);
+    EXPECT_EQ(corpus_digest(eager.corpus), c.digest)
+        << std::hex << "eager digest 0x" << corpus_digest(eager.corpus);
+
+    const fs::path path =
+        fs::temp_directory_path() /
+        ("digg_golden_" + std::string(c.label) + "_" +
+         std::to_string(::getpid()) + "_" + std::to_string(threads) +
+         ".snap");
+    stats::Rng stream_rng(spec.seed);
+    (void)generate_corpus_to_snapshot(spec.params, stream_rng, path);
+    {
+      const Corpus loaded = load_snapshot_mmap(path);
+      EXPECT_EQ(corpus_digest(loaded), c.digest)
+          << std::hex << "streamed digest 0x" << corpus_digest(loaded);
+    }
+    snapshot_bytes[k] = file_bytes(path);
+    fs::remove(path);
+  }
+  EXPECT_FALSE(snapshot_bytes[0].empty());
+  EXPECT_TRUE(snapshot_bytes[0] == snapshot_bytes[1])
+      << "streamed snapshot bytes differ between 1 and 4 threads";
+}
+
+// 12 hours is below the 1-day upcoming lifetime: those stories end their
+// run still upcoming instead of expiring.
+constexpr platform::Minutes kShortHorizon = 12.0 * 60.0;
+
+TEST(GoldenCases, ShortHorizonStoriesEndUpcoming) {
+  // Below the upcoming lifetime no story expires: unpromoted stories end
+  // their run still upcoming, so the short-horizon digests pin that path.
+  const ScenarioSpec spec =
+      golden_spec({"short", "legacy", false, kShortHorizon, 0});
+  stats::Rng rng(spec.seed);
+  const SyntheticCorpus syn = generate_corpus(spec.params, rng);
+  ASSERT_FALSE(syn.corpus.upcoming.empty());
+  for (const Story& s : syn.corpus.upcoming)
+    EXPECT_EQ(s.phase, platform::StoryPhase::kUpcoming) << s.id;
+}
+
+const GoldenCase kGoldenCases[] = {
+    {"legacy_full", "legacy", true, 0.0, 0x7506efaabbb103fdull},
+    {"legacy", "legacy", false, 0.0, 0x2f6020434160cb0bull},
+    {"stochastic", "stochastic", false, 0.0, 0xe0a9c987469f8325ull},
+    {"stochastic_diversity", "stochastic-diversity", false, 0.0,
+     0xfe106a41cce9b49eull},
+    {"stochastic_flat", "stochastic-flat", false, 0.0, 0xc9db514e4904b249ull},
+    {"stochastic_casual", "stochastic-casual", false, 0.0,
+     0x9851bf9da5a1d8a4ull},
+    {"legacy_short_horizon", "legacy", false, kShortHorizon,
+     0xb22c3bf246bbc015ull},
+    {"stochastic_short_horizon", "stochastic", false, kShortHorizon,
+     0x39872ac90e54a2a8ull},
+};
+
+TEST(GoldenCases, CoversEveryNamedScenario) {
+  std::set<std::string> covered;
+  for (const GoldenCase& c : kGoldenCases) covered.insert(c.scenario);
+  for (const std::string& name : scenario_names())
+    EXPECT_TRUE(covered.count(name)) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Recorded, GoldenCorpus, ::testing::ValuesIn(kGoldenCases),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.label);
+    });
 
 }  // namespace
 }  // namespace digg::data

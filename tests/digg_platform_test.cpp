@@ -112,5 +112,43 @@ TEST(Platform, NewestSubmissionsOnTopOfQueue) {
   EXPECT_EQ(p.upcoming().position(a), 1u);
 }
 
+TEST(Site, StoriesOwnTheirStateIndependently) {
+  const Platform p = make_platform(64, 3);
+  const Site& site = p.site();
+  StoryState a = site.submit(0, 0, 0.5, 0.0);
+  StoryState b = site.submit(1, 0, 0.5, 0.0);
+  const std::size_t influence = b.visibility.influence();
+  EXPECT_FALSE(site.vote(a, 1, 1.0));
+  EXPECT_EQ(a.story.vote_count(), 2u);
+  EXPECT_EQ(b.story.vote_count(), 1u);
+  EXPECT_EQ(b.visibility.influence(), influence);
+  EXPECT_TRUE(site.vote(a, 2, 2.0));  // third vote promotes
+  EXPECT_EQ(a.story.phase, StoryPhase::kFrontPage);
+  EXPECT_EQ(b.story.phase, StoryPhase::kUpcoming);
+}
+
+TEST(Site, ExpireIfStaleChecksOnlyTheGivenStory) {
+  const Platform p = make_platform();
+  const Site& site = p.site();
+  StoryState old_story = site.submit(0, 0, 0.5, 0.0);
+  StoryState fresh = site.submit(1, 1, 0.5, 1000.0);
+  const Minutes now = kMinutesPerDay + 1.0;
+  EXPECT_FALSE(site.expire_if_stale(fresh, now));
+  EXPECT_TRUE(site.expire_if_stale(old_story, now));
+  EXPECT_FALSE(site.expire_if_stale(old_story, now));  // already expired
+  EXPECT_EQ(old_story.story.phase, StoryPhase::kExpired);
+  EXPECT_EQ(fresh.story.phase, StoryPhase::kUpcoming);
+  EXPECT_THROW(site.vote(old_story, 10, now), std::logic_error);
+}
+
+TEST(Site, RejectsUnknownUsers) {
+  const Platform p = make_platform(64);
+  const Site& site = p.site();
+  EXPECT_THROW((void)site.submit(0, 64, 0.5, 0.0), std::out_of_range);
+  StoryState s = site.submit(0, 0, 0.5, 0.0);
+  EXPECT_THROW(site.vote(s, 0xFFFFFFF0u, 1.0), std::out_of_range);
+  EXPECT_EQ(s.story.vote_count(), 1u);
+}
+
 }  // namespace
 }  // namespace digg::platform

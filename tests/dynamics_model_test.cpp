@@ -14,11 +14,13 @@
 #include "src/dynamics/stochastic_model.h"
 #include "src/dynamics/vote_model.h"
 #include "src/graph/generators.h"
+#include "src/runtime/thread_pool.h"
 
 namespace digg::dynamics {
 namespace {
 
-using platform::Platform;
+using platform::Site;
+using platform::StoryState;
 using platform::UserProfile;
 using platform::VoteCountPolicy;
 
@@ -30,8 +32,8 @@ graph::Digraph make_network(std::uint64_t seed, std::size_t users) {
   return graph::preferential_attachment(params, rng);
 }
 
-std::unique_ptr<Platform> make_platform(const graph::Digraph& network) {
-  return std::make_unique<Platform>(
+std::unique_ptr<Site> make_site(const graph::Digraph& network) {
+  return std::make_unique<Site>(
       network, std::vector<UserProfile>(network.node_count()),
       std::make_unique<VoteCountPolicy>(43));
 }
@@ -112,38 +114,29 @@ TEST(ModelParams, CloneCarriesConfiguredValues) {
 }
 
 // The determinism contract: a story's votes depend only on (seed,
-// story_id, platform submissions), never on which other stories were
-// simulated first. Two platforms with identical submissions, one running
-// both stories and one running only the second, must produce bit-identical
-// votes for the shared story.
+// story_id, submission), never on which other stories were simulated
+// first. One simulator running both stories and one running only the
+// second must produce bit-identical votes for the shared story.
 TEST(ModelDeterminism, StoryRunsAreRngOrderIndependent) {
   const graph::Digraph network = make_network(5, 2000);
+  const auto site = make_site(network);
   for (const std::string& id : registered_model_ids()) {
     const std::unique_ptr<Model> model = make_model(id);
     speed_up(*model);
 
-    const auto submit_both = [](Platform& plat) {
-      const auto s0 = plat.submit(0, 0.8, 0.0);
-      const auto s1 = plat.submit(40, 0.6, 30.0);
-      return std::pair{s0, s1};
-    };
-
-    auto plat_a = make_platform(network);
-    const auto [a0, a1] = submit_both(*plat_a);
-    const auto sim_a = model->make_simulator(*plat_a, stats::Rng(99));
+    const auto sim_a = model->make_simulator(*site, stats::Rng(99));
+    StoryState a0 = site->submit(0, 0, 0.8, 0.0);
+    StoryState a1 = site->submit(1, 40, 0.6, 30.0);
     (void)sim_a->run_story(a0, {0.8, 0.5});
     (void)sim_a->run_story(a1, {0.6, 0.4});
 
-    auto plat_b = make_platform(network);
-    const auto [b0, b1] = submit_both(*plat_b);
-    const auto sim_b = model->make_simulator(*plat_b, stats::Rng(99));
+    const auto sim_b = model->make_simulator(*site, stats::Rng(99));
+    StoryState b1 = site->submit(1, 40, 0.6, 30.0);
     (void)sim_b->run_story(b1, {0.6, 0.4});  // story 0 never simulated
 
-    const platform::Story& a = plat_a->story(a1);
-    const platform::Story& b = plat_b->story(b1);
-    EXPECT_EQ(a.voters, b.voters) << id;
-    EXPECT_EQ(a.times, b.times) << id;
-    ASSERT_GE(b.vote_count(), 1u) << id;
+    EXPECT_EQ(a1.story.voters, b1.story.voters) << id;
+    EXPECT_EQ(a1.story.times, b1.story.times) << id;
+    ASSERT_GE(b1.story.vote_count(), 1u) << id;
   }
 }
 
@@ -155,13 +148,44 @@ TEST(ModelDeterminism, SimulatorsAreReproducible) {
     speed_up(*model);
     std::vector<platform::Minutes> times[2];
     for (int rep = 0; rep < 2; ++rep) {
-      auto plat = make_platform(network);
-      const auto story = plat->submit(0, 0.7, 0.0);
-      const auto sim = model->make_simulator(*plat, stats::Rng(123));
+      const auto site = make_site(network);
+      StoryState story = site->submit(0, 0, 0.7, 0.0);
+      const auto sim = model->make_simulator(*site, stats::Rng(123));
       (void)sim->run_story(story, {0.7, 0.6});
-      times[rep] = plat->story(story).times;
+      times[rep] = story.story.times;
     }
     EXPECT_EQ(times[0], times[1]) << id;
+  }
+}
+
+// Parallel driving: simulate_batch runs stories concurrently against one
+// const site, and the stories must not depend on the thread count.
+TEST(ModelDeterminism, BatchIsThreadCountInvariant) {
+  const graph::Digraph network = make_network(7, 2000);
+  const auto site = make_site(network);
+  std::vector<Submission> submissions;
+  for (UserId u = 0; u < 16; ++u)
+    submissions.push_back({u * 100, {0.2 + 0.04 * u, 0.6}});
+  for (const std::string& id : registered_model_ids()) {
+    const std::unique_ptr<Model> model = make_model(id);
+    speed_up(*model);
+    const auto sim = model->make_simulator(*site, stats::Rng(31));
+    runtime::set_default_threads(1);
+    const std::vector<SimulatedStory> serial =
+        simulate_batch(*site, *sim, submissions, 2.0);
+    runtime::set_default_threads(4);
+    const std::vector<SimulatedStory> parallel =
+        simulate_batch(*site, *sim, submissions, 2.0);
+    runtime::set_default_threads(0);
+    ASSERT_EQ(serial.size(), parallel.size()) << id;
+    for (std::size_t k = 0; k < serial.size(); ++k) {
+      EXPECT_EQ(serial[k].story.voters, parallel[k].story.voters) << id;
+      EXPECT_EQ(serial[k].story.times, parallel[k].story.times) << id;
+      EXPECT_EQ(serial[k].story.phase, parallel[k].story.phase) << id;
+      EXPECT_EQ(serial[k].run.fan_channel_votes,
+                parallel[k].run.fan_channel_votes)
+          << id;
+    }
   }
 }
 

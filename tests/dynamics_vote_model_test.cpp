@@ -5,24 +5,32 @@
 #include <set>
 
 #include "src/graph/generators.h"
+#include "src/obs/metrics.h"
 
 namespace digg::dynamics {
 namespace {
 
-using platform::Platform;
+using platform::Site;
 using platform::StoryPhase;
+using platform::StoryState;
 using platform::UserProfile;
 using platform::VoteCountPolicy;
 
 struct Fixture {
   graph::Digraph network;
-  Platform platform;
+  Site site;
 
   explicit Fixture(std::uint64_t seed = 1, std::size_t users = 2000,
                    std::size_t threshold = 43)
       : network(make_network(seed, users)),
-        platform(network, std::vector<UserProfile>(users),
-                 std::make_unique<VoteCountPolicy>(threshold)) {}
+        site(network, std::vector<UserProfile>(users),
+             std::make_unique<VoteCountPolicy>(threshold)) {}
+
+  /// Opens story 0 by `submitter` at time 0.
+  [[nodiscard]] StoryState submit(platform::UserId submitter,
+                                  double quality) const {
+    return site.submit(0, submitter, quality, 0.0);
+  }
 
   static graph::Digraph make_network(std::uint64_t seed, std::size_t users) {
     stats::Rng rng(seed);
@@ -43,30 +51,30 @@ VoteModelParams fast_params() {
 TEST(VoteSimulator, HotStoryGathersManyVotes) {
   Fixture fx;
   // Seed picked for a clearly-hot run under the split(story_id) substreams.
-  VoteSimulator sim(fx.platform, fast_params(), stats::Rng(10));
-  const auto id = fx.platform.submit(0, 0.9, 0.0);
-  const StoryRun run = sim.run_story(id, {0.9, 0.7});
-  EXPECT_GT(fx.platform.story(id).vote_count(), 50u);
+  VoteSimulator sim(fx.site, fast_params(), stats::Rng(10));
+  StoryState st = fx.submit(0, 0.9);
+  const StoryRun run = sim.run_story(st, {0.9, 0.7});
+  EXPECT_GT(st.story.vote_count(), 50u);
   EXPECT_GT(run.discovery_votes, 10u);
-  EXPECT_TRUE(fx.platform.story(id).promoted());
+  EXPECT_TRUE(st.story.promoted());
 }
 
 TEST(VoteSimulator, DullUnconnectedStoryStaysSmall) {
   Fixture fx;
-  VoteSimulator sim(fx.platform, fast_params(), stats::Rng(7));
+  VoteSimulator sim(fx.site, fast_params(), stats::Rng(7));
   // Late-arriving user: few fans.
-  const auto id = fx.platform.submit(1999, 0.03, 0.0);
-  sim.run_story(id, {0.03, 0.1});
-  EXPECT_LT(fx.platform.story(id).vote_count(), 43u);
-  EXPECT_FALSE(fx.platform.story(id).promoted());
+  StoryState st = fx.submit(1999, 0.03);
+  sim.run_story(st, {0.03, 0.1});
+  EXPECT_LT(st.story.vote_count(), 43u);
+  EXPECT_FALSE(st.story.promoted());
 }
 
 TEST(VoteSimulator, VotesAreChronologicalAndUnique) {
   Fixture fx;
-  VoteSimulator sim(fx.platform, fast_params(), stats::Rng(3));
-  const auto id = fx.platform.submit(0, 0.6, 0.0);
-  sim.run_story(id, {0.6, 0.6});
-  const platform::Story& s = fx.platform.story(id);
+  VoteSimulator sim(fx.site, fast_params(), stats::Rng(3));
+  StoryState st = fx.submit(0, 0.6);
+  sim.run_story(st, {0.6, 0.6});
+  const platform::Story& s = st.story;
   ASSERT_GE(s.vote_count(), 2u);
   EXPECT_EQ(s.voters.front(), s.submitter);
   std::set<platform::UserId> seen;
@@ -80,30 +88,30 @@ TEST(VoteSimulator, VotesAreChronologicalAndUnique) {
 
 TEST(VoteSimulator, TimeSeriesMatchesFinalCount) {
   Fixture fx;
-  VoteSimulator sim(fx.platform, fast_params(), stats::Rng(5));
-  const auto id = fx.platform.submit(0, 0.5, 0.0);
-  const StoryRun run = sim.run_story(id, {0.5, 0.5});
+  VoteSimulator sim(fx.site, fast_params(), stats::Rng(5));
+  StoryState st = fx.submit(0, 0.5);
+  const StoryRun run = sim.run_story(st, {0.5, 0.5});
   EXPECT_DOUBLE_EQ(run.votes_over_time.values().back(),
-                   static_cast<double>(fx.platform.story(id).vote_count()));
+                   static_cast<double>(st.story.vote_count()));
   EXPECT_DOUBLE_EQ(run.votes_over_time.values().front(), 1.0);
 }
 
 TEST(VoteSimulator, ChannelCountsSumToVotes) {
   Fixture fx;
-  VoteSimulator sim(fx.platform, fast_params(), stats::Rng(11));
-  const auto id = fx.platform.submit(0, 0.7, 0.0);
-  const StoryRun run = sim.run_story(id, {0.7, 0.6});
+  VoteSimulator sim(fx.site, fast_params(), stats::Rng(11));
+  StoryState st = fx.submit(0, 0.7);
+  const StoryRun run = sim.run_story(st, {0.7, 0.6});
   EXPECT_EQ(1 + run.fan_channel_votes + run.discovery_votes,
-            fx.platform.story(id).vote_count());
+            st.story.vote_count());
 }
 
 TEST(VoteSimulator, DeterministicGivenSeeds) {
   auto run_once = [] {
     Fixture fx(42);
-    VoteSimulator sim(fx.platform, fast_params(), stats::Rng(9));
-    const auto id = fx.platform.submit(0, 0.6, 0.0);
-    sim.run_story(id, {0.6, 0.5});
-    const platform::Story& s = fx.platform.story(id);
+    VoteSimulator sim(fx.site, fast_params(), stats::Rng(9));
+    StoryState st = fx.submit(0, 0.6);
+    sim.run_story(st, {0.6, 0.5});
+    const platform::Story& s = st.story;
     return std::pair(s.voters, s.times);
   };
   const auto a = run_once();
@@ -115,63 +123,84 @@ TEST(VoteSimulator, UnpromotedStoryStopsAtExpiry) {
   Fixture fx(1, 2000, /*threshold=*/100000);  // promotion unreachable
   VoteModelParams params = fast_params();
   params.horizon = 3.0 * platform::kMinutesPerDay;
-  VoteSimulator sim(fx.platform, params, stats::Rng(13));
-  const auto id = fx.platform.submit(0, 0.9, 0.0);
-  sim.run_story(id, {0.9, 0.9});
-  const platform::Story& s = fx.platform.story(id);
+  VoteSimulator sim(fx.site, params, stats::Rng(13));
+  StoryState st = fx.submit(0, 0.9);
+  sim.run_story(st, {0.9, 0.9});
+  const platform::Story& s = st.story;
   EXPECT_EQ(s.phase, StoryPhase::kExpired);
   // No vote should land after the upcoming lifetime.
-  const platform::Minutes lifetime =
-      fx.platform.queue_params().upcoming_lifetime;
+  const platform::Minutes lifetime = fx.site.queue_params().upcoming_lifetime;
   for (platform::Minutes t : s.times)
     EXPECT_LE(t, s.submitted_at + lifetime + params.step + 1e-9);
 }
 
 TEST(VoteSimulator, FanChannelDominatesForConnectedDullStory) {
   Fixture fx;
-  VoteSimulator sim(fx.platform, fast_params(), stats::Rng(17));
+  VoteSimulator sim(fx.site, fast_params(), stats::Rng(17));
   // Top user (0) with a dull-but-community-pleasing story.
-  const auto id = fx.platform.submit(0, 0.05, 0.0);
-  const StoryRun run = sim.run_story(id, {0.05, 0.9});
+  StoryState st = fx.submit(0, 0.05);
+  const StoryRun run = sim.run_story(st, {0.05, 0.9});
   EXPECT_GT(run.fan_channel_votes, run.discovery_votes);
 }
 
 TEST(VoteSimulator, DiscoveryDominatesForUnconnectedHotStory) {
   Fixture fx;
-  VoteSimulator sim(fx.platform, fast_params(), stats::Rng(19));
-  const auto id = fx.platform.submit(1999, 0.9, 0.0);
-  const StoryRun run = sim.run_story(id, {0.9, 0.2});
+  VoteSimulator sim(fx.site, fast_params(), stats::Rng(19));
+  StoryState st = fx.submit(1999, 0.9);
+  const StoryRun run = sim.run_story(st, {0.9, 0.2});
   EXPECT_GT(run.discovery_votes, run.fan_channel_votes);
 }
 
 TEST(VoteSimulator, RejectsBadTraitsAndParams) {
   Fixture fx;
-  VoteSimulator sim(fx.platform, fast_params(), stats::Rng(1));
-  const auto id = fx.platform.submit(0, 0.5, 0.0);
-  EXPECT_THROW(sim.run_story(id, {-0.1, 0.5}), std::invalid_argument);
-  EXPECT_THROW(sim.run_story(id, {0.5, 1.5}), std::invalid_argument);
+  VoteSimulator sim(fx.site, fast_params(), stats::Rng(1));
+  StoryState st = fx.submit(0, 0.5);
+  EXPECT_THROW(sim.run_story(st, {-0.1, 0.5}), std::invalid_argument);
+  EXPECT_THROW(sim.run_story(st, {0.5, 1.5}), std::invalid_argument);
 
   VoteModelParams bad = fast_params();
   bad.step = 0.0;
-  EXPECT_THROW(VoteSimulator(fx.platform, bad, stats::Rng(1)),
+  EXPECT_THROW(VoteSimulator(fx.site, bad, stats::Rng(1)),
                std::invalid_argument);
   bad = fast_params();
   bad.horizon = bad.step / 2.0;
-  EXPECT_THROW(VoteSimulator(fx.platform, bad, stats::Rng(1)),
+  EXPECT_THROW(VoteSimulator(fx.site, bad, stats::Rng(1)),
                std::invalid_argument);
 }
 
 TEST(SimulateBatch, RunsAllSubmissions) {
   Fixture fx;
-  VoteSimulator sim(fx.platform, fast_params(), stats::Rng(23));
-  const std::vector<std::pair<platform::UserId, StoryTraits>> submissions = {
+  VoteSimulator sim(fx.site, fast_params(), stats::Rng(23));
+  const std::vector<Submission> submissions = {
       {0, {0.5, 0.5}}, {10, {0.2, 0.3}}, {1500, {0.8, 0.4}}};
-  const BatchResult result = simulate_batch(fx.platform, sim, submissions, 2.0);
-  ASSERT_EQ(result.ids.size(), 3u);
-  ASSERT_EQ(result.runs.size(), 3u);
-  EXPECT_EQ(fx.platform.story_count(), 3u);
+  const std::vector<SimulatedStory> result =
+      simulate_batch(fx.site, sim, submissions, 2.0);
+  ASSERT_EQ(result.size(), 3u);
+  for (std::size_t k = 0; k < result.size(); ++k) {
+    EXPECT_EQ(result[k].story.id, k);
+    EXPECT_EQ(result[k].run.story, k);
+    EXPECT_EQ(result[k].story.submitter, submissions[k].first);
+  }
   // Spacing: second story submitted 2 minutes after the first.
-  EXPECT_DOUBLE_EQ(fx.platform.story(result.ids[1]).submitted_at, 2.0);
+  EXPECT_DOUBLE_EQ(result[1].story.submitted_at, 2.0);
+}
+
+TEST(VoteSimulator, CountsTicksActuallyStepped) {
+  // An unpromotable story expires after the 1-day lifetime, so it steps
+  // lifetime / step ticks of the 3-day horizon, not horizon / step.
+  Fixture fx(1, 2000, /*threshold=*/100000);
+  VoteModelParams params = fast_params();
+  params.horizon = 3.0 * platform::kMinutesPerDay;
+  VoteSimulator sim(fx.site, params, stats::Rng(13));
+  obs::Counter& ticks =
+      obs::Registry::global().counter("dynamics.ticks_simulated");
+  const std::uint64_t before = ticks.value();
+  StoryState st = fx.submit(0, 0.5);
+  sim.run_story(st, {0.5, 0.5});
+  EXPECT_EQ(st.story.phase, StoryPhase::kExpired);
+  EXPECT_EQ(ticks.value() - before,
+            static_cast<std::uint64_t>(platform::kMinutesPerDay /
+                                       params.step));
 }
 
 }  // namespace

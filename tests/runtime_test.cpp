@@ -132,6 +132,82 @@ TEST(ParallelMap, MoveOnlyResults) {
     EXPECT_EQ(*out[i], static_cast<int>(i));
 }
 
+TEST(ParallelForOrdered, ConsumesEveryIndexInOrder) {
+  for (const unsigned threads : {1u, 4u}) {
+    ThreadGuard guard(threads);
+    std::vector<std::size_t> consumed;
+    parallel_for_ordered<std::unique_ptr<std::size_t>>(
+        1000, 16,
+        [](std::size_t i) {
+          // Uneven work so later indices often finish first.
+          volatile std::size_t spin = 0;
+          for (std::size_t k = 0; k < (i * 7919) % 5000; ++k) spin = spin + k;
+          return std::make_unique<std::size_t>(i * 3);
+        },
+        [&](std::size_t i, std::unique_ptr<std::size_t>&& value) {
+          EXPECT_EQ(*value, i * 3);
+          consumed.push_back(i);
+        },
+        {.grain = 1});
+    ASSERT_EQ(consumed.size(), 1000u) << threads;
+    for (std::size_t i = 0; i < consumed.size(); ++i)
+      EXPECT_EQ(consumed[i], i) << threads;
+  }
+}
+
+TEST(ParallelForOrdered, WindowBoundsHeldResults) {
+  ThreadGuard guard(4);
+  constexpr std::size_t kWindow = 3;
+  std::atomic<std::size_t> held{0};
+  std::atomic<std::size_t> max_held{0};
+  parallel_for_ordered<std::size_t>(
+      400, kWindow,
+      [&](std::size_t i) {
+        const std::size_t now = ++held;
+        std::size_t seen = max_held.load();
+        while (now > seen && !max_held.compare_exchange_weak(seen, now)) {
+        }
+        return i;
+      },
+      [&](std::size_t, std::size_t&&) { --held; }, {.grain = 1});
+  EXPECT_EQ(held.load(), 0u);
+  EXPECT_LE(max_held.load(), kWindow);
+}
+
+TEST(ParallelForOrdered, ProduceFailureStopsConsumption) {
+  ThreadGuard guard(4);
+  std::vector<std::size_t> consumed;
+  try {
+    parallel_for_ordered<std::size_t>(
+        200, 4,
+        [](std::size_t i) {
+          if (i == 37) throw std::runtime_error("37");
+          return i;
+        },
+        [&](std::size_t i, std::size_t&&) { consumed.push_back(i); },
+        {.grain = 1});
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "37");
+  }
+  ASSERT_LE(consumed.size(), 37u);
+  for (std::size_t i = 0; i < consumed.size(); ++i) EXPECT_EQ(consumed[i], i);
+}
+
+TEST(ParallelForOrdered, ConsumeFailurePropagates) {
+  ThreadGuard guard(4);
+  std::size_t last = 0;
+  EXPECT_THROW(parallel_for_ordered<std::size_t>(
+                   200, 8, [](std::size_t i) { return i; },
+                   [&](std::size_t i, std::size_t&&) {
+                     last = i;
+                     if (i == 10) throw std::logic_error("stop");
+                   },
+                   {.grain = 1}),
+               std::logic_error);
+  EXPECT_EQ(last, 10u);
+}
+
 TEST(ParallelReduce, MatchesSerialSum) {
   ThreadGuard guard(8);
   const std::size_t n = 5000;

@@ -14,6 +14,7 @@
 #include "src/core/features.h"
 #include "src/core/predictor.h"
 #include "src/data/synthetic.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/parallel.h"
 #include "src/serve/client.h"
 #include "src/serve/mpsc_queue.h"
@@ -469,21 +470,10 @@ int drive_events(std::uint16_t port, const std::vector<char>& wire,
   return fd;
 }
 
-TEST_F(ServeTest, EndToEndMatchesOracleAndDrainsEverything) {
-  const auto load = test_load(60, 50);
-  std::vector<char> wire;
-  encode_load(load, 0, total_events(load), wire);
-
-  Server server(test_corpus().corpus.network, test_serve_params());
-  const auto port = server.start();
-  ASSERT_GT(port, 0);
-  EXPECT_TRUE(server.running());
-
-  FrameDecoder decoder;
-  const int fd = drive_events(port, wire, decoder);
-  ASSERT_GE(fd, 0);
-
-  // Query every story through the socket and compare against the oracle.
+/// Queries every story of `load` over `fd` and checks each reply against
+/// a serial replay of the load (the exact oracle serve_load --verify uses).
+void expect_matches_oracle(int fd, FrameDecoder& decoder,
+                           const std::vector<LoadItem>& load) {
   std::vector<char> queries;
   for (const LoadItem& l : load) {
     encode(QueryStateMsg{l.story->id}, queries);
@@ -494,7 +484,6 @@ TEST_F(ServeTest, EndToEndMatchesOracleAndDrainsEverything) {
   std::string error;
   ASSERT_TRUE(read_messages(fd, decoder, replies, load.size() * 2, error))
       << error;
-  ::close(fd);
 
   stream::StreamEngine oracle = make_oracle(load);
   for (std::size_t i = 0; i < load.size(); ++i) {
@@ -522,11 +511,77 @@ TEST_F(ServeTest, EndToEndMatchesOracleAndDrainsEverything) {
               expect.bayes_interesting.value_or(false) ? 1 : 0);
     EXPECT_EQ(predict.bayes_expected_final, expect.bayes_expected_final);
   }
+}
+
+TEST_F(ServeTest, EndToEndMatchesOracleAndDrainsEverything) {
+  const auto load = test_load(60, 50);
+  std::vector<char> wire;
+  encode_load(load, 0, total_events(load), wire);
+
+  Server server(test_corpus().corpus.network, test_serve_params());
+  const auto port = server.start();
+  ASSERT_GT(port, 0);
+  EXPECT_TRUE(server.running());
+
+  FrameDecoder decoder;
+  const int fd = drive_events(port, wire, decoder);
+  ASSERT_GE(fd, 0);
+  // Query every story through the socket and compare against the oracle.
+  expect_matches_oracle(fd, decoder, load);
+  ::close(fd);
 
   // Graceful drain applied every accepted event.
   server.request_stop();
   server.wait();
   EXPECT_FALSE(server.running());
+  EXPECT_EQ(server.engine().events_applied(), total_events(load));
+  EXPECT_EQ(server.engine().story_count(), load.size());
+}
+
+TEST_F(ServeTest, RejectsOutOfRangeUsersAndKeepsServing) {
+  // One vote frame with voter 0xFFFFFFF0 used to throw inside the engine's
+  // shard apply and abort the process. Both user-id fields are now checked
+  // at the front-end and answered with kUnknownUser.
+  const auto load = test_load(60, 50);
+  std::vector<char> wire;
+  encode_load(load, 0, total_events(load), wire);
+
+  Server server(test_corpus().corpus.network, test_serve_params());
+  const auto port = server.start();
+  obs::Counter& rejected =
+      obs::Registry::global().counter("serve.rejected_unknown_user");
+  const std::uint64_t rejected_before = rejected.value();
+
+  FrameDecoder decoder;
+  const int fd = drive_events(port, wire, decoder);
+  ASSERT_GE(fd, 0);
+  constexpr std::uint32_t kBadUser = 0xFFFFFFF0u;
+  std::vector<char> hostile;
+  encode(VoteMsg{load.front().story->id, kBadUser, 1e6}, hostile);
+  encode(SubmitMsg{424242, kBadUser, 1e6}, hostile);
+  encode(SyncMsg{77}, hostile);
+  ASSERT_TRUE(write_all(fd, hostile.data(), hostile.size()));
+  std::vector<Message> replies;
+  for (int k = 0; k < 2; ++k) {
+    std::string error;
+    EXPECT_FALSE(read_messages(fd, decoder, replies, 1, error));
+    EXPECT_NE(error.find("code=5 detail=" + std::to_string(kBadUser)),
+              std::string::npos)
+        << error;
+  }
+  std::string error;
+  ASSERT_TRUE(read_messages(fd, decoder, replies, 1, error)) << error;
+  const auto* sync = std::get_if<SyncReplyMsg>(&replies.back());
+  ASSERT_NE(sync, nullptr);
+  EXPECT_EQ(sync->token, 77u);
+  EXPECT_EQ(rejected.value() - rejected_before, 2u);
+
+  // The rejected frames left no trace: every story still matches the
+  // oracle, and the refused submit registered nothing.
+  expect_matches_oracle(fd, decoder, load);
+  ::close(fd);
+  server.request_stop();
+  server.wait();
   EXPECT_EQ(server.engine().events_applied(), total_events(load));
   EXPECT_EQ(server.engine().story_count(), load.size());
 }
