@@ -16,7 +16,6 @@ namespace {
 
 using snapfmt::ByteBuffer;
 using snapfmt::ByteReader;
-using snapfmt::Section;
 
 // On little-endian hosts with 64-bit size_t the in-memory column already
 // has the on-disk u64 layout; elsewhere widen per element.
@@ -32,61 +31,17 @@ void write_u64_column(ByteBuffer& out, std::span<const std::size_t> v) {
   }
 }
 
-ByteBuffer encode_network(const graph::Digraph& g, bool align_columns) {
+ByteBuffer encode_network(const graph::Digraph& g) {
   ByteBuffer out;
   out.pod(static_cast<std::uint64_t>(g.node_count()));
   out.pod(static_cast<std::uint64_t>(g.edge_count()));
   write_u64_column(out, g.out_offsets());
   out.column(g.out_targets());
-  // v2 keeps u64 columns 8-byte aligned within the body so mapped readers
-  // can bind them in place; v1 bodies stay byte-identical to old writers.
-  if (align_columns) out.pad8();
+  // Keep the u64 columns 8-byte aligned within the body so mapped readers
+  // can bind them in place.
+  out.pad8();
   write_u64_column(out, g.in_offsets());
   out.column(g.in_sources());
-  return out;
-}
-
-ByteBuffer encode_stories_v1(const Corpus& corpus) {
-  ByteBuffer out;
-  out.pod(static_cast<std::uint64_t>(corpus.front_page.size()));
-  out.pod(static_cast<std::uint64_t>(corpus.upcoming.size()));
-  const auto each = [&](auto&& emit) {
-    for (const Story& s : corpus.front_page) emit(s);
-    for (const Story& s : corpus.upcoming) emit(s);
-  };
-  each([&](const Story& s) { out.pod(s.id); });
-  each([&](const Story& s) { out.pod(s.submitter); });
-  each([&](const Story& s) { out.pod(s.submitted_at); });
-  each([&](const Story& s) { out.pod(s.quality); });
-  each([&](const Story& s) { out.pod(static_cast<std::uint8_t>(s.phase)); });
-  each([&](const Story& s) {
-    out.pod(static_cast<std::uint8_t>(s.promoted() ? 1 : 0));
-  });
-  each([&](const Story& s) { out.pod(s.promoted_at.value_or(0.0)); });
-  return out;
-}
-
-ByteBuffer encode_votes_v1(const Corpus& corpus) {
-  ByteBuffer out;
-  std::uint64_t total = 0;
-  std::vector<std::uint64_t> offsets{0};
-  const auto each = [&](auto&& emit) {
-    for (const Story& s : corpus.front_page) emit(s);
-    for (const Story& s : corpus.upcoming) emit(s);
-  };
-  each([&](const Story& s) {
-    total += s.vote_count();
-    offsets.push_back(total);
-  });
-  out.pod(static_cast<std::uint64_t>(corpus.story_count()));
-  out.pod(total);
-  out.column(offsets);
-  each([&](const Story& s) {
-    out.raw(s.voters().data(), s.voters().size() * sizeof(UserId));
-  });
-  each([&](const Story& s) {
-    out.raw(s.times().data(), s.times().size() * sizeof(platform::Minutes));
-  });
   return out;
 }
 
@@ -101,8 +56,7 @@ ByteBuffer encode_model_id(std::string_view id) {
 /// legacy two-mechanism model. An id the running binary has no registered
 /// model for is a load error — analyses keyed on the model (scenario
 /// comparisons, predictor calibration) must not silently misattribute data.
-template <typename File>
-std::string read_model_id(const File& file, const std::string& ctx) {
+std::string read_model_id(const snapfmt::MmapSectionFile& file) {
   if (file.entries(snapfmt::kModelInfo).empty())
     return dynamics::kLegacyModelId;
   ByteReader r = file.open(snapfmt::kModelInfo);
@@ -110,8 +64,8 @@ std::string read_model_id(const File& file, const std::string& ctx) {
   std::string id(len, '\0');
   r.read_into(id.data(), len);
   if (!dynamics::model_registered(id))
-    throw std::runtime_error(ctx + "unknown generative model id '" + id +
-                             "' (not in the dynamics::Model registry)");
+    throw std::runtime_error(file.context() + "unknown generative model id '" +
+                             id + "' (not in the dynamics::Model registry)");
   return id;
 }
 
@@ -147,7 +101,7 @@ SnapshotWriter::SnapshotWriter(const std::filesystem::path& path,
 void SnapshotWriter::write_network(const graph::Digraph& network) {
   if (network_written_)
     throw std::logic_error("SnapshotWriter: network written twice");
-  out_.add(snapfmt::kNetwork, encode_network(network, /*align_columns=*/true));
+  out_.add(snapfmt::kNetwork, encode_network(network));
   network_written_ = true;
 }
 
@@ -239,33 +193,19 @@ void SnapshotWriter::finish() {
 // Whole-corpus save
 
 void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
-                   std::uint32_t version, std::size_t chunk_target_bytes) {
+                   std::size_t chunk_target_bytes) {
   const auto start = std::chrono::steady_clock::now();
-
-  if (version == kSnapshotVersion) {
-    SnapshotWriter writer(path, chunk_target_bytes);
-    writer.write_network(corpus.network);
-    writer.write_model_id(corpus.model_id);
-    const auto each = [&](auto&& emit) {
-      for (const Story& s : corpus.front_page) emit(s);
-      for (const Story& s : corpus.upcoming) emit(s);
-    };
-    each([&](const Story& s) { writer.add_votes(s.voters(), s.times()); });
-    each([&](const Story& s) { writer.add_story(s); });
-    writer.write_top_users(corpus.top_users);
-    writer.finish();
-  } else if (version == 1) {
-    Section sections[] = {
-        {snapfmt::kNetwork, encode_network(corpus.network, false)},
-        {snapfmt::kStories, encode_stories_v1(corpus)},
-        {snapfmt::kVotes, encode_votes_v1(corpus)},
-        {snapfmt::kTopUsers, encode_top_users(corpus.top_users)}};
-    snapfmt::write_section_file(path, sections, version);
-  } else {
-    throw std::invalid_argument("save_snapshot: unknown version " +
-                                std::to_string(version));
-  }
-
+  SnapshotWriter writer(path, chunk_target_bytes);
+  writer.write_network(corpus.network);
+  writer.write_model_id(corpus.model_id);
+  const auto each = [&](auto&& emit) {
+    for (const Story& s : corpus.front_page) emit(s);
+    for (const Story& s : corpus.upcoming) emit(s);
+  };
+  each([&](const Story& s) { writer.add_votes(s.voters(), s.times()); });
+  each([&](const Story& s) { writer.add_story(s); });
+  writer.write_top_users(corpus.top_users);
+  writer.finish();
   record_save_metrics(path, elapsed_us(start));
 }
 
@@ -274,326 +214,105 @@ void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
 
 namespace {
 
-/// The STORIES metadata columns shared by both formats (v1 prepends
-/// front/upcoming counts; v2 stores one total and partitions by flag).
-struct StoryColumns {
-  std::size_t count = 0;
-  std::vector<StoryId> ids;
-  std::vector<UserId> submitters;
-  std::vector<double> submitted_at, quality, promoted_at;
-  std::vector<std::uint8_t> phases, has_promoted;
-};
-
-void read_story_columns(ByteReader& r, StoryColumns& cols) {
-  cols.ids = r.column<StoryId>(cols.count);
-  cols.submitters = r.column<UserId>(cols.count);
-  cols.submitted_at = r.column<double>(cols.count);
-  cols.quality = r.column<double>(cols.count);
-  cols.phases = r.column<std::uint8_t>(cols.count);
-  cols.has_promoted = r.column<std::uint8_t>(cols.count);
-  cols.promoted_at = r.column<double>(cols.count);
-}
-
-/// Materialises the story views over corpus.vote_store (already loaded),
-/// assigning slot i to file-order story i. `front_of` decides the bucket.
-template <typename FrontOf>
-void emplace_stories(Corpus& corpus, const StoryColumns& cols,
-                     const std::string& ctx, FrontOf&& front_of) {
-  for (std::size_t i = 0; i < cols.count; ++i) {
-    Story s;
-    s.id = cols.ids[i];
-    s.submitter = cols.submitters[i];
-    s.submitted_at = cols.submitted_at[i];
-    s.quality = cols.quality[i];
-    if (cols.phases[i] >
-        static_cast<std::uint8_t>(platform::StoryPhase::kExpired))
-      throw std::runtime_error(ctx + "bad story phase");
-    s.phase = static_cast<platform::StoryPhase>(cols.phases[i]);
-    if (cols.has_promoted[i]) s.promoted_at = cols.promoted_at[i];
-    s.bind(corpus.vote_store.voters(static_cast<std::uint32_t>(i)),
-           corpus.vote_store.times(static_cast<std::uint32_t>(i)),
-           static_cast<std::uint32_t>(i));
-    (front_of(i) ? corpus.front_page : corpus.upcoming).push_back(std::move(s));
-  }
-}
-
-graph::Digraph decode_network_owned(ByteReader& r, bool aligned,
-                                    const std::string& ctx) {
-  const auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  const auto edges = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  auto out_offsets = r.u64_column(n + 1);
-  auto out_targets = r.column<graph::NodeId>(edges);
-  if (aligned) r.align8();
-  auto in_offsets = r.u64_column(n + 1);
-  auto in_sources = r.column<graph::NodeId>(edges);
-  try {
-    return graph::Digraph::from_parts(std::move(out_offsets),
-                                      std::move(out_targets),
-                                      std::move(in_offsets),
-                                      std::move(in_sources));
-  } catch (const std::invalid_argument& err) {
-    throw std::runtime_error(ctx + err.what());
-  }
-}
-
-Corpus load_v1(const snapfmt::SectionFile& file) {
-  const std::string& ctx = file.context;
+/// The one corpus parser: reads every corpus section of a mapped snapshot
+/// and binds the network CSR (on hosts with the native u64 layout) and the
+/// vote columns zero-copy into the mapping. Checks the structure that makes
+/// the views safe to read — offset monotonicity, section cross-consistency,
+/// CSR shape, submitter and top-user ranges — and verifies the checksum of
+/// every section it reads (vote chunks in parallel). The returned corpus
+/// borrows from `map`; the caller keeps the mapping alive or copies out.
+Corpus parse_snapshot(const snapfmt::MmapSectionFile& map) {
+  const std::string& ctx = map.context();
   Corpus corpus;
-  corpus.model_id = read_model_id(file, ctx);
+  corpus.model_id = read_model_id(map);
 
   {
-    ByteReader r = file.open(snapfmt::kNetwork);
-    corpus.network = decode_network_owned(r, /*aligned=*/false, ctx);
-  }
-
-  std::size_t front_count = 0;
-  StoryColumns cols;
-  {
-    ByteReader r = file.open(snapfmt::kStories);
-    front_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    const auto up_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    cols.count = front_count + up_count;
-    read_story_columns(r, cols);
-  }
-
-  {
-    ByteReader r = file.open(snapfmt::kVotes);
-    const auto vote_stories = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    if (vote_stories != cols.count)
-      throw std::runtime_error(ctx + "story count mismatch between sections");
-    const auto total = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    auto offsets = r.column<std::uint64_t>(cols.count + 1);
-    auto users = r.column<UserId>(total);
-    auto times = r.column<platform::Minutes>(total);
-    try {
-      corpus.vote_store = VoteStore::from_parts(
-          std::move(offsets), std::move(users), std::move(times));
-    } catch (const std::invalid_argument& err) {
-      throw std::runtime_error(ctx + err.what());
-    }
-  }
-
-  {
-    ByteReader r = file.open(snapfmt::kTopUsers);
+    ByteReader r = map.open(snapfmt::kNetwork);
     const auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    corpus.top_users = r.column<UserId>(n);
-  }
-
-  corpus.front_page.reserve(front_count);
-  corpus.upcoming.reserve(cols.count - front_count);
-  // v1 files order stories front page first; partition by position.
-  emplace_stories(corpus, cols, ctx,
-                  [&](std::size_t i) { return i < front_count; });
-  return corpus;
-}
-
-/// The VOTES_INDEX preamble + chunk table shared by both v2 loaders.
-struct VoteIndex {
-  std::size_t story_count = 0;
-  std::uint64_t total = 0;
-  std::size_t chunk_count = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> chunks;  // story, vote
-};
-
-VoteIndex read_vote_index_preamble(ByteReader& r) {
-  VoteIndex idx;
-  idx.story_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  idx.total = r.pod<std::uint64_t>();
-  idx.chunk_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  return idx;
-}
-
-void read_vote_index_chunks(ByteReader& r, VoteIndex& idx) {
-  idx.chunks.reserve(idx.chunk_count);
-  for (std::size_t c = 0; c < idx.chunk_count; ++c) {
-    const auto story = r.pod<std::uint64_t>();
-    const auto vote = r.pod<std::uint64_t>();
-    idx.chunks.emplace_back(story, vote);
-  }
-}
-
-Corpus load_v2(const snapfmt::SectionFile& file) {
-  const std::string& ctx = file.context;
-  Corpus corpus;
-  corpus.model_id = read_model_id(file, ctx);
-
-  {
-    ByteReader r = file.open(snapfmt::kNetwork);
-    corpus.network = decode_network_owned(r, /*aligned=*/true, ctx);
-  }
-
-  StoryColumns cols;
-  {
-    ByteReader r = file.open(snapfmt::kStories);
-    cols.count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    read_story_columns(r, cols);
-  }
-
-  {
-    ByteReader r = file.open(snapfmt::kVotesIndex);
-    VoteIndex idx = read_vote_index_preamble(r);
-    if (idx.story_count != cols.count)
-      throw std::runtime_error(ctx + "story count mismatch between sections");
-    auto offsets = r.column<std::uint64_t>(cols.count + 1);
-    read_vote_index_chunks(r, idx);
-
-    const auto user_chunks = file.entries(snapfmt::kVotesUsers);
-    const auto time_chunks = file.entries(snapfmt::kVotesTimes);
-    if (user_chunks.size() != idx.chunk_count ||
-        time_chunks.size() != idx.chunk_count)
-      throw std::runtime_error(ctx + "vote chunk count mismatch");
-
-    std::vector<UserId> users;
-    std::vector<platform::Minutes> times;
-    users.reserve(static_cast<std::size_t>(idx.total));
-    times.reserve(static_cast<std::size_t>(idx.total));
-    for (std::size_t c = 0; c < idx.chunk_count; ++c) {
-      ByteReader ur = file.open(*user_chunks[c]);
-      ByteReader tr = file.open(*time_chunks[c]);
-      const std::size_t votes =
-          static_cast<std::size_t>(user_chunks[c]->size) / sizeof(UserId);
-      auto u = ur.column<UserId>(votes);
-      auto t = tr.column<platform::Minutes>(votes);
-      if (user_chunks[c]->size % sizeof(UserId) != 0 ||
-          time_chunks[c]->size != votes * sizeof(platform::Minutes))
-        throw std::runtime_error(ctx + "vote chunk size mismatch");
-      users.insert(users.end(), u.begin(), u.end());
-      times.insert(times.end(), t.begin(), t.end());
-    }
-    if (users.size() != idx.total)
-      throw std::runtime_error(ctx + "vote chunk size mismatch");
+    const auto edges = static_cast<std::size_t>(r.pod<std::uint64_t>());
     try {
-      corpus.vote_store = VoteStore::from_parts(
-          std::move(offsets), std::move(users), std::move(times));
-    } catch (const std::invalid_argument& err) {
-      throw std::runtime_error(ctx + err.what());
-    }
-  }
-
-  {
-    ByteReader r = file.open(snapfmt::kTopUsers);
-    const auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    corpus.top_users = r.column<UserId>(n);
-  }
-
-  // v2 partitions by the promotion flag, so file order can be anything
-  // (submission order for streamed files, front-first for saved corpora).
-  emplace_stories(corpus, cols, ctx,
-                  [&](std::size_t i) { return cols.has_promoted[i] != 0; });
-  return corpus;
-}
-
-}  // namespace
-
-Corpus load_snapshot(const std::filesystem::path& path) {
-  const auto start = std::chrono::steady_clock::now();
-
-  const snapfmt::SectionFile file = snapfmt::read_section_file(path);
-  Corpus corpus =
-      file.version == kSnapshotVersion ? load_v2(file) : load_v1(file);
-
-  validate(corpus);
-
-  obs::Registry::global()
-      .counter("data.snapshot_load_bytes")
-      .inc(file.bytes.size());
-  obs::Registry::global()
-      .histogram("data.snapshot_load_us")
-      .observe(elapsed_us(start));
-  obs::Registry::global()
-      .gauge("data.corpus_vote_column_bytes")
-      .set(static_cast<double>(corpus.vote_store.size_bytes()));
-  return corpus;
-}
-
-Corpus load_snapshot_mmap(const std::filesystem::path& path) {
-  const auto start = std::chrono::steady_clock::now();
-
-  // v1 files predate per-section checksums and column alignment, so the
-  // mapped zero-copy binding cannot apply; route them through the eager
-  // loader for compatibility.
-  if (snapfmt::peek_version(path) == 1) {
-    Corpus corpus = load_snapshot(path);
-    obs::Registry::global()
-        .gauge("data.snapshot_mmap_load_us")
-        .set(elapsed_us(start));
-    return corpus;
-  }
-
-  auto map = std::make_shared<const snapfmt::MmapSectionFile>(path);
-  const std::string& ctx = map->context();
-  Corpus corpus;
-  corpus.model_id = read_model_id(*map, ctx);
-
-  {
-    ByteReader r = map->open(snapfmt::kNetwork);
-    if constexpr (kNativeU64) {
-      // Bind the CSR columns in place; from_views revalidates structure.
-      const auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
-      const auto edges = static_cast<std::size_t>(r.pod<std::uint64_t>());
-      const auto as_u64 = [](std::span<const char> s) {
-        return std::span<const std::size_t>(
-            reinterpret_cast<const std::size_t*>(s.data()), s.size() / 8);
-      };
-      const auto as_node = [](std::span<const char> s) {
-        return std::span<const graph::NodeId>(
-            reinterpret_cast<const graph::NodeId*>(s.data()), s.size() / 4);
-      };
-      const auto out_offsets = as_u64(r.borrow((n + 1) * 8));
-      const auto out_targets = as_node(r.borrow(edges * 4));
-      r.align8();
-      const auto in_offsets = as_u64(r.borrow((n + 1) * 8));
-      const auto in_sources = as_node(r.borrow(edges * 4));
-      try {
+      if constexpr (kNativeU64) {
+        // Bind the CSR columns in place; from_views validates structure.
+        const auto as_u64 = [](std::span<const char> s) {
+          return std::span<const std::size_t>(
+              reinterpret_cast<const std::size_t*>(s.data()), s.size() / 8);
+        };
+        const auto as_node = [](std::span<const char> s) {
+          return std::span<const graph::NodeId>(
+              reinterpret_cast<const graph::NodeId*>(s.data()), s.size() / 4);
+        };
+        const auto out_offsets = as_u64(r.borrow((n + 1) * 8));
+        const auto out_targets = as_node(r.borrow(edges * 4));
+        r.align8();
+        const auto in_offsets = as_u64(r.borrow((n + 1) * 8));
+        const auto in_sources = as_node(r.borrow(edges * 4));
         corpus.network = graph::Digraph::from_views(out_offsets, out_targets,
                                                     in_offsets, in_sources);
-      } catch (const std::invalid_argument& err) {
-        throw std::runtime_error(ctx + err.what());
+      } else {
+        // Hosts without the native u64 layout copy the graph (the vote
+        // columns below still bind zero-copy — u32/f64 need no widening).
+        auto out_offsets = r.u64_column(n + 1);
+        auto out_targets = r.column<graph::NodeId>(edges);
+        r.align8();
+        auto in_offsets = r.u64_column(n + 1);
+        auto in_sources = r.column<graph::NodeId>(edges);
+        corpus.network = graph::Digraph::from_parts(
+            std::move(out_offsets), std::move(out_targets),
+            std::move(in_offsets), std::move(in_sources));
       }
-    } else {
-      // Hosts without the native u64 layout copy the graph (the vote
-      // columns below still bind zero-copy — u32/f64 need no widening).
-      corpus.network = decode_network_owned(r, /*aligned=*/true, ctx);
+    } catch (const std::invalid_argument& err) {
+      throw std::runtime_error(ctx + err.what());
     }
   }
 
-  StoryColumns cols;
-  {
-    ByteReader r = map->open(snapfmt::kStories);
-    cols.count = static_cast<std::size_t>(r.pod<std::uint64_t>());
-    read_story_columns(r, cols);
-  }
+  // STORIES: one total, then columns over all stories in file order.
+  ByteReader sr = map.open(snapfmt::kStories);
+  const auto count = static_cast<std::size_t>(sr.pod<std::uint64_t>());
+  const auto ids = sr.column<StoryId>(count);
+  const auto submitters = sr.column<UserId>(count);
+  const auto submitted_at = sr.column<double>(count);
+  const auto quality = sr.column<double>(count);
+  const auto phases = sr.column<std::uint8_t>(count);
+  const auto has_promoted = sr.column<std::uint8_t>(count);
+  const auto promoted_at = sr.column<double>(count);
 
   {
-    ByteReader r = map->open(snapfmt::kVotesIndex);
-    VoteIndex idx = read_vote_index_preamble(r);
-    if (idx.story_count != cols.count)
+    ByteReader r = map.open(snapfmt::kVotesIndex);
+    if (static_cast<std::size_t>(r.pod<std::uint64_t>()) != count)
       throw std::runtime_error(ctx + "story count mismatch between sections");
-    const std::span<const char> offsets_raw = r.borrow((cols.count + 1) * 8);
+    const auto total = r.pod<std::uint64_t>();
+    const auto chunk_count = static_cast<std::size_t>(r.pod<std::uint64_t>());
+    const std::span<const char> offsets_raw = r.borrow((count + 1) * 8);
     const std::span<const std::uint64_t> offsets(
         reinterpret_cast<const std::uint64_t*>(offsets_raw.data()),
-        cols.count + 1);
-    read_vote_index_chunks(r, idx);
-
-    const auto user_chunks = map->entries(snapfmt::kVotesUsers);
-    const auto time_chunks = map->entries(snapfmt::kVotesTimes);
-    if (user_chunks.size() != idx.chunk_count ||
-        time_chunks.size() != idx.chunk_count)
+        count + 1);
+    if (offsets.back() != total)
+      throw std::runtime_error(ctx + "vote chunk size mismatch");
+    // The table bounds chunk_count before anything is sized by it.
+    const auto user_chunks = map.entries(snapfmt::kVotesUsers);
+    const auto time_chunks = map.entries(snapfmt::kVotesTimes);
+    if (user_chunks.size() != chunk_count || time_chunks.size() != chunk_count)
       throw std::runtime_error(ctx + "vote chunk count mismatch");
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> firsts;
+    firsts.reserve(chunk_count);
+    for (std::size_t c = 0; c < chunk_count; ++c) {
+      const auto story = r.pod<std::uint64_t>();
+      firsts.emplace_back(story, r.pod<std::uint64_t>());
+    }
 
     // First touch of every vote chunk — checksum verification dominates
     // large loads, and chunking makes it embarrassingly parallel. A bad
     // chunk throws from the lowest-indexed failing chunk.
-    std::vector<VoteChunkView> chunks(idx.chunk_count);
-    runtime::parallel_for(idx.chunk_count, [&](std::size_t c) {
-      const std::span<const char> u = map->view(*user_chunks[c]);
-      const std::span<const char> t = map->view(*time_chunks[c]);
+    std::vector<VoteChunkView> chunks(chunk_count);
+    runtime::parallel_for(chunk_count, [&](std::size_t c) {
+      const std::span<const char> u = map.view(*user_chunks[c]);
+      const std::span<const char> t = map.view(*time_chunks[c]);
       if (u.size() % sizeof(UserId) != 0 ||
           t.size() != (u.size() / sizeof(UserId)) * sizeof(platform::Minutes))
         throw std::runtime_error(ctx + "vote chunk size mismatch");
       chunks[c] = VoteChunkView{
-          static_cast<std::size_t>(idx.chunks[c].first),
-          idx.chunks[c].second,
+          static_cast<std::size_t>(firsts[c].first),
+          firsts[c].second,
           {reinterpret_cast<const UserId*>(u.data()),
            u.size() / sizeof(UserId)},
           {reinterpret_cast<const platform::Minutes*>(t.data()),
@@ -607,33 +326,103 @@ Corpus load_snapshot_mmap(const std::filesystem::path& path) {
   }
 
   {
-    ByteReader r = map->open(snapfmt::kTopUsers);
+    ByteReader r = map.open(snapfmt::kTopUsers);
     const auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
     corpus.top_users = r.column<UserId>(n);
-  }
-
-  emplace_stories(corpus, cols, ctx,
-                  [&](std::size_t i) { return cols.has_promoted[i] != 0; });
-
-  // O(stories) structural checks in place of the eager loader's
-  // O(votes log votes) content validation (see header).
-  for (std::size_t i = 0; i < cols.count; ++i) {
-    if (cols.submitters[i] >= corpus.user_count())
-      throw std::runtime_error(ctx + "story submitter outside the network");
   }
   for (UserId u : corpus.top_users) {
     if (u >= corpus.user_count())
       throw std::runtime_error(ctx + "top user outside the network");
   }
 
+  // Slot i is file-order story i; the promotion flag picks the bucket, so
+  // file order can be anything (submission order for streamed files,
+  // front-first for saved corpora).
+  for (std::size_t i = 0; i < count; ++i) {
+    if (submitters[i] >= corpus.user_count())
+      throw std::runtime_error(ctx + "story submitter outside the network");
+    if (phases[i] > static_cast<std::uint8_t>(platform::StoryPhase::kExpired))
+      throw std::runtime_error(ctx + "bad story phase");
+    Story s;
+    s.id = ids[i];
+    s.submitter = submitters[i];
+    s.submitted_at = submitted_at[i];
+    s.quality = quality[i];
+    s.phase = static_cast<platform::StoryPhase>(phases[i]);
+    if (has_promoted[i]) s.promoted_at = promoted_at[i];
+    const auto slot = static_cast<std::uint32_t>(i);
+    s.bind(corpus.vote_store.voters(slot), corpus.vote_store.times(slot),
+           slot);
+    (has_promoted[i] ? corpus.front_page : corpus.upcoming)
+        .push_back(std::move(s));
+  }
+  return corpus;
+}
+
+void record_vote_column_bytes(const Corpus& corpus) {
+  obs::Registry::global()
+      .gauge("data.corpus_vote_column_bytes")
+      .set(static_cast<double>(corpus.vote_store.size_bytes()));
+}
+
+}  // namespace
+
+Corpus load_snapshot(const std::filesystem::path& path) {
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t file_bytes = 0;
+  Corpus corpus;
+  {
+    const snapfmt::MmapSectionFile map(path);
+    corpus = parse_snapshot(map);
+    map.verify_all();  // sections the parse never reads are checked too
+    file_bytes = map.size_bytes();
+
+    // Copy the borrowed columns out before the mapping goes away.
+    const auto own = [](auto span) {
+      return std::vector(span.begin(), span.end());
+    };
+    if (corpus.network.borrowed()) {
+      const graph::Digraph& g = corpus.network;
+      corpus.network = graph::Digraph::from_parts(
+          own(g.out_offsets()), own(g.out_targets()), own(g.in_offsets()),
+          own(g.in_sources()));
+    }
+    const VoteStore& votes = corpus.vote_store;
+    std::vector<UserId> users;
+    std::vector<platform::Minutes> times;
+    users.reserve(votes.total_votes());
+    times.reserve(votes.total_votes());
+    for (std::uint32_t slot = 0; slot < votes.story_count(); ++slot) {
+      const auto v = votes.voters(slot);
+      const auto t = votes.times(slot);
+      users.insert(users.end(), v.begin(), v.end());
+      times.insert(times.end(), t.begin(), t.end());
+    }
+    corpus.vote_store = VoteStore::from_parts(
+        own(votes.offsets()), std::move(users), std::move(times));
+    corpus.rebind_views();
+  }
+
+  validate(corpus);
+
+  obs::Registry::global().counter("data.snapshot_load_bytes").inc(file_bytes);
+  obs::Registry::global()
+      .histogram("data.snapshot_load_us")
+      .observe(elapsed_us(start));
+  record_vote_column_bytes(corpus);
+  return corpus;
+}
+
+Corpus load_snapshot_mmap(const std::filesystem::path& path) {
+  const auto start = std::chrono::steady_clock::now();
+  auto map = std::make_shared<const snapfmt::MmapSectionFile>(path);
+  Corpus corpus = parse_snapshot(*map);
   corpus.backing = std::move(map);
 
   obs::Registry::global()
       .gauge("data.snapshot_mmap_load_us")
       .set(elapsed_us(start));
-  obs::Registry::global()
-      .gauge("data.corpus_vote_column_bytes")
-      .set(static_cast<double>(corpus.vote_store.size_bytes()));
+  record_vote_column_bytes(corpus);
   return corpus;
 }
 

@@ -2,16 +2,17 @@
 // Versioned binary snapshots of a Corpus — the fast path next to the CSV
 // pair in io.h. The columnar corpus maps almost 1:1 onto flat arrays, so a
 // snapshot is a header, a section table, and a handful of bulk column
-// blobs; loading is one whole-file read plus a few validated moves — or,
-// via load_snapshot_mmap, an O(ms) metadata parse that binds story views
-// zero-copy into a memory mapping regardless of corpus size.
+// blobs. Both loaders share one parse over a memory mapping:
+// load_snapshot_mmap binds story views zero-copy into the mapping (an O(ms)
+// metadata parse regardless of corpus size), and load_snapshot copies the
+// columns out, drops the mapping, and validates the corpus.
 //
 // The container discipline (magic, version, section table, checksums, the
 // malformed-file error taxonomy, and the section-type registry) lives in
 // snapshot_format.h and is shared with the stream-engine checkpoints; this
 // header is the corpus-specific payload on top of it.
 //
-// Corpus sections, format v2 (all section bodies start 8-byte aligned so
+// Corpus sections (all section bodies start 8-byte aligned so
 // mapped readers can bind typed spans; `pad` = zero bytes to the next
 // 8-byte boundary):
 //   1 NETWORK      u64 n, u64 e, out_offsets u64[n+1], out_targets u32[e],
@@ -42,15 +43,9 @@
 // bounded working set and a mapped reader can verify chunk checksums in
 // parallel.
 //
-// Format v1 (still loadable; save_snapshot can still emit it):
-//   3 VOTES        u64 S, u64 total, offsets u64[S+1], users u32[total],
-//                  times f64[total] — one monolithic body
-//   2 STORIES      u64 front_count, u64 upcoming_count, then the same
-//                  columns as v2, stories ordered front page first
-//
-// Readers reject files with a version newer than kSnapshotVersion
-// ("unsupported version"), truncated files, bad magic, and checksum
-// mismatches with distinct messages (see snapshot_format.h).
+// Readers reject files of any version but kSnapshotVersion ("unsupported
+// version"), truncated files, bad magic, and checksum mismatches with
+// distinct messages (see snapshot_format.h).
 
 #include <cstdint>
 #include <filesystem>
@@ -66,7 +61,7 @@ namespace digg::data {
 /// Bounded size target for one vote chunk's columns (voters + times).
 inline constexpr std::size_t kDefaultVoteChunkBytes = std::size_t{8} << 20;
 
-/// Streams a v2 corpus snapshot to disk with a bounded working set: the
+/// Streams a corpus snapshot to disk with a bounded working set: the
 /// network goes out up front, vote columns leave RAM chunk by chunk as
 /// stories finish, and only the per-story metadata (O(stories), not
 /// O(votes)) accumulates until finish(). This is what lets million-user
@@ -133,32 +128,30 @@ class SnapshotWriter {
 };
 
 /// Writes `corpus` as a binary snapshot at `path` (parent directories are
-/// created). `version` selects the on-disk layout (v2 default; v1 kept for
-/// compatibility with old readers). Throws std::runtime_error on I/O
-/// failure.
+/// created). Throws std::runtime_error on I/O failure.
 void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
-                   std::uint32_t version = kSnapshotVersion,
                    std::size_t chunk_target_bytes = kDefaultVoteChunkBytes);
 
-/// Loads a snapshot written by save_snapshot (either version). Verifies
-/// magic, version, and every checksum, then validates the corpus (see
-/// corpus.h) before returning. The corpus owns all its columns. Throws
-/// std::runtime_error on I/O, format, or integrity errors.
+/// Loads a snapshot into a corpus that owns all its columns: maps the file,
+/// runs the shared parse (see load_snapshot_mmap), verifies the checksum of
+/// every section — unknown types included — copies the network and vote
+/// columns out, drops the mapping, and validates the corpus (see corpus.h)
+/// before returning. Throws std::runtime_error on I/O, format, or integrity
+/// errors.
 [[nodiscard]] Corpus load_snapshot(const std::filesystem::path& path);
 
-/// Memory-maps a v2 snapshot and binds the corpus zero-copy into the
-/// mapping: story views, vote columns, and (on 64-bit little-endian
-/// hosts) the network CSR all borrow file-backed spans, so load time is
-/// metadata parsing plus checksum scans — O(ms), independent of how much
-/// vote data the file holds. Vote-chunk checksums are verified in
-/// parallel; structural invariants (offset monotonicity, section
-/// cross-consistency, CSR shape) are checked, but the per-story O(V log V)
-/// content validation of load_snapshot is skipped — the per-section
-/// checksums already vouch for the bytes, and the file carries the same
-/// invariants save_snapshot enforced when writing. v1 files are routed
-/// through the eager loader (they predate per-section checksums and
-/// alignment). The returned corpus keeps the mapping alive via
-/// Corpus::backing; copies share it.
+/// Memory-maps a snapshot and binds the corpus zero-copy into the mapping:
+/// story views, vote columns, and (on 64-bit little-endian hosts) the
+/// network CSR all borrow file-backed spans, so load time is metadata
+/// parsing plus checksum scans — O(ms), independent of how much vote data
+/// the file holds. Vote-chunk checksums are verified in parallel;
+/// structural invariants (offset monotonicity, section cross-consistency,
+/// CSR shape, submitter and top-user ranges) are checked, but the per-story
+/// O(V log V) content validation of load_snapshot is skipped — the
+/// per-section checksums already vouch for the bytes, and the file carries
+/// the same invariants save_snapshot enforced when writing. Sections the
+/// parse never reads (unknown types) are never verified. The returned
+/// corpus keeps the mapping alive via Corpus::backing; copies share it.
 [[nodiscard]] Corpus load_snapshot_mmap(const std::filesystem::path& path);
 
 }  // namespace digg::data

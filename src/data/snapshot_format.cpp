@@ -18,36 +18,20 @@ std::string context_for(const std::filesystem::path& path) {
   return path.string() + ": ";
 }
 
-[[noreturn]] void throw_bad_version(const std::string& ctx,
-                                    std::uint32_t version) {
-  throw std::runtime_error(ctx + "unsupported version " +
-                           std::to_string(version) + " (reader supports <= " +
-                           std::to_string(kSnapshotVersion) + ")");
-}
-
-/// Shared header triage for every reader: size floor, magic, version. The
-/// buffer must hold at least kHeaderBytes + 8 bytes.
-std::uint32_t check_header(const std::string& ctx, const char* data,
-                           std::size_t size) {
-  if (size < kHeaderBytes + sizeof(std::uint64_t))
-    throw std::runtime_error(ctx + "truncated file (smaller than header)");
+/// Checks the magic and version of a mapped file image of at least
+/// kHeaderBytesV2 + 8 bytes, then parses and validates its table, verifies
+/// the header/table checksum, and returns the table. Section-body checksums
+/// are left to MmapSectionFile::view.
+std::vector<SectionEntry> read_table(const std::string& ctx, const char* data,
+                                     std::size_t size) {
   if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
     throw std::runtime_error(ctx + "bad magic (not a DIGGSNAP file)");
   std::uint32_t version;
   std::memcpy(&version, data + sizeof(kMagic), sizeof(version));
-  if (version == 0 || version > kSnapshotVersion)
-    throw_bad_version(ctx, version);
-  return version;
-}
-
-/// Parses and validates a v2 header + table from a complete in-memory or
-/// mapped file image. Verifies the header/table checksum and returns the
-/// table; section-body checksums are the caller's (eager readers verify
-/// them all, the mmap reader defers each to first open).
-std::vector<SectionEntry> read_table_v2(const std::string& ctx,
-                                        const char* data, std::size_t size) {
-  if (size < kHeaderBytesV2 + sizeof(std::uint64_t))
-    throw std::runtime_error(ctx + "truncated file (smaller than header)");
+  if (version != kSnapshotVersion)
+    throw std::runtime_error(ctx + "unsupported version " +
+                             std::to_string(version) + " (reader supports " +
+                             std::to_string(kSnapshotVersion) + ")");
   std::uint32_t count;
   std::uint64_t table_offset;
   std::memcpy(&count, data + 12, sizeof(count));
@@ -102,7 +86,7 @@ std::uint64_t fnv1a(const char* data, std::size_t size, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming v2 writer
+// Streaming writer
 
 SectionFileWriter::SectionFileWriter(const std::filesystem::path& path)
     : path_(path) {
@@ -182,137 +166,10 @@ void SectionFileWriter::finish() {
 }
 
 void write_section_file(const std::filesystem::path& path,
-                        std::span<const Section> sections,
-                        std::uint32_t version) {
-  if (version == kSnapshotVersion) {
-    SectionFileWriter w(path);
-    for (const Section& s : sections) w.add(s.type, s.body);
-    w.finish();
-    return;
-  }
-  if (version != 1)
-    throw std::invalid_argument("write_section_file: unknown version " +
-                                std::to_string(version));
-  // Legacy v1 layout: table up front, one whole-file trailing checksum.
-  const auto count = static_cast<std::uint32_t>(sections.size());
-  ByteBuffer file;
-  file.raw(kMagic, sizeof(kMagic));
-  file.pod(std::uint32_t{1});
-  file.pod(count);
-  std::uint64_t offset = kHeaderBytes + count * kEntryBytes;
-  for (const Section& s : sections) {
-    file.pod(s.type);
-    file.pod(std::uint32_t{0});  // flags, reserved
-    file.pod(offset);
-    file.pod(static_cast<std::uint64_t>(s.body.size()));
-    offset += s.body.size();
-  }
-  for (const Section& s : sections)
-    file.raw(s.body.bytes().data(), s.body.size());
-  file.pod(fnv1a(file.bytes().data(), file.size()));
-
-  if (path.has_parent_path())
-    std::filesystem::create_directories(path.parent_path());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + path.string());
-  out.write(file.bytes().data(), static_cast<std::streamsize>(file.size()));
-  if (!out) throw std::runtime_error("short write to " + path.string());
-}
-
-// ---------------------------------------------------------------------------
-// Eager reader
-
-const SectionEntry& SectionFile::find(std::uint32_t type) const {
-  for (const SectionEntry& e : table)
-    if (e.type == type) return e;
-  throw std::runtime_error(context + "missing section " +
-                           std::to_string(type));
-}
-
-std::vector<const SectionEntry*> SectionFile::entries(
-    std::uint32_t type) const {
-  std::vector<const SectionEntry*> out;
-  for (const SectionEntry& e : table)
-    if (e.type == type) out.push_back(&e);
-  return out;
-}
-
-ByteReader SectionFile::open(const SectionEntry& e) const {
-  return ByteReader(bytes.data() + e.offset,
-                    static_cast<std::size_t>(e.size));
-}
-
-ByteReader SectionFile::open(std::uint32_t type) const {
-  return open(find(type));
-}
-
-SectionFile read_section_file(const std::filesystem::path& path) {
-  // Single whole-file read; everything else is in-memory pointer work.
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  const auto file_size = static_cast<std::size_t>(in.tellg());
-  std::vector<char> bytes(file_size);
-  in.seekg(0);
-  in.read(bytes.data(), static_cast<std::streamsize>(file_size));
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-
-  const std::string ctx = context_for(path);
-  const std::uint32_t version = check_header(ctx, bytes.data(), file_size);
-
-  if (version == kSnapshotVersion) {
-    std::vector<SectionEntry> table =
-        read_table_v2(ctx, bytes.data(), file_size);
-    // The eager reader keeps v1's up-front integrity guarantee: verify
-    // every section body now. (The mmap reader is the lazy path.)
-    for (const SectionEntry& e : table) {
-      if (fnv1a(bytes.data() + e.offset, static_cast<std::size_t>(e.size)) !=
-          e.checksum)
-        throw std::runtime_error(ctx + "checksum mismatch (corrupt snapshot)");
-    }
-    return SectionFile{std::move(bytes), std::move(table), version, ctx};
-  }
-
-  // v1: table right after the header, trailing whole-file checksum.
-  ByteReader header(bytes.data(), file_size);
-  header.seek(sizeof(kMagic) + sizeof(std::uint32_t));
-  const auto section_count = header.pod<std::uint32_t>();
-  const std::size_t table_end =
-      kHeaderBytes + static_cast<std::size_t>(section_count) * kEntryBytes;
-  if (table_end + sizeof(std::uint64_t) > file_size)
-    throw std::runtime_error(ctx + "truncated file (section table cut off)");
-
-  std::vector<SectionEntry> table(section_count);
-  const std::size_t payload_end = file_size - sizeof(std::uint64_t);
-  for (SectionEntry& e : table) {
-    e.type = header.pod<std::uint32_t>();
-    e.flags = header.pod<std::uint32_t>();
-    e.offset = header.pod<std::uint64_t>();
-    e.size = header.pod<std::uint64_t>();
-    if (e.offset > payload_end || e.size > payload_end - e.offset)
-      throw std::runtime_error(ctx + "truncated file (section overruns)");
-  }
-
-  ByteReader checksum_reader(bytes.data(), file_size);
-  checksum_reader.seek(payload_end);
-  const auto stored = checksum_reader.pod<std::uint64_t>();
-  if (fnv1a(bytes.data(), payload_end) != stored)
-    throw std::runtime_error(ctx + "checksum mismatch (corrupt snapshot)");
-
-  return SectionFile{std::move(bytes), std::move(table), version, ctx};
-}
-
-std::uint32_t peek_version(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  const auto file_size = static_cast<std::size_t>(in.tellg());
-  char head[kHeaderBytes + sizeof(std::uint64_t)] = {};
-  const std::string ctx = context_for(path);
-  if (file_size < sizeof(head))
-    throw std::runtime_error(ctx + "truncated file (smaller than header)");
-  in.seekg(0);
-  in.read(head, sizeof(head));
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  return check_header(ctx, head, file_size);
+                        std::span<const Section> sections) {
+  SectionFileWriter w(path);
+  for (const Section& s : sections) w.add(s.type, s.body);
+  w.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -328,7 +185,7 @@ MmapSectionFile::MmapSectionFile(const std::filesystem::path& path)
     throw std::runtime_error("cannot read " + path.string());
   }
   size_ = static_cast<std::size_t>(st.st_size);
-  if (size_ < kHeaderBytes + sizeof(std::uint64_t)) {
+  if (size_ < kHeaderBytesV2 + sizeof(std::uint64_t)) {
     ::close(fd);
     throw std::runtime_error(context_ +
                              "truncated file (smaller than header)");
@@ -340,11 +197,7 @@ MmapSectionFile::MmapSectionFile(const std::filesystem::path& path)
   data_ = static_cast<const char*>(map);
 
   try {
-    const std::uint32_t version = check_header(context_, data_, size_);
-    if (version != kSnapshotVersion)
-      throw_bad_version(context_, version);  // mmap path is v2-only;
-    // load_snapshot_mmap routes v1 files through the eager loader first.
-    table_ = read_table_v2(context_, data_, size_);
+    table_ = read_table(context_, data_, size_);
   } catch (...) {
     ::munmap(const_cast<char*>(data_), size_);
     throw;
@@ -385,6 +238,10 @@ std::span<const char> MmapSectionFile::view(const SectionEntry& e) const {
     verified_[idx].store(1, std::memory_order_release);
   }
   return {data_ + e.offset, static_cast<std::size_t>(e.size)};
+}
+
+void MmapSectionFile::verify_all() const {
+  for (const SectionEntry& e : table_) (void)view(e);
 }
 
 }  // namespace digg::data::snapfmt

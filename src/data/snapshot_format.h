@@ -6,8 +6,8 @@
 // versioning, truncation detection, and integrity checking for free, and
 // the malformed-file error taxonomy stays identical across artifact kinds.
 //
-// Version 2 layout (all integers little-endian; written on little-endian
-// hosts). The table moved to the end of the file so sections can be
+// Layout, version 2 (all integers little-endian; written on little-endian
+// hosts). The table sits at the end of the file so sections can be
 // streamed to disk as they are produced, every section body starts on an
 // 8-byte boundary so memory-mapped readers can bind typed column spans
 // directly into the file, and each section carries its own checksum so a
@@ -19,24 +19,16 @@
 //                     u64 checksum}   at table_offset (8-byte aligned)
 //   checksum u64       FNV-1a over header bytes then table bytes
 //                      (section bodies are covered per-entry)
-//
-// Version 1 layout (still readable; `write_section_file` can still emit it
-// for compatibility tests):
-//   magic    8 bytes  "DIGGSNAP"
-//   version  u32      1
-//   count    u32      number of section-table entries
-//   table    count * {u32 type, u32 flags, u64 offset, u64 size}
-//   payload  section bodies at their table offsets
-//   checksum u64      FNV-1a over 8-byte LE words of every preceding byte
-//                     (final partial word zero-padded)
+// Any other version (including the retired version 1) is refused with
+// "unsupported version N".
 //
 // Section-type registry (ids are global across artifact kinds so a reader
 // handed the wrong artifact fails with "missing section", not garbage):
 //    1 NETWORK       corpus fan graph          (snapshot.cpp)
 //    2 STORIES       corpus story metadata     (snapshot.cpp)
-//    3 VOTES         corpus vote columns, one body      (v1 snapshots)
+//    3 (retired: version-1 monolithic vote body; do not reuse)
 //    4 TOPUSERS      corpus top-user ranking   (snapshot.cpp)
-//    5 VOTES_INDEX   chunked vote offsets + chunk table (v2 snapshots)
+//    5 VOTES_INDEX   chunked vote offsets + chunk table
 //    6 VOTES_USERS   one voter-column chunk (repeated; i-th entry = chunk i)
 //    7 VOTES_TIMES   one time-column chunk  (repeated; i-th entry = chunk i)
 //    8 MODELINFO     generative model id       (snapshot.cpp)
@@ -55,7 +47,6 @@
 // *new* section type does not bump it.
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -64,7 +55,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace digg::data {
@@ -76,7 +66,6 @@ namespace snapfmt {
 enum SectionType : std::uint32_t {
   kNetwork = 1,
   kStories = 2,
-  kVotes = 3,
   kTopUsers = 4,
   kVotesIndex = 5,
   kVotesUsers = 6,
@@ -92,12 +81,10 @@ struct SectionEntry {
   std::uint32_t flags = 0;
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
-  std::uint64_t checksum = 0;  // per-section FNV-1a (v2 files only)
+  std::uint64_t checksum = 0;  // per-section FNV-1a
 };
-inline constexpr std::size_t kEntryBytes = 24;    // v1 on-disk entry
-inline constexpr std::size_t kHeaderBytes = 16;   // v1: magic+version+count
-inline constexpr std::size_t kEntryBytesV2 = 32;  // + u64 checksum
-inline constexpr std::size_t kHeaderBytesV2 = 24;  // + u64 table_offset
+inline constexpr std::size_t kEntryBytesV2 = 32;   // on-disk table entry
+inline constexpr std::size_t kHeaderBytesV2 = 24;  // magic+version+count+offset
 
 /// FNV-1a over 8-byte little-endian words, final partial word zero-padded.
 /// Word-at-a-time keeps the multiply chain 8x shorter than the classic
@@ -149,9 +136,6 @@ class ByteReader {
  public:
   ByteReader(const char* data, std::size_t size) : data_(data), size_(size) {}
 
-  void seek(std::size_t pos) { pos_ = pos; }
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-
   template <typename T>
   T pod() {
     T v{};
@@ -166,7 +150,7 @@ class ByteReader {
     std::memcpy(dst, data_ + pos_, bytes);
     pos_ += bytes;
   }
-  /// Skip forward so the cursor sits on an 8-byte boundary (v2 sections
+  /// Skip forward so the cursor sits on an 8-byte boundary (sections
   /// zero-pad between columns of different widths).
   void align8() {
     if (pos_ % 8 != 0) {
@@ -185,34 +169,29 @@ class ByteReader {
   }
   template <typename T>
   std::vector<T> column(std::size_t count) {
+    check_count(count, sizeof(T));
     std::vector<T> v(count);
     if (count > 0) read_into(v.data(), count * sizeof(T));
     return v;
   }
-  /// u64 column widened to size_t. On little-endian hosts where size_t is
-  /// exactly 64 bits the vector's memory layout matches the on-disk column
-  /// and the whole column is one bulk read; elsewhere a portable
-  /// per-element widening loop runs instead.
-  template <typename SizeT = std::size_t>
-  std::vector<SizeT> u64_column(std::size_t count) {
-    static_assert(std::is_same_v<SizeT, std::size_t>,
-                  "u64_column always yields size_t; the template parameter "
-                  "only defers the layout checks below");
-    std::vector<SizeT> v(count);
-    if constexpr (sizeof(SizeT) == sizeof(std::uint64_t) &&
-                  std::endian::native == std::endian::little) {
-      static_assert(alignof(SizeT) == alignof(std::uint64_t) &&
-                        std::is_trivially_copyable_v<SizeT>,
-                    "bulk read requires the on-disk column layout");
-      if (count > 0) read_into(v.data(), count * sizeof(std::uint64_t));
-    } else {
-      for (std::size_t i = 0; i < count; ++i)
-        v[i] = static_cast<SizeT>(pod<std::uint64_t>());
-    }
+  /// u64 column widened to size_t element by element (for hosts whose
+  /// size_t does not share the on-disk u64 layout).
+  std::vector<std::size_t> u64_column(std::size_t count) {
+    check_count(count, sizeof(std::uint64_t));
+    std::vector<std::size_t> v(count);
+    for (std::size_t& x : v)
+      x = static_cast<std::size_t>(pod<std::uint64_t>());
     return v;
   }
 
  private:
+  /// Bounds an element count read from the file by the bytes left, so a
+  /// hostile count fails as a truncation before anything is allocated.
+  void check_count(std::size_t count, std::size_t width) const {
+    if (pos_ > size_ || count > (size_ - pos_) / width)
+      throw std::runtime_error("truncated file (section overruns payload)");
+  }
+
   const char* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
@@ -224,7 +203,7 @@ struct Section {
   ByteBuffer body;
 };
 
-/// Streams a v2 container to disk section by section: sections are written
+/// Streams a container to disk section by section: sections are written
 /// (and checksummed) as they are added, the table and trailing checksum
 /// land in `finish()`. Working set is one section body at a time — this is
 /// what lets million-user corpus generation write votes in bounded RAM.
@@ -243,10 +222,6 @@ class SectionFileWriter {
     add(type, std::span<const char>(body.bytes()));
   }
 
-  [[nodiscard]] std::size_t section_count() const { return table_.size(); }
-  /// File size so far (header + padded section bodies).
-  [[nodiscard]] std::uint64_t bytes_written() const { return offset_; }
-
   /// Writes table + checksums and patches the header; the file is invalid
   /// until this succeeds. Throws std::runtime_error on I/O failure.
   void finish();
@@ -262,52 +237,22 @@ class SectionFileWriter {
   bool finished_ = false;
 };
 
-/// Assembles and writes a whole container in one call. `version` selects
-/// the on-disk layout (v2 default; v1 kept for compatibility tests and
-/// old-reader interop). Throws std::runtime_error on I/O failure.
+/// Assembles and writes a whole container in one call. Throws
+/// std::runtime_error on I/O failure.
 void write_section_file(const std::filesystem::path& path,
-                        std::span<const Section> sections,
-                        std::uint32_t version = kSnapshotVersion);
+                        std::span<const Section> sections);
 
-/// A validated, fully-read container file. `bytes` owns the payload; table
-/// offsets index into it. All checksums are verified eagerly (v1: whole
-/// file; v2: header/table plus every section).
-struct SectionFile {
-  std::vector<char> bytes;
-  std::vector<SectionEntry> table;
-  std::uint32_t version = 0;
-
-  /// The first entry for `type`; throws "<path>: missing section N" if
-  /// absent.
-  [[nodiscard]] const SectionEntry& find(std::uint32_t type) const;
-  /// All entries of `type`, in table order (chunked sections repeat types).
-  [[nodiscard]] std::vector<const SectionEntry*> entries(
-      std::uint32_t type) const;
-  /// A reader over `type`'s body (first entry), positioned at its start.
-  [[nodiscard]] ByteReader open(std::uint32_t type) const;
-  [[nodiscard]] ByteReader open(const SectionEntry& e) const;
-
-  std::string context;  // "<path>: " prefix for error messages
-};
-
-/// Reads the whole file and verifies magic, version, section-table bounds,
-/// and checksums — with the distinct error messages the malformed-file
-/// tests rely on. Section *contents* are the caller's to parse and
-/// validate.
-[[nodiscard]] SectionFile read_section_file(const std::filesystem::path& path);
-
-/// The container version of `path` (reads only the fixed header; throws
-/// the same truncation/magic errors as the full readers).
-[[nodiscard]] std::uint32_t peek_version(const std::filesystem::path& path);
-
-/// A memory-mapped v2 container. Header and table are validated eagerly
-/// (magic, version, bounds, header/table checksum); each section's own
-/// checksum is verified lazily on the first `open`/`view` of its entry, so
-/// opening a multi-gigabyte snapshot costs milliseconds and sections that
-/// are never touched are never read off disk. Section views are zero-copy
-/// spans into the mapping and stay valid for the lifetime of this object.
-/// Lazy verification is thread-safe: concurrent first opens may both
-/// checksum the section, but the verified flag is sticky.
+/// A memory-mapped container — the one reader of the format. Header and
+/// table are validated eagerly (size, magic, version, bounds, header/table
+/// checksum, with the distinct error messages the malformed-file tests rely
+/// on); each section's own checksum is verified lazily on the first
+/// `open`/`view` of its entry, so opening a multi-gigabyte snapshot costs
+/// milliseconds and sections that are never touched are never read off
+/// disk. `verify_all` gives the eager guarantee instead. Section views are
+/// zero-copy spans into the mapping and stay valid for the lifetime of this
+/// object; section *contents* are the caller's to parse and validate. Lazy
+/// verification is thread-safe: concurrent first opens may both checksum
+/// the section, but the verified flag is sticky.
 class MmapSectionFile {
  public:
   explicit MmapSectionFile(const std::filesystem::path& path);
@@ -336,6 +281,9 @@ class MmapSectionFile {
   [[nodiscard]] ByteReader open(std::uint32_t type) const {
     return open(find(type));
   }
+  /// Verifies every entry's checksum now, unknown section types included;
+  /// throws "checksum mismatch" on the first bad one.
+  void verify_all() const;
 
   [[nodiscard]] std::size_t size_bytes() const { return size_; }
   [[nodiscard]] const std::string& context() const { return context_; }

@@ -136,7 +136,7 @@ struct StreamedCorpusInfo {
 
 /// Generates the corpus generate_corpus would produce (identical RNG
 /// consumption — same stories, votes, phases, and top-user ranking for the
-/// same params and rng state) but streams it story-by-story into a v2
+/// same params and rng state) but streams it story-by-story into a
 /// snapshot at `path` instead of materialising it in memory: each story's
 /// vote columns are handed to the snapshot writer and released from the
 /// platform as soon as its run finishes, so peak RSS is O(users + stories)

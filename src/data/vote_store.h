@@ -15,7 +15,7 @@
 //   - *borrowed* (from_views): the columns are spans over caller-owned
 //     memory — a memory-mapped snapshot's vote chunks — and the store is
 //     read-only. The voter/time data may be split across several chunks
-//     (bounded chunk bodies in snapshot format v2); chunk boundaries
+//     (bounded chunk bodies in the snapshot format); chunk boundaries
 //     always fall on story boundaries, so a story's spans are still
 //     contiguous and voters()/times() just add a chunk lookup.
 

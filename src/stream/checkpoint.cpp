@@ -33,19 +33,19 @@ struct Meta {
   std::uint64_t story_count = 0;
   std::uint64_t interesting_threshold = 0;
   std::uint32_t promotion_threshold = 0;
-  bool bayes_enabled = false;  // v1 files read as disabled
+  bool bayes_enabled = false;
   std::uint32_t bayes_fit_at = 0;
-  bool live = false;  // v1/v2 files read as replay checkpoints
+  bool live = false;
   std::vector<std::uint32_t> cascade_cps;
   std::vector<std::uint32_t> influence_cps;
 };
 
-Meta read_meta(const snapfmt::SectionFile& file) {
+Meta read_meta(const snapfmt::MmapSectionFile& file) {
   snapfmt::ByteReader r = file.open(snapfmt::kStreamMeta);
   Meta m;
   m.version = r.pod<std::uint32_t>();
-  if (m.version > kStreamCheckpointVersion)
-    throw std::runtime_error(file.context +
+  if (m.version != kStreamCheckpointVersion)
+    throw std::runtime_error(file.context() +
                              "unsupported stream checkpoint version " +
                              std::to_string(m.version));
   m.predictor_armed = r.pod<std::uint32_t>() != 0;
@@ -55,17 +55,15 @@ Meta read_meta(const snapfmt::SectionFile& file) {
   m.story_count = r.pod<std::uint64_t>();
   m.interesting_threshold = r.pod<std::uint64_t>();
   m.promotion_threshold = r.pod<std::uint32_t>();
-  if (m.version >= 2) {
-    m.bayes_enabled = r.pod<std::uint32_t>() != 0;
-    m.bayes_fit_at = r.pod<std::uint32_t>();
-  }
-  if (m.version >= 3) m.live = r.pod<std::uint32_t>() != 0;
+  m.bayes_enabled = r.pod<std::uint32_t>() != 0;
+  m.bayes_fit_at = r.pod<std::uint32_t>();
+  m.live = r.pod<std::uint32_t>() != 0;
   // Bound the list lengths before allocating: a corrupt count must fail
   // cleanly, not attempt a multi-gigabyte vector.
   const auto checked_count = [&](const char* what) {
     const std::uint32_t n = r.pod<std::uint32_t>();
     if (n > 4096)
-      throw std::runtime_error(file.context + "implausible " + what +
+      throw std::runtime_error(file.context() + "implausible " + what +
                                " checkpoint list length");
     return n;
   };
@@ -77,7 +75,8 @@ Meta read_meta(const snapfmt::SectionFile& file) {
 }  // namespace
 
 CheckpointInfo read_checkpoint_info(const std::filesystem::path& path) {
-  const snapfmt::SectionFile file = snapfmt::read_section_file(path);
+  const snapfmt::MmapSectionFile file(path);
+  file.verify_all();
   const Meta m = read_meta(file);
   return {m.version,        m.fingerprint, m.total_events,
           m.events_applied, m.story_count, m.live};
@@ -177,8 +176,9 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   obs::Span span("stream_checkpoint_restore", "stream");
   const auto t0 = std::chrono::steady_clock::now();
 
-  const snapfmt::SectionFile file = snapfmt::read_section_file(path);
-  const std::string& ctx = file.context;
+  const snapfmt::MmapSectionFile file(path);
+  file.verify_all();
+  const std::string& ctx = file.context();
   const Meta m = read_meta(file);
 
   // Refuse anything that is not this exact stream + engine configuration.

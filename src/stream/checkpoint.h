@@ -16,9 +16,9 @@
 //     u64  total events        u64  events applied
 //     u64  story count         u64  interesting threshold
 //     u32  promotion threshold
-//     u32  bayes fit enabled (0/1)     [v2+; v1 reads as disabled]
-//     u32  bayes fit_at                [v2+]
-//     u32  live mode (0/1)             [v3+; older reads as replay]
+//     u32  bayes fit enabled (0/1)
+//     u32  bayes fit_at
+//     u32  live mode (0/1)
 //     u32  cascade checkpoint count,   then that many u32 checkpoints
 //     u32  influence checkpoint count, then that many u32 checkpoints
 //
@@ -34,7 +34,7 @@
 //     f32[S]      bayes expected-final estimate        exposure grows below
 //                 the fit point, so kill/resume bit-identity needs it]
 //
-//   SERVE_STORIES (18) — live-mode checkpoints only (v3+). A live engine
+//   SERVE_STORIES (18) — live-mode checkpoints only. A live engine
 //   has no replay stream to re-derive story identity or rebuild prefixes
 //   from, so the checkpoint carries them (still O(stories * horizon), not
 //   O(votes) — the prefixes are bounded):
@@ -52,7 +52,9 @@
 // derived state: everything derivable is re-derived.
 //
 // Restore-time validation (each with a distinct error): container magic /
-// version / checksum (snapshot_format.cpp), checkpoint version, stream
+// version / checksum of every section (snapshot_format.cpp), checkpoint
+// version (exactly kStreamCheckpointVersion; any other value is refused
+// with "unsupported stream checkpoint version N"), stream
 // fingerprint, engine config equality, column sizes, and per-story
 // consistency — the applied column must be exactly the per-story event
 // counts of the stream's first events-applied events, records present iff
@@ -63,12 +65,6 @@
 
 namespace digg::stream {
 
-// v2: online Bayes-fit hook — meta gains the bayes config, state gains the
-// exposure/estimate columns when the hook is enabled. v1 files restore into
-// bayes-disabled engines unchanged.
-// v3: live-ingest mode — meta gains the live flag, live checkpoints gain
-// the SERVE_STORIES section. v1/v2 files restore as replay checkpoints
-// unchanged.
 inline constexpr std::uint32_t kStreamCheckpointVersion = 3;
 
 /// Cheap peek at a checkpoint's STREAM_META section (full container
@@ -80,7 +76,7 @@ struct CheckpointInfo {
   std::uint64_t total_events = 0;
   std::uint64_t events_applied = 0;
   std::uint64_t story_count = 0;
-  bool live = false;  // live-ingest checkpoint (v3+)
+  bool live = false;  // live-ingest checkpoint
 };
 
 [[nodiscard]] CheckpointInfo read_checkpoint_info(

@@ -111,12 +111,11 @@ void expect_error_with(Loader&& loader, const fs::path& path,
   }
 }
 
+// Both entry points run the same container reader and parse, so every
+// malformed file must fail identically through each.
 void expect_load_error(const fs::path& path, const std::string& needle) {
   expect_error_with([](const fs::path& p) { return load_snapshot(p); }, path,
                     needle);
-}
-
-void expect_mmap_load_error(const fs::path& path, const std::string& needle) {
   expect_error_with([](const fs::path& p) { return load_snapshot_mmap(p); },
                     path, needle);
 }
@@ -220,12 +219,14 @@ TEST_F(SnapshotTest, BadMagicThrows) {
 }
 
 TEST_F(SnapshotTest, FutureVersionThrows) {
-  save_snapshot(small_corpus(), snap());
-  auto bytes = slurp(snap());
-  const std::uint32_t future = kSnapshotVersion + 1;
-  std::memcpy(bytes.data() + 8, &future, sizeof(future));
-  spew(snap(), bytes);
-  expect_load_error(snap(), "unsupported version " + std::to_string(future));
+  // The retired version 1 is refused exactly like a future version.
+  for (const std::uint32_t version : {kSnapshotVersion + 1, 1u}) {
+    save_snapshot(small_corpus(), snap());
+    auto bytes = slurp(snap());
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    spew(snap(), bytes);
+    expect_load_error(snap(), "unsupported version " + std::to_string(version));
+  }
 }
 
 TEST_F(SnapshotTest, CutOffSectionTableThrows) {
@@ -260,6 +261,8 @@ TEST_F(SnapshotTest, ByteReaderRejectsSizesNearMax) {
   char sink[8];
   EXPECT_THROW(r.read_into(sink, huge), std::runtime_error);
   EXPECT_THROW((void)r.borrow(huge), std::runtime_error);
+  // Element counts are bounded before the column is allocated.
+  EXPECT_THROW((void)r.column<std::uint32_t>(huge), std::runtime_error);
   // The reader survives the rejected reads: the remaining 8 bytes are
   // still readable.
   EXPECT_EQ(r.pod<std::uint64_t>(), 0u);
@@ -273,36 +276,50 @@ TEST_F(SnapshotTest, ChecksumMismatchThrows) {
   expect_load_error(snap(), "checksum mismatch");
 }
 
-TEST_F(SnapshotTest, UnknownSectionTypesAreIgnored) {
-  // Forward compatibility: append an unknown entry to the section table.
-  // The v2 table sits at the end of the file, so no payload offset moves —
-  // bump the count, splice in a 32-byte entry, and re-seal.
-  save_snapshot(small_corpus(), snap());
-  auto bytes = slurp(snap());
+// Appends an entry of unknown type 99 to a saved snapshot's section table:
+// an empty body parked at the table boundary, carrying `checksum`. The
+// table sits at the end of the file, so no payload offset moves — bump the
+// count, splice in a 32-byte entry, and re-seal.
+void append_unknown_section(const fs::path& path, std::uint64_t checksum) {
+  auto bytes = slurp(path);
   std::uint32_t count;
   std::uint64_t table_offset;
   std::memcpy(&count, bytes.data() + 12, sizeof(count));
   std::memcpy(&table_offset, bytes.data() + 16, sizeof(table_offset));
   const std::uint32_t new_count = count + 1;
   std::memcpy(bytes.data() + 12, &new_count, sizeof(new_count));
-
-  // The unknown entry: type 99, empty body parked at the table boundary,
-  // checksum of zero bytes (the fnv basis).
   char entry[32] = {};
   const std::uint32_t type = 99;
-  const std::uint64_t checksum = fnv1a(entry, 0);
   std::memcpy(entry, &type, sizeof(type));
   std::memcpy(entry + 8, &table_offset, sizeof(table_offset));
   std::memcpy(entry + 24, &checksum, sizeof(checksum));
   bytes.insert(bytes.end() - sizeof(std::uint64_t), entry, entry + 32);
   reseal_v2(bytes);
-  spew(snap(), bytes);
+  spew(path, bytes);
+}
+
+TEST_F(SnapshotTest, UnknownSectionTypesAreIgnored) {
+  // Forward compatibility: an unknown entry with a valid checksum (the fnv
+  // basis, for zero bytes) loads through both entry points.
+  save_snapshot(small_corpus(), snap());
+  append_unknown_section(snap(), fnv1a(nullptr, 0));
 
   const Corpus loaded = load_snapshot(snap());
   EXPECT_EQ(loaded.story_count(), small_corpus().story_count());
   // The zero-copy reader must shrug the stranger off too.
   const Corpus mapped = load_snapshot_mmap(snap());
   EXPECT_EQ(mapped.story_count(), loaded.story_count());
+}
+
+TEST_F(SnapshotTest, EagerLoadVerifiesUnknownSections) {
+  // load_snapshot verifies every section's checksum, including types it
+  // does not parse; the mapped reader never opens them, so it never checks.
+  save_snapshot(small_corpus(), snap());
+  append_unknown_section(snap(), fnv1a(nullptr, 0) + 1);
+  expect_error_with([](const fs::path& p) { return load_snapshot(p); }, snap(),
+                    "checksum mismatch");
+  EXPECT_EQ(load_snapshot_mmap(snap()).story_count(),
+            small_corpus().story_count());
 }
 
 TEST_F(SnapshotTest, MmapCorruptVoteChunkThrows) {
@@ -318,7 +335,6 @@ TEST_F(SnapshotTest, MmapCorruptVoteChunkThrows) {
   ASSERT_NE(chunk, table.end());
   bytes[static_cast<std::size_t>(chunk->offset + chunk->size / 2)] ^= 0x5a;
   spew(snap(), bytes);
-  expect_mmap_load_error(snap(), "checksum mismatch");
   expect_load_error(snap(), "checksum mismatch");
 }
 
@@ -340,7 +356,7 @@ TEST_F(SnapshotTest, MmapTruncatedVoteChunkThrows) {
   std::memcpy(bytes.data() + chunk->entry_pos + 24, &short_sum, 8);
   reseal_v2(bytes);
   spew(snap(), bytes);
-  expect_mmap_load_error(snap(), "vote chunk size mismatch");
+  expect_load_error(snap(), "vote chunk size mismatch");
 }
 
 TEST_F(SnapshotTest, MmapLoadMatchesEagerLoad) {
@@ -376,6 +392,26 @@ TEST_F(SnapshotTest, MmapLoadMatchesEagerLoad) {
   }
 }
 
+TEST_F(SnapshotTest, EagerLoadOwnsEveryColumn) {
+  // load_snapshot copies out of the mapping and drops it: truncating the
+  // file in place afterwards (which would fault any page still mapped)
+  // leaves the loaded corpus intact.
+  const Corpus original = small_corpus(6);
+  save_snapshot(original, snap());
+  const Corpus loaded = load_snapshot(snap());
+  EXPECT_EQ(loaded.backing, nullptr);
+  EXPECT_FALSE(loaded.vote_store.borrowed());
+  EXPECT_FALSE(loaded.network.borrowed());
+  fs::resize_file(snap(), 0);
+  ASSERT_EQ(loaded.front_page.size(), original.front_page.size());
+  ASSERT_EQ(loaded.upcoming.size(), original.upcoming.size());
+  for (std::size_t i = 0; i < original.front_page.size(); ++i)
+    expect_same_story(original.front_page[i], loaded.front_page[i]);
+  for (std::size_t i = 0; i < original.upcoming.size(); ++i)
+    expect_same_story(original.upcoming[i], loaded.upcoming[i]);
+  EXPECT_NO_THROW(validate(loaded));
+}
+
 TEST_F(SnapshotTest, MmapSurvivesCopyAndSourceRelease) {
   // The mapping must stay alive through Corpus copies even after the
   // original loaded corpus is gone (shared backing).
@@ -394,8 +430,7 @@ TEST_F(SnapshotTest, MultiChunkRoundTrip) {
   // A tiny chunk target forces many VOTES_USERS/VOTES_TIMES sections; both
   // loaders must reassemble them into the identical corpus.
   const Corpus original = small_corpus(5);
-  save_snapshot(original, snap(), kSnapshotVersion,
-                /*chunk_target_bytes=*/512);
+  save_snapshot(original, snap(), /*chunk_target_bytes=*/512);
   const auto table = read_table(slurp(snap()));
   const auto chunks = std::ranges::count_if(table, [](const RawEntry& e) {
     return e.type == snapfmt::kVotesUsers;
@@ -410,26 +445,6 @@ TEST_F(SnapshotTest, MultiChunkRoundTrip) {
       expect_same_story(original.front_page[i], loaded.front_page[i]);
     for (std::size_t i = 0; i < original.upcoming.size(); ++i)
       expect_same_story(original.upcoming[i], loaded.upcoming[i]);
-  }
-}
-
-TEST_F(SnapshotTest, V1FilesLoadThroughBothEntryPoints) {
-  // save_snapshot can still emit v1; load_snapshot reads it directly and
-  // load_snapshot_mmap routes it through the eager loader.
-  const Corpus original = small_corpus(3);
-  save_snapshot(original, snap(), /*version=*/1);
-  const auto bytes = slurp(snap());
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  ASSERT_EQ(version, 1u);
-
-  for (const Corpus& loaded : {load_snapshot(snap()), load_snapshot_mmap(snap())}) {
-    ASSERT_EQ(loaded.story_count(), original.story_count());
-    for (std::size_t i = 0; i < original.front_page.size(); ++i)
-      expect_same_story(original.front_page[i], loaded.front_page[i]);
-    for (std::size_t i = 0; i < original.upcoming.size(); ++i)
-      expect_same_story(original.upcoming[i], loaded.upcoming[i]);
-    EXPECT_EQ(loaded.top_users, original.top_users);
   }
 }
 
@@ -512,10 +527,23 @@ TEST_F(SnapshotTest, UnknownModelIdIsALoadError) {
 }
 
 TEST_F(SnapshotTest, FilesWithoutModelInfoDefaultToLegacy) {
-  // v1 files predate the section entirely; v2 files written by older code
-  // simply lack it. Both mean "the original two-mechanism model".
+  // Files written without the section (write_model_id is optional) mean
+  // "the original two-mechanism model".
   const Corpus original = small_corpus(4);
-  save_snapshot(original, snap(), /*version=*/1);
+  {
+    SnapshotWriter writer(snap());
+    writer.write_network(original.network);
+    for (const auto* section : {&original.front_page, &original.upcoming})
+      for (const Story& s : *section) writer.add_votes(s.voters(), s.times());
+    for (const auto* section : {&original.front_page, &original.upcoming})
+      for (const Story& s : *section) writer.add_story(s);
+    writer.write_top_users(original.top_users);
+    writer.finish();
+  }
+  const auto table = read_table(slurp(snap()));
+  ASSERT_TRUE(std::ranges::none_of(table, [](const RawEntry& e) {
+    return e.type == snapfmt::kModelInfo;
+  }));
   EXPECT_EQ(load_snapshot(snap()).model_id, dynamics::kLegacyModelId);
   EXPECT_EQ(load_snapshot_mmap(snap()).model_id, dynamics::kLegacyModelId);
 }

@@ -543,7 +543,25 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
               std::string::npos)
         << err.what();
   }
-  // The failed restore must not have corrupted the engine.
+  // Only the current checkpoint version is read: the older layouts, the
+  // never-written version 0 and future versions are all refused.
+  for (const std::uint32_t version : {0u, 2u, 4u}) {
+    snapfmt::Section forged[2] = {{snapfmt::kStreamMeta, {}}, sections[1]};
+    forged[0].body.pod(version);
+    forged[0].body.raw(meta.bytes().data() + 4, meta.size() - 4);
+    snapfmt::write_section_file(path, forged);
+    try {
+      engine.restore_checkpoint(path);
+      FAIL() << "expected checkpoint version " << version << " to be refused";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what())
+                    .find("unsupported stream checkpoint version " +
+                          std::to_string(version)),
+                std::string::npos)
+          << err.what();
+    }
+  }
+  // The failed restores must not have corrupted the engine.
   EXPECT_EQ(engine.events_applied(), cut);
   engine.run_all();
 }
