@@ -12,8 +12,8 @@
 // past the size threshold. Unioning a voter's fans is a branch-light merge
 // of the sorted CSR fan span, membership a galloping binary search, and a
 // set costs bytes proportional to its cardinality (capped by the bitmap)
-// instead of O(num_users) dense stamps, which is what lets per-story sets
-// pool ~100x more densely in the streaming engine.
+// instead of O(num_users) dense stamps, which is what lets the streaming
+// engine keep one resident set per below-horizon story.
 
 #include <cstdint>
 #include <optional>
@@ -84,19 +84,10 @@ class VisibilitySet {
     return watcher_pool_;
   }
 
-  /// Resident bytes of the hybrid sets + pool (LRU byte accounting).
+  /// Resident heap bytes of the hybrid sets + exposure log.
   [[nodiscard]] std::size_t size_bytes() const noexcept {
     return watchers_.size_bytes() + voters_.size_bytes() +
            watcher_pool_.capacity() * sizeof(UserId);
-  }
-
-  /// Releases every heap buffer and empties the set. Rebind before reuse.
-  /// Byte-budgeted pools call this on evict/retire so the memory actually
-  /// returns instead of lingering as capacity.
-  void shed() noexcept {
-    watchers_.shed();
-    voters_.shed();
-    std::vector<UserId>().swap(watcher_pool_);
   }
 
  private:

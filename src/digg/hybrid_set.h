@@ -107,9 +107,8 @@ class HybridSet {
            words_.capacity() * sizeof(std::uint64_t);
   }
 
-  /// Releases every heap buffer and empties the set (universe is kept). Used
-  /// by byte-budgeted pools when a set retires or is evicted, so the memory
-  /// actually returns instead of lingering as capacity.
+  /// Releases every heap buffer and empties the set (universe is kept), so
+  /// the memory actually returns instead of lingering as capacity.
   void shed() noexcept;
 
  private:

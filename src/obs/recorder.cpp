@@ -221,7 +221,6 @@ const char* event_kind_name(EventKind kind) noexcept {
     case EventKind::kCheckpointRecorded: return "checkpoint_recorded";
     case EventKind::kCheckpointSave: return "checkpoint_save";
     case EventKind::kCheckpointRestore: return "checkpoint_restore";
-    case EventKind::kLruEvict: return "lru_evict";
     case EventKind::kStoryRetired: return "story_retired";
     case EventKind::kQuery: return "query";
   }

@@ -1,6 +1,6 @@
 #pragma once
 // Flight recorder: per-thread lock-free ring buffers of recent structured
-// events (votes applied, chunks scheduled, checkpoints, LRU evictions...),
+// events (votes applied, chunks scheduled, checkpoints, story retirements...),
 // kept cheap enough to leave on in production — recording is a handful of
 // relaxed atomic stores into a thread-owned slot, no locks, no allocation
 // after the ring exists. The value is post-mortem: when something crashes,
@@ -47,7 +47,6 @@ enum class EventKind : std::uint32_t {
   kCheckpointRecorded,  // dom=shard, a=story slot, b=votes applied
   kCheckpointSave,      // a=events applied
   kCheckpointRestore,   // a=events applied
-  kLruEvict,            // dom=shard, a=story slot
   kStoryRetired,        // dom=shard, a=story slot
   kQuery,               // a=events applied
 };

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/data/snapshot_format.h"
@@ -70,6 +74,31 @@ Meta read_meta(const snapfmt::MmapSectionFile& file) {
   m.cascade_cps = r.column<std::uint32_t>(checked_count("cascade"));
   m.influence_cps = r.column<std::uint32_t>(checked_count("influence"));
   return m;
+}
+
+// True iff per-story vote counts `applied` cut the stream's global (time,
+// story slot, vote index) order — the order run_until applies — at one
+// point: every counted vote precedes every uncounted one. Each story's
+// column is in that order already, so it suffices to compare the latest
+// counted vote against the earliest uncounted one: O(stories), no merge.
+bool is_stream_prefix(const EventStream& stream,
+                      const std::vector<std::uint64_t>& applied) {
+  using Key = std::tuple<platform::Minutes, std::size_t, std::uint64_t>;
+  std::optional<Key> last_in, first_out;
+  for (std::size_t slot = 0; slot < applied.size(); ++slot) {
+    const auto times = stream.stories[slot].times();
+    const std::uint64_t a = applied[slot];
+    if (a > times.size()) return false;
+    if (a > 0) {
+      const Key k{times[a - 1], slot, a - 1};
+      if (!last_in || *last_in < k) last_in = k;
+    }
+    if (a < times.size()) {
+      const Key k{times[a], slot, a};
+      if (!first_out || k < *first_out) first_out = k;
+    }
+  }
+  return !last_in || !first_out || *last_in < *first_out;
 }
 
 }  // namespace
@@ -256,26 +285,23 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   // Per-story consistency: the applied column must describe exactly the
   // first events-applied events of the stream, and every derived field must
   // agree with that prefix. This catches checkpoints that passed the
-  // container checksum but describe an impossible engine state. Replay mode
-  // recomputes the expected prefix with the same counting merge run_until
-  // uses, from zeroed cursors; live mode has no stream to merge, so the
-  // check degrades to the per-story sum matching the global counter (plus
-  // the prefix-shape checks below).
-  std::vector<std::uint64_t> expect;
-  if (m.live) {
-    std::uint64_t sum = 0;
-    for (const std::uint64_t a : applied) sum += a;
-    if (sum != m.events_applied)
+  // container checksum but describe an impossible engine state. Both modes
+  // need the per-story counts to sum to the global counter; replay mode
+  // also needs them to cut the stream's global order in one place. Live
+  // mode has no stream to order, so it relies on the prefix-shape checks
+  // below instead.
+  std::uint64_t sum = 0;
+  for (const std::uint64_t a : applied) {
+    if (a > m.events_applied - sum)
       throw std::runtime_error(ctx +
                                "checkpoint progress is not a stream prefix");
-  } else {
-    expect = merge_prefix_counts(std::vector<std::uint64_t>(story_count, 0),
-                                 m.events_applied);
+    sum += a;
   }
+  if (sum != m.events_applied ||
+      (!m.live && !is_stream_prefix(*stream_, applied)))
+    throw std::runtime_error(ctx +
+                             "checkpoint progress is not a stream prefix");
   for (std::size_t slot = 0; slot < story_count; ++slot) {
-    if (!m.live && applied[slot] != expect[slot])
-      throw std::runtime_error(ctx +
-                               "checkpoint progress is not a stream prefix");
     if (m.live) {
       if (live_submitters[slot] >= network_->node_count())
         throw std::runtime_error(ctx +
@@ -334,12 +360,15 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   }
 
   // Live prefix columns: the bounded prefixes must themselves be valid
-  // replay material — voters in graph range, times non-decreasing, vote 0
-  // the submitter's own digg, and the per-story watermark at or past the
-  // buffered tail. An LRU rebuild replays exactly these columns, so a
-  // corrupt prefix would otherwise surface as undefined visibility state.
+  // replay material — voters in graph range and distinct, times
+  // non-decreasing, vote 0 the submitter's own digg, and the per-story
+  // watermark at or past the buffered tail. The set rebuild below replays
+  // exactly these columns, so a corrupt prefix would otherwise surface as
+  // undefined visibility state or a throw from VisibilitySet::add_voter.
+  std::vector<LiveStory> live_stories(m.live ? story_count : 0);
   if (m.live) {
     std::size_t off = 0;
+    std::vector<platform::UserId> sorted;
     for (std::size_t slot = 0; slot < story_count; ++slot) {
       const std::uint32_t n = live_prefix_len[slot];
       for (std::uint32_t i = 0; i < n; ++i) {
@@ -357,35 +386,52 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
           throw std::runtime_error(
               ctx + "checkpoint live time watermark behind prefix");
       }
-      off += n;
-    }
-  }
-
-  // Commit. Visibility pools are dropped — they rebuild lazily from the
-  // restored prefixes, so no stale derived state can survive a restore;
-  // replay cursors need no recompute because the per-story progress IS the
-  // cursor state the counting merge resumes from. Live mode builds the
-  // story table itself (the engine was verified fresh above).
-  if (m.live) {
-    progress_.resize(story_count);
-    pool_slot_of_.assign(story_count, kUnrecorded);
-    live_stories_.resize(story_count);
-    std::size_t off = 0;
-    for (std::size_t slot = 0; slot < story_count; ++slot) {
-      LiveStory& ls = live_stories_[slot];
+      LiveStory& ls = live_stories[slot];
       ls.id = live_ids[slot];
       ls.submitter = live_submitters[slot];
       ls.last_time = live_last_time[slot];
-      const std::uint32_t n = live_prefix_len[slot];
       ls.prefix_voters.assign(live_voters_flat.begin() + off,
                               live_voters_flat.begin() + off + n);
       ls.prefix_times.assign(live_times_flat.begin() + off,
                              live_times_flat.begin() + off + n);
       off += n;
-      // fans1 is derivable, so it is re-derived, not trusted from disk.
-      progress_[slot].fans1 =
-          static_cast<std::uint32_t>(network_->fan_count(ls.submitter));
+      sorted = ls.prefix_voters;
+      std::sort(sorted.begin(), sorted.end());
+      if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
+        throw std::runtime_error(ctx +
+                                 "checkpoint live prefix repeats a voter");
     }
+  }
+
+  // Rebuild every below-horizon story's visibility set by replaying its
+  // applied prefix (replay: the stream's columns; live: the prefixes just
+  // validated). Sets are never serialized, so no stale derived state can
+  // survive a restore. Built aside and committed by move below, so a
+  // refused restore leaves the engine unchanged.
+  std::vector<std::unique_ptr<platform::VisibilitySet>> vis(story_count);
+  std::uint64_t rebuilds = 0;
+  for (std::size_t slot = 0; slot < story_count; ++slot) {
+    if (applied[slot] == 0 || applied[slot] >= horizon_) continue;
+    const auto voters =
+        m.live ? std::span<const platform::UserId>(
+                     live_stories[slot].prefix_voters)
+               : stream_->stories[slot].voters();
+    vis[slot] = std::make_unique<platform::VisibilitySet>(*network_);
+    for (std::uint64_t k = 0; k < applied[slot]; ++k)
+      vis[slot]->add_voter(voters[k]);
+    ++rebuilds;
+  }
+
+  // Commit. Replay cursors need no recompute because the per-story progress
+  // IS the cursor state the counting merge resumes from. Live mode takes
+  // the story table built above (the engine was verified fresh).
+  if (m.live) {
+    progress_.resize(story_count);
+    // fans1 is derivable, so it is re-derived, not trusted from disk.
+    for (std::size_t slot = 0; slot < story_count; ++slot)
+      progress_[slot].fans1 = static_cast<std::uint32_t>(
+          network_->fan_count(live_stories[slot].submitter));
+    live_stories_ = std::move(live_stories);
   }
   for (std::size_t slot = 0; slot < story_count; ++slot) {
     progress_[slot].applied = applied[slot];
@@ -398,13 +444,9 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   if (m.bayes_enabled) bayes_exposure_ = std::move(bayes_exposure);
   cascade_rec_ = std::move(cascade_rec);
   influence_rec_ = std::move(influence_rec);
+  vis_ = std::move(vis);
   events_applied_ = m.events_applied;
-  for (Shard& shard : shards_) {
-    shard.pool.slots.clear();
-    shard.pool.clock = 0;
-    shard.pool.bytes = 0;
-  }
-  std::fill(pool_slot_of_.begin(), pool_slot_of_.end(), kUnrecorded);
+  obs::Registry::global().counter("stream.vis_rebuilds").inc(rebuilds);
 
   obs::record_event(obs::EventKind::kCheckpointRestore, 0, events_applied_);
   obs::Registry::global()

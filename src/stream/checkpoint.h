@@ -35,7 +35,7 @@
 //                 the fit point, so kill/resume bit-identity needs it]
 //
 //   SERVE_STORIES (18) — live-mode checkpoints only. A live engine
-//   has no replay stream to re-derive story identity or rebuild prefixes
+//   has no replay stream to re-derive story identity or rebuild sets
 //   from, so the checkpoint carries them (still O(stories * horizon), not
 //   O(votes) — the prefixes are bounded):
 //     u32[S]      story ids          u32[S]  submitters
@@ -44,10 +44,11 @@
 //     u32[sum]    concatenated prefix voter columns
 //     pad to 8    f64[sum] concatenated prefix time columns
 //
-// Deliberately NOT serialized: visibility sets (rebuilt on demand by
-// replaying each story's applied prefix — bounded by the horizon) and
-// per-shard cursors (recomputed from events-applied, since shard event
-// lists are ascending ordinals). The checkpoint is therefore small —
+// Deliberately NOT serialized: visibility sets (restore rebuilds every
+// below-horizon story's set by replaying its applied prefix — bounded by
+// the horizon) and per-shard cursors (recomputed from events-applied,
+// since shard event lists are ascending ordinals). The checkpoint is
+// therefore small —
 // O(stories), not O(votes or graph) — and restore cannot resurrect stale
 // derived state: everything derivable is re-derived.
 //
@@ -58,7 +59,9 @@
 // fingerprint, engine config equality, column sizes, and per-story
 // consistency — the applied column must be exactly the per-story event
 // counts of the stream's first events-applied events, records present iff
-// their checkpoint was reached, flags consistent with progress.
+// their checkpoint was reached, flags consistent with progress, and live
+// prefixes that are valid replay material (voters in range and distinct,
+// times sorted, vote 0 the submitter).
 
 #include <cstdint>
 #include <filesystem>

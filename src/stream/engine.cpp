@@ -97,14 +97,6 @@ void StreamEngine::init_config() {
   // Shard layout: story slot % kShardCount. The layout depends only on the
   // stream, so any thread count walks the same per-shard story sequences.
   shards_.resize(kShardCount);
-
-  // Visibility-pool budget: each shard gets its share of the byte budget
-  // and accounts the real resident bytes of its hybrid sets against it —
-  // no per-set size estimate, because hybrid sets cost what they hold.
-  const std::size_t per_shard =
-      std::max<std::size_t>(1, params_.vis_budget_bytes / kShardCount);
-  for (std::uint32_t s = 0; s < kShardCount; ++s)
-    shards_[s].pool.budget = per_shard;
 }
 
 StreamEngine::StreamEngine(const graph::Digraph& network, StreamParams params)
@@ -126,7 +118,7 @@ StreamEngine::StreamEngine(const EventStream& stream,
   // Validate the stream against its own story columns: the merge order is
   // only well defined if every story's time column is non-decreasing, and
   // the cached event total must match the columns it summarises. Every
-  // downstream guarantee (rebuild-by-replay, checkpoint prefix validation)
+  // downstream guarantee (restore's set rebuild, checkpoint prefix validation)
   // leans on these invariants, so buying them up front with one O(E) pass
   // is cheaper than defending each consumer separately.
   std::uint64_t total = 0;
@@ -155,7 +147,7 @@ StreamEngine::StreamEngine(const EventStream& stream,
                       kUnrecorded);
   influence_rec_.assign(story_count * params_.influence_checkpoints.size(),
                         kUnrecorded);
-  pool_slot_of_.assign(story_count, kUnrecorded);
+  vis_.resize(story_count);
   if (params_.bayes.enabled) bayes_exposure_.assign(story_count, 0.0);
 }
 
@@ -180,7 +172,7 @@ std::uint32_t StreamEngine::live_submit(platform::StoryId id,
                       kUnrecorded);
   influence_rec_.insert(influence_rec_.end(),
                         params_.influence_checkpoints.size(), kUnrecorded);
-  pool_slot_of_.push_back(kUnrecorded);
+  vis_.emplace_back();
   if (params_.bayes.enabled) bayes_exposure_.push_back(0.0);
   // Vote 0 is the submitter's own digg — the same convention every corpus
   // column and the batch pipeline use (types.h: voters.front()==submitter).
@@ -202,9 +194,8 @@ void StreamEngine::live_vote(std::uint32_t slot, platform::UserId voter,
     throw std::invalid_argument("live vote times must be non-decreasing");
   const auto k = static_cast<std::uint32_t>(p.applied);
   if (k < horizon_) {
-    // Grow the bounded prefix BEFORE applying: apply_event's rebuild path
-    // replays strictly fewer than `applied` votes and its Bayes gap reads
-    // index k-1, both satisfied once this vote is buffered.
+    // The bounded prefix: what a checkpoint needs to rebuild this story's
+    // set on restore, and what the Bayes gap reads (index k-1).
     ls.prefix_voters.push_back(voter);
     ls.prefix_times.push_back(time);
   }
@@ -214,86 +205,6 @@ void StreamEngine::live_vote(std::uint32_t slot, platform::UserId voter,
   // Live queries may follow immediately (query-after-vote is the serve
   // reply contract), so the prediction batch is this one vote.
   flush_predictions(shard);
-}
-
-platform::VisibilitySet& StreamEngine::acquire_vis(Shard& shard,
-                                                   std::uint32_t slot) {
-  VisPool& pool = shard.pool;
-  std::uint32_t ps = pool_slot_of_[slot];
-  if (ps != kUnrecorded) {
-    PoolSlot& sl = pool.slots[ps];
-    sl.last_used = ++pool.clock;
-    // Refresh the accounting: the set grows between touches as votes land.
-    const std::size_t now_bytes = sl.set.size_bytes();
-    pool.bytes += now_bytes - sl.bytes;
-    sl.bytes = now_bytes;
-    return sl.set;
-  }
-  // Over budget: evict least-recently-used bound slots until the share is
-  // honoured again. The requested story always becomes resident afterwards,
-  // so a 1-byte budget degenerates to rebuild-per-touch, never deadlock.
-  // Pools are a few dozen slots, so linear scans beat maintaining a heap.
-  while (pool.bytes >= pool.budget) {
-    std::uint32_t victim = kUnrecorded;
-    for (std::uint32_t i = 0; i < pool.slots.size(); ++i) {
-      if (pool.slots[i].story == kUnrecorded) continue;
-      if (victim == kUnrecorded ||
-          pool.slots[i].last_used < pool.slots[victim].last_used)
-        victim = i;
-    }
-    if (victim == kUnrecorded) break;
-    PoolSlot& ev = pool.slots[victim];
-    const std::uint32_t evicted_story = ev.story;
-    pool_slot_of_[ev.story] = kUnrecorded;
-    ev.story = kUnrecorded;
-    ev.last_used = 0;
-    pool.bytes -= ev.bytes;
-    ev.bytes = 0;
-    ev.set.shed();  // return the memory, not just the binding
-    obs::Registry::global().counter("stream.vis_evictions").inc();
-    obs::record_event(obs::EventKind::kLruEvict, evicted_story % kShardCount,
-                      evicted_story);
-  }
-  // Reuse any unbound slot before growing the pool.
-  ps = kUnrecorded;
-  for (std::uint32_t i = 0; i < pool.slots.size(); ++i) {
-    if (pool.slots[i].story == kUnrecorded) {
-      ps = i;
-      break;
-    }
-  }
-  if (ps == kUnrecorded) {
-    ps = static_cast<std::uint32_t>(pool.slots.size());
-    pool.slots.emplace_back();
-  }
-  PoolSlot& sl = pool.slots[ps];
-  sl.story = slot;
-  sl.last_used = ++pool.clock;
-  pool_slot_of_[slot] = ps;
-  // Rebuild by replaying the story's applied prefix — bounded by the
-  // horizon, so a miss costs at most ~20 add_voter calls.
-  sl.set.rebind(*network_);
-  const std::uint64_t applied = progress_[slot].applied;
-  // `applied` < horizon whenever a set is (re)built, so the live-mode
-  // bounded prefix always covers the replayed range.
-  const auto voters = voters_prefix(slot);
-  for (std::uint64_t k = 0; k < applied; ++k) sl.set.add_voter(voters[k]);
-  sl.bytes = sl.set.size_bytes();
-  pool.bytes += sl.bytes;
-  if (applied > 0) obs::Registry::global().counter("stream.vis_rebuilds").inc();
-  return sl.set;
-}
-
-void StreamEngine::release_vis(Shard& shard, std::uint32_t slot) {
-  const std::uint32_t ps = pool_slot_of_[slot];
-  if (ps == kUnrecorded) return;
-  PoolSlot& sl = shard.pool.slots[ps];
-  sl.story = kUnrecorded;
-  sl.last_used = 0;
-  shard.pool.bytes -= sl.bytes;
-  sl.bytes = 0;
-  sl.set.shed();  // past-horizon sets are dead weight; free them now
-  pool_slot_of_[slot] = kUnrecorded;
 }
 
 void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
@@ -372,7 +283,10 @@ void StreamEngine::apply_event(const VoteEvent& ev, Shard& shard) {
   Progress& p = progress_[ev.story_slot];
   const std::uint64_t next = p.applied + 1;
   if (p.applied < horizon_) {
-    platform::VisibilitySet& vis = acquire_vis(shard, ev.story_slot);
+    auto& owned = vis_[ev.story_slot];
+    if (p.applied == 0)
+      owned = std::make_unique<platform::VisibilitySet>(*network_);
+    platform::VisibilitySet& vis = *owned;
     // In-network test before the vote is applied: can the voter currently
     // see the story through the Friends interface? Identical to the batch
     // exposure test (core/cascade.cpp), which checks membership in the
@@ -393,7 +307,7 @@ void StreamEngine::apply_event(const VoteEvent& ev, Shard& shard) {
     p.applied = next;
     record_checkpoints(ev.story_slot, p, vis, ev.time, shard);
     if (next >= horizon_) {
-      release_vis(shard, ev.story_slot);
+      owned.reset();  // every checkpoint is recorded
       obs::Registry::global().counter("stream.stories_retired").inc();
       obs::record_event(obs::EventKind::kStoryRetired,
                         ev.story_slot % kShardCount, ev.story_slot, next);
@@ -525,7 +439,7 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
       static_cast<double>(vis_pool_bytes()));
 }
 
-StoryOutcome StreamEngine::query_story(std::uint32_t slot) {
+StoryOutcome StreamEngine::query_story(std::uint32_t slot) const {
   if (slot >= progress_.size())
     throw std::invalid_argument("query for an unknown story slot");
   const auto& cc = params_.cascade_checkpoints;
@@ -540,7 +454,8 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) {
   // Unreached checkpoints saturate over the votes seen so far, matching
   // the batch profiles. An unrecorded cascade checkpoint's count is just
   // the running counter (all applied votes are inside its window); an
-  // unrecorded influence checkpoint needs the live set, rebuilt on demand.
+  // unrecorded influence checkpoint reads the story's resident set (a story
+  // with no votes yet has none, and influence 0).
   o.cascade.resize(cc.size());
   for (std::size_t j = 0; j < cc.size(); ++j) {
     const std::uint32_t rec = cascade_rec_[slot * cc.size() + j];
@@ -549,10 +464,10 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) {
   o.influence.resize(ic.size());
   for (std::size_t j = 0; j < ic.size(); ++j) {
     const std::uint32_t rec = influence_rec_[slot * ic.size() + j];
-    o.influence[j] =
-        rec != kUnrecorded
-            ? rec
-            : acquire_vis(shards_[slot % kShardCount], slot).influence();
+    if (rec != kUnrecorded)
+      o.influence[j] = rec;
+    else if (p.applied > 0)
+      o.influence[j] = vis_[slot]->influence();
   }
   if (p.flags & kHasPrediction)
     o.predicted_interesting = (p.flags & kPredictedYes) != 0;
@@ -564,7 +479,7 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) {
   return o;
 }
 
-StreamResult StreamEngine::result() {
+StreamResult StreamEngine::result() const {
   obs::Span span("stream_result", "stream");
   const auto query_start = std::chrono::steady_clock::now();
   obs::record_event(obs::EventKind::kQuery, 0, events_applied_);
@@ -585,7 +500,7 @@ std::size_t StreamEngine::state_bytes() const {
   std::size_t bytes = progress_.capacity() * sizeof(Progress) +
                       cascade_rec_.capacity() * sizeof(std::uint32_t) +
                       influence_rec_.capacity() * sizeof(std::uint32_t) +
-                      pool_slot_of_.capacity() * sizeof(std::uint32_t) +
+                      vis_.capacity() * sizeof(vis_[0]) +
                       bayes_exposure_.capacity() * sizeof(double) +
                       live_stories_.capacity() * sizeof(LiveStory);
   for (const LiveStory& ls : live_stories_)
@@ -596,8 +511,8 @@ std::size_t StreamEngine::state_bytes() const {
 
 std::size_t StreamEngine::vis_pool_bytes() const {
   std::size_t bytes = 0;
-  for (const Shard& shard : shards_)
-    for (const PoolSlot& sl : shard.pool.slots) bytes += sl.set.size_bytes();
+  for (const auto& vis : vis_)
+    if (vis) bytes += vis->size_bytes();
   return bytes;
 }
 

@@ -2,17 +2,12 @@
 // The streaming vote-ingestion engine. Replays an EventStream (event.h) and
 // maintains, per story, O(1)-amortized incremental state per arriving vote:
 //
-//   - fan-union visibility: a platform::VisibilitySet (hybrid small-sets,
-//     hybrid_set.h — sorted arrays promoting to word-packed bitmaps) served
-//     from a byte-accounted LRU pool per shard — the same rebuild-on-miss
-//     discipline platform.h uses for live visibility. A missing set is
-//     rebuilt by replaying the story's first `applied` votes, and `applied`
-//     never exceeds the checkpoint horizon (at most 21 votes with the
-//     paper's checkpoints), so eviction costs a bounded replay. Because a
-//     set now costs bytes proportional to its cardinality instead of
-//     O(num_users), the pool accounts real resident bytes per slot and
-//     evicts least-recently-used sets only when the shard's byte share is
-//     actually exceeded;
+//   - fan-union visibility: one platform::VisibilitySet (hybrid small-sets,
+//     hybrid_set.h — sorted arrays promoting to word-packed bitmaps) per
+//     story below the horizon, created at the story's first vote and freed
+//     the moment it crosses the horizon. Sets cost bytes proportional to
+//     their cardinality, so every below-horizon story keeps its set
+//     resident; nothing is evicted and nothing is rebuilt while running;
 //   - running in-network vote count (cascade membership): a vote is
 //     in-network iff the visibility set can_see() the voter when the vote
 //     arrives — identical to the batch exposure test in core/cascade.cpp;
@@ -22,8 +17,8 @@
 //     hooks fire: the paper's (v10, fans1) early prediction at vote 10 and
 //     the June-2006 43-vote promotion rule.
 //
-// Once a story passes the horizon (all checkpoints recorded), its heavy
-// state is released and every further vote is a single counter increment —
+// Once a story passes the horizon (all checkpoints recorded), its set is
+// freed and every further vote is a single counter increment —
 // the amortized-O(1) core of the design. The per-vote work below the
 // horizon is O(fan-degree of the voter), exactly the batch pipeline's cost,
 // paid once per vote instead of once per whole-corpus recomputation.
@@ -53,23 +48,24 @@
 // on the same corpus.
 //
 // Checkpoint/restore: engine state serializes through the shared DIGGSNAP
-// section mechanism (data/snapshot_format.h) — see checkpoint.h. A restored
-// engine resumes mid-stream and reaches a final state bit-identical to an
-// uninterrupted run.
+// section mechanism (data/snapshot_format.h) — see checkpoint.h. Visibility
+// sets are not serialized: restore_checkpoint is the only place a set is
+// rebuilt, by replaying each below-horizon story's applied prefix (at most
+// horizon-1 votes). A restored engine resumes mid-stream and reaches a final
+// state bit-identical to an uninterrupted run.
 //
 // Live mode (src/serve): constructed over a network alone, the engine has
 // no EventStream — stories arrive through live_submit and votes through
 // live_vote, in arrival order. Per-story state is identical to replay mode;
 // the only extra cost is a bounded prefix buffer per story (the first
-// `horizon` voters and times), which is exactly what LRU rebuilds and the
-// Bayes exposure statistic need — votes past the horizon keep the bare
-// counter-bump cost. Checkpoints carry the prefix buffers in an extra
-// section so a restored live engine resumes with full rebuild capability.
+// `horizon` voters and times): the voters are what a checkpoint carries so
+// restore can rebuild the sets, the times feed the Bayes exposure gap.
+// Votes past the horizon keep the bare counter-bump cost.
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "src/core/features.h"
@@ -94,9 +90,6 @@ struct StreamParams {
   /// Online promotion rule: record the arrival time of this many total
   /// votes (June 2006: 43). 0 disables the hook.
   std::uint32_t promotion_threshold = 43;
-  /// Total byte budget for resident visibility sets, split across shards.
-  /// Smaller budgets trade memory for bounded rebuild replays on miss.
-  std::size_t vis_budget_bytes = 512ull << 20;
   /// When set (and trained on FeatureSet::kPaper), the engine predicts
   /// interestingness online the moment the v10 checkpoint records — the
   /// §5.2 decision, taken at vote 10 instead of after the fact. The
@@ -180,7 +173,7 @@ class StreamEngine {
   /// non-decreasing (the serve front-end's per-story arrival order). Safe
   /// to call concurrently for stories in DIFFERENT shards (slot %
   /// kShardCount) — the serve drain cycle's parallelism contract; two
-  /// concurrent calls into one shard race on its visibility pool.
+  /// concurrent calls into one shard race on its pending-prediction queue.
   void live_vote(std::uint32_t slot, platform::UserId voter,
                  platform::Minutes time);
   /// Folds a drained batch into events_applied(). live_vote deliberately
@@ -204,16 +197,16 @@ class StreamEngine {
   }
 
   /// Snapshot of every story's state as of events_applied(). Callable
-  /// mid-stream (outcomes then describe the prefix seen so far) and does
-  /// not disturb resumability. Non-const because unreached influence
-  /// checkpoints may rebuild evicted visibility sets to read them.
-  [[nodiscard]] StreamResult result();
+  /// mid-stream (outcomes then describe the prefix seen so far); a pure
+  /// read — an unreached influence checkpoint reads the story's resident
+  /// visibility set.
+  [[nodiscard]] StreamResult result() const;
 
   /// One story's outcome as of the votes applied so far — the online query
-  /// path (result() is this, over every slot). Same rebuild caveat as
-  /// result(); not safe concurrently with live_vote on the same shard.
-  /// Throws std::invalid_argument for an unknown slot.
-  [[nodiscard]] StoryOutcome query_story(std::uint32_t slot);
+  /// path (result() is this, over every slot). Not safe concurrently with
+  /// live_vote on the same story. Throws std::invalid_argument for an
+  /// unknown slot.
+  [[nodiscard]] StoryOutcome query_story(std::uint32_t slot) const;
 
   /// Serializes engine progress as a DIGGSNAP checkpoint at `path`.
   void save_checkpoint(const std::filesystem::path& path) const;
@@ -226,7 +219,10 @@ class StreamEngine {
   /// Replaces engine progress with a checkpoint written by save_checkpoint
   /// against the SAME stream and params. Verifies container integrity, the
   /// stream fingerprint, config equality, and per-story prefix consistency;
-  /// throws std::runtime_error with a distinct message per violation.
+  /// throws std::runtime_error with a distinct message per violation and
+  /// leaves the engine unchanged. On success, rebuilds the visibility set
+  /// of every below-horizon story from its applied prefix (counted by
+  /// `stream.vis_rebuilds`) — the one place a set is rebuilt.
   void restore_checkpoint(const std::filesystem::path& path);
 
   /// FNV-1a fingerprint of the stream (stories, vote columns) and network
@@ -237,13 +233,13 @@ class StreamEngine {
   [[nodiscard]] std::uint64_t fingerprint() const noexcept {
     return fingerprint_;
   }
-  /// Resident bytes of visibility pools + fixed per-story state — the sum
+  /// Resident bytes of visibility sets + fixed per-story state — the sum
   /// of vis_pool_bytes() and the progress/checkpoint columns. O(stories),
   /// never O(events): the stream itself is not materialised.
   [[nodiscard]] std::size_t state_bytes() const;
-  /// Resident bytes of the pooled visibility sets alone (`stream.
-  /// vis_pool_bytes` gauge). Kept separate from state_bytes() so the
-  /// variable LRU-pool cost is visible next to the fixed per-story state
+  /// Resident bytes of the below-horizon stories' visibility sets alone
+  /// (`stream.vis_pool_bytes` gauge). Kept separate from state_bytes() so
+  /// the variable set cost is visible next to the fixed per-story state
   /// instead of being conflated with it.
   [[nodiscard]] std::size_t vis_pool_bytes() const;
 
@@ -253,34 +249,14 @@ class StreamEngine {
  private:
   static constexpr std::uint32_t kUnrecorded = 0xffffffffu;
 
-  struct PoolSlot {
-    platform::VisibilitySet set;
-    std::uint32_t story = kUnrecorded;
-    std::uint64_t last_used = 0;
-    std::size_t bytes = 0;  // last-accounted size_bytes() of `set`
-  };
-  /// Byte-accounted LRU pool of visibility sets for one shard's stories —
-  /// the platform.h visibility-cache idiom, scoped to a shard so pools
-  /// need no locking. `bytes` sums the per-slot accounting; slot sizes are
-  /// refreshed on every touch, so between touches the tally can lag a
-  /// growing set by one vote's worth of fans — a soft budget, never a
-  /// correctness input (eviction only changes what is resident).
-  struct VisPool {
-    std::vector<PoolSlot> slots;
-    std::size_t budget = 0;  // byte share of StreamParams::vis_budget_bytes
-    std::size_t bytes = 0;   // accounted bytes across bound slots
-    std::uint64_t clock = 0;
-  };
-  /// One shard owns the stories with slot % kShardCount == its index; its
-  /// only state is the visibility pool (per-story progress lives in the
-  /// slot-indexed columns), so shards cost nothing per event.
-  /// `pending_pred` holds story slots whose v10 checkpoint landed but whose
-  /// §5.2 prediction has not been scored yet: record_checkpoints enqueues,
-  /// flush_predictions scores the batch through the branch-free batched
-  /// C4.5 evaluator (predictor.h predict_batch). Always empty between
-  /// run_until/live_vote calls, so checkpoints never see it.
+  /// One shard owns the stories with slot % kShardCount == its index.
+  /// Per-story state lives in the slot-indexed columns; a shard's only
+  /// state is `pending_pred`: story slots whose v10 checkpoint landed but
+  /// whose §5.2 prediction has not been scored yet. record_checkpoints
+  /// enqueues, flush_predictions scores the batch through the branch-free
+  /// batched C4.5 evaluator (predictor.h predict_batch). Always empty
+  /// between run_until/live_vote calls, so checkpoints never see it.
   struct Shard {
-    VisPool pool;
     std::vector<std::uint32_t> pending_pred;
   };
   struct Progress {
@@ -298,10 +274,11 @@ class StreamEngine {
   static constexpr std::uint8_t kBayesYes = 16;
 
   /// One live-mode story: identity plus the bounded vote prefix. Only the
-  /// first `horizon` voters/times are kept — exactly what LRU rebuilds
-  /// (acquire_vis replays `applied` < horizon votes) and the Bayes exposure
-  /// gap (indices below fit_at <= horizon-1) can ever read — so live
-  /// per-story memory is O(horizon), not O(votes).
+  /// first `horizon` voters/times are kept: the voters are what a
+  /// checkpoint carries for restore's set rebuild (which replays `applied`
+  /// < horizon voters), the times what the Bayes exposure gap reads
+  /// (indices below fit_at <= horizon-1). So live per-story memory is
+  /// O(horizon), not O(votes).
   struct LiveStory {
     platform::StoryId id = 0;
     platform::UserId submitter = 0;
@@ -325,12 +302,6 @@ class StreamEngine {
     return stream_ ? stream_->stories[slot].times()[k]
                    : live_stories_[slot].prefix_times[k];
   }
-  [[nodiscard]] std::span<const platform::UserId> voters_prefix(
-      std::uint32_t slot) const {
-    return stream_ ? stream_->stories[slot].voters()
-                   : std::span<const platform::UserId>(
-                         live_stories_[slot].prefix_voters);
-  }
 
   void apply_event(const VoteEvent& ev, Shard& shard);
   /// The counting merge: starting from the per-story cursors in `cursor`
@@ -340,8 +311,6 @@ class StreamEngine {
   /// prefix. O(take · log stories) serial, no event materialisation.
   [[nodiscard]] std::vector<std::uint64_t> merge_prefix_counts(
       std::vector<std::uint64_t> cursor, std::uint64_t take) const;
-  platform::VisibilitySet& acquire_vis(Shard& shard, std::uint32_t slot);
-  void release_vis(Shard& shard, std::uint32_t slot);
   void record_checkpoints(std::uint32_t slot, Progress& p,
                           const platform::VisibilitySet& vis,
                           platform::Minutes now, Shard& shard);
@@ -355,7 +324,7 @@ class StreamEngine {
   void flush_predictions(Shard& shard);
 
   /// Shared tail of both constructors: checkpoint validation, horizon,
-  /// prediction arming, shard/pool layout.
+  /// prediction arming, shard layout.
   void init_config();
 
   const EventStream* stream_;  // nullptr in live mode
@@ -372,7 +341,10 @@ class StreamEngine {
   std::vector<Progress> progress_;          // by story slot
   std::vector<std::uint32_t> cascade_rec_;   // slot * |cc| + j, kUnrecorded
   std::vector<std::uint32_t> influence_rec_; // slot * |ic| + j, kUnrecorded
-  std::vector<std::uint32_t> pool_slot_of_;  // story slot -> pool slot
+  /// Visibility set by story slot; vis_[slot] != nullptr iff
+  /// 0 < applied < horizon. A pointer, not a by-value set, so a retired or
+  /// not-yet-started story costs one null word.
+  std::vector<std::unique_ptr<platform::VisibilitySet>> vis_;
   /// Per-story watcher-exposure accumulator (watcher-minutes over the
   /// below-fit prefix); sized only when params_.bayes.enabled.
   std::vector<double> bayes_exposure_;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "src/data/synthetic.h"
+#include "src/graph/generators.h"
 
 namespace digg::core {
 namespace {
@@ -183,6 +188,57 @@ TEST(TextActivitySkew, PromotionBoundaryAndConcentration) {
   EXPECT_GT(r.top3pct_submission_share, 0.15);  // strong concentration
   EXPECT_EQ(r.front_page_count, shared_corpus().corpus.front_page.size());
   EXPECT_EQ(r.upcoming_count, shared_corpus().corpus.upcoming.size());
+}
+
+// A corpus over `network` holding one story whose votes (a minute apart)
+// come from `voters` — all the scatter reads is who voted and the graph.
+data::Corpus corpus_with_voters(graph::Digraph network,
+                                const std::vector<platform::UserId>& voters) {
+  data::Corpus corpus;
+  corpus.network = std::move(network);
+  platform::Story story;
+  story.submitter = voters.front();
+  story.voters = voters;
+  for (std::size_t k = 0; k < voters.size(); ++k)
+    story.times.push_back(static_cast<double>(k));
+  corpus.add_story(story, data::Corpus::Section::kUpcoming);
+  return corpus;
+}
+
+TEST(FriendsFansScatter, PlusOneConvention) {
+  graph::DigraphBuilder builder;
+  builder.add_follow(0, 1);
+  auto scatter =
+      friends_fans_scatter(corpus_with_voters(builder.build(), {0, 1}), 100);
+  ASSERT_EQ(scatter.size(), 2u);
+  std::sort(scatter.begin(), scatter.end(),
+            [](const ScatterPoint& a, const ScatterPoint& b) {
+              return a.friends_plus_1 < b.friends_plus_1;
+            });
+  EXPECT_EQ(scatter[0].friends_plus_1, 1u);  // user 1: 0 friends + 1
+  EXPECT_EQ(scatter[0].fans_plus_1, 2u);     // 1 fan + 1
+  EXPECT_EQ(scatter[1].friends_plus_1, 2u);  // user 0: 1 friend + 1
+  EXPECT_EQ(scatter[1].fans_plus_1, 1u);     // 0 fans + 1
+}
+
+TEST(FriendsFansScatter, TopOfPreferentialGraphDominates) {
+  stats::Rng rng(5);
+  graph::PreferentialAttachmentParams params;
+  params.node_count = 1000;
+  std::vector<platform::UserId> everyone(params.node_count);
+  std::iota(everyone.begin(), everyone.end(), platform::UserId{0});
+  data::Corpus corpus = corpus_with_voters(
+      graph::preferential_attachment(params, rng), everyone);
+  // Flag the 50 earliest arrivals: the best-connected user is one of them.
+  corpus.top_users.assign(everyone.begin(), everyone.begin() + 50);
+  const auto scatter = friends_fans_scatter(corpus, 50);
+  ASSERT_EQ(scatter.size(), everyone.size());
+  const auto best = std::max_element(
+      scatter.begin(), scatter.end(),
+      [](const ScatterPoint& a, const ScatterPoint& b) {
+        return a.fans_plus_1 < b.fans_plus_1;
+      });
+  EXPECT_TRUE(best->top_user);
 }
 
 TEST(FriendsFansScatter, TopUsersBetterConnected) {

@@ -400,7 +400,7 @@ TEST(Metrics, LatencyHistogramsDeriveP99GaugesInJson) {
 TEST(Recorder, KindNamesAreStable) {
   EXPECT_STREQ(event_kind_name(EventKind::kMark), "mark");
   EXPECT_STREQ(event_kind_name(EventKind::kVoteApplied), "vote_applied");
-  EXPECT_STREQ(event_kind_name(EventKind::kLruEvict), "lru_evict");
+  EXPECT_STREQ(event_kind_name(EventKind::kStoryRetired), "story_retired");
   EXPECT_STREQ(event_kind_name(static_cast<EventKind>(999)), "?");
 }
 

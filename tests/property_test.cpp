@@ -14,7 +14,6 @@
 #include "src/digg/promotion.h"
 #include "src/digg/story.h"
 #include "src/graph/generators.h"
-#include "src/graph/metrics.h"
 #include "src/graph/traversal.h"
 #include "src/stats/rng.h"
 #include "src/stats/summary.h"
@@ -157,24 +156,6 @@ TEST_P(SeededProperty, DegreeSumsEqualEdgeCount) {
   for (auto d : g.in_degrees()) in_sum += d;
   EXPECT_EQ(out_sum, g.edge_count());
   EXPECT_EQ(in_sum, g.edge_count());
-}
-
-TEST_P(SeededProperty, ReciprocityWithinUnitInterval) {
-  stats::Rng rng(GetParam() * 43 + 17);
-  const Digraph g = random_graph(rng, 50, 0.1);
-  const double r = graph::reciprocity(g);
-  EXPECT_GE(r, 0.0);
-  EXPECT_LE(r, 1.0);
-}
-
-TEST_P(SeededProperty, ClusteringWithinUnitInterval) {
-  stats::Rng rng(GetParam() * 47 + 19);
-  const Digraph g = random_graph(rng, 40, 0.12);
-  for (graph::NodeId u = 0; u < g.node_count(); ++u) {
-    const double c = graph::local_clustering(g, u);
-    EXPECT_GE(c, 0.0);
-    EXPECT_LE(c, 1.0);
-  }
 }
 
 TEST_P(SeededProperty, BfsBothDirectionWeaklyDominatesDirected) {

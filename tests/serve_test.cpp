@@ -13,6 +13,7 @@
 
 #include "src/core/features.h"
 #include "src/core/predictor.h"
+#include "src/data/snapshot_format.h"
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
 #include "src/runtime/parallel.h"
@@ -644,6 +645,42 @@ TEST_F(ServeTest, RestoreAfterStartThrows) {
                std::logic_error);
   server.request_stop();
   server.wait();
+}
+
+// A live checkpoint whose prefix repeats a voter passes every checksum;
+// restore must refuse it rather than hand the serve front-end an engine
+// whose first query throws.
+TEST_F(ServeTest, RestoreRefusesLivePrefixWithRepeatedVoter) {
+  const data::Story& s = test_corpus().corpus.front_page.front();
+  ASSERT_GE(s.vote_count(), 3u);
+  stream::StreamEngine writer(test_corpus().corpus.network,
+                              test_stream_params());
+  const auto slot = writer.live_submit(s.id, s.voters()[0], s.times()[0]);
+  writer.live_vote(slot, s.voters()[1], s.times()[1]);
+  writer.live_vote(slot, s.voters()[2], s.times()[2]);
+  writer.note_events_applied(3);
+  // One story: SERVE_STORIES' prefix voters start at byte 24 (three u32
+  // columns padded to 16, then one f64). Make vote 2 repeat voter 1.
+  std::vector<data::snapfmt::Section> sections = writer.checkpoint_sections();
+  ASSERT_EQ(sections.size(), 3u);
+  std::vector<char> body = sections[2].body.bytes();
+  std::memcpy(body.data() + 24 + 8, body.data() + 24 + 4, 4);
+  sections[2].body = {};
+  sections[2].body.raw(body.data(), body.size());
+  const auto ckpt = dir_ / "repeat.ckpt";
+  data::snapfmt::write_section_file(ckpt, sections);
+
+  Server server(test_corpus().corpus.network, test_serve_params());
+  try {
+    server.restore_checkpoint(ckpt);
+    FAIL() << "expected the repeated live voter to be rejected";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what())
+                  .find("checkpoint live prefix repeats a voter"),
+              std::string::npos)
+        << err.what();
+  }
+  EXPECT_EQ(server.engine().story_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

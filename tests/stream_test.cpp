@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include "src/core/experiment.h"
 #include "src/data/snapshot_format.h"
 #include "src/data/synthetic.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/thread_pool.h"
 #include "src/stream/checkpoint.h"
 #include "src/stream/source.h"
@@ -100,6 +102,36 @@ std::vector<char> slurp(const std::filesystem::path& p) {
 void spew(const std::filesystem::path& p, const std::vector<char>& bytes) {
   std::ofstream out(p, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every vote of small_stream() as a (time, slot) key, in the engine's
+/// global (time, slot, index) order: stable_sort keeps one story's
+/// equal-time votes in index order.
+std::vector<std::pair<double, std::uint32_t>> global_order() {
+  std::vector<std::pair<double, std::uint32_t>> keys;
+  for (std::uint32_t slot = 0; slot < small_stream().stories.size(); ++slot)
+    for (const double t : small_stream().stories[slot].times())
+      keys.emplace_back(t, slot);
+  std::stable_sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// Feeds events [begin, end) of small_stream() to a live engine in
+/// story-major order (story 0's votes, then story 1's, ...), so story slots
+/// match the stream's and a cut can fall mid-story.
+void feed_live(StreamEngine& live, std::uint64_t begin, std::uint64_t end) {
+  std::uint64_t n = 0;
+  for (std::uint32_t slot = 0; slot < small_stream().stories.size(); ++slot) {
+    const platform::StoryView& s = small_stream().stories[slot];
+    for (std::size_t k = 0; k < s.vote_count(); ++k, ++n) {
+      if (n < begin || n >= end) continue;
+      if (k == 0)
+        live.live_submit(s.id, s.submitter, s.times()[0]);
+      else
+        live.live_vote(slot, s.voters()[k], s.times()[k]);
+    }
+  }
+  live.note_events_applied(end - begin);
 }
 
 // ------------------------------------------------ stream construction ----
@@ -248,20 +280,6 @@ TEST(DeterminismTest, BitIdenticalAcrossThreadCounts) {
   expect_same_result(t1, t8);
 }
 
-TEST(DeterminismTest, TightVisibilityBudgetChangesNothing) {
-  const auto& corpus = small_corpus().corpus;
-  StreamEngine roomy(small_stream(), corpus.network);
-  roomy.run_all();
-  // A one-byte budget forces every shard down to a single resident set, so
-  // interleaved stories evict each other constantly and every value flows
-  // through the rebuild-by-replay path.
-  StreamParams tight;
-  tight.vis_budget_bytes = 1;
-  StreamEngine squeezed(small_stream(), corpus.network, tight);
-  squeezed.run_all();
-  expect_same_result(roomy.result(), squeezed.result());
-}
-
 TEST(DeterminismTest, IncrementalRunsMatchOneShot) {
   const auto& corpus = small_corpus().corpus;
   StreamEngine oneshot(small_stream(), corpus.network);
@@ -394,6 +412,73 @@ TEST_F(StreamTest, CheckpointRestoreRewindsAFinishedEngine) {
   expect_same_result(finished, engine.result());
 }
 
+// Restore is the one place a visibility set is rebuilt: it rebuilds exactly
+// the stories with 0 < applied < horizon at the cut, and the resumed run
+// plus result() rebuild nothing — while still matching an uninterrupted
+// run, in replay and in live mode.
+TEST_F(StreamTest, RestoreRebuildsExactlyTheBelowHorizonSets) {
+  const auto& corpus = small_corpus().corpus;
+  const StreamParams params;
+  const std::uint64_t horizon =
+      std::max<std::uint64_t>(params.cascade_checkpoints.back() + 1,
+                              params.influence_checkpoints.back());
+  const auto below_horizon = [&](const StreamResult& r) {
+    return static_cast<std::uint64_t>(std::count_if(
+        r.stories.begin(), r.stories.end(), [&](const StoryOutcome& o) {
+          return o.final_votes > 0 && o.final_votes < horizon;
+        }));
+  };
+  const obs::Counter& rebuilds =
+      obs::Registry::global().counter("stream.vis_rebuilds");
+  const auto path = file("cut.ckpt");
+  const std::uint64_t total = small_stream().total_events();
+  // A replay cut between two same-time votes of one story.
+  const auto order = global_order();
+  std::uint64_t tie_cut = 0;
+  for (std::size_t i = 1; i < order.size() && tie_cut == 0; ++i)
+    if (order[i] == order[i - 1]) tie_cut = i;
+  ASSERT_GT(tie_cut, 0u);
+
+  // `make` builds a fresh engine, `advance(e, begin, end)` applies events
+  // [begin, end) to it.
+  const auto check = [&](const auto& make, const auto& advance) {
+    StreamEngine straight = make();
+    advance(straight, 0, total);
+    const StreamResult expect = straight.result();
+    std::uint64_t rebuilt = 0;
+    for (const std::uint64_t cut : {std::uint64_t{1}, tie_cut, total / 7,
+                                    total / 2, total - 1, total}) {
+      SCOPED_TRACE("cut " + std::to_string(cut));
+      StreamEngine writer = make();
+      advance(writer, 0, cut);
+      writer.save_checkpoint(path);
+      const std::uint64_t want = below_horizon(writer.result());
+      rebuilt += want;
+      StreamEngine resumed = make();
+      const std::uint64_t before = rebuilds.value();
+      resumed.restore_checkpoint(path);
+      EXPECT_EQ(rebuilds.value() - before, want);
+      const std::uint64_t restored = rebuilds.value();
+      advance(resumed, cut, total);
+      const StreamResult got = resumed.result();
+      EXPECT_EQ(rebuilds.value(), restored);
+      expect_same_result(expect, got);
+    }
+    EXPECT_GT(rebuilt, 0u);
+  };
+  {
+    SCOPED_TRACE("replay");
+    check([&] { return StreamEngine(small_stream(), corpus.network); },
+          [](StreamEngine& e, std::uint64_t, std::uint64_t end) {
+            e.run_until(end);
+          });
+  }
+  {
+    SCOPED_TRACE("live");
+    check([&] { return StreamEngine(corpus.network); }, feed_live);
+  }
+}
+
 TEST_F(StreamTest, RejectsMalformedCheckpoints) {
   const auto& corpus = small_corpus().corpus;
   StreamEngine engine(small_stream(), corpus.network);
@@ -489,14 +574,9 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   // semantics: valid magic/checksum, matching fingerprint and config, but
   // an applied column that is not the stream's 500-event prefix.
   const std::size_t stories = corpus.story_count();
-  // Reproduce the engine's global (time, slot, index) order independently:
-  // flatten every (time, slot) key, stable-sort (stability keeps equal-time
-  // votes of one story in index order), and count the first `cut`.
-  std::vector<std::pair<double, std::uint32_t>> keys;
-  for (std::uint32_t slot = 0; slot < small_stream().stories.size(); ++slot)
-    for (const double t : small_stream().stories[slot].times())
-      keys.emplace_back(t, slot);
-  std::stable_sort(keys.begin(), keys.end());
+  // Reproduce the engine's global order independently and count the first
+  // `cut` votes per story.
+  const auto keys = global_order();
   std::vector<std::uint64_t> applied(stories, 0);
   for (std::uint64_t i = 0; i < cut; ++i) ++applied[keys[i].second];
   // Move one vote between two stories: totals still sum to `cut`.
@@ -564,6 +644,50 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   // The failed restores must not have corrupted the engine.
   EXPECT_EQ(engine.events_applied(), cut);
   engine.run_all();
+}
+
+TEST_F(StreamTest, RejectsLivePrefixWithRepeatedVoter) {
+  const auto& corpus = small_corpus().corpus;
+  const platform::StoryView& s = small_stream().stories.front();
+  ASSERT_GE(s.vote_count(), 3u);
+  StreamEngine writer(corpus.network);
+  const std::uint32_t slot =
+      writer.live_submit(s.id, s.submitter, s.times()[0]);
+  writer.live_vote(slot, s.voters()[1], s.times()[1]);
+  writer.live_vote(slot, s.voters()[2], s.times()[2]);
+  writer.note_events_applied(3);
+  const auto good = file("good.ckpt");
+  writer.save_checkpoint(good);
+
+  // Valid checksums, but vote 2 repeats voter 1. With one story, SERVE_
+  // STORIES holds three u32 columns padded to 16 bytes and one f64 column,
+  // so the prefix voters start at byte 24.
+  std::vector<snapfmt::Section> sections = writer.checkpoint_sections();
+  ASSERT_EQ(sections.size(), 3u);
+  std::vector<char> body = sections[2].body.bytes();
+  std::memcpy(body.data() + 24 + 8, body.data() + 24 + 4, 4);
+  sections[2].body = {};
+  sections[2].body.raw(body.data(), body.size());
+  const auto forged = file("repeat.ckpt");
+  snapfmt::write_section_file(forged, sections);
+
+  StreamEngine engine(corpus.network);
+  try {
+    engine.restore_checkpoint(forged);
+    FAIL() << "expected the repeated live voter to be rejected";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what())
+                  .find("checkpoint live prefix repeats a voter"),
+              std::string::npos)
+        << err.what();
+  }
+  // The failed restore left the engine as it was: fresh, and still able
+  // to restore the honest checkpoint.
+  EXPECT_EQ(engine.story_count(), 0u);
+  EXPECT_EQ(engine.events_applied(), 0u);
+  EXPECT_EQ(engine.state_bytes(), StreamEngine(corpus.network).state_bytes());
+  engine.restore_checkpoint(good);
+  expect_same_result(writer.result(), engine.result());
 }
 
 }  // namespace
