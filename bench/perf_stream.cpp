@@ -1,13 +1,15 @@
 // Streaming-engine benchmark: replay the standard calibrated corpus as one
 // time-ordered vote stream and report ingest throughput (votes/sec), plus
 // the checkpoint save/restore cost that makes a replay killable. A batch
-// feature-extraction pass over the same stories runs for scale: the stream
-// engine maintains the same quantities incrementally, so the two wall
-// clocks bound what "pay per vote" vs "pay per recompute" buys.
+// feature-extraction pass over the same stories runs for scale: both call
+// the same prefix routines (core/prefix_visibility.h), the engine as each
+// checkpoint vote lands, so the two wall clocks bound what "pay per vote"
+// vs "pay per recompute" buys. Restore validates and commits; it rebuilds
+// no per-story state.
 //
 // With --json <path> the metrics snapshot (stream.votes_ingested,
-// stream.vis_rebuilds, stream.state_bytes, checkpoint latency histograms,
-// and the stream.bench_* gauges below) plus wall clock land in the
+// stream.state_bytes, checkpoint latency histograms, and the
+// stream.bench_* gauges below) plus wall clock land in the
 // BENCH_stream.json perf-trajectory format consumed by scripts/ci.sh's
 // bench-regression gate.
 

@@ -3,44 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/digg/hybrid_set.h"
+#include "src/core/prefix_visibility.h"
 
 namespace digg::core {
 
-std::vector<bool> vote_provenance(const StoryView& story,
-                                  const graph::Digraph& network) {
-  std::vector<bool> provenance;
-  const auto voters = story.voters();
-  if (voters.empty()) return provenance;
-  provenance.reserve(voters.size() - 1);
-
-  // Users who could have seen the story through the Friends interface:
-  // fans of the submitter, then fans of each voter as they digg. Hybrid
-  // scratch set reused across stories — each vote is one merge of the
-  // sorted fan span (bit-sets once the union grows past the bitmap
-  // threshold). This loop dominates the fig3b cascade sweep.
-  thread_local platform::HybridSet exposed;
-  exposed.reset(network.node_count());
-  auto expose_fans_of = [&](UserId voter) {
-    if (voter < network.node_count()) exposed.union_span(network.fans(voter));
-  };
-  expose_fans_of(story.submitter);
-  for (std::size_t k = 1; k < voters.size(); ++k) {
-    const UserId voter = voters[k];
-    provenance.push_back(exposed.contains(voter));
-    expose_fans_of(voter);
-  }
-  return provenance;
-}
-
 std::size_t in_network_votes(const StoryView& story,
                              const graph::Digraph& network, std::size_t n) {
-  const std::vector<bool> provenance = vote_provenance(story, network);
-  const std::size_t limit = std::min(n, provenance.size());
-  std::size_t count = 0;
-  for (std::size_t k = 0; k < limit; ++k)
-    if (provenance[k]) ++count;
-  return count;
+  return cascade_profile(story, network, {n})[0];
 }
 
 std::vector<std::size_t> cascade_profile(
@@ -48,15 +17,17 @@ std::vector<std::size_t> cascade_profile(
     const std::vector<std::size_t>& checkpoints) {
   if (!std::is_sorted(checkpoints.begin(), checkpoints.end()))
     throw std::invalid_argument("cascade_profile: checkpoints not ascending");
-  const std::vector<bool> provenance = vote_provenance(story, network);
+  // Only votes up to the last checkpoint are classified.
+  const auto voters = story.voters();
   std::vector<std::size_t> out;
   out.reserve(checkpoints.size());
   std::size_t count = 0;
-  std::size_t k = 0;
+  std::size_t k = 1;
   for (std::size_t checkpoint : checkpoints) {
-    const std::size_t limit = std::min(checkpoint, provenance.size());
-    for (; k < limit; ++k)
-      if (provenance[k]) ++count;
+    const std::size_t limit =
+        voters.empty() ? 0 : std::min(checkpoint, voters.size() - 1);
+    for (; k <= limit; ++k)
+      if (in_network(voters.first(k), voters[k], network)) ++count;
     out.push_back(count);
   }
   return out;

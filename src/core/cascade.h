@@ -3,7 +3,9 @@
 // of the submitter or of any previous voter — i.e. the story could have
 // reached them through the Friends interface. The story's cascade after N
 // votes is the number of in-network votes among its first N votes (not
-// counting the submitter's own digg, which opens the cascade).
+// counting the submitter's own digg, which opens the cascade). Each vote is
+// one core::in_network probe (prefix_visibility.h); the count queries
+// classify only the votes they need.
 
 #include <cstddef>
 #include <vector>
@@ -15,12 +17,6 @@ namespace digg::core {
 using platform::StoryView;
 using platform::UserId;
 
-/// Per-vote provenance for one story: entry k corresponds to the story's
-/// (k+1)-th vote overall (the first vote after the submitter's digg has
-/// index 0) and is true if that vote was in-network.
-[[nodiscard]] std::vector<bool> vote_provenance(const StoryView& story,
-                                                const graph::Digraph& network);
-
 /// Number of in-network votes among the first `n` votes after the
 /// submitter's digg ("the number of in-network votes the story received
 /// within the first n votes"). If the story has fewer than n votes, counts
@@ -29,8 +25,8 @@ using platform::UserId;
                                            const graph::Digraph& network,
                                            std::size_t n);
 
-/// Cascade sizes at several checkpoints in one pass (cheaper than repeated
-/// in_network_votes calls). checkpoints must be ascending.
+/// Cascade sizes at several checkpoints in one pass over the first
+/// checkpoints.back() votes. checkpoints must be ascending.
 [[nodiscard]] std::vector<std::size_t> cascade_profile(
     const StoryView& story, const graph::Digraph& network,
     const std::vector<std::size_t>& checkpoints);

@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/digg/friends_interface.h"
+#include "src/core/prefix_visibility.h"
 
 namespace digg::core {
 
 std::size_t influence_after(const platform::StoryView& story,
                             const graph::Digraph& network,
                             std::size_t votes_counted) {
-  return platform::story_influence(story, network, votes_counted);
+  return influence_profile(story, network, {votes_counted})[0];
 }
 
 std::vector<std::size_t> influence_profile(
@@ -18,19 +18,17 @@ std::vector<std::size_t> influence_profile(
     const std::vector<std::size_t>& checkpoints) {
   if (!std::is_sorted(checkpoints.begin(), checkpoints.end()))
     throw std::invalid_argument("influence_profile: checkpoints not ascending");
-  // Hybrid scratch set reused across stories: rebinding keeps the buffers,
-  // so the fig3a sweep does no per-story allocation, and each vote merges
-  // one sorted fan span instead of writing O(num_users) dense stamps.
-  thread_local platform::VisibilitySet vis;
-  vis.rebind(network);
   const auto voters = story.voters();
+  const std::size_t longest =
+      checkpoints.empty() ? 0 : std::min(checkpoints.back(), voters.size());
+  thread_local std::vector<std::uint32_t> curve;
+  curve.resize(longest);
+  influence_curve(voters, network, curve);
   std::vector<std::size_t> out;
   out.reserve(checkpoints.size());
-  std::size_t applied = 0;
   for (std::size_t checkpoint : checkpoints) {
-    const std::size_t limit = std::min(checkpoint, voters.size());
-    for (; applied < limit; ++applied) vis.add_voter(voters[applied]);
-    out.push_back(vis.influence());
+    const std::size_t m = std::min(checkpoint, voters.size());
+    out.push_back(m == 0 ? 0 : curve[m - 1]);
   }
   return out;
 }

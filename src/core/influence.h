@@ -18,7 +18,8 @@ namespace digg::core {
                                           const graph::Digraph& network,
                                           std::size_t votes_counted);
 
-/// Influence at several vote checkpoints in one incremental pass.
+/// Influence at several vote checkpoints from one core::influence_curve
+/// pass (prefix_visibility.h) over the first checkpoints.back() votes.
 /// `checkpoints` must be ascending; values beyond the vote record saturate.
 [[nodiscard]] std::vector<std::size_t> influence_profile(
     const platform::StoryView& story, const graph::Digraph& network,

@@ -1,0 +1,31 @@
+#pragma once
+// Friends-interface visibility computed from a story's vote prefix alone —
+// the one implementation behind the §4.1 quantities, shared by the batch
+// profiles (cascade.h, influence.h) and the stream engine. prefix[0] is the
+// submitter's own digg (types.h). Both functions read friends rows and fan
+// rows as one relation, which Digraph::from_parts/from_views verify is an
+// exact transpose.
+
+#include <cstdint>
+#include <span>
+
+#include "src/digg/types.h"
+
+namespace digg::core {
+
+/// True iff `voter` is a fan of a user in `earlier`, i.e. friends(voter)
+/// meets `earlier`: vote k of a prefix is in-network iff
+/// in_network(prefix.first(k), prefix[k], network).
+[[nodiscard]] bool in_network(std::span<const platform::UserId> earlier,
+                              platform::UserId voter,
+                              const graph::Digraph& network);
+
+/// out[m-1] = influence after the first m votes of `prefix` — the users in
+/// the union of those voters' fan rows who have not voted — for
+/// m = 1 .. out.size() <= prefix.size(). One first-cover pass over the fan
+/// rows on a per-thread, epoch-stamped u32 array that no call clears.
+void influence_curve(std::span<const platform::UserId> prefix,
+                     const graph::Digraph& network,
+                     std::span<std::uint32_t> out);
+
+}  // namespace digg::core

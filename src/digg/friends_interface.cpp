@@ -40,17 +40,6 @@ std::optional<UserId> VisibilitySet::sample_watcher(stats::Rng& rng) const {
   return std::nullopt;  // unreachable: watchers_ is non-empty
 }
 
-std::size_t story_influence(const StoryView& story,
-                            const graph::Digraph& network,
-                            std::size_t votes_counted) {
-  thread_local VisibilitySet scratch;
-  scratch.rebind(network);
-  const auto column = story.voters();
-  const std::size_t n = std::min(votes_counted, column.size());
-  for (std::size_t i = 0; i < n; ++i) scratch.add_voter(column[i]);
-  return scratch.influence();
-}
-
 FriendsActivity friends_activity(UserId user, std::span<const Story> stories,
                                  const graph::Digraph& network, Minutes now,
                                  Minutes lookback) {

@@ -5,15 +5,11 @@
 // of everyone who has voted so far.
 //
 // VisibilitySet supports incremental updates (add one voter at a time) so
-// the vote-dynamics simulation stays O(sum of fan degrees) per story. The
-// watcher and voter sets are hybrid small-sets (hybrid_set.h): a sorted
-// uint32 array while small — the common case, since analysis sets live
-// inside the 21-vote checkpoint horizon — promoting to a word-packed bitmap
-// past the size threshold. Unioning a voter's fans is a branch-light merge
-// of the sorted CSR fan span, membership a galloping binary search, and a
-// set costs bytes proportional to its cardinality (capped by the bitmap)
-// instead of O(num_users) dense stamps, which is what lets the streaming
-// engine keep one resident set per below-horizon story.
+// the vote simulators stay O(sum of fan degrees) per story, and their fan
+// channel can sample current watchers. Its watcher and voter sets are
+// hybrid small-sets (hybrid_set.h). The analysis quantities need no set:
+// core/prefix_visibility.h computes them from the vote prefix, and the
+// tests use VisibilitySet as its oracle.
 
 #include <cstdint>
 #include <optional>
@@ -31,27 +27,12 @@ namespace digg::platform {
 /// Holds a reference to `network`: the graph must outlive the set.
 class VisibilitySet {
  public:
-  /// Unbound set; call rebind() before use. Exists so scratch instances can
-  /// live in thread_local storage and outlast any one graph.
+  /// Unbound set (a default StoryState); assign a bound one before use.
   VisibilitySet() = default;
-  explicit VisibilitySet(const graph::Digraph& network) { rebind(network); }
-
-  /// Points the set at `network` and empties it. Buffers are kept and
-  /// grown, never shrunk, so a scratch instance reused across stories
-  /// allocates only on the largest graph it has seen.
-  void rebind(const graph::Digraph& network) {
-    network_ = &network;
-    watchers_.reset(network.node_count());
-    voters_.reset(network.node_count());
-    watcher_pool_.clear();
-  }
-
-  /// Empties the set, keeping the bound network and key universe.
-  void reset() noexcept {
-    watchers_.reset(watchers_.universe());
-    voters_.reset(voters_.universe());
-    watcher_pool_.clear();
-  }
+  explicit VisibilitySet(const graph::Digraph& network)
+      : network_(&network),
+        watchers_(network.node_count()),
+        voters_(network.node_count()) {}
 
   /// Records a vote: `voter` stops being a watcher (they have acted) and all
   /// of the voter's fans become watchers.
@@ -84,26 +65,12 @@ class VisibilitySet {
     return watcher_pool_;
   }
 
-  /// Resident heap bytes of the hybrid sets + exposure log.
-  [[nodiscard]] std::size_t size_bytes() const noexcept {
-    return watchers_.size_bytes() + voters_.size_bytes() +
-           watcher_pool_.capacity() * sizeof(UserId);
-  }
-
  private:
   const graph::Digraph* network_ = nullptr;
   HybridSet watchers_;
   HybridSet voters_;
   std::vector<UserId> watcher_pool_;  // insertion log; may contain stale ids
 };
-
-/// Influence of a story after its first `votes_counted` votes (including the
-/// submitter's digg as the first): number of non-voting users who could see
-/// it through the Friends interface. This is the quantity of Fig. 3(a).
-/// Uses a thread-local scratch VisibilitySet — O(1) setup per story.
-[[nodiscard]] std::size_t story_influence(const StoryView& story,
-                                          const graph::Digraph& network,
-                                          std::size_t votes_counted);
 
 /// Friends-interface activity summary ("stories my friends submitted /
 /// dugg in the preceding 48 hours", §3): ids of stories visible to `user`

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace digg::graph {
 
@@ -129,6 +130,19 @@ void check_parts(std::span<const std::size_t> out_offsets,
   const std::size_t n = out_offsets.size() - 1;
   check_csr(out_offsets, out_targets, n, "out");
   check_csr(in_offsets, in_sources, n, "in");
+  // fans() and friends() must describe one relation (in-network probes
+  // read friends rows, influence recounts fan rows). A cursor fill in
+  // ascending source order must meet each sorted in-row in order without
+  // overrunning it; both sides hold the same edge count, so no row is left
+  // short either. One O(E) pass.
+  std::vector<std::size_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
+  for (std::size_t u = 0; u < n; ++u)
+    for (std::size_t i = out_offsets[u]; i < out_offsets[u + 1]; ++i) {
+      const NodeId v = out_targets[i];
+      if (cursor[v] == in_offsets[v + 1] || in_sources[cursor[v]++] != u)
+        throw std::invalid_argument(
+            "Digraph::from_parts: in-CSR is not the transpose of out-CSR");
+    }
 }
 
 }  // namespace

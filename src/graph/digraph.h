@@ -86,10 +86,9 @@ class Digraph {
 
   /// Reassembles a graph from raw CSR arrays (snapshot deserialisation).
   /// Validates structure — offsets monotone from 0 to the edge count, both
-  /// directions the same size, ids in range, rows strictly sorted — and
-  /// throws std::invalid_argument on any violation. (It does not prove the
-  /// in-arrays are the exact transpose of the out-arrays; snapshots carry a
-  /// checksum for whole-file integrity.)
+  /// directions the same size, ids in range, rows strictly sorted, and the
+  /// in-arrays the exact transpose of the out-arrays — and throws
+  /// std::invalid_argument on any violation. O(V + E).
   [[nodiscard]] static Digraph from_parts(std::vector<std::size_t> out_offsets,
                                           std::vector<NodeId> out_targets,
                                           std::vector<std::size_t> in_offsets,

@@ -70,6 +70,8 @@ enum class ErrorCode : std::uint8_t {
   kStopping = 4,       // event arrived while the server drains
   kUnknownUser = 5,    // voter/submitter id outside the network; the
                        // detail is the offending user id
+  kBadTime = 6,        // vote/submit time is NaN or infinite; the detail
+                       // is the story id
 };
 
 struct VoteMsg {

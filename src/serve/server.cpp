@@ -13,6 +13,7 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <unordered_map>
@@ -158,6 +159,7 @@ void Server::frontend_main() {
   auto& backpressure = registry.counter("serve.backpressure");
   auto& bad_frames = registry.counter("serve.bad_frames");
   auto& rejected_unknown_user = registry.counter("serve.rejected_unknown_user");
+  auto& rejected_bad_time = registry.counter("serve.rejected_bad_time");
   const std::size_t user_count = network_->node_count();
 
   struct Conn {
@@ -253,6 +255,12 @@ void Server::frontend_main() {
     rejected_unknown_user.inc();
     return send_error(c, ErrorCode::kUnknownUser, user);
   };
+  // A NaN time passes every ordering check and poisons the Bayes fit, so
+  // only finite times reach the engine.
+  auto reject_bad_time = [&](Conn& c, std::uint32_t story_id) {
+    rejected_bad_time.inc();
+    return send_error(c, ErrorCode::kBadTime, story_id);
+  };
 
   // Hands one decoded message to its queue. Returns false when the
   // connection must close (protocol misuse).
@@ -261,6 +269,7 @@ void Server::frontend_main() {
       const auto mapped = ids.lookup(v->story_id);
       if (mapped == 0) return send_error(c, ErrorCode::kUnknownStory, v->story_id);
       if (v->voter >= user_count) return reject_unknown_user(c, v->voter);
+      if (!std::isfinite(v->time)) return reject_bad_time(c, v->story_id);
       VoteEntry e{};
       e.seq = next_seq++;
       e.slot = mapped - 1;
@@ -280,6 +289,7 @@ void Server::frontend_main() {
         return send_error(c, ErrorCode::kDuplicateStory, s->story_id);
       if (s->submitter >= user_count)
         return reject_unknown_user(c, s->submitter);
+      if (!std::isfinite(s->time)) return reject_bad_time(c, s->story_id);
       SubmitEntry e{};
       e.seq = next_seq++;
       e.slot = next_slot++;

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
+#include <cmath>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -154,10 +153,8 @@ std::vector<snapfmt::Section> StreamEngine::checkpoint_sections() const {
   state.column(cascade_rec_);
   state.column(influence_rec_);
   if (params_.bayes.enabled) {
-    // Exposure accumulates below the fit point, so kill/resume
-    // bit-identity needs the accumulator; the estimate column spares a
-    // restored engine re-deriving fits that already fired.
-    state.column(bayes_exposure_);
+    // The estimate column spares a restored engine re-deriving fits that
+    // already fired; a fit still ahead reads only the prefix.
     std::vector<float> estimates(story_count, 0.0f);
     for (std::uint64_t slot = 0; slot < story_count; ++slot)
       estimates[slot] = progress_[slot].bayes_estimate;
@@ -244,7 +241,6 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   std::vector<double> promoted;
   std::vector<std::uint32_t> cascade_rec;
   std::vector<std::uint32_t> influence_rec;
-  std::vector<double> bayes_exposure;
   std::vector<float> bayes_estimates;
   std::vector<std::uint32_t> live_ids, live_submitters, live_prefix_len;
   std::vector<double> live_last_time, live_times_flat;
@@ -257,10 +253,7 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     cascade_rec = r.column<std::uint32_t>(story_count * m.cascade_cps.size());
     influence_rec =
         r.column<std::uint32_t>(story_count * m.influence_cps.size());
-    if (m.bayes_enabled) {
-      bayes_exposure = r.column<double>(story_count);
-      bayes_estimates = r.column<float>(story_count);
-    }
+    if (m.bayes_enabled) bayes_estimates = r.column<float>(story_count);
     if (m.live) {
       snapfmt::ByteReader lr = file.open(snapfmt::kServeStories);
       live_ids = lr.column<std::uint32_t>(story_count);
@@ -337,8 +330,6 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
         applied[slot] > static_cast<std::uint64_t>(m.bayes_fit_at);
     if (((flags[slot] & kHasBayes) != 0) != should_bayes)
       throw std::runtime_error(ctx + "checkpoint bayes flag inconsistent");
-    if (m.bayes_enabled && bayes_exposure[slot] < 0.0)
-      throw std::runtime_error(ctx + "checkpoint bayes exposure negative");
     for (std::size_t j = 0; j < m.cascade_cps.size(); ++j) {
       const bool reached =
           applied[slot] > static_cast<std::uint64_t>(m.cascade_cps[j]);
@@ -359,12 +350,11 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     }
   }
 
-  // Live prefix columns: the bounded prefixes must themselves be valid
-  // replay material — voters in graph range and distinct, times
+  // Live prefix columns: the bounded prefixes must be states live_vote can
+  // reach — voters in graph range and distinct, times finite and
   // non-decreasing, vote 0 the submitter's own digg, and the per-story
-  // watermark at or past the buffered tail. The set rebuild below replays
-  // exactly these columns, so a corrupt prefix would otherwise surface as
-  // undefined visibility state or a throw from VisibilitySet::add_voter.
+  // watermark finite and at or past the buffered tail. The in-network
+  // probes, influence recounts and Bayes gaps read exactly these columns.
   std::vector<LiveStory> live_stories(m.live ? story_count : 0);
   if (m.live) {
     std::size_t off = 0;
@@ -374,10 +364,16 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
       for (std::uint32_t i = 0; i < n; ++i) {
         if (live_voters_flat[off + i] >= network_->node_count())
           throw std::runtime_error(ctx + "checkpoint live voter out of range");
+        if (!std::isfinite(live_times_flat[off + i]))
+          throw std::runtime_error(ctx +
+                                   "checkpoint live prefix time not finite");
         if (i > 0 && live_times_flat[off + i] < live_times_flat[off + i - 1])
           throw std::runtime_error(ctx +
                                    "checkpoint live prefix times unsorted");
       }
+      if (!std::isfinite(live_last_time[slot]))
+        throw std::runtime_error(ctx +
+                                 "checkpoint live time watermark not finite");
       if (n > 0) {
         if (live_voters_flat[off] != live_submitters[slot])
           throw std::runtime_error(
@@ -403,25 +399,6 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     }
   }
 
-  // Rebuild every below-horizon story's visibility set by replaying its
-  // applied prefix (replay: the stream's columns; live: the prefixes just
-  // validated). Sets are never serialized, so no stale derived state can
-  // survive a restore. Built aside and committed by move below, so a
-  // refused restore leaves the engine unchanged.
-  std::vector<std::unique_ptr<platform::VisibilitySet>> vis(story_count);
-  std::uint64_t rebuilds = 0;
-  for (std::size_t slot = 0; slot < story_count; ++slot) {
-    if (applied[slot] == 0 || applied[slot] >= horizon_) continue;
-    const auto voters =
-        m.live ? std::span<const platform::UserId>(
-                     live_stories[slot].prefix_voters)
-               : stream_->stories[slot].voters();
-    vis[slot] = std::make_unique<platform::VisibilitySet>(*network_);
-    for (std::uint64_t k = 0; k < applied[slot]; ++k)
-      vis[slot]->add_voter(voters[k]);
-    ++rebuilds;
-  }
-
   // Commit. Replay cursors need no recompute because the per-story progress
   // IS the cursor state the counting merge resumes from. Live mode takes
   // the story table built above (the engine was verified fresh).
@@ -441,12 +418,9 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     progress_[slot].bayes_estimate =
         m.bayes_enabled ? bayes_estimates[slot] : 0.0f;
   }
-  if (m.bayes_enabled) bayes_exposure_ = std::move(bayes_exposure);
   cascade_rec_ = std::move(cascade_rec);
   influence_rec_ = std::move(influence_rec);
-  vis_ = std::move(vis);
   events_applied_ = m.events_applied;
-  obs::Registry::global().counter("stream.vis_rebuilds").inc(rebuilds);
 
   obs::record_event(obs::EventKind::kCheckpointRestore, 0, events_applied_);
   obs::Registry::global()

@@ -30,27 +30,24 @@
 //     f64[S]      promotion time (valid when the promoted flag is set)
 //     u32[S*C]    recorded cascade values  (0xffffffff = not yet reached)
 //     u32[S*I]    recorded influence values (same sentinel)
-//     f64[S]      bayes watcher-exposure accumulator  [iff bayes enabled:
-//     f32[S]      bayes expected-final estimate        exposure grows below
-//                 the fit point, so kill/resume bit-identity needs it]
+//     f32[S]      bayes expected-final estimate  [iff bayes enabled]
 //
-//   SERVE_STORIES (18) — live-mode checkpoints only. A live engine
-//   has no replay stream to re-derive story identity or rebuild sets
-//   from, so the checkpoint carries them (still O(stories * horizon), not
-//   O(votes) — the prefixes are bounded):
+//   SERVE_STORIES (18) — live-mode checkpoints only. A live engine has no
+//   replay stream to re-derive story identity or vote prefixes from, so
+//   the checkpoint carries them (still O(stories * horizon), not O(votes)
+//   — the prefixes are bounded):
 //     u32[S]      story ids          u32[S]  submitters
 //     u32[S]      prefix length (min(applied, horizon))
 //     pad to 8    f64[S]  latest vote time per story (ordering watermark)
 //     u32[sum]    concatenated prefix voter columns
 //     pad to 8    f64[sum] concatenated prefix time columns
 //
-// Deliberately NOT serialized: visibility sets (restore rebuilds every
-// below-horizon story's set by replaying its applied prefix — bounded by
-// the horizon) and per-shard cursors (recomputed from events-applied,
-// since shard event lists are ascending ordinals). The checkpoint is
-// therefore small —
+// Deliberately NOT serialized: anything derivable from the vote prefix —
+// the Bayes watcher exposure and unrecorded influence values are recounted
+// from the prefix when needed — and per-shard cursors (the per-story
+// applied counts are the cursor state). The checkpoint is therefore small —
 // O(stories), not O(votes or graph) — and restore cannot resurrect stale
-// derived state: everything derivable is re-derived.
+// derived state. Version 4 dropped version 3's f64 exposure column.
 //
 // Restore-time validation (each with a distinct error): container magic /
 // version / checksum of every section (snapshot_format.cpp), checkpoint
@@ -60,15 +57,15 @@
 // consistency — the applied column must be exactly the per-story event
 // counts of the stream's first events-applied events, records present iff
 // their checkpoint was reached, flags consistent with progress, and live
-// prefixes that are valid replay material (voters in range and distinct,
-// times sorted, vote 0 the submitter).
+// prefixes that live_vote could have built (voters in range and distinct,
+// times finite and sorted, vote 0 the submitter, a finite watermark).
 
 #include <cstdint>
 #include <filesystem>
 
 namespace digg::stream {
 
-inline constexpr std::uint32_t kStreamCheckpointVersion = 3;
+inline constexpr std::uint32_t kStreamCheckpointVersion = 4;
 
 /// Cheap peek at a checkpoint's STREAM_META section (full container
 /// integrity is still verified). Lets tools report progress or pick the

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <queue>
 #include <stdexcept>
 #include <string>
 
+#include "src/core/prefix_visibility.h"
 #include "src/data/snapshot_format.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
@@ -70,7 +72,7 @@ void StreamEngine::init_config() {
   require_ascending(params_.influence_checkpoints, "influence");
 
   // The horizon: once a story has this many votes, every checkpoint value
-  // has been recorded and its visibility state can retire.
+  // has been recorded and each further vote is a counter bump.
   max_cascade_ = params_.cascade_checkpoints.empty()
                      ? 0
                      : params_.cascade_checkpoints.back();
@@ -87,8 +89,8 @@ void StreamEngine::init_config() {
   if (params_.bayes.enabled) {
     // The fit classifies its first-k votes with the running in-network
     // counter, which only ticks inside the cascade window — and fit_at+1
-    // <= max_cascade+1 <= horizon keeps the visibility set live through
-    // the fit, so no horizon extension is needed.
+    // <= max_cascade+1 <= horizon keeps the fit inside the prefix both
+    // modes can read, so no horizon extension is needed.
     if (params_.bayes.fit_at < 1 || params_.bayes.fit_at > max_cascade_)
       throw std::invalid_argument(
           "bayes.fit_at must be in [1, last cascade checkpoint]");
@@ -118,9 +120,9 @@ StreamEngine::StreamEngine(const EventStream& stream,
   // Validate the stream against its own story columns: the merge order is
   // only well defined if every story's time column is non-decreasing, and
   // the cached event total must match the columns it summarises. Every
-  // downstream guarantee (restore's set rebuild, checkpoint prefix validation)
-  // leans on these invariants, so buying them up front with one O(E) pass
-  // is cheaper than defending each consumer separately.
+  // downstream guarantee (checkpoint prefix validation) leans on these
+  // invariants, so buying them up front with one O(E) pass is cheaper than
+  // defending each consumer separately.
   std::uint64_t total = 0;
   for (std::uint32_t slot = 0; slot < story_count; ++slot) {
     const platform::StoryView& s = stream_->stories[slot];
@@ -147,8 +149,6 @@ StreamEngine::StreamEngine(const EventStream& stream,
                       kUnrecorded);
   influence_rec_.assign(story_count * params_.influence_checkpoints.size(),
                         kUnrecorded);
-  vis_.resize(story_count);
-  if (params_.bayes.enabled) bayes_exposure_.assign(story_count, 0.0);
 }
 
 std::uint32_t StreamEngine::live_submit(platform::StoryId id,
@@ -158,6 +158,8 @@ std::uint32_t StreamEngine::live_submit(platform::StoryId id,
     throw std::logic_error("live_submit on a replay-mode stream engine");
   if (submitter >= network_->node_count())
     throw std::invalid_argument("live story submitter out of graph range");
+  if (!std::isfinite(time))
+    throw std::invalid_argument("live vote time must be finite");
   if (live_stories_.size() + 1 >= kUnrecorded)
     throw std::invalid_argument("too many stories for the stream engine");
   const auto slot = static_cast<std::uint32_t>(live_stories_.size());
@@ -172,8 +174,6 @@ std::uint32_t StreamEngine::live_submit(platform::StoryId id,
                       kUnrecorded);
   influence_rec_.insert(influence_rec_.end(),
                         params_.influence_checkpoints.size(), kUnrecorded);
-  vis_.emplace_back();
-  if (params_.bayes.enabled) bayes_exposure_.push_back(0.0);
   // Vote 0 is the submitter's own digg — the same convention every corpus
   // column and the batch pipeline use (types.h: voters.front()==submitter).
   live_vote(slot, submitter, time);
@@ -188,14 +188,18 @@ void StreamEngine::live_vote(std::uint32_t slot, platform::UserId voter,
     throw std::invalid_argument("live vote for an unknown story slot");
   if (voter >= network_->node_count())
     throw std::invalid_argument("live voter out of graph range");
+  if (!std::isfinite(time))
+    throw std::invalid_argument("live vote time must be finite");
   LiveStory& ls = live_stories_[slot];
   Progress& p = progress_[slot];
   if (p.applied > 0 && time < ls.last_time)
     throw std::invalid_argument("live vote times must be non-decreasing");
   const auto k = static_cast<std::uint32_t>(p.applied);
   if (k < horizon_) {
-    // The bounded prefix: what a checkpoint needs to rebuild this story's
-    // set on restore, and what the Bayes gap reads (index k-1).
+    // The bounded prefix, in which a voter digs once (the submitter's digg
+    // is vote 0) — refused before anything mutates.
+    if (std::ranges::find(ls.prefix_voters, voter) != ls.prefix_voters.end())
+      throw std::invalid_argument("live voter already dugg this story");
     ls.prefix_voters.push_back(voter);
     ls.prefix_times.push_back(time);
   }
@@ -208,13 +212,21 @@ void StreamEngine::live_vote(std::uint32_t slot, platform::UserId voter,
 }
 
 void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
-                                      const platform::VisibilitySet& vis,
                                       platform::Minutes now, Shard& shard) {
   const auto& ic = params_.influence_checkpoints;
+  const bool fit_now =
+      params_.bayes.enabled &&
+      p.applied == static_cast<std::uint64_t>(params_.bayes.fit_at) + 1;
+  // Influence after each prefix length, recounted only when an influence
+  // checkpoint or the fit point lands (at most horizon fan rows).
+  std::vector<std::uint32_t> curve;
+  if (fit_now || std::find(ic.begin(), ic.end(), p.applied) != ic.end()) {
+    curve.resize(p.applied);
+    core::influence_curve(voters_prefix(slot, p.applied), *network_, curve);
+  }
   for (std::size_t j = 0; j < ic.size(); ++j)
     if (ic[j] == p.applied) {
-      influence_rec_[slot * ic.size() + j] =
-          static_cast<std::uint32_t>(vis.influence());
+      influence_rec_[slot * ic.size() + j] = curve.back();
       obs::record_event(obs::EventKind::kCheckpointRecorded,
                         slot % kShardCount, slot, p.applied);
     }
@@ -229,17 +241,21 @@ void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
       shard.pending_pred.push_back(slot);
     }
   }
-  if (params_.bayes.enabled &&
-      p.applied == static_cast<std::uint64_t>(params_.bayes.fit_at) + 1) {
+  if (fit_now) {
     // Vote fit_at just landed: every sufficient statistic is final, so fit
     // the rate model and integrate it forward — once per story, bounded by
-    // the integration step count, off the per-vote path.
+    // the integration step count, off the per-vote path. Exposure sums the
+    // influence before each vote times its gap, in vote order.
+    double exposure = 0.0;
+    for (std::uint32_t k = 1; k <= params_.bayes.fit_at; ++k)
+      exposure += static_cast<double>(curve[k - 1]) *
+                  (early_vote_time(slot, k) - early_vote_time(slot, k - 1));
     BayesEvidence evidence;
     evidence.in_network_votes = p.innetwork;
     evidence.out_network_votes = params_.bayes.fit_at - p.innetwork;
-    evidence.exposure_watcher_minutes = bayes_exposure_[slot];
+    evidence.exposure_watcher_minutes = exposure;
     evidence.elapsed_minutes = now - early_vote_time(slot, 0);
-    evidence.audience = static_cast<double>(vis.influence());
+    evidence.audience = static_cast<double>(curve.back());
     evidence.votes = params_.bayes.fit_at + 1;
     evidence.population = static_cast<double>(network_->node_count());
     const BayesFit fit = fit_rates(params_.bayes, evidence);
@@ -283,31 +299,15 @@ void StreamEngine::apply_event(const VoteEvent& ev, Shard& shard) {
   Progress& p = progress_[ev.story_slot];
   const std::uint64_t next = p.applied + 1;
   if (p.applied < horizon_) {
-    auto& owned = vis_[ev.story_slot];
-    if (p.applied == 0)
-      owned = std::make_unique<platform::VisibilitySet>(*network_);
-    platform::VisibilitySet& vis = *owned;
-    // In-network test before the vote is applied: can the voter currently
-    // see the story through the Friends interface? Identical to the batch
-    // exposure test (core/cascade.cpp), which checks membership in the
-    // fan union of the preceding voters.
+    // In-network: is the voter a fan of an earlier voter? The batch
+    // cascade profile makes the same probe.
     if (ev.vote_index >= 1 && ev.vote_index <= max_cascade_ &&
-        vis.can_see(ev.voter))
+        core::in_network(voters_prefix(ev.story_slot, ev.vote_index),
+                         ev.voter, *network_))
       ++p.innetwork;
-    // Bayes sufficient statistic: watcher exposure over the inter-vote gap,
-    // with the influence the union had BEFORE this voter joins. One counter
-    // read and one multiply per below-fit vote — the O(1) discipline.
-    if (params_.bayes.enabled && ev.vote_index >= 1 &&
-        ev.vote_index <= params_.bayes.fit_at) {
-      bayes_exposure_[ev.story_slot] +=
-          static_cast<double>(vis.influence()) *
-          (ev.time - early_vote_time(ev.story_slot, ev.vote_index - 1));
-    }
-    vis.add_voter(ev.voter);
     p.applied = next;
-    record_checkpoints(ev.story_slot, p, vis, ev.time, shard);
+    record_checkpoints(ev.story_slot, p, ev.time, shard);
     if (next >= horizon_) {
-      owned.reset();  // every checkpoint is recorded
       obs::Registry::global().counter("stream.stories_retired").inc();
       obs::record_event(obs::EventKind::kStoryRetired,
                         ev.story_slot % kShardCount, ev.story_slot, next);
@@ -435,8 +435,6 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
   events_applied_ = event_limit;
   obs::Registry::global().gauge("stream.state_bytes").set(
       static_cast<double>(state_bytes()));
-  obs::Registry::global().gauge("stream.vis_pool_bytes").set(
-      static_cast<double>(vis_pool_bytes()));
 }
 
 StoryOutcome StreamEngine::query_story(std::uint32_t slot) const {
@@ -454,20 +452,23 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) const {
   // Unreached checkpoints saturate over the votes seen so far, matching
   // the batch profiles. An unrecorded cascade checkpoint's count is just
   // the running counter (all applied votes are inside its window); an
-  // unrecorded influence checkpoint reads the story's resident set (a story
-  // with no votes yet has none, and influence 0).
+  // unrecorded influence checkpoint is recounted from the applied prefix,
+  // which is below the horizon (0 for a story with no votes yet).
   o.cascade.resize(cc.size());
   for (std::size_t j = 0; j < cc.size(); ++j) {
     const std::uint32_t rec = cascade_rec_[slot * cc.size() + j];
     o.cascade[j] = rec != kUnrecorded ? rec : p.innetwork;
   }
   o.influence.resize(ic.size());
+  std::vector<std::uint32_t> curve;
   for (std::size_t j = 0; j < ic.size(); ++j) {
     const std::uint32_t rec = influence_rec_[slot * ic.size() + j];
-    if (rec != kUnrecorded)
-      o.influence[j] = rec;
-    else if (p.applied > 0)
-      o.influence[j] = vis_[slot]->influence();
+    if (rec == kUnrecorded && curve.size() != p.applied) {
+      curve.resize(p.applied);
+      core::influence_curve(voters_prefix(slot, p.applied), *network_, curve);
+    }
+    o.influence[j] =
+        rec != kUnrecorded ? rec : (curve.empty() ? 0 : curve.back());
   }
   if (p.flags & kHasPrediction)
     o.predicted_interesting = (p.flags & kPredictedYes) != 0;
@@ -500,19 +501,10 @@ std::size_t StreamEngine::state_bytes() const {
   std::size_t bytes = progress_.capacity() * sizeof(Progress) +
                       cascade_rec_.capacity() * sizeof(std::uint32_t) +
                       influence_rec_.capacity() * sizeof(std::uint32_t) +
-                      vis_.capacity() * sizeof(vis_[0]) +
-                      bayes_exposure_.capacity() * sizeof(double) +
                       live_stories_.capacity() * sizeof(LiveStory);
   for (const LiveStory& ls : live_stories_)
     bytes += ls.prefix_voters.capacity() * sizeof(platform::UserId) +
              ls.prefix_times.capacity() * sizeof(platform::Minutes);
-  return bytes + vis_pool_bytes();
-}
-
-std::size_t StreamEngine::vis_pool_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& vis : vis_)
-    if (vis) bytes += vis->size_bytes();
   return bytes;
 }
 

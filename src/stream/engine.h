@@ -1,27 +1,20 @@
 #pragma once
 // The streaming vote-ingestion engine. Replays an EventStream (event.h) and
-// maintains, per story, O(1)-amortized incremental state per arriving vote:
+// maintains, per story, O(1)-amortized incremental state per arriving vote.
+// It owns no visibility set: it reads each story's vote prefix, which it
+// already holds (the stream's columns; in live mode a bounded buffer),
+// through core/prefix_visibility.h — the routines the batch profiles call:
 //
-//   - fan-union visibility: one platform::VisibilitySet (hybrid small-sets,
-//     hybrid_set.h — sorted arrays promoting to word-packed bitmaps) per
-//     story below the horizon, created at the story's first vote and freed
-//     the moment it crosses the horizon. Sets cost bytes proportional to
-//     their cardinality, so every below-horizon story keeps its set
-//     resident; nothing is evicted and nothing is rebuilt while running;
-//   - running in-network vote count (cascade membership): a vote is
-//     in-network iff the visibility set can_see() the voter when the vote
-//     arrives — identical to the batch exposure test in core/cascade.cpp;
-//   - checkpoint captures: influence at the Fig. 3(a) checkpoints and
-//     in-network counts at the v6/v10/v20 checkpoints are recorded the
-//     moment the checkpoint vote arrives, which is also when the online
-//     hooks fire: the paper's (v10, fans1) early prediction at vote 10 and
-//     the June-2006 43-vote promotion rule.
+//   - in-network count: vote k counts iff core::in_network finds an earlier
+//     voter in the voter's friends row;
+//   - checkpoints: v6/v10/v20 in-network counts and Fig. 3(a) influence
+//     (core::influence_curve over at most `horizon` fan rows) are recorded
+//     when the checkpoint vote lands, and so are the online hooks — the
+//     (v10, fans1) prediction, the Bayes fit at vote fit_at, the June-2006
+//     43-vote promotion rule.
 //
-// Once a story passes the horizon (all checkpoints recorded), its set is
-// freed and every further vote is a single counter increment —
-// the amortized-O(1) core of the design. The per-vote work below the
-// horizon is O(fan-degree of the voter), exactly the batch pipeline's cost,
-// paid once per vote instead of once per whole-corpus recomputation.
+// Past the horizon (all checkpoints recorded) every vote is a single
+// counter increment — the amortized-O(1) core of the design.
 //
 // Replay order: the global (time, story slot, vote index) order is never
 // materialised. run_until first runs a serial counting merge over the
@@ -48,30 +41,29 @@
 // on the same corpus.
 //
 // Checkpoint/restore: engine state serializes through the shared DIGGSNAP
-// section mechanism (data/snapshot_format.h) — see checkpoint.h. Visibility
-// sets are not serialized: restore_checkpoint is the only place a set is
-// rebuilt, by replaying each below-horizon story's applied prefix (at most
-// horizon-1 votes). A restored engine resumes mid-stream and reaches a final
-// state bit-identical to an uninterrupted run.
+// section mechanism (data/snapshot_format.h) — see checkpoint.h. Nothing
+// derivable from the prefix is serialized or rebuilt. A restored engine
+// resumes mid-stream and reaches a final state bit-identical to an
+// uninterrupted run.
 //
 // Live mode (src/serve): constructed over a network alone, the engine has
 // no EventStream — stories arrive through live_submit and votes through
 // live_vote, in arrival order. Per-story state is identical to replay mode;
 // the only extra cost is a bounded prefix buffer per story (the first
-// `horizon` voters and times): the voters are what a checkpoint carries so
-// restore can rebuild the sets, the times feed the Bayes exposure gap.
-// Votes past the horizon keep the bare counter-bump cost.
+// `horizon` voters and times) standing in for the stream's columns, which a
+// checkpoint carries. Votes past the horizon keep the bare counter-bump
+// cost.
 
 #include <cstdint>
 #include <filesystem>
-#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/core/features.h"
 #include "src/core/predictor.h"
 #include "src/data/snapshot_format.h"
-#include "src/digg/friends_interface.h"
+#include "src/digg/types.h"
 #include "src/stream/bayes.h"
 #include "src/stream/event.h"
 
@@ -95,11 +87,10 @@ struct StreamParams {
   /// §5.2 decision, taken at vote 10 instead of after the fact. The
   /// predictor must outlive the engine.
   const core::InterestingnessPredictor* predictor = nullptr;
-  /// Online Bayesian rate-model fit (bayes.h): when enabled, the engine
-  /// accumulates watcher-exposure per vote below the fit point (O(1) per
-  /// vote — influence() is a counter read) and, the instant vote `fit_at`
-  /// lands, fits per-channel rates from the first-k timings and predicts
-  /// the final vote count — the model-based rival to the C4.5 hook above.
+  /// Online Bayesian rate-model fit (bayes.h): when enabled, the instant
+  /// vote `fit_at` lands the engine fits per-channel rates from the first-k
+  /// timings and predicts the final vote count — the model-based rival to
+  /// the C4.5 hook above.
   /// Requires fit_at >= 1 and fit_at <= the last cascade checkpoint (the
   /// in-network classification window).
   BayesFitParams bayes;
@@ -169,8 +160,10 @@ class StreamEngine {
   /// submitter outside the graph.
   std::uint32_t live_submit(platform::StoryId id, platform::UserId submitter,
                             platform::Minutes time);
-  /// Applies one live vote. Vote times within a story must be
-  /// non-decreasing (the serve front-end's per-story arrival order). Safe
+  /// Applies one live vote. Times must be finite and, within a story,
+  /// non-decreasing (the serve front-end's per-story arrival order); below
+  /// the horizon a voter digs a story once (the submitter's digg counts).
+  /// Violations throw std::invalid_argument before anything changes. Safe
   /// to call concurrently for stories in DIFFERENT shards (slot %
   /// kShardCount) — the serve drain cycle's parallelism contract; two
   /// concurrent calls into one shard race on its pending-prediction queue.
@@ -198,8 +191,8 @@ class StreamEngine {
 
   /// Snapshot of every story's state as of events_applied(). Callable
   /// mid-stream (outcomes then describe the prefix seen so far); a pure
-  /// read — an unreached influence checkpoint reads the story's resident
-  /// visibility set.
+  /// read — an unreached influence checkpoint is recounted from the
+  /// story's applied prefix.
   [[nodiscard]] StreamResult result() const;
 
   /// One story's outcome as of the votes applied so far — the online query
@@ -220,9 +213,7 @@ class StreamEngine {
   /// against the SAME stream and params. Verifies container integrity, the
   /// stream fingerprint, config equality, and per-story prefix consistency;
   /// throws std::runtime_error with a distinct message per violation and
-  /// leaves the engine unchanged. On success, rebuilds the visibility set
-  /// of every below-horizon story from its applied prefix (counted by
-  /// `stream.vis_rebuilds`) — the one place a set is rebuilt.
+  /// leaves the engine unchanged. Rebuilds no derived state.
   void restore_checkpoint(const std::filesystem::path& path);
 
   /// FNV-1a fingerprint of the stream (stories, vote columns) and network
@@ -233,15 +224,10 @@ class StreamEngine {
   [[nodiscard]] std::uint64_t fingerprint() const noexcept {
     return fingerprint_;
   }
-  /// Resident bytes of visibility sets + fixed per-story state — the sum
-  /// of vis_pool_bytes() and the progress/checkpoint columns. O(stories),
-  /// never O(events): the stream itself is not materialised.
+  /// Resident bytes of the per-story state: progress and checkpoint
+  /// columns, plus the live prefix buffers. O(stories), never O(events):
+  /// the stream itself is not materialised.
   [[nodiscard]] std::size_t state_bytes() const;
-  /// Resident bytes of the below-horizon stories' visibility sets alone
-  /// (`stream.vis_pool_bytes` gauge). Kept separate from state_bytes() so
-  /// the variable set cost is visible next to the fixed per-story state
-  /// instead of being conflated with it.
-  [[nodiscard]] std::size_t vis_pool_bytes() const;
 
   /// Fixed shard fan-out; also the parallel width cap of one engine run.
   static constexpr std::uint32_t kShardCount = 64;
@@ -274,11 +260,8 @@ class StreamEngine {
   static constexpr std::uint8_t kBayesYes = 16;
 
   /// One live-mode story: identity plus the bounded vote prefix. Only the
-  /// first `horizon` voters/times are kept: the voters are what a
-  /// checkpoint carries for restore's set rebuild (which replays `applied`
-  /// < horizon voters), the times what the Bayes exposure gap reads
-  /// (indices below fit_at <= horizon-1). So live per-story memory is
-  /// O(horizon), not O(votes).
+  /// first `horizon` voters/times are kept, since every read indexes below
+  /// the horizon, so live per-story memory is O(horizon), not O(votes).
   struct LiveStory {
     platform::StoryId id = 0;
     platform::UserId submitter = 0;
@@ -302,6 +285,14 @@ class StreamEngine {
     return stream_ ? stream_->stories[slot].times()[k]
                    : live_stories_[slot].prefix_times[k];
   }
+  /// The story's first n voters; n <= min(applied, horizon) in live mode.
+  [[nodiscard]] std::span<const platform::UserId> voters_prefix(
+      std::uint32_t slot, std::size_t n) const {
+    return stream_ ? stream_->stories[slot].voters().first(n)
+                   : std::span<const platform::UserId>(
+                         live_stories_[slot].prefix_voters)
+                         .first(n);
+  }
 
   void apply_event(const VoteEvent& ev, Shard& shard);
   /// The counting merge: starting from the per-story cursors in `cursor`
@@ -312,7 +303,6 @@ class StreamEngine {
   [[nodiscard]] std::vector<std::uint64_t> merge_prefix_counts(
       std::vector<std::uint64_t> cursor, std::uint64_t take) const;
   void record_checkpoints(std::uint32_t slot, Progress& p,
-                          const platform::VisibilitySet& vis,
                           platform::Minutes now, Shard& shard);
   /// Scores every slot queued in shard.pending_pred through
   /// predict_batch and folds the verdicts into the progress flags. The
@@ -341,13 +331,6 @@ class StreamEngine {
   std::vector<Progress> progress_;          // by story slot
   std::vector<std::uint32_t> cascade_rec_;   // slot * |cc| + j, kUnrecorded
   std::vector<std::uint32_t> influence_rec_; // slot * |ic| + j, kUnrecorded
-  /// Visibility set by story slot; vis_[slot] != nullptr iff
-  /// 0 < applied < horizon. A pointer, not a by-value set, so a retired or
-  /// not-yet-started story costs one null word.
-  std::vector<std::unique_ptr<platform::VisibilitySet>> vis_;
-  /// Per-story watcher-exposure accumulator (watcher-minutes over the
-  /// below-fit prefix); sized only when params_.bayes.enabled.
-  std::vector<double> bayes_exposure_;
   std::vector<LiveStory> live_stories_;  // live mode only, by slot
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/prefix_visibility.h"
 #include "src/digg/story.h"
 
 namespace digg::core {
@@ -18,6 +19,18 @@ graph::Digraph network() {
   b.add_fan(0, 2);
   b.add_fan(1, 3);
   return b.build();
+}
+
+// Per-vote provenance through core::in_network: entry k-1 says whether
+// vote k (the first vote after the submitter's digg is vote 1) was
+// in-network.
+std::vector<bool> vote_provenance(const platform::StoryView& s,
+                                  const graph::Digraph& g) {
+  std::vector<bool> out;
+  const auto voters = s.voters();
+  for (std::size_t k = 1; k < voters.size(); ++k)
+    out.push_back(core::in_network(voters.first(k), voters[k], g));
+  return out;
 }
 
 TEST(VoteProvenance, ClassifiesEachVote) {

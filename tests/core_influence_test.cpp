@@ -42,6 +42,31 @@ TEST(InfluenceAfter, VotersWhoAlreadyVotedNotCounted) {
   EXPECT_EQ(influence_after(s, network(), 2), 3u);
 }
 
+// fans(0) = {1, 2}; fans(1) = {3}; fans(2) = {3}; 3 has no fans.
+graph::Digraph diamond() {
+  graph::DigraphBuilder b(5);
+  b.add_fan(0, 1);
+  b.add_fan(0, 2);
+  b.add_fan(1, 3);
+  b.add_fan(2, 3);
+  return b.build();
+}
+
+TEST(InfluenceAfter, MatchesManualUnion) {
+  const graph::Digraph net = diamond();
+  Story s = make_story(0, 0, 0.0, 0.5);
+  add_vote(s, 1, 1.0);
+  // After submitter: fans {1,2}. After voter 1: 1 leaves, 3 joins => {2,3}.
+  EXPECT_EQ(influence_after(s, net, 1), 2u);
+  EXPECT_EQ(influence_after(s, net, 2), 2u);
+}
+
+TEST(InfluenceAfter, CountBeyondVotesSaturates) {
+  const graph::Digraph net = diamond();
+  const Story s = make_story(0, 0, 0.0, 0.5);
+  EXPECT_EQ(influence_after(s, net, 100), influence_after(s, net, 1));
+}
+
 TEST(InfluenceProfile, ChecksMultipleCheckpointsIncrementally) {
   Story s = make_story(0, 0, 0.0, 0.5);
   add_vote(s, 1, 1.0);

@@ -359,6 +359,49 @@ TEST_F(SnapshotTest, MmapTruncatedVoteChunkThrows) {
   expect_load_error(snap(), "vote chunk size mismatch");
 }
 
+TEST_F(SnapshotTest, InCsrThatIsNotTheTransposeThrows) {
+  // Lower the first source of one in-row and re-seal: every row stays
+  // sorted and in range, and every in-degree still matches, but the fan
+  // rows no longer describe the same relation as the friend rows.
+  save_snapshot(small_corpus(), snap());
+  auto bytes = slurp(snap());
+  const auto table = read_table(bytes);
+  const auto net = std::ranges::find_if(table, [](const RawEntry& e) {
+    return e.type == snapfmt::kNetwork;
+  });
+  ASSERT_NE(net, table.end());
+  char* body = bytes.data() + net->offset;
+  std::uint64_t n = 0;
+  std::uint64_t e = 0;
+  std::memcpy(&n, body, 8);
+  std::memcpy(&e, body + 8, 8);
+  // u64 n, u64 e, out_offsets u64[n+1], out_targets u32[e], pad to 8,
+  // in_offsets u64[n+1], in_sources u32[e].
+  const std::size_t in_offsets_pos =
+      (16 + (n + 1) * 8 + e * 4 + 7) / 8 * 8;
+  const std::size_t in_sources_pos = in_offsets_pos + (n + 1) * 8;
+  bool forged = false;
+  for (std::uint64_t v = 0; v < n && !forged; ++v) {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    std::memcpy(&lo, body + in_offsets_pos + v * 8, 8);
+    std::memcpy(&hi, body + in_offsets_pos + (v + 1) * 8, 8);
+    if (lo == hi) continue;
+    std::uint32_t first = 0;
+    std::memcpy(&first, body + in_sources_pos + lo * 4, 4);
+    if (first == 0) continue;
+    --first;
+    std::memcpy(body + in_sources_pos + lo * 4, &first, 4);
+    forged = true;
+  }
+  ASSERT_TRUE(forged);
+  const std::uint64_t sum = fnv1a(body, static_cast<std::size_t>(net->size));
+  std::memcpy(bytes.data() + net->entry_pos + 24, &sum, 8);
+  reseal_v2(bytes);
+  spew(snap(), bytes);
+  expect_load_error(snap(), "in-CSR is not the transpose of out-CSR");
+}
+
 TEST_F(SnapshotTest, MmapLoadMatchesEagerLoad) {
   const Corpus original = small_corpus(42);
   save_snapshot(original, snap());

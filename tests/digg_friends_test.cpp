@@ -105,21 +105,6 @@ TEST(VisibilitySet, ExposureLogUniqueEntries) {
   EXPECT_EQ(std::count(log.begin(), log.end(), 3u), 1);
 }
 
-TEST(StoryInfluence, MatchesManualUnion) {
-  const graph::Digraph net = small_network();
-  Story s = make_story(0, 0, 0.0, 0.5);
-  add_vote(s, 1, 1.0);
-  // After submitter: fans {1,2}. After voter 1: 1 leaves, 3 joins => {2,3}.
-  EXPECT_EQ(story_influence(s, net, 1), 2u);
-  EXPECT_EQ(story_influence(s, net, 2), 2u);
-}
-
-TEST(StoryInfluence, CountBeyondVotesSaturates) {
-  const graph::Digraph net = small_network();
-  const Story s = make_story(0, 0, 0.0, 0.5);
-  EXPECT_EQ(story_influence(s, net, 100), story_influence(s, net, 1));
-}
-
 TEST(FriendsActivity, SubmissionsAndDiggsVisible) {
   // User 3 watches 1 and 2 (friends(3) = {1,2}).
   graph::DigraphBuilder b(5);

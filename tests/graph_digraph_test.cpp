@@ -186,6 +186,28 @@ TEST(Digraph, UnsortedFanRowRejectedAtCsrBuild) {
   EXPECT_LT(fans[0], fans[1]);
 }
 
+// Sorted, in-range rows can still disagree between the two directions;
+// fans() and friends() would then answer different relations.
+TEST(Digraph, InCsrMustBeTheTransposeOfOutCsr) {
+  // Edges 0->1, 1->2, 2->1: fans(1) = {0, 2}, fans(2) = {1}.
+  const std::vector<std::size_t> out_offsets = {0, 1, 2, 3};
+  const std::vector<NodeId> out_targets = {1, 2, 1};
+  const std::vector<std::size_t> in_offsets = {0, 0, 2, 3};
+  const std::vector<NodeId> wrong_source = {0, 1, 2};  // fans(1) = {0, 1}
+  const std::vector<std::size_t> wrong_degrees = {0, 1, 1, 3};
+  // fans(0) = {0}, fans(1) = {}, fans(2) = {1, 2}: row sizes disagree.
+  const std::vector<NodeId> moved = {0, 1, 2};
+  EXPECT_THROW(Digraph::from_parts(out_offsets, out_targets, in_offsets,
+                                   wrong_source),
+               std::invalid_argument);
+  EXPECT_THROW(Digraph::from_views(out_offsets, out_targets, in_offsets,
+                                   wrong_source),
+               std::invalid_argument);
+  EXPECT_THROW(Digraph::from_views(out_offsets, out_targets, wrong_degrees,
+                                   moved),
+               std::invalid_argument);
+}
+
 TEST(Digraph, BuildOutputAlwaysSatisfiesUnionSpanContract) {
   // build() normalizes arbitrary insertion order and then re-verifies both
   // CSR directions unconditionally (NDEBUG included); a surviving graph's

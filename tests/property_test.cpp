@@ -10,6 +10,7 @@
 
 #include "src/core/cascade.h"
 #include "src/core/influence.h"
+#include "src/core/prefix_visibility.h"
 #include "src/digg/friends_interface.h"
 #include "src/digg/promotion.h"
 #include "src/digg/story.h"
@@ -39,6 +40,18 @@ Story random_story(stats::Rng& rng, const Digraph& g, std::size_t votes) {
   for (std::size_t k = 1; k <= count; ++k)
     platform::add_vote(s, users[k], static_cast<double>(k));
   return s;
+}
+
+// Per-vote provenance through core::in_network: entry k-1 says whether
+// vote k (the first vote after the submitter's digg is vote 1) was
+// in-network.
+std::vector<bool> vote_provenance(const platform::StoryView& s,
+                                  const graph::Digraph& g) {
+  std::vector<bool> out;
+  const auto voters = s.voters();
+  for (std::size_t k = 1; k < voters.size(); ++k)
+    out.push_back(core::in_network(voters.first(k), voters[k], g));
+  return out;
 }
 
 class SeededProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -76,7 +89,7 @@ TEST_P(SeededProperty, ProvenanceMatchesBruteForceExposure) {
   stats::Rng rng(GetParam() * 13 + 5);
   const Digraph g = random_graph(rng);
   const Story s = random_story(rng, g, 20);
-  const auto prov = core::vote_provenance(s, g);
+  const auto prov = vote_provenance(s, g);
   // Brute force: vote k is in-network iff voter follows any prior voter.
   for (std::size_t k = 1; k < s.voters.size(); ++k) {
     const UserId voter = s.voters[k];

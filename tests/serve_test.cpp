@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -585,6 +586,56 @@ TEST_F(ServeTest, RejectsOutOfRangeUsersAndKeepsServing) {
   server.wait();
   EXPECT_EQ(server.engine().events_applied(), total_events(load));
   EXPECT_EQ(server.engine().story_count(), load.size());
+}
+
+TEST_F(ServeTest, RejectsNonFiniteTimesAndKeepsServing) {
+  // A NaN vote time used to be accepted silently: it passes the engine's
+  // order check and poisons the Bayes fit. Non-finite vote and submit
+  // times are now refused at the front-end with kBadTime.
+  Server server(test_corpus().corpus.network, test_serve_params());
+  const auto port = server.start();
+  obs::Counter& rejected =
+      obs::Registry::global().counter("serve.rejected_bad_time");
+  const std::uint64_t rejected_before = rejected.value();
+  const int fd = connect_loopback(port);
+  ASSERT_GE(fd, 0);
+  constexpr std::uint32_t kStory = 9001;
+  std::vector<char> wire;
+  encode(SubmitMsg{kStory, 11, 1.0}, wire);
+  encode(VoteMsg{kStory, 12, std::numeric_limits<double>::quiet_NaN()}, wire);
+  encode(VoteMsg{kStory, 12, std::numeric_limits<double>::infinity()}, wire);
+  encode(SubmitMsg{kStory + 1, 11, -std::numeric_limits<double>::infinity()},
+         wire);
+  encode(VoteMsg{kStory, 12, 2.0}, wire);
+  encode(SyncMsg{5}, wire);
+  encode(QueryStateMsg{kStory}, wire);
+  ASSERT_TRUE(write_all(fd, wire.data(), wire.size()));
+  FrameDecoder decoder;
+  std::vector<Message> replies;
+  for (const std::uint32_t story : {kStory, kStory, kStory + 1}) {
+    std::string error;
+    EXPECT_FALSE(read_messages(fd, decoder, replies, 1, error));
+    EXPECT_NE(error.find("code=6 detail=" + std::to_string(story)),
+              std::string::npos)
+        << error;
+  }
+  // The connection stays open, and the valid vote after the refusals is
+  // applied before the sync is answered.
+  std::string error;
+  ASSERT_TRUE(read_messages(fd, decoder, replies, 2, error)) << error;
+  const auto* sync = std::get_if<SyncReplyMsg>(&replies[replies.size() - 2]);
+  ASSERT_NE(sync, nullptr);
+  EXPECT_EQ(sync->token, 5u);
+  const auto* state = std::get_if<StateReplyMsg>(&replies.back());
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->found, 1);
+  EXPECT_EQ(state->votes, 2u);
+  EXPECT_EQ(rejected.value() - rejected_before, 3u);
+  ::close(fd);
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.engine().story_count(), 1u);
+  EXPECT_EQ(server.engine().events_applied(), 2u);
 }
 
 TEST_F(ServeTest, RejectsUnknownStoriesAndDuplicateSubmits) {

@@ -1,6 +1,6 @@
 // The online Bayes fit: the pure Gamma-Poisson arithmetic (bayes.h), the
-// engine's accumulation/fit hook, and checkpoint v2 (kill/resume carries
-// the exposure state bit-for-bit; config mismatches are refused).
+// engine's fit hook, and checkpoints (kill/resume across the fit point is
+// bit-identical; config mismatches are refused).
 
 #include "src/stream/bayes.h"
 
@@ -179,7 +179,7 @@ TEST(StreamBayes, FitAtMustFitTheCascadeWindow) {
                std::invalid_argument);
 }
 
-// --- checkpoint v2 -------------------------------------------------------
+// --- checkpoints ---------------------------------------------------------
 
 class StreamBayesCkpt : public ::testing::Test {
  protected:
@@ -202,9 +202,10 @@ class StreamBayesCkpt : public ::testing::Test {
 };
 
 TEST_F(StreamBayesCkpt, KillResumeIsBitIdenticalAcrossTheFitPoint) {
-  // Cut mid-stream so plenty of stories are still accumulating exposure
-  // below fit_at: the resumed engine must carry that state, fit later, and
-  // land on exactly the uninterrupted result.
+  // Cut mid-stream so plenty of stories are still below fit_at: the
+  // checkpoint carries no exposure, so the resumed engine must recount it
+  // from the prefix, fit later, and land on exactly the uninterrupted
+  // result.
   const auto& net = corpus().corpus.network;
   StreamEngine reference(stream(), net, bayes_params());
   reference.run_all();
@@ -262,8 +263,8 @@ TEST_F(StreamBayesCkpt, ConfigMismatchIsRefusedBothWays) {
   }
 }
 
-TEST_F(StreamBayesCkpt, CheckpointReportsVersionTwo) {
-  const fs::path ckpt = file("v2.ckpt");
+TEST_F(StreamBayesCkpt, CheckpointReportsCurrentVersion) {
+  const fs::path ckpt = file("bayes.ckpt");
   StreamEngine e(stream(), corpus().corpus.network, bayes_params());
   e.run_until(1000);
   e.save_checkpoint(ckpt);

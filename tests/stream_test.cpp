@@ -8,13 +8,13 @@
 #include <utility>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
 #include "src/data/snapshot_format.h"
 #include "src/data/synthetic.h"
-#include "src/obs/metrics.h"
 #include "src/runtime/thread_pool.h"
 #include "src/stream/checkpoint.h"
 #include "src/stream/source.h"
@@ -412,11 +412,11 @@ TEST_F(StreamTest, CheckpointRestoreRewindsAFinishedEngine) {
   expect_same_result(finished, engine.result());
 }
 
-// Restore is the one place a visibility set is rebuilt: it rebuilds exactly
-// the stories with 0 < applied < horizon at the cut, and the resumed run
-// plus result() rebuild nothing — while still matching an uninterrupted
-// run, in replay and in live mode.
-TEST_F(StreamTest, RestoreRebuildsExactlyTheBelowHorizonSets) {
+// A restore at any cut — the first vote, between two same-time votes of one
+// story, mid-stream, one vote short of the end, the end — resumes to the
+// result of an uninterrupted run, in replay and in live mode. Below-horizon
+// stories at the cut recount their checkpoints from the prefix.
+TEST_F(StreamTest, RestoreAtAnyCutMatchesAnUninterruptedRun) {
   const auto& corpus = small_corpus().corpus;
   const StreamParams params;
   const std::uint64_t horizon =
@@ -428,8 +428,6 @@ TEST_F(StreamTest, RestoreRebuildsExactlyTheBelowHorizonSets) {
           return o.final_votes > 0 && o.final_votes < horizon;
         }));
   };
-  const obs::Counter& rebuilds =
-      obs::Registry::global().counter("stream.vis_rebuilds");
   const auto path = file("cut.ckpt");
   const std::uint64_t total = small_stream().total_events();
   // A replay cut between two same-time votes of one story.
@@ -445,26 +443,20 @@ TEST_F(StreamTest, RestoreRebuildsExactlyTheBelowHorizonSets) {
     StreamEngine straight = make();
     advance(straight, 0, total);
     const StreamResult expect = straight.result();
-    std::uint64_t rebuilt = 0;
+    std::uint64_t below = 0;
     for (const std::uint64_t cut : {std::uint64_t{1}, tie_cut, total / 7,
                                     total / 2, total - 1, total}) {
       SCOPED_TRACE("cut " + std::to_string(cut));
       StreamEngine writer = make();
       advance(writer, 0, cut);
       writer.save_checkpoint(path);
-      const std::uint64_t want = below_horizon(writer.result());
-      rebuilt += want;
+      below += below_horizon(writer.result());
       StreamEngine resumed = make();
-      const std::uint64_t before = rebuilds.value();
       resumed.restore_checkpoint(path);
-      EXPECT_EQ(rebuilds.value() - before, want);
-      const std::uint64_t restored = rebuilds.value();
       advance(resumed, cut, total);
-      const StreamResult got = resumed.result();
-      EXPECT_EQ(rebuilds.value(), restored);
-      expect_same_result(expect, got);
+      expect_same_result(expect, resumed.result());
     }
-    EXPECT_GT(rebuilt, 0u);
+    EXPECT_GT(below, 0u);
   };
   {
     SCOPED_TRACE("replay");
@@ -625,7 +617,7 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   }
   // Only the current checkpoint version is read: the older layouts, the
   // never-written version 0 and future versions are all refused.
-  for (const std::uint32_t version : {0u, 2u, 4u}) {
+  for (const std::uint32_t version : {0u, 2u, 3u, 5u}) {
     snapfmt::Section forged[2] = {{snapfmt::kStreamMeta, {}}, sections[1]};
     forged[0].body.pod(version);
     forged[0].body.raw(meta.bytes().data() + 4, meta.size() - 4);
@@ -688,6 +680,103 @@ TEST_F(StreamTest, RejectsLivePrefixWithRepeatedVoter) {
   EXPECT_EQ(engine.state_bytes(), StreamEngine(corpus.network).state_bytes());
   engine.restore_checkpoint(good);
   expect_same_result(writer.result(), engine.result());
+}
+
+/// A live engine holding the first three votes of small_stream()'s first
+/// story, its events noted.
+StreamEngine three_vote_live_engine() {
+  const platform::StoryView& s = small_stream().stories.front();
+  StreamEngine engine(small_corpus().corpus.network);
+  const std::uint32_t slot =
+      engine.live_submit(s.id, s.submitter, s.times()[0]);
+  engine.live_vote(slot, s.voters()[1], s.times()[1]);
+  engine.live_vote(slot, s.voters()[2], s.times()[2]);
+  engine.note_events_applied(3);
+  return engine;
+}
+
+/// live_vote(slot 0, voter) on three_vote_live_engine() must throw
+/// invalid_argument and leave the engine exactly as it was: same query
+/// answer, same state bytes, the same checkpoint bytes, and that
+/// checkpoint still restores.
+void expect_live_vote_refused(platform::UserId voter,
+                              const std::filesystem::path& before_path,
+                              const std::filesystem::path& after_path) {
+  StreamEngine engine = three_vote_live_engine();
+  engine.save_checkpoint(before_path);
+  const StoryOutcome before = engine.query_story(0);
+  const std::size_t bytes = engine.state_bytes();
+  const double later = small_stream().stories.front().times()[2];
+  EXPECT_THROW(engine.live_vote(0, voter, later), std::invalid_argument);
+  expect_same_outcome(before, engine.query_story(0));
+  EXPECT_EQ(engine.state_bytes(), bytes);
+  engine.save_checkpoint(after_path);
+  EXPECT_EQ(slurp(before_path), slurp(after_path));
+  StreamEngine restored(small_corpus().corpus.network);
+  restored.restore_checkpoint(after_path);
+  expect_same_result(engine.result(), restored.result());
+}
+
+TEST_F(StreamTest, LiveVoteRefusesARepeatedVoterBelowTheHorizon) {
+  const platform::StoryView& s = small_stream().stories.front();
+  ASSERT_GE(s.vote_count(), 3u);
+  for (const platform::UserId voter : {s.voters()[1], s.voters()[2]})
+    expect_live_vote_refused(voter, file("before.ckpt"), file("after.ckpt"));
+}
+
+TEST_F(StreamTest, LiveVoteRefusesTheSubmitterOnTheirOwnStory) {
+  expect_live_vote_refused(small_stream().stories.front().submitter,
+                           file("before.ckpt"), file("after.ckpt"));
+}
+
+// Non-finite live times pass every checksum and every ordering comparison
+// (NaN compares false), so restore checks finiteness explicitly.
+TEST_F(StreamTest, RejectsLivePrefixWithNonFiniteTimes) {
+  const StreamEngine writer = three_vote_live_engine();
+  const auto good = file("good.ckpt");
+  writer.save_checkpoint(good);
+  // One story with three prefix votes: SERVE_STORIES holds three u32
+  // columns padded to 16 bytes, the f64 watermark at byte 16, the voters
+  // at 24..36 padded to 40, then the three f64 prefix times.
+  struct Row {
+    std::size_t offset;
+    double value;
+    const char* error;
+  };
+  const Row rows[] = {
+      {40 + 8, std::numeric_limits<double>::quiet_NaN(),
+       "checkpoint live prefix time not finite"},
+      {40 + 16, std::numeric_limits<double>::infinity(),
+       "checkpoint live prefix time not finite"},
+      {16, std::numeric_limits<double>::quiet_NaN(),
+       "checkpoint live time watermark not finite"},
+      {16, std::numeric_limits<double>::infinity(),
+       "checkpoint live time watermark not finite"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.error);
+    std::vector<snapfmt::Section> sections = writer.checkpoint_sections();
+    ASSERT_EQ(sections.size(), 3u);
+    std::vector<char> body = sections[2].body.bytes();
+    ASSERT_EQ(body.size(), 40u + 3 * sizeof(double));
+    std::memcpy(body.data() + row.offset, &row.value, sizeof(double));
+    sections[2].body = {};
+    sections[2].body.raw(body.data(), body.size());
+    const auto forged = file("nonfinite.ckpt");
+    snapfmt::write_section_file(forged, sections);
+
+    StreamEngine engine(small_corpus().corpus.network);
+    try {
+      engine.restore_checkpoint(forged);
+      FAIL() << "expected the non-finite live time to be rejected";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find(row.error), std::string::npos)
+          << err.what();
+    }
+    EXPECT_EQ(engine.story_count(), 0u);
+    engine.restore_checkpoint(good);
+    expect_same_result(writer.result(), engine.result());
+  }
 }
 
 }  // namespace
