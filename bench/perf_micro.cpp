@@ -22,9 +22,7 @@
 #include "src/core/predictor.h"
 #include "src/data/synthetic.h"
 #include "src/dynamics/vote_model.h"
-#include "src/graph/centrality.h"
 #include "src/graph/generators.h"
-#include "src/graph/traversal.h"
 #include "src/ml/c45.h"
 #include "src/ml/validation.h"
 #include "src/runtime/thread_pool.h"
@@ -58,14 +56,6 @@ void BM_GraphBuildPreferentialAttachment(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_GraphBuildPreferentialAttachment)->Arg(1000)->Arg(10000);
-
-void BM_BfsGiantComponent(benchmark::State& state) {
-  const graph::Digraph& g = corpus().corpus.network;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::giant_component_fraction(g));
-  }
-}
-BENCHMARK(BM_BfsGiantComponent);
 
 void BM_CascadeExtraction(benchmark::State& state) {
   const auto& c = corpus().corpus;
@@ -189,15 +179,6 @@ BENCHMARK_DEFINE_F(ThreadSweep, BootstrapMeanCi)(benchmark::State& state) {
                           2000);
 }
 BENCHMARK_REGISTER_F(ThreadSweep, BootstrapMeanCi)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-BENCHMARK_DEFINE_F(ThreadSweep, Betweenness)(benchmark::State& state) {
-  const graph::Digraph& g = corpus().corpus.network;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::betweenness(g, /*source_stride=*/16));
-  }
-}
-BENCHMARK_REGISTER_F(ThreadSweep, Betweenness)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace

@@ -11,7 +11,7 @@ void HybridSet::reset(std::size_t universe) {
   dead_.clear();
   if (bitmap_) {
     // Only the words a previous story dirtied need zeroing; an empty bitmap
-    // left over from a shed()/fresh instance costs nothing.
+    // costs nothing.
     if (bit_count_ > 0) std::fill(words_.begin(), words_.end(), 0ull);
     bit_count_ = 0;
     bitmap_ = false;
@@ -154,17 +154,6 @@ std::vector<std::uint32_t> HybridSet::to_vector() const {
   std::merge(out.begin(), out.end(), tail_sorted.begin(), tail_sorted.end(),
              std::back_inserter(merged));
   return merged;
-}
-
-void HybridSet::shed() noexcept {
-  std::vector<std::uint32_t>().swap(main_);
-  std::vector<std::uint32_t>().swap(tail_);
-  std::vector<std::uint32_t>().swap(dead_);
-  std::vector<std::uint32_t>().swap(scratch_);
-  std::vector<std::uint32_t>().swap(scratch_pos_);
-  std::vector<std::uint64_t>().swap(words_);
-  bit_count_ = 0;
-  bitmap_ = false;
 }
 
 }  // namespace digg::platform

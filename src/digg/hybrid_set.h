@@ -19,7 +19,7 @@
 //   - BITMAP mode: a word-packed bitmap of universe bits plus a size
 //     counter. Entered once size() crosses promote_threshold(universe) — the
 //     point where the sorted array would outweigh the bitmap
-//     (4*size >= universe/8) — and left only by reset()/shed(). All ops
+//     (4*size >= universe/8) — and left only by reset(). All ops
 //     become O(1) word probes; a span union is O(|span|).
 //
 // Both modes implement exact set semantics, so every query result is
@@ -99,23 +99,11 @@ class HybridSet {
   /// scan of the words).
   [[nodiscard]] std::vector<std::uint32_t> to_vector() const;
 
-  /// Resident heap bytes across both representations (LRU byte accounting).
-  [[nodiscard]] std::size_t size_bytes() const noexcept {
-    return (main_.capacity() + tail_.capacity() + dead_.capacity() +
-            scratch_.capacity() + scratch_pos_.capacity()) *
-               sizeof(std::uint32_t) +
-           words_.capacity() * sizeof(std::uint64_t);
-  }
-
-  /// Releases every heap buffer and empties the set (universe is kept), so
-  /// the memory actually returns instead of lingering as capacity.
-  void shed() noexcept;
-
  private:
   /// Folds the staging buffers into main_ (array mode only). After flush,
   /// main_ alone is the set.
   void flush();
-  /// Array -> bitmap conversion (flushes first). One-way until reset/shed.
+  /// Array -> bitmap conversion (flushes first). One-way until reset.
   void promote();
   void grow_universe(std::size_t need);
 

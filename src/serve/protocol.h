@@ -34,9 +34,14 @@
 //
 // Malformed input (length 0 or beyond kMaxFrameBytes, unknown type, body
 // size disagreeing with the type) throws ProtocolError from the decoder;
-// the server answers kError{kBadFrame} and closes the connection. The
-// fuzz-style table test in tests/serve_test.cpp drives exactly this decoder
-// with truncated/oversized/garbage frames under ASan.
+// the server answers kError{kBadFrame} and closes the connection.
+// Well-formed events the engine must not apply (an unknown story or user,
+// a non-finite time, a repeated voter below the engine's horizon, a time
+// earlier than the story's last) are answered with their ErrorCode and the
+// connection keeps serving. A repeated voter past the horizon is accepted
+// and counted: refusing it would need per-story state that grows with the
+// votes. The fuzz-style table test in tests/serve_test.cpp drives exactly
+// this decoder with truncated/oversized/garbage frames under ASan.
 
 #include <cstddef>
 #include <cstdint>
@@ -72,6 +77,11 @@ enum class ErrorCode : std::uint8_t {
                        // detail is the offending user id
   kBadTime = 6,        // vote/submit time is NaN or infinite; the detail
                        // is the story id
+  kDuplicateVoter = 7, // the voter already dugg the story within the
+                       // engine's horizon (the submitter's digg counts);
+                       // the detail is the story id
+  kTimeOrder = 8,      // vote time earlier than the story's last accepted
+                       // time; the detail is the story id
 };
 
 struct VoteMsg {

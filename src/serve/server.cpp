@@ -15,6 +15,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -61,6 +63,49 @@ class IdMap {
  private:
   std::vector<std::uint32_t> dense_;
   std::unordered_map<std::uint32_t, std::uint32_t> overflow_;
+};
+
+/// What the front-end keeps of each story (by slot) to refuse a vote the
+/// engine's live_vote would throw on: the latest accepted time, and the
+/// accepted voters up to the engine's horizon, the submitter first. The
+/// voters are flat, `horizon` cells per story, so a story costs no
+/// allocation of its own; once its prefix is full a vote costs one time
+/// compare, so the check stays O(1) past the horizon.
+class StoryGuards {
+ public:
+  explicit StoryGuards(std::size_t horizon) : horizon_(horizon) {}
+
+  /// Registers the next slot with its accepted voters and latest time.
+  void add(std::span<const platform::UserId> prefix, double last_time) {
+    tails_.push_back({last_time, static_cast<std::uint32_t>(prefix.size())});
+    const std::size_t first = voters_.size();
+    voters_.resize(first + horizon_);
+    std::ranges::copy(prefix, voters_.data() + first);
+  }
+
+  /// Records the vote, or returns why the engine would refuse it.
+  std::optional<ErrorCode> accept(std::uint32_t slot, platform::UserId voter,
+                                  double time) {
+    Tail& t = tails_[slot];
+    if (time < t.last_time) return ErrorCode::kTimeOrder;
+    if (t.len < horizon_) {
+      platform::UserId* const prefix = voters_.data() + slot * horizon_;
+      if (std::find(prefix, prefix + t.len, voter) != prefix + t.len)
+        return ErrorCode::kDuplicateVoter;
+      prefix[t.len++] = voter;
+    }
+    t.last_time = time;
+    return std::nullopt;
+  }
+
+ private:
+  struct Tail {
+    double last_time;
+    std::uint32_t len;
+  };
+  std::size_t horizon_;
+  std::vector<Tail> tails_;
+  std::vector<platform::UserId> voters_;
 };
 
 }  // namespace
@@ -160,6 +205,9 @@ void Server::frontend_main() {
   auto& bad_frames = registry.counter("serve.bad_frames");
   auto& rejected_unknown_user = registry.counter("serve.rejected_unknown_user");
   auto& rejected_bad_time = registry.counter("serve.rejected_bad_time");
+  auto& rejected_duplicate_voter =
+      registry.counter("serve.rejected_duplicate_voter");
+  auto& rejected_time_order = registry.counter("serve.rejected_time_order");
   const std::size_t user_count = network_->node_count();
 
   struct Conn {
@@ -192,13 +240,18 @@ void Server::frontend_main() {
   ep_add(listen_fd_, EPOLLIN);
   ep_add(wake_fd_, EPOLLIN);
 
-  // Rebuild the id map from restored engine state: a restored live engine
-  // already holds stories whose ids must keep resolving (and whose slots
-  // the next submit must not collide with).
+  // Rebuild the id map and the story guards from restored engine state: a
+  // restored live engine already holds stories whose ids must keep
+  // resolving (and whose slots the next submit must not collide with), and
+  // whose prefixes and times the next votes are checked against.
   IdMap ids;
+  StoryGuards guards(engine_.horizon());
   std::uint32_t next_slot = engine_.story_count();
-  for (std::uint32_t slot = 0; slot < next_slot; ++slot)
+  for (std::uint32_t slot = 0; slot < next_slot; ++slot) {
     ids.insert(engine_.query_story(slot).id, slot);
+    const auto prefix = engine_.live_prefix(slot);
+    guards.add(prefix.voters, prefix.last_time);
+  }
 
   std::uint64_t next_seq = 0;
   std::uint64_t votes_seen = 0;
@@ -261,6 +314,14 @@ void Server::frontend_main() {
     rejected_bad_time.inc();
     return send_error(c, ErrorCode::kBadTime, story_id);
   };
+  // A story's votes reach the engine in the order accepted here, so the
+  // guards see exactly the state live_vote will check.
+  auto reject_guarded = [&](Conn& c, ErrorCode code, std::uint32_t story_id) {
+    (code == ErrorCode::kTimeOrder ? rejected_time_order
+                                   : rejected_duplicate_voter)
+        .inc();
+    return send_error(c, code, story_id);
+  };
 
   // Hands one decoded message to its queue. Returns false when the
   // connection must close (protocol misuse).
@@ -270,6 +331,8 @@ void Server::frontend_main() {
       if (mapped == 0) return send_error(c, ErrorCode::kUnknownStory, v->story_id);
       if (v->voter >= user_count) return reject_unknown_user(c, v->voter);
       if (!std::isfinite(v->time)) return reject_bad_time(c, v->story_id);
+      if (const auto refused = guards.accept(mapped - 1, v->voter, v->time))
+        return reject_guarded(c, *refused, v->story_id);
       VoteEntry e{};
       e.seq = next_seq++;
       e.slot = mapped - 1;
@@ -298,6 +361,7 @@ void Server::frontend_main() {
       e.time = s->time;
       e.stamp_ns = 0;
       ids.insert(s->story_id, e.slot);
+      guards.add({&s->submitter, 1}, s->time);
       while (!submit_q_->try_push(e)) {
         backpressure.inc();
         std::this_thread::yield();

@@ -5,7 +5,9 @@
 //
 //   front-end (epoll)  — accepts connections on 127.0.0.1, decodes frames,
 //     validates story ids (it owns the id->slot map, so lookups are
-//     lock-free), stamps each accepted event with a global sequence number
+//     lock-free), refuses every vote the engine would throw on (it keeps
+//     each story's last accepted time and below-horizon voters), stamps
+//     each accepted event with a global sequence number
 //     and hands it off: submits onto one dedicated ring (its FIFO order IS
 //     slot-assignment order), votes onto one lock-free MPSC ring per engine
 //     shard (mpsc_queue.h), queries/syncs onto a small mutex-guarded deque.

@@ -211,6 +211,13 @@ void StreamEngine::live_vote(std::uint32_t slot, platform::UserId voter,
   flush_predictions(shard);
 }
 
+StreamEngine::LivePrefix StreamEngine::live_prefix(std::uint32_t slot) const {
+  if (slot >= live_stories_.size())
+    throw std::invalid_argument("live prefix for an unknown story slot");
+  const LiveStory& ls = live_stories_[slot];
+  return {ls.prefix_voters, ls.last_time};
+}
+
 void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
                                       platform::Minutes now, Shard& shard) {
   const auto& ic = params_.influence_checkpoints;

@@ -163,12 +163,27 @@ class StreamEngine {
   /// Applies one live vote. Times must be finite and, within a story,
   /// non-decreasing (the serve front-end's per-story arrival order); below
   /// the horizon a voter digs a story once (the submitter's digg counts).
-  /// Violations throw std::invalid_argument before anything changes. Safe
-  /// to call concurrently for stories in DIFFERENT shards (slot %
-  /// kShardCount) — the serve drain cycle's parallelism contract; two
-  /// concurrent calls into one shard race on its pending-prediction queue.
+  /// Violations throw std::invalid_argument before anything changes; the
+  /// serve front-end refuses each of them first, so under serve these are
+  /// precondition checks. Safe to call concurrently for stories in
+  /// DIFFERENT shards (slot % kShardCount) — the serve drain cycle's
+  /// parallelism contract; two concurrent calls into one shard race on its
+  /// pending-prediction queue.
   void live_vote(std::uint32_t slot, platform::UserId voter,
                  platform::Minutes time);
+  /// Live mode: one story's applied voters below the horizon (the
+  /// submitter first) and its latest vote time — what live_vote's
+  /// duplicate-voter and time-order checks read, so the serve front-end can
+  /// refuse such a vote before it reaches a shard. Throws
+  /// std::invalid_argument for an unknown slot.
+  struct LivePrefix {
+    std::span<const platform::UserId> voters;
+    platform::Minutes last_time = 0.0;
+  };
+  [[nodiscard]] LivePrefix live_prefix(std::uint32_t slot) const;
+  /// Total votes (the submitter's digg included) after which every
+  /// checkpoint of a story is recorded and a vote is a bare counter bump.
+  [[nodiscard]] std::uint64_t horizon() const noexcept { return horizon_; }
   /// Folds a drained batch into events_applied(). live_vote deliberately
   /// never touches the global counter (so shards can apply in parallel);
   /// the single drain coordinator calls this once per batch instead.

@@ -181,18 +181,6 @@ TEST(HybridSet, InsertBeyondUniverseGrows) {
   EXPECT_EQ(t.size(), 65u);
 }
 
-TEST(HybridSet, ShedReleasesBytes) {
-  HybridSet s(100000);
-  for (std::uint32_t id = 0; id < 2000; ++id) s.insert(17 * id % 99991);
-  EXPECT_GT(s.size_bytes(), 0u);
-  s.shed();
-  EXPECT_EQ(s.size_bytes(), 0u);
-  EXPECT_EQ(s.size(), 0u);
-  s.reset(100000);  // usable again after shed
-  EXPECT_TRUE(s.insert(7));
-  EXPECT_TRUE(s.contains(7));
-}
-
 // The randomized property test: a HybridSet and a std::set driven by the
 // same operation stream must agree at every step, across both
 // representations and the promotion in between.

@@ -3,12 +3,29 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
-
-#include "src/graph/traversal.h"
+#include <vector>
 
 namespace digg::graph {
 namespace {
+
+/// Share of nodes in the largest weakly connected component (edges taken
+/// in both directions), by union-find over the friends rows.
+double giant_component_fraction(const Digraph& g) {
+  std::vector<NodeId> parent(g.node_count());
+  std::iota(parent.begin(), parent.end(), NodeId{0});
+  auto root = [&](NodeId u) {
+    while (parent[u] != u) u = parent[u] = parent[parent[u]];
+    return u;
+  };
+  for (NodeId u = 0; u < g.node_count(); ++u)
+    for (const NodeId v : g.friends(u)) parent[root(u)] = root(v);
+  std::vector<std::size_t> size(g.node_count(), 0);
+  for (NodeId u = 0; u < g.node_count(); ++u) ++size[root(u)];
+  return static_cast<double>(*std::max_element(size.begin(), size.end())) /
+         static_cast<double>(g.node_count());
+}
 
 TEST(ErdosRenyi, EdgeCountConcentratesAroundExpectation) {
   stats::Rng rng(1);

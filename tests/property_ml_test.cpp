@@ -9,7 +9,6 @@
 #include "src/ml/forest.h"
 #include "src/ml/roc.h"
 #include "src/stats/bootstrap.h"
-#include "src/stats/hypothesis.h"
 #include "src/stats/rng.h"
 #include "src/stats/summary.h"
 
@@ -144,19 +143,6 @@ TEST_P(MlProperty, BootstrapIntervalContainsPointEstimate) {
   const stats::Interval ci = stats::bootstrap_mean_ci(data, 300, 0.95, boot);
   EXPECT_LE(ci.lo, ci.point);
   EXPECT_GE(ci.hi, ci.point);
-}
-
-TEST_P(MlProperty, MannWhitneySymmetric) {
-  stats::Rng rng(GetParam() * 23 + 13);
-  std::vector<double> a;
-  std::vector<double> b;
-  for (int i = 0; i < 30; ++i) {
-    a.push_back(rng.normal(0.0, 1.0));
-    b.push_back(rng.normal(0.5, 1.0));
-  }
-  const auto ab = stats::mann_whitney_u(a, b);
-  const auto ba = stats::mann_whitney_u(b, a);
-  EXPECT_NEAR(ab.p_value, ba.p_value, 1e-9);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "src/digg/promotion.h"
 #include "src/digg/story.h"
 #include "src/graph/generators.h"
-#include "src/graph/traversal.h"
 #include "src/stats/rng.h"
 #include "src/stats/summary.h"
 
@@ -169,19 +168,6 @@ TEST_P(SeededProperty, DegreeSumsEqualEdgeCount) {
   for (auto d : g.in_degrees()) in_sum += d;
   EXPECT_EQ(out_sum, g.edge_count());
   EXPECT_EQ(in_sum, g.edge_count());
-}
-
-TEST_P(SeededProperty, BfsBothDirectionWeaklyDominatesDirected) {
-  stats::Rng rng(GetParam() * 53 + 23);
-  const Digraph g = random_graph(rng, 50, 0.05);
-  const auto both = graph::bfs_distances(g, 0, graph::Direction::kBoth);
-  const auto fwd = graph::bfs_distances(g, 0, graph::Direction::kFollowing);
-  for (std::size_t u = 0; u < g.node_count(); ++u) {
-    if (fwd[u] != graph::kUnreachable) {
-      ASSERT_NE(both[u], graph::kUnreachable);
-      EXPECT_LE(both[u], fwd[u]);
-    }
-  }
 }
 
 // --- summary invariants -----------------------------------------------------

@@ -638,6 +638,125 @@ TEST_F(ServeTest, RejectsNonFiniteTimesAndKeepsServing) {
   EXPECT_EQ(server.engine().events_applied(), 2u);
 }
 
+// One hostile vote frame per row. Each is well formed and used to reach
+// the coordinator's live_vote, whose throw aborted the process; the
+// front-end now refuses it with its own code and counter. Story 9100 is
+// submitted by user 11 at t=1 and dugg by 12 and 13 at t=2 and t=3.
+struct HostileVote {
+  const char* name;
+  std::uint32_t voter;
+  double time;
+  ErrorCode code;
+  const char* counter;
+};
+
+void PrintTo(const HostileVote& row, std::ostream* os) { *os << row.name; }
+
+class ServeHostileVoteTest : public ::testing::TestWithParam<HostileVote> {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("digg_serve_hostile_" +
+            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+            "_" + GetParam().name);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  /// Sends the hostile frame, then `valid` votes, a sync and a state query
+  /// on one connection. Expects the frame refused with the row's code and
+  /// counter, and the query to see `votes_after` votes.
+  void expect_refused_then_applies(
+      std::uint16_t port, const std::vector<VoteMsg>& valid,
+      std::uint64_t votes_after) {
+    const HostileVote& row = GetParam();
+    obs::Counter& rejected = obs::Registry::global().counter(row.counter);
+    const std::uint64_t rejected_before = rejected.value();
+    const int fd = connect_loopback(port);
+    ASSERT_GE(fd, 0);
+    std::vector<char> wire;
+    encode(VoteMsg{kStory, row.voter, row.time}, wire);
+    for (const VoteMsg& v : valid) encode(v, wire);
+    encode(SyncMsg{3}, wire);
+    encode(QueryStateMsg{kStory}, wire);
+    ASSERT_TRUE(write_all(fd, wire.data(), wire.size()));
+    FrameDecoder decoder;
+    std::vector<Message> replies;
+    std::string error;
+    EXPECT_FALSE(read_messages(fd, decoder, replies, 1, error));
+    EXPECT_NE(error.find("code=" +
+                         std::to_string(static_cast<unsigned>(row.code)) +
+                         " detail=" + std::to_string(kStory)),
+              std::string::npos)
+        << error;
+    ASSERT_TRUE(read_messages(fd, decoder, replies, 2, error)) << error;
+    const auto* sync = std::get_if<SyncReplyMsg>(&replies[0]);
+    ASSERT_NE(sync, nullptr);
+    EXPECT_EQ(sync->token, 3u);
+    const auto* state = std::get_if<StateReplyMsg>(&replies[1]);
+    ASSERT_NE(state, nullptr);
+    EXPECT_EQ(state->found, 1);
+    EXPECT_EQ(state->votes, votes_after);
+    EXPECT_EQ(rejected.value() - rejected_before, 1u);
+    ::close(fd);
+  }
+
+  static constexpr std::uint32_t kStory = 9100;
+  std::filesystem::path dir_;
+};
+
+TEST_P(ServeHostileVoteTest, RefusedAndLaterVotesApply) {
+  const auto ckpt = dir_ / "drain.ckpt";
+  {
+    ServeParams params = test_serve_params();
+    params.checkpoint_path = ckpt;
+    Server server(test_corpus().corpus.network, params);
+    const auto port = server.start();
+    const int fd = connect_loopback(port);
+    ASSERT_GE(fd, 0);
+    std::vector<char> wire;
+    encode(SubmitMsg{kStory, 11, 1.0}, wire);
+    encode(VoteMsg{kStory, 12, 2.0}, wire);
+    encode(VoteMsg{kStory, 13, 3.0}, wire);
+    FrameDecoder decoder;
+    std::string error;
+    ASSERT_TRUE(write_all(fd, wire.data(), wire.size()));
+    ASSERT_TRUE(sync_barrier(fd, decoder, 1, error)) << error;
+    ::close(fd);
+    expect_refused_then_applies(port, {{kStory, 14, 4.0}, {kStory, 15, 5.0}},
+                                5);
+    server.request_stop();
+    server.wait();
+    EXPECT_EQ(server.engine().events_applied(), 5u);
+  }
+  // A restored server rebuilds the guards from the engine: the same frame
+  // is refused again, and later votes still apply.
+  Server server(test_corpus().corpus.network, test_serve_params());
+  server.restore_checkpoint(ckpt);
+  const auto port = server.start();
+  expect_refused_then_applies(port, {{kStory, 16, 6.0}}, 6);
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.engine().events_applied(), 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, ServeHostileVoteTest,
+    ::testing::Values(
+        HostileVote{"RepeatedVoter", 12, 100.0, ErrorCode::kDuplicateVoter,
+                    "serve.rejected_duplicate_voter"},
+        HostileVote{"SubmitterVotesOwnStory", 11, 100.0,
+                    ErrorCode::kDuplicateVoter,
+                    "serve.rejected_duplicate_voter"},
+        HostileVote{"TimeBeforeLast", 14, 2.5, ErrorCode::kTimeOrder,
+                    "serve.rejected_time_order"}),
+    [](const ::testing::TestParamInfo<HostileVote>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST_F(ServeTest, RejectsUnknownStoriesAndDuplicateSubmits) {
   Server server(test_corpus().corpus.network, test_serve_params());
   const auto port = server.start();
