@@ -29,7 +29,7 @@
 #            prediction-comparison bench in --smoke mode (downscaled
 #            corpora), which generates every named scenario, races the
 #            Bayes fit against the C4.5 tree, and fails unless every
-#            registered dynamics::Model id is covered by the matrix
+#            model id in dynamics::kModelIds is covered by the matrix
 #   simd     Release build + the kernel-dispatch smoke: run the SIMD
 #            differential property suite and the hybrid-set suite under
 #            DIGG_SIMD=scalar and =native, then a downscaled fig3a under

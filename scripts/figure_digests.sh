@@ -1,0 +1,34 @@
+#!/usr/bin/env bash
+# Byte-identity check for the figure benches: builds them in build/ (the
+# tier-1 build tree), runs each at the given seed under DIGG_THREADS=1 and
+# DIGG_THREADS=4, and prints one line per run:
+#
+#   <bench> <DIGG_THREADS> <sha256 of stdout>
+#
+# A change that must leave every figure untouched (a refactor, a deletion)
+# passes when this output is identical before and after it, e.g.
+#
+#   scripts/figure_digests.sh 42 >after.txt   # in each checkout
+#   diff before.txt after.txt
+#
+# The two thread counts of one bench must also agree: stdout is
+# thread-count invariant by contract.
+#
+# Usage: scripts/figure_digests.sh [seed]   (default seed 42)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+SEED=${1:-42}
+BENCHES=(fig3a_influence fig3b_cascades fig4_innetwork_vs_final
+         fig5_decision_tree fig5_roc fig7_model_prediction
+         ablation_attention)
+
+cmake -B build -S . >/dev/null
+cmake --build build -j --target "${BENCHES[@]}" >/dev/null
+
+for bench in "${BENCHES[@]}"; do
+  for threads in 1 4; do
+    digest=$(DIGG_THREADS=$threads "build/bench/$bench" "$SEED" | sha256sum)
+    echo "$bench $threads ${digest%% *}"
+  done
+done

@@ -43,8 +43,8 @@ struct Corpus {
   /// paper's top-user cutoffs (rank <= 100, top 1020 snapshot) index into
   /// this.
   std::vector<UserId> top_users;
-  /// Which registered dynamics::Model generated the vote records (see
-  /// dynamics/model.h). Loaded corpora carry the id recorded in their
+  /// Which generative model produced the vote records (one of
+  /// dynamics::kModelIds). Loaded corpora carry the id recorded in their
   /// snapshot; files that predate the MODELINFO section default to the
   /// legacy two-mechanism model. Real scraped data would use a reserved id.
   std::string model_id = "two-mechanism";  // dynamics::kLegacyModelId

@@ -1,11 +1,12 @@
 #pragma once
-// Named generation scenarios: one spec bundles a registered dynamics::Model
-// id, the fully configured SyntheticParams, and a seed, so every bench,
-// example, and test asks for a corpus the same way ("legacy", seed 42)
-// instead of hand-assembling parameter structs. The scenario axes follow
-// the questions the paper leaves open — how the promotion algorithm and the
-// fan-network skew shape what gets promoted (§6) — plus an activity-mix
-// axis the stochastic model (arXiv:1202.0031) makes expressible.
+// Named generation scenarios: one spec bundles a generative model id
+// (dynamics::kModelIds), the fully configured SyntheticParams, and a seed,
+// so every bench, example, and test asks for a corpus the same way
+// ("legacy", seed 42) instead of hand-assembling parameter structs. The
+// scenario axes follow the questions the paper leaves open — how the
+// promotion algorithm and the fan-network skew shape what gets promoted
+// (§6) — plus an activity-mix axis the stochastic model (arXiv:1202.0031)
+// makes expressible.
 
 #include <cstdint>
 #include <string>

@@ -1,7 +1,9 @@
 #include "src/data/snapshot.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -53,19 +55,21 @@ ByteBuffer encode_model_id(std::string_view id) {
 }
 
 /// Reads the MODELINFO section if present; files that predate it carry the
-/// legacy two-mechanism model. An id the running binary has no registered
-/// model for is a load error — analyses keyed on the model (scenario
-/// comparisons, predictor calibration) must not silently misattribute data.
+/// legacy two-mechanism model. An id outside dynamics::kModelIds is a load
+/// error — analyses keyed on the model (scenario comparisons, predictor
+/// calibration) must not silently misattribute data. The id is borrowed
+/// before it is copied, so a hostile length fails the section bounds check
+/// instead of sizing an allocation.
 std::string read_model_id(const snapfmt::MmapSectionFile& file) {
   if (file.entries(snapfmt::kModelInfo).empty())
     return dynamics::kLegacyModelId;
   ByteReader r = file.open(snapfmt::kModelInfo);
-  const auto len = static_cast<std::size_t>(r.pod<std::uint64_t>());
-  std::string id(len, '\0');
-  r.read_into(id.data(), len);
-  if (!dynamics::model_registered(id))
+  const std::span<const char> bytes =
+      r.borrow(static_cast<std::size_t>(r.pod<std::uint64_t>()));
+  std::string id(bytes.begin(), bytes.end());
+  if (std::ranges::find(dynamics::kModelIds, id) == dynamics::kModelIds.end())
     throw std::runtime_error(file.context() + "unknown generative model id '" +
-                             id + "' (not in the dynamics::Model registry)");
+                             id + "'");
   return id;
 }
 

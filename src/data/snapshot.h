@@ -34,10 +34,10 @@
 //   7 VOTES_TIMES  time column of one chunk: f64[chunk_votes]   (repeated)
 //   4 TOPUSERS     u64 count, user u32[count]
 //   8 MODELINFO    u64 length, id bytes (UTF-8, no terminator) — the
-//                  registered dynamics::Model id that generated the votes.
+//                  generative model id that generated the votes.
 //                  Optional: files that predate it load as the legacy
-//                  two-mechanism model; an id unknown to the running
-//                  binary's model registry is a load error.
+//                  two-mechanism model; an id outside dynamics::kModelIds
+//                  is a load error.
 // Vote chunks are bounded (~chunk_target_bytes per column) and cut at
 // story boundaries, so a writer can stream millions of stories with a
 // bounded working set and a mapped reader can verify chunk checksums in

@@ -7,6 +7,8 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "src/digg/platform.h"
 #include "src/digg/promotion.h"
@@ -121,10 +123,9 @@ GenerationCore run_generation(
   const platform::Site& site = *core.site;
   // The model draws from per-story rng.split(story_id) substreams, but the
   // fork here still consumes one parent draw — keeping the trait-sampling
-  // stream below identical to pre-Model corpora.
-  const std::unique_ptr<dynamics::Model> model = params.make_model();
+  // stream below identical to the golden corpora.
   const std::unique_ptr<dynamics::Simulator> sim =
-      model->make_simulator(site, rng.fork());
+      params.make_simulator(site, rng.fork());
 
   // 4. Submissions, sampled serially: traits drawn per story; community
   // appeal pulled up by the submitter's fan count (their personal audience).
@@ -164,12 +165,19 @@ GenerationCore run_generation(
 
 }  // namespace
 
-std::unique_ptr<dynamics::Model> SyntheticParams::make_model() const {
+std::unique_ptr<dynamics::Simulator> SyntheticParams::make_simulator(
+    const platform::Site& site, stats::Rng rng) const {
   if (model_id == dynamics::kLegacyModelId)
-    return std::make_unique<dynamics::VoteModel>(vote_model);
+    return std::make_unique<dynamics::VoteSimulator>(site, vote_model,
+                                                     std::move(rng));
   if (model_id == dynamics::kStochasticModelId)
-    return std::make_unique<dynamics::StochasticModel>(stochastic);
-  return dynamics::make_model(model_id);  // throws for unknown ids
+    return std::make_unique<dynamics::StochasticSimulator>(site, stochastic,
+                                                           std::move(rng));
+  std::string known;
+  for (const std::string_view id : dynamics::kModelIds)
+    known += (known.empty() ? "" : ", ") + std::string(id);
+  throw std::invalid_argument("unknown generative model id '" + model_id +
+                              "' (known: " + known + ")");
 }
 
 SyntheticCorpus generate_corpus(const SyntheticParams& params,

@@ -93,17 +93,17 @@ struct SyntheticParams {
   /// nested count (same staleness rule as network.node_count).
   platform::PopulationParams population;
 
-  /// Which registered dynamics::Model drives the votes (dynamics/model.h).
-  /// The two builtin ids select the matching nested params below; any other
-  /// registered id runs with that model's own defaults.
+  /// Which of the two models drives the votes (dynamics::kModelIds); each
+  /// id runs with its nested params below.
   std::string model_id = dynamics::kLegacyModelId;
   dynamics::VoteModelParams vote_model;          // id "two-mechanism"
   dynamics::StochasticModelParams stochastic;    // id "stochastic"
 
-  /// The configured model instance generation will run — the nested params
-  /// for a builtin id, or a registry prototype clone otherwise. Throws
-  /// std::invalid_argument for an id with no registered model.
-  [[nodiscard]] std::unique_ptr<dynamics::Model> make_model() const;
+  /// The simulator generation will run on `site`, owning `rng`. Throws
+  /// std::invalid_argument naming an unknown model_id and listing the
+  /// known ones.
+  [[nodiscard]] std::unique_ptr<dynamics::Simulator> make_simulator(
+      const platform::Site& site, stats::Rng rng) const;
 
   SyntheticParams() {
     network.node_count = user_count;

@@ -1,13 +1,12 @@
 #pragma once
-// The pluggable generative-model boundary. A dynamics::Model describes one
-// theory of how votes accumulate on a story (the paper's two-mechanism
-// model, Hogg & Lerman's rate-based stochastic model, ...); everything
-// downstream — synthetic generation, streamed generation, the scenario
-// presets, the CLI — drives models through this interface instead of
-// hard-coding one implementation.
+// The generative-model boundary. A Simulator drives one theory of how votes
+// accumulate on a story; the set of theories is closed and fixed at compile
+// time: the paper's two-mechanism model (vote_model.h) and Hogg & Lerman's
+// rate-based stochastic model (stochastic_model.h). Synthetic generation
+// picks one by id from SyntheticParams (data/synthetic.h).
 //
 // Determinism / RNG contract:
-//   - make_simulator() receives an Rng by value; the simulator owns it.
+//   - A simulator receives an Rng by value at construction and owns it.
 //   - A simulator derives each story's draws from rng.split(story_id), a
 //     counter-based substream keyed on the *seed* (stats/rng.h). Story runs
 //     therefore do not depend on RNG-consumption order: simulating stories
@@ -18,17 +17,12 @@
 //     run stories in parallel: the corpus is bit-identical for any thread
 //     count, eager or streamed (data/synthetic.cpp).
 //
-// Identity: id() is a stable string recorded in snapshots (DIGGSNAP
-// MODELINFO section) and used by the CLI scenario parser. Renaming an id is
-// a format break — old snapshots name the model that generated them.
-//
-// Parameters: params()/set_param() expose every numeric knob by name so
-// benches and the scenario CLI can override them generically
-// (--model-param step=2). Unknown names are rejected, not ignored.
+// Identity: each model has a stable id string (kModelIds below), recorded
+// in snapshots (DIGGSNAP MODELINFO section). Renaming an id is a format
+// break — old snapshots name the model that generated them.
 
+#include <array>
 #include <functional>
-#include <memory>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -36,7 +30,6 @@
 #include "src/digg/platform.h"
 #include "src/digg/types.h"
 #include "src/stats/rng.h"
-#include "src/stats/timeseries.h"
 
 namespace digg::dynamics {
 
@@ -54,21 +47,14 @@ struct StoryTraits {
 /// Result of simulating one story to its horizon.
 struct StoryRun {
   StoryId story = 0;
-  stats::TimeSeries votes_over_time;  // cumulative votes, minute resolution
   std::size_t fan_channel_votes = 0;  // votes that arrived via the Friends
                                       // interface channel (network spread)
   std::size_t discovery_votes = 0;    // independent discovery (upcoming +
                                       // front page)
 };
 
-/// One numeric model parameter, exposed by name for CLI/bench overrides.
-struct ModelParam {
-  std::string name;
-  double value = 0.0;
-};
-
-/// A per-run simulator instance bound to one site. Created by
-/// Model::make_simulator; drives one story at a time from submission to its
+/// A per-run simulator instance bound to one site (VoteSimulator or
+/// StochasticSimulator); drives one story at a time from submission to its
 /// horizon, recording votes on the story's own state (promotion fires
 /// through the site's policy, whichever is configured).
 class Simulator {
@@ -83,30 +69,6 @@ class Simulator {
   /// concurrent calls on distinct states are safe.
   virtual StoryRun run_story(platform::StoryState& state,
                              const StoryTraits& traits) const = 0;
-};
-
-/// A generative vote model: stable id + parameter set + simulator factory.
-/// Models are value-like (clone()) so scenario specs can carry configured
-/// instances.
-class Model {
- public:
-  virtual ~Model() = default;
-
-  /// Stable identifier, recorded in snapshots and used by the CLI.
-  [[nodiscard]] virtual std::string id() const = 0;
-
-  /// Every numeric parameter by name, current values.
-  [[nodiscard]] virtual std::vector<ModelParam> params() const = 0;
-  /// Sets one parameter by name; returns false (and changes nothing) for
-  /// unknown names.
-  virtual bool set_param(std::string_view name, double value) = 0;
-
-  [[nodiscard]] virtual std::unique_ptr<Model> clone() const = 0;
-
-  /// Binds a simulator to `site`, owning `rng` as its base stream.
-  /// The site must outlive the simulator.
-  [[nodiscard]] virtual std::unique_ptr<Simulator> make_simulator(
-      const platform::Site& site, stats::Rng rng) const = 0;
 };
 
 /// One finished story: its final record and the run's channel breakdown.
@@ -124,7 +86,7 @@ using Submission = std::pair<UserId, StoryTraits>;
 /// a reorder window of 64 stories per pool thread
 /// (runtime::parallel_for_ordered). The output is therefore bit-identical
 /// for any thread count. `on_story` calls never overlap but may run on pool
-/// threads. Works with any Simulator (any registered model).
+/// threads. Works with either Simulator.
 void simulate_each(const platform::Site& site, const Simulator& sim,
                    const std::vector<Submission>& submissions,
                    Minutes spacing_minutes,
@@ -135,22 +97,12 @@ void simulate_each(const platform::Site& site, const Simulator& sim,
     const platform::Site& site, const Simulator& sim,
     const std::vector<Submission>& submissions, Minutes spacing_minutes);
 
-/// Stable ids of the built-in models (registered automatically).
+/// Stable ids of the two models.
 inline constexpr char kLegacyModelId[] = "two-mechanism";
 inline constexpr char kStochasticModelId[] = "stochastic";
 
-/// Registers `prototype` under its id(). Returns false (and keeps the
-/// existing registration) if the id is already taken. Thread-safe.
-bool register_model(std::unique_ptr<Model> prototype);
-
-/// True if a model with this id is registered.
-[[nodiscard]] bool model_registered(std::string_view id);
-
-/// All registered ids, sorted (builtins always present).
-[[nodiscard]] std::vector<std::string> registered_model_ids();
-
-/// Clone of the registered prototype (default parameters). Throws
-/// std::invalid_argument naming the unknown id and listing known ones.
-[[nodiscard]] std::unique_ptr<Model> make_model(std::string_view id);
+/// Every model id this build can generate or load.
+inline constexpr std::array<std::string_view, 2> kModelIds = {
+    kLegacyModelId, kStochasticModelId};
 
 }  // namespace digg::dynamics

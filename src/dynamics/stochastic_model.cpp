@@ -76,7 +76,6 @@ StoryRun StochasticSimulator::run_story(platform::StoryState& state,
   StoryRun run;
   run.story = s.id;
   const Minutes t0 = s.submitted_at;
-  run.votes_over_time.append(0.0, 1.0);  // submitter's digg
 
   const double dt_days = params_.step / platform::kMinutesPerDay;
   const auto fan_digg_p = [&](bool promoted) {
@@ -99,7 +98,6 @@ StoryRun StochasticSimulator::run_story(platform::StoryState& state,
   std::size_t pool_cursor = 0;
 
   const auto& users = site_->users();
-  std::size_t last_recorded = 1;
   std::uint64_t ticks = 0;
   for (Minutes t = t0 + params_.step; t - t0 <= params_.horizon;
        t += params_.step) {
@@ -175,16 +173,7 @@ StoryRun StochasticSimulator::run_story(platform::StoryState& state,
       site_->vote(state, voter, t);
       ++run.discovery_votes;
     }
-
-    const std::size_t count = s.vote_count();
-    if (count != last_recorded) {
-      run.votes_over_time.append(t - t0, static_cast<double>(count));
-      last_recorded = count;
-    }
   }
-  if (run.votes_over_time.times().back() < params_.horizon)
-    run.votes_over_time.append(params_.horizon,
-                               static_cast<double>(s.vote_count()));
   static obs::Counter& stories =
       obs::Registry::global().counter("dynamics.stories_simulated");
   static obs::Counter& ticks_simulated =
@@ -198,74 +187,6 @@ StoryRun StochasticSimulator::run_story(platform::StoryState& state,
   fan_votes.inc(run.fan_channel_votes);
   discovery_votes.inc(run.discovery_votes);
   return run;
-}
-
-std::vector<ModelParam> StochasticModel::params() const {
-  return {
-      {"session_rate_scale", params_.session_rate_scale},
-      {"friends_rate_scale", params_.friends_rate_scale},
-      {"friends_recency_window", params_.friends_recency_window},
-      {"fan_digg_floor", params_.fan_digg_floor},
-      {"fan_digg_community_scale", params_.fan_digg_community_scale},
-      {"fan_digg_general_scale", params_.fan_digg_general_scale},
-      {"post_promotion_community_factor",
-       params_.post_promotion_community_factor},
-      {"upcoming_browse_rate", params_.upcoming_browse_rate},
-      {"upcoming_visibility_decay", params_.upcoming_visibility_decay},
-      {"upcoming_background_rate", params_.upcoming_background_rate},
-      {"upcoming_digg_floor", params_.upcoming_digg_floor},
-      {"upcoming_digg_slope", params_.upcoming_digg_slope},
-      {"front_page_browse_rate", params_.front_page_browse_rate},
-      {"novelty_half_life", params_.novelty_half_life},
-      {"front_page_digg_floor", params_.front_page_digg_floor},
-      {"front_page_digg_slope", params_.front_page_digg_slope},
-      {"discovery_activity_cap", params_.discovery_activity_cap},
-      {"step", params_.step},
-      {"horizon", params_.horizon},
-  };
-}
-
-bool StochasticModel::set_param(std::string_view name, double value) {
-  const std::pair<std::string_view, double StochasticModelParams::*> table[] =
-      {
-          {"session_rate_scale", &StochasticModelParams::session_rate_scale},
-          {"friends_rate_scale", &StochasticModelParams::friends_rate_scale},
-          {"friends_recency_window",
-           &StochasticModelParams::friends_recency_window},
-          {"fan_digg_floor", &StochasticModelParams::fan_digg_floor},
-          {"fan_digg_community_scale",
-           &StochasticModelParams::fan_digg_community_scale},
-          {"fan_digg_general_scale",
-           &StochasticModelParams::fan_digg_general_scale},
-          {"post_promotion_community_factor",
-           &StochasticModelParams::post_promotion_community_factor},
-          {"upcoming_browse_rate",
-           &StochasticModelParams::upcoming_browse_rate},
-          {"upcoming_visibility_decay",
-           &StochasticModelParams::upcoming_visibility_decay},
-          {"upcoming_background_rate",
-           &StochasticModelParams::upcoming_background_rate},
-          {"upcoming_digg_floor", &StochasticModelParams::upcoming_digg_floor},
-          {"upcoming_digg_slope", &StochasticModelParams::upcoming_digg_slope},
-          {"front_page_browse_rate",
-           &StochasticModelParams::front_page_browse_rate},
-          {"novelty_half_life", &StochasticModelParams::novelty_half_life},
-          {"front_page_digg_floor",
-           &StochasticModelParams::front_page_digg_floor},
-          {"front_page_digg_slope",
-           &StochasticModelParams::front_page_digg_slope},
-          {"discovery_activity_cap",
-           &StochasticModelParams::discovery_activity_cap},
-          {"step", &StochasticModelParams::step},
-          {"horizon", &StochasticModelParams::horizon},
-      };
-  for (const auto& [key, member] : table) {
-    if (key == name) {
-      params_.*member = value;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace digg::dynamics

@@ -1,7 +1,6 @@
 #pragma once
 // The rate-based stochastic user model of Hogg & Lerman, "Social Dynamics of
-// Digg" (arXiv:1202.0031) — the second registered dynamics::Model (id
-// "stochastic", model.h).
+// Digg" (arXiv:1202.0031) — model id "stochastic" (model.h).
 //
 // Where the two-mechanism model (vote_model.h) treats the fan channel as an
 // aggregate one-shot exposure pool, this model is built from *per-user
@@ -26,7 +25,7 @@
 // channel-specific skew. Promotion is whatever policy the platform is
 // configured with — the scenario layer (data/scenario.h) varies it.
 //
-// RNG contract: identical to every Model — all of a story's draws come from
+// RNG contract: identical to the two-mechanism model (model.h) — all of a story's draws come from
 // the simulator's rng.split(story_id) substream; watcher clocks resolve in
 // deterministic (time, user) order via an explicit min-heap.
 
@@ -109,32 +108,6 @@ class StochasticSimulator final : public Simulator {
   bool pick_browser(const stats::DiscreteSampler& sampler,
                     const platform::VisibilitySet& vis, stats::Rng& rng,
                     UserId& out_voter) const;
-};
-
-/// The stochastic model as a registered dynamics::Model (id "stochastic").
-class StochasticModel final : public Model {
- public:
-  StochasticModel() = default;
-  explicit StochasticModel(StochasticModelParams params) : params_(params) {}
-
-  [[nodiscard]] std::string id() const override { return kStochasticModelId; }
-  [[nodiscard]] std::vector<ModelParam> params() const override;
-  bool set_param(std::string_view name, double value) override;
-  [[nodiscard]] std::unique_ptr<Model> clone() const override {
-    return std::make_unique<StochasticModel>(params_);
-  }
-  [[nodiscard]] std::unique_ptr<Simulator> make_simulator(
-      const platform::Site& site, stats::Rng rng) const override {
-    return std::make_unique<StochasticSimulator>(site, params_,
-                                                 std::move(rng));
-  }
-
-  [[nodiscard]] const StochasticModelParams& model_params() const noexcept {
-    return params_;
-  }
-
- private:
-  StochasticModelParams params_;
 };
 
 }  // namespace digg::dynamics

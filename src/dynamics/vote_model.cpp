@@ -66,7 +66,6 @@ StoryRun VoteSimulator::run_story(platform::StoryState& state,
   StoryRun run;
   run.story = s.id;
   const Minutes t0 = s.submitted_at;
-  run.votes_over_time.append(0.0, 1.0);  // submitter's digg
 
   const double dt_days = params_.step / platform::kMinutesPerDay;
   auto fan_digg_p_now = [&](bool promoted) {
@@ -85,7 +84,6 @@ StoryRun VoteSimulator::run_story(platform::StoryState& state,
   std::vector<UserId> pending;
   std::size_t pool_cursor = 0;
 
-  std::size_t last_recorded = 1;
   std::uint64_t ticks = 0;
   for (Minutes t = t0 + params_.step; t - t0 <= params_.horizon;
        t += params_.step) {
@@ -157,17 +155,7 @@ StoryRun VoteSimulator::run_story(platform::StoryState& state,
       site_->vote(state, voter, t);
       ++run.discovery_votes;
     }
-
-    const std::size_t count = s.vote_count();
-    if (count != last_recorded) {
-      run.votes_over_time.append(t - t0, static_cast<double>(count));
-      last_recorded = count;
-    }
   }
-  // Ensure the series covers the full horizon for resampling.
-  if (run.votes_over_time.times().back() < params_.horizon)
-    run.votes_over_time.append(params_.horizon,
-                               static_cast<double>(s.vote_count()));
   static obs::Counter& stories =
       obs::Registry::global().counter("dynamics.stories_simulated");
   static obs::Counter& ticks_simulated =
@@ -181,56 +169,6 @@ StoryRun VoteSimulator::run_story(platform::StoryState& state,
   fan_votes.inc(run.fan_channel_votes);
   discovery_votes.inc(run.discovery_votes);
   return run;
-}
-
-std::vector<ModelParam> VoteModel::params() const {
-  return {
-      {"fan_consider_rate", params_.fan_consider_rate},
-      {"fan_engagement_scale", params_.fan_engagement_scale},
-      {"fan_digg_floor", params_.fan_digg_floor},
-      {"fan_digg_community_scale", params_.fan_digg_community_scale},
-      {"fan_digg_general_scale", params_.fan_digg_general_scale},
-      {"post_promotion_community_factor",
-       params_.post_promotion_community_factor},
-      {"upcoming_discovery_rate", params_.upcoming_discovery_rate},
-      {"upcoming_visibility_decay", params_.upcoming_visibility_decay},
-      {"upcoming_background_rate", params_.upcoming_background_rate},
-      {"upcoming_quality_floor", params_.upcoming_quality_floor},
-      {"discovery_activity_cap", params_.discovery_activity_cap},
-      {"front_page_rate", params_.front_page_rate},
-      {"novelty_half_life", params_.novelty_half_life},
-      {"step", params_.step},
-      {"horizon", params_.horizon},
-  };
-}
-
-bool VoteModel::set_param(std::string_view name, double value) {
-  const std::pair<std::string_view, double VoteModelParams::*> table[] = {
-      {"fan_consider_rate", &VoteModelParams::fan_consider_rate},
-      {"fan_engagement_scale", &VoteModelParams::fan_engagement_scale},
-      {"fan_digg_floor", &VoteModelParams::fan_digg_floor},
-      {"fan_digg_community_scale", &VoteModelParams::fan_digg_community_scale},
-      {"fan_digg_general_scale", &VoteModelParams::fan_digg_general_scale},
-      {"post_promotion_community_factor",
-       &VoteModelParams::post_promotion_community_factor},
-      {"upcoming_discovery_rate", &VoteModelParams::upcoming_discovery_rate},
-      {"upcoming_visibility_decay",
-       &VoteModelParams::upcoming_visibility_decay},
-      {"upcoming_background_rate", &VoteModelParams::upcoming_background_rate},
-      {"upcoming_quality_floor", &VoteModelParams::upcoming_quality_floor},
-      {"discovery_activity_cap", &VoteModelParams::discovery_activity_cap},
-      {"front_page_rate", &VoteModelParams::front_page_rate},
-      {"novelty_half_life", &VoteModelParams::novelty_half_life},
-      {"step", &VoteModelParams::step},
-      {"horizon", &VoteModelParams::horizon},
-  };
-  for (const auto& [key, member] : table) {
-    if (key == name) {
-      params_.*member = value;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace digg::dynamics

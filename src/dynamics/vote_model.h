@@ -1,6 +1,6 @@
 #pragma once
-// The two-mechanism vote model of §5.1, made generative — the first
-// registered dynamics::Model (id "two-mechanism", model.h).
+// The two-mechanism vote model of §5.1, made generative — model id
+// "two-mechanism" (model.h).
 //
 // The paper argues interest in a story spreads by two mechanisms:
 //   1. interest-based — users unconnected to prior voters discover the story
@@ -20,7 +20,7 @@
 // The simulation advances in fixed steps (default: one minute, matching the
 // time resolution of Fig. 1); per-channel vote counts per step are Poisson.
 // Each story draws from the simulator's rng.split(story_id) substream (the
-// Model RNG contract), so a story's votes do not depend on which other
+// RNG contract in model.h), so a story's votes do not depend on which other
 // stories ran before it.
 
 #include <cstdint>
@@ -30,7 +30,6 @@
 #include "src/digg/types.h"
 #include "src/dynamics/model.h"
 #include "src/stats/rng.h"
-#include "src/stats/timeseries.h"
 
 namespace digg::dynamics {
 
@@ -108,10 +107,6 @@ class VoteSimulator final : public Simulator {
   StoryRun run_story(platform::StoryState& state,
                      const StoryTraits& traits) const override;
 
-  [[nodiscard]] const VoteModelParams& params() const noexcept {
-    return params_;
-  }
-
  private:
   const platform::Site* site_;
   VoteModelParams params_;
@@ -122,32 +117,6 @@ class VoteSimulator final : public Simulator {
   /// neither voted nor watches the story. Returns false if none found.
   bool pick_discovery_voter(const platform::VisibilitySet& vis,
                             stats::Rng& rng, UserId& out_voter) const;
-};
-
-/// The two-mechanism model as a registered dynamics::Model (id
-/// "two-mechanism") — a configured VoteModelParams with value semantics.
-class VoteModel final : public Model {
- public:
-  VoteModel() = default;
-  explicit VoteModel(VoteModelParams params) : params_(params) {}
-
-  [[nodiscard]] std::string id() const override { return kLegacyModelId; }
-  [[nodiscard]] std::vector<ModelParam> params() const override;
-  bool set_param(std::string_view name, double value) override;
-  [[nodiscard]] std::unique_ptr<Model> clone() const override {
-    return std::make_unique<VoteModel>(params_);
-  }
-  [[nodiscard]] std::unique_ptr<Simulator> make_simulator(
-      const platform::Site& site, stats::Rng rng) const override {
-    return std::make_unique<VoteSimulator>(site, params_, std::move(rng));
-  }
-
-  [[nodiscard]] const VoteModelParams& model_params() const noexcept {
-    return params_;
-  }
-
- private:
-  VoteModelParams params_;
 };
 
 }  // namespace digg::dynamics

@@ -6,9 +6,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <string>
-
-#include "src/obs/metrics.h"
 
 namespace digg::obs {
 
@@ -96,22 +93,6 @@ PerfReading PerfCounters::stop() noexcept {
   out.cache_misses = values[3];
   out.valid = true;
   return out;
-}
-
-PerfSpan::PerfSpan(const char* prefix) noexcept
-    : prefix_(prefix), span_(prefix, "perf") {
-  counters_.start();
-}
-
-PerfSpan::~PerfSpan() {
-  const PerfReading r = counters_.stop();
-  if (!r.valid || r.cycles == 0) return;
-  Registry::global().gauge(std::string(prefix_) + "_ipc").set(r.ipc());
-  if (r.cache_references != 0) {
-    Registry::global()
-        .gauge(std::string(prefix_) + "_cache_miss_pct")
-        .set(r.cache_miss_pct());
-  }
 }
 
 }  // namespace digg::obs

@@ -1,7 +1,7 @@
 #pragma once
 // Hardware-counter profiling via perf_event_open(2): cycles, instructions,
-// and cache references/misses counted over a code region, surfaced as
-// derived IPC and cache-miss-rate gauges. Strictly best-effort — the PMU may
+// and cache references/misses counted over a code region, read back as
+// derived IPC and cache-miss rate. Strictly best-effort — the PMU may
 // be absent (containers, VMs without vPMU) or forbidden
 // (kernel.perf_event_paranoid); every failure degrades to an invalid
 // reading, never an error. Counters are opened with exclude_kernel +
@@ -19,8 +19,6 @@
 // bit-identical with counters on, off, or unsupported.
 
 #include <cstdint>
-
-#include "src/obs/trace.h"
 
 namespace digg::obs {
 
@@ -69,27 +67,6 @@ class PerfCounters {
  private:
   int leader_fd_ = -1;      // cycles
   int fds_[3] = {-1, -1, -1};  // instructions, cache refs, cache misses
-};
-
-/// RAII profiled region: a trace span (Chrome tracing, when enabled) with a
-/// counter group attached. On destruction, when the reading is valid, it
-/// publishes `<prefix>_ipc` and (when cache counters opened)
-/// `<prefix>_cache_miss_pct` gauges to the global registry. Nothing is
-/// published when the PMU is unavailable, so hardware-dependent gauges
-/// simply vanish from snapshots instead of reporting zeros.
-class PerfSpan {
- public:
-  /// `prefix` must outlive the span (string literals). It names both the
-  /// trace span and the published gauges.
-  explicit PerfSpan(const char* prefix) noexcept;
-  ~PerfSpan();
-  PerfSpan(const PerfSpan&) = delete;
-  PerfSpan& operator=(const PerfSpan&) = delete;
-
- private:
-  const char* prefix_;
-  Span span_;
-  PerfCounters counters_;
 };
 
 }  // namespace digg::obs

@@ -13,21 +13,12 @@ namespace {
 Level detect_best() {
 #if defined(__x86_64__) || defined(__i386__)
   if (kAvx2Compiled && __builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (kSseCompiled && __builtin_cpu_supports("sse4.2")) return Level::kSse;
 #endif
   return Level::kScalar;
 }
 
 const KernelTable& table_at(Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      return kAvx2Table;
-    case Level::kSse:
-      return kSseTable;
-    case Level::kScalar:
-      break;
-  }
-  return kScalarTable;
+  return level == Level::kAvx2 ? kAvx2Table : kScalarTable;
 }
 
 Level clamp_supported(Level level) {
@@ -46,13 +37,11 @@ Level resolve_from_env() {
   Level want;
   if (std::strcmp(env, "scalar") == 0) {
     want = Level::kScalar;
-  } else if (std::strcmp(env, "sse") == 0) {
-    want = Level::kSse;
   } else if (std::strcmp(env, "avx2") == 0) {
     want = Level::kAvx2;
   } else {
     std::fprintf(stderr,
-                 "digg: DIGG_SIMD='%s' is not scalar|sse|avx2|native; "
+                 "digg: DIGG_SIMD='%s' is not scalar|avx2|native; "
                  "using native (%s)\n",
                  env, level_name(best));
     return best;
@@ -105,15 +94,7 @@ Level active_level() {
 }
 
 const char* level_name(Level level) {
-  switch (level) {
-    case Level::kAvx2:
-      return "avx2";
-    case Level::kSse:
-      return "sse4.2";
-    case Level::kScalar:
-      break;
-  }
-  return "scalar";
+  return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
 void force_level(Level level) {

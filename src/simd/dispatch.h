@@ -3,10 +3,9 @@
 // table is resolved exactly once, on first use, from two inputs:
 //
 //   1. what the CPU supports (CPUID via __builtin_cpu_supports):
-//      AVX2 -> SSE4.2 -> scalar, highest available wins;
+//      AVX2 when available, otherwise scalar;
 //   2. the DIGG_SIMD environment variable, which can only narrow:
 //        DIGG_SIMD=scalar   force the scalar reference kernels
-//        DIGG_SIMD=sse      cap at SSE4.2
 //        DIGG_SIMD=avx2     cap at AVX2 (clamped down if unsupported)
 //        DIGG_SIMD=native   the default: best supported level
 //      An unsupported or unknown value warns on stderr and falls back to
@@ -23,7 +22,7 @@
 
 namespace digg::simd {
 
-enum class Level : int { kScalar = 0, kSse = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
 /// The active kernel table (resolved once; see file comment).
 [[nodiscard]] const KernelTable& kernels();

@@ -84,7 +84,7 @@ struct KernelTable {
 namespace detail {
 
 // The scalar reference implementations, shared across TUs: the scalar
-// table is made of exactly these, and the SSE/AVX2 kernels call them for
+// table is made of exactly these, and the AVX2 kernels call them for
 // ragged tails and for the size regimes where vectorization loses
 // (see kernels_avx2.cpp's skew heuristic).
 std::size_t scalar_set_diff_u32(const std::uint32_t* span, std::size_t span_n,
@@ -129,13 +129,11 @@ inline bool gallop_contains_ptr(const std::uint32_t* sorted, std::size_t n,
 
 }  // namespace detail
 
-// Per-TU tables. kSseTable/kAvx2Table fall back to the scalar entries when
-// their TU was compiled without the matching ISA (non-x86 targets); the
-// k*Compiled flags tell the dispatcher which tables are real.
+// Per-TU tables. kAvx2Table falls back to the scalar entries when its TU
+// was compiled without AVX2 (non-x86 targets); kAvx2Compiled tells the
+// dispatcher whether the table is real.
 extern const KernelTable kScalarTable;
-extern const KernelTable kSseTable;
 extern const KernelTable kAvx2Table;
-extern const bool kSseCompiled;
 extern const bool kAvx2Compiled;
 
 }  // namespace digg::simd

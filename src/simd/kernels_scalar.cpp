@@ -1,6 +1,6 @@
 // Scalar reference kernels — the semantics every vectorized table is
 // property-tested against (tests/simd_kernel_test.cpp), and the fallback
-// the SSE/AVX2 TUs call for ragged tails and skewed size regimes. Keep
+// the AVX2 TU calls for ragged tails and skewed size regimes. Keep
 // these boring and obviously correct: they define the contract.
 
 #include <cmath>

@@ -569,6 +569,42 @@ TEST_F(SnapshotTest, UnknownModelIdIsALoadError) {
   expect_rejected(true);
 }
 
+TEST_F(SnapshotTest, HostileModelInfoLengthIsATruncatedFile) {
+  // A checksum-clean MODELINFO whose length runs past its section must fail
+  // the bounds check before anything is sized from the length: sized first,
+  // 2^44 throws std::bad_alloc and 2^64-1 std::length_error, both outside
+  // the loaders' std::runtime_error contract.
+  save_snapshot(small_corpus(4), snap());
+  const std::vector<char> pristine = slurp(snap());
+  const auto table = read_table(pristine);
+  const auto info = std::ranges::find_if(table, [](const RawEntry& e) {
+    return e.type == snapfmt::kModelInfo;
+  });
+  ASSERT_NE(info, table.end());
+  for (const std::uint64_t len :
+       {std::uint64_t{100}, std::uint64_t{1} << 44, ~std::uint64_t{0}}) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    std::vector<char> bytes = pristine;
+    const auto body = static_cast<std::size_t>(info->offset);
+    std::memcpy(bytes.data() + body, &len, sizeof(len));
+    const std::uint64_t sum =
+        fnv1a(bytes.data() + body, static_cast<std::size_t>(info->size));
+    std::memcpy(bytes.data() + info->entry_pos + 24, &sum, sizeof(sum));
+    reseal_v2(bytes);
+    spew(snap(), bytes);
+    for (const bool mmap : {false, true}) {
+      try {
+        (void)(mmap ? load_snapshot_mmap(snap()) : load_snapshot(snap()));
+        FAIL() << "expected the hostile length to be rejected";
+      } catch (const std::runtime_error& err) {
+        EXPECT_NE(std::string(err.what()).find("truncated file"),
+                  std::string::npos)
+            << err.what();
+      }
+    }
+  }
+}
+
 TEST_F(SnapshotTest, FilesWithoutModelInfoDefaultToLegacy) {
   // Files written without the section (write_model_id is optional) mean
   // "the original two-mechanism model".

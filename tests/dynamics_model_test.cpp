@@ -1,16 +1,19 @@
-// The pluggable-model boundary: registry behaviour, generic parameter
-// access, and the determinism contract every Model implementation must
-// honour (per-story split(story_id) substreams — story runs must not
+// The generative-model boundary: the determinism contract both simulators
+// must honour (per-story split(story_id) substreams — story runs must not
 // depend on RNG-consumption order).
 
 #include "src/dynamics/model.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/data/synthetic.h"
 #include "src/dynamics/stochastic_model.h"
 #include "src/dynamics/vote_model.h"
 #include "src/graph/generators.h"
@@ -38,37 +41,33 @@ std::unique_ptr<Site> make_site(const graph::Digraph& network) {
       std::make_unique<VoteCountPolicy>(43));
 }
 
-/// Shrinks a model's horizon/step so test runs stay fast, via the generic
-/// parameter interface (which is itself under test here).
-void speed_up(Model& model) {
-  ASSERT_TRUE(model.set_param("step", 4.0));
-  ASSERT_TRUE(model.set_param("horizon", platform::kMinutesPerDay));
+/// Shrinks a model's horizon/step so test runs stay fast.
+template <typename Params>
+Params speed_up(Params params) {
+  params.step = 4.0;
+  params.horizon = platform::kMinutesPerDay;
+  return params;
 }
 
-TEST(ModelRegistry, BuiltinsAreRegistered) {
-  EXPECT_TRUE(model_registered(kLegacyModelId));
-  EXPECT_TRUE(model_registered(kStochasticModelId));
-  EXPECT_FALSE(model_registered("definitely-not-a-model"));
-
-  const std::vector<std::string> ids = registered_model_ids();
-  EXPECT_GE(ids.size(), 2u);
-  EXPECT_NE(std::find(ids.begin(), ids.end(), kLegacyModelId), ids.end());
-  EXPECT_NE(std::find(ids.begin(), ids.end(), kStochasticModelId),
-            ids.end());
-  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+/// Model `id`'s simulator at test speed, built directly from its params.
+std::unique_ptr<Simulator> make_sim(std::string_view id, const Site& site,
+                                    stats::Rng rng) {
+  if (id == kLegacyModelId)
+    return std::make_unique<VoteSimulator>(site, speed_up(VoteModelParams{}),
+                                           std::move(rng));
+  return std::make_unique<StochasticSimulator>(
+      site, speed_up(StochasticModelParams{}), std::move(rng));
 }
 
-TEST(ModelRegistry, MakeModelRoundTripsIds) {
-  for (const std::string& id : registered_model_ids()) {
-    const std::unique_ptr<Model> model = make_model(id);
-    ASSERT_NE(model, nullptr);
-    EXPECT_EQ(model->id(), id);
-  }
-}
-
+// The model-id factory (SyntheticParams::make_simulator) rejects an unknown
+// id with a message that names it and lists every known id.
 TEST(ModelRegistry, UnknownIdThrowsListingKnownIds) {
+  const graph::Digraph network = make_network(3, 200);
+  const auto site = make_site(network);
+  data::SyntheticParams params;
+  params.model_id = "no-such-model";
   try {
-    (void)make_model("no-such-model");
+    (void)params.make_simulator(*site, stats::Rng(1));
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& err) {
     const std::string what = err.what();
@@ -79,40 +78,6 @@ TEST(ModelRegistry, UnknownIdThrowsListingKnownIds) {
   }
 }
 
-TEST(ModelRegistry, RegisterRejectsDuplicateAndNull) {
-  // Re-registering a taken id keeps the existing prototype.
-  EXPECT_FALSE(register_model(std::make_unique<VoteModel>()));
-  EXPECT_THROW((void)register_model(nullptr), std::invalid_argument);
-}
-
-TEST(ModelParams, EveryModelExposesMutableParams) {
-  for (const std::string& id : registered_model_ids()) {
-    const std::unique_ptr<Model> model = make_model(id);
-    const std::vector<ModelParam> params = model->params();
-    ASSERT_FALSE(params.empty()) << id;
-    // Round-trip the first parameter through the by-name setter.
-    const ModelParam& first = params.front();
-    ASSERT_TRUE(model->set_param(first.name, first.value + 1.0)) << id;
-    EXPECT_EQ(model->params().front().value, first.value + 1.0) << id;
-    // Unknown names are rejected, not ignored.
-    EXPECT_FALSE(model->set_param("not_a_real_knob", 1.0)) << id;
-  }
-}
-
-TEST(ModelParams, CloneCarriesConfiguredValues) {
-  for (const std::string& id : registered_model_ids()) {
-    const std::unique_ptr<Model> model = make_model(id);
-    const std::string knob = model->params().front().name;
-    ASSERT_TRUE(model->set_param(knob, 123.5));
-    const std::unique_ptr<Model> copy = model->clone();
-    EXPECT_EQ(copy->id(), id);
-    EXPECT_EQ(copy->params().front().value, 123.5) << id;
-    // ...and the clone is detached from the original.
-    ASSERT_TRUE(copy->set_param(knob, 7.0));
-    EXPECT_EQ(model->params().front().value, 123.5) << id;
-  }
-}
-
 // The determinism contract: a story's votes depend only on (seed,
 // story_id, submission), never on which other stories were simulated
 // first. One simulator running both stories and one running only the
@@ -120,17 +85,14 @@ TEST(ModelParams, CloneCarriesConfiguredValues) {
 TEST(ModelDeterminism, StoryRunsAreRngOrderIndependent) {
   const graph::Digraph network = make_network(5, 2000);
   const auto site = make_site(network);
-  for (const std::string& id : registered_model_ids()) {
-    const std::unique_ptr<Model> model = make_model(id);
-    speed_up(*model);
-
-    const auto sim_a = model->make_simulator(*site, stats::Rng(99));
+  for (const std::string_view id : kModelIds) {
+    const auto sim_a = make_sim(id, *site, stats::Rng(99));
     StoryState a0 = site->submit(0, 0, 0.8, 0.0);
     StoryState a1 = site->submit(1, 40, 0.6, 30.0);
     (void)sim_a->run_story(a0, {0.8, 0.5});
     (void)sim_a->run_story(a1, {0.6, 0.4});
 
-    const auto sim_b = model->make_simulator(*site, stats::Rng(99));
+    const auto sim_b = make_sim(id, *site, stats::Rng(99));
     StoryState b1 = site->submit(1, 40, 0.6, 30.0);
     (void)sim_b->run_story(b1, {0.6, 0.4});  // story 0 never simulated
 
@@ -143,14 +105,12 @@ TEST(ModelDeterminism, StoryRunsAreRngOrderIndependent) {
 // Same seed, same story → same run, across separately-built simulators.
 TEST(ModelDeterminism, SimulatorsAreReproducible) {
   const graph::Digraph network = make_network(6, 2000);
-  for (const std::string& id : registered_model_ids()) {
-    const std::unique_ptr<Model> model = make_model(id);
-    speed_up(*model);
+  for (const std::string_view id : kModelIds) {
     std::vector<platform::Minutes> times[2];
     for (int rep = 0; rep < 2; ++rep) {
       const auto site = make_site(network);
       StoryState story = site->submit(0, 0, 0.7, 0.0);
-      const auto sim = model->make_simulator(*site, stats::Rng(123));
+      const auto sim = make_sim(id, *site, stats::Rng(123));
       (void)sim->run_story(story, {0.7, 0.6});
       times[rep] = story.story.times;
     }
@@ -166,10 +126,8 @@ TEST(ModelDeterminism, BatchIsThreadCountInvariant) {
   std::vector<Submission> submissions;
   for (UserId u = 0; u < 16; ++u)
     submissions.push_back({u * 100, {0.2 + 0.04 * u, 0.6}});
-  for (const std::string& id : registered_model_ids()) {
-    const std::unique_ptr<Model> model = make_model(id);
-    speed_up(*model);
-    const auto sim = model->make_simulator(*site, stats::Rng(31));
+  for (const std::string_view id : kModelIds) {
+    const auto sim = make_sim(id, *site, stats::Rng(31));
     runtime::set_default_threads(1);
     const std::vector<SimulatedStory> serial =
         simulate_batch(*site, *sim, submissions, 2.0);

@@ -90,10 +90,14 @@ TEST(VoteSimulator, TimeSeriesMatchesFinalCount) {
   Fixture fx;
   VoteSimulator sim(fx.site, fast_params(), stats::Rng(5));
   StoryState st = fx.submit(0, 0.5);
-  const StoryRun run = sim.run_story(st, {0.5, 0.5});
-  EXPECT_DOUBLE_EQ(run.votes_over_time.values().back(),
-                   static_cast<double>(st.story.vote_count()));
-  EXPECT_DOUBLE_EQ(run.votes_over_time.values().front(), 1.0);
+  sim.run_story(st, {0.5, 0.5});
+  // The story's own times column is its vote series: one entry per vote,
+  // opening with the submitter's digg and closing within the horizon.
+  const platform::Story& s = st.story;
+  ASSERT_GE(s.vote_count(), 1u);
+  EXPECT_EQ(s.times.size(), s.vote_count());
+  EXPECT_EQ(s.times.front(), s.submitted_at);
+  EXPECT_LE(s.times.back() - s.submitted_at, fast_params().horizon);
 }
 
 TEST(VoteSimulator, ChannelCountsSumToVotes) {

@@ -669,20 +669,6 @@ TEST(PerfCounters, ReadsOrDegradesGracefully) {
   }
 }
 
-TEST(PerfCounters, PerfSpanPublishesGaugesOnlyWhenValid) {
-  const std::string json_before = Registry::global().to_json();
-  const bool had = json_before.find("obs_test.span_ipc") != std::string::npos;
-  ASSERT_FALSE(had);
-  {
-    PerfSpan span("obs_test.span");
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 10000; ++i) sink = sink + static_cast<unsigned>(i);
-  }
-  const std::string json = Registry::global().to_json();
-  EXPECT_EQ(json.find("\"obs_test.span_ipc\"") != std::string::npos,
-            perf_counters_supported());
-}
-
 // ----------------------------------------------------- env-var error paths
 
 TEST(WarnIfUnwritable, UnwritablePathWarnsWritablePathDoesNot) {

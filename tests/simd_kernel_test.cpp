@@ -42,12 +42,11 @@ class LevelGuard {
 };
 
 /// Every level with a real table on this host, scalar first. On hosts
-/// without SSE/AVX2 the list degenerates to {kScalar} and the differential
+/// without AVX2 the list degenerates to {kScalar} and the differential
 /// tests reduce to scalar-vs-scalar (trivially green, by design: the suite
 /// must pass on any target).
 std::vector<Level> levels_under_test() {
   std::vector<Level> levels = {Level::kScalar};
-  if (best_supported() >= Level::kSse) levels.push_back(Level::kSse);
   if (best_supported() >= Level::kAvx2) levels.push_back(Level::kAvx2);
   return levels;
 }
