@@ -11,12 +11,17 @@
 #            through the stream engine (perf_corpus_io's large leg,
 #            downscaled via LARGE_USERS/LARGE_STORIES so the smoke stays
 #            minutes-cheap; the nightly perf job runs the full million)
-#   obs      Release build + the telemetry-exporter smoke: run perf_stream
+#   obs      Release build + two telemetry smokes. Exporter: run perf_stream
 #            with DIGG_METRICS_PORT=0 (ephemeral bind, port parsed from the
 #            DIGG_METRICS_PORT_BOUND= stdout line) and --serve-ms holding
 #            the process alive, curl the endpoint, and verify the
 #            Prometheus text exposition (TYPE lines, histogram buckets,
-#            ingest counter)
+#            ingest counter). Trace: run fig3a_influence --smoke at
+#            DIGG_THREADS=4 with DIGG_TRACE set, and check that the
+#            exported Chrome trace parses, that every tid's B/E span
+#            events balance, that data.generate_corpus and runtime.chunk
+#            spans are present, and that no ring wrapped (no wrap warning
+#            on stderr)
 #   serve    Release build + the ingest-server smoke: start serve_digg on
 #            an ephemeral port (parsed from DIGG_SERVE_PORT_BOUND=) with
 #            background checkpointing on, drive a few thousand votes over
@@ -127,7 +132,8 @@ if [[ $MODE == obs || $MODE == all ]]; then
   echo "== [exporter smoke] configure + build ($RELEASE_DIR) =="
   cmake -B "$RELEASE_DIR" -S . -DDIGG_WERROR="$WERROR" \
     -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$RELEASE_DIR" -j "$JOBS" --target perf_stream
+  cmake --build "$RELEASE_DIR" -j "$JOBS" --target perf_stream \
+    fig3a_influence
   echo "== [exporter smoke] serve + scrape =="
   OBS_LOG=$(mktemp)
   DIGG_METRICS_PORT=0 "$RELEASE_DIR"/bench/perf_stream \
@@ -164,6 +170,38 @@ if [[ $MODE == obs || $MODE == all ]]; then
   done
   rm -f "$OBS_LOG"
   echo "exporter smoke: Prometheus exposition ok ($(wc -l <<<"$scrape") lines)"
+
+  echo "== [trace smoke] fig3a --smoke with DIGG_TRACE =="
+  TRACE_TMP=$(mktemp -d)
+  # shellcheck disable=SC2064  # expand now, not at trap time
+  trap "rm -rf $TRACE_TMP" EXIT
+  DIGG_THREADS=4 DIGG_TRACE="$TRACE_TMP/trace.json" \
+    "$RELEASE_DIR"/bench/fig3a_influence --smoke \
+    >"$TRACE_TMP/stdout" 2>"$TRACE_TMP/stderr"
+  if grep -F 'trace ring wrapped' "$TRACE_TMP/stderr" >&2; then
+    echo "trace smoke: a recorder ring wrapped; the trace is incomplete" >&2
+    exit 1
+  fi
+  python3 -c '
+import collections, json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+stacks = collections.defaultdict(list)
+names = set()
+for e in events:
+    if e["ph"] == "B":
+        stacks[e["tid"]].append(e["name"])
+        names.add(e["name"])
+    elif e["ph"] == "E":
+        stack = stacks[e["tid"]]
+        assert stack and stack.pop() == e["name"], f"unmatched E: {e}"
+open_spans = {tid: s for tid, s in stacks.items() if s}
+assert not open_spans, f"unclosed spans: {open_spans}"
+for want in ("data.generate_corpus", "runtime.chunk"):
+    assert want in names, f"no {want} span in the trace"
+print(f"trace smoke: {len(events)} events, B/E balanced on {len(stacks)} tids")
+' "$TRACE_TMP/trace.json"
+  rm -rf "$TRACE_TMP"
+  trap - EXIT
 fi
 
 if [[ $MODE == serve || $MODE == all ]]; then

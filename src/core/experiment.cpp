@@ -10,7 +10,7 @@
 #include "src/core/influence.h"
 #include "src/digg/user.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 #include "src/runtime/parallel.h"
 
 namespace digg::core {
@@ -27,7 +27,7 @@ stats::TimeSeries vote_timeseries(const data::Story& story) {
 
 Fig1Result fig1_vote_dynamics(const data::Corpus& corpus, std::size_t count,
                               stats::Rng& rng) {
-  obs::Span span("fig1_vote_dynamics", "core");
+  obs::Span span("core.fig1_vote_dynamics");
   if (corpus.front_page.empty())
     throw std::invalid_argument("fig1: no front-page stories");
   std::vector<std::size_t> order(corpus.front_page.size());
@@ -53,7 +53,7 @@ Fig1Result fig1_vote_dynamics(const data::Corpus& corpus, std::size_t count,
 }
 
 Fig2aResult fig2a_vote_histogram(const data::Corpus& corpus) {
-  obs::Span span("fig2a_vote_histogram", "core");
+  obs::Span span("core.fig2a_vote_histogram");
   Fig2aResult result{stats::LinearHistogram(0.0, 4000.0, 40), 0.0, 0.0, {}};
   const std::vector<double> votes = data::final_votes(corpus.front_page);
   result.histogram.add_many(votes);
@@ -74,7 +74,7 @@ Fig2aResult fig2a_vote_histogram(const data::Corpus& corpus) {
 }
 
 Fig2bResult fig2b_user_activity(const data::Corpus& corpus) {
-  obs::Span span("fig2b_user_activity", "core");
+  obs::Span span("core.fig2b_user_activity");
   Fig2bResult result;
   const data::UserActivity activity = data::user_activity(corpus);
   std::vector<std::int64_t> votes_sample;
@@ -95,7 +95,7 @@ Fig2bResult fig2b_user_activity(const data::Corpus& corpus) {
 }
 
 Fig3aResult fig3a_influence(const data::Corpus& corpus) {
-  obs::Span span("fig3a_influence", "core");
+  obs::Span span("core.fig3a_influence");
   Fig3aResult result;
   std::size_t under_10_fans = 0;
   std::size_t visible_200_after_10 = 0;
@@ -123,7 +123,7 @@ Fig3aResult fig3a_influence(const data::Corpus& corpus) {
 }
 
 Fig3bResult fig3b_cascades(const data::Corpus& corpus) {
-  obs::Span span("fig3b_cascades", "core");
+  obs::Span span("core.fig3b_cascades");
   Fig3bResult result;
   std::size_t half_of_10 = 0;
   std::size_t ten_after_20 = 0;
@@ -188,7 +188,7 @@ Fig4Result fig4_from_features(const std::vector<StoryFeatures>& features) {
 }
 
 Fig4Result fig4_innetwork_vs_final(const data::Corpus& corpus) {
-  obs::Span span("fig4_innetwork_vs_final", "core");
+  obs::Span span("core.fig4_innetwork_vs_final");
   return fig4_from_features(extract_features(corpus.front_page,
                                              corpus.network));
 }
@@ -207,7 +207,7 @@ double Fig5Result::our_precision() const {
 
 Fig5Result fig5_prediction(const data::Corpus& corpus,
                            const Fig5Params& params, stats::Rng& rng) {
-  obs::Span span("fig5_prediction", "core");
+  obs::Span span("core.fig5_prediction");
   // Held-out "scraped from the queue" sample: top-user stories judged from
   // their first ten votes, final counts retrieved later (§5.2). Sampled
   // before training so the training set can exclude them.
@@ -260,7 +260,7 @@ Fig5Result fig5_prediction(const data::Corpus& corpus,
 }
 
 ActivitySkewResult text_activity_skew(const data::Corpus& corpus) {
-  obs::Span span("text_activity_skew", "core");
+  obs::Span span("core.text_activity_skew");
   ActivitySkewResult result;
   result.front_page_count = corpus.front_page.size();
   result.upcoming_count = corpus.upcoming.size();
@@ -296,7 +296,7 @@ ActivitySkewResult text_activity_skew(const data::Corpus& corpus) {
 
 std::vector<ScatterPoint> friends_fans_scatter(const data::Corpus& corpus,
                                                std::size_t top_rank_cutoff) {
-  obs::Span span("friends_fans_scatter", "core");
+  obs::Span span("core.friends_fans_scatter");
   std::unordered_set<data::UserId> in_dataset;
   auto absorb = [&](const std::vector<data::Story>& stories) {
     for (const data::Story& s : stories)

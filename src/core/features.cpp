@@ -5,7 +5,7 @@
 #include "src/core/cascade.h"
 #include "src/core/influence.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 #include "src/runtime/parallel.h"
 
 namespace digg::core {
@@ -35,7 +35,7 @@ StoryFeatures extract_features(const data::Story& story,
 std::vector<StoryFeatures> extract_features(
     const std::vector<data::Story>& stories, const graph::Digraph& network,
     std::size_t threshold) {
-  obs::Span span("extract_features", "core");
+  obs::Span span("core.extract_features");
   static obs::Counter& extracted =
       obs::Registry::global().counter("core.features_extracted");
   extracted.inc(stories.size());

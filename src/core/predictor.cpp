@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 
 namespace digg::core {
 
@@ -55,7 +55,7 @@ InterestingnessPredictor InterestingnessPredictor::train(
     ml::C45Params params) {
   if (sample.empty())
     throw std::invalid_argument("InterestingnessPredictor: empty sample");
-  obs::Span span("predictor_train", "core");
+  obs::Span span("core.predictor_train");
   InterestingnessPredictor p;
   p.features_ = features;
   p.tree_ = ml::DecisionTree::train(make_dataset(sample, features), params);

@@ -43,7 +43,8 @@ std::vector<SectionEntry> read_table(const std::string& ctx, const char* data,
     throw std::runtime_error(ctx + "truncated file (section table cut off)");
 
   std::vector<SectionEntry> table(count);
-  ByteReader r(data + table_offset, static_cast<std::size_t>(table_bytes));
+  ByteReader r(data + table_offset, static_cast<std::size_t>(table_bytes),
+               ctx);
   for (SectionEntry& e : table) {
     e.type = r.pod<std::uint32_t>();
     e.flags = r.pod<std::uint32_t>();

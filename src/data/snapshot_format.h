@@ -55,6 +55,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace digg::data {
@@ -131,10 +132,13 @@ class ByteBuffer {
 };
 
 /// Bounds-checked cursor over a byte range; throws the shared "truncated
-/// file (section overruns payload)" error on overrun.
+/// file (section overruns payload)" error on overrun, prefixed with
+/// `context` (the file's "<path>: ", which must outlive the reader).
 class ByteReader {
  public:
-  ByteReader(const char* data, std::size_t size) : data_(data), size_(size) {}
+  ByteReader(const char* data, std::size_t size,
+             std::string_view context = {})
+      : data_(data), size_(size), context_(context) {}
 
   template <typename T>
   T pod() {
@@ -145,8 +149,7 @@ class ByteReader {
   void read_into(void* dst, std::size_t bytes) {
     // Compare against the remainder: `pos_ + bytes` can wrap to a small
     // value for hostile section sizes near SIZE_MAX and pass the check.
-    if (pos_ > size_ || bytes > size_ - pos_)
-      throw std::runtime_error("truncated file (section overruns payload)");
+    if (pos_ > size_ || bytes > size_ - pos_) overrun();
     std::memcpy(dst, data_ + pos_, bytes);
     pos_ += bytes;
   }
@@ -161,8 +164,7 @@ class ByteReader {
   /// Borrow `bytes` bytes in place (no copy); the span aliases the
   /// underlying buffer, so it is only valid while that buffer lives.
   [[nodiscard]] std::span<const char> borrow(std::size_t bytes) {
-    if (pos_ > size_ || bytes > size_ - pos_)
-      throw std::runtime_error("truncated file (section overruns payload)");
+    if (pos_ > size_ || bytes > size_ - pos_) overrun();
     const std::span<const char> s(data_ + pos_, bytes);
     pos_ += bytes;
     return s;
@@ -188,12 +190,16 @@ class ByteReader {
   /// Bounds an element count read from the file by the bytes left, so a
   /// hostile count fails as a truncation before anything is allocated.
   void check_count(std::size_t count, std::size_t width) const {
-    if (pos_ > size_ || count > (size_ - pos_) / width)
-      throw std::runtime_error("truncated file (section overruns payload)");
+    if (pos_ > size_ || count > (size_ - pos_) / width) overrun();
+  }
+  [[noreturn]] void overrun() const {
+    throw std::runtime_error(std::string(context_) +
+                             "truncated file (section overruns payload)");
   }
 
   const char* data_;
   std::size_t size_;
+  std::string_view context_;
   std::size_t pos_ = 0;
 };
 
@@ -276,7 +282,7 @@ class MmapSectionFile {
   /// A bounds-checked reader over a (checksum-verified) section body.
   [[nodiscard]] ByteReader open(const SectionEntry& e) const {
     const std::span<const char> s = view(e);
-    return ByteReader(s.data(), s.size());
+    return ByteReader(s.data(), s.size(), context_);
   }
   [[nodiscard]] ByteReader open(std::uint32_t type) const {
     return open(find(type));

@@ -15,7 +15,7 @@
 #include "src/digg/user.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 
 namespace digg::data {
 
@@ -94,7 +94,7 @@ GenerationCore run_generation(
       params.top_submitter_pool > params.user_count)
     throw std::invalid_argument("generate_corpus: bad top_submitter_pool");
 
-  obs::Span span("generate_corpus", "data");
+  obs::Span span("data.generate_corpus");
   static obs::Counter& users_generated =
       obs::Registry::global().counter("data.users_generated");
   static obs::Counter& stories_generated =

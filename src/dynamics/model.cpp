@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 #include "src/runtime/parallel.h"
 #include "src/runtime/thread_pool.h"
 
@@ -20,7 +20,7 @@ void simulate_each(const platform::Site& site, const Simulator& sim,
                    const std::vector<Submission>& submissions,
                    Minutes spacing_minutes,
                    const std::function<void(SimulatedStory&&)>& on_story) {
-  obs::Span span("simulate_batch", "dynamics");
+  obs::Span span("dynamics.simulate_batch");
   // Submission times accumulate serially, exactly as a one-story-at-a-time
   // loop would step its clock.
   std::vector<Minutes> submitted_at(submissions.size());

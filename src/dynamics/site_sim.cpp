@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 #include "src/runtime/parallel.h"
 
 namespace digg::dynamics {
@@ -245,7 +245,7 @@ std::vector<SiteReplicate> run_site_replicates(
       obs::Registry::global().counter("dynamics.site_replicates");
   return runtime::parallel_map<SiteReplicate>(
       replicates, [&](std::size_t i) {
-        obs::Span span("site_replicate", "dynamics");
+        obs::Span span("dynamics.site_replicate");
         replicate_count.inc();
         SiteReplicate rep;
         rep.platform = make_platform();

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 #include "src/runtime/parallel.h"
 
 namespace digg::ml {
@@ -26,7 +26,7 @@ Forest Forest::train(const Dataset& data, const ForestParams& params,
   // Each tree bags from its own index-addressed substream, so trees train
   // concurrently on the parallel runtime and the forest is identical for
   // any thread count (and still deterministic given the caller's seed).
-  obs::Span span("forest_train", "ml");
+  obs::Span span("ml.forest_train");
   static obs::Counter& trees_trained =
       obs::Registry::global().counter("ml.trees_trained");
   const stats::Rng base = rng.fork();

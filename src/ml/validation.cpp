@@ -1,13 +1,12 @@
 #include "src/ml/validation.h"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 #include "src/runtime/parallel.h"
 
 namespace digg::ml {
@@ -88,7 +87,7 @@ CrossValidationResult cross_validate(const Trainer& trainer,
                                      const Dataset& data, std::size_t folds,
                                      stats::Rng& rng,
                                      std::size_t positive_class) {
-  obs::Span cv_span("cross_validate", "ml");
+  obs::Span cv_span("ml.cross_validate");
   static obs::Counter& folds_run =
       obs::Registry::global().counter("ml.cv_folds");
   static obs::Histogram& fold_us =
@@ -102,8 +101,7 @@ CrossValidationResult cross_validate(const Trainer& trainer,
   CrossValidationResult result;
   result.per_fold = runtime::parallel_map<Confusion>(
       folds, [&](std::size_t fold) {
-        obs::Span fold_span("cv_fold", "ml");
-        const auto fold_start = std::chrono::steady_clock::now();
+        obs::Span fold_span("ml.cv_fold", fold, &fold_us);
         std::vector<std::size_t> train_idx;
         std::vector<std::size_t> test_idx;
         for (std::size_t i = 0; i < data.size(); ++i) {
@@ -115,9 +113,6 @@ CrossValidationResult cross_validate(const Trainer& trainer,
         const Dataset test = data.subset(test_idx);
         const Classifier model = trainer(train);
         const Confusion c = evaluate(model, test, positive_class);
-        fold_us.observe(std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - fold_start)
-                            .count());
         folds_run.inc();
         return c;
       });

@@ -1,10 +1,9 @@
 #include "src/runtime/parallel.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 
 namespace digg::runtime::detail {
 
@@ -47,14 +46,10 @@ void run_chunks(std::size_t chunk_count,
     // Inline execution: chunks run in ascending order, so the first throw
     // is from the lowest failing chunk — same exception the pool reports.
     for (std::size_t c = 0; c < chunk_count; ++c) {
-      const auto chunk_start = std::chrono::steady_clock::now();
       {
-        obs::Span span("chunk", "runtime");
+        obs::Span span("runtime.chunk", c, &chunk_us);
         chunk_fn(c);
       }
-      chunk_us.observe(std::chrono::duration<double, std::micro>(
-                           std::chrono::steady_clock::now() - chunk_start)
-                           .count());
       chunks_done.inc();
     }
     return;

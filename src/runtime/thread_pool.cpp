@@ -6,7 +6,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
-#include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
 
 namespace digg::runtime {
@@ -91,22 +90,18 @@ void ThreadPool::work_on(Job& job) {
     const std::size_t chunk =
         job.next.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= job.chunk_count) break;
-    obs::record_event(obs::EventKind::kChunkScheduled, thread_count_, chunk,
-                      job.chunk_count);
     if (job.watchdog != nullptr) job.watchdog->beat();
     std::exception_ptr error;
-    const auto chunk_start = std::chrono::steady_clock::now();
     {
-      obs::Span span("chunk", "runtime");
+      // A failing chunk's latency counts too: the catch keeps the span's
+      // exit normal.
+      obs::Span span("runtime.chunk", chunk, &chunk_us);
       try {
         (*job.task)(chunk);
       } catch (...) {
         error = std::current_exception();
       }
     }
-    chunk_us.observe(std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - chunk_start)
-                         .count());
     chunks_done.inc();
     std::lock_guard<std::mutex> lock(mutex_);
     if (error && chunk < job.error_chunk) {
@@ -139,8 +134,7 @@ void ThreadPool::run(std::size_t chunk_count,
   jobs.inc();
   utilization.set(static_cast<double>(lanes) /
                   static_cast<double>(thread_count_));
-  obs::Span job_span("job", "runtime");
-  obs::record_event(obs::EventKind::kJobStart, 0, chunk_count, lanes);
+  obs::Span job_span("runtime.job", chunk_count);
   // A pool job that goes 60s without claiming a chunk is wedged by any
   // reasonable definition for this workload; the watchdog dumps the flight
   // recorder so the stuck chunk is identifiable.

@@ -1,7 +1,6 @@
 #include "src/stream/checkpoint.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -12,7 +11,6 @@
 #include "src/data/snapshot_format.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
-#include "src/obs/trace.h"
 #include "src/stream/engine.h"
 
 namespace digg::stream {
@@ -20,12 +18,6 @@ namespace digg::stream {
 namespace snapfmt = data::snapfmt;
 
 namespace {
-
-double elapsed_us(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 struct Meta {
   std::uint32_t version = 0;
@@ -188,19 +180,17 @@ std::vector<snapfmt::Section> StreamEngine::checkpoint_sections() const {
 }
 
 void StreamEngine::save_checkpoint(const std::filesystem::path& path) const {
-  obs::Span span("stream_checkpoint_save", "stream");
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<snapfmt::Section> sections = checkpoint_sections();
-  snapfmt::write_section_file(path, sections);
-  obs::record_event(obs::EventKind::kCheckpointSave, 0, events_applied_);
-  obs::Registry::global()
-      .histogram("stream.checkpoint_save_us")
-      .observe(elapsed_us(t0));
+  static obs::Histogram& save_us =
+      obs::Registry::global().histogram("stream.checkpoint_save_us");
+  obs::Span span("stream.checkpoint_save", events_applied_, &save_us);
+  snapfmt::write_section_file(path, checkpoint_sections());
 }
 
 void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
-  obs::Span span("stream_checkpoint_restore", "stream");
-  const auto t0 = std::chrono::steady_clock::now();
+  // Only a restore that succeeds is timed: a refused file unwinds the span.
+  static obs::Histogram& restore_us =
+      obs::Registry::global().histogram("stream.checkpoint_restore_us");
+  obs::Span span("stream.checkpoint_restore", 0, &restore_us);
 
   const snapfmt::MmapSectionFile file(path);
   file.verify_all();
@@ -235,44 +225,36 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   const std::size_t story_count =
       m.live ? static_cast<std::size_t>(m.story_count) : progress_.size();
   snapfmt::ByteReader r = file.open(snapfmt::kStreamState);
-  std::vector<std::uint64_t> applied;
-  std::vector<std::uint32_t> innetwork;
-  std::vector<std::uint8_t> flags;
-  std::vector<double> promoted;
-  std::vector<std::uint32_t> cascade_rec;
-  std::vector<std::uint32_t> influence_rec;
+  std::vector<std::uint64_t> applied = r.column<std::uint64_t>(story_count);
+  std::vector<std::uint32_t> innetwork = r.column<std::uint32_t>(story_count);
+  std::vector<std::uint8_t> flags = r.column<std::uint8_t>(story_count);
+  std::vector<double> promoted = r.column<double>(story_count);
+  std::vector<std::uint32_t> cascade_rec =
+      r.column<std::uint32_t>(story_count * m.cascade_cps.size());
+  std::vector<std::uint32_t> influence_rec =
+      r.column<std::uint32_t>(story_count * m.influence_cps.size());
   std::vector<float> bayes_estimates;
+  if (m.bayes_enabled) bayes_estimates = r.column<float>(story_count);
   std::vector<std::uint32_t> live_ids, live_submitters, live_prefix_len;
   std::vector<double> live_last_time, live_times_flat;
   std::vector<std::uint32_t> live_voters_flat;
-  try {
-    applied = r.column<std::uint64_t>(story_count);
-    innetwork = r.column<std::uint32_t>(story_count);
-    flags = r.column<std::uint8_t>(story_count);
-    promoted = r.column<double>(story_count);
-    cascade_rec = r.column<std::uint32_t>(story_count * m.cascade_cps.size());
-    influence_rec =
-        r.column<std::uint32_t>(story_count * m.influence_cps.size());
-    if (m.bayes_enabled) bayes_estimates = r.column<float>(story_count);
-    if (m.live) {
-      snapfmt::ByteReader lr = file.open(snapfmt::kServeStories);
-      live_ids = lr.column<std::uint32_t>(story_count);
-      live_submitters = lr.column<std::uint32_t>(story_count);
-      live_prefix_len = lr.column<std::uint32_t>(story_count);
-      std::uint64_t total_prefix = 0;
-      for (const std::uint32_t n : live_prefix_len) {
-        if (n > horizon_)
-          throw std::runtime_error("checkpoint live prefix exceeds horizon");
-        total_prefix += n;
-      }
-      lr.align8();
-      live_last_time = lr.column<double>(story_count);
-      live_voters_flat = lr.column<std::uint32_t>(total_prefix);
-      lr.align8();
-      live_times_flat = lr.column<double>(total_prefix);
+  if (m.live) {
+    snapfmt::ByteReader lr = file.open(snapfmt::kServeStories);
+    live_ids = lr.column<std::uint32_t>(story_count);
+    live_submitters = lr.column<std::uint32_t>(story_count);
+    live_prefix_len = lr.column<std::uint32_t>(story_count);
+    std::uint64_t total_prefix = 0;
+    for (const std::uint32_t n : live_prefix_len) {
+      if (n > horizon_)
+        throw std::runtime_error(ctx +
+                                 "checkpoint live prefix exceeds horizon");
+      total_prefix += n;
     }
-  } catch (const std::runtime_error& err) {
-    throw std::runtime_error(ctx + err.what());
+    lr.align8();
+    live_last_time = lr.column<double>(story_count);
+    live_voters_flat = lr.column<std::uint32_t>(total_prefix);
+    lr.align8();
+    live_times_flat = lr.column<double>(total_prefix);
   }
 
   // Per-story consistency: the applied column must describe exactly the
@@ -423,9 +405,6 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   events_applied_ = m.events_applied;
 
   obs::record_event(obs::EventKind::kCheckpointRestore, 0, events_applied_);
-  obs::Registry::global()
-      .histogram("stream.checkpoint_restore_us")
-      .observe(elapsed_us(t0));
 }
 
 }  // namespace digg::stream

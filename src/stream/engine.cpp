@@ -11,7 +11,6 @@
 #include "src/data/snapshot_format.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
-#include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
 #include "src/runtime/parallel.h"
 
@@ -103,7 +102,7 @@ void StreamEngine::init_config() {
 
 StreamEngine::StreamEngine(const graph::Digraph& network, StreamParams params)
     : stream_(nullptr), network_(&network), params_(std::move(params)) {
-  obs::Span span("stream_engine_init", "stream");
+  obs::Span span("stream.engine_init");
   init_config();
   fingerprint_ = live_fingerprint(network);
 }
@@ -111,7 +110,7 @@ StreamEngine::StreamEngine(const graph::Digraph& network, StreamParams params)
 StreamEngine::StreamEngine(const EventStream& stream,
                            const graph::Digraph& network, StreamParams params)
     : stream_(&stream), network_(&network), params_(std::move(params)) {
-  obs::Span span("stream_engine_init", "stream");
+  obs::Span span("stream.engine_init");
   init_config();
   const std::size_t story_count = stream_->stories.size();
   if (story_count >= kUnrecorded)
@@ -379,7 +378,7 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
         "run_until on a live-mode stream engine (use live_vote)");
   event_limit = std::min<std::uint64_t>(event_limit, total_events());
   if (event_limit <= events_applied_) return;
-  obs::Span span("stream_run", "stream");
+  obs::Span span("stream.run");
   obs::Counter& votes = obs::Registry::global().counter("stream.votes_ingested");
   obs::Histogram& ingest_story_us =
       obs::Registry::global().histogram("stream.ingest_story_us");
@@ -488,19 +487,14 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) const {
 }
 
 StreamResult StreamEngine::result() const {
-  obs::Span span("stream_result", "stream");
-  const auto query_start = std::chrono::steady_clock::now();
-  obs::record_event(obs::EventKind::kQuery, 0, events_applied_);
+  static obs::Histogram& query_us =
+      obs::Registry::global().histogram("stream.query_us");
+  obs::Span span("stream.result", events_applied_, &query_us);
   StreamResult out;
   out.events_applied = events_applied_;
   out.stories.reserve(progress_.size());
   for (std::uint32_t slot = 0; slot < progress_.size(); ++slot)
     out.stories.push_back(query_story(slot));
-  obs::Registry::global()
-      .histogram("stream.query_us")
-      .observe(std::chrono::duration<double, std::micro>(
-                   std::chrono::steady_clock::now() - query_start)
-                   .count());
   return out;
 }
 

@@ -1,11 +1,11 @@
 #include "src/stream/source.h"
 
-#include "src/obs/trace.h"
+#include "src/obs/recorder.h"
 
 namespace digg::stream {
 
 EventStream build_event_stream(std::span<const platform::StoryView> stories) {
-  obs::Span span("build_event_stream", "stream");
+  obs::Span span("stream.build_event_stream");
   // O(stories): the global (time, slot, index) order is never materialised —
   // the engine merges the per-story time columns on the fly, so building a
   // stream over a memory-mapped million-user corpus is just the story table.

@@ -592,16 +592,7 @@ TEST_F(SnapshotTest, HostileModelInfoLengthIsATruncatedFile) {
     std::memcpy(bytes.data() + info->entry_pos + 24, &sum, sizeof(sum));
     reseal_v2(bytes);
     spew(snap(), bytes);
-    for (const bool mmap : {false, true}) {
-      try {
-        (void)(mmap ? load_snapshot_mmap(snap()) : load_snapshot(snap()));
-        FAIL() << "expected the hostile length to be rejected";
-      } catch (const std::runtime_error& err) {
-        EXPECT_NE(std::string(err.what()).find("truncated file"),
-                  std::string::npos)
-            << err.what();
-      }
-    }
+    expect_load_error(snap(), "truncated file (section overruns payload)");
   }
 }
 

@@ -1,11 +1,12 @@
 // Tests for the observability layer (src/obs): logger level filtering and
 // field formatting, metrics registry correctness under concurrent updates
 // (run under -DDIGG_SANITIZE=thread to prove the hot path is race-free),
-// trace span nesting/ordering, flight-recorder seqlock semantics
-// (wraparound, concurrent writers vs dumpers), crash-report dumps
-// (SIGUSR2 mid-replay), percentile derivation, the Prometheus exporter,
-// the watchdog, hardware counters, and the zero-perturbation contract —
-// the fig5 pipeline must be bit-identical with every telemetry surface on.
+// spans and their Chrome-trace export (nesting, ring wrap, latency
+// observation), flight-recorder seqlock semantics (wraparound, concurrent
+// writers vs dumpers), crash-report dumps (open spans, SIGUSR2
+// mid-replay), percentile derivation, the Prometheus exporter, the
+// watchdog, hardware counters, and the zero-perturbation contract — the
+// fig5 pipeline must be bit-identical with every telemetry surface on.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -15,9 +16,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,7 +34,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/perf.h"
 #include "src/obs/recorder.h"
-#include "src/obs/trace.h"
 #include "src/obs/watchdog.h"
 #include "src/runtime/parallel.h"
 #include "src/stream/engine.h"
@@ -226,71 +229,288 @@ TEST(Metrics, WriteBenchReportProducesJsonFile) {
 
 // ------------------------------------------------------------------- trace
 
-TEST(Trace, DisabledByDefaultAndSpansAreFree) {
-  if (trace_enabled()) GTEST_SKIP() << "DIGG_TRACE set in environment";
-  const std::size_t before = trace_event_count();
-  {
-    Span span("noop", "test");
-  }
-  EXPECT_EQ(trace_event_count(), before);
-}
-
-TEST(Trace, SpansNestAndOrderInOutput) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "obs_test_trace.json";
-  trace_start(path.string());
-  {
-    Span outer("outer", "test");
-    {
-      Span inner("inner", "test");
-    }
-    {
-      Span inner2("inner2", "test");
-    }
-  }
-  EXPECT_EQ(trace_event_count(), 3u);
-  trace_stop();
-  EXPECT_FALSE(trace_enabled());
-
+std::string slurp_text(const std::filesystem::path& path) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  const std::string json = buf.str();
-  ASSERT_FALSE(json.empty());
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  return buf.str();
+}
 
-  // Complete events are recorded at destruction: inner, inner2, outer.
-  const auto inner_pos = json.find("\"name\":\"inner\"");
-  const auto inner2_pos = json.find("\"name\":\"inner2\"");
-  const auto outer_pos = json.find("\"name\":\"outer\"");
-  ASSERT_NE(inner_pos, std::string::npos);
-  ASSERT_NE(inner2_pos, std::string::npos);
-  ASSERT_NE(outer_pos, std::string::npos);
-  EXPECT_LT(inner_pos, inner2_pos);
-  EXPECT_LT(inner2_pos, outer_pos);
+/// Minimal recursive-descent JSON validator: true iff `text` is exactly one
+/// well-formed JSON value (whitespace around it allowed).
+class JsonChecker {
+ public:
+  explicit JsonChecker(const std::string& text) : s_(text) {}
+  bool valid() {
+    skip_ws();
+    if (!value()) return false;
+    skip_ws();
+    return i_ == s_.size();
+  }
+
+ private:
+  void skip_ws() {
+    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_])))
+      ++i_;
+  }
+  bool eat(char c) {
+    skip_ws();
+    if (i_ < s_.size() && s_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+  bool literal(const char* word) {
+    const std::size_t n = std::strlen(word);
+    if (s_.compare(i_, n, word) != 0) return false;
+    i_ += n;
+    return true;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (i_ < s_.size() && s_[i_] != '"') {
+      if (static_cast<unsigned char>(s_[i_]) < 0x20) return false;
+      i_ += s_[i_] == '\\' ? 2 : 1;
+    }
+    return i_++ < s_.size();
+  }
+  bool number() {
+    const std::size_t start = i_;
+    if (i_ < s_.size() && s_[i_] == '-') ++i_;
+    while (i_ < s_.size() &&
+           (std::isdigit(static_cast<unsigned char>(s_[i_])) ||
+            s_[i_] == '.' || s_[i_] == 'e' || s_[i_] == 'E' ||
+            s_[i_] == '+' || s_[i_] == '-'))
+      ++i_;
+    return i_ > start && std::isdigit(static_cast<unsigned char>(s_[i_ - 1]));
+  }
+  bool value() {
+    skip_ws();
+    if (i_ >= s_.size()) return false;
+    switch (s_[i_]) {
+      case '{': {
+        ++i_;
+        if (eat('}')) return true;
+        do {
+          if (!string() || !eat(':') || !value()) return false;
+        } while (eat(','));
+        return eat('}');
+      }
+      case '[': {
+        ++i_;
+        if (eat(']')) return true;
+        do {
+          if (!value()) return false;
+        } while (eat(','));
+        return eat(']');
+      }
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+
+  const std::string& s_;
+  std::size_t i_ = 0;
+};
+
+/// One exported trace event; write_chrome_trace puts one per line.
+struct TraceEvent {
+  std::string name;
+  std::string ph;
+  std::uint64_t tid = 0;
+  double ts = 0.0;
+  std::uint64_t arg = 0;
+};
+
+std::string json_field(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const auto at = line.find(tag);
+  if (at == std::string::npos) return "";
+  std::size_t from = at + tag.size();
+  if (line[from] == '"') {
+    ++from;
+    return line.substr(from, line.find('"', from) - from);
+  }
+  return line.substr(from, line.find_first_of(",}", from) - from);
+}
+
+std::vector<TraceEvent> parse_trace(const std::string& json) {
+  std::vector<TraceEvent> out;
+  std::istringstream lines(json);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("{\"name\":", 0) != 0) continue;
+    TraceEvent e;
+    e.name = json_field(line, "name");
+    e.ph = json_field(line, "ph");
+    e.tid = std::stoull(json_field(line, "tid"));
+    e.ts = std::stod(json_field(line, "ts"));
+    if (e.ph != "i") e.arg = std::stoull(json_field(line, "arg"));
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+/// Every tid's B/E events pair up and nest: each E closes the innermost
+/// open B of the same name, and nothing is left open.
+void expect_balanced_and_nested(const std::vector<TraceEvent>& events) {
+  std::map<std::uint64_t, std::vector<std::string>> open;
+  for (const TraceEvent& e : events) {
+    if (e.ph == "B") {
+      open[e.tid].push_back(e.name);
+    } else if (e.ph == "E") {
+      std::vector<std::string>& stack = open[e.tid];
+      ASSERT_FALSE(stack.empty()) << "unmatched E " << e.name << " tid "
+                                  << e.tid;
+      EXPECT_EQ(stack.back(), e.name) << "tid " << e.tid;
+      stack.pop_back();
+    }
+  }
+  for (const auto& [tid, stack] : open)
+    EXPECT_TRUE(stack.empty()) << stack.size() << " open spans on tid "
+                               << tid;
+}
+
+TEST(Trace, SpansNestAndOrderInOutput) {
+  set_recorder_enabled(true);
+  std::thread([] {
+    Span outer("test.nest_outer", 1);
+    {
+      Span inner("test.nest_inner", 2);
+    }
+    {
+      Span inner2("test.nest_inner2", 3);
+    }
+  }).join();
+  const auto path =
+      std::filesystem::temp_directory_path() / "obs_test_trace.json";
+  ASSERT_TRUE(write_chrome_trace(path.string()));
+  const std::string json = slurp_text(path);
   std::filesystem::remove(path);
+  EXPECT_TRUE(JsonChecker(json).valid());
+  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+
+  std::vector<TraceEvent> mine;
+  for (TraceEvent& e : parse_trace(json))
+    if (e.name.rfind("test.nest_", 0) == 0) mine.push_back(std::move(e));
+  // Begin and end events, in the order the scopes opened and closed, all on
+  // the recording thread's tid with non-decreasing timestamps.
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"B", "test.nest_outer"},  {"B", "test.nest_inner"},
+      {"E", "test.nest_inner"},  {"B", "test.nest_inner2"},
+      {"E", "test.nest_inner2"}, {"E", "test.nest_outer"}};
+  ASSERT_EQ(mine.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(mine[i].ph, want[i].first) << i;
+    EXPECT_EQ(mine[i].name, want[i].second) << i;
+    EXPECT_EQ(mine[i].tid, mine[0].tid) << i;
+    if (i > 0) {
+      EXPECT_GE(mine[i].ts, mine[i - 1].ts) << i;
+    }
+  }
+  EXPECT_EQ(mine[0].arg, 1u);
+  EXPECT_EQ(mine[1].arg, 2u);
+  EXPECT_EQ(mine[3].arg, 3u);
 }
 
 TEST(Trace, RuntimeChunkSpansAppearInTrace) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "obs_test_runtime_trace.json";
-  trace_start(path.string());
+  set_recorder_enabled(true);
   runtime::ParallelOptions opts;
   opts.threads = 4;
   std::atomic<int> calls{0};
   runtime::parallel_for(
       100, [&](std::size_t) { calls.fetch_add(1); }, opts);
-  trace_stop();
   EXPECT_EQ(calls.load(), 100);
-
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string json = buf.str();
-  EXPECT_NE(json.find("\"name\":\"chunk\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"runtime\""), std::string::npos);
+  const auto path =
+      std::filesystem::temp_directory_path() / "obs_test_runtime_trace.json";
+  ASSERT_TRUE(write_chrome_trace(path.string()));
+  const std::string json = slurp_text(path);
   std::filesystem::remove(path);
+  EXPECT_NE(json.find("\"name\":\"runtime.chunk\",\"ph\":\"B\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"runtime.job\",\"ph\":\"B\""),
+            std::string::npos);
+  expect_balanced_and_nested(parse_trace(json));
+}
+
+TEST(Trace, DisabledRecorderRecordsNoSpanAndNoObservation) {
+  Histogram& latency =
+      Registry::global().histogram("obs_test.span_latency_us");
+  const std::uint64_t before = latency.count();
+  set_recorder_enabled(false);
+  std::thread([&latency] { Span span("test.disabled", 5, &latency); }).join();
+  set_recorder_enabled(true);
+  EXPECT_EQ(latency.count(), before);
+  EXPECT_EQ(dump_recorder().find("name=test.disabled"), std::string::npos);
+  // The same span with the recorder on is recorded and observed once.
+  std::thread([&latency] { Span span("test.enabled", 5, &latency); }).join();
+  EXPECT_EQ(latency.count(), before + 1);
+  EXPECT_NE(dump_recorder().find("kind=span_end dom=0 name=test.enabled b=5"),
+            std::string::npos);
+}
+
+TEST(Trace, SpanUnwoundByAnExceptionRecordsItsEndButNoLatency) {
+  set_recorder_enabled(true);
+  Histogram& latency =
+      Registry::global().histogram("obs_test.throwing_span_us");
+  const std::uint64_t before = latency.count();
+  try {
+    Span span("test.throwing", 9, &latency);
+    throw std::runtime_error("unwind");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(latency.count(), before);
+  EXPECT_NE(dump_recorder().find("kind=span_end dom=0 name=test.throwing b=9"),
+            std::string::npos);
+}
+
+TEST(Trace, ExportSurvivesRingWrap) {
+  set_recorder_enabled(true);
+  const std::size_t cap = recorder_ring_capacity();
+  // A fresh thread owns a fresh ring: 4 * cap span events wrap it three
+  // times, so the oldest surviving events include ends whose begins are
+  // gone.
+  std::thread([cap] {
+    for (std::size_t i = 0; i < cap; ++i) {
+      Span outer("test.wrap_outer", i);
+      Span inner("test.wrap_inner", i);
+    }
+  }).join();
+  LogCapture capture;
+  set_log_level(LogLevel::kWarn);
+  const auto path =
+      std::filesystem::temp_directory_path() / "obs_test_wrap_trace.json";
+  ASSERT_TRUE(write_chrome_trace(path.string()));
+  const std::string json = slurp_text(path);
+  std::filesystem::remove(path);
+  EXPECT_TRUE(JsonChecker(json).valid());
+
+  const std::vector<TraceEvent> events = parse_trace(json);
+  expect_balanced_and_nested(events);
+  std::size_t begins = 0;
+  std::uint64_t tid = 0;
+  for (const TraceEvent& e : events)
+    if (e.name == "test.wrap_outer" && e.ph == "B") {
+      ++begins;
+      tid = e.tid;
+    }
+  // Only the newest quarter of the spans survived the wrap.
+  EXPECT_GT(begins, 0u);
+  EXPECT_LE(begins, cap / 4);
+
+  const std::string ring = "ring=" + std::to_string(tid);
+  const std::string lost = "overwritten=" + std::to_string(3 * cap);
+  bool warned = false;
+  for (const std::string& line : capture.lines())
+    if (line.find("trace ring wrapped") != std::string::npos &&
+        line.find(ring + " ") != std::string::npos &&
+        line.find(lost) != std::string::npos)
+      warned = true;
+  EXPECT_TRUE(warned) << "no wrap warning naming " << ring << " " << lost;
 }
 
 // --------------------------------------------------- zero-perturbation
@@ -307,34 +527,6 @@ const data::SyntheticCorpus& small_corpus() {
     return data::generate_corpus(params, rng);
   }();
   return c;
-}
-
-TEST(ZeroPerturbation, Fig5PredictionIdenticalWithTracingEnabled) {
-  auto run = [&] {
-    stats::Rng rng(7);
-    core::Fig5Params params;
-    params.folds = 5;
-    return core::fig5_prediction(small_corpus().corpus, params, rng);
-  };
-  const core::Fig5Result off = run();
-
-  const auto path =
-      std::filesystem::temp_directory_path() / "obs_test_fig5_trace.json";
-  trace_start(path.string());
-  const core::Fig5Result on = run();
-  trace_stop();
-  std::filesystem::remove(path);
-
-  EXPECT_EQ(off.cross_validation.pooled.tp, on.cross_validation.pooled.tp);
-  EXPECT_EQ(off.cross_validation.pooled.tn, on.cross_validation.pooled.tn);
-  EXPECT_EQ(off.cross_validation.pooled.fp, on.cross_validation.pooled.fp);
-  EXPECT_EQ(off.cross_validation.pooled.fn, on.cross_validation.pooled.fn);
-  EXPECT_EQ(off.holdout.tp, on.holdout.tp);
-  EXPECT_EQ(off.holdout.tn, on.holdout.tn);
-  EXPECT_EQ(off.holdout.fp, on.holdout.fp);
-  EXPECT_EQ(off.holdout.fn, on.holdout.fn);
-  EXPECT_EQ(off.holdout_stories, on.holdout_stories);
-  EXPECT_EQ(off.predictor.tree().render(), on.predictor.tree().render());
 }
 
 // --------------------------------------------------------------- quantiles
@@ -489,6 +681,25 @@ TEST(Recorder, WriteCrashReportIsCompleteAndParseable) {
   EXPECT_NE(report.find("--- metrics ---"), std::string::npos);
   EXPECT_NE(report.find("\"obs_test.crash_marker\":"), std::string::npos);
   std::filesystem::remove(path);
+}
+
+TEST(Recorder, CrashReportNamesOpenSpans) {
+  set_recorder_enabled(true);
+  const Span open("test.open", 7);
+  const auto path =
+      std::filesystem::temp_directory_path() / "obs_test_open_span.txt";
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  write_crash_report(fd, 0);
+  ::close(fd);
+  const std::string report = slurp_text(path);
+  std::filesystem::remove(path);
+  // A begin with the span's name and arg, and no end: the span is open.
+  EXPECT_NE(report.find("kind=span_begin dom=0 name=test.open b=7\n"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("kind=span_end dom=0 name=test.open "),
+            std::string::npos);
 }
 
 TEST(Recorder, Sigusr2DuringStreamReplayDumpsShardEventsAndMetrics) {
@@ -705,8 +916,9 @@ TEST(LogFile, UnopenablePathReportsTheStderrFallback) {
 }
 
 TEST(ZeroPerturbation, Fig5IdenticalWithRecorderExporterAndWatchdogOn) {
-  // The PR 7 contract: figures stay bit-identical with ALL of telemetry v2
-  // enabled — flight recorder, Prometheus exporter, and watchdog.
+  // Figures stay bit-identical with every telemetry surface on — the flight
+  // recorder with its spans, the trace export, the Prometheus exporter and
+  // the watchdog — and with all of it off.
   auto run = [&] {
     stats::Rng rng(7);
     core::Fig5Params params;
@@ -722,8 +934,13 @@ TEST(ZeroPerturbation, Fig5IdenticalWithRecorderExporterAndWatchdogOn) {
   const core::Fig5Result on = run();
   stop_watchdog();
   stop_exporter();
-  set_recorder_enabled(true);
   EXPECT_NE(port, 0);
+  const auto path =
+      std::filesystem::temp_directory_path() / "obs_test_fig5_trace.json";
+  ASSERT_TRUE(write_chrome_trace(path.string()));
+  EXPECT_NE(slurp_text(path).find("\"name\":\"core.fig5_prediction\""),
+            std::string::npos);
+  std::filesystem::remove(path);
 
   EXPECT_EQ(off.cross_validation.pooled.tp, on.cross_validation.pooled.tp);
   EXPECT_EQ(off.cross_validation.pooled.tn, on.cross_validation.pooled.tn);

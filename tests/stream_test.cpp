@@ -15,6 +15,8 @@
 #include "src/core/experiment.h"
 #include "src/data/snapshot_format.h"
 #include "src/data/synthetic.h"
+#include "src/obs/metrics.h"
+#include "src/obs/recorder.h"
 #include "src/runtime/thread_pool.h"
 #include "src/stream/checkpoint.h"
 #include "src/stream/source.h"
@@ -480,6 +482,7 @@ TEST_F(StreamTest, RejectsMalformedCheckpoints) {
   const std::vector<char> good = slurp(path);
   ASSERT_GT(good.size(), 64u);
 
+  // Every refusal names the checkpoint file.
   const auto expect_throw = [&](const std::filesystem::path& p,
                                 const std::string& needle) {
     try {
@@ -487,6 +490,9 @@ TEST_F(StreamTest, RejectsMalformedCheckpoints) {
       FAIL() << "expected restore to reject " << p;
     } catch (const std::runtime_error& err) {
       EXPECT_NE(std::string(err.what()).find(needle), std::string::npos)
+          << err.what();
+      EXPECT_NE(std::string(err.what()).find(p.filename().string()),
+                std::string::npos)
           << err.what();
     }
   };
@@ -509,6 +515,50 @@ TEST_F(StreamTest, RejectsMalformedCheckpoints) {
     spew(file("trunc.ckpt"), bad);
     expect_throw(file("trunc.ckpt"), "truncated");
   }
+  {
+    // Checksum-clean, but the cascade checkpoint list claims 4000 entries
+    // (under the 4096 plausibility cap) in a meta section that holds three:
+    // the in-section overrun must name the file too. The count follows the
+    // fixed-width meta fields, at byte 64.
+    std::vector<snapfmt::Section> sections = engine.checkpoint_sections();
+    std::vector<char> meta = sections[0].body.bytes();
+    const std::uint32_t hostile = 4000;
+    std::memcpy(meta.data() + 64, &hostile, sizeof(hostile));
+    sections[0].body = {};
+    sections[0].body.raw(meta.data(), meta.size());
+    snapfmt::write_section_file(file("count.ckpt"), sections);
+    expect_throw(file("count.ckpt"),
+                 "truncated file (section overruns payload)");
+  }
+}
+
+TEST_F(StreamTest, RestoreLatencyCountsOnlySuccessfulRestores) {
+  // stream.checkpoint_restore_us is fed by the restore's span, which
+  // observes only on normal exit.
+  obs::set_recorder_enabled(true);
+  const obs::Histogram& restore_us =
+      obs::Registry::global().histogram("stream.checkpoint_restore_us");
+  const auto& corpus = small_corpus().corpus;
+  StreamEngine engine(small_stream(), corpus.network);
+  engine.run_until(engine.total_events() / 3);
+  const auto good = file("good.ckpt");
+  engine.save_checkpoint(good);
+
+  // The same checkpoint with its stream fingerprint (meta byte 8) flipped.
+  std::vector<snapfmt::Section> sections = engine.checkpoint_sections();
+  std::vector<char> meta = sections[0].body.bytes();
+  meta[8] ^= 0x01;
+  sections[0].body = {};
+  sections[0].body.raw(meta.data(), meta.size());
+  const auto forged = file("fingerprint.ckpt");
+  snapfmt::write_section_file(forged, sections);
+
+  StreamEngine resumed(small_stream(), corpus.network);
+  const std::uint64_t before = restore_us.count();
+  EXPECT_THROW(resumed.restore_checkpoint(forged), std::runtime_error);
+  EXPECT_EQ(restore_us.count(), before);
+  resumed.restore_checkpoint(good);
+  EXPECT_EQ(restore_us.count(), before + 1);
 }
 
 TEST_F(StreamTest, RejectsCheckpointFromDifferentStreamOrConfig) {
