@@ -34,7 +34,10 @@
 #            prediction-comparison bench in --smoke mode (downscaled
 #            corpora), which generates every named scenario, races the
 #            Bayes fit against the C4.5 tree, and fails unless every
-#            model id in dynamics::kModelIds is covered by the matrix
+#            model id in dynamics::kModelIds is covered by the matrix;
+#            then scripts/figure_digests.sh (full-size figure benches at
+#            seed 42, built in build/), which fails unless every bench's
+#            stdout is identical at DIGG_THREADS=1 and =4
 #   simd     Release build + the kernel-dispatch smoke: run the SIMD
 #            differential property suite and the hybrid-set suite under
 #            DIGG_SIMD=scalar and =native, then a downscaled fig3a under
@@ -252,6 +255,8 @@ if [[ $MODE == scenarios || $MODE == all ]]; then
   cmake --build "$RELEASE_DIR" -j "$JOBS" --target fig7_model_prediction
   echo "== [scenario smoke] every scenario x both predictors =="
   "$RELEASE_DIR"/bench/fig7_model_prediction --smoke
+  echo "== [scenario smoke] figure stdout invariant across thread counts =="
+  scripts/figure_digests.sh 42
 fi
 
 if [[ $MODE == simd || $MODE == all ]]; then

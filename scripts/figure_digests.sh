@@ -12,7 +12,8 @@
 #   diff before.txt after.txt
 #
 # The two thread counts of one bench must also agree: stdout is
-# thread-count invariant by contract.
+# thread-count invariant by contract. The script exits 1, naming every
+# bench whose two digests differ, after printing all lines.
 #
 # Usage: scripts/figure_digests.sh [seed]   (default seed 42)
 set -euo pipefail
@@ -26,9 +27,19 @@ BENCHES=(fig3a_influence fig3b_cascades fig4_innetwork_vs_final
 cmake -B build -S . >/dev/null
 cmake --build build -j --target "${BENCHES[@]}" >/dev/null
 
+mismatched=()
+declare -A digests
 for bench in "${BENCHES[@]}"; do
   for threads in 1 4; do
     digest=$(DIGG_THREADS=$threads "build/bench/$bench" "$SEED" | sha256sum)
-    echo "$bench $threads ${digest%% *}"
+    digests[$threads]=${digest%% *}
+    echo "$bench $threads ${digests[$threads]}"
   done
+  [[ ${digests[1]} == "${digests[4]}" ]] || mismatched+=("$bench")
 done
+
+if [[ ${#mismatched[@]} -gt 0 ]]; then
+  echo "figure_digests: stdout differs between DIGG_THREADS=1 and =4:" \
+    "${mismatched[*]}" >&2
+  exit 1
+fi

@@ -6,19 +6,16 @@
 //
 // VisibilitySet supports incremental updates (add one voter at a time) so
 // the vote simulators stay O(sum of fan degrees) per story, and their fan
-// channel can sample current watchers. Its watcher and voter sets are
-// hybrid small-sets (hybrid_set.h). The analysis quantities need no set:
-// core/prefix_visibility.h computes them from the vote prefix, and the
-// tests use VisibilitySet as its oracle.
+// channel can consume newly exposed watchers. Its watcher and voter sets are
+// two word-packed bitmaps over the network's users (users/4 bytes per set),
+// so every membership probe is one word test. The analysis quantities need
+// no set: core/prefix_visibility.h computes them from the vote prefix, and
+// the tests use VisibilitySet as its oracle.
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
-#include "src/digg/hybrid_set.h"
 #include "src/digg/types.h"
-#include "src/stats/rng.h"
 
 namespace digg::platform {
 
@@ -31,57 +28,51 @@ class VisibilitySet {
   VisibilitySet() = default;
   explicit VisibilitySet(const graph::Digraph& network)
       : network_(&network),
-        watchers_(network.node_count()),
-        voters_(network.node_count()) {}
+        watchers_(word_count(network.node_count())),
+        voters_(word_count(network.node_count())) {}
 
   /// Records a vote: `voter` stops being a watcher (they have acted) and all
-  /// of the voter's fans become watchers.
+  /// of the voter's fans who have not voted become watchers. Throws
+  /// std::invalid_argument, changing nothing, if `voter` already voted.
+  /// Voters outside the network are recorded but expose no one.
   void add_voter(UserId voter);
 
   /// Users who can currently see the story but have not voted.
   [[nodiscard]] std::size_t influence() const noexcept {
-    return watchers_.size();
+    return watcher_count_;
   }
   [[nodiscard]] bool can_see(UserId user) const noexcept {
-    return watchers_.contains(user);
+    return test(watchers_, user);
   }
   [[nodiscard]] bool has_voted(UserId user) const noexcept {
-    return voters_.contains(user);
+    return test(voters_, user);
   }
-  [[nodiscard]] std::size_t voter_count() const noexcept {
-    return voters_.size();
-  }
-
-  /// Uniform-ish random current watcher in O(1) expected time (rejection
-  /// sampling over an insertion pool with lazy deletion). Returns nullopt if
-  /// there are no watchers. Used by the vote simulator's fan channel.
-  [[nodiscard]] std::optional<UserId> sample_watcher(stats::Rng& rng) const;
 
   /// Append-only log of users in the order they first became watchers.
   /// Entries may be stale (the user has since voted); each user appears at
   /// most once. The vote simulator consumes this incrementally to drive its
   /// one-shot exposure model.
   [[nodiscard]] const std::vector<UserId>& exposure_log() const noexcept {
-    return watcher_pool_;
+    return exposure_log_;
   }
 
  private:
-  const graph::Digraph* network_ = nullptr;
-  HybridSet watchers_;
-  HybridSet voters_;
-  std::vector<UserId> watcher_pool_;  // insertion log; may contain stale ids
-};
+  using Word = std::uint64_t;
+  static constexpr unsigned kWordBits = 64;
 
-/// Friends-interface activity summary ("stories my friends submitted /
-/// dugg in the preceding 48 hours", §3): ids of stories visible to `user`
-/// among `stories` given vote records up to time `now`.
-struct FriendsActivity {
-  std::vector<StoryId> submitted_by_friends;
-  std::vector<StoryId> dugg_by_friends;
+  static std::size_t word_count(std::size_t bits) noexcept {
+    return (bits + kWordBits - 1) / kWordBits;
+  }
+  static bool test(const std::vector<Word>& bits, UserId id) noexcept {
+    const std::size_t word = id / kWordBits;
+    return word < bits.size() && ((bits[word] >> (id % kWordBits)) & 1u) != 0;
+  }
+
+  const graph::Digraph* network_ = nullptr;
+  std::vector<Word> watchers_;  // node_count bits: fans are network ids
+  std::vector<Word> voters_;    // grows for voters outside the network
+  std::size_t watcher_count_ = 0;
+  std::vector<UserId> exposure_log_;
 };
-[[nodiscard]] FriendsActivity friends_activity(
-    UserId user, std::span<const Story> stories,
-    const graph::Digraph& network, Minutes now,
-    Minutes lookback = 48.0 * kMinutesPerHour);
 
 }  // namespace digg::platform

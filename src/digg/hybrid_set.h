@@ -1,10 +1,13 @@
 #pragma once
-// Hybrid small-set over uint32 keys in a bounded universe — the successor to
-// the dense epoch-stamp representation this repo used for *per-story* state.
-// A dense stamp array costs O(universe) bytes per set no matter how small the
-// set is; with 120k users that is ~480 KB for a visibility set that typically
-// holds a few hundred watchers, which is exactly where the streaming engine's
-// memory went. The hybrid keeps two representations and promotes one way:
+// Hybrid small-set over uint32 keys in a bounded universe: a set whose bytes
+// scale with its cardinality, capped by a bitmap. It was built for per-story
+// sets kept by the thousand, where a dense array costs O(universe) bytes per
+// set no matter how small the set is. No library path uses it any more:
+// VisibilitySet keeps two plain bitmaps (one live set per worker), and the
+// analysis recounts from the vote prefix. Its remaining callers are
+// bench/perf_visibility, the benchmark's digg.union_* gauge and the tests,
+// so it goes with the next benchmark change. It keeps two representations
+// and promotes one way:
 //
 //   - ARRAY mode (the common case): a sorted unique uint32 vector `main_`
 //     plus two small unsorted staging buffers — `tail_` for pending inserts
@@ -23,10 +26,9 @@
 //     become O(1) word probes; a span union is O(|span|).
 //
 // Both modes implement exact set semantics, so every query result is
-// independent of the representation — figure outputs cannot depend on when a
-// set promoted. Determinism contract: iteration-order-sensitive callers
-// (VisibilitySet's exposure log) only observe union_span's on_new callback,
-// which fires in span order in both modes.
+// independent of the representation. Determinism contract:
+// iteration-order-sensitive callers only observe union_span's on_new
+// callback, which fires in span order in both modes.
 //
 // Keys may exceed the declared universe (vote columns can reference users
 // outside the fan graph); insert grows the universe on demand, like the

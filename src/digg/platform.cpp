@@ -23,7 +23,7 @@ StoryState Site::submit(StoryId id, UserId submitter, double quality,
   if (submitter >= users_.size())
     throw std::out_of_range("Site::submit: unknown user");
   StoryState state{make_story(id, submitter, now, quality),
-                   VisibilitySet(network_)};
+                   VisibilitySet(network_), /*vote_mass=*/1.0};
   state.visibility.add_voter(submitter);
   return state;
 }
@@ -34,10 +34,20 @@ bool Site::vote(StoryState& state, UserId user, Minutes now) const {
   Story& s = state.story;
   if (s.phase == StoryPhase::kExpired)
     throw std::logic_error("Site::vote: story expired");
-  add_vote(s, user, now);
+  if (s.voters.empty())
+    throw std::logic_error("Site::vote: story not submitted");
+  if (state.visibility.has_voted(user))
+    throw std::invalid_argument("Site::vote: duplicate voter");
+  if (now < s.times.back())
+    throw std::invalid_argument("Site::vote: votes must be chronological");
+  // Classify before add_voter: a voter who could already see the story is
+  // a fan of some prior voter.
+  const bool fan_of_prior_voter = state.visibility.can_see(user);
   state.visibility.add_voter(user);
-  if (s.phase == StoryPhase::kUpcoming &&
-      policy_->should_promote(s, network_, now)) {
+  s.voters.push_back(user);
+  s.times.push_back(now);
+  state.vote_mass += policy_->vote_weight(fan_of_prior_voter);
+  if (s.phase == StoryPhase::kUpcoming && policy_->should_promote(state, now)) {
     s.phase = StoryPhase::kFrontPage;
     s.promoted_at = now;
     return true;

@@ -3,10 +3,11 @@
 // simulated in parallel:
 //   - Site: the immutable part — fan network, user population, promotion
 //     policy and queue parameters. Workers share one Site read-only.
-//   - StoryState: one story's mutable part — its record plus its live
-//     Friends-interface visibility set. Owned by whichever worker simulates
-//     the story; the Site's const member functions step it (validate and
-//     record a vote, run the promotion check, expire a stale submission).
+//   - StoryState: one story's mutable part — its record, its live
+//     Friends-interface visibility set and its running vote mass. Owned by
+//     whichever worker simulates the story; the Site's const member
+//     functions step it (validate and record a vote, run the promotion
+//     check, expire a stale submission).
 //   - Platform: a whole site on one clock — a Site plus every story's state
 //     and the upcoming/front-page listings — for simulations in which
 //     stories compete (dynamics/site_sim.h). It keeps one visibility set per
@@ -30,6 +31,9 @@ namespace digg::platform {
 struct StoryState {
   Story story;
   VisibilitySet visibility;
+  /// Sum of the policy's vote weights in vote order: 1.0 for the
+  /// submitter's digg, then PromotionPolicy::vote_weight per vote.
+  double vote_mass = 0.0;
 };
 
 /// The immutable site. Neither copyable nor movable: every StoryState's
@@ -48,8 +52,10 @@ class Site {
 
   /// Records a digg on `state`. Returns true if this vote triggered
   /// promotion. Throws std::out_of_range for an unknown user,
-  /// std::logic_error if the story expired, and std::invalid_argument for a
-  /// repeat or out-of-order vote.
+  /// std::logic_error if the story expired or was never submitted, and
+  /// std::invalid_argument for a repeat or out-of-order vote; a refused
+  /// vote leaves `state` unchanged. O(fans of `user`): the duplicate check
+  /// probes the visibility set, not the vote column.
   bool vote(StoryState& state, UserId user, Minutes now) const;
 
   /// Expires the story if it is still upcoming and older than the queue

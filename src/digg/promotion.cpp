@@ -1,15 +1,15 @@
 #include "src/digg/promotion.h"
 
-#include "src/digg/hybrid_set.h"
+#include "src/digg/platform.h"
 
 namespace digg::platform {
 
 VoteCountPolicy::VoteCountPolicy(std::size_t threshold, Minutes window)
     : threshold_(threshold), window_(window) {}
 
-bool VoteCountPolicy::should_promote(const Story& story,
-                                     const graph::Digraph& /*network*/,
+bool VoteCountPolicy::should_promote(const StoryState& state,
                                      Minutes now) const {
+  const Story& story = state.story;
   if (now - story.submitted_at > window_) return false;
   return story.vote_count() >= threshold_;
 }
@@ -21,9 +21,9 @@ VoteRatePolicy::VoteRatePolicy(std::size_t threshold, std::size_t rate_votes,
       rate_window_(rate_window),
       window_(window) {}
 
-bool VoteRatePolicy::should_promote(const Story& story,
-                                    const graph::Digraph& /*network*/,
+bool VoteRatePolicy::should_promote(const StoryState& state,
                                     Minutes now) const {
+  const Story& story = state.story;
   if (now - story.submitted_at > window_) return false;
   if (story.vote_count() < threshold_) return false;
   if (story.vote_count() < rate_votes_) return false;
@@ -37,34 +37,10 @@ DiversityPolicy::DiversityPolicy(double weighted_threshold,
       fan_vote_weight_(fan_vote_weight),
       window_(window) {}
 
-double DiversityPolicy::weighted_votes(const Story& story,
-                                       const graph::Digraph& network) const {
-  // A vote is "in-network" if the voter is a fan of any prior voter
-  // (including the submitter). visible = users who follow some prior voter.
-  // Hybrid scratch set reused across calls: each vote merges one sorted fan
-  // span and membership is a galloping search (or a bit probe once big), so
-  // the per-vote promotion check stays cheap.
-  thread_local HybridSet watchers_of_prior;
-  watchers_of_prior.reset(network.node_count());
-  double mass = 0.0;
-  for (std::size_t i = 0; i < story.voters.size(); ++i) {
-    const UserId voter = story.voters[i];
-    if (i == 0) {
-      mass += 1.0;  // submitter's own digg counts fully
-    } else {
-      mass += watchers_of_prior.contains(voter) ? fan_vote_weight_ : 1.0;
-    }
-    if (voter < network.node_count())
-      watchers_of_prior.union_span(network.fans(voter));
-  }
-  return mass;
-}
-
-bool DiversityPolicy::should_promote(const Story& story,
-                                     const graph::Digraph& network,
+bool DiversityPolicy::should_promote(const StoryState& state,
                                      Minutes now) const {
-  if (now - story.submitted_at > window_) return false;
-  return weighted_votes(story, network) >= weighted_threshold_;
+  if (now - state.story.submitted_at > window_) return false;
+  return state.vote_mass >= weighted_threshold_;
 }
 
 std::unique_ptr<PromotionPolicy> make_june2006_policy() {

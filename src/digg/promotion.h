@@ -20,15 +20,24 @@
 
 namespace digg::platform {
 
+struct StoryState;  // platform.h
+
 /// Decision interface consulted after every vote on an upcoming story.
 class PromotionPolicy {
  public:
   virtual ~PromotionPolicy() = default;
 
-  /// True if the story should be promoted now. `network` is the fan graph
-  /// (needed by diversity-aware policies).
-  [[nodiscard]] virtual bool should_promote(const Story& story,
-                                            const graph::Digraph& network,
+  /// The weight a vote (after the submitter's) adds to the story's running
+  /// vote mass, StoryState::vote_mass. `fan_of_prior_voter` is true when
+  /// the voter could already see the story through the Friends interface.
+  /// Site::vote calls it once per vote, in vote order.
+  [[nodiscard]] virtual double vote_weight(
+      bool /*fan_of_prior_voter*/) const noexcept {
+    return 1.0;
+  }
+
+  /// True if the story should be promoted now.
+  [[nodiscard]] virtual bool should_promote(const StoryState& state,
                                             Minutes now) const = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -41,8 +50,7 @@ class VoteCountPolicy final : public PromotionPolicy {
   explicit VoteCountPolicy(std::size_t threshold = 43,
                            Minutes window = kMinutesPerDay);
 
-  [[nodiscard]] bool should_promote(const Story& story,
-                                    const graph::Digraph& network,
+  [[nodiscard]] bool should_promote(const StoryState& state,
                                     Minutes now) const override;
   [[nodiscard]] std::string name() const override { return "vote-count"; }
   [[nodiscard]] std::size_t threshold() const noexcept { return threshold_; }
@@ -60,8 +68,7 @@ class VoteRatePolicy final : public PromotionPolicy {
                  Minutes rate_window = 4.0 * kMinutesPerHour,
                  Minutes window = kMinutesPerDay);
 
-  [[nodiscard]] bool should_promote(const Story& story,
-                                    const graph::Digraph& network,
+  [[nodiscard]] bool should_promote(const StoryState& state,
                                     Minutes now) const override;
   [[nodiscard]] std::string name() const override { return "vote-rate"; }
 
@@ -75,21 +82,21 @@ class VoteRatePolicy final : public PromotionPolicy {
 /// The September-2006 "unique digging diversity" variant: each vote is
 /// weighted by how independent the voter is of prior voters — a vote from a
 /// fan of any previous voter counts `fan_vote_weight` (< 1), an independent
-/// vote counts 1. Promote when the weighted sum reaches the threshold.
+/// vote counts 1. Promote when the weighted sum (the story's vote mass)
+/// reaches the threshold.
 class DiversityPolicy final : public PromotionPolicy {
  public:
   explicit DiversityPolicy(double weighted_threshold = 43.0,
                            double fan_vote_weight = 0.4,
                            Minutes window = kMinutesPerDay);
 
-  [[nodiscard]] bool should_promote(const Story& story,
-                                    const graph::Digraph& network,
+  [[nodiscard]] double vote_weight(
+      bool fan_of_prior_voter) const noexcept override {
+    return fan_of_prior_voter ? fan_vote_weight_ : 1.0;
+  }
+  [[nodiscard]] bool should_promote(const StoryState& state,
                                     Minutes now) const override;
   [[nodiscard]] std::string name() const override { return "diversity"; }
-
-  /// The diversity-weighted vote mass of the story's current votes.
-  [[nodiscard]] double weighted_votes(const Story& story,
-                                      const graph::Digraph& network) const;
 
  private:
   double weighted_threshold_;

@@ -13,9 +13,13 @@ namespace digg::platform {
 
 /// Appends a vote, enforcing chronological order, no duplicate voters, and
 /// that the first vote belongs to the submitter. Throws on violations.
+/// O(votes) per call, for stories built by hand (tests, examples); the
+/// simulators vote through Site::vote, which checks against its visibility
+/// bitmap instead.
 void add_vote(Story& story, UserId user, Minutes time);
 
-/// True if `user` has already voted on `story`. O(votes) span scan.
+/// True if `user` has already voted on `story`. O(votes) span scan, off
+/// the simulators' vote path (VisibilitySet::has_voted is the O(1) probe).
 [[nodiscard]] bool has_voted(const StoryView& story, UserId user);
 
 /// Voters of the first `n` votes *after* the submitter's own (paper

@@ -10,11 +10,10 @@ namespace digg::graph {
 namespace {
 
 // Post-condition of build(): every adjacency row is strictly increasing
-// (sorted + deduplicated). The hybrid visibility sets (src/digg/hybrid_set.h)
-// consume fans()/friends() spans through HybridSet::union_span, whose SIMD
-// merge kernels assume strictly-increasing input and would silently drop or
-// misplace elements otherwise — union_span itself only asserts in debug
-// builds. So the invariant is enforced unconditionally at the single place
+// (sorted + deduplicated). HybridSet (src/digg/hybrid_set.h) consumes
+// fans()/friends() spans through union_span, whose SIMD merge kernels
+// assume strictly-increasing input and would silently drop or misplace
+// elements otherwise — union_span itself only asserts in debug builds. So the invariant is enforced unconditionally at the single place
 // rows are materialised (one predictable O(E) scan over columns build() just
 // wrote, ~free next to the counting sort) instead of defended per consumer.
 // from_parts/from_views reach the same guarantee through check_csr below.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "src/digg/story.h"
+#include <algorithm>
+#include <numeric>
+#include <set>
+
 #include "src/stats/rng.h"
 
 namespace digg::platform {
@@ -37,7 +40,7 @@ TEST(VisibilitySet, VotersLeaveWatcherSet) {
   EXPECT_FALSE(vis.can_see(1));
   EXPECT_TRUE(vis.can_see(3));
   EXPECT_EQ(vis.influence(), 2u);  // {2, 3}
-  EXPECT_EQ(vis.voter_count(), 2u);
+  EXPECT_TRUE(vis.has_voted(1));
 }
 
 TEST(VisibilitySet, PriorVotersNeverReenter) {
@@ -64,38 +67,6 @@ TEST(VisibilitySet, VoterOutsideNetworkTolerated) {
   EXPECT_TRUE(vis.has_voted(1000));
 }
 
-TEST(VisibilitySet, SampleWatcherReturnsLiveWatcher) {
-  const graph::Digraph net = small_network();
-  VisibilitySet vis(net);
-  vis.add_voter(0);
-  stats::Rng rng(1);
-  for (int i = 0; i < 50; ++i) {
-    const auto w = vis.sample_watcher(rng);
-    ASSERT_TRUE(w.has_value());
-    EXPECT_TRUE(vis.can_see(*w));
-  }
-}
-
-TEST(VisibilitySet, SampleWatcherEmptyIsNullopt) {
-  const graph::Digraph net = small_network();
-  VisibilitySet vis(net);
-  stats::Rng rng(1);
-  EXPECT_FALSE(vis.sample_watcher(rng).has_value());
-}
-
-TEST(VisibilitySet, SampleWatcherSkipsStaleEntries) {
-  const graph::Digraph net = small_network();
-  VisibilitySet vis(net);
-  vis.add_voter(0);   // watchers {1,2}
-  vis.add_voter(1);   // 1 votes; watcher pool still holds 1 (stale)
-  stats::Rng rng(2);
-  for (int i = 0; i < 50; ++i) {
-    const auto w = vis.sample_watcher(rng);
-    ASSERT_TRUE(w.has_value());
-    EXPECT_NE(*w, 1u);
-  }
-}
-
 TEST(VisibilitySet, ExposureLogUniqueEntries) {
   const graph::Digraph net = small_network();
   VisibilitySet vis(net);
@@ -105,57 +76,87 @@ TEST(VisibilitySet, ExposureLogUniqueEntries) {
   EXPECT_EQ(std::count(log.begin(), log.end(), 3u), 1);
 }
 
-TEST(FriendsActivity, SubmissionsAndDiggsVisible) {
-  // User 3 watches 1 and 2 (friends(3) = {1,2}).
-  graph::DigraphBuilder b(5);
-  b.add_follow(3, 1);
-  b.add_follow(3, 2);
-  const graph::Digraph net = b.build();
+// Reference model: the same fold over std::set, with the exposure log
+// appended in fan-span order as each fan first becomes a watcher.
+struct ReferenceVisibility {
+  std::set<UserId> watchers;
+  std::set<UserId> voters;
+  std::vector<UserId> log;
 
-  std::vector<Story> stories;
-  stories.push_back(make_story(0, 1, /*submitted_at=*/0.0, 0.5));  // friend 1
-  stories.push_back(make_story(1, 4, 10.0, 0.5));  // stranger submits
-  add_vote(stories[1], 2, 20.0);                   // friend 2 diggs it
+  void add_voter(const graph::Digraph& net, UserId voter) {
+    voters.insert(voter);
+    watchers.erase(voter);
+    if (voter >= net.node_count()) return;
+    for (const UserId fan : net.fans(voter))
+      if (voters.count(fan) == 0 && watchers.insert(fan).second)
+        log.push_back(fan);
+  }
+};
 
-  const FriendsActivity act = friends_activity(3, stories, net, /*now=*/30.0);
-  ASSERT_EQ(act.submitted_by_friends.size(), 1u);
-  EXPECT_EQ(act.submitted_by_friends[0], 0u);
-  ASSERT_EQ(act.dugg_by_friends.size(), 1u);
-  EXPECT_EQ(act.dugg_by_friends[0], 1u);
+// Every query of `vis` against the model, over the whole network plus the
+// out-of-network ids `extra`.
+void expect_matches(const VisibilitySet& vis, const ReferenceVisibility& ref,
+                    const graph::Digraph& net,
+                    const std::vector<UserId>& extra) {
+  ASSERT_EQ(vis.exposure_log(), ref.log);
+  ASSERT_EQ(vis.influence(), ref.watchers.size());
+  auto probe = [&](UserId u) {
+    ASSERT_EQ(vis.can_see(u), ref.watchers.count(u) == 1) << "user " << u;
+    ASSERT_EQ(vis.has_voted(u), ref.voters.count(u) == 1) << "user " << u;
+  };
+  for (UserId u = 0; u < net.node_count(); ++u) probe(u);
+  for (const UserId u : extra) probe(u);
 }
 
-TEST(FriendsActivity, LookbackWindowApplies) {
-  graph::DigraphBuilder b(4);
-  b.add_follow(3, 1);
-  const graph::Digraph net = b.build();
-  std::vector<Story> stories;
-  stories.push_back(make_story(0, 1, 0.0, 0.5));
-  // 49 hours later, the submission is outside the 48h window.
-  const FriendsActivity act =
-      friends_activity(3, stories, net, /*now=*/49.0 * 60.0);
-  EXPECT_TRUE(act.submitted_by_friends.empty());
-}
+class VisibilityReference : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST(FriendsActivity, FutureVotesInvisible) {
-  graph::DigraphBuilder b(4);
-  b.add_follow(3, 1);
-  const graph::Digraph net = b.build();
-  std::vector<Story> stories;
-  stories.push_back(make_story(0, 2, 0.0, 0.5));
-  add_vote(stories[0], 1, 100.0);  // friend diggs at t=100
-  const FriendsActivity before = friends_activity(3, stories, net, 50.0);
-  EXPECT_TRUE(before.dugg_by_friends.empty());
-  const FriendsActivity after = friends_activity(3, stories, net, 150.0);
-  EXPECT_EQ(after.dugg_by_friends.size(), 1u);
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, VisibilityReference,
+                         ::testing::Values(1, 7, 42));
 
-TEST(FriendsActivity, UnknownUserSeesNothing) {
-  const graph::Digraph net = small_network();
-  std::vector<Story> stories;
-  stories.push_back(make_story(0, 0, 0.0, 0.5));
-  const FriendsActivity act = friends_activity(1000, stories, net, 10.0);
-  EXPECT_TRUE(act.submitted_by_friends.empty());
-  EXPECT_TRUE(act.dugg_by_friends.empty());
+TEST_P(VisibilityReference, BitmapFoldMatchesSetFold) {
+  stats::Rng rng(GetParam());
+  constexpr UserId kUsers = 5000;
+  constexpr UserId kHub = 17;
+  graph::DigraphBuilder b(kUsers);
+  // A hub with more than 4,000 fans, plus a sparse random fan graph.
+  for (UserId u = 0; u < kUsers; ++u)
+    if (u != kHub && rng.bernoulli(0.85)) b.add_fan(kHub, u);
+  for (int e = 0; e < 20000; ++e) {
+    const auto from = static_cast<UserId>(rng.uniform_int(0, kUsers - 1));
+    const auto to = static_cast<UserId>(rng.uniform_int(0, kUsers - 1));
+    if (from != to) b.add_fan(from, to);
+  }
+  const graph::Digraph net = b.build();
+  ASSERT_GT(net.fans(kHub).size(), 4000u);
+
+  // 150 distinct network voters in random order, the hub among them, and
+  // voters past node_count — one beyond the last bitmap word.
+  std::vector<UserId> order(kUsers);
+  std::iota(order.begin(), order.end(), UserId{0});
+  std::shuffle(order.begin(), order.end(), rng.engine());
+  order.resize(150);
+  if (std::find(order.begin(), order.end(), kHub) == order.end())
+    order[static_cast<std::size_t>(rng.uniform_int(0, 149))] = kHub;
+  const std::vector<UserId> outside = {kUsers, kUsers + 1, kUsers + 64,
+                                       kUsers + 1000};
+  for (const UserId u : outside)
+    order.insert(order.begin() +
+                     rng.uniform_int(0, static_cast<std::int64_t>(order.size())),
+                 u);
+
+  VisibilitySet vis(net);
+  ReferenceVisibility ref;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    vis.add_voter(order[i]);
+    ref.add_voter(net, order[i]);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(vis, ref, net, outside));
+    // A repeat of any earlier voter throws and changes nothing.
+    const UserId repeat =
+        order[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(i)))];
+    EXPECT_THROW(vis.add_voter(repeat), std::invalid_argument);
+    ASSERT_NO_FATAL_FAILURE(expect_matches(vis, ref, net, outside));
+  }
 }
 
 }  // namespace

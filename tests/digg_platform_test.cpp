@@ -150,5 +150,39 @@ TEST(Site, RejectsUnknownUsers) {
   EXPECT_EQ(s.story.vote_count(), 1u);
 }
 
+TEST(Site, RefusedVotesLeaveTheStoryUnchanged) {
+  const Platform p = make_platform(64, 10);
+  const Site& site = p.site();
+  StoryState s = site.submit(0, 0, 0.5, 0.0);
+  site.vote(s, 1, 5.0);  // fan of the submitter
+  site.vote(s, 20, 6.0);
+  const std::vector<UserId> voters = s.story.voters;
+  const std::vector<Minutes> times = s.story.times;
+  const std::size_t influence = s.visibility.influence();
+  const std::vector<UserId> log = s.visibility.exposure_log();
+  const double mass = s.vote_mass;
+  auto expect_unchanged = [&] {
+    EXPECT_EQ(s.story.voters, voters);
+    EXPECT_EQ(s.story.times, times);
+    EXPECT_EQ(s.story.phase, StoryPhase::kUpcoming);
+    EXPECT_EQ(s.visibility.influence(), influence);
+    EXPECT_EQ(s.visibility.exposure_log(), log);
+    EXPECT_EQ(s.vote_mass, mass);
+  };
+  EXPECT_THROW(site.vote(s, 1, 7.0), std::invalid_argument);  // duplicate
+  expect_unchanged();
+  EXPECT_THROW(site.vote(s, 0, 7.0), std::invalid_argument);  // submitter
+  expect_unchanged();
+  // Out of order, by a watcher whose vote would otherwise change influence.
+  ASSERT_TRUE(s.visibility.can_see(2));
+  EXPECT_THROW(site.vote(s, 2, 5.5), std::invalid_argument);
+  expect_unchanged();
+  EXPECT_FALSE(s.visibility.has_voted(2));
+  EXPECT_FALSE(site.vote(s, 2, 6.0));  // the same vote, in order
+  EXPECT_EQ(s.story.vote_count(), voters.size() + 1);
+  StoryState unopened;
+  EXPECT_THROW(site.vote(unopened, 1, 0.0), std::logic_error);
+}
+
 }  // namespace
 }  // namespace digg::platform

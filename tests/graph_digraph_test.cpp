@@ -120,8 +120,8 @@ TEST(Digraph, ImplicitNodeCreationFromEdges) {
   EXPECT_EQ(b.node_count(), 10u);
 }
 
-// Regression for the hybrid visibility sets (src/digg/hybrid_set.h), whose
-// span unions require strictly increasing adjacency rows: edges inserted in
+// Regression for HybridSet (src/digg/hybrid_set.h), whose span unions
+// require strictly increasing adjacency rows: edges inserted in
 // arbitrary (here descending, duplicated) order must come out of build() as
 // sorted, deduplicated rows in BOTH CSR directions.
 TEST(Digraph, UnsortedEdgeListsNormalizeAtBuild) {
