@@ -13,9 +13,10 @@
 // The union workload is additionally split by representation mode —
 // union_array_ns_per_op times each story's sorted-array prefix (every
 // union before the set promotes) and union_bitmap_ns_per_op the bitmap
-// remainder — because the two modes hit entirely different kernels
-// (src/simd set_diff vs bitmap_missing/bitmap_set) and a win in one must
-// not be masked by samples from the other.
+// remainder — because the two modes run entirely different code (the
+// galloping set difference vs src/simd's bitmap_missing/bitmap_set pair)
+// and a win in one must not be masked by samples from the other. The
+// banner's simd= field names the level the bitmap pair runs at.
 //
 // With --json <path> the gauges below land in the BENCH_visibility.json
 // perf-trajectory format; scripts/bench_check.py gates union_ns_per_op,

@@ -36,20 +36,15 @@
 #            Bayes fit against the C4.5 tree, and fails unless every
 #            model id in dynamics::kModelIds is covered by the matrix;
 #            then scripts/figure_digests.sh (full-size figure benches at
-#            seed 42, built in build/), which fails unless every bench's
-#            stdout is identical at DIGG_THREADS=1 and =4
-#   simd     Release build + the kernel-dispatch smoke: run the SIMD
-#            differential property suite and the hybrid-set suite under
-#            DIGG_SIMD=scalar and =native, then a downscaled fig3a under
-#            both levels and diff the stdout byte-for-byte — the scalar
-#            fallback must produce the exact figures the vector kernels do
+#            seed 42, built in $RELEASE_DIR), which fails unless every
+#            bench's stdout is identical at DIGG_THREADS=1 and =4
 #   all      every configuration above, failing fast on the first broken one
 #
 # The GitHub Actions matrix (.github/workflows/ci.yml) runs one mode per
 # job via this script, so CI legs are reproducible locally with the same
 # command CI uses.
 #
-# Usage: scripts/ci.sh [release|asan|tsan|large|obs|serve|scenarios|simd|all] [ctest args...]
+# Usage: scripts/ci.sh [release|asan|tsan|large|obs|serve|scenarios|all] [ctest args...]
 #   RELEASE_DIR / ASAN_DIR / TSAN_DIR
 #                build dirs (default build-release, build-asan, build-tsan)
 #   JOBS         parallelism (default nproc)
@@ -73,7 +68,7 @@ LARGE_STORIES=${LARGE_STORIES:-200}
 
 MODE=all
 case "${1:-}" in
-  release|asan|tsan|large|obs|serve|scenarios|simd|all)
+  release|asan|tsan|large|obs|serve|scenarios|all)
     MODE=$1
     shift
     ;;
@@ -256,40 +251,7 @@ if [[ $MODE == scenarios || $MODE == all ]]; then
   echo "== [scenario smoke] every scenario x both predictors =="
   "$RELEASE_DIR"/bench/fig7_model_prediction --smoke
   echo "== [scenario smoke] figure stdout invariant across thread counts =="
-  scripts/figure_digests.sh 42
-fi
-
-if [[ $MODE == simd || $MODE == all ]]; then
-  echo "== [simd smoke] configure + build ($RELEASE_DIR) =="
-  cmake -B "$RELEASE_DIR" -S . -DDIGG_WERROR="$WERROR" \
-    -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$RELEASE_DIR" -j "$JOBS" \
-    --target simd_kernel_test digg_hybrid_set_test fig3a_influence
-  echo "== [simd smoke] kernel + set suites at both dispatch levels =="
-  for level in scalar native; do
-    DIGG_SIMD=$level "$RELEASE_DIR"/tests/simd_kernel_test \
-      --gtest_brief=1
-    DIGG_SIMD=$level "$RELEASE_DIR"/tests/digg_hybrid_set_test \
-      --gtest_brief=1
-  done
-  echo "== [simd smoke] fig3a byte-identity scalar vs native =="
-  SIMD_TMP=$(mktemp -d)
-  # shellcheck disable=SC2064  # expand now, not at trap time
-  trap "rm -rf $SIMD_TMP" EXIT
-  # The scalar fallback must not merely agree statistically: the rendered
-  # figure output has to match the vector kernels byte-for-byte. The bench
-  # prints the active level, which legitimately differs — strip that line.
-  for level in scalar native; do
-    DIGG_SIMD=$level "$RELEASE_DIR"/bench/fig3a_influence --smoke \
-      | grep -v 'simd=' >"$SIMD_TMP/fig3a.$level"
-  done
-  if ! diff -u "$SIMD_TMP/fig3a.scalar" "$SIMD_TMP/fig3a.native"; then
-    echo "simd smoke: fig3a output differs between scalar and native" >&2
-    exit 1
-  fi
-  trap - EXIT
-  rm -rf "$SIMD_TMP"
-  echo "simd smoke: dispatch levels byte-identical"
+  BUILD_DIR="$RELEASE_DIR" scripts/figure_digests.sh 42
 fi
 
 if [[ $MODE == large || $MODE == all ]]; then

@@ -117,13 +117,30 @@ void HybridSet::flush() {
   dead_.clear();
 }
 
+std::size_t HybridSet::diff_against_main(std::span<const std::uint32_t> ids) {
+  flush();
+  scratch_.resize(ids.size());
+  scratch_pos_.resize(ids.size());
+  // Gallop with an advancing hint: ids and main_ both strictly increase, so
+  // each probe starts where the last one stopped — O(log gap) per id — and
+  // lands on the id's lower bound, which is its insertion point.
+  std::size_t pos = 0;
+  std::size_t k = 0;
+  for (const std::uint32_t id : ids) {
+    if (detail::gallop_contains(main_, id, pos)) continue;
+    scratch_[k] = id;
+    scratch_pos_[k] = static_cast<std::uint32_t>(pos);
+    ++k;
+  }
+  return k;
+}
+
 void HybridSet::promote() {
   flush();
   words_.assign((universe_ + 63) / 64, 0ull);
   // main_ is sorted and unique, so the word-run union kernel sets every
   // bit exactly once and its newly-set count is the cardinality.
-  bit_count_ =
-      simd::kernels().bitmap_set_u32(words_.data(), main_.data(), main_.size());
+  bit_count_ = simd::bitmap_set_u32(words_.data(), main_.data(), main_.size());
   bitmap_ = true;
   main_.clear();
   tail_.clear();

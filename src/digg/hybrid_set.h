@@ -15,15 +15,15 @@
 //     inserts/erases O(log n + kStageCap) amortized instead of an O(n)
 //     memmove each, and is folded into `main_` (flush) before any bulk op.
 //     Membership is a galloping binary search; bulk union with a sorted span
-//     (a CSR fan list) is a set-difference candidate pass (SIMD-dispatched,
-//     src/simd — vectorized block compare for dense segments, galloping for
-//     skewed size ratios) followed by one backward in-place merge — a set
-//     already saturated with the span costs only the lookups, no rewrite.
+//     (a CSR fan list) is a galloping set-difference candidate pass followed
+//     by one backward in-place merge — a set already saturated with the span
+//     costs only the lookups, no rewrite.
 //   - BITMAP mode: a word-packed bitmap of universe bits plus a size
 //     counter. Entered once size() crosses promote_threshold(universe) — the
 //     point where the sorted array would outweigh the bitmap
 //     (4*size >= universe/8) — and left only by reset(). All ops
-//     become O(1) word probes; a span union is O(|span|).
+//     become O(1) word probes; a span union is O(|span|), through the AVX2
+//     bitmap pair of src/simd where the host has AVX2.
 //
 // Both modes implement exact set semantics, so every query result is
 // independent of the representation. Determinism contract:
@@ -105,6 +105,10 @@ class HybridSet {
   /// Folds the staging buffers into main_ (array mode only). After flush,
   /// main_ alone is the set.
   void flush();
+  /// Array-mode candidate pass: flushes, then writes the ids absent from
+  /// main_ to scratch_ (in span order) and each one's lower bound in main_
+  /// to scratch_pos_. Returns the candidate count.
+  std::size_t diff_against_main(std::span<const std::uint32_t> ids);
   /// Array -> bitmap conversion (flushes first). One-way until reset.
   void promote();
   void grow_universe(std::size_t need);
@@ -173,17 +177,14 @@ void HybridSet::union_span(std::span<const std::uint32_t> ids, Accept&& accept,
   if (!ids.empty() && ids.back() >= universe_)
     grow_universe(static_cast<std::size_t>(ids.back()) + 1);
 
-  // Both modes run the same two-phase shape: a SIMD candidate pass finds
-  // the span ids not already present (in span order — the kernel contract),
-  // then a scalar pass runs accept/on_new over the candidates and commits
-  // the survivors. Splitting membership from the callbacks is unobservable
-  // because accept/on_new may not touch this set, and it is what lets the
-  // membership side vectorize at all.
-  const simd::KernelTable& kt = simd::kernels();
-
+  // Both modes run the same two-phase shape: a candidate pass finds the
+  // span ids not already present (in span order), then a second pass runs
+  // accept/on_new over the candidates and commits the survivors. Splitting
+  // membership from the callbacks is unobservable because accept/on_new may
+  // not touch this set, and it is what lets the bitmap side vectorize.
   if (bitmap_) {
     scratch_.resize(ids.size() + simd::kPackSlack);
-    const std::size_t n_cand = kt.bitmap_missing_u32(
+    const std::size_t n_cand = simd::bitmap_missing_u32(
         words_.data(), ids.data(), ids.size(), scratch_.data());
     std::size_t n_acc = 0;
     for (std::size_t i = 0; i < n_cand; ++i) {
@@ -192,21 +193,15 @@ void HybridSet::union_span(std::span<const std::uint32_t> ids, Accept&& accept,
       scratch_[n_acc++] = id;  // compact in place; reads stay ahead of writes
       on_new(id);
     }
-    bit_count_ += kt.bitmap_set_u32(words_.data(), scratch_.data(), n_acc);
+    bit_count_ += simd::bitmap_set_u32(words_.data(), scratch_.data(), n_acc);
     return;
   }
 
-  // Array mode. Canonicalize, then set-subtract the span against main_ to
-  // stage only the genuinely new ids: a saturated set pays the lookups and
-  // never rewrites. The kernel also reports each candidate's lower bound
-  // in main_ (it walks there to answer membership anyway), which the
-  // commit below consumes.
-  flush();
-  scratch_.resize(ids.size() + simd::kPackSlack);
-  scratch_pos_.resize(ids.size() + simd::kPackSlack);
-  const std::size_t n_cand =
-      kt.set_diff_u32(ids.data(), ids.size(), main_.data(), main_.size(),
-                      scratch_.data(), scratch_pos_.data());
+  // Array mode. Set-subtract the span against main_ to stage only the
+  // genuinely new ids: a saturated set pays the lookups and never rewrites.
+  // The pass also reports each candidate's lower bound in main_ (it walks
+  // there to answer membership anyway), which the commit below consumes.
+  const std::size_t n_cand = diff_against_main(ids);
   for (std::size_t i = 0; i < n_cand; ++i) {
     const std::uint32_t id = scratch_[i];
     if (!accept(id)) continue;
@@ -225,9 +220,7 @@ void HybridSet::union_span(std::span<const std::uint32_t> ids, Accept&& accept,
   // the block between consecutive insertion points right in one memmove
   // each — every element still moves at most once and only past the first
   // insertion point, but at memcpy speed. The insertion points come from
-  // the candidate pass above, so the merge does no searching at all; this
-  // loop is where the array-mode union actually spends its time once the
-  // membership pass is vectorized.
+  // the candidate pass above, so the merge does no searching at all.
   const std::size_t old_n = main_.size();
   const std::size_t add_n = tail_.size();
   main_.resize(old_n + add_n);

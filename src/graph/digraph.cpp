@@ -11,11 +11,13 @@ namespace {
 
 // Post-condition of build(): every adjacency row is strictly increasing
 // (sorted + deduplicated). HybridSet (src/digg/hybrid_set.h) consumes
-// fans()/friends() spans through union_span, whose SIMD merge kernels
-// assume strictly-increasing input and would silently drop or misplace
-// elements otherwise — union_span itself only asserts in debug builds. So the invariant is enforced unconditionally at the single place
-// rows are materialised (one predictable O(E) scan over columns build() just
-// wrote, ~free next to the counting sort) instead of defended per consumer.
+// fans()/friends() spans through union_span, whose galloping set difference
+// and bitmap word-run merge assume strictly-increasing input and would
+// silently drop or misplace elements otherwise — union_span itself only
+// asserts in debug builds. So the invariant is enforced unconditionally at
+// the single place rows are materialised (one predictable O(E) scan over
+// columns build() just wrote, ~free next to the counting sort) instead of
+// defended per consumer.
 // from_parts/from_views reach the same guarantee through check_csr below.
 void check_rows_sorted(std::span<const std::size_t> offsets,
                        std::span<const NodeId> ids, const char* what) {

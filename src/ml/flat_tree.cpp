@@ -1,8 +1,7 @@
 #include "src/ml/flat_tree.h"
 
+#include <cmath>
 #include <limits>
-
-#include "src/simd/dispatch.h"
 
 namespace digg::ml {
 
@@ -46,18 +45,18 @@ FlatTree::FlatTree(const DecisionTree& tree) {
 void FlatTree::predict_classes(const double* rows, std::size_t n_rows,
                                std::size_t stride,
                                std::int32_t* out_klass) const {
-  simd::FlatTreeView view;
-  view.attr = attr_.data();
-  view.thresh = thresh_.data();
-  view.left = left_.data();
-  view.right = right_.data();
-  view.miss = miss_.data();
-  view.node_count = attr_.size();
-  view.depth = depth_;
-  // The kernel writes leaf indices; map to classes in place.
-  simd::kernels().c45_leaves(view, rows, n_rows, stride, out_klass);
-  for (std::size_t i = 0; i < n_rows; ++i)
-    out_klass[i] = klass_[static_cast<std::size_t>(out_klass[i])];
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    const double* row = rows + r * stride;
+    std::int32_t cur = 0;
+    // Exactly depth_ steps: leaves self-loop, so early arrivals idle in
+    // place and the loop carries no leaf test.
+    for (std::size_t d = 0; d < depth_; ++d) {
+      const double v = row[attr_[cur]];
+      cur = std::isnan(v) ? miss_[cur]
+                          : (v <= thresh_[cur] ? left_[cur] : right_[cur]);
+    }
+    out_klass[r] = klass_[cur];
+  }
 }
 
 }  // namespace digg::ml

@@ -1,23 +1,21 @@
 #pragma once
-// Branch-free batched evaluation for a trained DecisionTree (c45.h). The
-// pointer-chasing walk() costs an unpredictable branch and a dependent load
-// per level per row; for the per-vote online hooks (StreamEngine's v10
-// prediction, fig7's scoring loop) that walk is the tree's entire cost. A
-// FlatTree compiles the node graph into flat parallel arrays:
+// Batched evaluation for a trained DecisionTree (c45.h). The pointer-chasing
+// walk() costs a dependent load through a node object per level per row;
+// for the per-vote online hooks (StreamEngine's v10 prediction, fig7's
+// scoring loop) that walk is the tree's entire cost. A FlatTree compiles the
+// node graph into flat parallel arrays:
 //
 //   attr[n], thresh[n], left[n], right[n], miss[n], klass[n]
 //
 // with two normalizations that make a fixed-iteration descent exact:
 //   - leaves self-loop: left == right == miss == self and thresh == +inf,
 //     so a row that reaches its leaf early just idles there;
-//   - every row descends exactly depth() steps, so a whole batch stays in
-//     lockstep and the SIMD kernel (src/simd kernels.h: c45_leaves) can
-//     evaluate 4 rows per step with gathers and blends, no branches.
+//   - every row descends exactly depth() steps, so the loop needs no leaf
+//     test.
 //
 // Missing values (NaN) route to miss[node] — DecisionTree::walk's
-// majority-child rule — selected by an ordered-compare mask, so batched
-// results are bit-identical to walk() for every row, NaN included
-// (property-tested in tests/simd_kernel_test.cpp).
+// majority-child rule — so batched results are identical to walk() for
+// every row, NaN included (tests/ml_c45_test.cpp, FlatTree.*).
 //
 // Only trees whose internal nodes are all numeric binary splits compile
 // (the paper's feature sets are all-numeric); a tree with nominal multiway
@@ -46,8 +44,7 @@ class FlatTree {
   }
 
   /// Predicted class per row. `rows` is n_rows x stride doubles, row-major;
-  /// stride must cover every attribute the tree splits on. Dispatches to
-  /// the active SIMD kernel table.
+  /// stride must cover every attribute the tree splits on.
   void predict_classes(const double* rows, std::size_t n_rows,
                        std::size_t stride, std::int32_t* out_klass) const;
 

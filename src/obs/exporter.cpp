@@ -71,11 +71,27 @@ void publish_rate_gauges(std::map<std::string, std::uint64_t>& prev,
   prev_t = now;
 }
 
-void serve_one(int fd, const std::string& body) {
+// How long the accept loop blocks in poll(), and so how long an accepted
+// client gets to send its request: one tick of the loop.
+constexpr int kPollMs = 200;
+
+void serve_one(int fd) {
+  // Wait at most one tick for the request: a client that connects and sends
+  // nothing would otherwise hold the serial loop, and with it every later
+  // scrape and the rate gauges, until it hangs up. Such a client is dropped.
+  pollfd pfd{};
+  pfd.fd = fd;
+  pfd.events = POLLIN;
+  if (::poll(&pfd, 1, kPollMs) <= 0) {
+    Registry::global().counter("obs.exporter_dropped").inc();
+    return;
+  }
   // Read whatever request bytes arrived (we answer every path identically),
-  // then write one HTTP/1.1 response and close. Serial, blocking, minimal.
+  // then write one HTTP/1.1 response and close. MSG_NOSIGNAL: a scraper
+  // that hangs up early costs an EPIPE, not a SIGPIPE to the process.
   char req[1024];
   (void)::read(fd, req, sizeof(req));
+  const std::string body = render_prometheus(Registry::global().snapshot());
   std::string resp = "HTTP/1.1 200 OK\r\n";
   resp.append(
       "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n");
@@ -85,7 +101,8 @@ void serve_one(int fd, const std::string& body) {
   resp.append(body);
   std::size_t off = 0;
   while (off < resp.size()) {
-    const ssize_t n = ::write(fd, resp.data() + off, resp.size() - off);
+    const ssize_t n =
+        ::send(fd, resp.data() + off, resp.size() - off, MSG_NOSIGNAL);
     if (n <= 0) break;
     off += static_cast<std::size_t>(n);
   }
@@ -100,11 +117,11 @@ void exporter_loop(unsigned tick_ms) {
     pollfd pfd{};
     pfd.fd = s->listen_fd;
     pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, 200);
+    const int rc = ::poll(&pfd, 1, kPollMs);
     if (rc > 0 && (pfd.revents & POLLIN) != 0) {
       const int fd = ::accept(s->listen_fd, nullptr, nullptr);
       if (fd >= 0) {
-        serve_one(fd, render_prometheus(Registry::global().snapshot()));
+        serve_one(fd);
         ::close(fd);
       }
     }

@@ -22,7 +22,10 @@
 //
 // The server is deliberately minimal: serial accept loop, one response per
 // connection, any request path answered with the full exposition document.
-// It exists for scraping and smoke tests, not as a general HTTP stack.
+// An accepted client gets one 200 ms loop tick to send its request; one that
+// sends nothing is closed unanswered and counted in obs.exporter_dropped, so
+// it cannot stall later scrapes or the rate gauges. It exists for scraping
+// and smoke tests, not as a general HTTP stack.
 
 #include <cstdint>
 #include <string>

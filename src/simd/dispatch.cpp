@@ -1,107 +1,76 @@
 #include "src/simd/dispatch.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-
 namespace digg::simd {
 
 namespace {
 
-Level detect_best() {
+bool host_has_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  if (kAvx2Compiled && __builtin_cpu_supports("avx2")) return Level::kAvx2;
+  static const bool has = __builtin_cpu_supports("avx2");
+  return has;
+#else
+  return false;
 #endif
-  return Level::kScalar;
-}
-
-const KernelTable& table_at(Level level) {
-  return level == Level::kAvx2 ? kAvx2Table : kScalarTable;
-}
-
-Level clamp_supported(Level level) {
-  const Level best = best_supported();
-  return static_cast<int>(level) > static_cast<int>(best) ? best : level;
-}
-
-/// DIGG_SIMD resolution; called once. Warnings go to stderr because the
-/// metrics registry may not exist yet when the first kernel call happens
-/// (static-init order), and a mis-set env var is an operator-facing issue.
-Level resolve_from_env() {
-  const Level best = best_supported();
-  const char* env = std::getenv("DIGG_SIMD");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "native") == 0)
-    return best;
-  Level want;
-  if (std::strcmp(env, "scalar") == 0) {
-    want = Level::kScalar;
-  } else if (std::strcmp(env, "avx2") == 0) {
-    want = Level::kAvx2;
-  } else {
-    std::fprintf(stderr,
-                 "digg: DIGG_SIMD='%s' is not scalar|avx2|native; "
-                 "using native (%s)\n",
-                 env, level_name(best));
-    return best;
-  }
-  if (static_cast<int>(want) > static_cast<int>(best)) {
-    std::fprintf(stderr,
-                 "digg: DIGG_SIMD=%s unsupported on this host; "
-                 "clamping to %s\n",
-                 env, level_name(best));
-    return best;
-  }
-  return want;
-}
-
-std::atomic<const KernelTable*> g_active{nullptr};
-std::atomic<int> g_active_level{0};
-std::once_flag g_resolve_once;
-
-void resolve() {
-  std::call_once(g_resolve_once, [] {
-    const Level level = resolve_from_env();
-    g_active_level.store(static_cast<int>(level), std::memory_order_relaxed);
-    g_active.store(&table_at(level), std::memory_order_release);
-  });
 }
 
 }  // namespace
 
-Level best_supported() {
-  static const Level best = detect_best();
-  return best;
-}
-
-const KernelTable& kernels() {
-  const KernelTable* t = g_active.load(std::memory_order_acquire);
-  if (t == nullptr) {
-    resolve();
-    t = g_active.load(std::memory_order_acquire);
-  }
-  return *t;
-}
-
-const KernelTable& kernels_for(Level level) {
-  return table_at(clamp_supported(level));
-}
-
 Level active_level() {
-  resolve();
-  return static_cast<Level>(g_active_level.load(std::memory_order_relaxed));
+  return host_has_avx2() ? Level::kAvx2 : Level::kScalar;
 }
 
 const char* level_name(Level level) {
   return level == Level::kAvx2 ? "avx2" : "scalar";
 }
 
-void force_level(Level level) {
-  resolve();  // ensure the once-flag is consumed before overriding
-  const Level clamped = clamp_supported(level);
-  g_active_level.store(static_cast<int>(clamped), std::memory_order_relaxed);
-  g_active.store(&table_at(clamped), std::memory_order_release);
+std::size_t bitmap_missing_u32(const std::uint64_t* words,
+                               const std::uint32_t* ids, std::size_t n,
+                               std::uint32_t* out) {
+  if (host_has_avx2())
+    return detail::avx2_bitmap_missing_u32(words, ids, n, out);
+  return detail::scalar_bitmap_missing_u32(words, ids, n, out);
 }
+
+std::size_t bitmap_set_u32(std::uint64_t* words, const std::uint32_t* ids,
+                           std::size_t n) {
+  if (host_has_avx2()) return detail::avx2_bitmap_set_u32(words, ids, n);
+  return detail::scalar_bitmap_set_u32(words, ids, n);
+}
+
+namespace detail {
+
+std::size_t scalar_bitmap_missing_u32(const std::uint64_t* words,
+                                      const std::uint32_t* ids, std::size_t n,
+                                      std::uint32_t* out) {
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t id = ids[i];
+    if (((words[id >> 6] >> (id & 63)) & 1u) == 0) out[k++] = id;
+  }
+  return k;
+}
+
+std::size_t scalar_bitmap_set_u32(std::uint64_t* words,
+                                  const std::uint32_t* ids, std::size_t n) {
+  // ids are strictly increasing, so ids sharing a word are adjacent: merge
+  // each run into one mask and pay a single read-modify-write plus one
+  // popcount per touched word.
+  std::size_t newly = 0;
+  std::size_t i = 0;
+  while (i < n) {
+    const std::uint32_t w = ids[i] >> 6;
+    std::uint64_t mask = 0;
+    do {
+      mask |= 1ull << (ids[i] & 63);
+      ++i;
+    } while (i < n && (ids[i] >> 6) == w);
+    const std::uint64_t old = words[w];
+    words[w] = old | mask;
+    newly += static_cast<std::size_t>(__builtin_popcountll(mask & ~old));
+  }
+  return newly;
+}
+
+}  // namespace detail
 
 }  // namespace digg::simd

@@ -1,47 +1,69 @@
 #pragma once
-// Runtime ISA dispatch for the SIMD kernel layer (kernels.h). The active
-// table is resolved exactly once, on first use, from two inputs:
+// The AVX2 bitmap pair behind one CPU check. HybridSet's bitmap mode
+// (src/digg/hybrid_set.h) unions a sorted fan span into a word-packed
+// bitmap in two steps, and these are the two:
 //
-//   1. what the CPU supports (CPUID via __builtin_cpu_supports):
-//      AVX2 when available, otherwise scalar;
-//   2. the DIGG_SIMD environment variable, which can only narrow:
-//        DIGG_SIMD=scalar   force the scalar reference kernels
-//        DIGG_SIMD=avx2     cap at AVX2 (clamped down if unsupported)
-//        DIGG_SIMD=native   the default: best supported level
-//      An unsupported or unknown value warns on stderr and falls back to
-//      native — an env typo must never change results (it can't: every
-//      level is bit-identical) or silently pick a level the host lacks.
+//   bitmap_missing_u32(words, ids, n, out)
+//     ids is strictly increasing; words is a word-packed bitmap covering
+//     every id. Writes the ids whose bit is CLEAR to out, in id order, and
+//     returns the count — the union's candidate pass. The AVX2 version
+//     gathers 8 ids' words per step and left-packs the survivors with a
+//     full-vector store, so `out` must have room for n + kPackSlack lanes.
 //
-// After resolution, kernels() is a single relaxed atomic load — callers
-// in per-vote hot loops pay one indirect call per kernel use and nothing
-// else. force_level() exists for the differential property tests, which
-// need to pin each level in turn inside one process; production code never
-// calls it.
+//   bitmap_set_u32(words, ids, n)
+//     Sets the bit for every id (ids strictly increasing) and returns how
+//     many bits were newly set — the union+count commit. The ids of one
+//     64-bit word merge into a single mask: one read-modify-write plus one
+//     popcount per touched word.
+//
+// Which implementation runs is decided once per process by
+// __builtin_cpu_supports("avx2"); active_level() reports the choice. Both
+// compute the same function, so the choice never changes an output — the
+// differential test (tests/simd_kernel_test.cpp) holds the AVX2 pair to the
+// scalar references below. Only bitmap_avx2.cpp is compiled with -mavx2,
+// and it is reached only through the check, so no AVX2 instruction runs on
+// a host without it.
 
-#include "src/simd/kernels.h"
+#include <cstddef>
+#include <cstdint>
 
 namespace digg::simd {
 
+/// Extra writable lanes required past the logical end of the `out` buffer
+/// passed to bitmap_missing_u32 (one 8-lane vector of overstore).
+inline constexpr std::size_t kPackSlack = 8;
+
 enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
-/// The active kernel table (resolved once; see file comment).
-[[nodiscard]] const KernelTable& kernels();
-
-/// The table for a specific level, independent of the active selection.
-/// Requesting a level above best_supported() returns the highest real
-/// table at or below it (tests iterate levels up to best_supported()).
-[[nodiscard]] const KernelTable& kernels_for(Level level);
-
-/// The level kernels() currently resolves to.
+/// kAvx2 when this host runs the AVX2 bitmap pair, otherwise kScalar.
 [[nodiscard]] Level active_level();
-
-/// Highest level this host can execute.
-[[nodiscard]] Level best_supported();
 
 [[nodiscard]] const char* level_name(Level level);
 
-/// Test hook: pins kernels() to `level` (clamped to best_supported()).
-/// Takes effect immediately for subsequent kernels() calls.
-void force_level(Level level);
+std::size_t bitmap_missing_u32(const std::uint64_t* words,
+                               const std::uint32_t* ids, std::size_t n,
+                               std::uint32_t* out);
+std::size_t bitmap_set_u32(std::uint64_t* words, const std::uint32_t* ids,
+                           std::size_t n);
+
+namespace detail {
+
+// The scalar references: the fallback below AVX2 and the semantics the AVX2
+// pair is tested against.
+std::size_t scalar_bitmap_missing_u32(const std::uint64_t* words,
+                                      const std::uint32_t* ids, std::size_t n,
+                                      std::uint32_t* out);
+std::size_t scalar_bitmap_set_u32(std::uint64_t* words,
+                                  const std::uint32_t* ids, std::size_t n);
+
+// The AVX2 pair (bitmap_avx2.cpp). Call only when active_level() is kAvx2;
+// on a target without AVX2 they forward to the scalar references.
+std::size_t avx2_bitmap_missing_u32(const std::uint64_t* words,
+                                    const std::uint32_t* ids, std::size_t n,
+                                    std::uint32_t* out);
+std::size_t avx2_bitmap_set_u32(std::uint64_t* words, const std::uint32_t* ids,
+                                std::size_t n);
+
+}  // namespace detail
 
 }  // namespace digg::simd

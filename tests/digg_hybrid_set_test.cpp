@@ -183,65 +183,82 @@ TEST(HybridSet, InsertBeyondUniverseGrows) {
 
 // The randomized property test: a HybridSet and a std::set driven by the
 // same operation stream must agree at every step, across both
-// representations and the promotion in between.
+// representations and the promotion in between. With `filtered`, every
+// union vetoes the ids divisible by 7, so the accept path runs in both
+// modes too.
+void run_against_reference(std::size_t universe, bool filtered) {
+  SCOPED_TRACE(filtered ? "accept id % 7 != 0" : "accept all");
+  const auto accept = [filtered](std::uint32_t v) {
+    return !filtered || v % 7 != 0;
+  };
+  stats::Rng rng(42 + static_cast<std::uint64_t>(universe));
+  HybridSet s(universe);
+  std::set<std::uint32_t> ref;
+  bool promoted = false;
+  for (int step = 0; step < 4000; ++step) {
+    const std::uint32_t id = static_cast<std::uint32_t>(
+        rng.uniform_int(0, int64_t(universe) - 1));
+    switch (rng.uniform_int(0, 9)) {
+      case 0:
+      case 1:
+      case 2:
+      case 3: {  // single insert
+        EXPECT_EQ(s.insert(id), ref.insert(id).second);
+        break;
+      }
+      case 4:
+      case 5: {  // single erase
+        EXPECT_EQ(s.erase(id), ref.erase(id) > 0);
+        break;
+      }
+      case 6:
+      case 7: {  // membership probe
+        EXPECT_EQ(s.contains(id), ref.count(id) > 0);
+        break;
+      }
+      case 8: {  // sorted-span union (the CSR fan-list path)
+        const auto span = sorted_unique_span(rng, universe, 64);
+        std::vector<std::uint32_t> news;
+        s.union_span(span, accept,
+                     [&](std::uint32_t v) { news.push_back(v); });
+        std::vector<std::uint32_t> want_new;
+        for (const std::uint32_t v : span)
+          if (accept(v) && ref.insert(v).second) want_new.push_back(v);
+        EXPECT_EQ(news, want_new);
+        break;
+      }
+      case 9: {  // occasional full reset
+        if (rng.uniform_int(0, 9) == 0) {
+          s.reset(universe);
+          ref.clear();
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    promoted = promoted || s.is_bitmap();
+    ASSERT_EQ(s.size(), ref.size()) << "universe " << universe
+                                    << " step " << step;
+    if (step % 257 == 0) {
+      const std::vector<std::uint32_t> want(ref.begin(), ref.end());
+      ASSERT_EQ(s.to_vector(), want)
+          << "universe " << universe << " step " << step;
+    }
+  }
+  expect_equals_reference(s, ref, "final state");
+  // The two small universes cross promotion under either filter, so the
+  // bitmap pair runs in the check as well as the array mode.
+  if (universe < 100000) {
+    EXPECT_TRUE(promoted) << "universe " << universe;
+  }
+}
+
 TEST(HybridSet, RandomizedAgainstReferenceSet) {
   const std::size_t universes[] = {300, 4096, 100000};
   for (const std::size_t universe : universes) {
-    stats::Rng rng(42 + static_cast<std::uint64_t>(universe));
-    HybridSet s(universe);
-    std::set<std::uint32_t> ref;
-    for (int step = 0; step < 4000; ++step) {
-      const std::uint32_t id = static_cast<std::uint32_t>(
-          rng.uniform_int(0, int64_t(universe) - 1));
-      switch (rng.uniform_int(0, 9)) {
-        case 0:
-        case 1:
-        case 2:
-        case 3: {  // single insert
-          EXPECT_EQ(s.insert(id), ref.insert(id).second);
-          break;
-        }
-        case 4:
-        case 5: {  // single erase
-          EXPECT_EQ(s.erase(id), ref.erase(id) > 0);
-          break;
-        }
-        case 6:
-        case 7: {  // membership probe
-          EXPECT_EQ(s.contains(id), ref.count(id) > 0);
-          break;
-        }
-        case 8: {  // sorted-span union (the CSR fan-list path)
-          const auto span = sorted_unique_span(rng, universe, 64);
-          std::vector<std::uint32_t> news;
-          s.union_span(
-              span, [](std::uint32_t) { return true; },
-              [&](std::uint32_t v) { news.push_back(v); });
-          std::vector<std::uint32_t> want_new;
-          for (const std::uint32_t v : span)
-            if (ref.insert(v).second) want_new.push_back(v);
-          EXPECT_EQ(news, want_new);
-          break;
-        }
-        case 9: {  // occasional full reset
-          if (rng.uniform_int(0, 9) == 0) {
-            s.reset(universe);
-            ref.clear();
-          }
-          break;
-        }
-        default:
-          break;
-      }
-      ASSERT_EQ(s.size(), ref.size()) << "universe " << universe
-                                      << " step " << step;
-      if (step % 257 == 0) {
-        const std::vector<std::uint32_t> want(ref.begin(), ref.end());
-        ASSERT_EQ(s.to_vector(), want)
-            << "universe " << universe << " step " << step;
-      }
-    }
-    expect_equals_reference(s, ref, "final state");
+    for (const bool filtered : {false, true})
+      run_against_reference(universe, filtered);
   }
 }
 

@@ -152,12 +152,12 @@ TEST(Digraph, UnsortedEdgeListsNormalizeAtBuild) {
 
 // Release-mode guard for HybridSet::union_span (src/digg/hybrid_set.h):
 // union_span's own strictly-increasing precondition is a debug assert, and
-// its SIMD merge kernels would silently drop or misplace ids on unsorted
-// input. The enforcing copy of the invariant therefore lives at Digraph CSR
-// construction — every materialisation path (from_parts, from_views, and
-// build()'s post-normalization check) must reject a non-increasing adjacency
-// row with a throw, in release builds too, so no such row can ever reach a
-// union_span call site.
+// its galloping set difference and bitmap word-run merge would silently drop
+// or misplace ids on unsorted input. The enforcing copy of the invariant
+// therefore lives at Digraph CSR construction — every materialisation path
+// (from_parts, from_views, and build()'s post-normalization check) must
+// reject a non-increasing adjacency row with a throw, in release builds too,
+// so no such row can ever reach a union_span call site.
 TEST(Digraph, UnsortedFanRowRejectedAtCsrBuild) {
   // 3 nodes; out-rows fine, but node 1's fan row {2, 0} is out of order.
   const std::vector<std::size_t> out_offsets = {0, 1, 2, 3};

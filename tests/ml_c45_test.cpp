@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "src/ml/flat_tree.h"
 #include "src/stats/rng.h"
 
 namespace digg::ml {
@@ -186,6 +190,55 @@ TEST(DecisionTree, GainRatioPrefersInformativeOverFragmenting) {
   ASSERT_FALSE(used.empty());
   EXPECT_EQ(used[0], 0u);
   EXPECT_EQ(used.size(), 1u);
+}
+
+// FlatTree's fixed-depth descent must land on the same class as the
+// pointer walk for every row, NaN rows (the missing-child route) included.
+TEST(FlatTree, MatchesPointerWalkIncludingNaN) {
+  stats::Rng rng(4242);
+  for (int trial = 0; trial < 20; ++trial) {
+    // Train a real tree on noisy random data so depths and shapes vary.
+    const std::size_t n_attrs =
+        static_cast<std::size_t>(rng.uniform_int(2, 5));
+    std::vector<Attribute> attrs;
+    for (std::size_t a = 0; a < n_attrs; ++a)
+      attrs.push_back({"a" + std::to_string(a), AttributeKind::kNumeric, {}});
+    Dataset data(attrs, {"no", "yes"});
+    for (int i = 0; i < 200; ++i) {
+      std::vector<double> row(n_attrs);
+      double score = 0.0;
+      for (double& v : row) {
+        v = rng.uniform(0.0, 10.0);
+        score += v;
+      }
+      const bool label = score > 5.0 * static_cast<double>(n_attrs) ||
+                         rng.uniform(0.0, 1.0) < 0.1;
+      data.add(row, label ? 1 : 0);
+    }
+    const DecisionTree tree = DecisionTree::train(data);
+    const FlatTree flat(tree);
+    ASSERT_TRUE(flat.valid()) << "numeric tree must compile";
+
+    const std::size_t n_rows =
+        static_cast<std::size_t>(rng.uniform_int(1, 101));
+    std::vector<double> rows(n_rows * n_attrs);
+    for (std::size_t r = 0; r < n_rows; ++r)
+      for (std::size_t a = 0; a < n_attrs; ++a)
+        rows[r * n_attrs + a] =
+            rng.uniform(0.0, 1.0) < 0.15
+                ? std::numeric_limits<double>::quiet_NaN()
+                : rng.uniform(-5.0, 15.0);
+
+    std::vector<std::int32_t> want(n_rows);
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      const std::vector<double> row(rows.begin() + r * n_attrs,
+                                    rows.begin() + (r + 1) * n_attrs);
+      want[r] = static_cast<std::int32_t>(tree.predict(row));
+    }
+    std::vector<std::int32_t> got(n_rows, -1);
+    flat.predict_classes(rows.data(), n_rows, n_attrs, got.data());
+    ASSERT_EQ(got, want) << "trial " << trial;
+  }
 }
 
 }  // namespace

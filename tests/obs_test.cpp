@@ -13,10 +13,12 @@
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -779,6 +781,36 @@ TEST(Prometheus, RendersCountersGaugesAndCumulativeHistograms) {
             std::string::npos);
 }
 
+/// Opens a TCP connection to 127.0.0.1:`port`; -1 on failure.
+int connect_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends one GET on `fd` and reads until the server closes (or a read
+/// times out), returning the raw response.
+std::string scrape(int fd) {
+  const char req[] = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
+  const auto len = static_cast<ssize_t>(sizeof(req) - 1);
+  if (::write(fd, req, sizeof(req) - 1) != len) return {};
+  std::string resp;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0)
+    resp.append(chunk, static_cast<std::size_t>(n));
+  return resp;
+}
+
 TEST(Exporter, ServesTheRegistryOverHttp) {
   Registry::global().counter("obs_test.exporter_hits").inc(7);
   const std::uint16_t port = start_exporter(0);
@@ -786,23 +818,9 @@ TEST(Exporter, ServesTheRegistryOverHttp) {
   EXPECT_TRUE(exporter_running());
   EXPECT_EQ(exporter_port(), port);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_loopback(port);
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  const char req[] = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
-  ASSERT_EQ(::write(fd, req, sizeof(req) - 1),
-            static_cast<ssize_t>(sizeof(req) - 1));
-  std::string resp;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0)
-    resp.append(chunk, static_cast<std::size_t>(n));
+  const std::string resp = scrape(fd);
   ::close(fd);
 
   EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos);
@@ -811,6 +829,34 @@ TEST(Exporter, ServesTheRegistryOverHttp) {
             std::string::npos);
   stop_exporter();
   EXPECT_FALSE(exporter_running());
+}
+
+// A client that connects and sends nothing is dropped after one loop tick
+// (and counted), so a scrape queued behind it still answers promptly.
+TEST(Exporter, IdleClientDoesNotStallTheScrape) {
+  const Counter& dropped = Registry::global().counter("obs.exporter_dropped");
+  const std::uint64_t dropped_before = dropped.value();
+  const std::uint16_t port = start_exporter(0);
+  ASSERT_NE(port, 0) << "exporter failed to bind an ephemeral port";
+
+  const int idle = connect_loopback(port);
+  ASSERT_GE(idle, 0);
+  const int fd = connect_loopback(port);
+  ASSERT_GE(fd, 0);
+  // Bounded reads: a stalled exporter fails this test instead of hanging it.
+  timeval timeout{};
+  timeout.tv_sec = 3;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string resp = scrape(fd);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ::close(fd);
+  ::close(idle);
+  stop_exporter();
+
+  EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos);
+  EXPECT_LT(waited, std::chrono::seconds(1));
+  EXPECT_GT(dropped.value(), dropped_before);
 }
 
 // ---------------------------------------------------------------- watchdog

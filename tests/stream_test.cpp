@@ -267,19 +267,38 @@ TEST(EquivalenceTest, Fig4MatchesBatchThroughSharedGrouping) {
 
 // --------------------------------------------------------- determinism ---
 
+// Checked twice: with the engine's defaults, and with a trained predictor
+// and the Bayes fit enabled, so the batched C4.5 (FlatTree) and Bayes hooks
+// are under the thread-count identity too.
 TEST(DeterminismTest, BitIdenticalAcrossThreadCounts) {
   const auto& corpus = small_corpus().corpus;
-  auto run = [&](unsigned threads) {
-    ThreadGuard guard(threads);
-    StreamEngine engine(small_stream(), corpus.network);
-    engine.run_all();
-    return engine.result();
-  };
-  const StreamResult t1 = run(1);
-  const StreamResult t2 = run(2);
-  const StreamResult t8 = run(8);
-  expect_same_result(t1, t2);
-  expect_same_result(t1, t8);
+  const core::InterestingnessPredictor predictor =
+      core::InterestingnessPredictor::train(
+          core::extract_features(corpus.front_page, corpus.network));
+  StreamParams hooks;
+  hooks.predictor = &predictor;
+  hooks.bayes.enabled = true;
+  for (const StreamParams& params : {StreamParams{}, hooks}) {
+    SCOPED_TRACE(params.predictor ? "predictor + bayes" : "defaults");
+    auto run = [&](unsigned threads) {
+      ThreadGuard guard(threads);
+      StreamEngine engine(small_stream(), corpus.network, params);
+      engine.run_all();
+      return engine.result();
+    };
+    const StreamResult t1 = run(1);
+    const StreamResult t2 = run(2);
+    const StreamResult t8 = run(8);
+    expect_same_result(t1, t2);
+    expect_same_result(t1, t8);
+    if (params.predictor != nullptr) {
+      // Both hooks must actually fire, or the identity checks nothing.
+      EXPECT_TRUE(std::any_of(
+          t1.stories.begin(), t1.stories.end(), [](const StoryOutcome& o) {
+            return o.predicted_interesting && o.bayes_interesting;
+          }));
+    }
+  }
 }
 
 TEST(DeterminismTest, IncrementalRunsMatchOneShot) {
