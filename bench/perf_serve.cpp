@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   const auto votes_per_story =
       static_cast<std::uint64_t>(total_votes) / kStories;
 
-  serve::ServeParams params;  // throughput mode, no checkpointing
+  serve::ServeParams params;  // no checkpointing
   serve::Server server(network, params);
   const std::uint16_t port = server.start();
 

@@ -9,8 +9,7 @@
 //
 // Usage: serve_digg [seed] [--scenario <name>] [--json <path>]
 //                   [--checkpoint <path>] [--restore <path>]
-//                   [--inspect <path>] [--determinism]
-//                   [--serve-ms <n>] [--smoke]
+//                   [--inspect <path>] [--serve-ms <n>] [--smoke]
 //
 //   --checkpoint <path>  checkpoint target (periodic cadence comes from
 //                        DIGG_CHECKPOINT_MS; the drain checkpoint is
@@ -19,8 +18,6 @@
 //   --inspect <path>     do not serve: validate that the checkpoint is
 //                        restorable (full restore into a fresh engine) and
 //                        print its meta, then exit
-//   --determinism        strict global event ordering (bit-identical
-//                        checkpoints; the kill/resume e2e mode)
 //   --serve-ms <n>       stop serving after n ms (CI watchdog)
 //   --smoke              smoke-test defaults: caps --serve-ms at 30000 so a
 //                        lost SIGTERM cannot hang a CI job
@@ -28,6 +25,10 @@
 // Environment:
 //   DIGG_SERVE_PORT      listen port (default 0 = ephemeral)
 //   DIGG_CHECKPOINT_MS   background checkpoint cadence in ms (default 0)
+//   A malformed or out-of-range value warns and keeps the default.
+//
+// Every checkpoint, periodic or drain, holds exactly the first N accepted
+// events (src/serve/server.h), so a restored run resumes a whole prefix.
 //
 // Prints `DIGG_SERVE_PORT_BOUND=<port>` on stdout once listening — the
 // parseable hand-off scripts/ci.sh's serve smoke consumes.
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
   using namespace digg;
 
   std::string checkpoint_path, restore_path, inspect_path;
-  bool determinism = false, smoke = false;
+  bool smoke = false;
   long serve_ms = 0;
   std::vector<char*> args;
   args.push_back(argv[0]);
@@ -80,8 +81,6 @@ int main(int argc, char** argv) {
       restore_path = take_value("--restore");
     } else if (std::strcmp(argv[i], "--inspect") == 0) {
       inspect_path = take_value("--inspect");
-    } else if (std::strcmp(argv[i], "--determinism") == 0) {
-      determinism = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--serve-ms") == 0) {
@@ -107,13 +106,8 @@ int main(int argc, char** argv) {
   serve::ServeParams params;
   params.stream.predictor = &predictor;
   params.stream.bayes.enabled = true;
-  params.determinism = determinism;
   params.checkpoint_path = checkpoint_path;
-  if (const char* env = std::getenv("DIGG_SERVE_PORT"))
-    params.port = static_cast<std::uint16_t>(std::strtoul(env, nullptr, 10));
-  if (const char* env = std::getenv("DIGG_CHECKPOINT_MS"))
-    params.checkpoint_ms =
-        static_cast<std::uint32_t>(std::strtoul(env, nullptr, 10));
+  serve::read_env(params);
 
   if (!inspect_path.empty()) {
     // Restorability proof, not just a header peek: a fresh engine must

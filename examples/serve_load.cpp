@@ -8,8 +8,9 @@
 //
 // Stories are partitioned across connections (a story's votes must arrive
 // in time order, so one story never spans two sockets); cross-story
-// interleaving is whatever TCP delivers, which is precisely the ordering
-// freedom throughput mode claims is harmless.
+// interleaving is whatever TCP delivers. The server applies them in the
+// order it accepted them, shards in parallel, and per-story state cannot
+// observe the order across stories, so any interleaving must verify.
 //
 // Usage: serve_load [seed] [--scenario <name>] --port <p>
 //                   [--connections <n>] [--stories <n>] [--votes <n>]

@@ -24,7 +24,9 @@
 #            on stderr)
 #   serve    Release build + the ingest-server smoke: start serve_digg on
 #            an ephemeral port (parsed from DIGG_SERVE_PORT_BOUND=) with
-#            background checkpointing on, drive a few thousand votes over
+#            background checkpointing on, hit it with a client that
+#            pipelines 20,000 unknown-story queries and hangs up unread
+#            (the server must survive it), drive a few thousand votes over
 #            several connections with serve_load --smoke (which also
 #            verifies every reply against a local engine and demands v10
 #            predictions), SIGTERM the server, and assert a clean drain
@@ -217,6 +219,24 @@ if [[ $MODE == serve || $MODE == all ]]; then
   # shellcheck disable=SC2064  # expand now, not at trap time
   trap "kill $SERVE_PID 2>/dev/null || true; rm -rf $SERVE_TMP" EXIT
   SERVE_PORT=$(wait_for_line "$SERVE_PID" "$SERVE_LOG" "DIGG_SERVE_PORT_BOUND=")
+  # A client that pipelines requests and closes without reading the
+  # replies: each reply write to it must fail with EPIPE, not SIGPIPE.
+  python3 - "$SERVE_PORT" <<'PY'
+import socket
+import struct
+import sys
+
+# kQueryState (type 3) for a story id never submitted: body = type + u32.
+frame = struct.pack("<IBI", 5, 3, 424242)
+with socket.create_connection(("127.0.0.1", int(sys.argv[1]))) as s:
+    s.sendall(frame * 20000)
+PY
+  sleep 0.2
+  kill -0 "$SERVE_PID" 2>/dev/null || {
+    echo "serve smoke: serve_digg died after a client hung up unread" >&2
+    cat "$SERVE_LOG" >&2
+    exit 1
+  }
   # Drive the corpus at the server over several connections; --smoke also
   # verifies every state/prediction reply against a local engine.
   "$RELEASE_DIR"/examples/serve_load --smoke --port "$SERVE_PORT"

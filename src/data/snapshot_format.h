@@ -100,6 +100,7 @@ inline constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
 class ByteBuffer {
  public:
   void raw(const void* p, std::size_t n) {
+    if (n == 0) return;  // an empty column's data() may be null
     const std::size_t at = buf_.size();
     buf_.resize(at + n);
     std::memcpy(buf_.data() + at, p, n);

@@ -15,6 +15,7 @@
 #include <map>
 #include <thread>
 
+#include "src/obs/env.h"
 #include "src/obs/log.h"
 
 namespace digg::obs {
@@ -207,17 +208,17 @@ std::uint16_t exporter_port() noexcept {
   return state()->port.load(std::memory_order_acquire);
 }
 
+std::optional<std::uint16_t> metrics_port_from_env() {
+  constexpr std::uint64_t kOff = 65536;
+  const std::uint64_t port = env_uint("DIGG_METRICS_PORT", 0, 65535, kOff);
+  if (port == kOff) return std::nullopt;
+  return static_cast<std::uint16_t>(port);
+}
+
 void maybe_start_exporter_from_env() {
   static const bool started = [] {
-    const char* env = std::getenv("DIGG_METRICS_PORT");
-    if (!env || *env == '\0') return false;
-    const long port = std::strtol(env, nullptr, 10);
-    if (port < 0 || port > 65535) {
-      log_warn("obs", "DIGG_METRICS_PORT out of range; exporter disabled",
-               {{"value", env}});
-      return false;
-    }
-    return start_exporter(static_cast<std::uint16_t>(port)) != 0;
+    const auto port = metrics_port_from_env();
+    return port.has_value() && start_exporter(*port) != 0;
   }();
   (void)started;
 }

@@ -28,6 +28,7 @@
 // and smoke tests, not as a general HTTP stack.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -46,6 +47,10 @@ void stop_exporter();
 [[nodiscard]] bool exporter_running() noexcept;
 /// Bound port while running, else 0.
 [[nodiscard]] std::uint16_t exporter_port() noexcept;
+
+/// DIGG_METRICS_PORT through env_uint (env.h): the port in [0, 65535], or
+/// nullopt when unset or malformed — the exporter then stays off.
+[[nodiscard]] std::optional<std::uint16_t> metrics_port_from_env();
 
 /// Starts from DIGG_METRICS_PORT when set; called at first instrument
 /// creation (metrics.cpp) so env opt-in needs no code change.

@@ -13,6 +13,7 @@
 #include <exception>
 #include <vector>
 
+#include "src/obs/env.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 
@@ -73,22 +74,8 @@ const std::string& trace_path() {
 
 void write_trace_at_exit() { write_chrome_trace(trace_path()); }
 
-std::size_t resolve_capacity() {
-  const char* env = std::getenv("DIGG_RECORDER_EVENTS");
-  // A traced run defaults to the largest ring so the export is complete.
-  long v = trace_path().empty() ? 256 : 65536;
-  if (env && *env != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) v = parsed;
-  }
-  if (v < 16) v = 16;
-  if (v > 65536) v = 65536;
-  return static_cast<std::size_t>(v);
-}
-
 std::size_t ring_capacity() {
-  static const std::size_t cap = resolve_capacity();
+  static const std::size_t cap = recorder_events_from_env();
   return cap;
 }
 
@@ -313,6 +300,12 @@ void set_recorder_enabled(bool on) noexcept {
 }
 
 std::size_t recorder_ring_capacity() noexcept { return ring_capacity(); }
+
+std::size_t recorder_events_from_env() {
+  // A traced run defaults to the largest ring so the export is complete.
+  return env_uint("DIGG_RECORDER_EVENTS", 16, 65536,
+                  trace_path().empty() ? 256 : 65536);
+}
 
 std::size_t recorder_ring_count() noexcept {
   return std::min(g_ring_count.load(std::memory_order_acquire), kMaxRings);

@@ -77,10 +77,13 @@ void record_event(EventKind kind, std::uint32_t dom = 0, std::uint64_t a = 0,
 [[nodiscard]] bool recorder_enabled() noexcept;
 void set_recorder_enabled(bool on) noexcept;
 
-/// Events retained per thread ring (DIGG_RECORDER_EVENTS, clamped to
-/// [16, 65536]; default 256, or 65536 when DIGG_TRACE is set, so a traced
-/// run keeps its whole history). Fixed once the first ring exists.
+/// Events retained per thread ring: recorder_events_from_env(), fixed once
+/// the first ring exists.
 [[nodiscard]] std::size_t recorder_ring_capacity() noexcept;
+/// DIGG_RECORDER_EVENTS through env_uint (env.h): a value in [16, 65536],
+/// else the default — 256, or 65536 when DIGG_TRACE is set, so a traced
+/// run keeps its whole history.
+[[nodiscard]] std::size_t recorder_events_from_env();
 /// Rings registered so far (threads that have recorded at least once).
 [[nodiscard]] std::size_t recorder_ring_count() noexcept;
 

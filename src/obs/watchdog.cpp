@@ -9,11 +9,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/obs/env.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
@@ -166,17 +168,15 @@ bool watchdog_running() noexcept {
   return state()->running.load(std::memory_order_acquire);
 }
 
+unsigned watchdog_ms_from_env() {
+  return static_cast<unsigned>(env_uint(
+      "DIGG_WATCHDOG_MS", 1, std::numeric_limits<unsigned>::max(), 0));
+}
+
 void maybe_start_watchdog_from_env() {
   static const bool started = [] {
-    const char* env = std::getenv("DIGG_WATCHDOG_MS");
-    if (!env || *env == '\0') return false;
-    const long ms = std::strtol(env, nullptr, 10);
-    if (ms <= 0) {
-      log_warn("obs", "DIGG_WATCHDOG_MS must be positive; watchdog disabled",
-               {{"value", env}});
-      return false;
-    }
-    return start_watchdog(static_cast<unsigned>(ms));
+    const unsigned ms = watchdog_ms_from_env();
+    return ms > 0 && start_watchdog(ms);
   }();
   (void)started;
 }

@@ -50,6 +50,10 @@ bool start_watchdog(unsigned interval_ms);
 void stop_watchdog();
 [[nodiscard]] bool watchdog_running() noexcept;
 
+/// DIGG_WATCHDOG_MS through env_uint (env.h): the interval in ms, or 0
+/// (watchdog off) when unset, zero or malformed.
+[[nodiscard]] unsigned watchdog_ms_from_env();
+
 /// Starts from DIGG_WATCHDOG_MS when set; called at first instrument
 /// creation (metrics.cpp).
 void maybe_start_watchdog_from_env();

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
+#include "src/obs/env.h"
 #include "src/obs/metrics.h"
 #include "src/obs/recorder.h"
 #include "src/obs/watchdog.h"
@@ -16,13 +16,9 @@ thread_local bool tl_in_region = false;
 
 std::atomic<unsigned> g_thread_override{0};
 
+/// DIGG_THREADS in [1, 1024], or 0 (hardware) when unset or malformed.
 unsigned env_threads() {
-  const char* env = std::getenv("DIGG_THREADS");
-  if (!env || *env == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || v <= 0) return 0;
-  return static_cast<unsigned>(std::min<long>(v, 1024));
+  return static_cast<unsigned>(obs::env_uint("DIGG_THREADS", 1, 1024, 0));
 }
 
 }  // namespace

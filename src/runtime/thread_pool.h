@@ -9,7 +9,8 @@
 //
 // Thread count resolution (always >= 1):
 //   1. set_default_threads(n) with n > 0 — programmatic override;
-//   2. the DIGG_THREADS environment variable;
+//   2. the DIGG_THREADS environment variable, 1..1024 (anything else
+//      warns once and falls through, obs/env.h);
 //   3. std::thread::hardware_concurrency().
 
 #include <atomic>

@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "src/obs/env.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/runtime/parallel.h"
@@ -110,6 +111,13 @@ class StoryGuards {
 
 }  // namespace
 
+void read_env(ServeParams& params) {
+  params.port = static_cast<std::uint16_t>(
+      obs::env_uint("DIGG_SERVE_PORT", 0, 65535, params.port));
+  params.checkpoint_ms = static_cast<std::uint32_t>(obs::env_uint(
+      "DIGG_CHECKPOINT_MS", 0, UINT32_MAX, params.checkpoint_ms));
+}
+
 Server::Server(const graph::Digraph& network, ServeParams params)
     : network_(&network),
       params_(std::move(params)),
@@ -173,7 +181,6 @@ std::uint16_t Server::start() {
 
   obs::log_info("serve", "listening",
                 {{"port", static_cast<unsigned>(port_)},
-                 {"determinism", params_.determinism},
                  {"checkpoint_ms", params_.checkpoint_ms}});
   return port_;
 }
@@ -274,8 +281,9 @@ void Server::frontend_main() {
       }
     }
     while (c.woff < c.wbuf.size()) {
-      const auto w =
-          ::write(c.fd, c.wbuf.data() + c.woff, c.wbuf.size() - c.woff);
+      // MSG_NOSIGNAL: a peer that hung up is EPIPE here, not a SIGPIPE.
+      const auto w = ::send(c.fd, c.wbuf.data() + c.woff,
+                            c.wbuf.size() - c.woff, MSG_NOSIGNAL);
       if (w > 0) {
         c.woff += static_cast<std::size_t>(w);
         continue;
@@ -344,6 +352,7 @@ void Server::frontend_main() {
         backpressure.inc();
         std::this_thread::yield();
       }
+      pushed_seq_.store(next_seq, std::memory_order_release);
       votes_in.inc();
       return true;
     }
@@ -366,6 +375,7 @@ void Server::frontend_main() {
         backpressure.inc();
         std::this_thread::yield();
       }
+      pushed_seq_.store(next_seq, std::memory_order_release);
       submits_in.inc();
       return true;
     }
@@ -390,6 +400,7 @@ void Server::frontend_main() {
       send_error(c, ErrorCode::kBadFrame, 0);
       return false;
     }
+    item.stamp = next_seq;
     item.out = c.outbox;
     {
       std::lock_guard lock(control_mu_);
@@ -435,7 +446,8 @@ void Server::frontend_main() {
         // Draining: refuse the session but tell the client why.
         std::vector<char> frame;
         encode(ErrorMsg{ErrorCode::kStopping, 0}, frame);
-        [[maybe_unused]] const auto w = ::write(fd, frame.data(), frame.size());
+        [[maybe_unused]] const auto w =
+            ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
         ::close(fd);
         continue;
       }
@@ -534,21 +546,7 @@ void Server::coordinator_main() {
   constexpr std::size_t kBatch = 512;
   std::vector<SubmitEntry> submits;
   std::array<std::vector<VoteEntry>, kShards> shard_pending;
-
-  // Determinism mode: the strict global order is reconstructed from the
-  // front-end's sequence numbers; any gap (an event claimed but popped from
-  // another ring in a later cycle) defers the tail to the next cycle.
-  struct SeqEvent {
-    std::uint64_t seq = 0;
-    bool is_submit = false;
-    SubmitEntry submit{};
-    VoteEntry vote{};
-  };
-  std::vector<SeqEvent> seq_pending;
-  std::uint64_t next_seq = 0;
-
-  std::vector<ControlItem> carried;  // popped last cycle, answered this one
-  std::vector<ControlItem> fresh;
+  std::deque<ControlItem> controls;
 
   auto last_ckpt = std::chrono::steady_clock::now();
 
@@ -558,108 +556,83 @@ void Server::coordinator_main() {
   };
 
   for (;;) {
-    // --- Pop everything currently queued. -------------------------------
-    submits.clear();
+    // Seen before this cycle's pops: the front-end pushes nothing after
+    // setting it, so this cycle applies and answers everything left.
+    const bool last_cycle = ingest_done_.load(std::memory_order_acquire);
+
+    // --- Pop the controls, then the bound, then the rings. ---------------
+    // A control is enqueued after the bound covering its stamp is
+    // published, so every control popped here is answerable this cycle;
+    // the stamp check below does not rely on that order.
+    std::size_t popped = 0;
+    {
+      std::lock_guard lock(control_mu_);
+      popped = control_q_.size();
+      controls.insert(controls.end(), control_q_.begin(), control_q_.end());
+      control_q_.clear();
+    }
+    const std::uint64_t bound = pushed_seq_.load(std::memory_order_acquire);
     {
       SubmitEntry buf[kBatch];
       for (;;) {
         const auto n = submit_q_->pop_batch(buf, kBatch);
         submits.insert(submits.end(), buf, buf + n);
+        popped += n;
         if (n < kBatch) break;
       }
     }
-    std::size_t popped_votes = 0;
     {
       VoteEntry buf[kBatch];
       for (std::uint32_t s = 0; s < kShards; ++s) {
         for (;;) {
           const auto n = vote_q_[s]->pop_batch(buf, kBatch);
           shard_pending[s].insert(shard_pending[s].end(), buf, buf + n);
-          popped_votes += n;
+          popped += n;
           if (n < kBatch) break;
         }
       }
     }
-    fresh.clear();
-    {
-      std::lock_guard lock(control_mu_);
-      fresh.insert(fresh.end(), control_q_.begin(), control_q_.end());
-      control_q_.clear();
-    }
 
-    // --- Apply. ----------------------------------------------------------
-    std::uint64_t applied = 0;
-    if (params_.determinism) {
-      for (const auto& e : submits)
-        seq_pending.push_back({e.seq, true, e, {}});
-      for (auto& pending : shard_pending) {
-        for (const auto& v : pending)
-          seq_pending.push_back({v.seq, false, {}, v});
-        pending.clear();
-      }
-      std::sort(seq_pending.begin(), seq_pending.end(),
-                [](const SeqEvent& a, const SeqEvent& b) {
-                  return a.seq < b.seq;
-                });
-      std::size_t i = 0;
-      while (i < seq_pending.size() && seq_pending[i].seq == next_seq) {
-        const auto& e = seq_pending[i];
-        if (e.is_submit) {
-          engine_.live_submit(e.submit.id, e.submit.submitter, e.submit.time);
-        } else {
-          engine_.live_vote(e.vote.slot, e.vote.voter, e.vote.time);
-          if (e.vote.stamp_ns != 0)
-            ingest_us.observe(
-                static_cast<double>(now_ns() - e.vote.stamp_ns) / 1e3);
-        }
-        ++next_seq;
-        ++i;
-        ++applied;
-      }
-      seq_pending.erase(seq_pending.begin(),
-                        seq_pending.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      // Submits first, serially, in ring order — which is slot-assignment
-      // order, so the engine's slots match the front-end's.
-      for (const auto& e : submits) {
-        engine_.live_submit(e.id, e.submitter, e.time);
-        ++applied;
-      }
-      // Votes per shard in FIFO order, shards in parallel (live_vote's
-      // shard-exclusivity contract). A vote whose submit has not been
-      // applied yet (slot beyond the current story table) stays pending —
-      // its submit is at most one cycle behind.
-      std::array<std::uint64_t, kShards> done{};
-      const std::uint32_t known = engine_.story_count();
-      runtime::parallel_for(
-          kShards,
-          [&](std::size_t s) {
-            auto& pending = shard_pending[s];
-            if (pending.empty()) return;
-            std::size_t kept = 0;
-            for (const auto& e : pending) {
-              if (e.slot >= known) {
-                pending[kept++] = e;
-                continue;
-              }
-              engine_.live_vote(e.slot, e.voter, e.time);
-              if (e.stamp_ns != 0)
-                ingest_us.observe(
-                    static_cast<double>(now_ns() - e.stamp_ns) / 1e3);
-              ++done[s];
-            }
-            pending.resize(kept);
-          },
-          {.grain = 1});
-      for (const auto d : done) applied += d;
-    }
+    // --- Apply exactly the events with seq < bound. ----------------------
+    // Each list is in push order, so those events are a prefix of it; the
+    // rest were pushed after the bound was loaded and wait a cycle. A
+    // submit precedes its story's votes in sequence, so every applied vote
+    // finds its slot.
+    auto below_bound = [bound](const auto& e) { return e.seq < bound; };
+    const auto submit_end =
+        std::partition_point(submits.begin(), submits.end(), below_bound);
+    for (auto it = submits.begin(); it != submit_end; ++it)
+      engine_.live_submit(it->id, it->submitter, it->time);
+    std::uint64_t applied =
+        static_cast<std::uint64_t>(submit_end - submits.begin());
+    submits.erase(submits.begin(), submit_end);
+    std::array<std::uint64_t, kShards> done{};
+    runtime::parallel_for(
+        kShards,
+        [&](std::size_t s) {
+          auto& pending = shard_pending[s];
+          const auto end =
+              std::partition_point(pending.begin(), pending.end(), below_bound);
+          for (auto it = pending.begin(); it != end; ++it) {
+            engine_.live_vote(it->slot, it->voter, it->time);
+            if (it->stamp_ns != 0)
+              ingest_us.observe(
+                  static_cast<double>(now_ns() - it->stamp_ns) / 1e3);
+          }
+          done[s] = static_cast<std::uint64_t>(end - pending.begin());
+          pending.erase(pending.begin(), end);
+        },
+        {.grain = 1});
+    for (const auto d : done) applied += d;
     if (applied > 0) engine_.note_events_applied(applied);
 
-    // --- Answer controls popped LAST cycle (see protocol.h barrier). -----
-    for (const auto& item : carried) answer(item);
-    const bool answered = !carried.empty();
-    carried = std::move(fresh);
-    fresh.clear();
+    // --- Answer every control the applied prefix covers. -----------------
+    bool answered = false;
+    while (!controls.empty() && controls.front().stamp <= bound) {
+      answer(controls.front());
+      controls.pop_front();
+      answered = true;
+    }
     if (answered) wake_frontend();
 
     {
@@ -682,17 +655,8 @@ void Server::coordinator_main() {
       }
     }
 
-    const bool idle =
-        submits.empty() && popped_votes == 0 && !answered && carried.empty();
-
-    if (ingest_done_.load(std::memory_order_acquire)) {
-      const bool votes_drained =
-          std::all_of(shard_pending.begin(), shard_pending.end(),
-                      [](const auto& v) { return v.empty(); });
-      if (idle && votes_drained && seq_pending.empty()) break;
-      continue;  // drain as fast as possible
-    }
-    if (idle)
+    if (last_cycle) break;
+    if (popped == 0 && applied == 0)
       std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
 

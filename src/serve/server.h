@@ -7,26 +7,27 @@
 //     validates story ids (it owns the id->slot map, so lookups are
 //     lock-free), refuses every vote the engine would throw on (it keeps
 //     each story's last accepted time and below-horizon voters), stamps
-//     each accepted event with a global sequence number
-//     and hands it off: submits onto one dedicated ring (its FIFO order IS
-//     slot-assignment order), votes onto one lock-free MPSC ring per engine
-//     shard (mpsc_queue.h), queries/syncs onto a small mutex-guarded deque.
+//     each accepted event with a global sequence number and hands it off:
+//     submits onto one dedicated ring (its FIFO order IS slot-assignment
+//     order), votes onto one lock-free MPSC ring per engine shard
+//     (mpsc_queue.h), queries/syncs onto a small mutex-guarded deque.
+//     After each push it publishes the bound B ("every seq < B is in a
+//     ring"); each query/sync carries the B current when it was enqueued.
 //     Replies travel back through per-connection outboxes; an eventfd wakes
 //     the front-end to flush them.
 //
 //   coordinator        — the single ring consumer and the ONLY engine
-//     mutator. Each drain cycle pops submits (applied serially: slot order
-//     is push order), pops every vote ring, and applies votes. Throughput
-//     mode applies each shard's FIFO batch via parallel_for — sound because
-//     live_vote is shard-exclusive and cross-story order within a shard
-//     does not affect per-story state; only cross-shard interleaving is
-//     relaxed. Determinism mode instead applies strictly in sequence-number
-//     order (deferring past any gap), so a run's engine state — and its
-//     checkpoints — are bit-identical to any other arrival-equivalent run.
-//     Queries and syncs popped in cycle k are answered at the end of cycle
-//     k+1: every event enqueued before the control item was enqueued is in
-//     its ring before cycle k+1's pops begin, so the reply reflects all of
-//     them (the protocol.h barrier contract).
+//     mutator. Each drain cycle pops the controls, loads B, pops every
+//     ring, and applies exactly the events with seq < B: submits serially
+//     (slot order is push order), then each shard's FIFO list via
+//     parallel_for — sound because live_vote is shard-exclusive and
+//     per-story state cannot observe cross-story order. A popped event
+//     with seq >= B waits for the next cycle. Engine state — and so every
+//     checkpoint, periodic or drain — is therefore always a whole sequence
+//     prefix, bit-identical to any run that accepted the same events in
+//     the same order. A control is answered once the applied prefix covers
+//     its stamp, so its reply reflects every event accepted before it (the
+//     protocol.h barrier contract).
 //
 //   checkpoint writer  — when checkpoint_ms is set, the coordinator
 //     serializes engine state between applies (checkpoint_sections(), pure
@@ -65,12 +66,6 @@ struct ServeParams {
   stream::StreamParams stream;
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (start() returns it).
   std::uint16_t port = 0;
-  /// Determinism mode: apply events in strict global sequence order, so
-  /// engine state and checkpoints are reproducible bit for bit. Throughput
-  /// mode (default) relaxes ONLY cross-shard interleaving — per-story
-  /// outcomes are identical either way; the bits of a mid-stream checkpoint
-  /// may differ in event-global counters' interleaving history.
-  bool determinism = false;
   /// Background checkpoint cadence in milliseconds; 0 disables periodic
   /// checkpoints (the drain checkpoint still happens when a path is set).
   std::uint32_t checkpoint_ms = 0;
@@ -81,6 +76,11 @@ struct ServeParams {
   /// the front-end yield-retry (counted in serve.backpressure).
   std::size_t ring_capacity = 1 << 13;
 };
+
+/// Overrides `port` from DIGG_SERVE_PORT and `checkpoint_ms` from
+/// DIGG_CHECKPOINT_MS. Each goes through obs::env_uint: a malformed or
+/// out-of-range value warns and leaves the field as it was.
+void read_env(ServeParams& params);
 
 /// See the file comment for the thread architecture. Lifecycle:
 /// construct -> [restore_checkpoint] -> start -> ... -> request_stop ->
@@ -156,6 +156,7 @@ class Server {
     Kind kind = Kind::kSync;
     std::uint32_t slot = 0;   // queries: resolved by the front-end
     std::uint32_t token = 0;  // syncs
+    std::uint64_t stamp = 0;  // events with seq < stamp precede it
     std::shared_ptr<Outbox> out;
   };
 
@@ -174,6 +175,8 @@ class Server {
   std::vector<std::unique_ptr<MpscQueue<VoteEntry>>> vote_q_;  // per shard
   std::mutex control_mu_;
   std::deque<ControlItem> control_q_;
+  // Every event with seq below this is in its ring (front-end -> coordinator).
+  std::atomic<std::uint64_t> pushed_seq_{0};
 
   // Drain handshake: stop_ -> front-end final read pass -> ingest_done_ ->
   // coordinator drains and answers -> coordinator_done_ -> front-end final

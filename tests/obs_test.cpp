@@ -20,10 +20,13 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -31,6 +34,7 @@
 
 #include "src/core/experiment.h"
 #include "src/data/synthetic.h"
+#include "src/obs/env.h"
 #include "src/obs/exporter.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
@@ -38,6 +42,7 @@
 #include "src/obs/recorder.h"
 #include "src/obs/watchdog.h"
 #include "src/runtime/parallel.h"
+#include "src/serve/server.h"
 #include "src/stream/engine.h"
 #include "src/stream/source.h"
 
@@ -943,6 +948,137 @@ TEST(WarnIfUnwritable, UnwritablePathWarnsWritablePathDoesNot) {
   EXPECT_NE(capture.lines()[0].find("/nonexistent-dir/sub/metrics.json"),
             std::string::npos);
   std::filesystem::remove(good);
+}
+
+/// Sets one env var for a scope (nullptr unsets it) and restores the
+/// previous value on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      ::setenv(name_, old_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(EnvUint, AcceptsPlainDecimalsInRangeAndWarnsOncePerVariable) {
+  LogCapture capture;
+  set_log_level(LogLevel::kWarn);
+  // A fresh name per run: the once-per-variable state outlives the test.
+  static int run = 0;
+  const std::string name = "DIGG_OBS_TEST_ENV_UINT_" + std::to_string(run++);
+  const char* const kVar = name.c_str();
+  {
+    ScopedEnv env(kVar, nullptr);
+    EXPECT_EQ(env_uint(kVar, 1, 9, 7), 7u);
+  }
+  for (const char* ok : {"1", "9", "05"}) {
+    ScopedEnv env(kVar, ok);
+    EXPECT_EQ(env_uint(kVar, 1, 9, 7), std::strtoull(ok, nullptr, 10)) << ok;
+  }
+  EXPECT_TRUE(capture.lines().empty());
+  for (const char* bad : {"", "abc", "5x", " 5", "+5", "-5", "0", "10",
+                          "18446744073709551616"}) {
+    ScopedEnv env(kVar, bad);
+    EXPECT_EQ(env_uint(kVar, 1, 9, 7), 7u) << '"' << bad << '"';
+  }
+  ASSERT_EQ(capture.lines().size(), 1u);
+  EXPECT_NE(capture.lines()[0].find(kVar), std::string::npos);
+  EXPECT_NE(capture.lines()[0].find("fallback=7"), std::string::npos);
+}
+
+// Every numeric variable, read the way its site reads it, with junk,
+// negative, overflow and empty values: each keeps its default. Before
+// env_uint, DIGG_SERVE_PORT=70000 bound port 4464, DIGG_METRICS_PORT=abc
+// bound an ephemeral port and a watchdog interval of 2^32+1 ms was
+// truncated to 1.
+TEST(EnvUint, EveryNumericVariableFallsBackOnBadInput) {
+  LogCapture capture;  // the fallback warnings are expected
+  runtime::set_default_threads(0);
+  const std::uint64_t hw = runtime::hardware_threads();
+  std::uint64_t events_default = 0;
+  {
+    ScopedEnv env("DIGG_RECORDER_EVENTS", nullptr);
+    events_default = recorder_events_from_env();
+  }
+  constexpr std::uint64_t kOff = 65536;  // metrics_port_from_env() nullopt
+  auto serve_env = [] {
+    serve::ServeParams params;
+    serve::read_env(params);
+    return params;
+  };
+  const std::map<std::string, std::function<std::uint64_t()>> read = {
+      {"DIGG_SERVE_PORT", [&] { return serve_env().port; }},
+      {"DIGG_CHECKPOINT_MS", [&] { return serve_env().checkpoint_ms; }},
+      {"DIGG_THREADS", [] { return runtime::default_threads(); }},
+      {"DIGG_RECORDER_EVENTS", [] { return recorder_events_from_env(); }},
+      {"DIGG_WATCHDOG_MS", [] { return watchdog_ms_from_env(); }},
+      {"DIGG_METRICS_PORT",
+       [] {
+         const auto port = metrics_port_from_env();
+         return port ? std::uint64_t{*port} : kOff;
+       }},
+  };
+  struct Row {
+    const char* var;
+    const char* value;
+    std::uint64_t expect;
+  };
+  const Row rows[] = {
+      {"DIGG_THREADS", "3", 3},
+      {"DIGG_THREADS", "garbage", hw},
+      {"DIGG_THREADS", "-2", hw},
+      {"DIGG_THREADS", "0", hw},
+      {"DIGG_THREADS", "1025", hw},
+      {"DIGG_THREADS", "99999999999999999999", hw},
+      {"DIGG_THREADS", "", hw},
+      {"DIGG_RECORDER_EVENTS", "1024", 1024},
+      {"DIGG_RECORDER_EVENTS", "lots", events_default},
+      {"DIGG_RECORDER_EVENTS", "-64", events_default},
+      {"DIGG_RECORDER_EVENTS", "15", events_default},
+      {"DIGG_RECORDER_EVENTS", "65537", events_default},
+      {"DIGG_RECORDER_EVENTS", "", events_default},
+      {"DIGG_WATCHDOG_MS", "250", 250},
+      {"DIGG_WATCHDOG_MS", "250ms", 0},
+      {"DIGG_WATCHDOG_MS", "-1", 0},
+      {"DIGG_WATCHDOG_MS", "4294967297", 0},
+      {"DIGG_WATCHDOG_MS", "", 0},
+      {"DIGG_METRICS_PORT", "9900", 9900},
+      {"DIGG_METRICS_PORT", "0", 0},
+      {"DIGG_METRICS_PORT", "abc", kOff},
+      {"DIGG_METRICS_PORT", "-1", kOff},
+      {"DIGG_METRICS_PORT", "70000", kOff},
+      {"DIGG_METRICS_PORT", "", kOff},
+      {"DIGG_SERVE_PORT", "4464", 4464},
+      {"DIGG_SERVE_PORT", "70000", 0},
+      {"DIGG_SERVE_PORT", "-1", 0},
+      {"DIGG_SERVE_PORT", "44x", 0},
+      {"DIGG_SERVE_PORT", "", 0},
+      {"DIGG_CHECKPOINT_MS", "500", 500},
+      {"DIGG_CHECKPOINT_MS", "4294967296", 0},
+      {"DIGG_CHECKPOINT_MS", "-5", 0},
+      {"DIGG_CHECKPOINT_MS", "5ms", 0},
+      {"DIGG_CHECKPOINT_MS", "", 0},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.var) + "=\"" + row.value + "\"");
+    ScopedEnv env(row.var, row.value);
+    EXPECT_EQ(read.at(row.var)(), row.expect);
+  }
 }
 
 TEST(LogFile, UnopenablePathReportsTheStderrFallback) {

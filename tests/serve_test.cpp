@@ -126,11 +126,35 @@ std::string read_file(const std::filesystem::path& p) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Field-for-field equality of two engines' results.
+void expect_same_result(const stream::StreamResult& got,
+                        const stream::StreamResult& expect) {
+  EXPECT_EQ(got.events_applied, expect.events_applied);
+  ASSERT_EQ(got.stories.size(), expect.stories.size());
+  for (std::size_t i = 0; i < got.stories.size(); ++i) {
+    SCOPED_TRACE("story slot " + std::to_string(i));
+    const auto& a = got.stories[i];
+    const auto& b = expect.stories[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.submitter, b.submitter);
+    EXPECT_EQ(a.cascade, b.cascade);
+    EXPECT_EQ(a.influence, b.influence);
+    EXPECT_EQ(a.fans1, b.fans1);
+    EXPECT_EQ(a.final_votes, b.final_votes);
+    EXPECT_EQ(a.interesting, b.interesting);
+    EXPECT_EQ(a.predicted_interesting, b.predicted_interesting);
+    EXPECT_EQ(a.bayes_interesting, b.bayes_interesting);
+    EXPECT_EQ(a.bayes_expected_final, b.bayes_expected_final);
+    EXPECT_EQ(a.promoted_time, b.promoted_time);
+  }
+}
+
 class ServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps two builds' runs of one test apart.
     dir_ = std::filesystem::temp_directory_path() /
-           ("digg_serve_test_" +
+           ("digg_serve_test_" + std::to_string(::getpid()) + "_" +
             std::to_string(
                 ::testing::UnitTest::GetInstance()->random_seed()) +
             "_" + ::testing::UnitTest::GetInstance()
@@ -368,30 +392,12 @@ TEST(ServeLiveEngineTest, LiveIngestMatchesReplayOutcomes) {
       live.live_vote(slot, story.voters()[k], story.times()[k]);
     live.note_events_applied(story.voters().size());
   }
-  stream::StreamResult got = live.result();
-
-  ASSERT_EQ(got.stories.size(), expect.stories.size());
-  EXPECT_EQ(got.events_applied, expect.events_applied);
-  for (std::size_t i = 0; i < got.stories.size(); ++i) {
-    SCOPED_TRACE("story slot " + std::to_string(i));
-    const auto& a = got.stories[i];
-    const auto& b = expect.stories[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.cascade, b.cascade);
-    EXPECT_EQ(a.influence, b.influence);
-    EXPECT_EQ(a.fans1, b.fans1);
-    EXPECT_EQ(a.final_votes, b.final_votes);
-    EXPECT_EQ(a.interesting, b.interesting);
-    EXPECT_EQ(a.predicted_interesting, b.predicted_interesting);
-    EXPECT_EQ(a.bayes_interesting, b.bayes_interesting);
-    EXPECT_EQ(a.bayes_expected_final, b.bayes_expected_final);
-    EXPECT_EQ(a.promoted_time, b.promoted_time);
-  }
+  expect_same_result(live.result(), expect);
 }
 
 TEST(ServeLiveEngineTest, ShardParallelApplyMatchesSerial) {
-  // The coordinator's throughput mode: submits serial, then each shard's
-  // vote list applied via parallel_for — live_vote's shard-exclusivity
+  // The coordinator's apply step: submits serial, then each shard's vote
+  // list applied via parallel_for — live_vote's shard-exclusivity
   // contract under the real thread pool (the TSan leg races it).
   const auto load = test_load(80, 60);
 
@@ -425,19 +431,7 @@ TEST(ServeLiveEngineTest, ShardParallelApplyMatchesSerial) {
       {.grain = 1});
   parallel.note_events_applied(events);
 
-  stream::StreamResult a = parallel.result();
-  stream::StreamResult b = serial.result();
-  ASSERT_EQ(a.stories.size(), b.stories.size());
-  for (std::size_t i = 0; i < a.stories.size(); ++i) {
-    SCOPED_TRACE("story slot " + std::to_string(i));
-    EXPECT_EQ(a.stories[i].cascade, b.stories[i].cascade);
-    EXPECT_EQ(a.stories[i].influence, b.stories[i].influence);
-    EXPECT_EQ(a.stories[i].final_votes, b.stories[i].final_votes);
-    EXPECT_EQ(a.stories[i].predicted_interesting,
-              b.stories[i].predicted_interesting);
-    EXPECT_EQ(a.stories[i].bayes_expected_final,
-              b.stories[i].bayes_expected_final);
-  }
+  expect_same_result(parallel.result(), serial.result());
 }
 
 // ---------------------------------------------------------------------------
@@ -656,7 +650,7 @@ class ServeHostileVoteTest : public ::testing::TestWithParam<HostileVote> {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("digg_serve_hostile_" +
+           ("digg_serve_hostile_" + std::to_string(::getpid()) + "_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
             "_" + GetParam().name);
     std::filesystem::create_directories(dir_);
@@ -757,6 +751,46 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// The accepted counterpart of the rows above: once a story has `horizon`
+// accepted events, a repeated voter is accepted and counted in final_votes
+// (protocol.h), since refusing it would need voter state that grows with
+// the votes.
+TEST_F(ServeTest, PastHorizonRepeatedVoterIsAcceptedAndCounted) {
+  constexpr std::uint32_t kStory = 9200;
+  Server server(test_corpus().corpus.network, test_serve_params());
+  const std::uint64_t horizon = server.engine().horizon();
+  ASSERT_GE(horizon, 2u);
+  const auto port = server.start();
+  obs::Counter& rejected =
+      obs::Registry::global().counter("serve.rejected_duplicate_voter");
+  const std::uint64_t rejected_before = rejected.value();
+
+  std::vector<char> wire;
+  encode(SubmitMsg{kStory, 11, 1.0}, wire);
+  for (std::uint32_t k = 1; k < horizon; ++k)
+    encode(VoteMsg{kStory, 100 + k, 1.0 + k}, wire);
+  encode(VoteMsg{kStory, 101, 1000.0}, wire);  // repeats the first voter
+  encode(VoteMsg{kStory, 11, 1001.0}, wire);   // and the submitter
+  encode(SyncMsg{9}, wire);
+  encode(QueryStateMsg{kStory}, wire);
+  const int fd = connect_loopback(port);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(write_all(fd, wire.data(), wire.size()));
+  FrameDecoder decoder;
+  std::vector<Message> replies;
+  std::string error;
+  ASSERT_TRUE(read_messages(fd, decoder, replies, 2, error)) << error;
+  const auto* state = std::get_if<StateReplyMsg>(&replies[1]);
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->found, 1);
+  EXPECT_EQ(state->votes, horizon + 2);
+  EXPECT_EQ(rejected.value(), rejected_before);
+  ::close(fd);
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.engine().events_applied(), horizon + 2);
+}
+
 TEST_F(ServeTest, RejectsUnknownStoriesAndDuplicateSubmits) {
   Server server(test_corpus().corpus.network, test_serve_params());
   const auto port = server.start();
@@ -853,9 +887,43 @@ TEST_F(ServeTest, RestoreRefusesLivePrefixWithRepeatedVoter) {
   EXPECT_EQ(server.engine().story_count(), 0u);
 }
 
+// A client that pipelines requests and hangs up without reading the
+// replies used to kill the process: the next reply write raised SIGPIPE.
+TEST_F(ServeTest, ClientHangingUpUnreadDoesNotKillTheServer) {
+  ServeParams params = test_serve_params();
+  params.checkpoint_path = dir_ / "drain.ckpt";
+  Server server(test_corpus().corpus.network, params);
+  const auto port = server.start();
+  {
+    std::vector<char> wire;
+    for (int i = 0; i < 20000; ++i) encode(QueryStateMsg{424242}, wire);
+    const int fd = connect_loopback(port);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(write_all(fd, wire.data(), wire.size()));
+    ::close(fd);
+  }
+
+  // A second client is still served in full.
+  const auto load = test_load(30, 40);
+  std::vector<char> wire;
+  encode_load(load, 0, total_events(load), wire);
+  FrameDecoder decoder;
+  const int fd = drive_events(port, wire, decoder);
+  ASSERT_GE(fd, 0);
+  expect_matches_oracle(fd, decoder, load);
+  ::close(fd);
+
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.engine().events_applied(), total_events(load));
+  Server probe(test_corpus().corpus.network, test_serve_params());
+  probe.restore_checkpoint(params.checkpoint_path);
+  EXPECT_EQ(probe.engine().events_applied(), total_events(load));
+}
+
 // ---------------------------------------------------------------------------
 // Kill/resume: a drain checkpoint restored into a fresh server must end in
-// a state bit-identical to an uninterrupted run (determinism mode).
+// a state bit-identical to an uninterrupted run.
 
 TEST_F(ServeTest, KillResumeCheckpointBitIdenticalToUninterrupted) {
   const auto load = test_load(40, 40);
@@ -866,7 +934,6 @@ TEST_F(ServeTest, KillResumeCheckpointBitIdenticalToUninterrupted) {
                         const std::filesystem::path& restore,
                         std::size_t begin_event, std::size_t end_event) {
     ServeParams params = test_serve_params();
-    params.determinism = true;
     params.checkpoint_path = ckpt;
     Server server(test_corpus().corpus.network, params);
     if (!restore.empty()) server.restore_checkpoint(restore);
@@ -942,6 +1009,102 @@ TEST_F(ServeTest, PeriodicCheckpointIsRestorableMidServe) {
   server.request_stop();
   server.wait();
   EXPECT_EQ(server.engine().events_applied(), total_events(load));
+}
+
+// Every periodic checkpoint holds a whole sequence prefix: restored, it
+// equals a serial live engine fed exactly the first events_applied()
+// events in wire order, down to the checkpoint bytes. The wire is the
+// corpus in time order, as the site saw it, so consecutive events land on
+// scattered shards.
+TEST_F(ServeTest, PeriodicCheckpointsArePrefixesOfTheWireOrder) {
+  const auto load = test_load(200, 1000);
+  struct WireEvent {
+    std::uint32_t story;  // index into load
+    std::uint32_t k;      // 0 = the submit
+  };
+  std::vector<WireEvent> order;
+  for (std::uint32_t i = 0; i < load.size(); ++i)
+    for (std::uint32_t k = 0; k < load[i].events; ++k) order.push_back({i, k});
+  auto time_of = [&](const WireEvent& e) {
+    return load[e.story].story->times()[e.k];
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const WireEvent& a, const WireEvent& b) {
+                     return time_of(a) < time_of(b);
+                   });
+  std::vector<char> wire;
+  for (const WireEvent& e : order) {
+    const data::Story& s = *load[e.story].story;
+    if (e.k == 0)
+      encode(SubmitMsg{s.id, s.voters()[0], s.times()[0]}, wire);
+    else
+      encode(VoteMsg{s.id, s.voters()[e.k], s.times()[e.k]}, wire);
+  }
+
+  const auto ckpt = dir_ / "periodic.ckpt";
+  ServeParams params = test_serve_params();
+  params.checkpoint_ms = 1;
+  params.checkpoint_path = ckpt;
+  Server server(test_corpus().corpus.network, params);
+  const auto port = server.start();
+  const int fd = connect_loopback(port);
+  ASSERT_GE(fd, 0);
+  // Writes of a few frames keep events flowing through every drain cycle
+  // while checkpoints land; each distinct file seen meanwhile is kept
+  // (tmp + rename: the file is always complete).
+  constexpr std::size_t kWriteBytes = 16 * 21;
+  std::vector<std::string> seen;
+  for (std::size_t off = 0, writes = 0; off < wire.size();
+       off += kWriteBytes, ++writes) {
+    const std::size_t n = std::min(kWriteBytes, wire.size() - off);
+    ASSERT_TRUE(write_all(fd, wire.data() + off, n));
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    if (writes % 32 != 0) continue;
+    std::string bytes = read_file(ckpt);
+    if (!bytes.empty() && (seen.empty() || bytes != seen.back()))
+      seen.push_back(std::move(bytes));
+  }
+  FrameDecoder decoder;
+  std::string error;
+  ASSERT_TRUE(sync_barrier(fd, decoder, 1, error)) << error;
+  ::close(fd);
+  server.request_stop();
+  server.wait();
+  ASSERT_EQ(server.engine().events_applied(), order.size());
+
+  stream::StreamEngine oracle(test_corpus().corpus.network,
+                              test_stream_params());
+  std::vector<std::uint32_t> slot_of(load.size());
+  std::size_t fed = 0;
+  std::size_t mid_load = 0;
+  const auto probe_path = dir_ / "probe.ckpt";
+  for (const std::string& bytes : seen) {
+    {
+      std::ofstream out(probe_path, std::ios::binary);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    Server probe(test_corpus().corpus.network, test_serve_params());
+    probe.restore_checkpoint(probe_path);
+    const std::uint64_t n = probe.engine().events_applied();
+    SCOPED_TRACE("checkpoint at " + std::to_string(n) + " events");
+    ASSERT_GE(n, fed);  // checkpoints only move forward
+    ASSERT_LE(n, order.size());
+    for (; fed < n; ++fed) {
+      const WireEvent& e = order[fed];
+      const data::Story& s = *load[e.story].story;
+      if (e.k == 0)
+        slot_of[e.story] = oracle.live_submit(s.id, s.voters()[0], s.times()[0]);
+      else
+        oracle.live_vote(slot_of[e.story], s.voters()[e.k], s.times()[e.k]);
+      oracle.note_events_applied(1);
+    }
+    if (n > 0 && n < order.size()) ++mid_load;
+    expect_same_result(probe.engine().result(), oracle.result());
+    data::snapfmt::write_section_file(probe_path,
+                                      oracle.checkpoint_sections());
+    EXPECT_EQ(read_file(probe_path), bytes) << "checkpoint bytes diverged";
+  }
+  EXPECT_GE(mid_load, 3u) << "too few checkpoints landed mid-load";
 }
 
 }  // namespace
