@@ -3,7 +3,7 @@
 // rides on. The server and its clients run in one process (so the shared
 // obs registry carries the server-side histograms into the JSON report),
 // but all traffic crosses real loopback TCP through the real epoll
-// front-end, frame decoder, MPSC rings, and shard-parallel apply.
+// front-end, frame decoder, MPSC ring, and shard-parallel apply.
 //
 // Gated gauges (scripts/bench_check.py):
 //   serve.ingest_votes_per_sec  sustained throughput, sync-to-sync

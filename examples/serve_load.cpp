@@ -3,7 +3,7 @@
 // cascade-state and a promotion-prediction query per story. With --verify
 // it applies the identical events to a local live-mode engine and demands
 // the server's replies match field for field: an end-to-end proof that the
-// ingest path (frames -> rings -> shard-parallel apply) computes exactly
+// ingest path (frames -> ring -> shard-parallel apply) computes exactly
 // what a single-threaded engine would.
 //
 // Stories are partitioned across connections (a story's votes must arrive

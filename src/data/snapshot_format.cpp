@@ -90,11 +90,11 @@ std::uint64_t fnv1a(const char* data, std::size_t size, std::uint64_t seed) {
 // Streaming writer
 
 SectionFileWriter::SectionFileWriter(const std::filesystem::path& path)
-    : path_(path) {
+    : path_(path), tmp_(path.string() + ".tmp") {
   if (path.has_parent_path())
     std::filesystem::create_directories(path.parent_path());
-  out_.open(path, std::ios::binary | std::ios::trunc);
-  if (!out_) throw std::runtime_error("cannot write " + path_.string());
+  out_.open(tmp_, std::ios::binary | std::ios::trunc);
+  if (!out_) throw std::runtime_error("cannot write " + tmp_.string());
   // Header with count/table_offset placeholders; finish() patches them.
   put(kMagic, sizeof(kMagic));
   const std::uint32_t version = kSnapshotVersion;
@@ -105,11 +105,16 @@ SectionFileWriter::SectionFileWriter(const std::filesystem::path& path)
   put(&table_offset, sizeof(table_offset));
 }
 
-SectionFileWriter::~SectionFileWriter() = default;
+SectionFileWriter::~SectionFileWriter() {
+  if (finished_) return;
+  out_.close();
+  std::error_code ignored;
+  std::filesystem::remove(tmp_, ignored);
+}
 
 void SectionFileWriter::put(const void* p, std::size_t n) {
   out_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-  if (!out_) throw std::runtime_error("short write to " + path_.string());
+  if (!out_) throw std::runtime_error("short write to " + tmp_.string());
 }
 
 void SectionFileWriter::pad_to8() {
@@ -159,10 +164,15 @@ void SectionFileWriter::finish() {
   put(&meta, sizeof(meta));
 
   out_.seekp(12);  // count + table_offset live at bytes [12, 24)
-  if (!out_) throw std::runtime_error("short write to " + path_.string());
+  if (!out_) throw std::runtime_error("short write to " + tmp_.string());
   put(header.bytes().data() + 12, kHeaderBytesV2 - 12);
-  out_.flush();
-  if (!out_) throw std::runtime_error("short write to " + path_.string());
+  out_.close();
+  if (!out_) throw std::runtime_error("short write to " + tmp_.string());
+  std::error_code ec;
+  std::filesystem::rename(tmp_, path_, ec);
+  if (ec)
+    throw std::runtime_error("cannot rename " + tmp_.string() + " to " +
+                             path_.string() + ": " + ec.message());
   finished_ = true;
 }
 

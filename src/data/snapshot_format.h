@@ -214,9 +214,16 @@ struct Section {
 /// (and checksummed) as they are added, the table and trailing checksum
 /// land in `finish()`. Working set is one section body at a time — this is
 /// what lets million-user corpus generation write votes in bounded RAM.
+///
+/// The bytes go to `<path>.tmp`, which `finish()` renames over `path`, so
+/// `path` only ever holds a complete file: a reader never sees a half-
+/// written one, and a reader that mapped the previous file keeps its own
+/// copy (truncating a mapped file in place makes the mapping's reads die
+/// of SIGBUS). A writer destroyed before `finish()` removes its `.tmp` and
+/// leaves `path` as it was. No fsync: a crash can still lose the rename.
 class SectionFileWriter {
  public:
-  /// Opens the file (parent directories are created) and reserves the
+  /// Opens `<path>.tmp` (parent directories are created) and reserves the
   /// header. Throws std::runtime_error on I/O failure.
   explicit SectionFileWriter(const std::filesystem::path& path);
   SectionFileWriter(const SectionFileWriter&) = delete;
@@ -229,8 +236,8 @@ class SectionFileWriter {
     add(type, std::span<const char>(body.bytes()));
   }
 
-  /// Writes table + checksums and patches the header; the file is invalid
-  /// until this succeeds. Throws std::runtime_error on I/O failure.
+  /// Writes table + checksums, patches the header and renames the file
+  /// into place. Throws std::runtime_error on I/O failure.
   void finish();
 
  private:
@@ -238,6 +245,7 @@ class SectionFileWriter {
   void pad_to8();
 
   std::filesystem::path path_;
+  std::filesystem::path tmp_;  // `<path>.tmp` until finish() renames it
   std::ofstream out_;
   std::vector<SectionEntry> table_;
   std::uint64_t offset_ = kHeaderBytesV2;

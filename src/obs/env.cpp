@@ -10,6 +10,19 @@
 
 namespace digg::obs {
 
+namespace {
+
+// True the first time a bad value of `name` is seen. Leaked like the
+// logger's state, so a read from an atexit path is safe.
+bool first_warning(const char* name) {
+  static std::mutex mu;
+  static std::set<std::string>* warned = new std::set<std::string>();
+  std::lock_guard lock(mu);
+  return warned->insert(name).second;
+}
+
+}  // namespace
+
 std::uint64_t env_uint(const char* name, std::uint64_t lo, std::uint64_t hi,
                        std::uint64_t fallback) {
   const char* env = std::getenv(name);
@@ -22,18 +35,33 @@ std::uint64_t env_uint(const char* name, std::uint64_t lo, std::uint64_t hi,
   errno = 0;
   const unsigned long long v = digits ? std::strtoull(env, nullptr, 10) : 0;
   if (digits && errno == 0 && v >= lo && v <= hi) return v;
-
-  // Leaked like the logger's state, so a read from an atexit path is safe.
-  static std::mutex mu;
-  static std::set<std::string>* warned = new std::set<std::string>();
-  std::lock_guard lock(mu);
-  if (warned->insert(name).second)
+  if (first_warning(name))
     log_warn("obs", "ignoring malformed or out-of-range env value",
              {{"var", name},
               {"value", env},
               {"min", lo},
               {"max", hi},
               {"fallback", fallback}});
+  return fallback;
+}
+
+std::string_view env_choice(const char* name,
+                            std::initializer_list<std::string_view> allowed,
+                            std::string_view fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  for (const std::string_view a : allowed)
+    if (a == env) return a;
+  if (first_warning(name)) {
+    std::string choices;
+    for (const std::string_view a : allowed)
+      choices.append(choices.empty() ? "" : "|").append(a);
+    log_warn("obs", "ignoring unknown env value",
+             {{"var", name},
+              {"value", env},
+              {"allowed", choices},
+              {"fallback", fallback}});
+  }
   return fallback;
 }
 

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "src/obs/env.h"
+
 namespace digg::obs {
 
 namespace {
@@ -28,12 +30,6 @@ LogState& state() {
 constexpr int kLevelUnset = -1;
 
 std::atomic<int> g_level{kLevelUnset};
-
-LogLevel resolve_env_level() {
-  const char* env = std::getenv("DIGG_LOG_LEVEL");
-  if (!env || *env == '\0') return LogLevel::kInfo;
-  return parse_log_level(env, LogLevel::kInfo);
-}
 
 std::FILE* resolve_out() {
   const char* path = std::getenv("DIGG_LOG_FILE");
@@ -115,10 +111,23 @@ LogLevel parse_log_level(std::string_view name, LogLevel fallback) {
   return fallback;
 }
 
+LogLevel log_level_from_env() {
+  return parse_log_level(env_choice("DIGG_LOG_LEVEL",
+                                    {"trace", "debug", "info", "warn",
+                                     "error", "off"},
+                                    "info"));
+}
+
 LogLevel log_level() noexcept {
   int v = g_level.load(std::memory_order_relaxed);
   if (v == kLevelUnset) {
-    v = static_cast<int>(resolve_env_level());
+    // env_choice reports a bad DIGG_LOG_LEVEL through this logger; while
+    // that warning is logged the level is the default, not a second read.
+    static thread_local bool resolving = false;
+    if (resolving) return LogLevel::kInfo;
+    resolving = true;
+    v = static_cast<int>(log_level_from_env());
+    resolving = false;
     // Benign race: every loser computes the same env-derived value.
     g_level.store(v, std::memory_order_relaxed);
   }

@@ -35,8 +35,12 @@ enum class LogLevel : int {
 [[nodiscard]] LogLevel parse_log_level(std::string_view name,
                                        LogLevel fallback = LogLevel::kInfo);
 
+/// DIGG_LOG_LEVEL through env_choice (env.h): one of the names above, else
+/// info, with one warning for an empty or unknown value.
+[[nodiscard]] LogLevel log_level_from_env();
+
 /// Current threshold: messages below it are dropped. Resolution order:
-/// programmatic override, DIGG_LOG_LEVEL, default info.
+/// programmatic override, log_level_from_env() (read once).
 [[nodiscard]] LogLevel log_level() noexcept;
 
 /// Overrides the threshold for subsequent calls (tests, embedding apps).

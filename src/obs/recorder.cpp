@@ -283,11 +283,7 @@ const char* event_kind_name(EventKind kind) noexcept {
 bool recorder_enabled() noexcept {
   int v = g_enabled.load(std::memory_order_relaxed);
   if (v == -1) {
-    const char* env = std::getenv("DIGG_RECORDER");
-    const bool off =
-        env != nullptr && (std::strcmp(env, "off") == 0 ||
-                           std::strcmp(env, "0") == 0);
-    v = off ? 0 : 1;
+    v = recorder_enabled_from_env() ? 1 : 0;
     (void)trace_path();  // arms the DIGG_TRACE export, recorder on or off
     // Benign race: every loser computes the same env-derived value.
     g_enabled.store(v, std::memory_order_relaxed);
@@ -297,6 +293,12 @@ bool recorder_enabled() noexcept {
 
 void set_recorder_enabled(bool on) noexcept {
   g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+}
+
+bool recorder_enabled_from_env() {
+  const std::string_view v =
+      env_choice("DIGG_RECORDER", {"on", "1", "off", "0"}, "on");
+  return v == "on" || v == "1";
 }
 
 std::size_t recorder_ring_capacity() noexcept { return ring_capacity(); }

@@ -76,6 +76,9 @@ void record_event(EventKind kind, std::uint32_t dom = 0, std::uint64_t a = 0,
 /// toggle. Disabled recording is one relaxed load.
 [[nodiscard]] bool recorder_enabled() noexcept;
 void set_recorder_enabled(bool on) noexcept;
+/// DIGG_RECORDER through env_choice (env.h): on|1 or off|0, else on, with
+/// one warning for an empty or unknown value.
+[[nodiscard]] bool recorder_enabled_from_env();
 
 /// Events retained per thread ring: recorder_events_from_env(), fixed once
 /// the first ring exists.

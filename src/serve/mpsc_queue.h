@@ -1,11 +1,9 @@
 #pragma once
 // Bounded lock-free multi-producer / single-consumer ring queue — the
-// hand-off between the serve front-end (producer: one per accepting thread,
-// today a single epoll thread, but the queue does not assume that) and the
-// drain coordinator (the one consumer per ring). One ring per engine shard
-// keeps the hand-off contention-free across shards and preserves per-story
-// FIFO: a story maps to exactly one shard, so its events traverse one ring
-// in arrival order.
+// hand-off between the serve front-end and the drain coordinator. Serve
+// has one producer (the epoll thread) and one ring, so the ring's FIFO
+// order is the order events were accepted in; the queue itself does not
+// assume a single producer.
 //
 // The design is the classic bounded-sequence ring (Vyukov): each cell
 // carries a sequence counter that encodes, relative to the ring lap, whether
@@ -37,10 +35,12 @@ class MpscQueue {
 
  public:
   /// Capacity is rounded up to a power of two (index masking beats modulo
-  /// on the per-event path). Throws std::invalid_argument on zero.
+  /// on the per-event path), and 1 up to 2: in a one-cell ring "published"
+  /// and "freed for the next lap" are the same sequence value, so pushes
+  /// would overwrite unread values. Throws std::invalid_argument on zero.
   explicit MpscQueue(std::size_t capacity) {
     if (capacity == 0) throw std::invalid_argument("MpscQueue capacity 0");
-    std::size_t cap = 1;
+    std::size_t cap = 2;
     while (cap < capacity) cap <<= 1;
     mask_ = cap - 1;
     cells_ = std::make_unique<Cell[]>(cap);
@@ -95,6 +95,16 @@ class MpscQueue {
     }
     if (n > 0) head_.store(pos, std::memory_order_relaxed);
     return n;
+  }
+
+  /// Consumer-side fill level: the cells producers have claimed and the
+  /// consumer has not popped. Every push that completed before this call
+  /// (happens-before) is counted, so pop_batch(out, fill_level()) returns
+  /// each of them; it returns fewer than the level when a claimed cell is
+  /// still being written. Only the consumer may call this.
+  [[nodiscard]] std::size_t fill_level() const {
+    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
+                                    head_.load(std::memory_order_relaxed));
   }
 
   /// Racy size estimate for queue-depth gauges (never for control flow).

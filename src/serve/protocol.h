@@ -27,13 +27,12 @@
 //   kSyncReply     u32 token
 //   kError         u8 code (ErrorCode)  u32 detail (e.g. the story id)
 //
-// Ordering/answer contract: every accepted event gets the next global
-// sequence number, and each query or sync is stamped with the sequence
-// number current when it arrives. The server answers it once every event
-// below its stamp (across all connections) has been applied, and engine
-// state only ever holds such a whole prefix. A sync is therefore a write
-// barrier: send votes, sync, then query, and the reply reflects all of
-// them.
+// Ordering/answer contract: the server applies accepted events in the
+// order it accepted them, across all connections, and answers a query or
+// sync once every event accepted before it has been applied; engine state
+// only ever holds such a whole prefix of the accepted events. A sync is
+// therefore a write barrier: send votes, sync, then query, and the reply
+// reflects all of them.
 //
 // Malformed input (length 0 or beyond kMaxFrameBytes, unknown type, body
 // size disagreeing with the type) throws ProtocolError from the decoder;

@@ -121,15 +121,11 @@ void read_env(ServeParams& params) {
 Server::Server(const graph::Digraph& network, ServeParams params)
     : network_(&network),
       params_(std::move(params)),
-      engine_(network, params_.stream) {
+      engine_(network, params_.stream),
+      ring_(params_.ring_capacity) {
   if (params_.checkpoint_ms > 0 && params_.checkpoint_path.empty())
     throw std::invalid_argument(
         "serve: checkpoint_ms set without a checkpoint_path");
-  submit_q_ = std::make_unique<MpscQueue<SubmitEntry>>(params_.ring_capacity);
-  vote_q_.reserve(kShards);
-  for (std::uint32_t s = 0; s < kShards; ++s)
-    vote_q_.push_back(
-        std::make_unique<MpscQueue<VoteEntry>>(params_.ring_capacity));
 }
 
 Server::~Server() {
@@ -176,8 +172,8 @@ std::uint16_t Server::start() {
   started_ = true;
   running_.store(true, std::memory_order_release);
   frontend_ = std::thread([this] { frontend_main(); });
+  writer_ = std::thread([this] { writer_main(); });  // joined by coordinator
   coordinator_ = std::thread([this] { coordinator_main(); });
-  writer_ = std::thread([this] { writer_main(); });
 
   obs::log_info("serve", "listening",
                 {{"port", static_cast<unsigned>(port_)},
@@ -196,7 +192,6 @@ void Server::request_stop() noexcept {
 void Server::wait() {
   if (frontend_.joinable()) frontend_.join();
   if (coordinator_.joinable()) coordinator_.join();
-  if (writer_.joinable()) writer_.join();
   running_.store(false, std::memory_order_release);
 }
 
@@ -260,7 +255,6 @@ void Server::frontend_main() {
     guards.add(prefix.voters, prefix.last_time);
   }
 
-  std::uint64_t next_seq = 0;
   std::uint64_t votes_seen = 0;
 
   auto close_conn = [&](int fd) {
@@ -331,6 +325,14 @@ void Server::frontend_main() {
     return send_error(c, code, story_id);
   };
 
+  // Appends one accepted event to the wire order.
+  auto push = [&](const Entry& e) {
+    while (!ring_.try_push(e)) {
+      backpressure.inc();
+      std::this_thread::yield();
+    }
+  };
+
   // Hands one decoded message to its queue. Returns false when the
   // connection must close (protocol misuse).
   auto handle = [&](Conn& c, const Message& msg) -> bool {
@@ -341,18 +343,12 @@ void Server::frontend_main() {
       if (!std::isfinite(v->time)) return reject_bad_time(c, v->story_id);
       if (const auto refused = guards.accept(mapped - 1, v->voter, v->time))
         return reject_guarded(c, *refused, v->story_id);
-      VoteEntry e{};
-      e.seq = next_seq++;
-      e.slot = mapped - 1;
-      e.voter = v->voter;
-      e.time = v->time;
-      e.stamp_ns = ((votes_seen++ & 0xff) == 0) ? now_ns() : 0;
-      auto& ring = *vote_q_[e.slot % kShards];
-      while (!ring.try_push(e)) {
-        backpressure.inc();
-        std::this_thread::yield();
-      }
-      pushed_seq_.store(next_seq, std::memory_order_release);
+      push({.slot = mapped - 1,
+            .user = v->voter,
+            .id = v->story_id,
+            .submit = false,
+            .time = v->time,
+            .stamp_ns = ((votes_seen++ & 0xff) == 0) ? now_ns() : 0});
       votes_in.inc();
       return true;
     }
@@ -362,20 +358,14 @@ void Server::frontend_main() {
       if (s->submitter >= user_count)
         return reject_unknown_user(c, s->submitter);
       if (!std::isfinite(s->time)) return reject_bad_time(c, s->story_id);
-      SubmitEntry e{};
-      e.seq = next_seq++;
-      e.slot = next_slot++;
-      e.id = s->story_id;
-      e.submitter = s->submitter;
-      e.time = s->time;
-      e.stamp_ns = 0;
-      ids.insert(s->story_id, e.slot);
+      ids.insert(s->story_id, next_slot);
       guards.add({&s->submitter, 1}, s->time);
-      while (!submit_q_->try_push(e)) {
-        backpressure.inc();
-        std::this_thread::yield();
-      }
-      pushed_seq_.store(next_seq, std::memory_order_release);
+      push({.slot = next_slot++,
+            .user = s->submitter,
+            .id = s->story_id,
+            .submit = true,
+            .time = s->time,
+            .stamp_ns = 0});
       submits_in.inc();
       return true;
     }
@@ -400,7 +390,7 @@ void Server::frontend_main() {
       send_error(c, ErrorCode::kBadFrame, 0);
       return false;
     }
-    item.stamp = next_seq;
+    // Every event accepted before the item is in the ring by now.
     item.out = c.outbox;
     {
       std::lock_guard lock(control_mu_);
@@ -543,9 +533,8 @@ void Server::coordinator_main() {
   auto& ingest_us = registry.histogram("serve.ingest_us");
   auto& depth_gauge = registry.gauge("serve.queue_depth");
 
-  constexpr std::size_t kBatch = 512;
-  std::vector<SubmitEntry> submits;
-  std::array<std::vector<VoteEntry>, kShards> shard_pending;
+  std::vector<Entry> batch(ring_.capacity());
+  std::array<std::vector<Entry>, kShards> shard_votes;
   std::deque<ControlItem> controls;
 
   auto last_ckpt = std::chrono::steady_clock::now();
@@ -560,86 +549,50 @@ void Server::coordinator_main() {
     // setting it, so this cycle applies and answers everything left.
     const bool last_cycle = ingest_done_.load(std::memory_order_acquire);
 
-    // --- Pop the controls, then the bound, then the rings. ---------------
-    // A control is enqueued after the bound covering its stamp is
-    // published, so every control popped here is answerable this cycle;
-    // the stamp check below does not rely on that order.
-    std::size_t popped = 0;
+    // --- Take the controls, then the ring's prefix that precedes them. ---
+    // A control is enqueued after every event accepted before it was
+    // pushed, so the fill level read after taking it counts those events,
+    // and the pop (one producer publishes cells in order) returns a wire-
+    // order prefix that contains them. Reading the level once keeps a
+    // cycle from chasing a producer that keeps pushing.
     {
       std::lock_guard lock(control_mu_);
-      popped = control_q_.size();
-      controls.insert(controls.end(), control_q_.begin(), control_q_.end());
-      control_q_.clear();
+      controls.swap(control_q_);
     }
-    const std::uint64_t bound = pushed_seq_.load(std::memory_order_acquire);
-    {
-      SubmitEntry buf[kBatch];
-      for (;;) {
-        const auto n = submit_q_->pop_batch(buf, kBatch);
-        submits.insert(submits.end(), buf, buf + n);
-        popped += n;
-        if (n < kBatch) break;
-      }
-    }
-    {
-      VoteEntry buf[kBatch];
-      for (std::uint32_t s = 0; s < kShards; ++s) {
-        for (;;) {
-          const auto n = vote_q_[s]->pop_batch(buf, kBatch);
-          shard_pending[s].insert(shard_pending[s].end(), buf, buf + n);
-          popped += n;
-          if (n < kBatch) break;
-        }
-      }
-    }
+    const std::size_t popped =
+        ring_.pop_batch(batch.data(), ring_.fill_level());
 
-    // --- Apply exactly the events with seq < bound. ----------------------
-    // Each list is in push order, so those events are a prefix of it; the
-    // rest were pushed after the bound was loaded and wait a cycle. A
-    // submit precedes its story's votes in sequence, so every applied vote
+    // --- Apply the prefix: submits serially, then shards in parallel. ----
+    // A submit precedes its story's votes in the ring, so every vote
     // finds its slot.
-    auto below_bound = [bound](const auto& e) { return e.seq < bound; };
-    const auto submit_end =
-        std::partition_point(submits.begin(), submits.end(), below_bound);
-    for (auto it = submits.begin(); it != submit_end; ++it)
-      engine_.live_submit(it->id, it->submitter, it->time);
-    std::uint64_t applied =
-        static_cast<std::uint64_t>(submit_end - submits.begin());
-    submits.erase(submits.begin(), submit_end);
-    std::array<std::uint64_t, kShards> done{};
+    for (std::size_t i = 0; i < popped; ++i) {
+      const Entry& e = batch[i];
+      if (e.submit)
+        engine_.live_submit(e.id, e.user, e.time);
+      else
+        shard_votes[e.slot % kShards].push_back(e);
+    }
     runtime::parallel_for(
         kShards,
         [&](std::size_t s) {
-          auto& pending = shard_pending[s];
-          const auto end =
-              std::partition_point(pending.begin(), pending.end(), below_bound);
-          for (auto it = pending.begin(); it != end; ++it) {
-            engine_.live_vote(it->slot, it->voter, it->time);
-            if (it->stamp_ns != 0)
+          for (const Entry& e : shard_votes[s]) {
+            engine_.live_vote(e.slot, e.user, e.time);
+            if (e.stamp_ns != 0)
               ingest_us.observe(
-                  static_cast<double>(now_ns() - it->stamp_ns) / 1e3);
+                  static_cast<double>(now_ns() - e.stamp_ns) / 1e3);
           }
-          done[s] = static_cast<std::uint64_t>(end - pending.begin());
-          pending.erase(pending.begin(), end);
+          shard_votes[s].clear();
         },
         {.grain = 1});
-    for (const auto d : done) applied += d;
-    if (applied > 0) engine_.note_events_applied(applied);
+    if (popped > 0) engine_.note_events_applied(popped);
 
-    // --- Answer every control the applied prefix covers. -----------------
-    bool answered = false;
-    while (!controls.empty() && controls.front().stamp <= bound) {
-      answer(controls.front());
-      controls.pop_front();
-      answered = true;
-    }
-    if (answered) wake_frontend();
+    // --- Answer every control taken above. -------------------------------
+    const bool idle = popped == 0 && controls.empty();
+    for (const ControlItem& item : controls) answer(item);
+    if (!controls.empty()) wake_frontend();
+    controls.clear();
 
-    {
-      std::size_t depth = submit_q_->size_approx();
-      for (const auto& q : vote_q_) depth += q->size_approx();
-      depth_gauge.set(static_cast<double>(depth));
-    }
+    depth_gauge.set(static_cast<double>(ring_.size_approx()));
 
     // --- Periodic checkpoint hand-off. -----------------------------------
     if (params_.checkpoint_ms > 0) {
@@ -656,9 +609,20 @@ void Server::coordinator_main() {
     }
 
     if (last_cycle) break;
-    if (popped == 0 && applied == 0)
+    if (idle)
       std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
+
+  // Stop the writer first: a periodic checkpoint still pending or being
+  // written would share the final one's temporary file and could land
+  // over it.
+  {
+    std::lock_guard lock(ckpt_mu_);
+    ckpt_pending_.reset();
+    ckpt_exit_ = true;
+  }
+  ckpt_cv_.notify_all();
+  writer_.join();
 
   // Final synchronous checkpoint: the durable artifact of a graceful drain.
   if (!params_.checkpoint_path.empty()) {
@@ -668,11 +632,6 @@ void Server::coordinator_main() {
       obs::log_error("serve", "final checkpoint failed", {{"error", e.what()}});
     }
   }
-  {
-    std::lock_guard lock(ckpt_mu_);
-    ckpt_exit_ = true;
-  }
-  ckpt_cv_.notify_all();
   coordinator_done_.store(true, std::memory_order_release);
   wake_frontend();
   obs::log_info("serve", "coordinator drained",
@@ -735,10 +694,7 @@ void Server::answer(const ControlItem& item) {
 
 void Server::write_checkpoint_file(
     std::vector<data::snapfmt::Section> sections) {
-  auto tmp = params_.checkpoint_path;
-  tmp += ".tmp";
-  data::snapfmt::write_section_file(tmp, sections);
-  std::filesystem::rename(tmp, params_.checkpoint_path);
+  data::snapfmt::write_section_file(params_.checkpoint_path, sections);
   obs::Registry::global().counter("serve.checkpoints").inc();
 }
 

@@ -6,42 +6,43 @@
 //   front-end (epoll)  — accepts connections on 127.0.0.1, decodes frames,
 //     validates story ids (it owns the id->slot map, so lookups are
 //     lock-free), refuses every vote the engine would throw on (it keeps
-//     each story's last accepted time and below-horizon voters), stamps
-//     each accepted event with a global sequence number and hands it off:
-//     submits onto one dedicated ring (its FIFO order IS slot-assignment
-//     order), votes onto one lock-free MPSC ring per engine shard
-//     (mpsc_queue.h), queries/syncs onto a small mutex-guarded deque.
-//     After each push it publishes the bound B ("every seq < B is in a
-//     ring"); each query/sync carries the B current when it was enqueued.
-//     Replies travel back through per-connection outboxes; an eventfd wakes
-//     the front-end to flush them.
+//     each story's last accepted time and below-horizon voters), and
+//     pushes each accepted submit and vote onto one lock-free ring
+//     (mpsc_queue.h) in the order it accepts them: the ring's FIFO order
+//     IS the wire order, and so slot-assignment order. Queries and syncs
+//     go onto a small mutex-guarded deque, after every event accepted
+//     before them is in the ring. Replies travel back through
+//     per-connection outboxes; an eventfd wakes the front-end to flush
+//     them.
 //
 //   coordinator        — the single ring consumer and the ONLY engine
-//     mutator. Each drain cycle pops the controls, loads B, pops every
-//     ring, and applies exactly the events with seq < B: submits serially
-//     (slot order is push order), then each shard's FIFO list via
+//     mutator. Each drain cycle takes the controls, reads the ring's fill
+//     level once, and pops at most that many entries: with one producer
+//     publishing cells in order they are a wire-order prefix that covers
+//     every event accepted before the controls. It applies the submits
+//     serially (slot order is ring order), then each shard's vote list via
 //     parallel_for — sound because live_vote is shard-exclusive and
-//     per-story state cannot observe cross-story order. A popped event
-//     with seq >= B waits for the next cycle. Engine state — and so every
-//     checkpoint, periodic or drain — is therefore always a whole sequence
+//     per-story state cannot observe cross-story order — and answers every
+//     control it took, so a reply reflects every event accepted before it
+//     (the protocol.h barrier contract). Engine state — and so every
+//     checkpoint, periodic or drain — is therefore always a whole wire
 //     prefix, bit-identical to any run that accepted the same events in
-//     the same order. A control is answered once the applied prefix covers
-//     its stamp, so its reply reflects every event accepted before it (the
-//     protocol.h barrier contract).
+//     the same order.
 //
 //   checkpoint writer  — when checkpoint_ms is set, the coordinator
 //     serializes engine state between applies (checkpoint_sections(), pure
 //     in-memory) and hands the sections here; the writer does the disk I/O
-//     (tmp + rename, so the file on disk is always a complete checkpoint)
-//     off the hot path. Latest-wins: a slow disk drops intermediate
-//     checkpoints instead of stalling ingest.
+//     (SectionFileWriter replaces the file atomically, so the file on disk
+//     is always a complete checkpoint) off the hot path. Latest-wins: a
+//     slow disk drops intermediate checkpoints instead of stalling ingest.
 //
 // Graceful drain (request_stop, SIGTERM-safe): the front-end performs one
 // final read pass so every byte a client sent before the stop is decoded
-// and enqueued, the coordinator drains all queues and answers every pending
-// control item, writes a final synchronous checkpoint, and only then do the
-// connections close — proven by the kill/resume e2e test, which restores
-// the drain checkpoint and matches an uninterrupted run bit for bit.
+// and enqueued, the coordinator drains the ring and answers every pending
+// control item, stops and joins the checkpoint writer, writes a final
+// synchronous checkpoint, and only then do the connections close — proven
+// by the kill/resume e2e test, which restores the drain checkpoint and
+// matches an uninterrupted run bit for bit.
 
 #include <atomic>
 #include <condition_variable>
@@ -69,11 +70,13 @@ struct ServeParams {
   /// Background checkpoint cadence in milliseconds; 0 disables periodic
   /// checkpoints (the drain checkpoint still happens when a path is set).
   std::uint32_t checkpoint_ms = 0;
-  /// Checkpoint target; required when checkpoint_ms > 0. Written atomically
-  /// (tmp + rename). Also the final drain checkpoint's destination.
+  /// Checkpoint target; required when checkpoint_ms > 0. Replaced
+  /// atomically (snapshot_format.h). Also the final drain checkpoint's
+  /// destination.
   std::filesystem::path checkpoint_path;
-  /// Per-ring capacity (rounded up to a power of two). A full ring makes
-  /// the front-end yield-retry (counted in serve.backpressure).
+  /// Capacity of the one front-end -> coordinator ring, in accepted events
+  /// (rounded up to a power of two, at least 2). A full ring makes the
+  /// front-end yield-retry (counted in serve.backpressure).
   std::size_t ring_capacity = 1 << 13;
 };
 
@@ -124,20 +127,14 @@ class Server {
   [[nodiscard]] const ServeParams& params() const noexcept { return params_; }
 
  private:
-  // Ring payloads (trivially copyable by MpscQueue contract). stamp_ns is
-  // nonzero on sampled events only (every 256th) and feeds serve.ingest_us.
-  struct VoteEntry {
-    std::uint64_t seq;
+  // The ring payload (trivially copyable by MpscQueue contract): one
+  // accepted submit or vote. stamp_ns is nonzero on sampled votes only
+  // (every 256th) and feeds serve.ingest_us.
+  struct Entry {
     std::uint32_t slot;
-    std::uint32_t voter;
-    double time;
-    std::uint64_t stamp_ns;
-  };
-  struct SubmitEntry {
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t id;
-    std::uint32_t submitter;
+    std::uint32_t user;  // the voter, or a submit's submitter
+    std::uint32_t id;    // the story id
+    bool submit;
     double time;
     std::uint64_t stamp_ns;
   };
@@ -156,7 +153,6 @@ class Server {
     Kind kind = Kind::kSync;
     std::uint32_t slot = 0;   // queries: resolved by the front-end
     std::uint32_t token = 0;  // syncs
-    std::uint64_t stamp = 0;  // events with seq < stamp precede it
     std::shared_ptr<Outbox> out;
   };
 
@@ -171,12 +167,9 @@ class Server {
   ServeParams params_;
   stream::StreamEngine engine_;
 
-  std::unique_ptr<MpscQueue<SubmitEntry>> submit_q_;
-  std::vector<std::unique_ptr<MpscQueue<VoteEntry>>> vote_q_;  // per shard
+  MpscQueue<Entry> ring_;  // accepted events, front-end -> coordinator
   std::mutex control_mu_;
   std::deque<ControlItem> control_q_;
-  // Every event with seq below this is in its ring (front-end -> coordinator).
-  std::atomic<std::uint64_t> pushed_seq_{0};
 
   // Drain handshake: stop_ -> front-end final read pass -> ingest_done_ ->
   // coordinator drains and answers -> coordinator_done_ -> front-end final

@@ -38,11 +38,11 @@ class SnapshotTest : public ::testing::Test {
   fs::path dir_;
 };
 
-Corpus small_corpus(std::uint64_t seed = 1) {
+Corpus small_corpus(std::uint64_t seed = 1, std::size_t stories = 40) {
   stats::Rng rng(seed);
   SyntheticParams p;
   p.user_count = 1500;
-  p.story_count = 40;
+  p.story_count = stories;
   p.vote_model.horizon = platform::kMinutesPerDay;
   p.vote_model.step = 2.0;
   return generate_corpus(p, rng).corpus;
@@ -467,6 +467,44 @@ TEST_F(SnapshotTest, MmapSurvivesCopyAndSourceRelease) {
   fs::remove(snap());  // mapping survives unlinking on POSIX
   EXPECT_NO_THROW(validate(copy));
   EXPECT_GT(copy.vote_store.total_votes(), 0u);
+}
+
+// Saving over a snapshot that a live corpus has mapped must not touch the
+// mapped bytes. Writing the new file in place would truncate the mapped
+// inode, and reading the first corpus's votes past the new end would die
+// of SIGBUS.
+TEST_F(SnapshotTest, SavingOverAMappedSnapshotLeavesTheMappingIntact) {
+  const Corpus bigger = small_corpus(11);
+  const Corpus smaller = small_corpus(12, 10);
+
+  save_snapshot(bigger, snap(), /*chunk_target_bytes=*/4096);
+  const auto bigger_bytes = fs::file_size(snap());
+  const Corpus mapped = load_snapshot_mmap(snap());
+  save_snapshot(smaller, snap(), /*chunk_target_bytes=*/4096);
+  ASSERT_LT(fs::file_size(snap()), bigger_bytes);
+
+  ASSERT_EQ(mapped.story_count(), bigger.story_count());
+  for (std::size_t i = 0; i < bigger.front_page.size(); ++i)
+    expect_same_story(bigger.front_page[i], mapped.front_page[i]);
+  for (std::size_t i = 0; i < bigger.upcoming.size(); ++i)
+    expect_same_story(bigger.upcoming[i], mapped.upcoming[i]);
+  EXPECT_EQ(load_snapshot(snap()).story_count(), smaller.story_count());
+}
+
+// A writer dropped before finish() (an exception mid-save) leaves the
+// previous file byte for byte and no temporary behind.
+TEST_F(SnapshotTest, UnfinishedWriterLeavesThePreviousFile) {
+  save_snapshot(small_corpus(), snap());
+  const std::vector<char> before = slurp(snap());
+  {
+    snapfmt::SectionFileWriter w(snap());
+    const std::vector<char> body(64, 'x');
+    w.add(snapfmt::kModelInfo, body);
+  }
+  EXPECT_EQ(slurp(snap()), before);
+  EXPECT_FALSE(fs::exists(snap().string() + ".tmp"));
+  EXPECT_EQ(std::vector<fs::path>(fs::directory_iterator(dir_), {}),
+            std::vector<fs::path>{snap()});
 }
 
 TEST_F(SnapshotTest, MultiChunkRoundTrip) {

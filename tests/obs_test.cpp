@@ -16,6 +16,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -30,6 +31,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -1078,6 +1080,87 @@ TEST(EnvUint, EveryNumericVariableFallsBackOnBadInput) {
     SCOPED_TRACE(std::string(row.var) + "=\"" + row.value + "\"");
     ScopedEnv env(row.var, row.value);
     EXPECT_EQ(read.at(row.var)(), row.expect);
+  }
+}
+
+TEST(EnvChoice, AcceptsAllowedWordsAndWarnsOncePerVariable) {
+  LogCapture capture;
+  set_log_level(LogLevel::kWarn);
+  // A fresh name per run: the once-per-variable state outlives the test.
+  static int run = 0;
+  const std::string name =
+      "DIGG_OBS_TEST_ENV_CHOICE_" + std::to_string(run++);
+  const char* const kVar = name.c_str();
+  auto read = [&] {
+    return std::string(env_choice(kVar, {"on", "off"}, "on"));
+  };
+  {
+    ScopedEnv env(kVar, nullptr);
+    EXPECT_EQ(read(), "on");
+  }
+  for (const char* ok : {"on", "off"}) {
+    ScopedEnv env(kVar, ok);
+    EXPECT_EQ(read(), ok);
+  }
+  EXPECT_TRUE(capture.lines().empty());
+  for (const char* bad : {"", "OFF", "of", " off", "offf", "0"}) {
+    ScopedEnv env(kVar, bad);
+    EXPECT_EQ(read(), "on") << '"' << bad << '"';
+  }
+  ASSERT_EQ(capture.lines().size(), 1u);
+  EXPECT_NE(capture.lines()[0].find(kVar), std::string::npos);
+  EXPECT_NE(capture.lines()[0].find("allowed=on|off"), std::string::npos);
+  EXPECT_NE(capture.lines()[0].find("fallback=on"), std::string::npos);
+}
+
+// Both string variables, read the way their sites read them: an empty or
+// misspelt value keeps the default and warns once. Before env_choice,
+// DIGG_LOG_LEVEL=warnings ran at info without a word.
+TEST(EnvChoice, StringVariablesFallBackOnBadInputAndWarn) {
+  LogCapture capture;
+  set_log_level(LogLevel::kWarn);
+  const std::map<std::string, std::function<int()>> read = {
+      {"DIGG_LOG_LEVEL",
+       [] { return static_cast<int>(log_level_from_env()); }},
+      {"DIGG_RECORDER", [] { return recorder_enabled_from_env() ? 1 : 0; }},
+  };
+  constexpr int kInfo = static_cast<int>(LogLevel::kInfo);
+  struct Row {
+    const char* var;
+    const char* value;
+    int expect;
+  };
+  const Row rows[] = {
+      {"DIGG_LOG_LEVEL", "warn", static_cast<int>(LogLevel::kWarn)},
+      {"DIGG_LOG_LEVEL", "off", static_cast<int>(LogLevel::kOff)},
+      {"DIGG_LOG_LEVEL", "trace", static_cast<int>(LogLevel::kTrace)},
+      {"DIGG_LOG_LEVEL", "warnings", kInfo},
+      {"DIGG_LOG_LEVEL", "WARN", kInfo},
+      {"DIGG_LOG_LEVEL", "", kInfo},
+      {"DIGG_RECORDER", "off", 0},
+      {"DIGG_RECORDER", "0", 0},
+      {"DIGG_RECORDER", "on", 1},
+      {"DIGG_RECORDER", "1", 1},
+      {"DIGG_RECORDER", "Off", 1},
+      {"DIGG_RECORDER", "disabled", 1},
+      {"DIGG_RECORDER", "", 1},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.var) + "=\"" + row.value + "\"");
+    ScopedEnv env(row.var, row.value);
+    EXPECT_EQ(read.at(row.var)(), row.expect);
+  }
+  // One warning per variable per process, so only the first run sees them.
+  static bool first_run = true;
+  if (!std::exchange(first_run, false)) return;
+  for (const auto& [var, reader] : read) {
+    SCOPED_TRACE(var);
+    EXPECT_EQ(std::ranges::count_if(capture.lines(),
+                                    [&](const std::string& line) {
+                                      return line.find("var=" + var) !=
+                                             std::string::npos;
+                                    }),
+              1);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "src/core/predictor.h"
 #include "src/data/snapshot_format.h"
 #include "src/data/synthetic.h"
+#include "src/obs/log.h"
 #include "src/obs/metrics.h"
 #include "src/runtime/parallel.h"
 #include "src/serve/client.h"
@@ -313,21 +314,34 @@ TEST(ServeProtocolTest, GarbageStreamsNeverCrashTheDecoder) {
 // MPSC ring queue.
 
 TEST(MpscQueueTest, SingleThreadFifoAndFullBehavior) {
-  MpscQueue<int> q(4);  // rounds to 4
-  EXPECT_EQ(q.capacity(), 4u);
   EXPECT_THROW(MpscQueue<int>(0), std::invalid_argument);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.try_push(i));
-  EXPECT_FALSE(q.try_push(99));  // full: never blocks, never overwrites
-  int out[8];
-  EXPECT_EQ(q.pop_batch(out, 8), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], i);
-  EXPECT_EQ(q.pop_batch(out, 8), 0u);
-  // Wraps across laps.
-  for (int lap = 0; lap < 3; ++lap) {
-    for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.try_push(lap * 10 + i));
-    EXPECT_EQ(q.pop_batch(out, 8), 3u);
-    EXPECT_EQ(out[0], lap * 10);
-    EXPECT_EQ(out[2], lap * 10 + 2);
+  // A one-cell ring cannot tell a published cell from a freed one, so a
+  // request for 1 gets 2.
+  struct Row {
+    std::size_t requested;
+    int capacity;
+  };
+  for (const Row row : {Row{1, 2}, Row{3, 4}, Row{4, 4}}) {
+    SCOPED_TRACE("requested capacity " + std::to_string(row.requested));
+    MpscQueue<int> q(row.requested);
+    EXPECT_EQ(q.capacity(), static_cast<std::size_t>(row.capacity));
+    for (int i = 0; i < row.capacity; ++i) EXPECT_TRUE(q.try_push(i));
+    EXPECT_EQ(q.fill_level(), static_cast<std::size_t>(row.capacity));
+    EXPECT_FALSE(q.try_push(99));  // full: never blocks, never overwrites
+    int out[8];
+    ASSERT_EQ(q.pop_batch(out, 8), static_cast<std::size_t>(row.capacity));
+    for (int i = 0; i < row.capacity; ++i) EXPECT_EQ(out[i], i);
+    EXPECT_EQ(q.pop_batch(out, 8), 0u);
+    EXPECT_EQ(q.fill_level(), 0u);
+    // Wraps across laps.
+    for (int lap = 0; lap < 3; ++lap) {
+      for (int i = 0; i < row.capacity - 1; ++i)
+        EXPECT_TRUE(q.try_push(lap * 10 + i));
+      ASSERT_EQ(q.pop_batch(out, 8),
+                static_cast<std::size_t>(row.capacity - 1));
+      for (int i = 0; i < row.capacity - 1; ++i)
+        EXPECT_EQ(out[i], lap * 10 + i);
+    }
   }
 }
 
@@ -922,6 +936,106 @@ TEST_F(ServeTest, ClientHangingUpUnreadDoesNotKillTheServer) {
 }
 
 // ---------------------------------------------------------------------------
+// Backpressure: a two-cell ring is full almost all the time, so the
+// front-end spends the load yield-retrying; nothing may be lost, reordered
+// or left unanswered.
+
+TEST_F(ServeTest, FullRingLosesNothingAcrossTwoConnections) {
+  const auto load = test_load(40, 60);
+  const auto ckpt = dir_ / "drain.ckpt";
+  ServeParams params = test_serve_params();
+  params.ring_capacity = 2;
+  params.checkpoint_path = ckpt;
+  Server server(test_corpus().corpus.network, params);
+  const auto port = server.start();
+  obs::Counter& backpressure =
+      obs::Registry::global().counter("serve.backpressure");
+  const std::uint64_t backpressure_before = backpressure.value();
+
+  struct Client {
+    int fd = -1;
+    FrameDecoder decoder;
+    std::vector<char> out;
+    std::uint32_t next_token = 1;
+    std::size_t unanswered = 0;
+  };
+  Client conns[2];
+  for (Client& c : conns) {
+    c.fd = connect_loopback(port);
+    ASSERT_GE(c.fd, 0);
+  }
+  // The order this test writes events in, which the oracle replays.
+  stream::StreamEngine oracle(test_corpus().corpus.network,
+                              test_stream_params());
+  std::vector<std::uint32_t> slot_of(load.size());
+  auto queue_events = [&](std::size_t story, std::size_t begin,
+                          std::size_t end) {
+    Client& c = conns[story % 2];
+    const data::Story& s = *load[story].story;
+    for (std::size_t k = begin; k < end; ++k) {
+      if (k == 0) {
+        encode(SubmitMsg{s.id, s.voters()[0], s.times()[0]}, c.out);
+        slot_of[story] = oracle.live_submit(s.id, s.voters()[0], s.times()[0]);
+      } else {
+        encode(VoteMsg{s.id, s.voters()[k], s.times()[k]}, c.out);
+        oracle.live_vote(slot_of[story], s.voters()[k], s.times()[k]);
+      }
+      oracle.note_events_applied(1);
+    }
+  };
+  auto send_with_sync = [&](Client& c) {
+    encode(SyncMsg{c.next_token++}, c.out);
+    ASSERT_TRUE(write_all(c.fd, c.out.data(), c.out.size()));
+    c.out.clear();
+    ++c.unanswered;
+  };
+  auto await_syncs = [&](Client& c) {
+    std::vector<Message> replies;
+    std::string error;
+    ASSERT_TRUE(read_messages(c.fd, c.decoder, replies, c.unanswered, error))
+        << error;
+    for (std::size_t i = 0; i < replies.size(); ++i) {
+      const auto* r = std::get_if<SyncReplyMsg>(&replies[i]);
+      ASSERT_NE(r, nullptr);
+      EXPECT_EQ(r->token, c.next_token - c.unanswered + i);
+    }
+    c.unanswered = 0;
+  };
+
+  // Story i travels on connection i % 2. Its submit and first half go out
+  // once every earlier submit is answered, which fixes the slot order; the
+  // second half races the other connection's next story.
+  for (std::size_t i = 0; i < load.size(); ++i) {
+    Client& own = conns[i % 2];
+    Client& other = conns[1 - i % 2];
+    const std::size_t half = (load[i].events + 1) / 2;
+    queue_events(i, 0, half);
+    send_with_sync(own);
+    if (i > 0) {
+      queue_events(i - 1, (load[i - 1].events + 1) / 2, load[i - 1].events);
+      send_with_sync(other);
+    }
+    await_syncs(own);
+    await_syncs(other);
+  }
+  const std::size_t last = load.size() - 1;
+  queue_events(last, (load[last].events + 1) / 2, load[last].events);
+  send_with_sync(conns[last % 2]);
+  await_syncs(conns[last % 2]);
+
+  for (Client& c : conns) ::close(c.fd);
+  server.request_stop();
+  server.wait();
+  EXPECT_GT(backpressure.value(), backpressure_before);
+  EXPECT_EQ(server.engine().events_applied(), total_events(load));
+  expect_same_result(server.engine().result(), oracle.result());
+
+  Server probe(test_corpus().corpus.network, test_serve_params());
+  probe.restore_checkpoint(ckpt);
+  expect_same_result(probe.engine().result(), oracle.result());
+}
+
+// ---------------------------------------------------------------------------
 // Kill/resume: a drain checkpoint restored into a fresh server must end in
 // a state bit-identical to an uninterrupted run.
 
@@ -1009,6 +1123,45 @@ TEST_F(ServeTest, PeriodicCheckpointIsRestorableMidServe) {
   server.request_stop();
   server.wait();
   EXPECT_EQ(server.engine().events_applied(), total_events(load));
+}
+
+// The drain checkpoint and the periodic writer both write `<path>.tmp`, so
+// a drain must not meet a periodic write in flight: that fails one of the
+// renames ("checkpoint failed" in the log) and can tear the drain
+// checkpoint. Each round drains while 1 ms periodic writes run.
+TEST_F(ServeTest, DrainCheckpointIsWholeWhilePeriodicWritesRun) {
+  const auto load = test_load(200, 1000);
+  std::vector<char> wire;
+  encode_load(load, 0, total_events(load), wire);
+  const auto ckpt = dir_ / "drain.ckpt";
+  std::vector<std::string> failures;
+  obs::set_log_sink([&failures](std::string_view line) {
+    if (line.find("checkpoint failed") != std::string_view::npos)
+      failures.emplace_back(line);
+  });
+  struct SinkReset {
+    ~SinkReset() { obs::set_log_sink(nullptr); }
+  } sink_reset;
+  for (int round = 0; round < 50; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ServeParams params = test_serve_params();
+    params.checkpoint_ms = 1;
+    params.checkpoint_path = ckpt;
+    Server server(test_corpus().corpus.network, params);
+    const auto port = server.start();
+    FrameDecoder decoder;
+    const int fd = drive_events(port, wire, decoder);
+    ASSERT_GE(fd, 0);
+    ::close(fd);
+    server.request_stop();
+    server.wait();
+
+    Server probe(test_corpus().corpus.network, test_serve_params());
+    EXPECT_NO_THROW(probe.restore_checkpoint(ckpt));
+    EXPECT_EQ(probe.engine().events_applied(), total_events(load));
+  }
+  EXPECT_TRUE(failures.empty()) << failures.size() << " failed writes, first: "
+                                << failures.front();
 }
 
 // Every periodic checkpoint holds a whole sequence prefix: restored, it
