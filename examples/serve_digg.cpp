@@ -22,6 +22,9 @@
 //   --smoke              smoke-test defaults: caps --serve-ms at 30000 so a
 //                        lost SIGTERM cannot hang a CI job
 //
+// A checkpoint that --restore or --inspect cannot load (missing, torn,
+// foreign) is refused: `error: <reason>` on stderr, exit status 1.
+//
 // Environment:
 //   DIGG_SERVE_PORT      listen port (default 0 = ephemeral)
 //   DIGG_CHECKPOINT_MS   background checkpoint cadence in ms (default 0)
@@ -37,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,26 +113,39 @@ int main(int argc, char** argv) {
   params.checkpoint_path = checkpoint_path;
   serve::read_env(params);
 
+  auto refuse = [](const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  };
+
   if (!inspect_path.empty()) {
     // Restorability proof, not just a header peek: a fresh engine must
     // accept the checkpoint end to end (fingerprint, config, prefixes).
-    const stream::CheckpointInfo info =
-        stream::read_checkpoint_info(inspect_path);
-    serve::Server probe(corpus.network, params);
-    probe.restore_checkpoint(inspect_path);
-    std::printf(
-        "checkpoint ok: version=%u live=%d events=%llu stories=%llu "
-        "fingerprint=%016llx\n",
-        info.version, info.live ? 1 : 0,
-        static_cast<unsigned long long>(info.events_applied),
-        static_cast<unsigned long long>(info.story_count),
-        static_cast<unsigned long long>(info.fingerprint));
+    try {
+      const stream::CheckpointInfo info =
+          stream::read_checkpoint_info(inspect_path);
+      serve::Server probe(corpus.network, params);
+      probe.restore_checkpoint(inspect_path);
+      std::printf(
+          "checkpoint ok: version=%u live=%d events=%llu stories=%llu "
+          "fingerprint=%016llx\n",
+          info.version, info.live ? 1 : 0,
+          static_cast<unsigned long long>(info.events_applied),
+          static_cast<unsigned long long>(info.story_count),
+          static_cast<unsigned long long>(info.fingerprint));
+    } catch (const std::exception& e) {
+      return refuse(e);
+    }
     return 0;
   }
 
   serve::Server server(corpus.network, params);
   if (!restore_path.empty()) {
-    server.restore_checkpoint(restore_path);
+    try {
+      server.restore_checkpoint(restore_path);
+    } catch (const std::exception& e) {
+      return refuse(e);
+    }
     std::printf("restored: events=%llu stories=%u\n",
                 static_cast<unsigned long long>(
                     server.engine().events_applied()),

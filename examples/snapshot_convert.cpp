@@ -6,11 +6,14 @@
 //        snapshot_convert --demo       (synthetic corpus, temp files)
 //
 // The conversion validates on load, verifies the written snapshot by
-// reloading it, and reports the size and wall-clock of both paths.
+// reloading it, and reports the size and wall-clock of both paths. Input
+// that does not load (a missing directory, a malformed row) is refused:
+// `error: <reason>` on stderr, exit status 1.
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 
 #include "src/data/io.h"
@@ -26,9 +29,7 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int convert(int argc, char** argv) {
   using namespace digg;
   namespace fs = std::filesystem;
 
@@ -105,4 +106,15 @@ int main(int argc, char** argv) {
 
   if (demo) fs::remove_all(csv_dir);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return convert(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

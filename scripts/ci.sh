@@ -30,7 +30,10 @@
 #            several connections with serve_load --smoke (which also
 #            verifies every reply against a local engine and demands v10
 #            predictions), SIGTERM the server, and assert a clean drain
-#            plus a restorable checkpoint (serve_digg --inspect)
+#            plus a restorable checkpoint (serve_digg --inspect); then
+#            tear the checkpoint (its first 100 bytes in a new file) and
+#            require --inspect to refuse it: exit status 1 and
+#            "truncated" on stderr
 #   scenarios
 #            Release build + the scenario-engine smoke: run the fig7
 #            prediction-comparison bench in --smoke mode (downscaled
@@ -258,6 +261,16 @@ PY
       echo "serve smoke: drain checkpoint failed inspection" >&2
       exit 1
     }
+  # A torn checkpoint must be refused with a message, not abort.
+  head -c 100 "$SERVE_CKPT" >"$SERVE_TMP/torn.ckpt"
+  TORN_STATUS=0
+  "$RELEASE_DIR"/examples/serve_digg --inspect "$SERVE_TMP/torn.ckpt" \
+    >/dev/null 2>"$SERVE_TMP/torn.err" || TORN_STATUS=$?
+  if [[ $TORN_STATUS -ne 1 ]] || ! grep -q 'truncated' "$SERVE_TMP/torn.err"; then
+    echo "serve smoke: torn checkpoint not refused (exit $TORN_STATUS)" >&2
+    cat "$SERVE_TMP/torn.err" >&2
+    exit 1
+  fi
   trap - EXIT
   rm -rf "$SERVE_TMP"
   echo "serve smoke: ingest, verify, drain, and restore all green"

@@ -10,19 +10,10 @@ namespace digg::core {
 
 namespace {
 
-std::vector<ml::Attribute> attributes_for(FeatureSet features) {
-  using ml::Attribute;
-  using ml::AttributeKind;
-  std::vector<Attribute> attrs;
+std::vector<std::string> attributes_for(FeatureSet features) {
   if (features == FeatureSet::kExtended)
-    attrs.push_back({"v6", AttributeKind::kNumeric, {}});
-  attrs.push_back({"v10", AttributeKind::kNumeric, {}});
-  if (features == FeatureSet::kExtended)
-    attrs.push_back({"v20", AttributeKind::kNumeric, {}});
-  attrs.push_back({"fans1", AttributeKind::kNumeric, {}});
-  if (features == FeatureSet::kExtended)
-    attrs.push_back({"influence10", AttributeKind::kNumeric, {}});
-  return attrs;
+    return {"v6", "v10", "v20", "fans1", "influence10"};
+  return {"v10", "fans1"};
 }
 
 }  // namespace
@@ -77,11 +68,6 @@ void InterestingnessPredictor::predict_batch(const StoryFeatures* sample,
   static obs::Counter& scored =
       obs::Registry::global().counter("core.predictions_scored");
   scored.inc(n);
-  if (!flat_.valid()) {
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = tree_.predict(encode(sample[i], features_)) == 1 ? 1 : 0;
-    return;
-  }
   const std::size_t stride = encode(sample[0], features_).size();
   std::vector<double> rows(n * stride);
   for (std::size_t i = 0; i < n; ++i) {

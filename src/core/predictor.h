@@ -1,7 +1,9 @@
 #pragma once
 // The end-to-end interestingness predictor of §5.2: a C4.5 tree over early-
 // vote features. The paper's attribute set is {v10, fans1}; the extended set
-// adds v6, v20 and influence10 for the ablation bench.
+// adds v6, v20 and influence10 for the ablation bench. Every feature is a
+// numeric count, so the trained tree always compiles to an ml::FlatTree for
+// batched scoring.
 
 #include <memory>
 #include <string>
@@ -31,10 +33,8 @@ class InterestingnessPredictor {
   [[nodiscard]] double predict_proba(const StoryFeatures& f) const;
 
   /// Batched §5.2 decisions: out[i] = predict(sample[i]) for n stories in
-  /// one call. Goes through the compiled branch-free evaluator
-  /// (ml::FlatTree — the paper's feature sets are all numeric, so the tree
-  /// always compiles; a nominal-split tree would fall back to the pointer
-  /// walk). Bit-identical to n single predict() calls.
+  /// one call, through the compiled branch-free evaluator (ml::FlatTree).
+  /// Bit-identical to n single predict() calls.
   void predict_batch(const StoryFeatures* sample, std::size_t n,
                      std::uint8_t* out) const;
 
@@ -53,7 +53,7 @@ class InterestingnessPredictor {
 
  private:
   ml::DecisionTree tree_;
-  ml::FlatTree flat_;  // compiled at train time; invalid => pointer walk
+  ml::FlatTree flat_;  // tree_, compiled at train time
   FeatureSet features_ = FeatureSet::kPaper;
 };
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/digg/story.h"
@@ -167,12 +168,12 @@ Corpus load_corpus(const std::filesystem::path& dir) {
   }
   const std::size_t user_count = corpus.network.node_count();
 
-  // Stories and votes are staged as owning platform::Story records (indexed
-  // by story id), then bulk-copied into the corpus arena in file order.
+  // Stories and votes are staged as owning platform::Story records, then
+  // bulk-copied into the corpus arena in file order. Story ids are any
+  // 32-bit values, so the id -> staged index map is keyed, not dense.
   std::vector<platform::Story> staged;
   std::vector<Corpus::Section> sections;
-  std::vector<std::uint32_t> index_of;  // story id -> staged index
-  constexpr std::uint32_t kAbsent = 0xffffffffu;
+  std::unordered_map<StoryId, std::uint32_t> index_of;
 
   for_each_row(
       dir / "stories.csv",
@@ -199,11 +200,10 @@ Corpus load_corpus(const std::filesystem::path& dir) {
           throw std::runtime_error("bad section: " + line);
         if (is_front != s.promoted_at.has_value())
           throw std::runtime_error("section/promoted_at mismatch: " + line);
-        if (s.id >= index_of.size()) index_of.resize(s.id + 1, kAbsent);
-        if (index_of[s.id] != kAbsent)
+        const auto staged_index = static_cast<std::uint32_t>(staged.size());
+        if (!index_of.try_emplace(s.id, staged_index).second)
           throw std::runtime_error("duplicate story id " +
                                    std::to_string(s.id));
-        index_of[s.id] = static_cast<std::uint32_t>(staged.size());
         staged.push_back(std::move(s));
         sections.push_back(is_front ? Corpus::Section::kFrontPage
                                     : Corpus::Section::kUpcoming);
@@ -216,8 +216,8 @@ Corpus load_corpus(const std::filesystem::path& dir) {
                    throw std::runtime_error("bad votes row: " + line);
                  const auto story_id =
                      parse_number<StoryId>(fields[0], "story id");
-                 if (story_id >= index_of.size() ||
-                     index_of[story_id] == kAbsent)
+                 const auto staged_at = index_of.find(story_id);
+                 if (staged_at == index_of.end())
                    throw std::runtime_error("vote for unknown story: " + line);
                  const UserId user = parse_number<UserId>(fields[1], "voter");
                  if (user >= user_count)
@@ -225,7 +225,7 @@ Corpus load_corpus(const std::filesystem::path& dir) {
                        "voter " + std::to_string(user) +
                        " outside the network (" + std::to_string(user_count) +
                        " users)");
-                 platform::Story& s = staged[index_of[story_id]];
+                 platform::Story& s = staged[staged_at->second];
                  s.voters.push_back(user);
                  s.times.push_back(parse_double(fields[2], "vote time"));
                });

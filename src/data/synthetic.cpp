@@ -42,9 +42,6 @@ double sample_community_appeal(const SyntheticParams& p, double general,
 std::unique_ptr<platform::PromotionPolicy> make_policy(
     const SyntheticParams& p) {
   switch (p.promotion_rule) {
-    case PromotionRule::kCountOnly:
-      return std::make_unique<platform::VoteCountPolicy>(
-          p.promotion_threshold);
     case PromotionRule::kCountAndRate:
       return std::make_unique<platform::VoteRatePolicy>(
           p.promotion_threshold, p.promotion_rate_votes,

@@ -34,7 +34,7 @@ namespace digg::data {
 /// (§6 asks how the algorithm shapes what gets promoted). kCountAndRate is
 /// the calibrated June-2006 reconstruction; kDiversity down-weights fan
 /// votes (the post-controversy direction Digg announced).
-enum class PromotionRule { kCountOnly, kCountAndRate, kDiversity };
+enum class PromotionRule { kCountAndRate, kDiversity };
 
 struct SyntheticParams {
   std::size_t user_count = 120000;

@@ -25,12 +25,6 @@ bool has_voted(const StoryView& story, UserId user) {
   return std::find(column.begin(), column.end(), user) != column.end();
 }
 
-std::span<const UserId> early_votes(const StoryView& story, std::size_t n) {
-  const auto column = story.voters();
-  if (column.empty()) return {};
-  return column.subspan(1, std::min(n, column.size() - 1));  // skip submitter
-}
-
 std::span<const UserId> voters(const StoryView& story) {
   return story.voters();
 }

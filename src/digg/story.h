@@ -22,12 +22,6 @@ void add_vote(Story& story, UserId user, Minutes time);
 /// the simulators' vote path (VisibilitySet::has_voted is the O(1) probe).
 [[nodiscard]] bool has_voted(const StoryView& story, UserId user);
 
-/// Voters of the first `n` votes *after* the submitter's own (paper
-/// convention: "within the first (not counting the submitter) six, 10 and
-/// 20 votes"). Returns fewer if the story has fewer votes.
-[[nodiscard]] std::span<const UserId> early_votes(const StoryView& story,
-                                                  std::size_t n);
-
 /// All voters, in vote order (submitter first). Zero-copy column view.
 [[nodiscard]] std::span<const UserId> voters(const StoryView& story);
 

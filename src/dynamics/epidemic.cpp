@@ -7,7 +7,7 @@ namespace digg::dynamics {
 
 namespace {
 
-enum class State : std::uint8_t { kSusceptible, kInfected, kRecovered };
+enum class State : std::uint8_t { kSusceptible, kInfected };
 
 std::vector<State> seed_infection(std::size_t n, std::size_t initial,
                                   stats::Rng& rng) {
@@ -25,10 +25,10 @@ std::vector<State> seed_infection(std::size_t n, std::size_t initial,
   return state;
 }
 
-template <typename OnRecover>
-EpidemicResult run_epidemic(const graph::Digraph& g,
-                            const EpidemicParams& params, stats::Rng& rng,
-                            OnRecover&& recovered_state) {
+}  // namespace
+
+EpidemicResult sis_epidemic(const graph::Digraph& g,
+                            const EpidemicParams& params, stats::Rng& rng) {
   if (g.node_count() == 0)
     throw std::invalid_argument("epidemic: empty graph");
   if (params.infection_rate < 0.0 || params.infection_rate > 1.0 ||
@@ -45,9 +45,6 @@ EpidemicResult run_epidemic(const graph::Digraph& g,
   result.infected_over_time.push_back(count_infected());
 
   std::vector<State> next = state;
-  std::vector<bool> ever_infected(g.node_count(), false);
-  for (std::size_t u = 0; u < g.node_count(); ++u)
-    if (state[u] == State::kInfected) ever_infected[u] = true;
 
   for (std::size_t step = 0; step < params.max_steps; ++step) {
     next = state;
@@ -58,47 +55,26 @@ EpidemicResult run_epidemic(const graph::Digraph& g,
             next[v] == State::kSusceptible &&
             rng.bernoulli(params.infection_rate)) {
           next[v] = State::kInfected;
-          ever_infected[v] = true;
         }
       };
       for (graph::NodeId v : g.friends(u)) try_infect(v);
       for (graph::NodeId v : g.fans(u)) try_infect(v);
-      if (rng.bernoulli(params.recovery_rate)) next[u] = recovered_state();
+      if (rng.bernoulli(params.recovery_rate)) next[u] = State::kSusceptible;
     }
     state.swap(next);
     result.infected_over_time.push_back(count_infected());
     if (result.infected_over_time.back() == 0) break;
   }
 
-  // Final metric: endemic prevalence (SIS) or attack rate (SIR). The caller
-  // distinguishes via recovered_state; we compute both consistently.
-  const bool is_sir = recovered_state() == State::kRecovered;
+  // Endemic prevalence: the mean infected fraction over the run's tail.
   const double n = static_cast<double>(g.node_count());
-  if (is_sir) {
-    const auto attacked = static_cast<double>(
-        std::count(ever_infected.begin(), ever_infected.end(), true));
-    result.final_metric = attacked / n;
-  } else {
-    const std::size_t steps = result.infected_over_time.size();
-    const std::size_t tail_start = steps - std::max<std::size_t>(1, steps / 4);
-    double acc = 0.0;
-    for (std::size_t i = tail_start; i < steps; ++i)
-      acc += static_cast<double>(result.infected_over_time[i]);
-    result.final_metric = acc / static_cast<double>(steps - tail_start) / n;
-  }
+  const std::size_t steps = result.infected_over_time.size();
+  const std::size_t tail_start = steps - std::max<std::size_t>(1, steps / 4);
+  double acc = 0.0;
+  for (std::size_t i = tail_start; i < steps; ++i)
+    acc += static_cast<double>(result.infected_over_time[i]);
+  result.final_metric = acc / static_cast<double>(steps - tail_start) / n;
   return result;
-}
-
-}  // namespace
-
-EpidemicResult sis_epidemic(const graph::Digraph& g,
-                            const EpidemicParams& params, stats::Rng& rng) {
-  return run_epidemic(g, params, rng, [] { return State::kSusceptible; });
-}
-
-EpidemicResult sir_epidemic(const graph::Digraph& g,
-                            const EpidemicParams& params, stats::Rng& rng) {
-  return run_epidemic(g, params, rng, [] { return State::kRecovered; });
 }
 
 double sis_threshold_estimate(const graph::Digraph& g) {

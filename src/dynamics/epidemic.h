@@ -1,5 +1,5 @@
 #pragma once
-// SIS/SIR epidemic models on networks, for the §6 future-work experiment:
+// SIS epidemic model on networks, for the §6 future-work experiment:
 // Pastor-Satorras & Vespignani showed that scale-free degree distributions
 // drive the SIS epidemic threshold to zero (λ_c = <k>/<k²> under the
 // degree-based mean-field), unlike Erdős–Rényi graphs whose threshold stays
@@ -23,19 +23,14 @@ struct EpidemicParams {
 struct EpidemicResult {
   /// Infected count per step (step 0 = initial seeding).
   std::vector<std::size_t> infected_over_time;
-  /// SIS: average infected fraction over the last quarter of the run
-  /// (endemic prevalence). SIR: final attack rate (ever-infected fraction).
+  /// Average infected fraction over the last quarter of the run (endemic
+  /// prevalence).
   double final_metric = 0.0;
 };
 
 /// Discrete-time SIS along the undirected projection: infected nodes infect
 /// each neighbor w.p. infection_rate per step and recover w.p. recovery_rate.
 [[nodiscard]] EpidemicResult sis_epidemic(const graph::Digraph& g,
-                                          const EpidemicParams& params,
-                                          stats::Rng& rng);
-
-/// Discrete-time SIR (recovered nodes become immune).
-[[nodiscard]] EpidemicResult sir_epidemic(const graph::Digraph& g,
                                           const EpidemicParams& params,
                                           stats::Rng& rng);
 

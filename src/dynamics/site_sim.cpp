@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
-#include "src/obs/recorder.h"
-#include "src/runtime/parallel.h"
 
 namespace digg::dynamics {
 
@@ -233,29 +231,6 @@ SiteResult SiteSimulator::run() {
   submissions.inc(result.submissions);
   promotions.inc(result.promotions);
   return result;
-}
-
-std::vector<SiteReplicate> run_site_replicates(
-    const PlatformFactory& make_platform, const SiteParams& params,
-    const TraitsSampler& traits, const stats::Rng& base_rng,
-    std::size_t replicates) {
-  if (!make_platform)
-    throw std::invalid_argument("run_site_replicates: null platform factory");
-  static obs::Counter& replicate_count =
-      obs::Registry::global().counter("dynamics.site_replicates");
-  return runtime::parallel_map<SiteReplicate>(
-      replicates, [&](std::size_t i) {
-        obs::Span span("dynamics.site_replicate");
-        replicate_count.inc();
-        SiteReplicate rep;
-        rep.platform = make_platform();
-        if (!rep.platform)
-          throw std::invalid_argument(
-              "run_site_replicates: factory returned null");
-        SiteSimulator sim(*rep.platform, params, traits, base_rng.split(i));
-        rep.result = sim.run();
-        return rep;
-      });
 }
 
 }  // namespace digg::dynamics

@@ -18,10 +18,9 @@
 //     exposure).
 //
 // The ablation_attention bench contrasts this with the independence
-// assumption; examples use it to study submission timing.
+// assumption, one SiteSimulator run per attention budget.
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/digg/platform.h"
@@ -97,29 +96,5 @@ class SiteSimulator {
   bool pick_discovery_voter(const platform::VisibilitySet& vis,
                             UserId& out_voter);
 };
-
-/// One completed whole-site run: the summary plus the platform holding the
-/// final story/vote state for downstream analysis.
-struct SiteReplicate {
-  SiteResult result;
-  std::unique_ptr<platform::Platform> platform;
-};
-
-/// Builds a fresh platform for one replicate. Called once per replicate,
-/// possibly concurrently — it must be thread-safe (constructing a Platform
-/// from shared immutable network/user snapshots is).
-using PlatformFactory = std::function<std::unique_ptr<platform::Platform>()>;
-
-/// Monte Carlo ensemble of whole-site runs on the parallel runtime.
-/// Replicate i simulates on its own platform with the index-addressed
-/// substream base_rng.split(i), so the ensemble is deterministic for any
-/// DIGG_THREADS setting and independent of how many draws base_rng has
-/// made. `traits` is shared across replicates and must be thread-safe (it
-/// only receives the replicate's own rng). Throws std::invalid_argument on
-/// a null factory or a factory returning null.
-[[nodiscard]] std::vector<SiteReplicate> run_site_replicates(
-    const PlatformFactory& make_platform, const SiteParams& params,
-    const TraitsSampler& traits, const stats::Rng& base_rng,
-    std::size_t replicates);
 
 }  // namespace digg::dynamics

@@ -96,14 +96,6 @@ double modularity(const Digraph& g,
   return q;
 }
 
-std::size_t community_count(const std::vector<std::size_t>& communities) {
-  if (communities.empty()) return 0;
-  std::vector<std::size_t> sorted = communities;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  return sorted.size();
-}
-
 double rand_index(const std::vector<std::size_t>& a,
                   const std::vector<std::size_t>& b) {
   if (a.size() != b.size())

@@ -23,10 +23,6 @@ namespace digg::graph {
 [[nodiscard]] double modularity(const Digraph& g,
                                 const std::vector<std::size_t>& communities);
 
-/// Number of distinct labels in a partition.
-[[nodiscard]] std::size_t community_count(
-    const std::vector<std::size_t>& communities);
-
 /// Fraction of node pairs on which two partitions agree (same/different
 /// community) — Rand index, for comparing detected vs planted partitions.
 [[nodiscard]] double rand_index(const std::vector<std::size_t>& a,

@@ -123,29 +123,6 @@ Digraph preferential_attachment(const PreferentialAttachmentParams& params,
   return builder.build();
 }
 
-Digraph configuration_model(const std::vector<std::size_t>& out_degrees,
-                            const std::vector<std::size_t>& in_degrees,
-                            stats::Rng& rng) {
-  if (out_degrees.size() != in_degrees.size())
-    throw std::invalid_argument("configuration_model: size mismatch");
-  const std::size_t n = out_degrees.size();
-  std::vector<NodeId> out_stubs;
-  std::vector<NodeId> in_stubs;
-  for (std::size_t u = 0; u < n; ++u) {
-    out_stubs.insert(out_stubs.end(), out_degrees[u], static_cast<NodeId>(u));
-    in_stubs.insert(in_stubs.end(), in_degrees[u], static_cast<NodeId>(u));
-  }
-  std::shuffle(out_stubs.begin(), out_stubs.end(), rng.engine());
-  std::shuffle(in_stubs.begin(), in_stubs.end(), rng.engine());
-  const std::size_t m = std::min(out_stubs.size(), in_stubs.size());
-  DigraphBuilder builder(n);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (out_stubs[i] == in_stubs[i]) continue;  // drop self-loops
-    builder.add_follow(out_stubs[i], in_stubs[i]);
-  }
-  return builder.build();  // build() dedups multi-edges
-}
-
 Digraph planted_partition(const PlantedPartitionParams& params,
                           stats::Rng& rng) {
   const std::size_t n = params.node_count;

@@ -48,13 +48,6 @@ struct PreferentialAttachmentParams {
 [[nodiscard]] Digraph preferential_attachment(
     const PreferentialAttachmentParams& params, stats::Rng& rng);
 
-/// Directed configuration model: wires half-edges of the given out/in degree
-/// sequences uniformly at random, discarding self-loops and duplicates.
-/// Degree sums need not match exactly; the shorter side truncates.
-[[nodiscard]] Digraph configuration_model(
-    const std::vector<std::size_t>& out_degrees,
-    const std::vector<std::size_t>& in_degrees, stats::Rng& rng);
-
 /// Planted-partition (stochastic block) digraph: `communities` equal-sized
 /// groups; within-group edge probability p_in, across-group p_out. Supports
 /// the §6 experiment on cascades in modular networks.

@@ -1,78 +1,29 @@
 #include "src/ml/arff.h"
 
-#include <algorithm>
-#include <cctype>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 
 namespace digg::ml {
 
-namespace {
-
-std::string trim(const std::string& s) {
-  std::size_t begin = 0;
-  std::size_t end = s.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin])))
-    ++begin;
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1])))
-    --end;
-  return s.substr(begin, end - begin);
-}
-
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
-
-std::vector<std::string> split_csv(const std::string& line) {
-  std::vector<std::string> out;
-  std::string field;
-  for (char c : line) {
-    if (c == ',') {
-      out.push_back(trim(field));
-      field.clear();
-    } else {
-      field += c;
-    }
-  }
-  out.push_back(trim(field));
-  return out;
-}
-
-}  // namespace
-
 void write_arff(const Dataset& data, const std::string& relation,
                 std::ostream& os) {
   os << "@RELATION " << relation << "\n\n";
-  for (const Attribute& attr : data.attributes()) {
-    os << "@ATTRIBUTE " << attr.name << " ";
-    if (attr.kind == AttributeKind::kNumeric) {
-      os << "NUMERIC";
-    } else {
-      os << "{";
-      for (std::size_t v = 0; v < attr.values.size(); ++v) {
-        if (v) os << ",";
-        os << attr.values[v];
-      }
-      os << "}";
-    }
-    os << "\n";
-  }
+  for (const std::string& name : data.attributes())
+    os << "@ATTRIBUTE " << name << " NUMERIC\n";
   os << "@ATTRIBUTE class {";
   for (std::size_t k = 0; k < data.class_names().size(); ++k) {
     if (k) os << ",";
     os << data.class_names()[k];
   }
   os << "}\n\n@DATA\n";
+  const std::streamsize saved =
+      os.precision(std::numeric_limits<double>::max_digits10);
   for (std::size_t i = 0; i < data.size(); ++i) {
     for (std::size_t a = 0; a < data.attribute_count(); ++a) {
       const double v = data.value(i, a);
       if (is_missing(v)) {
         os << "?";
-      } else if (data.attribute(a).kind == AttributeKind::kNominal) {
-        os << data.attribute(a).values[static_cast<std::size_t>(v)];
       } else {
         os << v;
       }
@@ -80,6 +31,7 @@ void write_arff(const Dataset& data, const std::string& relation,
     }
     os << data.class_names()[data.label(i)] << "\n";
   }
+  os.precision(saved);
 }
 
 void save_arff(const Dataset& data, const std::string& relation,
@@ -87,98 +39,6 @@ void save_arff(const Dataset& data, const std::string& relation,
   std::ofstream out(path);
   if (!out) throw std::runtime_error("save_arff: cannot write " + path.string());
   write_arff(data, relation, out);
-}
-
-Dataset load_arff(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load_arff: cannot read " + path.string());
-
-  std::vector<Attribute> attributes;  // includes the trailing class attr
-  std::string line;
-  bool in_data = false;
-  std::vector<std::vector<double>> rows;
-  std::vector<std::size_t> labels;
-
-  auto parse_attribute = [&](const std::string& rest) {
-    // rest = "<name> NUMERIC" or "<name> {a,b,c}"
-    const std::size_t space = rest.find_first_of(" \t");
-    if (space == std::string::npos)
-      throw std::runtime_error("load_arff: malformed @ATTRIBUTE: " + rest);
-    Attribute attr;
-    attr.name = trim(rest.substr(0, space));
-    const std::string type = trim(rest.substr(space + 1));
-    if (lower(type) == "numeric" || lower(type) == "real" ||
-        lower(type) == "integer") {
-      attr.kind = AttributeKind::kNumeric;
-    } else if (!type.empty() && type.front() == '{' && type.back() == '}') {
-      attr.kind = AttributeKind::kNominal;
-      attr.values = split_csv(type.substr(1, type.size() - 2));
-      if (attr.values.empty())
-        throw std::runtime_error("load_arff: empty nominal set: " + rest);
-    } else {
-      throw std::runtime_error("load_arff: unsupported type: " + type);
-    }
-    attributes.push_back(std::move(attr));
-  };
-
-  std::vector<std::string> data_lines;
-  while (std::getline(in, line)) {
-    const std::string t = trim(line);
-    if (t.empty() || t.front() == '%') continue;
-    if (!in_data) {
-      const std::string lowered = lower(t);
-      if (lowered.rfind("@relation", 0) == 0) continue;
-      if (lowered.rfind("@attribute", 0) == 0) {
-        parse_attribute(trim(t.substr(std::string("@attribute").size())));
-        continue;
-      }
-      if (lowered.rfind("@data", 0) == 0) {
-        in_data = true;
-        continue;
-      }
-      throw std::runtime_error("load_arff: unexpected header line: " + t);
-    }
-    data_lines.push_back(t);
-  }
-  if (attributes.size() < 2)
-    throw std::runtime_error("load_arff: need features plus a class attribute");
-  const Attribute klass = attributes.back();
-  attributes.pop_back();
-  if (klass.kind != AttributeKind::kNominal)
-    throw std::runtime_error("load_arff: class attribute must be nominal");
-
-  Dataset data(attributes, klass.values);
-  for (const std::string& row_line : data_lines) {
-    const std::vector<std::string> fields = split_csv(row_line);
-    if (fields.size() != attributes.size() + 1)
-      throw std::runtime_error("load_arff: wrong field count: " + row_line);
-    std::vector<double> row(attributes.size());
-    for (std::size_t a = 0; a < attributes.size(); ++a) {
-      const std::string& f = fields[a];
-      if (f == "?") {
-        row[a] = kMissing;
-      } else if (attributes[a].kind == AttributeKind::kNumeric) {
-        try {
-          row[a] = std::stod(f);
-        } catch (const std::exception&) {
-          throw std::runtime_error("load_arff: bad numeric value: " + f);
-        }
-      } else {
-        const auto& values = attributes[a].values;
-        const auto it = std::find(values.begin(), values.end(), f);
-        if (it == values.end())
-          throw std::runtime_error("load_arff: unknown nominal value: " + f);
-        row[a] = static_cast<double>(it - values.begin());
-      }
-    }
-    const auto it =
-        std::find(klass.values.begin(), klass.values.end(), fields.back());
-    if (it == klass.values.end())
-      throw std::runtime_error("load_arff: unknown class: " + fields.back());
-    data.add(std::move(row),
-             static_cast<std::size_t>(it - klass.values.begin()));
-  }
-  return data;
 }
 
 }  // namespace digg::ml

@@ -1,7 +1,6 @@
 #pragma once
-// ARFF (Weka) interoperability. The paper ran Weka's J48; exporting the
-// extracted feature dataset as ARFF lets anyone re-run the original tool on
-// our data (and importing lets Weka-prepared datasets feed our C4.5).
+// ARFF (Weka) export. The paper ran Weka's J48; exporting the extracted
+// feature dataset as ARFF lets anyone re-run the original tool on our data.
 
 #include <filesystem>
 #include <iosfwd>
@@ -11,20 +10,15 @@
 
 namespace digg::ml {
 
-/// Writes the dataset in ARFF format: numeric attributes as NUMERIC,
-/// nominal as {v1,v2,...}, the class as the final nominal attribute named
-/// "class". Missing values are written as '?'.
+/// Writes the dataset in ARFF format: every attribute as NUMERIC, the class
+/// as the final nominal attribute named "class". Missing values are written
+/// as '?'. Values carry max_digits10 significant digits, so Weka reads back
+/// the exact doubles; the stream's precision is restored afterwards.
 void write_arff(const Dataset& data, const std::string& relation,
                 std::ostream& os);
 
 /// Convenience: writes to a file. Throws std::runtime_error on I/O failure.
 void save_arff(const Dataset& data, const std::string& relation,
                const std::filesystem::path& path);
-
-/// Parses an ARFF file produced by write_arff (or Weka, for the subset of
-/// the format we emit: no sparse data, no strings, no dates; '%' comments
-/// and blank lines allowed; the LAST attribute is taken as the class).
-/// Throws std::runtime_error on malformed input.
-[[nodiscard]] Dataset load_arff(const std::filesystem::path& path);
 
 }  // namespace digg::ml

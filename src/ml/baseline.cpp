@@ -33,7 +33,6 @@ DecisionStump DecisionStump::train(const Dataset& data) {
 
   double best_gain = 0.0;
   for (std::size_t a = 0; a < data.attribute_count(); ++a) {
-    if (data.attribute(a).kind != AttributeKind::kNumeric) continue;
     std::vector<std::size_t> known;
     for (std::size_t i = 0; i < data.size(); ++i)
       if (!is_missing(data.value(i, a))) known.push_back(i);

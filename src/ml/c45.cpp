@@ -80,7 +80,6 @@ double pessimistic_errors(double errors, double n, double cf) {
 struct SplitCandidate {
   bool valid = false;
   std::size_t attribute = 0;
-  bool numeric = true;
   double threshold = 0.0;
   double gain = 0.0;
   double gain_ratio = 0.0;
@@ -127,7 +126,6 @@ class C45Builder {
                                     double n_known_total) const {
     SplitCandidate best;
     best.attribute = attr;
-    best.numeric = true;
     std::vector<std::size_t> known;
     for (std::size_t i : idx)
       if (!is_missing(data_.value(i, attr))) known.push_back(i);
@@ -182,47 +180,6 @@ class C45Builder {
     return best;
   }
 
-  SplitCandidate best_nominal_split(const std::vector<std::size_t>& idx,
-                                    std::size_t attr,
-                                    double base_entropy) const {
-    SplitCandidate best;
-    best.attribute = attr;
-    best.numeric = false;
-    const std::size_t values = data_.attribute(attr).values.size();
-    std::vector<std::vector<double>> counts(
-        values, std::vector<double>(data_.class_count(), 0.0));
-    std::vector<double> sizes(values, 0.0);
-    double n_known = 0.0;
-    for (std::size_t i : idx) {
-      const double v = data_.value(i, attr);
-      if (is_missing(v)) continue;
-      const auto vi = static_cast<std::size_t>(v);
-      counts[vi][data_.label(i)] += 1.0;
-      sizes[vi] += 1.0;
-      n_known += 1.0;
-    }
-    if (n_known < 2.0 * static_cast<double>(params_.min_instances))
-      return best;
-    std::size_t populated = 0;
-    std::size_t big_enough = 0;
-    double cond = 0.0;
-    for (std::size_t v = 0; v < values; ++v) {
-      if (sizes[v] > 0.0) ++populated;
-      if (sizes[v] >= static_cast<double>(params_.min_instances))
-        ++big_enough;
-      if (sizes[v] > 0.0) cond += sizes[v] / n_known * entropy(counts[v]);
-    }
-    if (populated < 2 || big_enough < 2) return best;
-    const double gain = base_entropy - cond;
-    if (gain <= 0.0) return best;
-    const double split_info = entropy(sizes);
-    if (split_info <= 0.0) return best;
-    best.valid = true;
-    best.gain = gain;
-    best.gain_ratio = gain / split_info;
-    return best;
-  }
-
   std::size_t make_leaf(DecisionTree& tree,
                         const std::vector<double>& counts) {
     DecisionTree::Node node;
@@ -246,10 +203,7 @@ class C45Builder {
     // Collect admissible splits and apply Quinlan's average-gain filter.
     std::vector<SplitCandidate> candidates;
     for (std::size_t a = 0; a < data_.attribute_count(); ++a) {
-      const SplitCandidate c =
-          data_.attribute(a).kind == AttributeKind::kNumeric
-              ? best_numeric_split(idx, a, base, n)
-              : best_nominal_split(idx, a, base);
+      const SplitCandidate c = best_numeric_split(idx, a, base, n);
       if (c.valid) candidates.push_back(c);
     }
     if (candidates.empty()) return make_leaf(tree, counts);
@@ -267,25 +221,14 @@ class C45Builder {
     // Partition instances; missing values go to every branch? C4.5 uses
     // fractional weights — we simplify by sending them to the majority
     // branch, which J48's -B behaviour approximates.
-    std::vector<std::vector<std::size_t>> parts;
-    if (best->numeric) {
-      parts.resize(2);
-      for (std::size_t i : idx) {
-        const double v = data_.value(i, best->attribute);
-        if (is_missing(v)) continue;
-        parts[v <= best->threshold ? 0 : 1].push_back(i);
-      }
-    } else {
-      parts.resize(data_.attribute(best->attribute).values.size());
-      for (std::size_t i : idx) {
-        const double v = data_.value(i, best->attribute);
-        if (is_missing(v)) continue;
-        parts[static_cast<std::size_t>(v)].push_back(i);
-      }
+    std::vector<std::vector<std::size_t>> parts(2);
+    for (std::size_t i : idx) {
+      const double v = data_.value(i, best->attribute);
+      if (is_missing(v)) continue;
+      parts[v <= best->threshold ? 0 : 1].push_back(i);
     }
-    std::size_t majority_part = 0;
-    for (std::size_t p = 1; p < parts.size(); ++p)
-      if (parts[p].size() > parts[majority_part].size()) majority_part = p;
+    const std::size_t majority_part =
+        parts[1].size() > parts[0].size() ? 1 : 0;
     for (std::size_t i : idx) {
       if (is_missing(data_.value(i, best->attribute)))
         parts[majority_part].push_back(i);
@@ -380,16 +323,8 @@ std::size_t DecisionTree::walk(const std::vector<double>& row) const {
     if (n.attribute >= row.size())
       throw std::invalid_argument("DecisionTree::predict: row too short");
     const double v = row[n.attribute];
-    std::size_t branch;
-    if (is_missing(v)) {
-      branch = n.majority_child;
-    } else if (attributes_[n.attribute].kind == AttributeKind::kNumeric) {
-      branch = v <= n.threshold ? 0 : 1;
-    } else {
-      branch = static_cast<std::size_t>(v);
-      if (branch >= n.children.size())
-        throw std::invalid_argument("DecisionTree::predict: bad nominal value");
-    }
+    const std::size_t branch =
+        is_missing(v) ? n.majority_child : (v <= n.threshold ? 0 : 1);
     cur = n.children[branch];
   }
   return cur;
@@ -453,17 +388,11 @@ void DecisionTree::render_node(std::size_t node_idx, std::size_t indent,
     out += pad + leaf_suffix(n) + "\n";
     return;
   }
-  const Attribute& attr = attributes_[n.attribute];
   for (std::size_t b = 0; b < n.children.size(); ++b) {
-    std::string condition;
-    if (attr.kind == AttributeKind::kNumeric) {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%s %s %g", attr.name.c_str(),
-                    b == 0 ? "<=" : ">", n.threshold);
-      condition = buf;
-    } else {
-      condition = attr.name + " = " + attr.values[b];
-    }
+    char condition[64];
+    std::snprintf(condition, sizeof condition, "%s %s %g",
+                  attributes_[n.attribute].c_str(), b == 0 ? "<=" : ">",
+                  n.threshold);
     const Node& child = nodes_[n.children[b]];
     if (child.leaf) {
       out += pad + condition + leaf_suffix(child) + "\n";

@@ -1,8 +1,9 @@
 #pragma once
 // C4.5 decision tree (Quinlan 1993), the learner behind Weka's J48 which the
-// paper uses (§5.2, Fig. 5). Implemented features:
-//   - gain-ratio split selection over numeric (binary threshold) and nominal
-//     (multiway) attributes, with Quinlan's average-gain admissibility rule;
+// paper uses (§5.2, Fig. 5). Every attribute is numeric (dataset.h), so
+// every internal node is a binary threshold split. Implemented features:
+//   - gain-ratio split selection over binary thresholds, with Quinlan's MDL
+//     threshold correction and average-gain admissibility rule;
 //   - minimum-instances-per-leaf stopping (J48's -M, default 2);
 //   - pessimistic (confidence-factor) subtree-replacement pruning, J48's
 //     default CF = 0.25;
@@ -61,14 +62,13 @@ class DecisionTree {
     std::vector<double> class_counts;
 
     std::size_t attribute = 0;      // internal: split attribute
-    double threshold = 0.0;         // numeric split: <= goes left
-    std::vector<std::size_t> children;  // numeric: [left, right];
-                                        // nominal: one per value
+    double threshold = 0.0;         // <= goes left
+    std::vector<std::size_t> children;  // internal: [left, right]
     std::size_t majority_child = 0;     // where missing values route
   };
 
   std::vector<Node> nodes_;  // nodes_[0] is the root
-  std::vector<Attribute> attributes_;
+  std::vector<std::string> attributes_;  // attribute names
   std::vector<std::string> class_names_;
 
   [[nodiscard]] std::size_t walk(const std::vector<double>& row) const;

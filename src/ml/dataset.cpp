@@ -8,7 +8,7 @@ namespace digg::ml {
 
 bool is_missing(double value) noexcept { return std::isnan(value); }
 
-Dataset::Dataset(std::vector<Attribute> attributes,
+Dataset::Dataset(std::vector<std::string> attributes,
                  std::vector<std::string> class_names)
     : attributes_(std::move(attributes)),
       class_names_(std::move(class_names)) {
@@ -16,11 +16,6 @@ Dataset::Dataset(std::vector<Attribute> attributes,
     throw std::invalid_argument("Dataset: no attributes");
   if (class_names_.size() < 2)
     throw std::invalid_argument("Dataset: need at least two classes");
-  for (const Attribute& a : attributes_) {
-    if (a.kind == AttributeKind::kNominal && a.values.size() < 2)
-      throw std::invalid_argument("Dataset: nominal attribute '" + a.name +
-                                  "' needs at least two values");
-  }
 }
 
 void Dataset::add(std::vector<double> row, std::size_t label) {
@@ -28,19 +23,11 @@ void Dataset::add(std::vector<double> row, std::size_t label) {
     throw std::invalid_argument("Dataset::add: row width mismatch");
   if (label >= class_names_.size())
     throw std::out_of_range("Dataset::add: bad label");
-  for (std::size_t a = 0; a < row.size(); ++a) {
-    if (attributes_[a].kind == AttributeKind::kNominal && !is_missing(row[a])) {
-      const auto idx = static_cast<std::size_t>(row[a]);
-      if (row[a] < 0.0 || idx >= attributes_[a].values.size() ||
-          static_cast<double>(idx) != row[a])
-        throw std::invalid_argument("Dataset::add: bad nominal value index");
-    }
-  }
   rows_.push_back(std::move(row));
   labels_.push_back(label);
 }
 
-const Attribute& Dataset::attribute(std::size_t a) const {
+const std::string& Dataset::attribute(std::size_t a) const {
   if (a >= attributes_.size())
     throw std::out_of_range("Dataset::attribute: bad index");
   return attributes_[a];

@@ -1,38 +1,27 @@
 #pragma once
-// Attribute-schema dataset for the learners. The paper trains a C4.5 (J48)
-// tree on stories with numeric attributes (v10 = in-network votes within the
-// first ten, fans1 = submitter's fan count) and a boolean class
-// (interesting: final votes > 520). We keep the container generic — numeric
-// and nominal attributes, string class labels — so extended feature sets
-// (v6, v20, influence) drop in without new code.
+// Dataset for the learners. The paper trains a C4.5 (J48) tree on stories
+// with numeric attributes (v10 = in-network votes within the first ten,
+// fans1 = submitter's fan count) and a boolean class (interesting: final
+// votes > 520). Every attribute is numeric, so the schema is a list of
+// attribute names plus string class labels; extended feature sets (v6, v20,
+// influence) drop in without new code.
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 namespace digg::ml {
 
-enum class AttributeKind : std::uint8_t { kNumeric, kNominal };
-
-struct Attribute {
-  std::string name;
-  AttributeKind kind = AttributeKind::kNumeric;
-  /// Value names for nominal attributes; empty for numeric.
-  std::vector<std::string> values;
-};
-
 /// Sentinel for a missing attribute value.
 inline constexpr double kMissing = std::numeric_limits<double>::quiet_NaN();
 [[nodiscard]] bool is_missing(double value) noexcept;
 
-/// Instances are dense rows of doubles: numeric attributes hold their value,
-/// nominal attributes hold the index into Attribute::values. The class label
-/// is stored separately as an index into class_names().
+/// Instances are dense rows of doubles, one value per attribute. The class
+/// label is stored separately as an index into class_names().
 class Dataset {
  public:
-  Dataset(std::vector<Attribute> attributes,
+  Dataset(std::vector<std::string> attributes,
           std::vector<std::string> class_names);
 
   /// Appends an instance; `row` must have one value per attribute, `label`
@@ -47,10 +36,11 @@ class Dataset {
   [[nodiscard]] std::size_t class_count() const noexcept {
     return class_names_.size();
   }
-  [[nodiscard]] const std::vector<Attribute>& attributes() const noexcept {
+  /// Attribute names, in row order.
+  [[nodiscard]] const std::vector<std::string>& attributes() const noexcept {
     return attributes_;
   }
-  [[nodiscard]] const Attribute& attribute(std::size_t a) const;
+  [[nodiscard]] const std::string& attribute(std::size_t a) const;
   [[nodiscard]] const std::vector<std::string>& class_names() const noexcept {
     return class_names_;
   }
@@ -68,7 +58,7 @@ class Dataset {
   [[nodiscard]] Dataset subset(const std::vector<std::size_t>& indices) const;
 
  private:
-  std::vector<Attribute> attributes_;
+  std::vector<std::string> attributes_;
   std::vector<std::string> class_names_;
   std::vector<std::vector<double>> rows_;
   std::vector<std::size_t> labels_;

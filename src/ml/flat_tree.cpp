@@ -2,18 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace digg::ml {
 
 FlatTree::FlatTree(const DecisionTree& tree) {
   const auto& nodes = tree.nodes_;
-  if (nodes.empty()) return;
-  for (const auto& n : nodes) {
-    if (n.leaf) continue;
-    if (tree.attributes_[n.attribute].kind != AttributeKind::kNumeric ||
-        n.children.size() != 2)
-      return;  // nominal multiway split: not compilable, valid() == false
-  }
   const std::size_t count = nodes.size();
   attr_.resize(count);
   thresh_.resize(count);
@@ -45,6 +39,8 @@ FlatTree::FlatTree(const DecisionTree& tree) {
 void FlatTree::predict_classes(const double* rows, std::size_t n_rows,
                                std::size_t stride,
                                std::int32_t* out_klass) const {
+  if (n_rows > 0 && klass_.empty())
+    throw std::logic_error("FlatTree: untrained");
   for (std::size_t r = 0; r < n_rows; ++r) {
     const double* row = rows + r * stride;
     std::int32_t cur = 0;

@@ -15,11 +15,9 @@
 //
 // Missing values (NaN) route to miss[node] — DecisionTree::walk's
 // majority-child rule — so batched results are identical to walk() for
-// every row, NaN included (tests/ml_c45_test.cpp, FlatTree.*).
-//
-// Only trees whose internal nodes are all numeric binary splits compile
-// (the paper's feature sets are all-numeric); a tree with nominal multiway
-// splits yields valid() == false and callers keep the pointer walk.
+// every row, NaN included (tests/ml_c45_test.cpp, FlatTree.*). Every
+// internal node is a binary threshold split (c45.h), so every trained tree
+// compiles.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,19 +30,17 @@ namespace digg::ml {
 class FlatTree {
  public:
   FlatTree() = default;
-  /// Compiles `tree`. valid() is false when the tree has nominal splits
-  /// (or is untrained); the FlatTree is then unusable and callers fall
-  /// back to DecisionTree::predict.
+  /// Compiles `tree`.
   explicit FlatTree(const DecisionTree& tree);
 
-  [[nodiscard]] bool valid() const noexcept { return !attr_.empty(); }
-  [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
   [[nodiscard]] std::size_t node_count() const noexcept {
     return attr_.size();
   }
 
   /// Predicted class per row. `rows` is n_rows x stride doubles, row-major;
-  /// stride must cover every attribute the tree splits on.
+  /// stride must cover every attribute the tree splits on. Throws
+  /// std::logic_error when the tree was untrained (as DecisionTree::predict
+  /// does).
   void predict_classes(const double* rows, std::size_t n_rows,
                        std::size_t stride, std::int32_t* out_klass) const;
 

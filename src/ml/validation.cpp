@@ -125,11 +125,4 @@ CrossValidationResult cross_validate(const Trainer& trainer,
   return result;
 }
 
-double CrossValidationResult::mean_accuracy() const {
-  if (per_fold.empty()) return 0.0;
-  double acc = 0.0;
-  for (const Confusion& c : per_fold) acc += c.accuracy();
-  return acc / static_cast<double>(per_fold.size());
-}
-
 }  // namespace digg::ml

@@ -52,7 +52,6 @@ using Trainer = std::function<Classifier(const Dataset&)>;
 struct CrossValidationResult {
   Confusion pooled;                 // summed over folds
   std::vector<Confusion> per_fold;  // one entry per fold
-  [[nodiscard]] double mean_accuracy() const;
 };
 
 /// Stratified k-fold CV: folds preserve class proportions; assignment is

@@ -5,12 +5,9 @@
 // for any thread count (1 thread vs N threads, any scheduling order):
 //   - parallel_for / parallel_map assign work to output slots by index, so
 //     scheduling cannot reorder results;
-//   - parallel_reduce / parallel_reduce_ranges split [0, n) into a chunk
-//     layout that depends only on n and the grain — never on the thread
-//     count — compute one partial per chunk, and combine the partials in
-//     ascending chunk order on the calling thread. Floating-point reductions
-//     therefore combine in one fixed order regardless of how chunks were
-//     scheduled.
+//   - parallel_for_ranges splits [0, n) into a chunk layout that depends
+//     only on n and the grain, never on the thread count;
+//   - parallel_for_ordered hands results to its consumer in index order.
 //
 // Stochastic loop bodies keep the contract by drawing from an
 // index-addressed substream (stats::Rng::split(i)) instead of a shared
@@ -171,49 +168,6 @@ void parallel_for_ordered(std::size_t n, std::size_t window,
         draining = false;
       },
       opts);
-}
-
-/// Reduction over per-chunk partials: partial(c) = range_fn(begin, end) for
-/// the chunk's range, then combine(acc, partial) folds the partials in
-/// ascending chunk order. The chunk layout depends only on n and the grain,
-/// so the combine order — and hence the result, bit for bit — is the same
-/// for any thread count.
-template <typename T, typename RangeFn, typename CombineFn>
-[[nodiscard]] T parallel_reduce_ranges(std::size_t n, T identity,
-                                       RangeFn&& range_fn,
-                                       CombineFn&& combine,
-                                       ParallelOptions opts = {}) {
-  const std::size_t chunks = detail::chunk_count_for(n, opts.grain);
-  if (chunks == 0) return identity;
-  std::vector<T> partials(chunks, identity);
-  detail::run_chunks(
-      chunks,
-      [&](std::size_t c) {
-        const auto [begin, end] = detail::chunk_bounds(n, chunks, c);
-        partials[c] = range_fn(begin, end);
-      },
-      opts.threads);
-  T acc = std::move(identity);
-  for (T& partial : partials) acc = combine(std::move(acc), std::move(partial));
-  return acc;
-}
-
-/// Map-reduce: acc = combine(acc, map_fn(i)) within each chunk, partials
-/// combined in ascending chunk order (same fixed-layout guarantee as
-/// parallel_reduce_ranges).
-template <typename T, typename MapFn, typename CombineFn>
-[[nodiscard]] T parallel_reduce(std::size_t n, T identity, MapFn&& map_fn,
-                                CombineFn&& combine,
-                                ParallelOptions opts = {}) {
-  return parallel_reduce_ranges(
-      n, identity,
-      [&](std::size_t begin, std::size_t end) {
-        T acc = identity;
-        for (std::size_t i = begin; i < end; ++i)
-          acc = combine(std::move(acc), map_fn(i));
-        return acc;
-      },
-      combine, opts);
 }
 
 }  // namespace digg::runtime

@@ -63,7 +63,8 @@
 namespace digg::serve {
 
 struct ServeParams {
-  /// Engine configuration (checkpoints, predictor hooks, vis budget).
+  /// Engine configuration (cascade/influence checkpoints, thresholds, the
+  /// C4.5 predictor and Bayes hooks).
   stream::StreamParams stream;
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (start() returns it).
   std::uint16_t port = 0;

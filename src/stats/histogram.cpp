@@ -87,16 +87,6 @@ std::vector<Bin> LogHistogram::bins() const {
   return out;
 }
 
-std::vector<double> LogHistogram::densities() const {
-  std::vector<double> out;
-  out.reserve(counts_.size());
-  for (const Bin& b : bins()) {
-    const double width = b.hi - b.lo;
-    out.push_back(static_cast<double>(b.count) / width);
-  }
-  return out;
-}
-
 void FrequencyCounter::add(std::int64_t value) {
   ++counts_[value];
   ++total_;

@@ -57,10 +57,6 @@ class LogHistogram {
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] std::vector<Bin> bins() const;
 
-  /// Per-bin count density (count / bin width) — the quantity whose log-log
-  /// slope estimates the power-law exponent.
-  [[nodiscard]] std::vector<double> densities() const;
-
  private:
   double base_;
   std::uint64_t zeros_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <stdexcept>
 
 namespace digg::stats {
@@ -71,35 +70,6 @@ double ks_distance(const std::vector<std::int64_t>& data, double alpha,
     ++x;
   }
   return max_d;
-}
-
-PowerLawFit fit_power_law_auto(const std::vector<std::int64_t>& data) {
-  if (data.empty())
-    throw std::invalid_argument("fit_power_law_auto: empty data");
-  std::set<std::int64_t> candidates;
-  for (std::int64_t x : data)
-    if (x >= 1) candidates.insert(x);
-  if (candidates.empty())
-    throw std::invalid_argument("fit_power_law_auto: no positive data");
-  PowerLawFit best;
-  bool have_best = false;
-  for (std::int64_t x_min : candidates) {
-    // Require a minimum tail size so the KS distance is meaningful.
-    std::size_t tail = 0;
-    for (std::int64_t x : data)
-      if (x >= x_min) ++tail;
-    if (tail < 10) break;  // candidates ascend; tails only shrink
-    const PowerLawFit fit = fit_power_law(data, x_min);
-    if (!std::isfinite(fit.alpha)) continue;
-    if (!have_best || fit.ks_distance < best.ks_distance) {
-      best = fit;
-      have_best = true;
-    }
-  }
-  if (!have_best)
-    // Fall back to the smallest candidate if every tail was tiny/degenerate.
-    return fit_power_law(data, *candidates.begin());
-  return best;
 }
 
 }  // namespace digg::stats

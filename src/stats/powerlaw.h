@@ -23,11 +23,6 @@ struct PowerLawFit {
 [[nodiscard]] PowerLawFit fit_power_law(const std::vector<std::int64_t>& data,
                                         std::int64_t x_min);
 
-/// Scans candidate x_min values (every distinct data value) and returns the
-/// fit minimizing the KS distance, following Clauset et al.
-[[nodiscard]] PowerLawFit fit_power_law_auto(
-    const std::vector<std::int64_t>& data);
-
 /// KS distance between the empirical tail CDF (x >= x_min) and the discrete
 /// power-law CDF with the given alpha.
 [[nodiscard]] double ks_distance(const std::vector<std::int64_t>& data,

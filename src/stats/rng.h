@@ -62,11 +62,6 @@ class Rng {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 
-  /// Lognormal with the given log-mean and log-stddev.
-  double lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
-  }
-
   /// Poisson with the given mean. mean >= 0.
   std::int64_t poisson(double mean) {
     if (mean < 0.0) throw std::invalid_argument("Rng::poisson: mean < 0");

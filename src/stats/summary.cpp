@@ -103,25 +103,4 @@ double spearman(const std::vector<double>& x, const std::vector<double>& y) {
   return pearson(ranks(x), ranks(y));
 }
 
-LinearFit least_squares(const std::vector<double>& x,
-                        const std::vector<double>& y) {
-  if (x.size() != y.size())
-    throw std::invalid_argument("least_squares: size mismatch");
-  if (x.size() < 2) throw std::invalid_argument("least_squares: n < 2");
-  const double mx = mean(x);
-  const double my = mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-    syy += (y[i] - my) * (y[i] - my);
-  }
-  if (sxx == 0.0) throw std::invalid_argument("least_squares: x constant");
-  LinearFit fit;
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  fit.r2 = (syy == 0.0) ? 1.0 : (sxy * sxy) / (sxx * syy);
-  return fit;
-}
-
 }  // namespace digg::stats

@@ -42,14 +42,4 @@ struct Summary {
 [[nodiscard]] double spearman(const std::vector<double>& x,
                               const std::vector<double>& y);
 
-/// Ordinary least squares fit y = a + b*x; returns {a, b}. Used to estimate
-/// log-log slopes of activity distributions. Throws if n < 2 or x constant.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r2 = 0.0;
-};
-[[nodiscard]] LinearFit least_squares(const std::vector<double>& x,
-                                      const std::vector<double>& y);
-
 }  // namespace digg::stats

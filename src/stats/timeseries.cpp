@@ -38,19 +38,6 @@ TimeSeries TimeSeries::resample(double horizon_minutes,
   return out;
 }
 
-std::optional<double> TimeSeries::time_to_reach(double threshold) const {
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    if (values_[i] >= threshold) {
-      if (i == 0 || values_[i] == values_[i - 1]) return times_[i];
-      // Interpolate the crossing within the segment.
-      const double frac =
-          (threshold - values_[i - 1]) / (values_[i] - values_[i - 1]);
-      return times_[i - 1] + frac * (times_[i] - times_[i - 1]);
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<double> TimeSeries::half_life(double from_minutes) const {
   if (empty()) return std::nullopt;
   const double v_from = at(from_minutes);

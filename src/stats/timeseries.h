@@ -34,9 +34,6 @@ class TimeSeries {
   [[nodiscard]] TimeSeries resample(double horizon_minutes,
                                     std::size_t points) const;
 
-  /// Earliest time at which the value reaches `threshold`, if ever.
-  [[nodiscard]] std::optional<double> time_to_reach(double threshold) const;
-
   /// Time (after `from_minutes`) at which the remaining growth halves:
   /// value(t) = v_from + (v_final - v_from)/2. Estimates the novelty-decay
   /// half-life of the post-promotion regime. Returns nullopt if the series

@@ -55,8 +55,8 @@ TEST(MakeDataset, SchemaMatchesFeatureSet) {
   const ml::Dataset paper =
       InterestingnessPredictor::make_dataset(sample, FeatureSet::kPaper);
   EXPECT_EQ(paper.attribute_count(), 2u);
-  EXPECT_EQ(paper.attribute(0).name, "v10");
-  EXPECT_EQ(paper.attribute(1).name, "fans1");
+  EXPECT_EQ(paper.attribute(0), "v10");
+  EXPECT_EQ(paper.attribute(1), "fans1");
   EXPECT_EQ(paper.class_names()[1], "yes");
   EXPECT_EQ(paper.size(), 10u);
 

@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
+#include "src/data/snapshot.h"
 #include "src/data/synthetic.h"
+#include "src/digg/story.h"
 
 namespace digg::data {
 namespace {
@@ -103,11 +106,62 @@ TEST_F(IoTest, MalformedRowThrows) {
 }
 
 TEST_F(IoTest, VoteForUnknownStoryThrows) {
-  save_corpus(small_corpus(), dir_);
-  std::ofstream out(dir_ / "votes.csv", std::ios::app);
-  out << "999999,1,2\n";
-  out.close();
-  EXPECT_THROW(load_corpus(dir_), std::runtime_error);
+  for (const std::string id : {"999999", "4294967295"}) {
+    save_corpus(small_corpus(), dir_);
+    std::ofstream out(dir_ / "votes.csv", std::ios::app);
+    out << id << ",1,2\n";
+    out.close();
+    EXPECT_THROW(load_corpus(dir_), std::runtime_error) << id;
+  }
+}
+
+TEST_F(IoTest, DuplicateStoryIdThrows) {
+  for (const std::string id : {"7", "4294967295"}) {
+    save_corpus(small_corpus(), dir_);
+    std::ofstream out(dir_ / "stories.csv", std::ios::app);
+    out << id << ",upcoming,0,0,,0.5\n" << id << ",upcoming,0,0,,0.5\n";
+    out.close();
+    try {
+      (void)load_corpus(dir_);
+      ADD_FAILURE() << "duplicate id " << id << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate story id " + id),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Story ids are any 32-bit values: the extremes must survive the CSV round
+// trip (the loader keys stories by id rather than sizing a table by the
+// largest id) and a snapshot round trip.
+TEST_F(IoTest, ExtremeStoryIdsRoundTripThroughCsvAndSnapshot) {
+  const std::vector<StoryId> ids = {0, 4294967294u, 4294967295u};
+  graph::DigraphBuilder builder(3);
+  builder.add_follow(0, 1);
+  builder.add_follow(2, 0);
+  Corpus original;
+  original.network = builder.build();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto submitter = static_cast<UserId>(i);
+    platform::Story s = platform::make_story(ids[i], submitter, 10.0, 0.5);
+    platform::add_vote(s, (submitter + 1) % 3, 11.5);
+    original.add_story(s, Corpus::Section::kUpcoming);
+  }
+  save_corpus(original, dir_);
+  const Corpus from_csv = load_corpus(dir_);
+  save_snapshot(from_csv, dir_ / "corpus.snap");
+  auto expect_ids = [&](const Corpus& loaded) {
+    ASSERT_EQ(loaded.upcoming.size(), ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(loaded.upcoming[i].id, ids[i]);
+      EXPECT_EQ(loaded.upcoming[i].submitter, original.upcoming[i].submitter);
+      expect_same_votes(loaded.upcoming[i], original.upcoming[i]);
+    }
+  };
+  expect_ids(from_csv);
+  expect_ids(load_snapshot(dir_ / "corpus.snap"));
+  expect_ids(load_snapshot_mmap(dir_ / "corpus.snap"));
 }
 
 TEST_F(IoTest, SectionMismatchThrows) {

@@ -54,23 +54,6 @@ TEST(Story, HasVoted) {
   EXPECT_FALSE(has_voted(s, 3));
 }
 
-TEST(Story, EarlyVotesSkipSubmitter) {
-  Story s = make_story(0, 1, 0.0, 0.5);
-  for (UserId u = 2; u <= 15; ++u) add_vote(s, u, static_cast<Minutes>(u));
-  const auto early = early_votes(s, 10);
-  ASSERT_EQ(early.size(), 10u);
-  EXPECT_EQ(early.front(), 2u);
-  EXPECT_EQ(early.back(), 11u);
-}
-
-TEST(Story, EarlyVotesTruncatesWhenShort) {
-  Story s = make_story(0, 1, 0.0, 0.5);
-  add_vote(s, 2, 1.0);
-  EXPECT_EQ(early_votes(s, 10).size(), 1u);
-  Story empty;
-  EXPECT_TRUE(early_votes(empty, 10).empty());
-}
-
 TEST(Story, VotersInOrder) {
   Story s = make_story(0, 5, 0.0, 0.5);
   add_vote(s, 9, 1.0);

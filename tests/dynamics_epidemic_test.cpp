@@ -44,27 +44,6 @@ TEST(Sis, InitialSeedCountRespected) {
   EXPECT_EQ(r.infected_over_time.front(), 7u);
 }
 
-TEST(Sir, FullInfectionAttackRateIsOne) {
-  stats::Rng rng(4);
-  EpidemicParams params;
-  params.infection_rate = 1.0;
-  params.recovery_rate = 1.0;
-  params.max_steps = 300;
-  const EpidemicResult r = sir_epidemic(ring(100), params, rng);
-  EXPECT_DOUBLE_EQ(r.final_metric, 1.0);
-  EXPECT_EQ(r.infected_over_time.back(), 0u);  // everyone recovered
-}
-
-TEST(Sir, AttackRateBetweenZeroAndOne) {
-  stats::Rng rng(5);
-  EpidemicParams params;
-  params.infection_rate = 0.2;
-  params.recovery_rate = 0.5;
-  const EpidemicResult r = sir_epidemic(ring(200), params, rng);
-  EXPECT_GE(r.final_metric, 0.0);
-  EXPECT_LE(r.final_metric, 1.0);
-}
-
 TEST(Epidemic, RejectsBadParameters) {
   stats::Rng rng(1);
   EpidemicParams params;

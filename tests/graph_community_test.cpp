@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/graph/generators.h"
 
 namespace digg::graph {
@@ -21,25 +23,31 @@ Digraph two_cliques() {
   return b.build();
 }
 
+std::size_t distinct_labels(std::vector<std::size_t> labels) {
+  std::sort(labels.begin(), labels.end());
+  return static_cast<std::size_t>(
+      std::unique(labels.begin(), labels.end()) - labels.begin());
+}
+
 TEST(LabelPropagation, SeparatesTwoCliques) {
   stats::Rng rng(1);
   const auto labels = label_propagation(two_cliques(), rng);
   for (NodeId u = 1; u <= 4; ++u) EXPECT_EQ(labels[u], labels[0]);
   for (NodeId u = 6; u <= 9; ++u) EXPECT_EQ(labels[u], labels[5]);
   EXPECT_NE(labels[0], labels[5]);
-  EXPECT_EQ(community_count(labels), 2u);
+  EXPECT_EQ(distinct_labels(labels), 2u);
 }
 
 TEST(LabelPropagation, LabelsDenselyNumbered) {
   stats::Rng rng(2);
   const auto labels = label_propagation(two_cliques(), rng);
-  for (std::size_t l : labels) EXPECT_LT(l, community_count(labels));
+  for (std::size_t l : labels) EXPECT_LT(l, distinct_labels(labels));
 }
 
 TEST(LabelPropagation, IsolatedNodesKeepOwnLabels) {
   stats::Rng rng(3);
   const auto labels = label_propagation(DigraphBuilder(4).build(), rng);
-  EXPECT_EQ(community_count(labels), 4u);
+  EXPECT_EQ(distinct_labels(labels), 4u);
 }
 
 TEST(Modularity, GoodPartitionBeatsTrivialPartition) {
@@ -95,10 +103,6 @@ TEST(RandIndex, DisagreementLowersScore) {
 
 TEST(RandIndex, SizeMismatchThrows) {
   EXPECT_THROW(rand_index({0, 1}, {0}), std::invalid_argument);
-}
-
-TEST(CommunityCount, EmptyIsZero) {
-  EXPECT_EQ(community_count({}), 0u);
 }
 
 }  // namespace

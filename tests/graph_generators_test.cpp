@@ -118,34 +118,6 @@ TEST(PreferentialAttachment, RejectsBadParameters) {
   EXPECT_THROW(preferential_attachment(params, rng), std::invalid_argument);
 }
 
-TEST(ConfigurationModel, ApproximatesTargetDegrees) {
-  stats::Rng rng(7);
-  const std::size_t n = 500;
-  std::vector<std::size_t> out_deg(n, 3);
-  std::vector<std::size_t> in_deg(n, 3);
-  const Digraph g = configuration_model(out_deg, in_deg, rng);
-  // Self-loop/duplicate removal loses only a small fraction of stubs.
-  EXPECT_GT(g.edge_count(), static_cast<std::size_t>(0.95 * 3 * n));
-  EXPECT_LE(g.edge_count(), 3 * n);
-}
-
-TEST(ConfigurationModel, RejectsSizeMismatch) {
-  stats::Rng rng(1);
-  EXPECT_THROW(configuration_model({1, 2}, {1}, rng), std::invalid_argument);
-}
-
-TEST(ConfigurationModel, HubDegreePreserved) {
-  stats::Rng rng(8);
-  const std::size_t n = 300;
-  std::vector<std::size_t> out_deg(n, 1);
-  std::vector<std::size_t> in_deg(n, 1);
-  in_deg[0] = 100;  // one hub collects many fans
-  out_deg[n - 1] = 100;
-  const Digraph g = configuration_model(out_deg, in_deg, rng);
-  // Duplicate/self-loop removal trims a few stubs; the hub keeps the bulk.
-  EXPECT_GT(g.fan_count(0), 70u);
-}
-
 TEST(PlantedPartition, DenserWithinCommunities) {
   stats::Rng rng(9);
   PlantedPartitionParams params;

@@ -10,9 +10,7 @@ namespace digg::ml {
 namespace {
 
 Dataset separable(std::size_t per_class = 20) {
-  Dataset d({{"x", AttributeKind::kNumeric, {}},
-             {"noise", AttributeKind::kNumeric, {}}},
-            {"no", "yes"});
+  Dataset d({"x", "noise"}, {"no", "yes"});
   stats::Rng rng(5);
   for (std::size_t i = 0; i < per_class; ++i) {
     d.add({rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)}, 0);
@@ -22,7 +20,7 @@ Dataset separable(std::size_t per_class = 20) {
 }
 
 TEST(MajorityClassifier, PredictsDominantClass) {
-  Dataset d({{"x", AttributeKind::kNumeric, {}}}, {"no", "yes"});
+  Dataset d({"x"}, {"no", "yes"});
   d.add({1.0}, 1);
   d.add({2.0}, 1);
   d.add({3.0}, 0);
@@ -32,7 +30,7 @@ TEST(MajorityClassifier, PredictsDominantClass) {
 }
 
 TEST(MajorityClassifier, RejectsEmpty) {
-  Dataset d({{"x", AttributeKind::kNumeric, {}}}, {"no", "yes"});
+  Dataset d({"x"}, {"no", "yes"});
   EXPECT_THROW(MajorityClassifier::train(d), std::invalid_argument);
 }
 
@@ -54,7 +52,7 @@ TEST(DecisionStump, MissingValueGetsMajority) {
 }
 
 TEST(DecisionStump, ConstantLabelsAreTrivial) {
-  Dataset d({{"x", AttributeKind::kNumeric, {}}}, {"no", "yes"});
+  Dataset d({"x"}, {"no", "yes"});
   d.add({1.0}, 1);
   d.add({2.0}, 1);
   const DecisionStump s = DecisionStump::train(d);
@@ -86,7 +84,7 @@ TEST(LogisticRegression, WeightOnInformativeFeatureLarger) {
 }
 
 TEST(LogisticRegression, HandlesMissingAsMean) {
-  Dataset d({{"x", AttributeKind::kNumeric, {}}}, {"no", "yes"});
+  Dataset d({"x"}, {"no", "yes"});
   for (int i = 0; i < 10; ++i) {
     d.add({static_cast<double>(i)}, 0);
     d.add({static_cast<double>(i) + 20.0}, 1);
@@ -99,9 +97,9 @@ TEST(LogisticRegression, HandlesMissingAsMean) {
 }
 
 TEST(LogisticRegression, RejectsBadInput) {
-  Dataset empty({{"x", AttributeKind::kNumeric, {}}}, {"no", "yes"});
+  Dataset empty({"x"}, {"no", "yes"});
   EXPECT_THROW(LogisticRegression::train(empty), std::invalid_argument);
-  Dataset three({{"x", AttributeKind::kNumeric, {}}}, {"a", "b", "c"});
+  Dataset three({"x"}, {"a", "b", "c"});
   three.add({1.0}, 0);
   EXPECT_THROW(LogisticRegression::train(three), std::invalid_argument);
 }

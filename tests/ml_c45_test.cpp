@@ -14,7 +14,7 @@ namespace digg::ml {
 namespace {
 
 Dataset numeric_dataset(std::vector<std::pair<double, std::size_t>> points) {
-  Dataset d({{"x", AttributeKind::kNumeric, {}}}, {"no", "yes"});
+  Dataset d({"x"}, {"no", "yes"});
   for (const auto& [x, label] : points) d.add({x}, label);
   return d;
 }
@@ -53,9 +53,7 @@ TEST(DecisionTree, PureDatasetIsSingleLeaf) {
 
 TEST(DecisionTree, TwoAttributeInteraction) {
   // Class = yes iff x > 5 AND y > 5 (needs a depth-2 tree).
-  Dataset d({{"x", AttributeKind::kNumeric, {}},
-             {"y", AttributeKind::kNumeric, {}}},
-            {"no", "yes"});
+  Dataset d({"x", "y"}, {"no", "yes"});
   stats::Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     const double x = rng.uniform(0.0, 10.0);
@@ -69,20 +67,6 @@ TEST(DecisionTree, TwoAttributeInteraction) {
   EXPECT_EQ(tree.predict({2.0, 2.0}), 0u);
   const auto used = tree.used_attributes();
   EXPECT_EQ(used.size(), 2u);
-}
-
-TEST(DecisionTree, NominalMultiwaySplit) {
-  Dataset d({{"color", AttributeKind::kNominal, {"red", "green", "blue"}}},
-            {"no", "yes"});
-  for (int i = 0; i < 5; ++i) {
-    d.add({0.0}, 1);  // red -> yes
-    d.add({1.0}, 0);  // green -> no
-    d.add({2.0}, 1);  // blue -> yes
-  }
-  const DecisionTree tree = DecisionTree::train(d);
-  EXPECT_EQ(tree.predict({0.0}), 1u);
-  EXPECT_EQ(tree.predict({1.0}), 0u);
-  EXPECT_EQ(tree.predict({2.0}), 1u);
 }
 
 TEST(DecisionTree, MissingValueRoutedToMajorityBranch) {
@@ -155,7 +139,7 @@ TEST(DecisionTree, RenderCountsMatchPaperStyle) {
 }
 
 TEST(DecisionTree, RejectsBadTrainingInput) {
-  Dataset empty({{"x", AttributeKind::kNumeric, {}}}, {"no", "yes"});
+  Dataset empty({"x"}, {"no", "yes"});
   EXPECT_THROW(DecisionTree::train(empty), std::invalid_argument);
   Dataset d = numeric_dataset({{1, 0}, {2, 1}});
   C45Params params;
@@ -172,26 +156,6 @@ TEST(DecisionTree, PredictValidatesRow) {
   EXPECT_THROW(tree.predict({}), std::invalid_argument);
 }
 
-TEST(DecisionTree, GainRatioPrefersInformativeOverFragmenting) {
-  // Attribute "id" splits every instance into its own nominal value (high
-  // gain, terrible gain ratio); attribute x is a clean threshold. C4.5's
-  // gain ratio must pick x.
-  Dataset d({{"x", AttributeKind::kNumeric, {}},
-             {"id", AttributeKind::kNominal,
-              {"a", "b", "c", "d", "e", "f", "g", "h"}}},
-            {"no", "yes"});
-  for (int i = 0; i < 8; ++i)
-    d.add({static_cast<double>(i), static_cast<double>(i)},
-          i < 4 ? 0u : 1u);
-  C45Params params;
-  params.prune = false;
-  const DecisionTree tree = DecisionTree::train(d, params);
-  const auto used = tree.used_attributes();
-  ASSERT_FALSE(used.empty());
-  EXPECT_EQ(used[0], 0u);
-  EXPECT_EQ(used.size(), 1u);
-}
-
 // FlatTree's fixed-depth descent must land on the same class as the
 // pointer walk for every row, NaN rows (the missing-child route) included.
 TEST(FlatTree, MatchesPointerWalkIncludingNaN) {
@@ -200,9 +164,9 @@ TEST(FlatTree, MatchesPointerWalkIncludingNaN) {
     // Train a real tree on noisy random data so depths and shapes vary.
     const std::size_t n_attrs =
         static_cast<std::size_t>(rng.uniform_int(2, 5));
-    std::vector<Attribute> attrs;
+    std::vector<std::string> attrs;
     for (std::size_t a = 0; a < n_attrs; ++a)
-      attrs.push_back({"a" + std::to_string(a), AttributeKind::kNumeric, {}});
+      attrs.emplace_back(1, static_cast<char>('a' + a));  // "a", "b", ...
     Dataset data(attrs, {"no", "yes"});
     for (int i = 0; i < 200; ++i) {
       std::vector<double> row(n_attrs);
@@ -217,7 +181,7 @@ TEST(FlatTree, MatchesPointerWalkIncludingNaN) {
     }
     const DecisionTree tree = DecisionTree::train(data);
     const FlatTree flat(tree);
-    ASSERT_TRUE(flat.valid()) << "numeric tree must compile";
+    ASSERT_EQ(flat.node_count(), tree.node_count());
 
     const std::size_t n_rows =
         static_cast<std::size_t>(rng.uniform_int(1, 101));

@@ -8,18 +8,12 @@ namespace digg::ml {
 namespace {
 
 Dataset two_attr_dataset() {
-  return Dataset({{"x", AttributeKind::kNumeric, {}},
-                  {"color", AttributeKind::kNominal, {"red", "blue"}}},
-                 {"no", "yes"});
+  return Dataset({"x", "y"}, {"no", "yes"});
 }
 
 TEST(Dataset, ConstructionValidatesSchema) {
   EXPECT_THROW(Dataset({}, {"a", "b"}), std::invalid_argument);
-  EXPECT_THROW(Dataset({{"x", AttributeKind::kNumeric, {}}}, {"only"}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      Dataset({{"c", AttributeKind::kNominal, {"one"}}}, {"a", "b"}),
-      std::invalid_argument);
+  EXPECT_THROW(Dataset({"x"}, {"only"}), std::invalid_argument);
 }
 
 TEST(Dataset, AddAndAccess) {
@@ -30,16 +24,14 @@ TEST(Dataset, AddAndAccess) {
   EXPECT_DOUBLE_EQ(d.value(0, 0), 1.5);
   EXPECT_DOUBLE_EQ(d.value(1, 1), 1.0);
   EXPECT_EQ(d.label(0), 1u);
-  EXPECT_EQ(d.attribute(1).name, "color");
+  EXPECT_EQ(d.attribute(1), "y");
   EXPECT_EQ(d.class_count(), 2u);
 }
 
 TEST(Dataset, AddValidatesRows) {
   Dataset d = two_attr_dataset();
-  EXPECT_THROW(d.add({1.0}, 0), std::invalid_argument);       // width
-  EXPECT_THROW(d.add({1.0, 0.0}, 5), std::out_of_range);      // label
-  EXPECT_THROW(d.add({1.0, 2.0}, 0), std::invalid_argument);  // nominal range
-  EXPECT_THROW(d.add({1.0, 0.5}, 0), std::invalid_argument);  // non-integer
+  EXPECT_THROW(d.add({1.0}, 0), std::invalid_argument);   // width
+  EXPECT_THROW(d.add({1.0, 0.0}, 5), std::out_of_range);  // label
 }
 
 TEST(Dataset, MissingValuesAllowedAnywhere) {

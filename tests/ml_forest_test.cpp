@@ -8,9 +8,7 @@ namespace digg::ml {
 namespace {
 
 Dataset noisy_threshold_data(std::size_t n, double noise, std::uint64_t seed) {
-  Dataset d({{"x", AttributeKind::kNumeric, {}},
-             {"y", AttributeKind::kNumeric, {}}},
-            {"no", "yes"});
+  Dataset d({"x", "y"}, {"no", "yes"});
   stats::Rng rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
     const double x = rng.uniform(0.0, 1.0);
@@ -80,7 +78,7 @@ TEST(Forest, RejectsBadParameters) {
   EXPECT_THROW(Forest::train(d, params, rng), std::invalid_argument);
   params.bag_fraction = 1.5;
   EXPECT_THROW(Forest::train(d, params, rng), std::invalid_argument);
-  Dataset empty({{"x", AttributeKind::kNumeric, {}}}, {"a", "b"});
+  Dataset empty({"x"}, {"a", "b"});
   params.bag_fraction = 1.0;
   EXPECT_THROW(Forest::train(empty, params, rng), std::invalid_argument);
 }

@@ -21,9 +21,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MlProperty,
                          ::testing::Values(3, 7, 11, 19, 23, 31, 43, 59));
 
 ml::Dataset random_dataset(stats::Rng& rng, std::size_t n = 80) {
-  ml::Dataset d({{"x", ml::AttributeKind::kNumeric, {}},
-                 {"y", ml::AttributeKind::kNumeric, {}}},
-                {"no", "yes"});
+  ml::Dataset d({"x", "y"}, {"no", "yes"});
   for (std::size_t i = 0; i < n; ++i) {
     const double x = rng.uniform(0.0, 10.0);
     const double y = rng.uniform(0.0, 10.0);
@@ -38,9 +36,7 @@ ml::Dataset random_dataset(stats::Rng& rng, std::size_t n = 80) {
 TEST_P(MlProperty, TreeInvariantUnderMonotoneTransform) {
   stats::Rng rng(GetParam());
   const ml::Dataset original = random_dataset(rng);
-  ml::Dataset transformed({{"x", ml::AttributeKind::kNumeric, {}},
-                           {"y", ml::AttributeKind::kNumeric, {}}},
-                          {"no", "yes"});
+  ml::Dataset transformed({"x", "y"}, {"no", "yes"});
   for (std::size_t i = 0; i < original.size(); ++i) {
     const double x = original.value(i, 0);
     transformed.add({std::exp(x / 3.0), original.value(i, 1)},

@@ -12,7 +12,6 @@
 
 #include "src/core/experiment.h"
 #include "src/data/synthetic.h"
-#include "src/dynamics/site_sim.h"
 #include "src/stats/bootstrap.h"
 
 namespace digg::runtime {
@@ -208,52 +207,6 @@ TEST(ParallelForOrdered, ConsumeFailurePropagates) {
   EXPECT_EQ(last, 10u);
 }
 
-TEST(ParallelReduce, MatchesSerialSum) {
-  ThreadGuard guard(8);
-  const std::size_t n = 5000;
-  const auto sum = parallel_reduce<std::uint64_t>(
-      n, 0, [](std::size_t i) { return static_cast<std::uint64_t>(i); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, static_cast<std::uint64_t>(n) * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, FloatingPointBitIdenticalAcrossThreadCounts) {
-  // Non-associative FP summation: identical results require an identical
-  // combine order, which the fixed chunk layout guarantees.
-  const std::size_t n = 100000;
-  auto run = [&](unsigned threads) {
-    ThreadGuard guard(threads);
-    return parallel_reduce<double>(
-        n, 0.0, [](std::size_t i) { return 1.0 / (1.0 + double(i)); },
-        [](double a, double b) { return a + b; });
-  };
-  const double t1 = run(1);
-  const double t2 = run(2);
-  const double t8 = run(8);
-  EXPECT_EQ(t1, t2);  // exact, bit-for-bit
-  EXPECT_EQ(t1, t8);
-}
-
-TEST(ParallelReduceRanges, VectorPartialsWithGrain) {
-  ThreadGuard guard(8);
-  const std::size_t n = 1000;
-  ParallelOptions opts;
-  opts.grain = 100;
-  const auto hist = parallel_reduce_ranges<std::vector<std::size_t>>(
-      n, std::vector<std::size_t>(10, 0),
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<std::size_t> partial(10, 0);
-        for (std::size_t i = begin; i < end; ++i) ++partial[i % 10];
-        return partial;
-      },
-      [](std::vector<std::size_t> acc, std::vector<std::size_t> partial) {
-        for (std::size_t k = 0; k < acc.size(); ++k) acc[k] += partial[k];
-        return acc;
-      },
-      opts);
-  for (std::size_t k = 0; k < 10; ++k) EXPECT_EQ(hist[k], 100u);
-}
-
 TEST(Exceptions, LowestFailingChunkWins) {
   ThreadGuard guard(8);
   // Default layout maps each of the 100 indices to its own chunk, so the
@@ -295,13 +248,15 @@ TEST(Nesting, InnerCallsRunInline) {
 }
 
 TEST(Nesting, ReduceInsideForIsDeterministic) {
+  // The inner map runs inline inside the outer one; its terms land by index,
+  // so folding them in order gives the same sums at any thread count.
   auto run = [](unsigned threads) {
     ThreadGuard guard(threads);
     return parallel_map<double>(6, [](std::size_t outer) {
-      return parallel_reduce<double>(
-          1000, 0.0,
-          [&](std::size_t i) { return 1.0 / (1.0 + double(outer + i)); },
-          [](double a, double b) { return a + b; });
+      const std::vector<double> terms = parallel_map<double>(
+          1000,
+          [&](std::size_t i) { return 1.0 / (1.0 + double(outer + i)); });
+      return std::accumulate(terms.begin(), terms.end(), 0.0);
     });
   };
   EXPECT_EQ(run(1), run(8));
@@ -386,55 +341,6 @@ TEST(EndToEnd, Fig3InfluenceIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.after_20, b.after_20);
   EXPECT_EQ(a.fraction_visible_to_200_after_10,
             b.fraction_visible_to_200_after_10);
-}
-
-TEST(EndToEnd, SiteReplicatesIdenticalAcrossThreadCounts) {
-  const auto& net = small_corpus().corpus.network;
-  stats::Rng pop_rng(5);
-  platform::PopulationParams pop_params;
-  pop_params.user_count = net.node_count();
-  const auto population = platform::generate_population(pop_params, pop_rng);
-  dynamics::SiteParams site;
-  site.submissions_per_day = 120.0;
-  site.duration = 0.25 * platform::kMinutesPerDay;
-  site.step = 2.0;
-  const dynamics::TraitsSampler traits = [](platform::UserId,
-                                            stats::Rng& rng) {
-    dynamics::StoryTraits t;
-    t.general = rng.uniform(0.05, 0.8);
-    t.community = 0.3;
-    return t;
-  };
-  const dynamics::PlatformFactory factory = [&] {
-    return std::make_unique<platform::Platform>(
-        net, population, platform::make_june2006_policy());
-  };
-  auto run = [&](unsigned threads) {
-    ThreadGuard guard(threads);
-    const auto reps = dynamics::run_site_replicates(factory, site, traits,
-                                                    stats::Rng(31), 4);
-    std::vector<std::size_t> signature;
-    for (const auto& rep : reps) {
-      signature.push_back(rep.result.submissions);
-      signature.push_back(rep.result.promotions);
-      signature.push_back(rep.result.total_votes);
-      signature.push_back(rep.platform->story_count());
-    }
-    return signature;
-  };
-  const auto a = run(1);
-  const auto b = run(8);
-  EXPECT_EQ(a, b);
-  // Replicates draw from distinct substreams: not all runs identical.
-  EXPECT_FALSE(a[0] == a[4] && a[1] == a[5] && a[2] == a[6] &&
-               a[4] == a[8] && a[5] == a[9] && a[6] == a[10]);
-}
-
-TEST(EndToEnd, SiteReplicatesRejectNullFactory) {
-  dynamics::SiteParams site;
-  EXPECT_THROW(dynamics::run_site_replicates(nullptr, site, nullptr,
-                                             stats::Rng(1), 2),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -95,15 +95,6 @@ TEST(LogHistogram, ZerosCountedSeparately) {
   EXPECT_EQ(h.total(), 3u);
 }
 
-TEST(LogHistogram, DensitiesDivideByWidth) {
-  LogHistogram h(2.0);
-  h.add(2);
-  h.add(3);  // two counts in [2,4), width 2
-  const auto d = h.densities();
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_DOUBLE_EQ(d[1], 1.0);
-}
-
 TEST(LogHistogram, RejectsBadBase) {
   EXPECT_THROW(LogHistogram(1.0), std::invalid_argument);
   EXPECT_THROW(LogHistogram(0.5), std::invalid_argument);

@@ -78,22 +78,5 @@ TEST(KsDistance, LargeForWrongAlpha) {
   EXPECT_GT(ks_distance(data, 4.0, 1), 0.1);
 }
 
-TEST(FitPowerLawAuto, FindsReasonableCutoffAndAlpha) {
-  Rng rng(11);
-  // Power law with a non-power-law head: values below 4 are uniform noise.
-  PowerLawSampler sampler(2.2, 4, 100000);
-  std::vector<std::int64_t> data;
-  for (int i = 0; i < 8000; ++i) data.push_back(sampler.sample(rng));
-  for (int i = 0; i < 2000; ++i) data.push_back(rng.uniform_int(1, 3));
-  const PowerLawFit fit = fit_power_law_auto(data);
-  EXPECT_NEAR(fit.alpha, 2.2, 0.35);
-  EXPECT_GE(fit.x_min, 2);
-}
-
-TEST(FitPowerLawAuto, ThrowsOnEmptyOrNonPositive) {
-  EXPECT_THROW(fit_power_law_auto({}), std::invalid_argument);
-  EXPECT_THROW(fit_power_law_auto({0, 0, -1}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace digg::stats

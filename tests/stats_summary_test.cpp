@@ -90,27 +90,5 @@ TEST(Spearman, HandlesTiesWithAverageRanks) {
   EXPECT_NEAR(spearman(x, y), 1.0, 1e-12);
 }
 
-TEST(LeastSquares, RecoversExactLine) {
-  const std::vector<double> x = {0, 1, 2, 3};
-  const std::vector<double> y = {1, 3, 5, 7};  // y = 1 + 2x
-  const LinearFit fit = least_squares(x, y);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-}
-
-TEST(LeastSquares, NoisyFitHasR2BelowOne) {
-  const std::vector<double> x = {0, 1, 2, 3, 4};
-  const std::vector<double> y = {0.9, 3.2, 4.8, 7.1, 8.6};
-  const LinearFit fit = least_squares(x, y);
-  EXPECT_GT(fit.r2, 0.98);
-  EXPECT_LT(fit.r2, 1.0);
-  EXPECT_NEAR(fit.slope, 2.0, 0.2);
-}
-
-TEST(LeastSquares, RejectsConstantX) {
-  EXPECT_THROW(least_squares({1, 1, 1}, {1, 2, 3}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace digg::stats

@@ -64,23 +64,6 @@ TEST(TimeSeries, ResampleRejectsTooFewPoints) {
   EXPECT_THROW(make_series().resample(10.0, 1), std::invalid_argument);
 }
 
-TEST(TimeSeries, TimeToReachInterpolatesCrossing) {
-  const TimeSeries ts = make_series();
-  const auto t = ts.time_to_reach(3.0);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(*t, 5.0);
-}
-
-TEST(TimeSeries, TimeToReachNulloptWhenNeverReached) {
-  EXPECT_FALSE(make_series().time_to_reach(1000.0).has_value());
-}
-
-TEST(TimeSeries, TimeToReachAtFirstSample) {
-  const auto t = make_series().time_to_reach(1.0);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(*t, 0.0);
-}
-
 TEST(TimeSeries, HalfLifeOfLinearGrowth) {
   TimeSeries ts;
   for (int i = 0; i <= 100; ++i)
