@@ -2,9 +2,9 @@
 # Refreshes the per-PR perf trajectory:
 #   BENCH_parallel.json   perf_micro suite with its --json reporter (metrics
 #                         snapshot + wall clock; see bench/perf_micro.cpp)
-#   BENCH_corpus_io.json  perf_corpus_io (CSV load vs snapshot save/load vs
-#                         mmap, plus the million-user out-of-core leg:
-#                         streamed generation RSS, mmap load, stream replay;
+#   BENCH_corpus_io.json  perf_corpus_io (CSV load vs snapshot save/load,
+#                         plus the million-user out-of-core leg: streamed
+#                         generation RSS, validated snapshot load, replay;
 #                         exits nonzero if the snapshot-load 5x bar is
 #                         missed; CORPUS_IO_ARGS can downscale, e.g.
 #                         CORPUS_IO_ARGS='--large-users 200000')

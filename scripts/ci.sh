@@ -7,10 +7,11 @@
 #            TSan slows single-threaded statistics tests ~10x for no
 #            additional race coverage)
 #   large    Release build + the out-of-core smoke: stream-generate a
-#            large corpus to a snapshot, mmap-load it, and replay it
-#            through the stream engine (perf_corpus_io's large leg,
-#            downscaled via LARGE_USERS/LARGE_STORIES so the smoke stays
-#            minutes-cheap; the nightly perf job runs the full million)
+#            large corpus to a snapshot, load it (mapped, verified and
+#            validated), and replay it through the stream engine
+#            (perf_corpus_io's large leg, downscaled via
+#            LARGE_USERS/LARGE_STORIES so the smoke stays minutes-cheap;
+#            the nightly perf job runs the full million)
 #   obs      Release build + two telemetry smokes. Exporter: run perf_stream
 #            with DIGG_METRICS_PORT=0 (ephemeral bind, port parsed from the
 #            DIGG_METRICS_PORT_BOUND= stdout line) and --serve-ms holding
@@ -292,7 +293,7 @@ if [[ $MODE == large || $MODE == all ]]; then
   cmake -B "$RELEASE_DIR" -S . -DDIGG_WERROR="$WERROR" \
     -DCMAKE_BUILD_TYPE=Release
   cmake --build "$RELEASE_DIR" -j "$JOBS" --target perf_corpus_io
-  echo "== [large-corpus smoke] generate -> mmap -> replay =="
+  echo "== [large-corpus smoke] generate -> load -> replay =="
   "$RELEASE_DIR"/bench/perf_corpus_io \
     --large-users "$LARGE_USERS" --large-stories "$LARGE_STORIES"
 fi

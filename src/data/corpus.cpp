@@ -1,6 +1,7 @@
 #include "src/data/corpus.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -87,8 +88,11 @@ std::vector<double> final_votes(const std::vector<Story>& stories) {
 
 namespace {
 
-void validate_story(const Story& s, std::size_t user_count,
-                    const char* which) {
+// `seen` holds one bit per user and is all clear between stories: a story
+// sets its voters' bits and clears them again, so the duplicate-voter check
+// is O(votes) without a per-story allocation.
+void validate_story(const Story& s, std::vector<std::uint64_t>& seen,
+                    std::size_t user_count, const char* which) {
   const std::string ctx = std::string(which) + " story " +
                           std::to_string(s.id) + ": ";
   const auto voters = s.voters();
@@ -99,30 +103,39 @@ void validate_story(const Story& s, std::size_t user_count,
     throw std::runtime_error(ctx + "first vote is not the submitter's");
   if (s.submitter >= user_count)
     throw std::runtime_error(ctx + "submitter outside the network");
+  if (!std::isfinite(s.submitted_at))
+    throw std::runtime_error(ctx + "non-finite submission time");
+  if (s.promoted_at && !std::isfinite(*s.promoted_at))
+    throw std::runtime_error(ctx + "non-finite promotion time");
   for (std::size_t i = 0; i < voters.size(); ++i) {
     if (voters[i] >= user_count)
       throw std::runtime_error(ctx + "voter outside the network");
+    if (!std::isfinite(times[i]))
+      throw std::runtime_error(ctx + "non-finite vote time");
     if (i > 0 && times[i] < times[i - 1])
       throw std::runtime_error(ctx + "votes out of chronological order");
   }
-  // Duplicate check via sort — no per-story hash set on the hot path.
-  std::vector<UserId> sorted(voters.begin(), voters.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
-    throw std::runtime_error(ctx + "duplicate voter");
+  const auto bit = [](UserId u) { return std::uint64_t{1} << (u % 64); };
+  for (UserId u : voters) {
+    if (seen[u / 64] & bit(u))
+      throw std::runtime_error(ctx + "duplicate voter");
+    seen[u / 64] |= bit(u);
+  }
+  for (UserId u : voters) seen[u / 64] &= ~bit(u);
 }
 
 }  // namespace
 
 void validate(const Corpus& corpus) {
+  std::vector<std::uint64_t> seen((corpus.user_count() + 63) / 64);
   for (const Story& s : corpus.front_page) {
-    validate_story(s, corpus.user_count(), "front-page");
+    validate_story(s, seen, corpus.user_count(), "front-page");
     if (!s.promoted())
       throw std::runtime_error("front-page story " + std::to_string(s.id) +
                                ": missing promotion time");
   }
   for (const Story& s : corpus.upcoming) {
-    validate_story(s, corpus.user_count(), "upcoming");
+    validate_story(s, seen, corpus.user_count(), "upcoming");
     if (s.promoted())
       throw std::runtime_error("upcoming story " + std::to_string(s.id) +
                                ": has a promotion time");
@@ -131,6 +144,16 @@ void validate(const Corpus& corpus) {
     if (u >= corpus.user_count())
       throw std::runtime_error("top user outside the network");
   }
+  // Analyses key stories by id (fig5 splits training from holdout by it),
+  // so an id used twice would silently drop a story.
+  std::vector<StoryId> ids;
+  ids.reserve(corpus.story_count());
+  for (const Story& s : corpus.front_page) ids.push_back(s.id);
+  for (const Story& s : corpus.upcoming) ids.push_back(s.id);
+  std::sort(ids.begin(), ids.end());
+  const auto dup = std::adjacent_find(ids.begin(), ids.end());
+  if (dup != ids.end())
+    throw std::runtime_error("duplicate story id " + std::to_string(*dup));
 }
 
 }  // namespace digg::data

@@ -48,9 +48,9 @@ struct Corpus {
   /// snapshot; files that predate the MODELINFO section default to the
   /// legacy two-mechanism model. Real scraped data would use a reserved id.
   std::string model_id = "two-mechanism";  // dynamics::kLegacyModelId
-  /// Keeps a memory-mapped snapshot alive while `network`/`vote_store`
-  /// borrow column spans from it (load_snapshot_mmap). Null for owned
-  /// corpora; copies of the corpus share the mapping.
+  /// The memory-mapped snapshot whose bytes `network`/`vote_store` borrow
+  /// when the corpus came from load_snapshot_mmap. Null for corpora built
+  /// in memory (generation, the CSV loader); copies share the mapping.
   std::shared_ptr<const snapfmt::MmapSectionFile> backing;
 
   enum class Section { kFrontPage, kUpcoming };
@@ -96,8 +96,12 @@ struct UserActivity {
 /// Final vote counts of the front-page stories (Fig. 2a input).
 [[nodiscard]] std::vector<double> final_votes(const std::vector<Story>& stories);
 
-/// Basic integrity checks; throws std::runtime_error describing the first
-/// violation (vote order, duplicate voters, submitter-first, node range).
+/// Integrity checks every loader runs; throws std::runtime_error describing
+/// the first violation: per story (front page first, in order) votes
+/// present, submitter first and in range, voters in range, finite
+/// submission, promotion and vote times, vote order, no duplicate voter,
+/// promotion time matching the section; then top users in range and no
+/// story id used twice across both sections.
 void validate(const Corpus& corpus);
 
 }  // namespace digg::data

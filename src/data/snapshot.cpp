@@ -80,17 +80,16 @@ ByteBuffer encode_top_users(std::span<const UserId> top_users) {
   return out;
 }
 
-void record_save_metrics(const std::filesystem::path& path, double start_us) {
+void record_save_metrics(const std::filesystem::path& path,
+                         std::chrono::steady_clock::time_point start) {
   obs::Registry::global()
       .counter("data.snapshot_save_bytes")
       .inc(static_cast<std::size_t>(std::filesystem::file_size(path)));
-  obs::Registry::global().histogram("data.snapshot_save_us").observe(start_us);
-}
-
-double elapsed_us(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+  obs::Registry::global()
+      .histogram("data.snapshot_save_us")
+      .observe(std::chrono::duration<double, std::micro>(
+                   std::chrono::steady_clock::now() - start)
+                   .count());
 }
 
 }  // namespace
@@ -210,11 +209,11 @@ void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
   each([&](const Story& s) { writer.add_story(s); });
   writer.write_top_users(corpus.top_users);
   writer.finish();
-  record_save_metrics(path, elapsed_us(start));
+  record_save_metrics(path, start);
 }
 
 // ---------------------------------------------------------------------------
-// Loaders
+// Loader
 
 namespace {
 
@@ -222,9 +221,9 @@ namespace {
 /// and binds the network CSR (on hosts with the native u64 layout) and the
 /// vote columns zero-copy into the mapping. Checks the structure that makes
 /// the views safe to read — offset monotonicity, section cross-consistency,
-/// CSR shape, submitter and top-user ranges — and verifies the checksum of
-/// every section it reads (vote chunks in parallel). The returned corpus
-/// borrows from `map`; the caller keeps the mapping alive or copies out.
+/// CSR shape, story phases — and verifies the checksum of every section it
+/// reads (vote chunks in parallel). Content ranges are validate()'s job.
+/// The returned corpus borrows from `map`; the caller keeps it alive.
 Corpus parse_snapshot(const snapfmt::MmapSectionFile& map) {
   const std::string& ctx = map.context();
   Corpus corpus;
@@ -334,17 +333,11 @@ Corpus parse_snapshot(const snapfmt::MmapSectionFile& map) {
     const auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
     corpus.top_users = r.column<UserId>(n);
   }
-  for (UserId u : corpus.top_users) {
-    if (u >= corpus.user_count())
-      throw std::runtime_error(ctx + "top user outside the network");
-  }
 
   // Slot i is file-order story i; the promotion flag picks the bucket, so
   // file order can be anything (submission order for streamed files,
   // front-first for saved corpora).
   for (std::size_t i = 0; i < count; ++i) {
-    if (submitters[i] >= corpus.user_count())
-      throw std::runtime_error(ctx + "story submitter outside the network");
     if (phases[i] > static_cast<std::uint8_t>(platform::StoryPhase::kExpired))
       throw std::runtime_error(ctx + "bad story phase");
     Story s;
@@ -363,70 +356,21 @@ Corpus parse_snapshot(const snapfmt::MmapSectionFile& map) {
   return corpus;
 }
 
-void record_vote_column_bytes(const Corpus& corpus) {
+}  // namespace
+
+Corpus load_snapshot_mmap(const std::filesystem::path& path) {
+  auto map = std::make_shared<const snapfmt::MmapSectionFile>(path);
+  Corpus corpus = parse_snapshot(*map);
+  map->verify_all();  // only the sections the parse never reads are left
+  try {
+    validate(corpus);
+  } catch (const std::runtime_error& err) {
+    throw std::runtime_error(map->context() + err.what());
+  }
+  corpus.backing = std::move(map);
   obs::Registry::global()
       .gauge("data.corpus_vote_column_bytes")
       .set(static_cast<double>(corpus.vote_store.size_bytes()));
-}
-
-}  // namespace
-
-Corpus load_snapshot(const std::filesystem::path& path) {
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t file_bytes = 0;
-  Corpus corpus;
-  {
-    const snapfmt::MmapSectionFile map(path);
-    corpus = parse_snapshot(map);
-    map.verify_all();  // sections the parse never reads are checked too
-    file_bytes = map.size_bytes();
-
-    // Copy the borrowed columns out before the mapping goes away.
-    const auto own = [](auto span) {
-      return std::vector(span.begin(), span.end());
-    };
-    if (corpus.network.borrowed()) {
-      const graph::Digraph& g = corpus.network;
-      corpus.network = graph::Digraph::from_parts(
-          own(g.out_offsets()), own(g.out_targets()), own(g.in_offsets()),
-          own(g.in_sources()));
-    }
-    const VoteStore& votes = corpus.vote_store;
-    std::vector<UserId> users;
-    std::vector<platform::Minutes> times;
-    users.reserve(votes.total_votes());
-    times.reserve(votes.total_votes());
-    for (std::uint32_t slot = 0; slot < votes.story_count(); ++slot) {
-      const auto v = votes.voters(slot);
-      const auto t = votes.times(slot);
-      users.insert(users.end(), v.begin(), v.end());
-      times.insert(times.end(), t.begin(), t.end());
-    }
-    corpus.vote_store = VoteStore::from_parts(
-        own(votes.offsets()), std::move(users), std::move(times));
-    corpus.rebind_views();
-  }
-
-  validate(corpus);
-
-  obs::Registry::global().counter("data.snapshot_load_bytes").inc(file_bytes);
-  obs::Registry::global()
-      .histogram("data.snapshot_load_us")
-      .observe(elapsed_us(start));
-  record_vote_column_bytes(corpus);
-  return corpus;
-}
-
-Corpus load_snapshot_mmap(const std::filesystem::path& path) {
-  const auto start = std::chrono::steady_clock::now();
-  auto map = std::make_shared<const snapfmt::MmapSectionFile>(path);
-  Corpus corpus = parse_snapshot(*map);
-  corpus.backing = std::move(map);
-
-  obs::Registry::global()
-      .gauge("data.snapshot_mmap_load_us")
-      .set(elapsed_us(start));
-  record_vote_column_bytes(corpus);
   return corpus;
 }
 

@@ -2,10 +2,9 @@
 // Versioned binary snapshots of a Corpus — the fast path next to the CSV
 // pair in io.h. The columnar corpus maps almost 1:1 onto flat arrays, so a
 // snapshot is a header, a section table, and a handful of bulk column
-// blobs. Both loaders share one parse over a memory mapping:
-// load_snapshot_mmap binds story views zero-copy into the mapping (an O(ms)
-// metadata parse regardless of corpus size), and load_snapshot copies the
-// columns out, drops the mapping, and validates the corpus.
+// blobs. There is one loader, load_snapshot_mmap: it binds story views
+// zero-copy into a memory mapping of the file, verifies every section's
+// checksum and validates the corpus before returning it.
 //
 // The container discipline (magic, version, section table, checksums, the
 // malformed-file error taxonomy, and the section-type registry) lives in
@@ -132,26 +131,23 @@ class SnapshotWriter {
 void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
                    std::size_t chunk_target_bytes = kDefaultVoteChunkBytes);
 
-/// Loads a snapshot into a corpus that owns all its columns: maps the file,
-/// runs the shared parse (see load_snapshot_mmap), verifies the checksum of
-/// every section — unknown types included — copies the network and vote
-/// columns out, drops the mapping, and validates the corpus (see corpus.h)
-/// before returning. Throws std::runtime_error on I/O, format, or integrity
-/// errors.
-[[nodiscard]] Corpus load_snapshot(const std::filesystem::path& path);
-
-/// Memory-maps a snapshot and binds the corpus zero-copy into the mapping:
-/// story views, vote columns, and (on 64-bit little-endian hosts) the
-/// network CSR all borrow file-backed spans, so load time is metadata
-/// parsing plus checksum scans — O(ms), independent of how much vote data
-/// the file holds. Vote-chunk checksums are verified in parallel;
-/// structural invariants (offset monotonicity, section cross-consistency,
-/// CSR shape, submitter and top-user ranges) are checked, but the per-story
-/// O(V log V) content validation of load_snapshot is skipped — the
-/// per-section checksums already vouch for the bytes, and the file carries
-/// the same invariants save_snapshot enforced when writing. Sections the
-/// parse never reads (unknown types) are never verified. The returned
-/// corpus keeps the mapping alive via Corpus::backing; copies share it.
+/// The one corpus snapshot loader. Memory-maps the file and binds the
+/// corpus zero-copy into the mapping: story views, vote columns, and (on
+/// 64-bit little-endian hosts) the network CSR all borrow file-backed
+/// spans. The parse checks the structure that makes the views safe to read
+/// (offset monotonicity, section cross-consistency, CSR shape, story
+/// phases) and verifies the checksum of every section it reads, vote
+/// chunks in parallel; then the checksums of the sections it never reads
+/// (unknown types) are verified too, and the corpus is validated (see
+/// corpus.h): voter and submitter ranges, vote order, finite times,
+/// duplicate voters and story ids. Throws std::runtime_error naming the
+/// file on any I/O, format, integrity or content error.
+///
+/// The returned corpus keeps the mapping alive via Corpus::backing; copies
+/// share it. Zero-copy has one cost: a file that another process truncates
+/// in place while it is mapped raises SIGBUS on the next read of a lost
+/// page. This library's writers replace files by rename, so they never do
+/// that.
 [[nodiscard]] Corpus load_snapshot_mmap(const std::filesystem::path& path);
 
 }  // namespace digg::data

@@ -61,25 +61,6 @@ const VoteChunkView& VoteStore::chunk_of(std::uint32_t slot) const {
   return *(it - 1);
 }
 
-VoteStore VoteStore::from_parts(std::vector<std::uint64_t> offsets,
-                                std::vector<platform::UserId> users,
-                                std::vector<platform::Minutes> times) {
-  if (offsets.empty() || offsets.front() != 0 ||
-      offsets.back() != users.size() || users.size() != times.size())
-    throw std::invalid_argument("VoteStore::from_parts: bad offset table");
-  for (std::size_t i = 1; i < offsets.size(); ++i) {
-    if (offsets[i - 1] > offsets[i])
-      throw std::invalid_argument(
-          "VoteStore::from_parts: offsets not monotone");
-  }
-  VoteStore store;
-  store.offsets_ = std::move(offsets);
-  store.users_ = std::move(users);
-  store.times_ = std::move(times);
-  store.offsets_view_ = store.offsets_;
-  return store;
-}
-
 VoteStore VoteStore::from_views(std::span<const std::uint64_t> offsets,
                                 std::vector<VoteChunkView> chunks) {
   if (offsets.empty() || offsets.front() != 0)

@@ -79,20 +79,6 @@ class VoteStore {
   /// mapped column footprint when borrowed.
   [[nodiscard]] std::size_t size_bytes() const noexcept;
 
-  /// True when the columns borrow caller-owned (mapped) memory.
-  [[nodiscard]] bool borrowed() const noexcept { return borrowed_; }
-
-  /// The CSR offset column (size story_count()+1), whichever mode.
-  [[nodiscard]] std::span<const std::uint64_t> offsets() const noexcept {
-    return offsets_view_;
-  }
-
-  /// Reassembles a store from raw columns (snapshot deserialisation).
-  /// Validates the offset table; throws std::invalid_argument on mismatch.
-  [[nodiscard]] static VoteStore from_parts(
-      std::vector<std::uint64_t> offsets, std::vector<platform::UserId> users,
-      std::vector<platform::Minutes> times);
-
   /// Borrowed-mode assembly over caller-owned columns (memory-mapped
   /// snapshot chunks). Validates that the offset table is monotone and
   /// that the chunks tile the story range exactly; throws

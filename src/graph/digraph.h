@@ -80,10 +80,6 @@ class Digraph {
     return in_sources_;
   }
 
-  /// True when this graph borrows its CSR arrays from caller-owned memory
-  /// (from_views) rather than owning them.
-  [[nodiscard]] bool borrowed() const noexcept { return borrowed_; }
-
   /// Reassembles a graph from raw CSR arrays (snapshot deserialisation).
   /// Validates structure — offsets monotone from 0 to the edge count, both
   /// directions the same size, ids in range, rows strictly sorted, and the

@@ -111,6 +111,20 @@ TEST(Corpus, ValidateCatchesEmptyVotes) {
   EXPECT_THROW(validate(c), std::runtime_error);
 }
 
+TEST(Corpus, ValidateCatchesDuplicateStoryId) {
+  Corpus c = tiny_corpus();
+  // Id 0 is the front-page story's; the reuse sits in the other section.
+  c.add_story(make_story(0, 5, 7.0, 0.5), Corpus::Section::kUpcoming);
+  try {
+    validate(c);
+    FAIL() << "duplicate story id accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate story id 0"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Corpus, ValidateCatchesBadTopUser) {
   Corpus c = tiny_corpus();
   c.top_users.push_back(99);

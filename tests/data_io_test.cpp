@@ -160,8 +160,47 @@ TEST_F(IoTest, ExtremeStoryIdsRoundTripThroughCsvAndSnapshot) {
     }
   };
   expect_ids(from_csv);
-  expect_ids(load_snapshot(dir_ / "corpus.snap"));
   expect_ids(load_snapshot_mmap(dir_ / "corpus.snap"));
+}
+
+// std::stod reads `nan` and `inf`; the loader must refuse them, as the live
+// serve path does, instead of letting a NaN slip past the vote-order check.
+TEST_F(IoTest, NonFiniteTimesThrow) {
+  struct Row {
+    const char* story;
+    const char* vote_times[3];
+    const char* error;
+  };
+  const Row rows[] = {
+      {"5,upcoming,0,0,,0.5", {"0", "nan", "2"},
+       "upcoming story 5: non-finite vote time"},
+      {"5,upcoming,0,inf,,0.5", {"0", "1", "2"},
+       "upcoming story 5: non-finite submission time"},
+      {"5,front_page,0,0,nan,0.5", {"0", "1", "2"},
+       "front-page story 5: non-finite promotion time"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.error);
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    std::ofstream(dir_ / "network.csv") << "fan,target\n1,0\n2,0\n";
+    std::ofstream(dir_ / "stories.csv")
+        << "id,section,submitter,submitted_at,promoted_at,quality\n"
+        << row.story << '\n';
+    std::ofstream votes(dir_ / "votes.csv");
+    votes << "story_id,user,time\n";
+    for (int user = 0; user < 3; ++user)
+      votes << "5," << user << ',' << row.vote_times[user] << '\n';
+    votes.close();
+    std::ofstream(dir_ / "top_users.csv") << "user\n0\n";
+    try {
+      (void)load_corpus(dir_);
+      ADD_FAILURE() << "non-finite time accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(row.error), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(IoTest, SectionMismatchThrows) {

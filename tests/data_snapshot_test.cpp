@@ -9,12 +9,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
 #include "src/data/io.h"
 #include "src/data/synthetic.h"
+#include "src/digg/story.h"
 #include "src/dynamics/model.h"
 
 namespace digg::data {
@@ -94,11 +96,9 @@ void reseal_v2(std::vector<char>& bytes) {
   std::memcpy(bytes.data() + table_offset + table_bytes, &sum, sizeof(sum));
 }
 
-template <typename Loader>
-void expect_error_with(Loader&& loader, const fs::path& path,
-                       const std::string& needle) {
+void expect_load_error(const fs::path& path, const std::string& needle) {
   try {
-    (void)loader(path);
+    (void)load_snapshot_mmap(path);
     FAIL() << "expected the loader to throw; wanted message containing '"
            << needle << "'";
   } catch (const std::runtime_error& e) {
@@ -109,15 +109,6 @@ void expect_error_with(Loader&& loader, const fs::path& path,
               std::string::npos)
         << "actual message: " << e.what();
   }
-}
-
-// Both entry points run the same container reader and parse, so every
-// malformed file must fail identically through each.
-void expect_load_error(const fs::path& path, const std::string& needle) {
-  expect_error_with([](const fs::path& p) { return load_snapshot(p); }, path,
-                    needle);
-  expect_error_with([](const fs::path& p) { return load_snapshot_mmap(p); },
-                    path, needle);
 }
 
 // One decoded v2 section-table entry plus its own position in the file, so
@@ -145,6 +136,15 @@ std::vector<RawEntry> read_table(const std::vector<char>& bytes) {
   return table;
 }
 
+// Recomputes the checksum of `e` and the table seal after a deliberate edit
+// of its body, so the file is checksum-consistent again.
+void reseal_section(std::vector<char>& bytes, const RawEntry& e) {
+  const std::uint64_t sum =
+      fnv1a(bytes.data() + e.offset, static_cast<std::size_t>(e.size));
+  std::memcpy(bytes.data() + e.entry_pos + 24, &sum, sizeof(sum));
+  reseal_v2(bytes);
+}
+
 void expect_same_story(const Story& a, const Story& b) {
   EXPECT_EQ(a.id, b.id);
   EXPECT_EQ(a.submitter, b.submitter);
@@ -162,9 +162,9 @@ void expect_same_story(const Story& a, const Story& b) {
 }
 
 TEST_F(SnapshotTest, RoundTripPreservesEverything) {
-  const Corpus original = small_corpus();
+  const Corpus original = small_corpus(42);
   save_snapshot(original, snap());
-  const Corpus loaded = load_snapshot(snap());
+  const Corpus loaded = load_snapshot_mmap(snap());
 
   EXPECT_EQ(loaded.user_count(), original.user_count());
   EXPECT_EQ(loaded.network.edge_count(), original.network.edge_count());
@@ -185,13 +185,29 @@ TEST_F(SnapshotTest, RoundTripPreservesEverything) {
     expect_same_story(original.upcoming[i], loaded.upcoming[i]);
   EXPECT_EQ(loaded.top_users, original.top_users);
   EXPECT_NO_THROW(validate(loaded));
+
+  // Figures computed over the mapped columns are bit-identical.
+  const core::Fig3aResult a = core::fig3a_influence(original);
+  const core::Fig3aResult b = core::fig3a_influence(loaded);
+  EXPECT_EQ(a.at_submission, b.at_submission);
+  EXPECT_EQ(a.after_10, b.after_10);
+  EXPECT_EQ(a.after_20, b.after_20);
+  const auto fa = core::extract_features(original.front_page, original.network);
+  const auto fb = core::extract_features(loaded.front_page, loaded.network);
+  ASSERT_EQ(fa.size(), fb.size());
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    EXPECT_EQ(fa[i].v10, fb[i].v10);
+    EXPECT_EQ(fa[i].influence10, fb[i].influence10);
+    EXPECT_EQ(fa[i].final_votes, fb[i].final_votes);
+    EXPECT_EQ(fa[i].interesting, fb[i].interesting);
+  }
 }
 
 TEST_F(SnapshotTest, RoundTripAcrossSeeds) {
   for (std::uint64_t seed : {2u, 3u, 4u}) {
     const Corpus original = small_corpus(seed);
     save_snapshot(original, snap());
-    const Corpus loaded = load_snapshot(snap());
+    const Corpus loaded = load_snapshot_mmap(snap());
     ASSERT_EQ(loaded.story_count(), original.story_count());
     ASSERT_EQ(loaded.vote_store.total_votes(), original.vote_store.total_votes());
     for (std::size_t i = 0; i < original.front_page.size(); ++i)
@@ -202,7 +218,7 @@ TEST_F(SnapshotTest, RoundTripAcrossSeeds) {
 }
 
 TEST_F(SnapshotTest, MissingFileThrows) {
-  EXPECT_THROW((void)load_snapshot(dir_ / "nope.snap"), std::runtime_error);
+  expect_load_error(dir_ / "nope.snap", "nope.snap");
 }
 
 TEST_F(SnapshotTest, TruncatedHeaderThrows) {
@@ -300,32 +316,24 @@ void append_unknown_section(const fs::path& path, std::uint64_t checksum) {
 
 TEST_F(SnapshotTest, UnknownSectionTypesAreIgnored) {
   // Forward compatibility: an unknown entry with a valid checksum (the fnv
-  // basis, for zero bytes) loads through both entry points.
+  // basis, for zero bytes) loads.
   save_snapshot(small_corpus(), snap());
   append_unknown_section(snap(), fnv1a(nullptr, 0));
-
-  const Corpus loaded = load_snapshot(snap());
-  EXPECT_EQ(loaded.story_count(), small_corpus().story_count());
-  // The zero-copy reader must shrug the stranger off too.
-  const Corpus mapped = load_snapshot_mmap(snap());
-  EXPECT_EQ(mapped.story_count(), loaded.story_count());
-}
-
-TEST_F(SnapshotTest, EagerLoadVerifiesUnknownSections) {
-  // load_snapshot verifies every section's checksum, including types it
-  // does not parse; the mapped reader never opens them, so it never checks.
-  save_snapshot(small_corpus(), snap());
-  append_unknown_section(snap(), fnv1a(nullptr, 0) + 1);
-  expect_error_with([](const fs::path& p) { return load_snapshot(p); }, snap(),
-                    "checksum mismatch");
   EXPECT_EQ(load_snapshot_mmap(snap()).story_count(),
             small_corpus().story_count());
 }
 
+TEST_F(SnapshotTest, EagerLoadVerifiesUnknownSections) {
+  // The loader verifies every section's checksum, including types it does
+  // not parse.
+  save_snapshot(small_corpus(), snap());
+  append_unknown_section(snap(), fnv1a(nullptr, 0) + 1);
+  expect_load_error(snap(), "checksum mismatch");
+}
+
 TEST_F(SnapshotTest, MmapCorruptVoteChunkThrows) {
   // A flipped byte inside a vote-chunk body leaves the header/table seal
-  // intact; the per-section checksum must catch it — lazily on first view
-  // for the mapped reader, eagerly for load_snapshot.
+  // intact; the per-section checksum must catch it.
   save_snapshot(small_corpus(), snap());
   auto bytes = slurp(snap());
   const auto table = read_table(bytes);
@@ -357,6 +365,65 @@ TEST_F(SnapshotTest, MmapTruncatedVoteChunkThrows) {
   reseal_v2(bytes);
   spew(snap(), bytes);
   expect_load_error(snap(), "vote chunk size mismatch");
+}
+
+// Checksums cannot vouch for content (anyone who edits a file can recompute
+// FNV-1a), so the loader validates what it maps. These files are
+// checksum-consistent; the second vote of the file's first story is forged
+// in its first vote chunk.
+class ForgedVoteTest : public SnapshotTest {
+ protected:
+  template <typename T>
+  void forge_second_vote(std::uint32_t section, T value) {
+    ASSERT_GE(first_story().vote_count(), 2u);
+    save_snapshot(original_, snap());
+    auto bytes = slurp(snap());
+    const auto table = read_table(bytes);
+    const auto chunk = std::ranges::find(table, section, &RawEntry::type);
+    ASSERT_NE(chunk, table.end());
+    std::memcpy(bytes.data() + chunk->offset + sizeof(T), &value, sizeof(T));
+    reseal_section(bytes, *chunk);
+    spew(snap(), bytes);
+  }
+  // save_snapshot writes the front page first.
+  const Story& first_story() const {
+    return original_.front_page.empty() ? original_.upcoming.at(0)
+                                        : original_.front_page[0];
+  }
+  std::string first_story_name() const {
+    return std::string(original_.front_page.empty() ? "upcoming"
+                                                    : "front-page") +
+           " story " + std::to_string(first_story().id);
+  }
+
+  const Corpus original_ = small_corpus();
+};
+
+TEST_F(ForgedVoteTest, VoterOutsideTheNetworkThrows) {
+  forge_second_vote<UserId>(snapfmt::kVotesUsers, 4294967040u);
+  ASSERT_FALSE(HasFatalFailure());
+  expect_load_error(snap(), first_story_name() + ": voter outside the network");
+}
+
+TEST_F(ForgedVoteTest, NanVoteTimeThrows) {
+  forge_second_vote(snapfmt::kVotesTimes,
+                    std::numeric_limits<platform::Minutes>::quiet_NaN());
+  ASSERT_FALSE(HasFatalFailure());
+  expect_load_error(snap(), first_story_name() + ": non-finite vote time");
+}
+
+TEST_F(SnapshotTest, DuplicateStoryIdThrows) {
+  graph::DigraphBuilder builder(3);
+  builder.add_follow(0, 1);
+  Corpus twice;
+  twice.network = builder.build();
+  for (const UserId submitter : {0u, 2u}) {
+    platform::Story s = platform::make_story(7, submitter, 10.0, 0.5);
+    platform::add_vote(s, 1, 11.0);
+    twice.add_story(s, Corpus::Section::kUpcoming);
+  }
+  save_snapshot(twice, snap());
+  expect_load_error(snap(), "duplicate story id 7");
 }
 
 TEST_F(SnapshotTest, InCsrThatIsNotTheTransposeThrows) {
@@ -395,64 +462,9 @@ TEST_F(SnapshotTest, InCsrThatIsNotTheTransposeThrows) {
     forged = true;
   }
   ASSERT_TRUE(forged);
-  const std::uint64_t sum = fnv1a(body, static_cast<std::size_t>(net->size));
-  std::memcpy(bytes.data() + net->entry_pos + 24, &sum, 8);
-  reseal_v2(bytes);
+  reseal_section(bytes, *net);
   spew(snap(), bytes);
   expect_load_error(snap(), "in-CSR is not the transpose of out-CSR");
-}
-
-TEST_F(SnapshotTest, MmapLoadMatchesEagerLoad) {
-  const Corpus original = small_corpus(42);
-  save_snapshot(original, snap());
-  const Corpus eager = load_snapshot(snap());
-  const Corpus mapped = load_snapshot_mmap(snap());
-
-  EXPECT_EQ(mapped.user_count(), eager.user_count());
-  EXPECT_EQ(mapped.network.edge_count(), eager.network.edge_count());
-  EXPECT_EQ(mapped.top_users, eager.top_users);
-  ASSERT_EQ(mapped.front_page.size(), eager.front_page.size());
-  ASSERT_EQ(mapped.upcoming.size(), eager.upcoming.size());
-  for (std::size_t i = 0; i < eager.front_page.size(); ++i)
-    expect_same_story(eager.front_page[i], mapped.front_page[i]);
-  for (std::size_t i = 0; i < eager.upcoming.size(); ++i)
-    expect_same_story(eager.upcoming[i], mapped.upcoming[i]);
-
-  // Figures bit-identical across the two load paths (seed 42).
-  const core::Fig3aResult a = core::fig3a_influence(eager);
-  const core::Fig3aResult b = core::fig3a_influence(mapped);
-  EXPECT_EQ(a.at_submission, b.at_submission);
-  EXPECT_EQ(a.after_10, b.after_10);
-  EXPECT_EQ(a.after_20, b.after_20);
-  const auto fa = core::extract_features(eager.front_page, eager.network);
-  const auto fb = core::extract_features(mapped.front_page, mapped.network);
-  ASSERT_EQ(fa.size(), fb.size());
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    EXPECT_EQ(fa[i].v10, fb[i].v10);
-    EXPECT_EQ(fa[i].influence10, fb[i].influence10);
-    EXPECT_EQ(fa[i].final_votes, fb[i].final_votes);
-    EXPECT_EQ(fa[i].interesting, fb[i].interesting);
-  }
-}
-
-TEST_F(SnapshotTest, EagerLoadOwnsEveryColumn) {
-  // load_snapshot copies out of the mapping and drops it: truncating the
-  // file in place afterwards (which would fault any page still mapped)
-  // leaves the loaded corpus intact.
-  const Corpus original = small_corpus(6);
-  save_snapshot(original, snap());
-  const Corpus loaded = load_snapshot(snap());
-  EXPECT_EQ(loaded.backing, nullptr);
-  EXPECT_FALSE(loaded.vote_store.borrowed());
-  EXPECT_FALSE(loaded.network.borrowed());
-  fs::resize_file(snap(), 0);
-  ASSERT_EQ(loaded.front_page.size(), original.front_page.size());
-  ASSERT_EQ(loaded.upcoming.size(), original.upcoming.size());
-  for (std::size_t i = 0; i < original.front_page.size(); ++i)
-    expect_same_story(original.front_page[i], loaded.front_page[i]);
-  for (std::size_t i = 0; i < original.upcoming.size(); ++i)
-    expect_same_story(original.upcoming[i], loaded.upcoming[i]);
-  EXPECT_NO_THROW(validate(loaded));
 }
 
 TEST_F(SnapshotTest, MmapSurvivesCopyAndSourceRelease) {
@@ -488,7 +500,7 @@ TEST_F(SnapshotTest, SavingOverAMappedSnapshotLeavesTheMappingIntact) {
     expect_same_story(bigger.front_page[i], mapped.front_page[i]);
   for (std::size_t i = 0; i < bigger.upcoming.size(); ++i)
     expect_same_story(bigger.upcoming[i], mapped.upcoming[i]);
-  EXPECT_EQ(load_snapshot(snap()).story_count(), smaller.story_count());
+  EXPECT_EQ(load_snapshot_mmap(snap()).story_count(), smaller.story_count());
 }
 
 // A writer dropped before finish() (an exception mid-save) leaves the
@@ -508,8 +520,8 @@ TEST_F(SnapshotTest, UnfinishedWriterLeavesThePreviousFile) {
 }
 
 TEST_F(SnapshotTest, MultiChunkRoundTrip) {
-  // A tiny chunk target forces many VOTES_USERS/VOTES_TIMES sections; both
-  // loaders must reassemble them into the identical corpus.
+  // A tiny chunk target forces many VOTES_USERS/VOTES_TIMES sections; the
+  // loader must reassemble them into the identical corpus.
   const Corpus original = small_corpus(5);
   save_snapshot(original, snap(), /*chunk_target_bytes=*/512);
   const auto table = read_table(slurp(snap()));
@@ -518,15 +530,13 @@ TEST_F(SnapshotTest, MultiChunkRoundTrip) {
   });
   EXPECT_GT(chunks, 4) << "chunk target did not split the vote columns";
 
-  for (const Corpus& loaded : {load_snapshot(snap()), load_snapshot_mmap(snap())}) {
-    ASSERT_EQ(loaded.story_count(), original.story_count());
-    ASSERT_EQ(loaded.vote_store.total_votes(),
-              original.vote_store.total_votes());
-    for (std::size_t i = 0; i < original.front_page.size(); ++i)
-      expect_same_story(original.front_page[i], loaded.front_page[i]);
-    for (std::size_t i = 0; i < original.upcoming.size(); ++i)
-      expect_same_story(original.upcoming[i], loaded.upcoming[i]);
-  }
+  const Corpus loaded = load_snapshot_mmap(snap());
+  ASSERT_EQ(loaded.story_count(), original.story_count());
+  ASSERT_EQ(loaded.vote_store.total_votes(), original.vote_store.total_votes());
+  for (std::size_t i = 0; i < original.front_page.size(); ++i)
+    expect_same_story(original.front_page[i], loaded.front_page[i]);
+  for (std::size_t i = 0; i < original.upcoming.size(); ++i)
+    expect_same_story(original.upcoming[i], loaded.upcoming[i]);
 }
 
 // The acceptance gate for the whole storage layer: one experiment run
@@ -537,7 +547,7 @@ TEST_F(SnapshotTest, ExperimentIdenticalAcrossCsvAndSnapshot) {
   save_corpus(original, dir_ / "csv");
   save_snapshot(original, snap());
   const Corpus from_csv = load_corpus(dir_ / "csv");
-  const Corpus from_snap = load_snapshot(snap());
+  const Corpus from_snap = load_snapshot_mmap(snap());
 
   const core::Fig3aResult a = core::fig3a_influence(from_csv);
   const core::Fig3aResult b = core::fig3a_influence(from_snap);
@@ -577,11 +587,10 @@ TEST_F(SnapshotTest, ExperimentIdenticalAcrossCsvAndSnapshot) {
 
 // --- MODELINFO section ---------------------------------------------------
 
-TEST_F(SnapshotTest, ModelIdRoundTripsThroughBothLoaders) {
+TEST_F(SnapshotTest, ModelIdRoundTrips) {
   Corpus original = small_corpus(4);
   original.model_id = dynamics::kStochasticModelId;
   save_snapshot(original, snap());
-  EXPECT_EQ(load_snapshot(snap()).model_id, dynamics::kStochasticModelId);
   EXPECT_EQ(load_snapshot_mmap(snap()).model_id,
             dynamics::kStochasticModelId);
 }
@@ -593,18 +602,7 @@ TEST_F(SnapshotTest, UnknownModelIdIsALoadError) {
   Corpus original = small_corpus(4);
   original.model_id = "model-from-the-future";
   save_snapshot(original, snap());
-  const auto expect_rejected = [&](bool mmap) {
-    try {
-      (void)(mmap ? load_snapshot_mmap(snap()) : load_snapshot(snap()));
-      FAIL() << "expected unknown model id to be rejected";
-    } catch (const std::runtime_error& err) {
-      EXPECT_NE(std::string(err.what()).find("model-from-the-future"),
-                std::string::npos)
-          << err.what();
-    }
-  };
-  expect_rejected(false);
-  expect_rejected(true);
+  expect_load_error(snap(), "unknown generative model id 'model-from-the-future'");
 }
 
 TEST_F(SnapshotTest, HostileModelInfoLengthIsATruncatedFile) {
@@ -625,10 +623,7 @@ TEST_F(SnapshotTest, HostileModelInfoLengthIsATruncatedFile) {
     std::vector<char> bytes = pristine;
     const auto body = static_cast<std::size_t>(info->offset);
     std::memcpy(bytes.data() + body, &len, sizeof(len));
-    const std::uint64_t sum =
-        fnv1a(bytes.data() + body, static_cast<std::size_t>(info->size));
-    std::memcpy(bytes.data() + info->entry_pos + 24, &sum, sizeof(sum));
-    reseal_v2(bytes);
+    reseal_section(bytes, *info);
     spew(snap(), bytes);
     expect_load_error(snap(), "truncated file (section overruns payload)");
   }
@@ -652,7 +647,6 @@ TEST_F(SnapshotTest, FilesWithoutModelInfoDefaultToLegacy) {
   ASSERT_TRUE(std::ranges::none_of(table, [](const RawEntry& e) {
     return e.type == snapfmt::kModelInfo;
   }));
-  EXPECT_EQ(load_snapshot(snap()).model_id, dynamics::kLegacyModelId);
   EXPECT_EQ(load_snapshot_mmap(snap()).model_id, dynamics::kLegacyModelId);
 }
 
