@@ -248,7 +248,11 @@ Corpus load_corpus(const std::filesystem::path& dir) {
   for (std::size_t i = 0; i < staged.size(); ++i)
     corpus.add_story(staged[i], sections[i]);
 
-  validate(corpus);
+  try {
+    validate(corpus);
+  } catch (const std::runtime_error& err) {
+    throw std::runtime_error(dir.string() + ": " + err.what());
+  }
   return corpus;
 }
 

@@ -21,8 +21,9 @@ namespace digg::data {
 void save_corpus(const Corpus& corpus, const std::filesystem::path& dir);
 
 /// Loads a corpus previously written by save_corpus (or converted real
-/// data). Validates the result (see corpus.h) before returning. Throws
-/// std::runtime_error on I/O or format errors.
+/// data). Validates the result (see corpus.h) before returning; a validation
+/// error is prefixed with "<dir>: ". Throws std::runtime_error on I/O or
+/// format errors.
 [[nodiscard]] Corpus load_corpus(const std::filesystem::path& dir);
 
 }  // namespace digg::data

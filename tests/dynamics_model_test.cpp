@@ -1,12 +1,14 @@
 // The generative-model boundary: the determinism contract both simulators
 // must honour (per-story split(story_id) substreams — story runs must not
-// depend on RNG-consumption order).
+// depend on RNG-consumption order), and the per-story skeleton they share.
 
 #include "src/dynamics/model.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -17,6 +19,7 @@
 #include "src/dynamics/stochastic_model.h"
 #include "src/dynamics/vote_model.h"
 #include "src/graph/generators.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/thread_pool.h"
 
 namespace digg::dynamics {
@@ -35,28 +38,31 @@ graph::Digraph make_network(std::uint64_t seed, std::size_t users) {
   return graph::preferential_attachment(params, rng);
 }
 
-std::unique_ptr<Site> make_site(const graph::Digraph& network) {
+std::unique_ptr<Site> make_site(const graph::Digraph& network,
+                                std::size_t promotion_threshold = 43) {
   return std::make_unique<Site>(
       network, std::vector<UserProfile>(network.node_count()),
-      std::make_unique<VoteCountPolicy>(43));
+      std::make_unique<VoteCountPolicy>(promotion_threshold));
 }
 
 /// Shrinks a model's horizon/step so test runs stay fast.
 template <typename Params>
-Params speed_up(Params params) {
-  params.step = 4.0;
-  params.horizon = platform::kMinutesPerDay;
+Params speed_up(Params params, Minutes step, Minutes horizon) {
+  params.step = step;
+  params.horizon = horizon;
   return params;
 }
 
-/// Model `id`'s simulator at test speed, built directly from its params.
-std::unique_ptr<Simulator> make_sim(std::string_view id, const Site& site,
-                                    stats::Rng rng) {
+/// Model `id`'s simulator, built directly from its params with `step` and
+/// `horizon` overridden (test speed by default).
+std::unique_ptr<Simulator> make_sim(
+    std::string_view id, const Site& site, stats::Rng rng,
+    Minutes step = 4.0, Minutes horizon = platform::kMinutesPerDay) {
   if (id == kLegacyModelId)
-    return std::make_unique<VoteSimulator>(site, speed_up(VoteModelParams{}),
-                                           std::move(rng));
+    return std::make_unique<VoteSimulator>(
+        site, speed_up(VoteModelParams{}, step, horizon), std::move(rng));
   return std::make_unique<StochasticSimulator>(
-      site, speed_up(StochasticModelParams{}), std::move(rng));
+      site, speed_up(StochasticModelParams{}, step, horizon), std::move(rng));
 }
 
 // The model-id factory (SyntheticParams::make_simulator) rejects an unknown
@@ -146,6 +152,87 @@ TEST(ModelDeterminism, BatchIsThreadCountInvariant) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// The per-story skeleton every model shares (step_story.h), run once per
+// model id: argument checks, the tick loop's expiry stop and tick count, the
+// channel breakdown and the vote record's invariants.
+
+class ModelSkeleton : public ::testing::TestWithParam<std::string_view> {};
+
+TEST_P(ModelSkeleton, RejectsBadTraitsAndParams) {
+  const std::string_view id = GetParam();
+  const graph::Digraph network = make_network(1, 500);
+  const auto site = make_site(network);
+  const auto sim = make_sim(id, *site, stats::Rng(1));
+  StoryState st = site->submit(0, 0, 0.5, 0.0);
+  EXPECT_THROW((void)sim->run_story(st, {-0.1, 0.5}), std::invalid_argument);
+  EXPECT_THROW((void)sim->run_story(st, {0.5, 1.5}), std::invalid_argument);
+
+  EXPECT_THROW((void)make_sim(id, *site, stats::Rng(1), /*step=*/0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_sim(id, *site, stats::Rng(1), /*step=*/-1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_sim(id, *site, stats::Rng(1), /*step=*/4.0,
+                              /*horizon=*/2.0),
+               std::invalid_argument);
+}
+
+TEST_P(ModelSkeleton, CountsTicksActuallyStepped) {
+  // An unpromotable story expires after the 1-day lifetime, so it steps
+  // lifetime / step ticks of the 3-day horizon, not horizon / step.
+  const graph::Digraph network = make_network(1, 2000);
+  const auto site = make_site(network, /*promotion_threshold=*/100000);
+  const Minutes step = 2.0;
+  const auto sim = make_sim(GetParam(), *site, stats::Rng(13), step,
+                            3.0 * platform::kMinutesPerDay);
+  obs::Counter& ticks =
+      obs::Registry::global().counter("dynamics.ticks_simulated");
+  const std::uint64_t before = ticks.value();
+  StoryState st = site->submit(0, 0, 0.5, 0.0);
+  (void)sim->run_story(st, {0.5, 0.5});
+  EXPECT_EQ(st.story.phase, platform::StoryPhase::kExpired);
+  EXPECT_EQ(ticks.value() - before,
+            static_cast<std::uint64_t>(
+                site->queue_params().upcoming_lifetime / step));
+}
+
+TEST_P(ModelSkeleton, ChannelCountsSumToVotes) {
+  const graph::Digraph network = make_network(1, 2000);
+  const auto site = make_site(network);
+  const auto sim = make_sim(GetParam(), *site, stats::Rng(11));
+  StoryState st = site->submit(0, 0, 0.7, 0.0);
+  const StoryRun run = sim->run_story(st, {0.7, 0.6});
+  EXPECT_GT(run.fan_channel_votes + run.discovery_votes, 0u);
+  EXPECT_EQ(1 + run.fan_channel_votes + run.discovery_votes,
+            st.story.vote_count());
+}
+
+TEST_P(ModelSkeleton, VotesAreChronologicalAndUnique) {
+  const graph::Digraph network = make_network(1, 2000);
+  const auto site = make_site(network);
+  const auto sim = make_sim(GetParam(), *site, stats::Rng(3));
+  StoryState st = site->submit(0, 0, 0.6, 0.0);
+  (void)sim->run_story(st, {0.6, 0.6});
+  const platform::Story& s = st.story;
+  ASSERT_GE(s.vote_count(), 2u);
+  EXPECT_EQ(s.voters.front(), s.submitter);
+  std::set<UserId> seen;
+  Minutes prev = -1.0;
+  for (std::size_t k = 0; k < s.vote_count(); ++k) {
+    EXPECT_TRUE(seen.insert(s.voters[k]).second);
+    EXPECT_GE(s.times[k], prev);
+    prev = s.times[k];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, ModelSkeleton, ::testing::ValuesIn(kModelIds),
+    [](const ::testing::TestParamInfo<std::string_view>& info) {
+      std::string name(info.param);
+      std::ranges::replace(name, '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace digg::dynamics

@@ -119,6 +119,48 @@ TEST(SiteSimulator, DeterministicGivenSeeds) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+void mix_bytes(std::uint64_t& h, const void* data, std::size_t n) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;  // FNV-1a prime
+  }
+}
+
+template <typename T>
+void mix(std::uint64_t& h, const T& value) {
+  mix_bytes(h, &value, sizeof value);
+}
+
+// Recorded digest: pins every RNG draw of the site simulator (submissions,
+// queue and front-page discovery, the engaged fan pool), where
+// DeterministicGivenSeeds only compares two runs of the same code. The hash
+// covers every story's submitter, submission time, phase, promotion time,
+// voters and vote times. A change that moves it changes ablation_attention.
+TEST(SiteSimulator, RecordedDigest) {
+  const graph::Digraph net = make_network(2000, 21);
+  Platform plat(net, make_population(2000),
+                std::make_unique<platform::VoteRatePolicy>(15, 5, 360.0));
+  SiteParams params = fast_site();
+  params.duration = platform::kMinutesPerDay;
+  SiteSimulator sim(plat, params, mixed_traits(), stats::Rng(22));
+  const SiteResult r = sim.run();
+  ASSERT_GT(r.promotions, 0u);  // the digest covers the front-page path too
+
+  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
+  for (platform::StoryId id = 0; id < plat.story_count(); ++id) {
+    const platform::Story& s = plat.story(id);
+    mix(h, s.submitter);
+    mix(h, s.submitted_at);
+    mix(h, static_cast<std::uint8_t>(s.phase));
+    mix(h, s.promoted_at.value_or(-1.0));
+    mix(h, static_cast<std::uint64_t>(s.vote_count()));
+    mix_bytes(h, s.voters.data(), s.voters.size() * sizeof(UserId));
+    mix_bytes(h, s.times.data(), s.times.size() * sizeof(platform::Minutes));
+  }
+  EXPECT_EQ(h, 0xc7c701d96db99718ull) << std::hex << "site digest 0x" << h;
+}
+
 TEST(SiteSimulator, RejectsBadConstruction) {
   const graph::Digraph net = make_network(500, 13);
   Platform plat(net, std::vector<UserProfile>(500),

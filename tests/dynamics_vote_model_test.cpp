@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "src/graph/generators.h"
-#include "src/obs/metrics.h"
 
 namespace digg::dynamics {
 namespace {
@@ -69,23 +66,6 @@ TEST(VoteSimulator, DullUnconnectedStoryStaysSmall) {
   EXPECT_FALSE(st.story.promoted());
 }
 
-TEST(VoteSimulator, VotesAreChronologicalAndUnique) {
-  Fixture fx;
-  VoteSimulator sim(fx.site, fast_params(), stats::Rng(3));
-  StoryState st = fx.submit(0, 0.6);
-  sim.run_story(st, {0.6, 0.6});
-  const platform::Story& s = st.story;
-  ASSERT_GE(s.vote_count(), 2u);
-  EXPECT_EQ(s.voters.front(), s.submitter);
-  std::set<platform::UserId> seen;
-  platform::Minutes prev = -1.0;
-  for (std::size_t k = 0; k < s.vote_count(); ++k) {
-    EXPECT_TRUE(seen.insert(s.voters[k]).second);
-    EXPECT_GE(s.times[k], prev);
-    prev = s.times[k];
-  }
-}
-
 TEST(VoteSimulator, TimeSeriesMatchesFinalCount) {
   Fixture fx;
   VoteSimulator sim(fx.site, fast_params(), stats::Rng(5));
@@ -98,15 +78,6 @@ TEST(VoteSimulator, TimeSeriesMatchesFinalCount) {
   EXPECT_EQ(s.times.size(), s.vote_count());
   EXPECT_EQ(s.times.front(), s.submitted_at);
   EXPECT_LE(s.times.back() - s.submitted_at, fast_params().horizon);
-}
-
-TEST(VoteSimulator, ChannelCountsSumToVotes) {
-  Fixture fx;
-  VoteSimulator sim(fx.site, fast_params(), stats::Rng(11));
-  StoryState st = fx.submit(0, 0.7);
-  const StoryRun run = sim.run_story(st, {0.7, 0.6});
-  EXPECT_EQ(1 + run.fan_channel_votes + run.discovery_votes,
-            st.story.vote_count());
 }
 
 TEST(VoteSimulator, DeterministicGivenSeeds) {
@@ -155,23 +126,6 @@ TEST(VoteSimulator, DiscoveryDominatesForUnconnectedHotStory) {
   EXPECT_GT(run.discovery_votes, run.fan_channel_votes);
 }
 
-TEST(VoteSimulator, RejectsBadTraitsAndParams) {
-  Fixture fx;
-  VoteSimulator sim(fx.site, fast_params(), stats::Rng(1));
-  StoryState st = fx.submit(0, 0.5);
-  EXPECT_THROW(sim.run_story(st, {-0.1, 0.5}), std::invalid_argument);
-  EXPECT_THROW(sim.run_story(st, {0.5, 1.5}), std::invalid_argument);
-
-  VoteModelParams bad = fast_params();
-  bad.step = 0.0;
-  EXPECT_THROW(VoteSimulator(fx.site, bad, stats::Rng(1)),
-               std::invalid_argument);
-  bad = fast_params();
-  bad.horizon = bad.step / 2.0;
-  EXPECT_THROW(VoteSimulator(fx.site, bad, stats::Rng(1)),
-               std::invalid_argument);
-}
-
 TEST(SimulateBatch, RunsAllSubmissions) {
   Fixture fx;
   VoteSimulator sim(fx.site, fast_params(), stats::Rng(23));
@@ -187,24 +141,6 @@ TEST(SimulateBatch, RunsAllSubmissions) {
   }
   // Spacing: second story submitted 2 minutes after the first.
   EXPECT_DOUBLE_EQ(result[1].story.submitted_at, 2.0);
-}
-
-TEST(VoteSimulator, CountsTicksActuallyStepped) {
-  // An unpromotable story expires after the 1-day lifetime, so it steps
-  // lifetime / step ticks of the 3-day horizon, not horizon / step.
-  Fixture fx(1, 2000, /*threshold=*/100000);
-  VoteModelParams params = fast_params();
-  params.horizon = 3.0 * platform::kMinutesPerDay;
-  VoteSimulator sim(fx.site, params, stats::Rng(13));
-  obs::Counter& ticks =
-      obs::Registry::global().counter("dynamics.ticks_simulated");
-  const std::uint64_t before = ticks.value();
-  StoryState st = fx.submit(0, 0.5);
-  sim.run_story(st, {0.5, 0.5});
-  EXPECT_EQ(st.story.phase, StoryPhase::kExpired);
-  EXPECT_EQ(ticks.value() - before,
-            static_cast<std::uint64_t>(platform::kMinutesPerDay /
-                                       params.step));
 }
 
 }  // namespace
