@@ -44,48 +44,22 @@ bool SiteSimulator::pick_discovery_voter(const platform::VisibilitySet& vis,
   return false;
 }
 
-void SiteSimulator::ingest_watchers(platform::StoryId id) {
-  StoryState& state = states_[id];
-  const auto& log = platform_->visibility(id).exposure_log();
-  const auto& users = platform_->users();
-  for (; state.pool_cursor < log.size(); ++state.pool_cursor) {
-    const UserId watcher = log[state.pool_cursor];
-    const double engaged =
-        params_.fan_engagement_scale *
-        (watcher < users.size() ? users[watcher].activity_rate : 1.0);
-    if (rng_.bernoulli(std::min(1.0, engaged)))
-      state.pending.push_back(watcher);
-  }
-}
-
 void SiteSimulator::fan_step(platform::StoryId id, Minutes now,
                              double dt_days) {
   StoryState& state = states_[id];
-  ingest_watchers(id);
-  if (state.pending.empty()) return;
-  const platform::Story& story = platform_->story(id);
-  const bool promoted = story.phase == platform::StoryPhase::kFrontPage;
-  const double community_scale =
-      promoted ? params_.fan_digg_community_scale *
-                     params_.post_promotion_community_factor
-               : params_.fan_digg_community_scale;
-  const double digg_p = std::min(
-      1.0, params_.fan_digg_floor + community_scale * state.traits.community +
-               params_.fan_digg_general_scale * state.traits.general);
-  const double consider_mean = static_cast<double>(state.pending.size()) *
-                               params_.fan_consider_rate * dt_days;
-  const std::int64_t considering = std::min<std::int64_t>(
-      rng_.poisson(consider_mean),
-      static_cast<std::int64_t>(state.pending.size()));
-  for (std::int64_t k = 0; k < considering; ++k) {
-    const auto idx = static_cast<std::size_t>(rng_.uniform_int(
-        0, static_cast<std::int64_t>(state.pending.size()) - 1));
-    const UserId candidate = state.pending[idx];
-    state.pending[idx] = state.pending.back();
-    state.pending.pop_back();
-    if (platform_->visibility(id).has_voted(candidate)) continue;
-    if (rng_.bernoulli(digg_p)) platform_->vote(id, candidate, now);
-  }
+  const platform::VisibilitySet& vis = platform_->visibility(id);
+  const std::vector<UserId>& log = vis.exposure_log();
+  for (; state.exposure_cursor < log.size(); ++state.exposure_cursor)
+    state.fans.engage(log[state.exposure_cursor], platform_->users(),
+                      params_.fan_engagement_scale, rng_);
+  const bool promoted =
+      platform_->story(id).phase == platform::StoryPhase::kFrontPage;
+  const double digg_p = fan_digg_p(params_, state.traits, promoted);
+  const std::int64_t considering =
+      state.fans.draw_considering(params_.fan_consider_rate, dt_days, rng_);
+  state.fans.consider(considering, vis, digg_p, rng_, [&](UserId fan) {
+    platform_->vote(id, fan, now);
+  });
 }
 
 SiteResult SiteSimulator::run() {

@@ -14,8 +14,9 @@
 //     a hot newcomer starves older stories (attention competition);
 //   - the upcoming queue's discovery flow goes to the stories currently on
 //     its first pages, plus the background channel;
-//   - the fan channel works exactly as in VoteSimulator (one-shot engaged
-//     exposure).
+//   - the fan channel is VoteSimulator's EngagedFanPool (step_story.h),
+//     one per story, drawn from the site's single stream after the
+//     discovery channels of each step.
 //
 // The ablation_attention bench contrasts this with the independence
 // assumption, one SiteSimulator run per attention budget.
@@ -24,7 +25,7 @@
 #include <vector>
 
 #include "src/digg/platform.h"
-#include "src/dynamics/vote_model.h"
+#include "src/dynamics/step_story.h"
 #include "src/stats/rng.h"
 
 namespace digg::dynamics {
@@ -80,8 +81,8 @@ class SiteSimulator {
  private:
   struct StoryState {
     StoryTraits traits;
-    std::vector<UserId> pending;  // engaged watchers awaiting consideration
-    std::size_t pool_cursor = 0;
+    EngagedFanPool fans;
+    std::size_t exposure_cursor = 0;  // exposure-log entries seen by `fans`
     bool closed = false;  // expired, or promoted past the novelty horizon
   };
 
@@ -91,7 +92,6 @@ class SiteSimulator {
   stats::Rng rng_;
   std::vector<StoryState> states_;
 
-  void ingest_watchers(platform::StoryId id);
   void fan_step(platform::StoryId id, Minutes now, double dt_days);
   bool pick_discovery_voter(const platform::VisibilitySet& vis,
                             UserId& out_voter);

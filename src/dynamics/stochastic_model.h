@@ -25,12 +25,12 @@
 // channel-specific skew. Promotion is whatever policy the platform is
 // configured with — the scenario layer (data/scenario.h) varies it.
 //
-// RNG contract: identical to the two-mechanism model (model.h) — all of a story's draws come from
-// the simulator's rng.split(story_id) substream; watcher clocks resolve in
-// deterministic (time, user) order via an explicit min-heap.
+// run_story runs the shared per-story stepper (step_story.h). RNG contract:
+// as for every model (model.h), all of a story's draws come from its
+// rng.split(story_id) substream; each tick fires the due watcher clocks in
+// (time, user) order from a min-heap, then draws the browser count.
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/digg/platform.h"
@@ -104,10 +104,6 @@ class StochasticSimulator final : public Simulator {
   stats::Rng rng_;  // base stream; per-story draws come from rng_.split(id)
   stats::DiscreteSampler front_sampler_;     // ω_u · w_front, capped
   stats::DiscreteSampler upcoming_sampler_;  // ω_u · w_upcoming, capped
-
-  bool pick_browser(const stats::DiscreteSampler& sampler,
-                    const platform::VisibilitySet& vis, stats::Rng& rng,
-                    UserId& out_voter) const;
 };
 
 }  // namespace digg::dynamics

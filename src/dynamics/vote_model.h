@@ -19,9 +19,10 @@
 //
 // The simulation advances in fixed steps (default: one minute, matching the
 // time resolution of Fig. 1); per-channel vote counts per step are Poisson.
-// Each story draws from the simulator's rng.split(story_id) substream (the
-// RNG contract in model.h), so a story's votes do not depend on which other
-// stories ran before it.
+// run_story runs the shared per-story stepper (step_story.h), so each story
+// draws from the simulator's rng.split(story_id) substream (the RNG contract
+// in model.h): a story's votes do not depend on which other stories ran
+// before it.
 
 #include <cstdint>
 #include <vector>
@@ -111,12 +112,10 @@ class VoteSimulator final : public Simulator {
   const platform::Site* site_;
   VoteModelParams params_;
   stats::Rng rng_;  // base stream; per-story draws come from rng_.split(id)
-  stats::DiscreteSampler discovery_sampler_;  // activity-weighted, capped
-
-  /// Picks an out-of-network voter: an activity-weighted random user who has
-  /// neither voted nor watches the story. Returns false if none found.
-  bool pick_discovery_voter(const platform::VisibilitySet& vis,
-                            stats::Rng& rng, UserId& out_voter) const;
+  /// Out-of-network voters, weighted by capped activity: Fig. 2(b)'s
+  /// heavy-tailed per-user vote counts come from this skew, while the long
+  /// inactive tail is what makes most voters vote only once.
+  stats::DiscreteSampler discovery_sampler_;
 };
 
 }  // namespace digg::dynamics
