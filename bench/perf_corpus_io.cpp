@@ -2,7 +2,9 @@
 // standard calibrated corpus, plus a large-corpus leg that exercises the
 // out-of-core pipeline end to end: stream-generate a million-user corpus
 // straight to disk (bounded RSS), load it (mapped zero-copy, verified and
-// validated), and replay its votes through the stream engine.
+// validated), and replay its votes through the stream engine — straight
+// through, and killed at half the stream, checkpointed and resumed, which
+// must reach the straight run's result (else the bench exits 1).
 //
 // The snapshot format exists to make repeated analysis runs cheap, so the
 // numbers that matter are the load-path speedup (acceptance bar: snapshot
@@ -220,7 +222,33 @@ int main(int argc, char** argv) {
     std::printf("stream replay        %10.1f ms  (%.2fM votes/s)%s\n",
                 replay_ms, votes_per_sec / 1e6,
                 votes_per_sec >= 2e6 ? "" : "  (BELOW the 2M/s bar)");
+
+    // The kill/resume path at scale: run_all never cuts the stream, so cut
+    // it at half, checkpoint, restore into a fresh engine, finish, and
+    // require exactly the straight run's result.
+    const fs::path ckpt_path = big_path.string() + ".ckpt";
+    stream::StreamEngine straight(es, big_corpus.network);
+    straight.run_all();
+    double cut_ms = 0.0;
+    {
+      stream::StreamEngine first(es, big_corpus.network);
+      const auto c0 = std::chrono::steady_clock::now();
+      first.run_until(es.total_events() / 2);
+      cut_ms = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - c0)
+                   .count();
+      first.save_checkpoint(ckpt_path);
+    }
+    stream::StreamEngine resumed(es, big_corpus.network);
+    resumed.restore_checkpoint(ckpt_path);
+    resumed.run_all();
+    const bool resumed_ok = resumed.result() == straight.result();
+    std::printf("kill/resume replay   %10.1f ms to half  %s\n", cut_ms,
+                resumed_ok ? "matches the straight run"
+                           : "DIFFERS from the straight run");
+    fs::remove(ckpt_path);
     fs::remove(big_path);
+    if (!resumed_ok) return 1;
   }
 
   return speedup >= 5.0 ? 0 : 1;

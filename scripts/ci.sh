@@ -8,7 +8,9 @@
 #            additional race coverage)
 #   large    Release build + the out-of-core smoke: stream-generate a
 #            large corpus to a snapshot, load it (mapped, verified and
-#            validated), and replay it through the stream engine
+#            validated), and replay it through the stream engine, both
+#            straight and cut at half the stream, checkpointed, restored
+#            and finished — the bench exits 1 unless the two agree
 #            (perf_corpus_io's large leg, downscaled via
 #            LARGE_USERS/LARGE_STORIES so the smoke stays minutes-cheap;
 #            the nightly perf job runs the full million)
@@ -293,7 +295,7 @@ if [[ $MODE == large || $MODE == all ]]; then
   cmake -B "$RELEASE_DIR" -S . -DDIGG_WERROR="$WERROR" \
     -DCMAKE_BUILD_TYPE=Release
   cmake --build "$RELEASE_DIR" -j "$JOBS" --target perf_corpus_io
-  echo "== [large-corpus smoke] generate -> load -> replay =="
+  echo "== [large-corpus smoke] generate -> load -> replay -> kill/resume =="
   "$RELEASE_DIR"/bench/perf_corpus_io \
     --large-users "$LARGE_USERS" --large-stories "$LARGE_STORIES"
 fi

@@ -194,36 +194,54 @@ void DigraphBuilder::add_follow(NodeId u, NodeId v) {
 
 Digraph DigraphBuilder::build() const {
   const std::size_t n = node_count_;
-  std::vector<std::pair<NodeId, NodeId>> edges = edges_;
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
   Digraph g;
-  g.own_out_offsets_.assign(n + 1, 0);
-  g.own_in_offsets_.assign(n + 1, 0);
-  for (const auto& [u, v] : edges) {
-    ++g.own_out_offsets_[u + 1];
-    ++g.own_in_offsets_[v + 1];
+  std::vector<std::size_t>& out_offsets = g.own_out_offsets_;
+  std::vector<NodeId>& out_targets = g.own_out_targets_;
+
+  // Counting sort by source: each recorded edge's target lands in its
+  // source's row, in insertion order.
+  out_offsets.assign(n + 1, 0);
+  for (const auto& [u, v] : edges_) ++out_offsets[u + 1];
+  for (std::size_t i = 1; i <= n; ++i) out_offsets[i] += out_offsets[i - 1];
+  out_targets.resize(edges_.size());
+  {
+    std::vector<std::size_t> fill(out_offsets.begin(), out_offsets.end() - 1);
+    for (const auto& [u, v] : edges_) out_targets[fill[u]++] = v;
   }
-  for (std::size_t i = 1; i <= n; ++i) {
-    g.own_out_offsets_[i] += g.own_out_offsets_[i - 1];
-    g.own_in_offsets_[i] += g.own_in_offsets_[i - 1];
+  // Sort and deduplicate each row, compacting the rows leftwards in place
+  // (a row never moves right, so it is read before anything overwrites it).
+  std::size_t kept = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto first = out_targets.begin() +
+                       static_cast<std::ptrdiff_t>(out_offsets[u]);
+    const auto last = out_targets.begin() +
+                      static_cast<std::ptrdiff_t>(out_offsets[u + 1]);
+    std::sort(first, last);
+    const auto row_end = std::unique(first, last);
+    out_offsets[u] = kept;
+    for (auto it = first; it != row_end; ++it) out_targets[kept++] = *it;
   }
-  g.own_out_targets_.resize(edges.size());
-  g.own_in_sources_.resize(edges.size());
-  std::vector<std::size_t> out_fill(g.own_out_offsets_.begin(),
-                                    g.own_out_offsets_.end() - 1);
-  std::vector<std::size_t> in_fill(g.own_in_offsets_.begin(),
-                                   g.own_in_offsets_.end() - 1);
-  for (const auto& [u, v] : edges) {
-    g.own_out_targets_[out_fill[u]++] = v;
-    g.own_in_sources_[in_fill[v]++] = u;
+  out_offsets[n] = kept;
+  if (kept != out_targets.size()) {
+    out_targets.resize(kept);
+    out_targets.shrink_to_fit();
   }
+
+  // In-rows: the transpose, filled in source order.
+  std::vector<std::size_t>& in_offsets = g.own_in_offsets_;
+  in_offsets.assign(n + 1, 0);
+  for (const NodeId v : out_targets) ++in_offsets[v + 1];
+  for (std::size_t i = 1; i <= n; ++i) in_offsets[i] += in_offsets[i - 1];
+  g.own_in_sources_.resize(kept);
+  std::vector<std::size_t> in_fill(in_offsets.begin(), in_offsets.end() - 1);
+  for (std::size_t u = 0; u < n; ++u)
+    for (std::size_t i = out_offsets[u]; i < out_offsets[u + 1]; ++i)
+      g.own_in_sources_[in_fill[out_targets[i]]++] = static_cast<NodeId>(u);
   g.bind_owned();
-  // Edges were sorted by (u, v), so each out-row is already sorted by target;
-  // in-rows are filled in (u, v) order, hence sorted by source. Both
-  // directions are verified unconditionally — arbitrary insertion order must
-  // normalize here, in release builds too (see check_rows_sorted).
+  // Each out-row was sorted on its own; in-rows are filled in source order,
+  // hence sorted by source. Both directions are verified unconditionally —
+  // arbitrary insertion order must normalize here, in release builds too
+  // (see check_rows_sorted).
   check_rows_sorted(g.out_offsets_, g.out_targets_, "out");
   check_rows_sorted(g.in_offsets_, g.in_sources_, "in");
   return g;

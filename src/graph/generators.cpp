@@ -53,10 +53,11 @@ Digraph preferential_attachment(const PreferentialAttachmentParams& params,
   urn.reserve(static_cast<std::size_t>(
       static_cast<double>(n) * params.mean_out_degree * 1.2));
 
+  std::vector<NodeId> chosen;  // u's targets so far, reused across nodes
   for (NodeId u = 1; u < n; ++u) {
     const auto edges =
         std::max<std::int64_t>(1, rng.poisson(params.mean_out_degree));
-    std::vector<NodeId> chosen;
+    chosen.clear();
     for (std::int64_t e = 0; e < edges && chosen.size() < u; ++e) {
       NodeId target;
       // Reciprocity mixes in uniform choices among earlier arrivals, which

@@ -382,7 +382,7 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   }
 
   // Commit. Replay cursors need no recompute because the per-story progress
-  // IS the cursor state the counting merge resumes from. Live mode takes
+  // IS the exact prefix the next cut extends. Live mode takes
   // the story table built above (the engine was verified fresh).
   if (m.live) {
     progress_.resize(story_count);

@@ -1,9 +1,9 @@
 #include "src/stream/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 #include <string>
 
@@ -53,6 +53,20 @@ std::uint64_t live_fingerprint(const graph::Digraph& network) {
                                   0x11fe5e42ull};  // arbitrary live-mode tag
   h = mix(h, shape, sizeof(shape));
   return h;
+}
+
+// Order-preserving 64-bit key of a finite time: a <= b as doubles iff
+// order_key(a) <= order_key(b). The sign bit lifts non-negatives above
+// negatives, inverting a negative's bits reverses its magnitude order, and
+// adding +0.0 folds -0.0 onto +0.0, which it compares equal to.
+std::uint64_t order_key(platform::Minutes t) {
+  const auto bits = std::bit_cast<std::uint64_t>(t + 0.0);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+platform::Minutes time_of_key(std::uint64_t key) {
+  return std::bit_cast<platform::Minutes>(
+      (key >> 63) != 0 ? key & ~(std::uint64_t{1} << 63) : ~key);
 }
 
 void require_ascending(const std::vector<std::uint32_t>& cps,
@@ -116,8 +130,10 @@ StreamEngine::StreamEngine(const EventStream& stream,
   if (story_count >= kUnrecorded)
     throw std::invalid_argument("too many stories for the stream engine");
 
-  // Validate the stream against its own story columns: the merge order is
-  // only well defined if every story's time column is non-decreasing, and
+  // Validate the stream against its own story columns: the replay order is
+  // only well defined if every story's time column is finite and
+  // non-decreasing (a NaN compares false both ways, so it would slip past
+  // the order check and leave the prefix cut without a time to find), and
   // the cached event total must match the columns it summarises. Every
   // downstream guarantee (checkpoint prefix validation) leans on these
   // invariants, so buying them up front with one O(E) pass is cheaper than
@@ -128,9 +144,12 @@ StreamEngine::StreamEngine(const EventStream& stream,
     const auto times = s.times();
     if (s.voters().size() != times.size())
       throw std::invalid_argument("stream story vote columns disagree");
-    for (std::size_t k = 1; k < times.size(); ++k)
-      if (times[k] < times[k - 1])
+    for (std::size_t k = 0; k < times.size(); ++k) {
+      if (!std::isfinite(times[k]))
+        throw std::invalid_argument("stream vote times must be finite");
+      if (k > 0 && times[k] < times[k - 1])
         throw std::invalid_argument("stream events must be time-sorted");
+    }
     if (s.submitter >= network.node_count())
       throw std::invalid_argument("stream story submitter out of graph range");
     total += s.vote_count();
@@ -329,47 +348,70 @@ void StreamEngine::apply_event(const VoteEvent& ev, Shard& shard) {
   }
 }
 
-std::vector<std::uint64_t> StreamEngine::merge_prefix_counts(
-    std::vector<std::uint64_t> cursor, std::uint64_t take) const {
-  // Min-heap of story heads keyed by (next vote time, slot); popping one
-  // head and consuming a run of its votes that still precede every other
-  // head reproduces the global (time, slot, index) order without ever
-  // materialising it. Ties in time break toward the lower slot, matching
-  // the documented total order.
-  struct Head {
-    platform::Minutes time;
-    std::uint32_t slot;
-  };
-  const auto later = [](const Head& a, const Head& b) {
-    return a.time > b.time || (a.time == b.time && a.slot > b.slot);
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(later)> heap(later);
-  for (std::uint32_t slot = 0; slot < stream_->stories.size(); ++slot) {
-    const auto times = stream_->stories[slot].times();
-    if (cursor[slot] < times.size())
-      heap.push({times[cursor[slot]], slot});
+std::vector<std::uint64_t> StreamEngine::prefix_cut(
+    std::uint64_t limit) const {
+  const std::vector<platform::StoryView>& stories = stream_->stories;
+  std::vector<std::uint64_t> cut(stories.size());
+  if (limit >= stream_->total_events()) {
+    for (std::size_t slot = 0; slot < stories.size(); ++slot)
+      cut[slot] = stories[slot].vote_count();
+    return cut;
   }
-  while (take > 0 && !heap.empty()) {
-    const Head head = heap.top();
-    heap.pop();
-    const auto times = stream_->stories[head.slot].times();
-    std::uint64_t k = cursor[head.slot];
-    if (heap.empty()) {
-      // Only one story left: the rest of its column is the rest of the
-      // stream.
-      k += std::min<std::uint64_t>(take, times.size() - k);
-    } else {
-      const Head next = heap.top();
-      while (take > k - cursor[head.slot] && k < times.size() &&
-             (times[k] < next.time ||
-              (times[k] == next.time && head.slot < next.slot)))
-        ++k;
+
+  // Votes at or before `t`, over every story.
+  const auto count_upto = [&stories](platform::Minutes t) {
+    std::uint64_t n = 0;
+    for (const platform::StoryView& s : stories) {
+      const auto times = s.times();
+      n += static_cast<std::uint64_t>(
+          std::upper_bound(times.begin(), times.end(), t) - times.begin());
     }
-    take -= k - cursor[head.slot];
-    cursor[head.slot] = k;
-    if (k < times.size()) heap.push({times[k], head.slot});
+    return n;
+  };
+  // Bisect for the time T of the limit-th event: the least key whose time
+  // has at least `limit` votes at or before it. Every key between two
+  // finite times' keys decodes to a finite time (the constructor refuses
+  // non-finite ones), and decoding is monotone, so count_upto is monotone
+  // in the key and the search ends on T itself in at most 64 probes.
+  std::uint64_t lo = ~std::uint64_t{0};
+  std::uint64_t hi = 0;
+  for (const platform::StoryView& s : stories) {
+    const auto times = s.times();
+    if (times.empty()) continue;
+    lo = std::min(lo, order_key(times.front()));
+    hi = std::max(hi, order_key(times.back()));
   }
-  return cursor;
+  while (lo < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (count_upto(time_of_key(mid)) >= limit)
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  const platform::Minutes cut_time = time_of_key(lo);
+
+  // Every vote before T is in the prefix; the votes tied at T fill the rest
+  // in slot order, each story's in index order — exactly the (time, slot,
+  // index) order among equal times.
+  std::uint64_t rest = limit;
+  for (std::size_t slot = 0; slot < stories.size(); ++slot) {
+    const auto times = stories[slot].times();
+    cut[slot] = static_cast<std::uint64_t>(
+        std::lower_bound(times.begin(), times.end(), cut_time) -
+        times.begin());
+    rest -= cut[slot];
+  }
+  for (std::size_t slot = 0; rest > 0 && slot < stories.size(); ++slot) {
+    const auto times = stories[slot].times();
+    const auto tied = static_cast<std::uint64_t>(
+        std::upper_bound(times.begin() + static_cast<std::ptrdiff_t>(cut[slot]),
+                         times.end(), cut_time) -
+        times.begin()) - cut[slot];
+    const std::uint64_t take = std::min(tied, rest);
+    cut[slot] += take;
+    rest -= take;
+  }
+  return cut;
 }
 
 void StreamEngine::run_until(std::uint64_t event_limit) {
@@ -387,15 +429,11 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
   // recorder, whose per-shard events identify the wedged slot.
   obs::WatchdogTask watchdog("stream.run_until", 30'000);
 
-  // Serial counting merge: how many of the next events belong to each
-  // story. Seeding the cursors from progress_ is sound because progress_
-  // always describes an exact global prefix (run_until applies exact
-  // prefixes; restore_checkpoint verifies the same invariant).
-  std::vector<std::uint64_t> cursor(progress_.size());
-  for (std::size_t slot = 0; slot < progress_.size(); ++slot)
-    cursor[slot] = progress_[slot].applied;
-  const std::vector<std::uint64_t> target =
-      merge_prefix_counts(std::move(cursor), event_limit - events_applied_);
+  // The exact prefix cut: how many of the first event_limit events belong
+  // to each story. It extends progress_, which always describes an exact
+  // global prefix (run_until applies exact prefixes; restore_checkpoint
+  // verifies the same invariant).
+  const std::vector<std::uint64_t> target = prefix_cut(event_limit);
 
   // Parallel apply, story-major inside each shard: per-story state depends
   // only on that story's own vote prefix, so outcomes are identical to

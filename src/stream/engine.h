@@ -17,15 +17,17 @@
 // counter increment — the amortized-O(1) core of the design.
 //
 // Replay order: the global (time, story slot, vote index) order is never
-// materialised. run_until first runs a serial counting merge over the
-// per-story time columns (a min-heap of story heads, seeded from the
-// current per-story progress — valid because progress always describes an
-// exact global prefix) to find how many of the next events belong to each
-// story, then applies each story's slice of votes in vote order. Per-story
-// state only depends on that story's own prefix, so applying story-major
-// inside a shard yields the same outcomes as strict global interleaving
-// while touching each vote column once, sequentially — the access pattern
-// mmapped corpora want.
+// materialised. run_until(L) first cuts the stream at its L-th event: it
+// bisects the time T of that event (a sum of binary searches over the
+// per-story time columns per probe, at most 64 probes), takes every vote
+// before T and hands out the votes tied at T in slot order. That yields
+// each story's vote count within the first L events with no per-event
+// work; a cut at or past the stream total is just every column's length.
+// It then applies each story's slice beyond its current progress in vote
+// order. Per-story state only depends on that story's own prefix, so
+// applying story-major inside a shard yields the same outcomes as strict
+// global interleaving while touching each vote column once, sequentially —
+// the access pattern mmapped corpora want.
 //
 // Parallelism: stories are hashed onto a FIXED number of shards (independent
 // of the thread count) and shards run on the runtime pool via parallel_for,
@@ -118,11 +120,15 @@ struct StoryOutcome {
   double bayes_expected_final = 0.0;  // meaningful iff bayes_interesting set
   /// Arrival time of the promotion_threshold-th vote (unset if not reached).
   std::optional<platform::Minutes> promoted_time;
+
+  friend bool operator==(const StoryOutcome&, const StoryOutcome&) = default;
 };
 
 struct StreamResult {
   std::vector<StoryOutcome> stories;  // by slot (stream story order)
   std::uint64_t events_applied = 0;
+
+  friend bool operator==(const StreamResult&, const StreamResult&) = default;
 };
 
 /// Converts a full-replay result into the batch pipeline's feature rows
@@ -135,7 +141,7 @@ struct StreamResult {
 class StreamEngine {
  public:
   /// `stream`, `network`, and params.predictor must outlive the engine.
-  /// Validates the stream (per-story vote columns non-decreasing in time,
+  /// Validates the stream (per-story vote times finite and non-decreasing,
   /// event total matching the columns, submitters in graph range) and the
   /// checkpoint lists; throws std::invalid_argument on violations.
   StreamEngine(const EventStream& stream, const graph::Digraph& network,
@@ -310,13 +316,14 @@ class StreamEngine {
   }
 
   void apply_event(const VoteEvent& ev, Shard& shard);
-  /// The counting merge: starting from the per-story cursors in `cursor`
-  /// (which must describe an exact global prefix), advances them through
-  /// the next `take` events of the (time, slot, index) order and returns
-  /// the final cursors — i.e. each story's vote count within the extended
-  /// prefix. O(take · log stories) serial, no event materialisation.
-  [[nodiscard]] std::vector<std::uint64_t> merge_prefix_counts(
-      std::vector<std::uint64_t> cursor, std::uint64_t take) const;
+  /// The exact prefix cut: each story's vote count within the first
+  /// `limit` events of the (time, slot, index) order. Bisects the
+  /// order-preserving keys of the finite vote times for the limit-th
+  /// event's time, then fills its ties in slot order: O(64 · stories ·
+  /// log votes-per-story) serial, independent of `limit` and of progress,
+  /// with no per-event work and no event materialisation.
+  [[nodiscard]] std::vector<std::uint64_t> prefix_cut(
+      std::uint64_t limit) const;
   void record_checkpoints(std::uint32_t slot, Progress& p,
                           platform::Minutes now, Shard& shard);
   /// Scores every slot queued in shard.pending_pred through

@@ -14,11 +14,11 @@
 //
 // The stream is NOT materialised: an EventStream is just the story table
 // (slot-indexed views into storage owned by the caller) plus the cached
-// event total. The engine derives the global order incrementally by merging
-// the per-story time columns (each already sorted), so replaying a
-// memory-mapped million-user corpus costs no O(total votes) event copy —
-// the columns are read in place from wherever the views point, including a
-// load_snapshot_mmap mapping.
+// event total. The engine cuts the global order at any event count by
+// binary searches over the per-story time columns (each already sorted), so
+// replaying a memory-mapped million-user corpus costs no O(total votes)
+// event copy or merge — the columns are read in place from wherever the
+// views point, including a load_snapshot_mmap mapping.
 
 #include <cstdint>
 #include <vector>
@@ -28,7 +28,7 @@
 namespace digg::stream {
 
 /// One vote in the global order, synthesised on the fly from the columns
-/// during the merge (never stored).
+/// as it is applied (never stored).
 struct VoteEvent {
   platform::Minutes time = 0.0;
   std::uint32_t story_slot = 0;  // index into EventStream::stories

@@ -7,8 +7,9 @@ namespace digg::stream {
 EventStream build_event_stream(std::span<const platform::StoryView> stories) {
   obs::Span span("stream.build_event_stream");
   // O(stories): the global (time, slot, index) order is never materialised —
-  // the engine merges the per-story time columns on the fly, so building a
-  // stream over a memory-mapped million-user corpus is just the story table.
+  // the engine cuts it from the per-story time columns on demand, so
+  // building a stream over a memory-mapped million-user corpus is just the
+  // story table.
   EventStream out;
   out.stories.assign(stories.begin(), stories.end());
   for (const platform::StoryView& s : out.stories) out.total += s.vote_count();

@@ -1,6 +1,6 @@
 #pragma once
-// Event-stream construction: assembles the story table the engine merges
-// into the single time-ordered event order of event.h. O(stories) — the
+// Event-stream construction: assembles the story table whose time columns
+// define the single time-ordered event order of event.h. O(stories) — the
 // event order itself stays implicit in the per-story time columns. Sources
 // exist for the corpus (replay of scraped/synthetic/mmapped data) and for
 // any explicit story list, so a synthetic generator run can be streamed

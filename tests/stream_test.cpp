@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -144,7 +145,7 @@ TEST(EventStreamTest, StoryTableAndTotalMatchCorpus) {
   std::uint64_t votes = 0;
   for (const platform::StoryView& sv : s.stories) {
     votes += sv.vote_count();
-    // The merge order leans on per-story time columns being sorted.
+    // The replay order leans on per-story time columns being sorted.
     const auto times = sv.times();
     for (std::size_t k = 1; k < times.size(); ++k)
       EXPECT_GE(times[k], times[k - 1]);
@@ -173,6 +174,28 @@ TEST(EventStreamTest, EngineRejectsTamperedStreams) {
     EXPECT_THROW(StreamEngine(broken, corpus.network), std::invalid_argument);
   }
   {
+    // A NaN vote time compares false both ways, so it passes a plain order
+    // check and leaves the replay order undefined: refused up front, like
+    // an infinite one.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      platform::Story first;
+      first.id = 0;
+      first.submitter = 0;
+      first.voters = {0, 1};
+      first.times = {0.0, bad};
+      platform::Story second;
+      second.id = 1;
+      second.submitter = 2;
+      second.voters = {2};
+      second.times = {3.0};
+      const std::vector<platform::StoryView> stories = {first, second};
+      const EventStream broken = build_event_stream(stories);
+      EXPECT_THROW(StreamEngine(broken, corpus.network), std::invalid_argument)
+          << "vote time " << bad;
+    }
+  }
+  {
     // A submitter outside the graph.
     platform::Story story;
     story.id = 0;
@@ -183,6 +206,63 @@ TEST(EventStreamTest, EngineRejectsTamperedStreams) {
     const std::vector<platform::StoryView> stories = {story};
     const EventStream broken = build_event_stream(stories);
     EXPECT_THROW(StreamEngine(broken, corpus.network), std::invalid_argument);
+  }
+}
+
+TEST(EventStreamTest, PrefixCutMatchesBruteForceOrder) {
+  // Equal times across stories, a single-vote story, and -0.0 next to
+  // +0.0 (equal times, so slot order decides, whichever sign comes first).
+  const std::vector<std::vector<double>> columns = {
+      {-0.0, 0.0, 2.0, 2.0, 5.0},
+      {0.0, -0.0, 2.0, 3.0},
+      {2.0},
+      {-1.5, 0.0, 2.0, 2.0, 2.0, 7.0},
+      {-0.0, 5.0},
+  };
+  std::vector<platform::Story> owned;
+  platform::UserId next_voter = 0;
+  for (std::size_t slot = 0; slot < columns.size(); ++slot) {
+    platform::Story story;
+    story.id = static_cast<platform::StoryId>(slot);
+    story.submitter = next_voter;
+    story.times = columns[slot];
+    for (std::size_t k = 0; k < columns[slot].size(); ++k)
+      story.voters.push_back(next_voter++);
+    owned.push_back(std::move(story));
+  }
+  const std::vector<platform::StoryView> views(owned.begin(), owned.end());
+  const EventStream stream = build_event_stream(views);
+  const graph::Digraph& network = small_corpus().corpus.network;
+
+  // Every vote's (time, slot, index) key, fully sorted.
+  using Key = std::tuple<double, std::uint32_t, std::uint32_t>;
+  std::vector<Key> keys;
+  for (std::uint32_t slot = 0; slot < columns.size(); ++slot)
+    for (std::uint32_t k = 0; k < columns[slot].size(); ++k)
+      keys.emplace_back(columns[slot][k], slot, k);
+  std::sort(keys.begin(), keys.end());
+  ASSERT_EQ(keys.size(), stream.total_events());
+
+  const auto expect_cut = [&](const StreamEngine& engine, std::uint64_t limit) {
+    std::vector<std::size_t> want(columns.size(), 0);
+    for (std::uint64_t i = 0; i < limit; ++i) ++want[std::get<1>(keys[i])];
+    EXPECT_EQ(engine.events_applied(), limit);
+    for (std::uint32_t slot = 0; slot < columns.size(); ++slot)
+      EXPECT_EQ(engine.query_story(slot).final_votes, want[slot])
+          << "slot " << slot << " at limit " << limit;
+  };
+  StreamEngine stepping(stream, network);
+  for (std::uint64_t limit = 0; limit <= keys.size(); ++limit) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    StreamEngine fresh(stream, network);
+    fresh.run_until(limit);
+    expect_cut(fresh, limit);
+    StreamEngine halved(stream, network);
+    halved.run_until(limit / 2);
+    halved.run_until(limit);
+    expect_cut(halved, limit);
+    stepping.run_until(limit);
+    expect_cut(stepping, limit);
   }
 }
 
