@@ -50,7 +50,6 @@ InterestingnessPredictor InterestingnessPredictor::train(
   InterestingnessPredictor p;
   p.features_ = features;
   p.tree_ = ml::DecisionTree::train(make_dataset(sample, features), params);
-  p.flat_ = ml::FlatTree(p.tree_);
   return p;
 }
 
@@ -59,24 +58,6 @@ bool InterestingnessPredictor::predict(const StoryFeatures& f) const {
       obs::Registry::global().counter("core.predictions_scored");
   scored.inc();
   return tree_.predict(encode(f, features_)) == 1;
-}
-
-void InterestingnessPredictor::predict_batch(const StoryFeatures* sample,
-                                             std::size_t n,
-                                             std::uint8_t* out) const {
-  if (n == 0) return;
-  static obs::Counter& scored =
-      obs::Registry::global().counter("core.predictions_scored");
-  scored.inc(n);
-  const std::size_t stride = encode(sample[0], features_).size();
-  std::vector<double> rows(n * stride);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<double> row = encode(sample[i], features_);
-    std::copy(row.begin(), row.end(), rows.begin() + i * stride);
-  }
-  std::vector<std::int32_t> klass(n);
-  flat_.predict_classes(rows.data(), n, stride, klass.data());
-  for (std::size_t i = 0; i < n; ++i) out[i] = klass[i] == 1 ? 1 : 0;
 }
 
 double InterestingnessPredictor::predict_proba(const StoryFeatures& f) const {

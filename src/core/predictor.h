@@ -1,9 +1,7 @@
 #pragma once
 // The end-to-end interestingness predictor of §5.2: a C4.5 tree over early-
 // vote features. The paper's attribute set is {v10, fans1}; the extended set
-// adds v6, v20 and influence10 for the ablation bench. Every feature is a
-// numeric count, so the trained tree always compiles to an ml::FlatTree for
-// batched scoring.
+// adds v6, v20 and influence10 for the ablation bench.
 
 #include <memory>
 #include <string>
@@ -11,7 +9,6 @@
 
 #include "src/core/features.h"
 #include "src/ml/c45.h"
-#include "src/ml/flat_tree.h"
 #include "src/ml/validation.h"
 
 namespace digg::core {
@@ -32,12 +29,6 @@ class InterestingnessPredictor {
   [[nodiscard]] bool predict(const StoryFeatures& f) const;
   [[nodiscard]] double predict_proba(const StoryFeatures& f) const;
 
-  /// Batched §5.2 decisions: out[i] = predict(sample[i]) for n stories in
-  /// one call, through the compiled branch-free evaluator (ml::FlatTree).
-  /// Bit-identical to n single predict() calls.
-  void predict_batch(const StoryFeatures* sample, std::size_t n,
-                     std::uint8_t* out) const;
-
   /// The trained tree (Fig. 5 shape).
   [[nodiscard]] const ml::DecisionTree& tree() const noexcept { return tree_; }
   [[nodiscard]] FeatureSet feature_set() const noexcept { return features_; }
@@ -53,7 +44,6 @@ class InterestingnessPredictor {
 
  private:
   ml::DecisionTree tree_;
-  ml::FlatTree flat_;  // tree_, compiled at train time
   FeatureSet features_ = FeatureSet::kPaper;
 };
 

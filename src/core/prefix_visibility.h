@@ -3,8 +3,8 @@
 // the one implementation behind the §4.1 quantities, shared by the batch
 // profiles (cascade.h, influence.h) and the stream engine. prefix[0] is the
 // submitter's own digg (types.h). Both functions read friends rows and fan
-// rows as one relation, which Digraph::from_parts/from_views verify is an
-// exact transpose.
+// rows as one relation: Digraph::build constructs the fan rows as the exact
+// transpose of the friends rows, and Digraph::from_views verifies it.
 
 #include <cstdint>
 #include <span>

@@ -19,30 +19,23 @@ namespace {
 using snapfmt::ByteBuffer;
 using snapfmt::ByteReader;
 
-// On little-endian hosts with 64-bit size_t the in-memory column already
-// has the on-disk u64 layout; elsewhere widen per element.
-inline constexpr bool kNativeU64 =
-    sizeof(std::size_t) == sizeof(std::uint64_t) &&
-    std::endian::native == std::endian::little;
-
-void write_u64_column(ByteBuffer& out, std::span<const std::size_t> v) {
-  if constexpr (kNativeU64) {
-    out.column(v);
-  } else {
-    for (std::size_t x : v) out.pod(static_cast<std::uint64_t>(x));
-  }
-}
+// DIGGSNAP is little-endian, and the CSR offset columns are written from
+// and mapped back as size_t words: the host must share the on-disk u64
+// layout.
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t) &&
+                  std::endian::native == std::endian::little,
+              "DIGGSNAP binds its u64 columns as native size_t words");
 
 ByteBuffer encode_network(const graph::Digraph& g) {
   ByteBuffer out;
   out.pod(static_cast<std::uint64_t>(g.node_count()));
   out.pod(static_cast<std::uint64_t>(g.edge_count()));
-  write_u64_column(out, g.out_offsets());
+  out.column(g.out_offsets());
   out.column(g.out_targets());
   // Keep the u64 columns 8-byte aligned within the body so mapped readers
   // can bind them in place.
   out.pad8();
-  write_u64_column(out, g.in_offsets());
+  out.column(g.in_offsets());
   out.column(g.in_sources());
   return out;
 }
@@ -234,35 +227,22 @@ Corpus parse_snapshot(const snapfmt::MmapSectionFile& map) {
     const auto n = static_cast<std::size_t>(r.pod<std::uint64_t>());
     const auto edges = static_cast<std::size_t>(r.pod<std::uint64_t>());
     try {
-      if constexpr (kNativeU64) {
-        // Bind the CSR columns in place; from_views validates structure.
-        const auto as_u64 = [](std::span<const char> s) {
-          return std::span<const std::size_t>(
-              reinterpret_cast<const std::size_t*>(s.data()), s.size() / 8);
-        };
-        const auto as_node = [](std::span<const char> s) {
-          return std::span<const graph::NodeId>(
-              reinterpret_cast<const graph::NodeId*>(s.data()), s.size() / 4);
-        };
-        const auto out_offsets = as_u64(r.borrow((n + 1) * 8));
-        const auto out_targets = as_node(r.borrow(edges * 4));
-        r.align8();
-        const auto in_offsets = as_u64(r.borrow((n + 1) * 8));
-        const auto in_sources = as_node(r.borrow(edges * 4));
-        corpus.network = graph::Digraph::from_views(out_offsets, out_targets,
-                                                    in_offsets, in_sources);
-      } else {
-        // Hosts without the native u64 layout copy the graph (the vote
-        // columns below still bind zero-copy — u32/f64 need no widening).
-        auto out_offsets = r.u64_column(n + 1);
-        auto out_targets = r.column<graph::NodeId>(edges);
-        r.align8();
-        auto in_offsets = r.u64_column(n + 1);
-        auto in_sources = r.column<graph::NodeId>(edges);
-        corpus.network = graph::Digraph::from_parts(
-            std::move(out_offsets), std::move(out_targets),
-            std::move(in_offsets), std::move(in_sources));
-      }
+      // Bind the CSR columns in place; from_views validates structure.
+      const auto as_u64 = [](std::span<const char> s) {
+        return std::span<const std::size_t>(
+            reinterpret_cast<const std::size_t*>(s.data()), s.size() / 8);
+      };
+      const auto as_node = [](std::span<const char> s) {
+        return std::span<const graph::NodeId>(
+            reinterpret_cast<const graph::NodeId*>(s.data()), s.size() / 4);
+      };
+      const auto out_offsets = as_u64(r.borrow((n + 1) * 8));
+      const auto out_targets = as_node(r.borrow(edges * 4));
+      r.align8();
+      const auto in_offsets = as_u64(r.borrow((n + 1) * 8));
+      const auto in_sources = as_node(r.borrow(edges * 4));
+      corpus.network = graph::Digraph::from_views(out_offsets, out_targets,
+                                                  in_offsets, in_sources);
     } catch (const std::invalid_argument& err) {
       throw std::runtime_error(ctx + err.what());
     }

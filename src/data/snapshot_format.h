@@ -177,15 +177,6 @@ class ByteReader {
     if (count > 0) read_into(v.data(), count * sizeof(T));
     return v;
   }
-  /// u64 column widened to size_t element by element (for hosts whose
-  /// size_t does not share the on-disk u64 layout).
-  std::vector<std::size_t> u64_column(std::size_t count) {
-    check_count(count, sizeof(std::uint64_t));
-    std::vector<std::size_t> v(count);
-    for (std::size_t& x : v)
-      x = static_cast<std::size_t>(pod<std::uint64_t>());
-    return v;
-  }
 
  private:
   /// Bounds an element count read from the file by the bytes left, so a

@@ -18,7 +18,7 @@ namespace {
 // the single place rows are materialised (one predictable O(E) scan over
 // columns build() just wrote, ~free next to the counting sort) instead of
 // defended per consumer.
-// from_parts/from_views reach the same guarantee through check_csr below.
+// from_views reaches the same guarantee through check_csr below.
 void check_rows_sorted(std::span<const std::size_t> offsets,
                        std::span<const NodeId> ids, const char* what) {
   for (std::size_t u = 0; u + 1 < offsets.size(); ++u) {
@@ -103,18 +103,18 @@ void check_csr(std::span<const std::size_t> offsets,
                std::span<const NodeId> ids, std::size_t n, const char* what) {
   if (offsets.size() != n + 1 || offsets.front() != 0 ||
       offsets.back() != ids.size())
-    throw std::invalid_argument(std::string("Digraph::from_parts: bad ") +
+    throw std::invalid_argument(std::string("Digraph::from_views: bad ") +
                                 what + " offsets");
   for (std::size_t u = 0; u < n; ++u) {
     if (offsets[u] > offsets[u + 1])
-      throw std::invalid_argument(std::string("Digraph::from_parts: ") + what +
+      throw std::invalid_argument(std::string("Digraph::from_views: ") + what +
                                   " offsets not monotone");
     for (std::size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
       if (ids[i] >= n)
-        throw std::invalid_argument(std::string("Digraph::from_parts: ") +
+        throw std::invalid_argument(std::string("Digraph::from_views: ") +
                                     what + " id out of range");
       if (i > offsets[u] && ids[i] <= ids[i - 1])
-        throw std::invalid_argument(std::string("Digraph::from_parts: ") +
+        throw std::invalid_argument(std::string("Digraph::from_views: ") +
                                     what + " row not strictly sorted");
     }
   }
@@ -125,9 +125,9 @@ void check_parts(std::span<const std::size_t> out_offsets,
                  std::span<const std::size_t> in_offsets,
                  std::span<const NodeId> in_sources) {
   if (out_offsets.empty() || in_offsets.size() != out_offsets.size())
-    throw std::invalid_argument("Digraph::from_parts: offset size mismatch");
+    throw std::invalid_argument("Digraph::from_views: offset size mismatch");
   if (out_targets.size() != in_sources.size())
-    throw std::invalid_argument("Digraph::from_parts: edge count mismatch");
+    throw std::invalid_argument("Digraph::from_views: edge count mismatch");
   const std::size_t n = out_offsets.size() - 1;
   check_csr(out_offsets, out_targets, n, "out");
   check_csr(in_offsets, in_sources, n, "in");
@@ -142,33 +142,18 @@ void check_parts(std::span<const std::size_t> out_offsets,
       const NodeId v = out_targets[i];
       if (cursor[v] == in_offsets[v + 1] || in_sources[cursor[v]++] != u)
         throw std::invalid_argument(
-            "Digraph::from_parts: in-CSR is not the transpose of out-CSR");
+            "Digraph::from_views: in-CSR is not the transpose of out-CSR");
     }
 }
 
 }  // namespace
 
-Digraph Digraph::from_parts(std::vector<std::size_t> out_offsets,
-                            std::vector<NodeId> out_targets,
-                            std::vector<std::size_t> in_offsets,
-                            std::vector<NodeId> in_sources) {
-  check_parts(out_offsets, out_targets, in_offsets, in_sources);
-  Digraph g;
-  g.own_out_offsets_ = std::move(out_offsets);
-  g.own_out_targets_ = std::move(out_targets);
-  g.own_in_offsets_ = std::move(in_offsets);
-  g.own_in_sources_ = std::move(in_sources);
-  g.bind_owned();
-  return g;
-}
-
 Digraph Digraph::from_views(std::span<const std::size_t> out_offsets,
                             std::span<const NodeId> out_targets,
                             std::span<const std::size_t> in_offsets,
                             std::span<const NodeId> in_sources) {
-  // Same O(E) structural validation as from_parts — a borrowed graph is
-  // no less trusted than a copied one, and validating a mapped column
-  // costs one sequential scan (milliseconds even at millions of users).
+  // Validating a mapped column costs one sequential scan (milliseconds
+  // even at millions of users).
   check_parts(out_offsets, out_targets, in_offsets, in_sources);
   Digraph g;
   g.out_offsets_ = out_offsets;

@@ -14,7 +14,7 @@
 // iteration; analysis workloads are read-only and fan lists are scanned
 // millions of times.
 //
-// Storage is either *owned* (vectors, via build()/from_parts()) or
+// Storage is either *owned* (vectors, via build()) or
 // *borrowed* (spans over caller-owned memory, via from_views()) — the
 // borrowed mode is how memory-mapped snapshots bind CSR columns zero-copy.
 // All read paths go through the span views, so the two modes are
@@ -80,21 +80,13 @@ class Digraph {
     return in_sources_;
   }
 
-  /// Reassembles a graph from raw CSR arrays (snapshot deserialisation).
-  /// Validates structure — offsets monotone from 0 to the edge count, both
-  /// directions the same size, ids in range, rows strictly sorted, and the
-  /// in-arrays the exact transpose of the out-arrays — and throws
-  /// std::invalid_argument on any violation. O(V + E).
-  [[nodiscard]] static Digraph from_parts(std::vector<std::size_t> out_offsets,
-                                          std::vector<NodeId> out_targets,
-                                          std::vector<std::size_t> in_offsets,
-                                          std::vector<NodeId> in_sources);
-
-  /// Borrowed-mode from_parts: binds the CSR views directly over
-  /// caller-owned columns (e.g. a memory-mapped snapshot) with the same
-  /// structural validation. The memory must stay alive and unchanged for
-  /// the graph's lifetime; copying a borrowed graph copies the *spans*,
-  /// not the data.
+  /// Binds a graph's CSR views directly over caller-owned columns (a
+  /// memory-mapped snapshot). Validates structure — offsets monotone from
+  /// 0 to the edge count, both directions the same size, ids in range, rows
+  /// strictly sorted, and the in-arrays the exact transpose of the
+  /// out-arrays — and throws std::invalid_argument on any violation.
+  /// O(V + E). The memory must stay alive and unchanged for the graph's
+  /// lifetime; copying a borrowed graph copies the *spans*, not the data.
   [[nodiscard]] static Digraph from_views(
       std::span<const std::size_t> out_offsets,
       std::span<const NodeId> out_targets,

@@ -1,9 +1,11 @@
 #pragma once
 // Batched evaluation for a trained DecisionTree (c45.h). The pointer-chasing
-// walk() costs a dependent load through a node object per level per row;
-// for the per-vote online hooks (StreamEngine's v10 prediction, fig7's
-// scoring loop) that walk is the tree's entire cost. A FlatTree compiles the
-// node graph into flat parallel arrays:
+// walk() costs a dependent load through a node object per level per row.
+// No library path scores enough rows at once to need more: the stream
+// engine calls the tree once per story, at vote 10. FlatTree stays for
+// perfbench's `ml.flat_tree_ns_per_row` gauge and goes with the next
+// change to that benchmark. It compiles the node graph into flat parallel
+// arrays:
 //
 //   attr[n], thresh[n], left[n], right[n], miss[n], klass[n]
 //

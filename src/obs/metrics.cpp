@@ -126,8 +126,9 @@ void dump_metrics_at_exit() {
 // time any instrument is created (i.e. before any instrumented code can
 // produce data worth observing): the DIGG_METRICS exit dump, the
 // DIGG_CRASH_REPORT signal handlers, the DIGG_METRICS_PORT exporter, and
-// the DIGG_WATCHDOG_MS stall watchdog. Unwritable output paths warn here,
-// at startup, instead of silently dropping output at exit.
+// the DIGG_WATCHDOG_MS stall watchdog. Unwritable output paths (these two
+// and the recorder's DIGG_TRACE export) warn here, at startup, instead of
+// silently dropping output at exit.
 void env_init_once() {
   static const bool initialized = [] {
     if (const char* path = std::getenv("DIGG_METRICS");
@@ -140,6 +141,7 @@ void env_init_once() {
       if (warn_if_unwritable("DIGG_CRASH_REPORT", path))
         install_crash_handlers(path);
     }
+    warn_if_unwritable("DIGG_TRACE", std::getenv("DIGG_TRACE"));
     maybe_start_exporter_from_env();
     maybe_start_watchdog_from_env();
     return true;

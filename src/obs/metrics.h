@@ -168,8 +168,9 @@ bool write_bench_report(const std::string& path, std::string_view name,
 
 /// Probes `path` for writability (open-for-append) and emits a log_warn
 /// naming `env_name` when it is not — output env vars (DIGG_METRICS,
-/// DIGG_CRASH_REPORT, DIGG_LOG_FILE) must fail loudly at startup, not
-/// silently drop their output at exit. Returns true when writable.
+/// DIGG_CRASH_REPORT, DIGG_TRACE, DIGG_LOG_FILE) must fail loudly at
+/// startup, not silently drop their output at exit. Returns true when
+/// writable; a null or empty path returns false without a warning.
 bool warn_if_unwritable(const char* env_name, const char* path);
 
 }  // namespace digg::obs

@@ -564,26 +564,31 @@ void Server::coordinator_main() {
 
     // --- Apply the prefix: submits serially, then shards in parallel. ----
     // A submit precedes its story's votes in the ring, so every vote
-    // finds its slot.
+    // finds its slot. A prefix without votes (an idle cycle) starts no
+    // pool job.
+    std::size_t votes = 0;
     for (std::size_t i = 0; i < popped; ++i) {
       const Entry& e = batch[i];
-      if (e.submit)
+      if (e.submit) {
         engine_.live_submit(e.id, e.user, e.time);
-      else
+      } else {
         shard_votes[e.slot % kShards].push_back(e);
+        ++votes;
+      }
     }
-    runtime::parallel_for(
-        kShards,
-        [&](std::size_t s) {
-          for (const Entry& e : shard_votes[s]) {
-            engine_.live_vote(e.slot, e.user, e.time);
-            if (e.stamp_ns != 0)
-              ingest_us.observe(
-                  static_cast<double>(now_ns() - e.stamp_ns) / 1e3);
-          }
-          shard_votes[s].clear();
-        },
-        {.grain = 1});
+    if (votes > 0)
+      runtime::parallel_for(
+          kShards,
+          [&](std::size_t s) {
+            for (const Entry& e : shard_votes[s]) {
+              engine_.live_vote(e.slot, e.user, e.time);
+              if (e.stamp_ns != 0)
+                ingest_us.observe(
+                    static_cast<double>(now_ns() - e.stamp_ns) / 1e3);
+            }
+            shard_votes[s].clear();
+          },
+          {.grain = 1});
     if (popped > 0) engine_.note_events_applied(popped);
 
     // --- Answer every control taken above. -------------------------------

@@ -20,9 +20,10 @@
 //     level once, and pops at most that many entries: with one producer
 //     publishing cells in order they are a wire-order prefix that covers
 //     every event accepted before the controls. It applies the submits
-//     serially (slot order is ring order), then each shard's vote list via
-//     parallel_for — sound because live_vote is shard-exclusive and
-//     per-story state cannot observe cross-story order — and answers every
+//     serially (slot order is ring order), then, when the prefix holds a
+//     vote, each shard's vote list via parallel_for — sound because
+//     live_vote is safe across stories and per-story state cannot observe
+//     cross-story order — and answers every
 //     control it took, so a reply reflects every event accepted before it
 //     (the protocol.h barrier contract). Engine state — and so every
 //     checkpoint, periodic or drain — is therefore always a whole wire
@@ -63,8 +64,8 @@
 namespace digg::serve {
 
 struct ServeParams {
-  /// Engine configuration (cascade/influence checkpoints, thresholds, the
-  /// C4.5 predictor and Bayes hooks).
+  /// Engine configuration (the interestingness threshold, the C4.5
+  /// predictor and Bayes hooks).
   stream::StreamParams stream;
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (start() returns it).
   std::uint16_t port = 0;

@@ -27,12 +27,9 @@ struct Meta {
   std::uint64_t events_applied = 0;
   std::uint64_t story_count = 0;
   std::uint64_t interesting_threshold = 0;
-  std::uint32_t promotion_threshold = 0;
   bool bayes_enabled = false;
   std::uint32_t bayes_fit_at = 0;
   bool live = false;
-  std::vector<std::uint32_t> cascade_cps;
-  std::vector<std::uint32_t> influence_cps;
 };
 
 Meta read_meta(const snapfmt::MmapSectionFile& file) {
@@ -49,21 +46,9 @@ Meta read_meta(const snapfmt::MmapSectionFile& file) {
   m.events_applied = r.pod<std::uint64_t>();
   m.story_count = r.pod<std::uint64_t>();
   m.interesting_threshold = r.pod<std::uint64_t>();
-  m.promotion_threshold = r.pod<std::uint32_t>();
   m.bayes_enabled = r.pod<std::uint32_t>() != 0;
   m.bayes_fit_at = r.pod<std::uint32_t>();
   m.live = r.pod<std::uint32_t>() != 0;
-  // Bound the list lengths before allocating: a corrupt count must fail
-  // cleanly, not attempt a multi-gigabyte vector.
-  const auto checked_count = [&](const char* what) {
-    const std::uint32_t n = r.pod<std::uint32_t>();
-    if (n > 4096)
-      throw std::runtime_error(file.context() + "implausible " + what +
-                               " checkpoint list length");
-    return n;
-  };
-  m.cascade_cps = r.column<std::uint32_t>(checked_count("cascade"));
-  m.influence_cps = r.column<std::uint32_t>(checked_count("influence"));
   return m;
 }
 
@@ -115,16 +100,9 @@ std::vector<snapfmt::Section> StreamEngine::checkpoint_sections() const {
   meta.pod<std::uint64_t>(events_applied_);
   meta.pod<std::uint64_t>(story_count);
   meta.pod<std::uint64_t>(params_.interesting_threshold);
-  meta.pod<std::uint32_t>(params_.promotion_threshold);
   meta.pod<std::uint32_t>(params_.bayes.enabled ? 1 : 0);
   meta.pod<std::uint32_t>(params_.bayes.fit_at);
   meta.pod<std::uint32_t>(live() ? 1 : 0);
-  meta.pod<std::uint32_t>(
-      static_cast<std::uint32_t>(params_.cascade_checkpoints.size()));
-  meta.column(params_.cascade_checkpoints);
-  meta.pod<std::uint32_t>(
-      static_cast<std::uint32_t>(params_.influence_checkpoints.size()));
-  meta.column(params_.influence_checkpoints);
 
   sections[1].type = snapfmt::kStreamState;
   snapfmt::ByteBuffer& state = sections[1].body;
@@ -213,10 +191,7 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
                              "live checkpoint restore needs a fresh engine");
   if (m.events_applied > m.total_events)
     throw std::runtime_error(ctx + "checkpoint events-applied out of range");
-  if (m.cascade_cps != params_.cascade_checkpoints ||
-      m.influence_cps != params_.influence_checkpoints ||
-      m.interesting_threshold != params_.interesting_threshold ||
-      m.promotion_threshold != params_.promotion_threshold ||
+  if (m.interesting_threshold != params_.interesting_threshold ||
       m.predictor_armed != predictor_armed_ ||
       m.bayes_enabled != params_.bayes.enabled ||
       (m.bayes_enabled && m.bayes_fit_at != params_.bayes.fit_at))
@@ -224,15 +199,17 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
 
   const std::size_t story_count =
       m.live ? static_cast<std::size_t>(m.story_count) : progress_.size();
+  const auto& cc = StreamParams::cascade_checkpoints;
+  const auto& ic = StreamParams::influence_checkpoints;
   snapfmt::ByteReader r = file.open(snapfmt::kStreamState);
   std::vector<std::uint64_t> applied = r.column<std::uint64_t>(story_count);
   std::vector<std::uint32_t> innetwork = r.column<std::uint32_t>(story_count);
   std::vector<std::uint8_t> flags = r.column<std::uint8_t>(story_count);
   std::vector<double> promoted = r.column<double>(story_count);
   std::vector<std::uint32_t> cascade_rec =
-      r.column<std::uint32_t>(story_count * m.cascade_cps.size());
+      r.column<std::uint32_t>(story_count * cc.size());
   std::vector<std::uint32_t> influence_rec =
-      r.column<std::uint32_t>(story_count * m.influence_cps.size());
+      r.column<std::uint32_t>(story_count * ic.size());
   std::vector<float> bayes_estimates;
   if (m.bayes_enabled) bayes_estimates = r.column<float>(story_count);
   std::vector<std::uint32_t> live_ids, live_submitters, live_prefix_len;
@@ -245,7 +222,7 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     live_prefix_len = lr.column<std::uint32_t>(story_count);
     std::uint64_t total_prefix = 0;
     for (const std::uint32_t n : live_prefix_len) {
-      if (n > horizon_)
+      if (n > horizon())
         throw std::runtime_error(ctx +
                                  "checkpoint live prefix exceeds horizon");
       total_prefix += n;
@@ -282,7 +259,7 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
         throw std::runtime_error(ctx +
                                  "checkpoint live submitter out of range");
       const std::uint64_t want_prefix =
-          std::min<std::uint64_t>(applied[slot], horizon_);
+          std::min<std::uint64_t>(applied[slot], horizon());
       if (live_prefix_len[slot] != want_prefix)
         throw std::runtime_error(ctx +
                                  "checkpoint live prefix length mismatch");
@@ -294,16 +271,11 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     if ((flags[slot] & ~(kHasPrediction | kPredictedYes | kPromoted |
                          kHasBayes | kBayesYes)) != 0)
       throw std::runtime_error(ctx + "checkpoint story flags invalid");
-    const bool should_promote = params_.promotion_threshold != 0 &&
-                                applied[slot] >= params_.promotion_threshold;
+    const bool should_promote = applied[slot] >= kPromotionVotes;
     if (((flags[slot] & kPromoted) != 0) != should_promote)
       throw std::runtime_error(ctx +
                                "checkpoint promotion flag inconsistent");
-    const bool should_predict =
-        predictor_armed_ &&
-        applied[slot] >
-            static_cast<std::uint64_t>(
-                params_.cascade_checkpoints[v10_index_]);
+    const bool should_predict = predictor_armed_ && applied[slot] > kPredictAt;
     if (((flags[slot] & kHasPrediction) != 0) != should_predict)
       throw std::runtime_error(ctx +
                                "checkpoint prediction flag inconsistent");
@@ -312,20 +284,16 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
         applied[slot] > static_cast<std::uint64_t>(m.bayes_fit_at);
     if (((flags[slot] & kHasBayes) != 0) != should_bayes)
       throw std::runtime_error(ctx + "checkpoint bayes flag inconsistent");
-    for (std::size_t j = 0; j < m.cascade_cps.size(); ++j) {
-      const bool reached =
-          applied[slot] > static_cast<std::uint64_t>(m.cascade_cps[j]);
-      const bool recorded =
-          cascade_rec[slot * m.cascade_cps.size() + j] != kUnrecorded;
+    for (std::size_t j = 0; j < cc.size(); ++j) {
+      const bool reached = applied[slot] > cc[j];
+      const bool recorded = cascade_rec[slot * cc.size() + j] != kUnrecorded;
       if (reached != recorded)
         throw std::runtime_error(
             ctx + "checkpoint cascade records inconsistent with progress");
     }
-    for (std::size_t j = 0; j < m.influence_cps.size(); ++j) {
-      const bool reached =
-          applied[slot] >= static_cast<std::uint64_t>(m.influence_cps[j]);
-      const bool recorded =
-          influence_rec[slot * m.influence_cps.size() + j] != kUnrecorded;
+    for (std::size_t j = 0; j < ic.size(); ++j) {
+      const bool reached = applied[slot] >= ic[j];
+      const bool recorded = influence_rec[slot * ic.size() + j] != kUnrecorded;
       if (reached != recorded)
         throw std::runtime_error(
             ctx + "checkpoint influence records inconsistent with progress");

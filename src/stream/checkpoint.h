@@ -15,12 +15,11 @@
 //          engines fingerprint the graph shape + a live tag)
 //     u64  total events        u64  events applied
 //     u64  story count         u64  interesting threshold
-//     u32  promotion threshold
 //     u32  bayes fit enabled (0/1)
 //     u32  bayes fit_at
 //     u32  live mode (0/1)
-//     u32  cascade checkpoint count,   then that many u32 checkpoints
-//     u32  influence checkpoint count, then that many u32 checkpoints
+//   The checkpoint lists and the 43-vote promotion rule are fixed
+//   (engine.h), so the version number stands for them.
 //
 //   STREAM_STATE (17) — per-story progress columns, story-slot order:
 //     u64[S]      votes applied
@@ -28,8 +27,9 @@
 //     u8[S]       flags (prediction made / predicted yes / promoted /
 //                 bayes fit made / bayes yes)
 //     f64[S]      promotion time (valid when the promoted flag is set)
-//     u32[S*C]    recorded cascade values  (0xffffffff = not yet reached)
-//     u32[S*I]    recorded influence values (same sentinel)
+//     u32[S*3]    recorded cascade values, v6/v10/v20
+//                 (0xffffffff = not yet reached)
+//     u32[S*3]    recorded influence values at 1/11/21 votes (same sentinel)
 //     f32[S]      bayes expected-final estimate  [iff bayes enabled]
 //
 //   SERVE_STORIES (18) — live-mode checkpoints only. A live engine has no
@@ -47,7 +47,9 @@
 // from the prefix when needed — and per-shard cursors (the per-story
 // applied counts are the cursor state). The checkpoint is therefore small —
 // O(stories), not O(votes or graph) — and restore cannot resurrect stale
-// derived state. Version 4 dropped version 3's f64 exposure column.
+// derived state. Version 4 dropped version 3's f64 exposure column; version
+// 5 dropped the promotion threshold and both checkpoint lists from
+// STREAM_META when they became constants (STREAM_STATE is unchanged).
 //
 // Restore-time validation (each with a distinct error): container magic /
 // version / checksum of every section (snapshot_format.cpp), checkpoint
@@ -65,7 +67,7 @@
 
 namespace digg::stream {
 
-inline constexpr std::uint32_t kStreamCheckpointVersion = 4;
+inline constexpr std::uint32_t kStreamCheckpointVersion = 5;
 
 /// Cheap peek at a checkpoint's STREAM_META section (full container
 /// integrity is still verified). Lets tools report progress or pick the

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 
 #include "src/core/prefix_visibility.h"
 #include "src/data/snapshot_format.h"
@@ -69,49 +68,25 @@ platform::Minutes time_of_key(std::uint64_t key) {
       (key >> 63) != 0 ? key & ~(std::uint64_t{1} << 63) : ~key);
 }
 
-void require_ascending(const std::vector<std::uint32_t>& cps,
-                       const char* what) {
-  for (std::size_t i = 0; i < cps.size(); ++i) {
-    if (cps[i] == 0 || (i > 0 && cps[i] <= cps[i - 1]))
-      throw std::invalid_argument(std::string(what) +
-                                  " checkpoints must be ascending and >= 1");
-  }
-}
+constexpr auto& kCascade = StreamParams::cascade_checkpoints;
+constexpr auto& kInfluence = StreamParams::influence_checkpoints;
+constexpr std::uint32_t kLastCascade = kCascade.back();
 
 }  // namespace
 
 void StreamEngine::init_config() {
-  require_ascending(params_.cascade_checkpoints, "cascade");
-  require_ascending(params_.influence_checkpoints, "influence");
-
-  // The horizon: once a story has this many votes, every checkpoint value
-  // has been recorded and each further vote is a counter bump.
-  max_cascade_ = params_.cascade_checkpoints.empty()
-                     ? 0
-                     : params_.cascade_checkpoints.back();
-  const std::uint64_t last_influence = params_.influence_checkpoints.empty()
-                                           ? 0
-                                           : params_.influence_checkpoints.back();
-  horizon_ = std::max<std::uint64_t>(max_cascade_ + 1, last_influence);
-  for (std::size_t j = 0; j < params_.cascade_checkpoints.size(); ++j)
-    if (params_.cascade_checkpoints[j] == 10) v10_index_ = j;
-  predictor_armed_ = params_.predictor != nullptr &&
-                     params_.predictor->feature_set() ==
-                         core::FeatureSet::kPaper &&
-                     v10_index_ != static_cast<std::size_t>(-1);
+  predictor_armed_ =
+      params_.predictor != nullptr &&
+      params_.predictor->feature_set() == core::FeatureSet::kPaper;
   if (params_.bayes.enabled) {
     // The fit classifies its first-k votes with the running in-network
     // counter, which only ticks inside the cascade window — and fit_at+1
-    // <= max_cascade+1 <= horizon keeps the fit inside the prefix both
+    // <= last cascade+1 <= horizon keeps the fit inside the prefix both
     // modes can read, so no horizon extension is needed.
-    if (params_.bayes.fit_at < 1 || params_.bayes.fit_at > max_cascade_)
+    if (params_.bayes.fit_at < 1 || params_.bayes.fit_at > kLastCascade)
       throw std::invalid_argument(
           "bayes.fit_at must be in [1, last cascade checkpoint]");
   }
-
-  // Shard layout: story slot % kShardCount. The layout depends only on the
-  // stream, so any thread count walks the same per-shard story sequences.
-  shards_.resize(kShardCount);
 }
 
 StreamEngine::StreamEngine(const graph::Digraph& network, StreamParams params)
@@ -163,10 +138,8 @@ StreamEngine::StreamEngine(const EventStream& stream,
   for (std::uint32_t slot = 0; slot < story_count; ++slot)
     progress_[slot].fans1 = static_cast<std::uint32_t>(
         network.fan_count(stream_->stories[slot].submitter));
-  cascade_rec_.assign(story_count * params_.cascade_checkpoints.size(),
-                      kUnrecorded);
-  influence_rec_.assign(story_count * params_.influence_checkpoints.size(),
-                        kUnrecorded);
+  cascade_rec_.assign(story_count * kCascade.size(), kUnrecorded);
+  influence_rec_.assign(story_count * kInfluence.size(), kUnrecorded);
 }
 
 std::uint32_t StreamEngine::live_submit(platform::StoryId id,
@@ -188,10 +161,8 @@ std::uint32_t StreamEngine::live_submit(platform::StoryId id,
   Progress p;
   p.fans1 = static_cast<std::uint32_t>(network_->fan_count(submitter));
   progress_.push_back(p);
-  cascade_rec_.insert(cascade_rec_.end(), params_.cascade_checkpoints.size(),
-                      kUnrecorded);
-  influence_rec_.insert(influence_rec_.end(),
-                        params_.influence_checkpoints.size(), kUnrecorded);
+  cascade_rec_.insert(cascade_rec_.end(), kCascade.size(), kUnrecorded);
+  influence_rec_.insert(influence_rec_.end(), kInfluence.size(), kUnrecorded);
   // Vote 0 is the submitter's own digg — the same convention every corpus
   // column and the batch pipeline use (types.h: voters.front()==submitter).
   live_vote(slot, submitter, time);
@@ -213,7 +184,7 @@ void StreamEngine::live_vote(std::uint32_t slot, platform::UserId voter,
   if (p.applied > 0 && time < ls.last_time)
     throw std::invalid_argument("live vote times must be non-decreasing");
   const auto k = static_cast<std::uint32_t>(p.applied);
-  if (k < horizon_) {
+  if (k < horizon()) {
     // The bounded prefix, in which a voter digs once (the submitter's digg
     // is vote 0) — refused before anything mutates.
     if (std::ranges::find(ls.prefix_voters, voter) != ls.prefix_voters.end())
@@ -222,11 +193,7 @@ void StreamEngine::live_vote(std::uint32_t slot, platform::UserId voter,
     ls.prefix_times.push_back(time);
   }
   ls.last_time = time;
-  Shard& shard = shards_[slot % kShardCount];
-  apply_event({time, slot, k, voter}, shard);
-  // Live queries may follow immediately (query-after-vote is the serve
-  // reply contract), so the prediction batch is this one vote.
-  flush_predictions(shard);
+  apply_event({time, slot, k, voter});
 }
 
 StreamEngine::LivePrefix StreamEngine::live_prefix(std::uint32_t slot) const {
@@ -237,33 +204,36 @@ StreamEngine::LivePrefix StreamEngine::live_prefix(std::uint32_t slot) const {
 }
 
 void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
-                                      platform::Minutes now, Shard& shard) {
-  const auto& ic = params_.influence_checkpoints;
+                                      platform::Minutes now) {
   const bool fit_now =
       params_.bayes.enabled &&
       p.applied == static_cast<std::uint64_t>(params_.bayes.fit_at) + 1;
   // Influence after each prefix length, recounted only when an influence
   // checkpoint or the fit point lands (at most horizon fan rows).
   std::vector<std::uint32_t> curve;
-  if (fit_now || std::find(ic.begin(), ic.end(), p.applied) != ic.end()) {
+  if (fit_now || std::ranges::find(kInfluence, p.applied) != kInfluence.end()) {
     curve.resize(p.applied);
     core::influence_curve(voters_prefix(slot, p.applied), *network_, curve);
   }
-  for (std::size_t j = 0; j < ic.size(); ++j)
-    if (ic[j] == p.applied) {
-      influence_rec_[slot * ic.size() + j] = curve.back();
+  for (std::size_t j = 0; j < kInfluence.size(); ++j)
+    if (kInfluence[j] == p.applied) {
+      influence_rec_[slot * kInfluence.size() + j] = curve.back();
       obs::record_event(obs::EventKind::kCheckpointRecorded,
                         slot % kShardCount, slot, p.applied);
     }
-  const auto& cc = params_.cascade_checkpoints;
-  for (std::size_t j = 0; j < cc.size(); ++j) {
-    if (static_cast<std::uint64_t>(cc[j]) + 1 != p.applied) continue;
-    cascade_rec_[slot * cc.size() + j] = p.innetwork;
-    if (j == v10_index_ && predictor_armed_) {
-      // The §5.2 decision inputs (v10, fans1) are both final the instant
-      // vote 10 lands; the scoring itself is deferred to the shard's next
-      // flush_predictions so many stories share one batched tree descent.
-      shard.pending_pred.push_back(slot);
+  for (std::size_t j = 0; j < kCascade.size(); ++j) {
+    if (static_cast<std::uint64_t>(kCascade[j]) + 1 != p.applied) continue;
+    cascade_rec_[slot * kCascade.size() + j] = p.innetwork;
+    if (kCascade[j] == kPredictAt && predictor_armed_) {
+      // The §5.2 decision: its inputs (v10, fans1) are both final the
+      // instant vote 10 lands, so the story is scored here, once.
+      core::StoryFeatures f;
+      f.story = story_id(slot);
+      f.submitter = story_submitter(slot);
+      f.v10 = p.innetwork;
+      f.fans1 = p.fans1;
+      p.flags |= kHasPrediction;
+      if (params_.predictor->predict(f)) p.flags |= kPredictedYes;
     }
   }
   if (fit_now) {
@@ -294,45 +264,19 @@ void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
   }
 }
 
-void StreamEngine::flush_predictions(Shard& shard) {
-  if (shard.pending_pred.empty()) return;
-  const std::size_t n = shard.pending_pred.size();
-  const std::size_t cc_size = params_.cascade_checkpoints.size();
-  std::vector<core::StoryFeatures> feats(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t slot = shard.pending_pred[i];
-    core::StoryFeatures& f = feats[i];
-    f.story = story_id(slot);
-    f.submitter = story_submitter(slot);
-    // v10 comes from the recorded checkpoint column, NOT p.innetwork —
-    // the running count keeps ticking toward the v20 checkpoint while the
-    // prediction waits in the queue.
-    f.v10 = cascade_rec_[slot * cc_size + v10_index_];
-    f.fans1 = progress_[slot].fans1;
-  }
-  std::vector<std::uint8_t> yes(n);
-  params_.predictor->predict_batch(feats.data(), n, yes.data());
-  for (std::size_t i = 0; i < n; ++i) {
-    Progress& p = progress_[shard.pending_pred[i]];
-    p.flags |= kHasPrediction;
-    if (yes[i]) p.flags |= kPredictedYes;
-  }
-  shard.pending_pred.clear();
-}
-
-void StreamEngine::apply_event(const VoteEvent& ev, Shard& shard) {
+void StreamEngine::apply_event(const VoteEvent& ev) {
   Progress& p = progress_[ev.story_slot];
   const std::uint64_t next = p.applied + 1;
-  if (p.applied < horizon_) {
+  if (p.applied < horizon()) {
     // In-network: is the voter a fan of an earlier voter? The batch
     // cascade profile makes the same probe.
-    if (ev.vote_index >= 1 && ev.vote_index <= max_cascade_ &&
+    if (ev.vote_index >= 1 && ev.vote_index <= kLastCascade &&
         core::in_network(voters_prefix(ev.story_slot, ev.vote_index),
                          ev.voter, *network_))
       ++p.innetwork;
     p.applied = next;
-    record_checkpoints(ev.story_slot, p, ev.time, shard);
-    if (next >= horizon_) {
+    record_checkpoints(ev.story_slot, p, ev.time);
+    if (next >= horizon()) {
       obs::Registry::global().counter("stream.stories_retired").inc();
       obs::record_event(obs::EventKind::kStoryRetired,
                         ev.story_slot % kShardCount, ev.story_slot, next);
@@ -341,8 +285,7 @@ void StreamEngine::apply_event(const VoteEvent& ev, Shard& shard) {
     // Past the horizon every vote is a bare counter bump — the O(1) tail.
     p.applied = next;
   }
-  if (params_.promotion_threshold != 0 &&
-      next == params_.promotion_threshold) {
+  if (next == kPromotionVotes) {
     p.flags |= kPromoted;
     p.promoted_time = ev.time;
   }
@@ -440,9 +383,8 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
   // strict global interleaving, and each vote column is walked once,
   // sequentially — the access pattern mmapped corpora reward.
   runtime::parallel_for(
-      shards_.size(),
+      kShardCount,
       [&](std::size_t s) {
-        Shard& shard = shards_[s];
         std::uint64_t done = 0;
         for (std::uint32_t slot = static_cast<std::uint32_t>(s);
              slot < stream_->stories.size(); slot += kShardCount) {
@@ -454,7 +396,7 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
           const auto story_start = std::chrono::steady_clock::now();
           while (p.applied < target[slot]) {
             const auto k = static_cast<std::uint32_t>(p.applied);
-            apply_event({times[k], slot, k, voters[k]}, shard);
+            apply_event({times[k], slot, k, voters[k]});
             // Sampled (first vote per shard pass, then every 1024th): the
             // flight recorder wants recent context, not every vote.
             if ((done & 1023) == 0)
@@ -469,10 +411,6 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
                                       .count());
           watchdog.beat();
         }
-        // One batched tree descent for every v10 checkpoint this shard
-        // pass crossed. Shard-local queue, slot-indexed outputs: no
-        // cross-shard state, so the thread-count invariance holds.
-        flush_predictions(shard);
         if (done > 0) votes.inc(done);
       },
       {.grain = 1});
@@ -484,8 +422,6 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
 StoryOutcome StreamEngine::query_story(std::uint32_t slot) const {
   if (slot >= progress_.size())
     throw std::invalid_argument("query for an unknown story slot");
-  const auto& cc = params_.cascade_checkpoints;
-  const auto& ic = params_.influence_checkpoints;
   const Progress& p = progress_[slot];
   StoryOutcome o;
   o.id = story_id(slot);
@@ -498,15 +434,15 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) const {
   // the running counter (all applied votes are inside its window); an
   // unrecorded influence checkpoint is recounted from the applied prefix,
   // which is below the horizon (0 for a story with no votes yet).
-  o.cascade.resize(cc.size());
-  for (std::size_t j = 0; j < cc.size(); ++j) {
-    const std::uint32_t rec = cascade_rec_[slot * cc.size() + j];
+  o.cascade.resize(kCascade.size());
+  for (std::size_t j = 0; j < kCascade.size(); ++j) {
+    const std::uint32_t rec = cascade_rec_[slot * kCascade.size() + j];
     o.cascade[j] = rec != kUnrecorded ? rec : p.innetwork;
   }
-  o.influence.resize(ic.size());
+  o.influence.resize(kInfluence.size());
   std::vector<std::uint32_t> curve;
-  for (std::size_t j = 0; j < ic.size(); ++j) {
-    const std::uint32_t rec = influence_rec_[slot * ic.size() + j];
+  for (std::size_t j = 0; j < kInfluence.size(); ++j) {
+    const std::uint32_t rec = influence_rec_[slot * kInfluence.size() + j];
     if (rec == kUnrecorded && curve.size() != p.applied) {
       curve.resize(p.applied);
       core::influence_curve(voters_prefix(slot, p.applied), *network_, curve);
@@ -548,32 +484,22 @@ std::size_t StreamEngine::state_bytes() const {
 }
 
 std::vector<core::StoryFeatures> to_story_features(const StreamResult& result,
-                                                   const StreamParams& params) {
-  auto index_of = [](const std::vector<std::uint32_t>& cps,
-                     std::uint32_t cp) -> std::size_t {
-    const auto it = std::find(cps.begin(), cps.end(), cp);
-    if (it == cps.end())
-      throw std::invalid_argument(
-          "to_story_features needs the paper checkpoints (6/10/20 cascade, "
-          "11 influence)");
-    return static_cast<std::size_t>(it - cps.begin());
-  };
-  const std::size_t j6 = index_of(params.cascade_checkpoints, 6);
-  const std::size_t j10 = index_of(params.cascade_checkpoints, 10);
-  const std::size_t j20 = index_of(params.cascade_checkpoints, 20);
-  const std::size_t j11 = index_of(params.influence_checkpoints, 11);
-
+                                                   const StreamParams&) {
+  // Outcome columns follow the checkpoint lists: cascade {6, 10, 20},
+  // influence {1, 11, 21}; influence10 is the influence after 11 votes.
+  static_assert(kCascade == std::array<std::uint32_t, 3>{6, 10, 20});
+  static_assert(kInfluence[1] == 11);
   std::vector<core::StoryFeatures> rows;
   rows.reserve(result.stories.size());
   for (const StoryOutcome& o : result.stories) {
     core::StoryFeatures f;
     f.story = o.id;
     f.submitter = o.submitter;
-    f.v6 = o.cascade[j6];
-    f.v10 = o.cascade[j10];
-    f.v20 = o.cascade[j20];
+    f.v6 = o.cascade[0];
+    f.v10 = o.cascade[1];
+    f.v20 = o.cascade[2];
     f.fans1 = o.fans1;
-    f.influence10 = o.influence[j11];
+    f.influence10 = o.influence[1];
     f.final_votes = o.final_votes;
     f.interesting = o.interesting;
     rows.push_back(f);

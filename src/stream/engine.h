@@ -56,6 +56,8 @@
 // checkpoint carries. Votes past the horizon keep the bare counter-bump
 // cost.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
@@ -73,17 +75,15 @@ namespace digg::stream {
 
 struct StreamParams {
   /// In-network (cascade) checkpoints, counted in votes after the
-  /// submitter's digg — the paper's v6/v10/v20. Strictly ascending.
-  std::vector<std::uint32_t> cascade_checkpoints = {6, 10, 20};
-  /// Influence checkpoints in total votes including the submitter's digg —
-  /// Fig. 3(a)'s at-submission / after-10 / after-20 are {1, 11, 21}.
-  /// Strictly ascending, all >= 1.
-  std::vector<std::uint32_t> influence_checkpoints = {1, 11, 21};
+  /// submitter's digg: the paper's v6/v10/v20 (Figs. 3b, 4, 5).
+  static constexpr std::array<std::uint32_t, 3> cascade_checkpoints = {
+      6, 10, 20};
+  /// Influence checkpoints in total votes including the submitter's digg:
+  /// Fig. 3(a)'s at-submission / after-10 / after-20.
+  static constexpr std::array<std::uint32_t, 3> influence_checkpoints = {
+      1, 11, 21};
   /// Interestingness label threshold (§5.1): final votes > threshold.
   std::size_t interesting_threshold = core::kInterestingnessThreshold;
-  /// Online promotion rule: record the arrival time of this many total
-  /// votes (June 2006: 43). 0 disables the hook.
-  std::uint32_t promotion_threshold = 43;
   /// When set (and trained on FeatureSet::kPaper), the engine predicts
   /// interestingness online the moment the v10 checkpoint records — the
   /// §5.2 decision, taken at vote 10 instead of after the fact. The
@@ -99,7 +99,7 @@ struct StreamParams {
 };
 
 /// Everything the engine knows about one story. Checkpoint vectors align
-/// with the params' checkpoint lists; values for checkpoints the story has
+/// with StreamParams' checkpoint lists; values for checkpoints the story has
 /// not reached saturate over the votes seen so far, matching the batch
 /// profiles' saturation semantics.
 struct StoryOutcome {
@@ -118,7 +118,8 @@ struct StoryOutcome {
   /// final vote count backs the verdict and feeds calibration plots.
   std::optional<bool> bayes_interesting;
   double bayes_expected_final = 0.0;  // meaningful iff bayes_interesting set
-  /// Arrival time of the promotion_threshold-th vote (unset if not reached).
+  /// Arrival time of the 43rd vote, the June-2006 promotion rule (unset if
+  /// not reached).
   std::optional<platform::Minutes> promoted_time;
 
   friend bool operator==(const StoryOutcome&, const StoryOutcome&) = default;
@@ -132,18 +133,19 @@ struct StreamResult {
 };
 
 /// Converts a full-replay result into the batch pipeline's feature rows
-/// (requires the default paper checkpoints, which carry v6/v10/v20 and
-/// influence-after-10). Bit-identical to core::extract_features on the same
-/// stories — the bridge the equivalence tests and fig4/fig5 reuse go through.
+/// (v6/v10/v20 and influence-after-10 from the fixed checkpoints).
+/// Bit-identical to core::extract_features on the same stories — the bridge
+/// the equivalence tests and fig4/fig5 reuse go through. The params argument
+/// is unused.
 [[nodiscard]] std::vector<core::StoryFeatures> to_story_features(
-    const StreamResult& result, const StreamParams& params = {});
+    const StreamResult& result, const StreamParams& = {});
 
 class StreamEngine {
  public:
   /// `stream`, `network`, and params.predictor must outlive the engine.
   /// Validates the stream (per-story vote times finite and non-decreasing,
   /// event total matching the columns, submitters in graph range) and the
-  /// checkpoint lists; throws std::invalid_argument on violations.
+  /// Bayes fit point; throws std::invalid_argument on violations.
   StreamEngine(const EventStream& stream, const graph::Digraph& network,
                StreamParams params = {});
 
@@ -171,10 +173,9 @@ class StreamEngine {
   /// the horizon a voter digs a story once (the submitter's digg counts).
   /// Violations throw std::invalid_argument before anything changes; the
   /// serve front-end refuses each of them first, so under serve these are
-  /// precondition checks. Safe to call concurrently for stories in
-  /// DIFFERENT shards (slot % kShardCount) — the serve drain cycle's
-  /// parallelism contract; two concurrent calls into one shard race on its
-  /// pending-prediction queue.
+  /// precondition checks. Safe to call concurrently for DIFFERENT stories
+  /// (the serve drain cycle applies each shard's votes, slot % kShardCount,
+  /// on one lane); one story's votes need one caller, in order.
   void live_vote(std::uint32_t slot, platform::UserId voter,
                  platform::Minutes time);
   /// Live mode: one story's applied voters below the horizon (the
@@ -188,8 +189,13 @@ class StreamEngine {
   };
   [[nodiscard]] LivePrefix live_prefix(std::uint32_t slot) const;
   /// Total votes (the submitter's digg included) after which every
-  /// checkpoint of a story is recorded and a vote is a bare counter bump.
-  [[nodiscard]] std::uint64_t horizon() const noexcept { return horizon_; }
+  /// checkpoint of a story is recorded and a vote is a bare counter bump:
+  /// 21, the last cascade checkpoint plus the submitter's digg.
+  [[nodiscard]] static constexpr std::uint64_t horizon() noexcept {
+    return std::max<std::uint64_t>(
+        StreamParams::cascade_checkpoints.back() + 1,
+        StreamParams::influence_checkpoints.back());
+  }
   /// Folds a drained batch into events_applied(). live_vote deliberately
   /// never touches the global counter (so shards can apply in parallel);
   /// the single drain coordinator calls this once per batch instead.
@@ -250,22 +256,18 @@ class StreamEngine {
   /// the stream itself is not materialised.
   [[nodiscard]] std::size_t state_bytes() const;
 
-  /// Fixed shard fan-out; also the parallel width cap of one engine run.
+  /// Fixed shard fan-out: a shard is the stories with slot % kShardCount
+  /// equal to its index. Also the parallel width cap of one engine run.
   static constexpr std::uint32_t kShardCount = 64;
 
  private:
   static constexpr std::uint32_t kUnrecorded = 0xffffffffu;
+  /// The June-2006 promotion rule (§3): the total vote whose arrival time
+  /// is recorded as the promotion time.
+  static constexpr std::uint64_t kPromotionVotes = 43;
+  /// The §5.2 decision point: the cascade checkpoint the C4.5 hook reads.
+  static constexpr std::uint32_t kPredictAt = 10;
 
-  /// One shard owns the stories with slot % kShardCount == its index.
-  /// Per-story state lives in the slot-indexed columns; a shard's only
-  /// state is `pending_pred`: story slots whose v10 checkpoint landed but
-  /// whose §5.2 prediction has not been scored yet. record_checkpoints
-  /// enqueues, flush_predictions scores the batch through the branch-free
-  /// batched C4.5 evaluator (predictor.h predict_batch). Always empty
-  /// between run_until/live_vote calls, so checkpoints never see it.
-  struct Shard {
-    std::vector<std::uint32_t> pending_pred;
-  };
   struct Progress {
     std::uint64_t applied = 0;
     std::uint32_t innetwork = 0;  // running in-network count (to horizon)
@@ -315,7 +317,7 @@ class StreamEngine {
                          .first(n);
   }
 
-  void apply_event(const VoteEvent& ev, Shard& shard);
+  void apply_event(const VoteEvent& ev);
   /// The exact prefix cut: each story's vote count within the first
   /// `limit` events of the (time, slot, index) order. Bisects the
   /// order-preserving keys of the finite vote times for the limit-th
@@ -325,31 +327,19 @@ class StreamEngine {
   [[nodiscard]] std::vector<std::uint64_t> prefix_cut(
       std::uint64_t limit) const;
   void record_checkpoints(std::uint32_t slot, Progress& p,
-                          platform::Minutes now, Shard& shard);
-  /// Scores every slot queued in shard.pending_pred through
-  /// predict_batch and folds the verdicts into the progress flags. The
-  /// inputs (v10 from cascade_rec_, fans1 from progress_) are final the
-  /// moment the v10 checkpoint records, and predictions are independent
-  /// per story, so deferring to a batch is unobservable — run_until
-  /// flushes per shard pass, live_vote per vote (query-after-vote keeps
-  /// its semantics).
-  void flush_predictions(Shard& shard);
+                          platform::Minutes now);
 
-  /// Shared tail of both constructors: checkpoint validation, horizon,
-  /// prediction arming, shard layout.
+  /// Shared tail of both constructors: prediction arming and the Bayes fit
+  /// point check.
   void init_config();
 
   const EventStream* stream_;  // nullptr in live mode
   const graph::Digraph* network_;
   StreamParams params_;
-  std::uint64_t horizon_ = 0;       // total votes after which state retires
-  std::uint32_t max_cascade_ = 0;   // largest cascade checkpoint
-  std::size_t v10_index_ = static_cast<std::size_t>(-1);  // cp == 10 slot
-  bool predictor_armed_ = false;  // paper-feature predictor + v10 checkpoint
+  bool predictor_armed_ = false;  // a paper-feature predictor was supplied
   std::uint64_t fingerprint_ = 0;
   std::uint64_t events_applied_ = 0;
 
-  std::vector<Shard> shards_;
   std::vector<Progress> progress_;          // by story slot
   std::vector<std::uint32_t> cascade_rec_;   // slot * |cc| + j, kUnrecorded
   std::vector<std::uint32_t> influence_rec_; // slot * |ic| + j, kUnrecorded

@@ -154,8 +154,8 @@ TEST(Digraph, UnsortedEdgeListsNormalizeAtBuild) {
 // union_span's own strictly-increasing precondition is a debug assert, and
 // its galloping set difference and bitmap word-run merge would silently drop
 // or misplace ids on unsorted input. The enforcing copy of the invariant
-// therefore lives at Digraph CSR construction — every materialisation path
-// (from_parts, from_views, and build()'s post-normalization check) must
+// therefore lives at Digraph CSR construction — both materialisation paths
+// (from_views, and build()'s post-normalization check) must
 // reject a non-increasing adjacency row with a throw, in release builds too,
 // so no such row can ever reach a union_span call site.
 TEST(Digraph, UnsortedFanRowRejectedAtCsrBuild) {
@@ -167,19 +167,16 @@ TEST(Digraph, UnsortedFanRowRejectedAtCsrBuild) {
   const std::vector<NodeId> in_sources_dup = {0, 0, 1};   // fans(1) not strict
   const std::vector<NodeId> in_sources_good = {0, 2, 1};  // fans(1) = {0, 2}
 
-  EXPECT_THROW(Digraph::from_parts(out_offsets, out_targets, in_offsets,
-                                   in_sources_bad),
-               std::invalid_argument);
-  EXPECT_THROW(Digraph::from_parts(out_offsets, out_targets, in_offsets,
-                                   in_sources_dup),
-               std::invalid_argument);
   EXPECT_THROW(Digraph::from_views(out_offsets, out_targets, in_offsets,
                                    in_sources_bad),
+               std::invalid_argument);
+  EXPECT_THROW(Digraph::from_views(out_offsets, out_targets, in_offsets,
+                                   in_sources_dup),
                std::invalid_argument);
 
   // The same columns with the row fixed are accepted, and the fans span they
   // yield satisfies union_span's contract directly.
-  const Digraph g = Digraph::from_parts(out_offsets, out_targets, in_offsets,
+  const Digraph g = Digraph::from_views(out_offsets, out_targets, in_offsets,
                                         in_sources_good);
   const auto fans = g.fans(1);
   ASSERT_EQ(fans.size(), 2u);
@@ -197,9 +194,6 @@ TEST(Digraph, InCsrMustBeTheTransposeOfOutCsr) {
   const std::vector<std::size_t> wrong_degrees = {0, 1, 1, 3};
   // fans(0) = {0}, fans(1) = {}, fans(2) = {1, 2}: row sizes disagree.
   const std::vector<NodeId> moved = {0, 1, 2};
-  EXPECT_THROW(Digraph::from_parts(out_offsets, out_targets, in_offsets,
-                                   wrong_source),
-               std::invalid_argument);
   EXPECT_THROW(Digraph::from_views(out_offsets, out_targets, in_offsets,
                                    wrong_source),
                std::invalid_argument);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -411,8 +412,8 @@ TEST(ServeLiveEngineTest, LiveIngestMatchesReplayOutcomes) {
 
 TEST(ServeLiveEngineTest, ShardParallelApplyMatchesSerial) {
   // The coordinator's apply step: submits serial, then each shard's vote
-  // list applied via parallel_for — live_vote's shard-exclusivity
-  // contract under the real thread pool (the TSan leg races it).
+  // list applied via parallel_for — live_vote's safety across stories
+  // under the real thread pool (the TSan leg races it).
   const auto load = test_load(80, 60);
 
   stream::StreamEngine serial = make_oracle(load);
@@ -852,6 +853,28 @@ TEST_F(ServeTest, RejectsUnknownStoriesAndDuplicateSubmits) {
     ::close(fd);
   }
 
+  server.request_stop();
+  server.wait();
+}
+
+// The coordinator cycles every 200 us while idle. A cycle that popped no
+// vote must start no pool job, or an idle server runs about 3,000 empty
+// 64-chunk jobs a second.
+TEST_F(ServeTest, IdleServerRunsNoPoolJobs) {
+  struct PoolThreads {  // a pool of two, so applies would count as jobs
+    PoolThreads() { runtime::set_default_threads(2); }
+    ~PoolThreads() { runtime::set_default_threads(0); }
+  } pool_threads;
+  const obs::Counter& jobs = obs::Registry::global().counter("runtime.jobs");
+  const obs::Counter& chunks =
+      obs::Registry::global().counter("runtime.chunks");
+  Server server(test_corpus().corpus.network, test_serve_params());
+  server.start();
+  const std::uint64_t jobs_before = jobs.value();
+  const std::uint64_t chunks_before = chunks.value();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(jobs.value(), jobs_before);
+  EXPECT_EQ(chunks.value(), chunks_before);
   server.request_stop();
   server.wait();
 }

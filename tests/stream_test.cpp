@@ -266,17 +266,6 @@ TEST(EventStreamTest, PrefixCutMatchesBruteForceOrder) {
   }
 }
 
-TEST(EngineParamsTest, RejectsBadCheckpointLists) {
-  const auto& corpus = small_corpus().corpus;
-  const EventStream& s = small_stream();
-  StreamParams bad;
-  bad.cascade_checkpoints = {10, 6};
-  EXPECT_THROW(StreamEngine(s, corpus.network, bad), std::invalid_argument);
-  bad = {};
-  bad.influence_checkpoints = {0, 11};
-  EXPECT_THROW(StreamEngine(s, corpus.network, bad), std::invalid_argument);
-}
-
 // ------------------------------------------- batch/stream bit-identity ---
 
 TEST(EquivalenceTest, FeaturesMatchBatchExtractionExactly) {
@@ -348,8 +337,8 @@ TEST(EquivalenceTest, Fig4MatchesBatchThroughSharedGrouping) {
 // --------------------------------------------------------- determinism ---
 
 // Checked twice: with the engine's defaults, and with a trained predictor
-// and the Bayes fit enabled, so the batched C4.5 (FlatTree) and Bayes hooks
-// are under the thread-count identity too.
+// and the Bayes fit enabled, so the C4.5 and Bayes hooks are under the
+// thread-count identity too.
 TEST(DeterminismTest, BitIdenticalAcrossThreadCounts) {
   const auto& corpus = small_corpus().corpus;
   const core::InterestingnessPredictor predictor =
@@ -519,10 +508,7 @@ TEST_F(StreamTest, CheckpointRestoreRewindsAFinishedEngine) {
 // stories at the cut recount their checkpoints from the prefix.
 TEST_F(StreamTest, RestoreAtAnyCutMatchesAnUninterruptedRun) {
   const auto& corpus = small_corpus().corpus;
-  const StreamParams params;
-  const std::uint64_t horizon =
-      std::max<std::uint64_t>(params.cascade_checkpoints.back() + 1,
-                              params.influence_checkpoints.back());
+  const std::uint64_t horizon = StreamEngine::horizon();
   const auto below_horizon = [&](const StreamResult& r) {
     return static_cast<std::uint64_t>(std::count_if(
         r.stories.begin(), r.stories.end(), [&](const StoryOutcome& o) {
@@ -615,18 +601,15 @@ TEST_F(StreamTest, RejectsMalformedCheckpoints) {
     expect_throw(file("trunc.ckpt"), "truncated");
   }
   {
-    // Checksum-clean, but the cascade checkpoint list claims 4000 entries
-    // (under the 4096 plausibility cap) in a meta section that holds three:
-    // the in-section overrun must name the file too. The count follows the
-    // fixed-width meta fields, at byte 64.
+    // Checksum-clean, but the meta section stops four bytes short of its
+    // last field: the in-section overrun must name the file too.
     std::vector<snapfmt::Section> sections = engine.checkpoint_sections();
     std::vector<char> meta = sections[0].body.bytes();
-    const std::uint32_t hostile = 4000;
-    std::memcpy(meta.data() + 64, &hostile, sizeof(hostile));
+    meta.resize(meta.size() - 4);
     sections[0].body = {};
     sections[0].body.raw(meta.data(), meta.size());
-    snapfmt::write_section_file(file("count.ckpt"), sections);
-    expect_throw(file("count.ckpt"),
+    snapfmt::write_section_file(file("short_meta.ckpt"), sections);
+    expect_throw(file("short_meta.ckpt"),
                  "truncated file (section overruns payload)");
   }
 }
@@ -690,7 +673,7 @@ TEST_F(StreamTest, RejectsCheckpointFromDifferentStreamOrConfig) {
 
   // Same stream, different engine configuration.
   StreamParams other_params;
-  other_params.promotion_threshold = 50;
+  other_params.interesting_threshold = core::kInterestingnessThreshold + 1;
   StreamEngine reconfigured(small_stream(), corpus.network, other_params);
   EXPECT_THROW(
       {
@@ -736,14 +719,9 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   meta.pod<std::uint64_t>(cut);
   meta.pod<std::uint64_t>(stories);
   meta.pod<std::uint64_t>(core::kInterestingnessThreshold);
-  meta.pod<std::uint32_t>(43);
   meta.pod<std::uint32_t>(0);  // bayes fit disabled
   meta.pod<std::uint32_t>(0);  // bayes fit_at (unread when disabled)
   meta.pod<std::uint32_t>(0);  // replay mode (not a live checkpoint)
-  meta.pod<std::uint32_t>(3);
-  for (std::uint32_t cp : {6u, 10u, 20u}) meta.pod<std::uint32_t>(cp);
-  meta.pod<std::uint32_t>(3);
-  for (std::uint32_t cp : {1u, 11u, 21u}) meta.pod<std::uint32_t>(cp);
 
   sections[1].type = snapfmt::kStreamState;
   snapfmt::ByteBuffer& state = sections[1].body;
@@ -766,7 +744,7 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   }
   // Only the current checkpoint version is read: the older layouts, the
   // never-written version 0 and future versions are all refused.
-  for (const std::uint32_t version : {0u, 2u, 3u, 5u}) {
+  for (const std::uint32_t version : {0u, 2u, 3u, 4u, 6u}) {
     snapfmt::Section forged[2] = {{snapfmt::kStreamMeta, {}}, sections[1]};
     forged[0].body.pod(version);
     forged[0].body.raw(meta.bytes().data() + 4, meta.size() - 4);
