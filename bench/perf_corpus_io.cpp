@@ -4,7 +4,10 @@
 // straight to disk (bounded RSS), load it (mapped zero-copy, verified and
 // validated), and replay its votes through the stream engine — straight
 // through, and killed at half the stream, checkpointed and resumed, which
-// must reach the straight run's result (else the bench exits 1).
+// must reach the straight run's result. The straight run's feature rows
+// must also equal core::extract_features on the mapped corpus: the
+// batch/stream contract where hub fan rows are longest. Either mismatch
+// makes the bench exit 1.
 //
 // The snapshot format exists to make repeated analysis runs cheap, so the
 // numbers that matter are the load-path speedup (acceptance bar: snapshot
@@ -33,6 +36,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "src/core/features.h"
 #include "src/data/io.h"
 #include "src/data/snapshot.h"
 #include "src/stream/engine.h"
@@ -229,6 +233,17 @@ int main(int argc, char** argv) {
     const fs::path ckpt_path = big_path.string() + ".ckpt";
     stream::StreamEngine straight(es, big_corpus.network);
     straight.run_all();
+    // The stream's slots are the front page, then the upcoming queue.
+    std::vector<core::StoryFeatures> batch =
+        core::extract_features(big_corpus.front_page, big_corpus.network);
+    const std::vector<core::StoryFeatures> upcoming =
+        core::extract_features(big_corpus.upcoming, big_corpus.network);
+    batch.insert(batch.end(), upcoming.begin(), upcoming.end());
+    const bool features_ok =
+        stream::to_story_features(straight.result()) == batch;
+    std::printf("batch features       %s\n",
+                features_ok ? "match the straight replay"
+                            : "DIFFER from the straight replay");
     double cut_ms = 0.0;
     {
       stream::StreamEngine first(es, big_corpus.network);
@@ -248,7 +263,7 @@ int main(int argc, char** argv) {
                            : "DIFFERS from the straight run");
     fs::remove(ckpt_path);
     fs::remove(big_path);
-    if (!resumed_ok) return 1;
+    if (!resumed_ok || !features_ok) return 1;
   }
 
   return speedup >= 5.0 ? 0 : 1;

@@ -10,7 +10,9 @@
 #            large corpus to a snapshot, load it (mapped, verified and
 #            validated), and replay it through the stream engine, both
 #            straight and cut at half the stream, checkpointed, restored
-#            and finished — the bench exits 1 unless the two agree
+#            and finished — the bench exits 1 unless the two agree and the
+#            straight run's feature rows equal core::extract_features on
+#            the mapped corpus
 #            (perf_corpus_io's large leg, downscaled via
 #            LARGE_USERS/LARGE_STORIES so the smoke stays minutes-cheap;
 #            the nightly perf job runs the full million)

@@ -31,6 +31,8 @@ struct StoryFeatures {
   std::size_t influence10 = 0;  // influence after 10 votes (extension)
   std::size_t final_votes = 0;
   bool interesting = false;   // final_votes > threshold
+
+  friend bool operator==(const StoryFeatures&, const StoryFeatures&) = default;
 };
 
 /// Extracts features for one story.

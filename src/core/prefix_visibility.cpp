@@ -28,10 +28,14 @@ bool in_network(std::span<const platform::UserId> earlier,
 
 void influence_curve(std::span<const platform::UserId> prefix,
                      const graph::Digraph& network,
-                     std::span<std::uint32_t> out) {
+                     std::span<std::uint32_t> out,
+                     std::span<bool> fan_of_earlier) {
   const std::size_t n = out.size();
   if (n > prefix.size())
     throw std::invalid_argument("influence_curve: curve longer than prefix");
+  if (!fan_of_earlier.empty() && fan_of_earlier.size() != n)
+    throw std::invalid_argument(
+        "influence_curve: in-network flags and curve differ in length");
   const std::size_t users = network.node_count();
   if (cover.size() < users) cover.resize(users, 0);
   if (n >= std::numeric_limits<std::uint32_t>::max() - base) {
@@ -48,6 +52,13 @@ void influence_curve(std::span<const platform::UserId> prefix,
           ++fresh;
         }
     out[i] = fresh;
+  }
+  // Voter k is in-network iff the first voter whose fan row holds it comes
+  // before k. Read before the loop below zeroes the stamps of voters.
+  for (std::size_t k = 0; k < fan_of_earlier.size(); ++k) {
+    const platform::UserId voter = prefix[k];
+    fan_of_earlier[k] =
+        voter < users && cover[voter] >= base && cover[voter] - base < k;
   }
   // A voter leaves the count from the first length at which it has been
   // both exposed and counted as a voter. An entry may wrap below zero; the

@@ -29,8 +29,7 @@ double expected_final_votes(const BayesFitParams& params,
   double n = evidence.votes;
   double audience = evidence.audience;
   const double h = std::max(1.0, params.step_minutes);
-  bool promoted = params.promotion_threshold != 0 &&
-                  n >= static_cast<double>(params.promotion_threshold);
+  bool promoted = n >= static_cast<double>(kPromotionVotes);
   double promoted_at = promoted ? evidence.elapsed_minutes : 0.0;
   for (double t = evidence.elapsed_minutes; t < params.horizon_minutes;
        t += h) {
@@ -57,8 +56,7 @@ double expected_final_votes(const BayesFitParams& params,
     }
     n += dn;
     audience += fit.audience_per_vote * dn;
-    if (!promoted && params.promotion_threshold != 0 &&
-        n >= static_cast<double>(params.promotion_threshold)) {
+    if (!promoted && n >= static_cast<double>(kPromotionVotes)) {
       promoted = true;
       promoted_at = t;
     }

@@ -26,8 +26,8 @@
 //   dN = r_fan · A dt + r_disc · decay(t) dt,     A ← A + g · dN
 // where g (audience recruited per vote) is estimated from the story's own
 // A/N at fit time, discovery visibility decays with queue age, and
-// crossing the promotion threshold switches discovery to the front-page
-// channel (a traffic multiplier with novelty half-life decay).
+// crossing kPromotionVotes switches discovery to the front-page channel (a
+// traffic multiplier with novelty half-life decay).
 //
 // Everything here is pure arithmetic on plain structs — the engine owns
 // the accumulation discipline (see engine.h) and this header owns the
@@ -36,6 +36,12 @@
 #include <cstdint>
 
 namespace digg::stream {
+
+/// The June-2006 promotion rule (§3): a story is promoted by its 43rd vote,
+/// counting the submitter's digg. The stream engine records that vote's
+/// arrival time as the promotion time; the forward model switches to the
+/// front-page channel when its expected count crosses it.
+inline constexpr std::uint32_t kPromotionVotes = 43;
 
 struct BayesFitParams {
   /// Master switch; disabled engines carry zero per-vote overhead.
@@ -69,9 +75,6 @@ struct BayesFitParams {
   /// queue's) and the Wu–Huberman novelty half-life it decays with.
   double front_page_gain = 12.0;
   double novelty_half_life = 1440.0;
-  /// Votes needed to promote in the forward model (June 2006: 43; 0 means
-  /// the integration never promotes).
-  std::uint32_t promotion_threshold = 43;
   /// Mean-field integration step and horizon (minutes).
   double step_minutes = 30.0;
   double horizon_minutes = 4.0 * 24.0 * 60.0;

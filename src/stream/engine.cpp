@@ -183,17 +183,27 @@ void StreamEngine::live_vote(std::uint32_t slot, platform::UserId voter,
   Progress& p = progress_[slot];
   if (p.applied > 0 && time < ls.last_time)
     throw std::invalid_argument("live vote times must be non-decreasing");
-  const auto k = static_cast<std::uint32_t>(p.applied);
-  if (k < horizon()) {
+  if (p.applied < horizon()) {
     // The bounded prefix, in which a voter digs once (the submitter's digg
-    // is vote 0) — refused before anything mutates.
+    // is vote 0) — refused before anything mutates. Later voters are
+    // unknown here, so the in-network flag is one friends-row probe against
+    // the voters so far: the relation the replay pass reads off fan rows.
     if (std::ranges::find(ls.prefix_voters, voter) != ls.prefix_voters.end())
       throw std::invalid_argument("live voter already dugg this story");
+    const bool fan_of_earlier =
+        core::in_network(ls.prefix_voters, voter, *network_);
     ls.prefix_voters.push_back(voter);
     ls.prefix_times.push_back(time);
+    ls.last_time = time;
+    apply_early_vote(slot, p, fan_of_earlier, time, {});
+    return;
   }
+  // Past the horizon every vote is a bare counter bump — the O(1) tail.
   ls.last_time = time;
-  apply_event({time, slot, k, voter});
+  if (++p.applied == kPromotionVotes) {
+    p.flags |= kPromoted;
+    p.promoted_time = time;
+  }
 }
 
 StreamEngine::LivePrefix StreamEngine::live_prefix(std::uint32_t slot) const {
@@ -204,20 +214,24 @@ StreamEngine::LivePrefix StreamEngine::live_prefix(std::uint32_t slot) const {
 }
 
 void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
-                                      platform::Minutes now) {
+                                      platform::Minutes now,
+                                      std::span<const std::uint32_t> curve) {
   const bool fit_now =
       params_.bayes.enabled &&
       p.applied == static_cast<std::uint64_t>(params_.bayes.fit_at) + 1;
-  // Influence after each prefix length, recounted only when an influence
-  // checkpoint or the fit point lands (at most horizon fan rows).
-  std::vector<std::uint32_t> curve;
-  if (fit_now || std::ranges::find(kInfluence, p.applied) != kInfluence.end()) {
-    curve.resize(p.applied);
-    core::influence_curve(voters_prefix(slot, p.applied), *network_, curve);
+  // Influence after each prefix length. Live mode has no curve and recounts
+  // it only when an influence checkpoint or the fit point lands (at most
+  // horizon fan rows).
+  std::array<std::uint32_t, horizon()> recount{};
+  if (curve.empty() &&
+      (fit_now || std::ranges::find(kInfluence, p.applied) != kInfluence.end())) {
+    const auto out = std::span(recount).first(p.applied);
+    core::influence_curve(voters_prefix(slot, p.applied), *network_, out);
+    curve = out;
   }
   for (std::size_t j = 0; j < kInfluence.size(); ++j)
     if (kInfluence[j] == p.applied) {
-      influence_rec_[slot * kInfluence.size() + j] = curve.back();
+      influence_rec_[slot * kInfluence.size() + j] = curve[p.applied - 1];
       obs::record_event(obs::EventKind::kCheckpointRecorded,
                         slot % kShardCount, slot, p.applied);
     }
@@ -250,7 +264,7 @@ void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
     evidence.out_network_votes = params_.bayes.fit_at - p.innetwork;
     evidence.exposure_watcher_minutes = exposure;
     evidence.elapsed_minutes = now - early_vote_time(slot, 0);
-    evidence.audience = static_cast<double>(curve.back());
+    evidence.audience = static_cast<double>(curve[p.applied - 1]);
     evidence.votes = params_.bayes.fit_at + 1;
     evidence.population = static_cast<double>(network_->node_count());
     const BayesFit fit = fit_rates(params_.bayes, evidence);
@@ -264,30 +278,19 @@ void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
   }
 }
 
-void StreamEngine::apply_event(const VoteEvent& ev) {
-  Progress& p = progress_[ev.story_slot];
-  const std::uint64_t next = p.applied + 1;
-  if (p.applied < horizon()) {
-    // In-network: is the voter a fan of an earlier voter? The batch
-    // cascade profile makes the same probe.
-    if (ev.vote_index >= 1 && ev.vote_index <= kLastCascade &&
-        core::in_network(voters_prefix(ev.story_slot, ev.vote_index),
-                         ev.voter, *network_))
-      ++p.innetwork;
-    p.applied = next;
-    record_checkpoints(ev.story_slot, p, ev.time);
-    if (next >= horizon()) {
-      obs::Registry::global().counter("stream.stories_retired").inc();
-      obs::record_event(obs::EventKind::kStoryRetired,
-                        ev.story_slot % kShardCount, ev.story_slot, next);
-    }
-  } else {
-    // Past the horizon every vote is a bare counter bump — the O(1) tail.
-    p.applied = next;
-  }
-  if (next == kPromotionVotes) {
-    p.flags |= kPromoted;
-    p.promoted_time = ev.time;
+void StreamEngine::apply_early_vote(std::uint32_t slot, Progress& p,
+                                    bool fan_of_earlier,
+                                    platform::Minutes time,
+                                    std::span<const std::uint32_t> curve) {
+  // The in-network counter ticks inside the cascade window only; vote 0,
+  // the submitter's digg, is never a fan of an earlier voter.
+  if (fan_of_earlier && p.applied <= kLastCascade) ++p.innetwork;
+  ++p.applied;
+  record_checkpoints(slot, p, time, curve);
+  if (p.applied == horizon()) {
+    obs::Registry::global().counter("stream.stories_retired").inc();
+    obs::record_event(obs::EventKind::kStoryRetired, slot % kShardCount,
+                      slot, p.applied);
   }
 }
 
@@ -382,29 +385,56 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
   // only on that story's own vote prefix, so outcomes are identical to
   // strict global interleaving, and each vote column is walked once,
   // sequentially — the access pattern mmapped corpora reward.
+  obs::Counter& prefix_passes =
+      obs::Registry::global().counter("stream.prefix_passes");
   runtime::parallel_for(
       kShardCount,
       [&](std::size_t s) {
         std::uint64_t done = 0;
+        std::uint64_t passes = 0;
         for (std::uint32_t slot = static_cast<std::uint32_t>(s);
              slot < stream_->stories.size(); slot += kShardCount) {
           Progress& p = progress_[slot];
-          if (p.applied >= target[slot]) continue;
+          const std::uint64_t end = target[slot];
+          if (p.applied >= end) continue;
           const platform::StoryView& sv = stream_->stories[slot];
-          const auto voters = sv.voters();
-          const auto times = sv.times();
           const auto story_start = std::chrono::steady_clock::now();
-          while (p.applied < target[slot]) {
-            const auto k = static_cast<std::uint32_t>(p.applied);
-            apply_event({times[k], slot, k, voters[k]});
-            // Sampled (first vote per shard pass, then every 1024th): the
-            // flight recorder wants recent context, not every vote.
-            if ((done & 1023) == 0)
-              obs::record_event(obs::EventKind::kVoteApplied,
-                                static_cast<std::uint32_t>(s), slot,
-                                p.applied);
-            ++done;
+          const std::uint64_t begin = p.applied;
+          if (p.applied < horizon()) {
+            // One first-cover pass over the slice's voters below the
+            // horizon gives every in-network flag and the whole influence
+            // curve that the checkpoints, the v10 prediction and the Bayes
+            // fit read.
+            const auto n =
+                static_cast<std::size_t>(std::min(end, horizon()));
+            std::array<std::uint32_t, horizon()> curve{};
+            std::array<bool, horizon()> fan_of_earlier{};
+            const auto curve_n = std::span(curve).first(n);
+            core::influence_curve(sv.voters().first(n), *network_, curve_n,
+                                  std::span(fan_of_earlier).first(n));
+            ++passes;
+            const auto times = sv.times();
+            while (p.applied < n)
+              apply_early_vote(slot, p, fan_of_earlier[p.applied],
+                               times[p.applied], curve_n);
           }
+          if (p.applied < end) {
+            // Past the horizon the rest of the slice is one addition; the
+            // 43-vote rule reads its vote's time if the slice crosses it.
+            if (p.applied < kPromotionVotes && end >= kPromotionVotes) {
+              p.flags |= kPromoted;
+              p.promoted_time = sv.times()[kPromotionVotes - 1];
+            }
+            p.applied = end;
+          }
+          // Sampled (the shard pass's first slice, then one per 1024
+          // votes): the flight recorder wants recent context, not every
+          // vote.
+          const std::uint64_t next = done + (end - begin);
+          if (done == 0 || done / 1024 != next / 1024)
+            obs::record_event(obs::EventKind::kVoteApplied,
+                              static_cast<std::uint32_t>(s), slot, end);
+          done = next;
           ingest_story_us.observe(std::chrono::duration<double, std::micro>(
                                       std::chrono::steady_clock::now() -
                                       story_start)
@@ -412,6 +442,7 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
           watchdog.beat();
         }
         if (done > 0) votes.inc(done);
+        if (passes > 0) prefix_passes.inc(passes);
       },
       {.grain = 1});
   events_applied_ = event_limit;
@@ -440,15 +471,18 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) const {
     o.cascade[j] = rec != kUnrecorded ? rec : p.innetwork;
   }
   o.influence.resize(kInfluence.size());
-  std::vector<std::uint32_t> curve;
+  std::array<std::uint32_t, horizon()> curve{};
+  bool counted = false;
   for (std::size_t j = 0; j < kInfluence.size(); ++j) {
     const std::uint32_t rec = influence_rec_[slot * kInfluence.size() + j];
-    if (rec == kUnrecorded && curve.size() != p.applied) {
-      curve.resize(p.applied);
-      core::influence_curve(voters_prefix(slot, p.applied), *network_, curve);
+    if (rec == kUnrecorded && !counted) {
+      core::influence_curve(voters_prefix(slot, p.applied), *network_,
+                            std::span(curve).first(p.applied));
+      counted = true;
     }
-    o.influence[j] =
-        rec != kUnrecorded ? rec : (curve.empty() ? 0 : curve.back());
+    o.influence[j] = rec != kUnrecorded ? rec
+                     : p.applied == 0   ? 0
+                                        : curve[p.applied - 1];
   }
   if (p.flags & kHasPrediction)
     o.predicted_interesting = (p.flags & kPredictedYes) != 0;

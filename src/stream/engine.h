@@ -1,20 +1,27 @@
 #pragma once
 // The streaming vote-ingestion engine. Replays an EventStream (event.h) and
-// maintains, per story, O(1)-amortized incremental state per arriving vote.
-// It owns no visibility set: it reads each story's vote prefix, which it
-// already holds (the stream's columns; in live mode a bounded buffer),
-// through core/prefix_visibility.h — the routines the batch profiles call:
+// maintains per-story state as votes arrive. It owns no visibility set: it
+// reads each story's vote prefix, which it already holds (the stream's
+// columns; in live mode a bounded buffer), through core/prefix_visibility.h
+// — the routines the batch profiles call:
 //
-//   - in-network count: vote k counts iff core::in_network finds an earlier
-//     voter in the voter's friends row;
+//   - replay: a story slice that starts below the horizon makes one
+//     core::influence_curve call over its first min(slice end, horizon)
+//     voters. That one first-cover pass over their fan rows yields the
+//     influence after every prefix length and, per vote, whether the voter
+//     is a fan of an earlier voter (in-network);
+//   - live mode: vote k is in-network iff core::in_network finds an earlier
+//     voter in the voter's friends row, and the influence curve is
+//     recounted (at most `horizon` fan rows) when a checkpoint reads it;
 //   - checkpoints: v6/v10/v20 in-network counts and Fig. 3(a) influence
-//     (core::influence_curve over at most `horizon` fan rows) are recorded
-//     when the checkpoint vote lands, and so are the online hooks — the
-//     (v10, fans1) prediction, the Bayes fit at vote fit_at, the June-2006
+//     are recorded when the checkpoint vote lands, and so are the online
+//     hooks — the (v10, fans1) prediction, the Bayes fit at vote fit_at
+//     (its exposure sum reads the curve in vote order), the June-2006
 //     43-vote promotion rule.
 //
-// Past the horizon (all checkpoints recorded) every vote is a single
-// counter increment — the amortized-O(1) core of the design.
+// Past the horizon (all checkpoints recorded) a vote changes only the vote
+// count: replay adds the rest of a slice in one step and reads the 43rd
+// vote's time if the slice crosses it; live mode bumps a counter per vote.
 //
 // Replay order: the global (time, story slot, vote index) order is never
 // materialised. run_until(L) first cuts the stream at its L-th event: it
@@ -51,10 +58,10 @@
 // Live mode (src/serve): constructed over a network alone, the engine has
 // no EventStream — stories arrive through live_submit and votes through
 // live_vote, in arrival order. Per-story state is identical to replay mode;
-// the only extra cost is a bounded prefix buffer per story (the first
+// the extra costs are a bounded prefix buffer per story (the first
 // `horizon` voters and times) standing in for the stream's columns, which a
-// checkpoint carries. Votes past the horizon keep the bare counter-bump
-// cost.
+// checkpoint carries, and the per-vote in_network probe below the horizon.
+// Votes past the horizon keep the bare counter-bump cost.
 
 #include <algorithm>
 #include <array>
@@ -262,9 +269,6 @@ class StreamEngine {
 
  private:
   static constexpr std::uint32_t kUnrecorded = 0xffffffffu;
-  /// The June-2006 promotion rule (§3): the total vote whose arrival time
-  /// is recorded as the promotion time.
-  static constexpr std::uint64_t kPromotionVotes = 43;
   /// The §5.2 decision point: the cascade checkpoint the C4.5 hook reads.
   static constexpr std::uint32_t kPredictAt = 10;
 
@@ -317,7 +321,14 @@ class StreamEngine {
                          .first(n);
   }
 
-  void apply_event(const VoteEvent& ev);
+  /// Applies vote p.applied of the story in `slot`, which lies below the
+  /// horizon. `fan_of_earlier`: the voter is a fan of an earlier voter.
+  /// `curve`: the story's influence curve over at least p.applied + 1
+  /// votes (replay), or empty, in which case a checkpoint that reads it
+  /// recounts it (live mode).
+  void apply_early_vote(std::uint32_t slot, Progress& p, bool fan_of_earlier,
+                        platform::Minutes time,
+                        std::span<const std::uint32_t> curve);
   /// The exact prefix cut: each story's vote count within the first
   /// `limit` events of the (time, slot, index) order. Bisects the
   /// order-preserving keys of the finite vote times for the limit-th
@@ -327,7 +338,8 @@ class StreamEngine {
   [[nodiscard]] std::vector<std::uint64_t> prefix_cut(
       std::uint64_t limit) const;
   void record_checkpoints(std::uint32_t slot, Progress& p,
-                          platform::Minutes now);
+                          platform::Minutes now,
+                          std::span<const std::uint32_t> curve);
 
   /// Shared tail of both constructors: prediction arming and the Bayes fit
   /// point check.

@@ -27,15 +27,6 @@
 
 namespace digg::stream {
 
-/// One vote in the global order, synthesised on the fly from the columns
-/// as it is applied (never stored).
-struct VoteEvent {
-  platform::Minutes time = 0.0;
-  std::uint32_t story_slot = 0;  // index into EventStream::stories
-  std::uint32_t vote_index = 0;  // 0 = the submitter's own digg
-  platform::UserId voter = 0;
-};
-
 /// A replayable stream: the story table plus the event total. Views alias
 /// storage owned by the caller — keep the corpus (and any mmap backing it)
 /// alive while the stream is in use.

@@ -1,7 +1,7 @@
-// Oracle test for core/prefix_visibility.h: friends-row probes and the
-// first-cover influence recount must agree with the incremental
-// VisibilitySet::add_voter fold on seeded random graphs and stories —
-// per-vote provenance up to 31 votes (fig3b's 10/20/30), influence after
+// Oracle test for core/prefix_visibility.h: friends-row probes, the
+// first-cover influence recount and its in-network flags must agree with
+// the incremental VisibilitySet::add_voter fold on seeded random graphs and
+// stories — per-vote provenance up to 31 votes (fig3b's 10/20/30), influence after
 // every prefix length up to 21 (fig3a's 1/11/21), the Bayes watcher-exposure
 // gap sum, stories shorter than every checkpoint, and a hub whose fan row
 // crosses the HybridSet bitmap threshold. The routine side runs under
@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "src/core/cascade.h"
@@ -74,7 +76,17 @@ struct Visibility {
   std::vector<bool> in_network;         // vote k >= 1, index k - 1
   std::vector<std::uint32_t> influence;  // after m votes, index m - 1
   double gap_sum = 0.0;                 // Σ influence before vote k · gap
+  std::vector<bool> flags;  // influence_curve's in-network output, vote k
 };
+
+// influence_curve over the first n voters, with its in-network flags.
+std::vector<bool> curve_flags(std::span<const UserId> voters,
+                              const graph::Digraph& g,
+                              std::span<std::uint32_t> curve) {
+  const auto buf = std::make_unique<bool[]>(curve.size());
+  influence_curve(voters, g, curve, {buf.get(), curve.size()});
+  return std::vector<bool>(buf.get(), buf.get() + curve.size());
+}
 
 // The oracle: the incremental set fold the streaming engine used to run.
 Visibility fold(const platform::Story& s, const graph::Digraph& g) {
@@ -98,7 +110,7 @@ Visibility recount(const platform::Story& s, const graph::Digraph& g) {
   for (std::size_t k = 1; k < voters.size(); ++k)
     out.in_network.push_back(in_network(voters.first(k), voters[k], g));
   out.influence.resize(voters.size());
-  influence_curve(voters, g, out.influence);
+  out.flags = curve_flags(voters, g, out.influence);
   for (std::size_t k = 1; k < voters.size() && k <= kFitAt; ++k)
     out.gap_sum += static_cast<double>(out.influence[k - 1]) *
                    (s.times[k] - s.times[k - 1]);
@@ -134,6 +146,12 @@ TEST(PrefixVisibilityOracle, MatchesTheVisibilitySetFold) {
       const Visibility want = fold(s, g);
       EXPECT_EQ(got[i].in_network, want.in_network);
       EXPECT_EQ(got[i].influence, want.influence);
+      // The one-pass flags: the submitter's digg is never in-network, and
+      // vote k >= 1 is iff the fold saw the voter before adding them.
+      ASSERT_EQ(got[i].flags.size(), s.vote_count());
+      EXPECT_FALSE(got[i].flags[0]);
+      EXPECT_TRUE(std::equal(want.in_network.begin(), want.in_network.end(),
+                             got[i].flags.begin() + 1));
       EXPECT_EQ(got[i].gap_sum, want.gap_sum);  // bit-identical, same order
       // The batch profiles at the paper's checkpoints, saturating over
       // stories shorter than them.
@@ -155,8 +173,10 @@ TEST(PrefixVisibilityOracle, MatchesTheVisibilitySetFold) {
       // agrees with the full one.
       const std::size_t cut = std::min<std::size_t>(21, s.vote_count());
       std::vector<std::uint32_t> head(cut);
-      influence_curve(s.voters, g, head);
+      const std::vector<bool> head_flags = curve_flags(s.voters, g, head);
       EXPECT_TRUE(std::equal(head.begin(), head.end(), want.influence.begin()));
+      EXPECT_TRUE(std::equal(head_flags.begin(), head_flags.end(),
+                             got[i].flags.begin()));
       if (std::find(s.voters.begin(), s.voters.end(), kHub) !=
           s.voters.end())
         ++hub_stories;
@@ -172,6 +192,7 @@ TEST(PrefixVisibility, EmptyPrefixAndOutOfGraphVoters) {
   const graph::Digraph g = hub_graph(rng);
   std::vector<std::uint32_t> none;
   influence_curve({}, g, none);
+  EXPECT_TRUE(curve_flags({}, g, none).empty());
   const std::vector<UserId> outside = {static_cast<UserId>(kUsers + 5)};
   EXPECT_FALSE(in_network(outside, kHub, g));
   EXPECT_FALSE(in_network(std::vector<UserId>{kHub},
@@ -181,8 +202,58 @@ TEST(PrefixVisibility, EmptyPrefixAndOutOfGraphVoters) {
   influence_curve(prefix, g, curve);
   EXPECT_EQ(curve[0], g.fan_count(kHub));
   EXPECT_EQ(curve[1], g.fan_count(kHub));
+  EXPECT_EQ(curve_flags(prefix, g, curve), (std::vector<bool>{false, false}));
   std::vector<std::uint32_t> too_long(prefix.size() + 1);
   EXPECT_THROW(influence_curve(prefix, g, too_long), std::invalid_argument);
+  bool short_flags[1];
+  EXPECT_THROW(influence_curve(prefix, g, curve, short_flags),
+               std::invalid_argument);
+
+  // Repeated voters and ids at and past node_count, where the VisibilitySet
+  // oracle cannot go (it refuses both): the flags must still be
+  // in_network's answer for every vote, and the curve must count each user
+  // once. fans(0) = {1, 2}, fans(1) = {3}, fans(3) = {0}.
+  {
+    graph::DigraphBuilder b(6);
+    b.add_fan(0, 1);
+    b.add_fan(0, 2);
+    b.add_fan(1, 3);
+    b.add_fan(3, 0);
+    const graph::Digraph small = b.build();
+    const std::vector<UserId> votes = {0, 3, 1, 6, 0, 3, 9, 2};
+    // Vote 4 repeats user 0, whose first vote was not in-network: user 3
+    // voted in between, and 0 is a fan of 3. User 3's repeat sees user 1.
+    const std::vector<bool> want = {false, false, true, false,
+                                    true,  true,  false, true};
+    for (std::size_t k = 0; k < votes.size(); ++k)
+      ASSERT_EQ(in_network(std::span(votes).first(k), votes[k], small),
+                want[k])
+          << "vote " << k;
+    std::vector<std::uint32_t> audience(votes.size());
+    EXPECT_EQ(curve_flags(votes, small, audience), want);
+    EXPECT_EQ(audience,
+              (std::vector<std::uint32_t>{2, 2, 1, 1, 1, 1, 1, 0}));
+  }
+
+  // Digraph::from_views accepts a self-loop (only the builder refuses
+  // one). A voter whose own fan row is the first to hold them is not a fan
+  // of an earlier voter. 0 -> 0 and 1 -> 0: fans(0) = {0, 1}.
+  {
+    const std::vector<std::size_t> out_offsets = {0, 1, 2};
+    const std::vector<UserId> out_targets = {0, 0};
+    const std::vector<std::size_t> in_offsets = {0, 2, 2};
+    const std::vector<UserId> in_sources = {0, 1};
+    const graph::Digraph looped = graph::Digraph::from_views(
+        out_offsets, out_targets, in_offsets, in_sources);
+    const std::vector<UserId> votes = {0, 1};
+    const std::vector<bool> want = {false, true};
+    for (std::size_t k = 0; k < votes.size(); ++k)
+      ASSERT_EQ(in_network(std::span(votes).first(k), votes[k], looped),
+                want[k]);
+    std::vector<std::uint32_t> audience(votes.size());
+    EXPECT_EQ(curve_flags(votes, looped, audience), want);
+    EXPECT_EQ(audience, (std::vector<std::uint32_t>{1, 0}));
+  }
 }
 
 }  // namespace

@@ -80,19 +80,29 @@ TEST(BayesForward, HotterRatesPredictMoreVotes) {
             expected_final_votes(p, e, cold));
 }
 
-TEST(BayesForward, PromotionThresholdZeroNeverPromotes) {
-  BayesFitParams p;
+TEST(BayesForward, FrontPageGainActsOnlyPastThePromotionRule) {
   BayesEvidence e;
   e.votes = 11;
   e.elapsed_minutes = 120.0;
   e.audience = 200.0;
-  BayesFit fit = fit_rates(p, e);
-  fit.r_disc = 0.4;  // enough discovery flow to cross 43 in the queue
-  const double promoted = expected_final_votes(p, e, fit);
-  p.promotion_threshold = 0;
-  const double never = expected_final_votes(p, e, fit);
-  // The front-page gain only fires in the promoting run.
-  EXPECT_GT(promoted, never);
+  BayesFitParams gain12;
+  gain12.front_page_gain = 12.0;
+  BayesFitParams gain1 = gain12;
+  gain1.front_page_gain = 1.0;
+  // Enough discovery flow to cross kPromotionVotes in the queue: the
+  // front-page channel then carries the gain.
+  BayesFit crossing = fit_rates(gain12, e);
+  crossing.r_disc = 0.4;
+  EXPECT_GT(expected_final_votes(gain12, e, crossing),
+            expected_final_votes(gain1, e, crossing));
+  // A fit that stays below the rule never reaches the front page, so the
+  // gain cannot move it.
+  BayesFit stalled = crossing;
+  stalled.r_fan = 0.0;
+  stalled.r_disc = 1e-3;
+  const double below = expected_final_votes(gain12, e, stalled);
+  EXPECT_LT(below, static_cast<double>(kPromotionVotes));
+  EXPECT_EQ(below, expected_final_votes(gain1, e, stalled));
 }
 
 // --- engine integration --------------------------------------------------

@@ -487,6 +487,73 @@ TEST_F(StreamTest, CheckpointBytesIdenticalAcrossKillAndResume) {
   expect_same_result(oneshot.result(), resumed.result());
 }
 
+// Replay makes one prefix pass per story slice that starts below the
+// horizon and reads flags and curve from it vote by vote, then adds the
+// rest of the slice. Single-event steps put a slice boundary on every vote,
+// the checkpoint votes and the promotion vote included, so every slice
+// shape the pass must handle meets a one-shot run's result and bytes.
+TEST_F(StreamTest, SingleEventStepsMatchOneShot) {
+  const auto& corpus = small_corpus().corpus;
+  const core::InterestingnessPredictor predictor =
+      core::InterestingnessPredictor::train(
+          core::extract_features(corpus.front_page, corpus.network));
+  StreamParams params;
+  params.predictor = &predictor;
+  params.bayes.enabled = true;
+  const obs::Counter& passes =
+      obs::Registry::global().counter("stream.prefix_passes");
+
+  StreamEngine oneshot(small_stream(), corpus.network, params);
+  const std::uint64_t passes_before = passes.value();
+  oneshot.run_all();
+  // One pass per story: every story's only slice starts at vote 0.
+  EXPECT_EQ(passes.value() - passes_before, small_stream().stories.size());
+  const auto straight = file("straight.ckpt");
+  oneshot.save_checkpoint(straight);
+
+  // Step until some slice has ended on each boundary vote below.
+  const std::vector<std::uint64_t> boundaries = {1, 10, 11, 20, 21, 43};
+  std::vector<bool> seen(boundaries.size(), false);
+  const auto order = global_order();
+  std::vector<std::uint64_t> applied(small_stream().stories.size(), 0);
+  StreamEngine stepped(small_stream(), corpus.network, params);
+  std::uint64_t limit = 0;
+  std::uint64_t early_steps = 0;
+  const std::uint64_t stepped_passes_before = passes.value();
+  while (limit < order.size() &&
+         std::find(seen.begin(), seen.end(), false) != seen.end()) {
+    const std::uint32_t slot = order[limit].second;
+    if (applied[slot] < StreamEngine::horizon()) ++early_steps;
+    ++limit;
+    stepped.run_until(limit);
+    const std::uint64_t votes = ++applied[slot];
+    ASSERT_EQ(stepped.query_story(slot).final_votes, votes);
+    for (std::size_t b = 0; b < boundaries.size(); ++b)
+      if (votes == boundaries[b]) seen[b] = true;
+  }
+  for (std::size_t b = 0; b < boundaries.size(); ++b)
+    EXPECT_TRUE(seen[b]) << "no slice ended on vote " << boundaries[b];
+  // Each step below the horizon is one prefix pass; past it, none.
+  EXPECT_EQ(passes.value() - stepped_passes_before, early_steps);
+
+  // The same cut in one call writes the same bytes.
+  StreamEngine cut(small_stream(), corpus.network, params);
+  cut.run_until(limit);
+  const auto stepped_mid = file("stepped_mid.ckpt");
+  const auto cut_mid = file("cut_mid.ckpt");
+  stepped.save_checkpoint(stepped_mid);
+  cut.save_checkpoint(cut_mid);
+  EXPECT_EQ(slurp(stepped_mid), slurp(cut_mid));
+  expect_same_result(cut.result(), stepped.result());
+
+  stepped.run_all();
+  const auto rejoined = file("rejoined.ckpt");
+  stepped.save_checkpoint(rejoined);
+  EXPECT_EQ(slurp(straight), slurp(rejoined));
+  expect_same_result(oneshot.result(), stepped.result());
+  EXPECT_EQ(oneshot.result(), stepped.result());
+}
+
 TEST_F(StreamTest, CheckpointRestoreRewindsAFinishedEngine) {
   const auto& corpus = small_corpus().corpus;
   StreamEngine engine(small_stream(), corpus.network);
