@@ -4,7 +4,7 @@
 // so every binary reproduces a run from the same three words (scenario,
 // seed, json path).
 //
-// Usage: <bench> [seed] [--scenario <name>] [--json <path>]
+// Usage: <bench> [seed] [--scenario <name>] [--json <path>] [--smoke]
 //   seed              decimal uint64; anything else is rejected with a
 //                     usage message (a silently mis-parsed seed would
 //                     "reproduce" a different run).
@@ -32,6 +32,7 @@ namespace digg::bench {
 struct CliOptions {
   std::uint64_t seed = 42;
   std::string scenario = "legacy";
+  bool scenario_given = false;  // --scenario was on the command line
   std::string json_path;
   bool smoke = false;  // downscale the scenario corpus (CI smokes)
 };
@@ -82,11 +83,11 @@ inline void write_report_at_exit() {
   obs::write_bench_report(r.json_path, r.title, r.seed, wall_ms);
 }
 
-[[noreturn]] inline void usage(const char* argv0) {
+[[noreturn]] inline void usage(const char* argv0, bool figure_selector) {
   std::fprintf(stderr,
                "usage: %s [seed] [--scenario <name>] [--json <path>] "
-               "[--smoke]\n",
-               argv0);
+               "[--smoke]%s\n",
+               argv0, figure_selector ? " [--figure <name>]" : "");
   std::fprintf(stderr,
                "  --smoke downsizes the corpus (20k users / 200 stories) "
                "for CI smokes\n");
@@ -102,21 +103,28 @@ inline void write_report_at_exit() {
 
 /// The shared CLI grammar. Unknown flags and malformed seeds exit with the
 /// usage message; an unknown scenario name is caught later by
-/// make_scenario (its error lists the known names).
-inline CliOptions parse_cli(int argc, char** argv) {
+/// make_scenario (its error lists the known names). `--figure <name>` is
+/// accepted only when `figure` is non-null (the figures driver).
+inline CliOptions parse_cli(int argc, char** argv,
+                            std::string* figure = nullptr) {
   CliOptions opts;
+  const auto value = [&](int& i) {
+    if (i + 1 >= argc) detail::usage(argv[0], figure != nullptr);
+    return argv[++i];
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) detail::usage(argv[0]);
-      opts.json_path = argv[++i];
+      opts.json_path = value(i);
     } else if (std::strcmp(argv[i], "--scenario") == 0) {
-      if (i + 1 >= argc) detail::usage(argv[0]);
-      opts.scenario = argv[++i];
+      opts.scenario = value(i);
+      opts.scenario_given = true;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       opts.smoke = true;
+    } else if (figure != nullptr && std::strcmp(argv[i], "--figure") == 0) {
+      *figure = value(i);
     } else if (!parse_seed_strict(argv[i], opts.seed)) {
       std::fprintf(stderr, "%s: bad argument '%s'\n", argv[0], argv[i]);
-      detail::usage(argv[0]);
+      detail::usage(argv[0], figure != nullptr);
     }
   }
   return opts;
@@ -135,12 +143,10 @@ inline void arm_report(const CliOptions& opts, const char* title) {
   std::atexit(detail::write_report_at_exit);
 }
 
-/// Resolves the scenario and generates its corpus, echoing the run line.
-/// Exits with the scenario's error message (listing known names) when the
-/// scenario is unknown.
-inline Context make_context(const CliOptions& opts, const char* title) {
-  arm_report(opts, title);
-  std::printf("== %s ==\n", title);
+/// Resolves the scenario and generates its corpus. Exits with the
+/// scenario's error message (listing known names) when the scenario is
+/// unknown.
+inline Context generate_context(const CliOptions& opts) {
   data::ScenarioSpec spec;
   try {
     spec = data::make_scenario(opts.scenario, opts.seed);
@@ -153,14 +159,27 @@ inline Context make_context(const CliOptions& opts, const char* title) {
   if (opts.smoke) data::downscale(spec, 20000, 200);
   stats::Rng rng(spec.seed);
   data::SyntheticCorpus synthetic = data::generate_corpus(spec.params, rng);
+  return Context{std::move(spec), std::move(synthetic), rng.fork()};
+}
+
+/// The run line that follows the title of every corpus-backed output.
+inline void print_corpus_line(const Context& ctx) {
+  const data::Corpus& corpus = ctx.synthetic.corpus;
   std::printf(
       "corpus: scenario=%s model=%s seed=%llu users=%zu stories=%zu "
       "front_page=%zu upcoming=%zu\n\n",
-      spec.name.c_str(), spec.model_id().c_str(),
-      static_cast<unsigned long long>(spec.seed),
-      synthetic.corpus.user_count(), synthetic.corpus.story_count(),
-      synthetic.corpus.front_page.size(), synthetic.corpus.upcoming.size());
-  return Context{std::move(spec), std::move(synthetic), rng.fork()};
+      ctx.scenario.name.c_str(), ctx.scenario.model_id().c_str(),
+      static_cast<unsigned long long>(ctx.scenario.seed), corpus.user_count(),
+      corpus.story_count(), corpus.front_page.size(), corpus.upcoming.size());
+}
+
+/// Prints the title, generates the corpus and echoes the run line.
+inline Context make_context(const CliOptions& opts, const char* title) {
+  arm_report(opts, title);
+  std::printf("== %s ==\n", title);
+  Context ctx = generate_context(opts);
+  print_corpus_line(ctx);
+  return ctx;
 }
 
 inline Context make_context(int argc, char** argv, const char* title) {

@@ -12,58 +12,37 @@
 // Bayes expected-final-vote estimates also feed a calibration table
 // (predicted vs actual final votes by predicted-magnitude bin).
 //
-// Usage: fig7_model_prediction [seed] [--scenario <name>] [--json <path>]
-//                              [--smoke]
+// Options (figures --figure fig7_model_prediction):
 //   --scenario   run one scenario instead of all named ones
 //   --smoke      downscaled corpora + coverage assertion over every
 //                generative model id in dynamics::kModelIds (the
 //                scripts/ci.sh `scenarios` leg)
 
-#include <cmath>
-#include <cstring>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "bench/common.h"
+#include "bench/figures.h"
 #include "src/core/features.h"
 #include "src/core/predictor.h"
 #include "src/dynamics/model.h"
+#include "src/ml/validation.h"
 #include "src/stats/table.h"
 #include "src/stream/engine.h"
 #include "src/stream/source.h"
 
+namespace digg::figures {
+
 namespace {
-
-using namespace digg;
-
-struct Score {
-  std::size_t tp = 0, tn = 0, fp = 0, fn = 0;
-  void add(bool predicted, bool actual) {
-    if (predicted && actual) ++tp;
-    else if (predicted && !actual) ++fp;
-    else if (!predicted && actual) ++fn;
-    else ++tn;
-  }
-  [[nodiscard]] std::size_t total() const { return tp + tn + fp + fn; }
-  [[nodiscard]] double precision() const {
-    return tp + fp == 0 ? 0.0 : double(tp) / double(tp + fp);
-  }
-  [[nodiscard]] double recall() const {
-    return tp + fn == 0 ? 0.0 : double(tp) / double(tp + fn);
-  }
-  [[nodiscard]] double accuracy() const {
-    return total() == 0 ? 0.0 : double(tp + tn) / double(total());
-  }
-};
 
 struct ScenarioReport {
   std::string name;
   std::string model_id;
-  std::size_t scored = 0;  // stories where both predictors committed
-  Score c45;
-  Score bayes;
+  // Over the stories where both predictors committed.
+  ml::Confusion c45;
+  ml::Confusion bayes;
 };
 
 data::SyntheticCorpus generate(const data::ScenarioSpec& spec,
@@ -113,9 +92,8 @@ ScenarioReport run_scenario(const std::string& name, std::uint64_t seed,
     if (!story.predicted_interesting.has_value() ||
         !story.bayes_interesting.has_value())
       continue;  // never reached the shared 10-vote decision point
-    ++rep.scored;
-    rep.c45.add(*story.predicted_interesting, story.interesting);
-    rep.bayes.add(*story.bayes_interesting, story.interesting);
+    rep.c45.add(story.interesting, *story.predicted_interesting);
+    rep.bayes.add(story.interesting, *story.bayes_interesting);
     for (std::size_t b = 0; b < kBins; ++b) {
       if (story.bayes_expected_final >= edges[b] &&
           story.bayes_expected_final < edges[b + 1]) {
@@ -143,32 +121,11 @@ ScenarioReport run_scenario(const std::string& name, std::uint64_t seed,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace digg;
-
-  bool smoke = false;
-  std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0)
-      smoke = true;
-    else
-      passthrough.push_back(argv[i]);
-  }
-  bench::CliOptions opts = bench::parse_cli(
-      static_cast<int>(passthrough.size()), passthrough.data());
-  bench::arm_report(opts,
-                    "Prediction comparison: online Bayes fit vs C4.5");
-  std::printf("== Prediction comparison: online Bayes fit vs C4.5 ==\n");
-
-  // Default sweep: every named scenario. An explicit --scenario
-  // narrows to one (the default CliOptions scenario is "legacy", so detect
-  // "no flag" by comparing argv presence instead of the value).
-  bool explicit_scenario = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--scenario") == 0) explicit_scenario = true;
+void fig7_model_prediction(const bench::CliOptions& opts) {
+  // Default sweep: every named scenario; --scenario narrows to one.
   const std::vector<std::string> names =
-      explicit_scenario ? std::vector<std::string>{opts.scenario}
-                        : data::scenario_names();
+      opts.scenario_given ? std::vector<std::string>{opts.scenario}
+                          : data::scenario_names();
 
   stats::TextTable table({"scenario", "model", "stories", "C4.5 prec",
                           "C4.5 rec", "C4.5 acc", "Bayes prec", "Bayes rec",
@@ -179,10 +136,10 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : names) {
     const ScenarioReport rep =
-        run_scenario(name, opts.seed, smoke, calibration);
+        run_scenario(name, opts.seed, opts.smoke, calibration);
     models_covered.insert(rep.model_id);
     table.add_row({rep.name, rep.model_id,
-                   stats::fmt(static_cast<std::int64_t>(rep.scored)),
+                   stats::fmt(static_cast<std::int64_t>(rep.c45.total())),
                    stats::fmt(rep.c45.precision(), 2),
                    stats::fmt(rep.c45.recall(), 2),
                    stats::fmt_pct(rep.c45.accuracy()),
@@ -193,24 +150,22 @@ int main(int argc, char** argv) {
 
   std::printf("decision point: 10 votes after the submitter's digg; "
               "labels: final votes > %s\n\n",
-              smoke ? "60 (smoke downscale)" : "520 (paper Sec. 5.1)");
+              opts.smoke ? "60 (smoke downscale)" : "520 (paper Sec. 5.1)");
   std::printf("%s\n", table.render().c_str());
   std::printf("Bayes calibration (expected vs actual final votes):\n%s",
               calibration.render().c_str());
 
-  if (smoke && !explicit_scenario) {
+  if (opts.smoke && !opts.scenario_given) {
     // The CI coverage assertion: every generative model must be exercised
     // by at least one scenario, or the matrix rotted.
     for (const std::string_view id : dynamics::kModelIds) {
-      if (models_covered.count(std::string(id)) == 0) {
-        std::fprintf(stderr,
-                     "SMOKE FAIL: model '%.*s' not covered by any scenario\n",
-                     static_cast<int>(id.size()), id.data());
-        return 1;
-      }
+      if (models_covered.count(std::string(id)) == 0)
+        throw std::runtime_error("smoke: model '" + std::string(id) +
+                                 "' not covered by any scenario");
     }
     std::printf("\nSMOKE OK: %zu scenarios covering %zu models\n",
                 names.size(), dynamics::kModelIds.size());
   }
-  return 0;
 }
+
+}  // namespace digg::figures

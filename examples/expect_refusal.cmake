@@ -1,13 +1,23 @@
-# Runs PROG with ARG1 and ARG2 and fails unless it exits with status 1 and
-# its stderr matches EXPECT: a file-reading example must refuse bad input
-# with a message, not abort.
-#   cmake -DPROG=<exe> -DARG1=<a> -DARG2=<b> -DEXPECT=<regex> -P expect_refusal.cmake
-execute_process(COMMAND "${PROG}" "${ARG1}" "${ARG2}"
+# Runs PROG with the ARG1..ARG3 that are given and fails unless it exits with
+# STATUS (default 1) and its stderr matches EXPECT: a program must refuse bad
+# input with a message, not abort.
+#   cmake -DPROG=<exe> -DARG1=<a> [-DARG2=<b> [-DARG3=<c>]] [-DSTATUS=<n>]
+#         -DEXPECT=<regex> -P expect_refusal.cmake
+set(args)
+foreach(var ARG1 ARG2 ARG3)
+  if(DEFINED ${var})
+    list(APPEND args "${${var}}")
+  endif()
+endforeach()
+if(NOT DEFINED STATUS)
+  set(STATUS 1)
+endif()
+execute_process(COMMAND "${PROG}" ${args}
                 RESULT_VARIABLE status
                 OUTPUT_QUIET
                 ERROR_VARIABLE err)
-if(NOT status STREQUAL "1")
-  message(FATAL_ERROR "expected exit status 1, got '${status}'; stderr:\n${err}")
+if(NOT status STREQUAL "${STATUS}")
+  message(FATAL_ERROR "expected exit status ${STATUS}, got '${status}'; stderr:\n${err}")
 endif()
 if(NOT err MATCHES "${EXPECT}")
   message(FATAL_ERROR "stderr does not match '${EXPECT}':\n${err}")

@@ -21,9 +21,9 @@
 #            DIGG_METRICS_PORT_BOUND= stdout line) and --serve-ms holding
 #            the process alive, curl the endpoint, and verify the
 #            Prometheus text exposition (TYPE lines, histogram buckets,
-#            ingest counter). Trace: run fig3a_influence --smoke at
-#            DIGG_THREADS=4 with DIGG_TRACE set, and check that the
-#            exported Chrome trace parses, that every tid's B/E span
+#            ingest counter). Trace: run figures --figure fig3a_influence
+#            --smoke at DIGG_THREADS=4 with DIGG_TRACE set, and check that
+#            the exported Chrome trace parses, that every tid's B/E span
 #            events balance, that data.generate_corpus and runtime.chunk
 #            spans are present, and that no ring wrapped (no wrap warning
 #            on stderr)
@@ -40,14 +40,15 @@
 #            require --inspect to refuse it: exit status 1 and
 #            "truncated" on stderr
 #   scenarios
-#            Release build + the scenario-engine smoke: run the fig7
-#            prediction-comparison bench in --smoke mode (downscaled
+#            Release build + the scenario-engine smoke: run
+#            figures --figure fig7_model_prediction --smoke (downscaled
 #            corpora), which generates every named scenario, races the
 #            Bayes fit against the C4.5 tree, and fails unless every
 #            model id in dynamics::kModelIds is covered by the matrix;
-#            then scripts/figure_digests.sh (full-size figure benches at
+#            then scripts/figure_digests.sh (all 16 full-size figures at
 #            seed 42, built in $RELEASE_DIR), which fails unless every
-#            bench's stdout is identical at DIGG_THREADS=1 and =4
+#            figure's stdout is identical at DIGG_THREADS=1 and =4 and
+#            the all-figures run equals the per-figure runs concatenated
 #   all      every configuration above, failing fast on the first broken one
 #
 # The GitHub Actions matrix (.github/workflows/ci.yml) runs one mode per
@@ -140,8 +141,7 @@ if [[ $MODE == obs || $MODE == all ]]; then
   echo "== [exporter smoke] configure + build ($RELEASE_DIR) =="
   cmake -B "$RELEASE_DIR" -S . -DDIGG_WERROR="$WERROR" \
     -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$RELEASE_DIR" -j "$JOBS" --target perf_stream \
-    fig3a_influence
+  cmake --build "$RELEASE_DIR" -j "$JOBS" --target perf_stream figures
   echo "== [exporter smoke] serve + scrape =="
   OBS_LOG=$(mktemp)
   DIGG_METRICS_PORT=0 "$RELEASE_DIR"/bench/perf_stream \
@@ -179,12 +179,12 @@ if [[ $MODE == obs || $MODE == all ]]; then
   rm -f "$OBS_LOG"
   echo "exporter smoke: Prometheus exposition ok ($(wc -l <<<"$scrape") lines)"
 
-  echo "== [trace smoke] fig3a --smoke with DIGG_TRACE =="
+  echo "== [trace smoke] figures --figure fig3a_influence --smoke with DIGG_TRACE =="
   TRACE_TMP=$(mktemp -d)
   # shellcheck disable=SC2064  # expand now, not at trap time
   trap "rm -rf $TRACE_TMP" EXIT
   DIGG_THREADS=4 DIGG_TRACE="$TRACE_TMP/trace.json" \
-    "$RELEASE_DIR"/bench/fig3a_influence --smoke \
+    "$RELEASE_DIR"/bench/figures --figure fig3a_influence --smoke \
     >"$TRACE_TMP/stdout" 2>"$TRACE_TMP/stderr"
   if grep -F 'trace ring wrapped' "$TRACE_TMP/stderr" >&2; then
     echo "trace smoke: a recorder ring wrapped; the trace is incomplete" >&2
@@ -285,9 +285,9 @@ if [[ $MODE == scenarios || $MODE == all ]]; then
   echo "== [scenario smoke] configure + build ($RELEASE_DIR) =="
   cmake -B "$RELEASE_DIR" -S . -DDIGG_WERROR="$WERROR" \
     -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$RELEASE_DIR" -j "$JOBS" --target fig7_model_prediction
+  cmake --build "$RELEASE_DIR" -j "$JOBS" --target figures
   echo "== [scenario smoke] every scenario x both predictors =="
-  "$RELEASE_DIR"/bench/fig7_model_prediction --smoke
+  "$RELEASE_DIR"/bench/figures --figure fig7_model_prediction --smoke
   echo "== [scenario smoke] figure stdout invariant across thread counts =="
   BUILD_DIR="$RELEASE_DIR" scripts/figure_digests.sh 42
 fi
