@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   const auto ckpt_bytes = fs::file_size(ckpt, ec);
   fs::remove_all(dir, ec);
 
-  std::printf("engine init (validate + fingerprint): %8.2f ms\n", init_ms);
+  std::printf("engine init (O(stories) checks):      %8.2f ms\n", init_ms);
   std::printf("full replay:                          %8.2f ms  (%.0f votes/s)\n",
               replay_ms, votes_per_sec);
   std::printf("batch feature extraction (front page):%8.2f ms\n", batch_ms);

@@ -12,7 +12,8 @@
 #            straight and cut at half the stream, checkpointed, restored
 #            and finished — the bench exits 1 unless the two agree and the
 #            straight run's feature rows equal core::extract_features on
-#            the mapped corpus
+#            the mapped corpus; it also prints the restore-to-first-vote
+#            time (fresh engine + restore + one event), which no gate reads
 #            (perf_corpus_io's large leg, downscaled via
 #            LARGE_USERS/LARGE_STORIES so the smoke stays minutes-cheap;
 #            the nightly perf job runs the full million)

@@ -29,22 +29,23 @@ double expected_final_votes(const BayesFitParams& params,
   double n = evidence.votes;
   double audience = evidence.audience;
   const double h = std::max(1.0, params.step_minutes);
+  const double t0 = evidence.elapsed_minutes;
   bool promoted = n >= static_cast<double>(kPromotionVotes);
-  double promoted_at = promoted ? evidence.elapsed_minutes : 0.0;
-  for (double t = evidence.elapsed_minutes; t < params.horizon_minutes;
-       t += h) {
-    double disc_visibility;
-    if (promoted) {
-      disc_visibility = params.front_page_gain *
-                        std::pow(0.5, (t - promoted_at) /
-                                          params.novelty_half_life);
-    } else {
-      disc_visibility = std::exp(-t / params.upcoming_decay_minutes);
-    }
-    const double fan_visibility =
-        params.fan_decay_minutes > 0
-            ? std::exp(-t / params.fan_decay_minutes)
-            : 1.0;
+  // Every visibility term decays geometrically in the step count, so each
+  // is its value at t0 times a constant per-step factor: the loop
+  // multiplies instead of calling exp/pow. The front-page term restarts at
+  // the promotion step (novelty counts from the promotion time).
+  const bool fan_decays = params.fan_decay_minutes > 0;
+  const double fan_step =
+      fan_decays ? std::exp(-h / params.fan_decay_minutes) : 1.0;
+  const double upcoming_step = std::exp(-h / params.upcoming_decay_minutes);
+  const double front_page_step = std::pow(0.5, h / params.novelty_half_life);
+  double fan_visibility =
+      fan_decays ? std::exp(-t0 / params.fan_decay_minutes) : 1.0;
+  double disc_visibility =
+      promoted ? params.front_page_gain
+               : std::exp(-t0 / params.upcoming_decay_minutes);
+  for (double t = t0; t < params.horizon_minutes; t += h) {
     double dn = fit.r_fan * fan_visibility * audience * h +
                 fit.r_disc * disc_visibility * h;
     // Finite-population (logistic) damping: the susceptible pool drains as
@@ -56,9 +57,12 @@ double expected_final_votes(const BayesFitParams& params,
     }
     n += dn;
     audience += fit.audience_per_vote * dn;
+    fan_visibility *= fan_step;
     if (!promoted && n >= static_cast<double>(kPromotionVotes)) {
       promoted = true;
-      promoted_at = t;
+      disc_visibility = params.front_page_gain * front_page_step;
+    } else {
+      disc_visibility *= promoted ? front_page_step : upcoming_step;
     }
   }
   return n;

@@ -110,11 +110,13 @@ std::vector<snapfmt::Section> StreamEngine::checkpoint_sections() const {
   std::vector<std::uint32_t> innetwork(story_count);
   std::vector<std::uint8_t> flags(story_count);
   std::vector<double> promoted(story_count, 0.0);
+  std::vector<std::uint32_t> influence(story_count);
   for (std::uint64_t slot = 0; slot < story_count; ++slot) {
     applied[slot] = progress_[slot].applied;
     innetwork[slot] = progress_[slot].innetwork;
     flags[slot] = progress_[slot].flags;
     promoted[slot] = progress_[slot].promoted_time;
+    influence[slot] = progress_[slot].influence;
   }
   state.column(applied);
   state.column(innetwork);
@@ -122,6 +124,7 @@ std::vector<snapfmt::Section> StreamEngine::checkpoint_sections() const {
   state.column(promoted);
   state.column(cascade_rec_);
   state.column(influence_rec_);
+  state.column(influence);
   if (params_.bayes.enabled) {
     // The estimate column spares a restored engine re-deriving fits that
     // already fired; a fit still ahead reads only the prefix.
@@ -210,6 +213,7 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
       r.column<std::uint32_t>(story_count * cc.size());
   std::vector<std::uint32_t> influence_rec =
       r.column<std::uint32_t>(story_count * ic.size());
+  std::vector<std::uint32_t> influence = r.column<std::uint32_t>(story_count);
   std::vector<float> bayes_estimates;
   if (m.bayes_enabled) bayes_estimates = r.column<float>(story_count);
   std::vector<std::uint32_t> live_ids, live_submitters, live_prefix_len;
@@ -268,6 +272,9 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     }
     if (innetwork[slot] > applied[slot])
       throw std::runtime_error(ctx + "checkpoint in-network count impossible");
+    if (influence[slot] > network_->node_count() ||
+        (applied[slot] == 0 && influence[slot] != 0))
+      throw std::runtime_error(ctx + "checkpoint influence out of range");
     if ((flags[slot] & ~(kHasPrediction | kPredictedYes | kPromoted |
                          kHasBayes | kBayesYes)) != 0)
       throw std::runtime_error(ctx + "checkpoint story flags invalid");
@@ -365,6 +372,7 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     progress_[slot].innetwork = innetwork[slot];
     progress_[slot].flags = flags[slot];
     progress_[slot].promoted_time = promoted[slot];
+    progress_[slot].influence = influence[slot];
     progress_[slot].bayes_estimate =
         m.bayes_enabled ? bayes_estimates[slot] : 0.0f;
   }

@@ -11,8 +11,10 @@
 //   STREAM_META (16) — everything needed to refuse a mismatched restore:
 //     u32  checkpoint version (kStreamCheckpointVersion)
 //     u32  predictor armed (0/1 — online-prediction hook active)
-//     u64  stream fingerprint (stories, vote columns, graph shape; live
-//          engines fingerprint the graph shape + a live tag)
+//     u64  stream fingerprint: the stream's identity (event.h — stories
+//          and vote columns, folded once by build_event_stream) plus the
+//          graph shape; live engines fingerprint the graph shape + a live
+//          tag
 //     u64  total events        u64  events applied
 //     u64  story count         u64  interesting threshold
 //     u32  bayes fit enabled (0/1)
@@ -30,6 +32,9 @@
 //     u32[S*3]    recorded cascade values, v6/v10/v20
 //                 (0xffffffff = not yet reached)
 //     u32[S*3]    recorded influence values at 1/11/21 votes (same sentinel)
+//     u32[S]      influence after the applied prefix (replay: what result()
+//                 reports for an unreached influence checkpoint; live
+//                 engines recount it and write 0)
 //     f32[S]      bayes expected-final estimate  [iff bayes enabled]
 //
 //   SERVE_STORIES (18) — live-mode checkpoints only. A live engine has no
@@ -42,14 +47,15 @@
 //     u32[sum]    concatenated prefix voter columns
 //     pad to 8    f64[sum] concatenated prefix time columns
 //
-// Deliberately NOT serialized: anything derivable from the vote prefix —
-// the Bayes watcher exposure and unrecorded influence values are recounted
-// from the prefix when needed — and per-shard cursors (the per-story
+// Deliberately NOT serialized: the Bayes watcher exposure (recounted from
+// the prefix when the fit lands) and per-shard cursors (the per-story
 // applied counts are the cursor state). The checkpoint is therefore small —
-// O(stories), not O(votes or graph) — and restore cannot resurrect stale
-// derived state. Version 4 dropped version 3's f64 exposure column; version
+// O(stories), not O(votes or graph). Version 4 dropped version 3's f64 exposure column; version
 // 5 dropped the promotion threshold and both checkpoint lists from
 // STREAM_META when they became constants (STREAM_STATE is unchanged).
+// Version 6 fingerprints the stream identity build_event_stream folds (so
+// a version-5 fingerprint no longer matches) and adds the influence
+// column, which spares result() an influence recount per short story.
 //
 // Restore-time validation (each with a distinct error): container magic /
 // version / checksum of every section (snapshot_format.cpp), checkpoint
@@ -58,7 +64,9 @@
 // fingerprint, engine config equality, column sizes, and per-story
 // consistency — the applied column must be exactly the per-story event
 // counts of the stream's first events-applied events, records present iff
-// their checkpoint was reached, flags consistent with progress, and live
+// their checkpoint was reached, flags consistent with progress, the
+// influence column within the graph's user count (0 before any vote), and
+// live
 // prefixes that live_vote could have built (voters in range and distinct,
 // times finite and sorted, vote 0 the submitter, a finite watermark).
 
@@ -67,7 +75,7 @@
 
 namespace digg::stream {
 
-inline constexpr std::uint32_t kStreamCheckpointVersion = 5;
+inline constexpr std::uint32_t kStreamCheckpointVersion = 6;
 
 /// Cheap peek at a checkpoint's STREAM_META section (full container
 /// integrity is still verified). Lets tools report progress or pick the

@@ -16,42 +16,20 @@
 namespace digg::stream {
 namespace {
 
-// Folds one memory block into a running fingerprint. Chained (rather than
-// hashing one flat copy of everything) so the stream is fingerprinted
-// without materialising a second copy of the vote columns.
-std::uint64_t mix(std::uint64_t h, const void* data, std::size_t bytes) {
-  const std::uint64_t block =
-      data::snapfmt::fnv1a(static_cast<const char*>(data), bytes);
-  return (h ^ block) * 1099511628211ull;
-}
+// The checkpoint fingerprint: the network shape plus `tag`, which is the
+// stream's identity (event.h, folded once by build_event_stream) in replay
+// mode. A live engine has no stream at construction and passes a fixed
+// mode tag instead (so a live checkpoint never restores into a replay
+// engine whose stream happens to hash equal — it cannot, but the tag makes
+// it structural).
+constexpr std::uint64_t kLiveTag = 0x11fe5e42ull;  // arbitrary
 
-std::uint64_t stream_fingerprint(const EventStream& stream,
-                                 const graph::Digraph& network) {
-  std::uint64_t h = 14695981039346656037ull;
-  const std::uint64_t shape[3] = {network.node_count(), network.edge_count(),
-                                  stream.stories.size()};
-  h = mix(h, shape, sizeof(shape));
-  // (live-mode engines fingerprint the network shape alone — see below)
-  for (const platform::StoryView& s : stream.stories) {
-    const std::uint64_t meta[3] = {s.id, s.submitter, s.vote_count()};
-    h = mix(h, meta, sizeof(meta));
-    const auto voters = s.voters();
-    const auto times = s.times();
-    h = mix(h, voters.data(), voters.size_bytes());
-    h = mix(h, times.data(), times.size_bytes());
-  }
-  return h;
-}
-
-// A live engine has no stream at construction: cover the graph shape plus a
-// mode tag (so a live checkpoint never restores into a replay engine whose
-// stream happens to hash equal — it cannot, but the tag makes it structural).
-std::uint64_t live_fingerprint(const graph::Digraph& network) {
-  std::uint64_t h = 14695981039346656037ull;
-  const std::uint64_t shape[3] = {network.node_count(), network.edge_count(),
-                                  0x11fe5e42ull};  // arbitrary live-mode tag
-  h = mix(h, shape, sizeof(shape));
-  return h;
+std::uint64_t fingerprint_of(const graph::Digraph& network,
+                             std::uint64_t tag) {
+  const std::uint64_t words[3] = {network.node_count(), network.edge_count(),
+                                  tag};
+  return data::snapfmt::fnv1a(reinterpret_cast<const char*>(words),
+                              sizeof(words));
 }
 
 // Order-preserving 64-bit key of a finite time: a <= b as doubles iff
@@ -93,7 +71,7 @@ StreamEngine::StreamEngine(const graph::Digraph& network, StreamParams params)
     : stream_(nullptr), network_(&network), params_(std::move(params)) {
   obs::Span span("stream.engine_init");
   init_config();
-  fingerprint_ = live_fingerprint(network);
+  fingerprint_ = fingerprint_of(network, kLiveTag);
 }
 
 StreamEngine::StreamEngine(const EventStream& stream,
@@ -105,26 +83,17 @@ StreamEngine::StreamEngine(const EventStream& stream,
   if (story_count >= kUnrecorded)
     throw std::invalid_argument("too many stories for the stream engine");
 
-  // Validate the stream against its own story columns: the replay order is
-  // only well defined if every story's time column is finite and
-  // non-decreasing (a NaN compares false both ways, so it would slip past
-  // the order check and leave the prefix cut without a time to find), and
-  // the cached event total must match the columns it summarises. Every
-  // downstream guarantee (checkpoint prefix validation) leans on these
-  // invariants, so buying them up front with one O(E) pass is cheaper than
-  // defending each consumer separately.
+  // build_event_stream validated the columns and folded their identity in
+  // the stream's one O(votes) pass; what is left here is O(stories). A
+  // table that is not the one built (edited afterwards, or never built) is
+  // refused rather than re-validated.
+  if (stream_->defect != nullptr)
+    throw std::invalid_argument(stream_->defect);
+  if (story_table_digest(stream_->stories) != stream_->table_digest)
+    throw std::invalid_argument(
+        "stream story table is not the one build_event_stream built");
   std::uint64_t total = 0;
-  for (std::uint32_t slot = 0; slot < story_count; ++slot) {
-    const platform::StoryView& s = stream_->stories[slot];
-    const auto times = s.times();
-    if (s.voters().size() != times.size())
-      throw std::invalid_argument("stream story vote columns disagree");
-    for (std::size_t k = 0; k < times.size(); ++k) {
-      if (!std::isfinite(times[k]))
-        throw std::invalid_argument("stream vote times must be finite");
-      if (k > 0 && times[k] < times[k - 1])
-        throw std::invalid_argument("stream events must be time-sorted");
-    }
+  for (const platform::StoryView& s : stream_->stories) {
     if (s.submitter >= network.node_count())
       throw std::invalid_argument("stream story submitter out of graph range");
     total += s.vote_count();
@@ -132,7 +101,7 @@ StreamEngine::StreamEngine(const EventStream& stream,
   if (total != stream_->total)
     throw std::invalid_argument("stream event total mismatches vote columns");
 
-  fingerprint_ = stream_fingerprint(*stream_, *network_);
+  fingerprint_ = fingerprint_of(network, stream_->identity);
 
   progress_.resize(story_count);
   for (std::uint32_t slot = 0; slot < story_count; ++slot)
@@ -304,21 +273,11 @@ std::vector<std::uint64_t> StreamEngine::prefix_cut(
     return cut;
   }
 
-  // Votes at or before `t`, over every story.
-  const auto count_upto = [&stories](platform::Minutes t) {
-    std::uint64_t n = 0;
-    for (const platform::StoryView& s : stories) {
-      const auto times = s.times();
-      n += static_cast<std::uint64_t>(
-          std::upper_bound(times.begin(), times.end(), t) - times.begin());
-    }
-    return n;
-  };
   // Bisect for the time T of the limit-th event: the least key whose time
   // has at least `limit` votes at or before it. Every key between two
-  // finite times' keys decodes to a finite time (the constructor refuses
-  // non-finite ones), and decoding is monotone, so count_upto is monotone
-  // in the key and the search ends on T itself in at most 64 probes.
+  // finite times' keys decodes to a finite time (build_event_stream refuses
+  // non-finite ones), and decoding is monotone, so the count is monotone in
+  // the key and the search ends on T itself in at most 64 probes.
   std::uint64_t lo = ~std::uint64_t{0};
   std::uint64_t hi = 0;
   for (const platform::StoryView& s : stories) {
@@ -327,12 +286,48 @@ std::vector<std::uint64_t> StreamEngine::prefix_cut(
     lo = std::min(lo, order_key(times.front()));
     hi = std::max(hi, order_key(times.back()));
   }
+  // Each probe counts the votes at or before its time. Story i's count is
+  // bracketed by [first_i, last_i]: a probe that lands at or past `limit`
+  // caps every later probe's time, so its counts become the upper bounds,
+  // and one that falls short floors them. A story whose bracket closes has
+  // the same count at every later probe and drops out into `settled`. The
+  // counts stay exact, so the bisection takes the path of a full count.
+  struct Bracket {
+    std::size_t slot;
+    std::size_t first;  // count at a probe known to be below T
+    std::size_t last;   // count at a probe known to be at or past T
+    std::size_t probe;  // count at the current probe
+  };
+  std::vector<Bracket> open;
+  open.reserve(stories.size());
+  for (std::size_t slot = 0; slot < stories.size(); ++slot)
+    if (!stories[slot].times().empty())
+      open.push_back({slot, 0, stories[slot].times().size(), 0});
+  std::uint64_t settled = 0;
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    if (count_upto(time_of_key(mid)) >= limit)
+    const platform::Minutes t = time_of_key(mid);
+    std::uint64_t count = settled;
+    for (Bracket& b : open) {
+      const platform::Minutes* times = stories[b.slot].times().data();
+      b.probe = static_cast<std::size_t>(
+          std::upper_bound(times + b.first, times + b.last, t) - times);
+      count += b.probe;
+    }
+    const bool at_or_past = count >= limit;
+    if (at_or_past)
       hi = mid;
     else
       lo = mid + 1;
+    std::size_t kept = 0;
+    for (Bracket& b : open) {
+      (at_or_past ? b.last : b.first) = b.probe;
+      if (b.first == b.last)
+        settled += b.first;
+      else
+        open[kept++] = b;
+    }
+    open.resize(kept);
   }
   const platform::Minutes cut_time = time_of_key(lo);
 
@@ -417,6 +412,7 @@ void StreamEngine::run_until(std::uint64_t event_limit) {
             while (p.applied < n)
               apply_early_vote(slot, p, fan_of_earlier[p.applied],
                                times[p.applied], curve_n);
+            p.influence = curve_n[n - 1];
           }
           if (p.applied < end) {
             // Past the horizon the rest of the slice is one addition; the
@@ -463,26 +459,25 @@ StoryOutcome StreamEngine::query_story(std::uint32_t slot) const {
   // Unreached checkpoints saturate over the votes seen so far, matching
   // the batch profiles. An unrecorded cascade checkpoint's count is just
   // the running counter (all applied votes are inside its window); an
-  // unrecorded influence checkpoint is recounted from the applied prefix,
-  // which is below the horizon (0 for a story with no votes yet).
+  // unrecorded influence checkpoint is the influence after the applied
+  // prefix, which is below the horizon (0 for a story with no votes yet):
+  // replay stored it with the prefix, live mode recounts it.
   o.cascade.resize(kCascade.size());
   for (std::size_t j = 0; j < kCascade.size(); ++j) {
     const std::uint32_t rec = cascade_rec_[slot * kCascade.size() + j];
     o.cascade[j] = rec != kUnrecorded ? rec : p.innetwork;
   }
+  std::uint32_t now = p.influence;
+  if (live() && p.applied > 0 && p.applied < kInfluence.back()) {
+    std::array<std::uint32_t, horizon()> curve{};
+    const auto out = std::span(curve).first(p.applied);
+    core::influence_curve(voters_prefix(slot, p.applied), *network_, out);
+    now = out.back();
+  }
   o.influence.resize(kInfluence.size());
-  std::array<std::uint32_t, horizon()> curve{};
-  bool counted = false;
   for (std::size_t j = 0; j < kInfluence.size(); ++j) {
     const std::uint32_t rec = influence_rec_[slot * kInfluence.size() + j];
-    if (rec == kUnrecorded && !counted) {
-      core::influence_curve(voters_prefix(slot, p.applied), *network_,
-                            std::span(curve).first(p.applied));
-      counted = true;
-    }
-    o.influence[j] = rec != kUnrecorded ? rec
-                     : p.applied == 0   ? 0
-                                        : curve[p.applied - 1];
+    o.influence[j] = rec != kUnrecorded ? rec : now;
   }
   if (p.flags & kHasPrediction)
     o.predicted_interesting = (p.flags & kPredictedYes) != 0;

@@ -50,10 +50,19 @@
 // on the same corpus.
 //
 // Checkpoint/restore: engine state serializes through the shared DIGGSNAP
-// section mechanism (data/snapshot_format.h) — see checkpoint.h. Nothing
-// derivable from the prefix is serialized or rebuilt. A restored engine
-// resumes mid-stream and reaches a final state bit-identical to an
-// uninterrupted run.
+// section mechanism (data/snapshot_format.h) — see checkpoint.h. Restore
+// rebuilds nothing; the one derived column it carries is each story's
+// influence after its applied prefix, so result() never recounts it in
+// replay. A restored engine resumes mid-stream and reaches a final state
+// bit-identical to an uninterrupted run.
+//
+// Validation and identity: an engine over a stream does no O(votes) work
+// of its own. build_event_stream (source.h) validated the columns and
+// folded their identity once (event.h); the replay constructor throws a
+// defect the build recorded, refuses a story table that differs from the
+// one built (an O(stories) digest), re-sums the event total, checks
+// submitters against the graph and folds the graph shape into the
+// identity to make the checkpoint fingerprint.
 //
 // Live mode (src/serve): constructed over a network alone, the engine has
 // no EventStream — stories arrive through live_submit and votes through
@@ -150,9 +159,11 @@ struct StreamResult {
 class StreamEngine {
  public:
   /// `stream`, `network`, and params.predictor must outlive the engine.
-  /// Validates the stream (per-story vote times finite and non-decreasing,
-  /// event total matching the columns, submitters in graph range) and the
-  /// Bayes fit point; throws std::invalid_argument on violations.
+  /// O(stories): throws std::invalid_argument with the defect
+  /// build_event_stream recorded (vote columns disagreeing, a vote time
+  /// not finite or out of order), for a story table that is not the one
+  /// built, an event total not matching the columns, a submitter outside
+  /// the graph, or a Bayes fit point outside the cascade window.
   StreamEngine(const EventStream& stream, const graph::Digraph& network,
                StreamParams params = {});
 
@@ -225,8 +236,8 @@ class StreamEngine {
 
   /// Snapshot of every story's state as of events_applied(). Callable
   /// mid-stream (outcomes then describe the prefix seen so far); a pure
-  /// read — an unreached influence checkpoint is recounted from the
-  /// story's applied prefix.
+  /// read — an unreached influence checkpoint reports the influence after
+  /// the applied prefix (replay stores it; live mode recounts it).
   [[nodiscard]] StreamResult result() const;
 
   /// One story's outcome as of the votes applied so far — the online query
@@ -247,11 +258,12 @@ class StreamEngine {
   /// against the SAME stream and params. Verifies container integrity, the
   /// stream fingerprint, config equality, and per-story prefix consistency;
   /// throws std::runtime_error with a distinct message per violation and
-  /// leaves the engine unchanged. Rebuilds no derived state.
+  /// leaves the engine unchanged. Rebuilds no derived state; O(stories).
   void restore_checkpoint(const std::filesystem::path& path);
 
-  /// FNV-1a fingerprint of the stream (stories, vote columns) and network
-  /// shape; checkpoints embed it so a restore against different data fails.
+  /// FNV-1a fingerprint of the stream's identity (stories and vote columns,
+  /// folded by build_event_stream) and the network shape; checkpoints embed
+  /// it so a restore against different data fails.
   /// Live engines have no stream at construction, so their fingerprint
   /// covers the network shape alone (plus a live-mode tag) — a live
   /// checkpoint still refuses to restore over a different graph.
@@ -277,6 +289,10 @@ class StreamEngine {
     std::uint32_t innetwork = 0;  // running in-network count (to horizon)
     std::uint32_t fans1 = 0;
     std::uint8_t flags = 0;  // kHasPrediction | ... | kBayesYes
+    /// Replay: influence after the applied prefix, stored at the end of
+    /// each below-horizon slice, so query_story reads an unreached
+    /// influence checkpoint instead of recounting it. Unused in live mode.
+    std::uint32_t influence = 0;
     platform::Minutes promoted_time = 0.0;
     float bayes_estimate = 0.0f;  // expected final votes (kHasBayes set)
   };

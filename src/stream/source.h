@@ -1,10 +1,13 @@
 #pragma once
 // Event-stream construction: assembles the story table whose time columns
-// define the single time-ordered event order of event.h. O(stories) — the
+// define the single time-ordered event order of event.h, and makes the
+// stream's one O(votes) pass — column validation and the identity fold
+// (event.h) — so every engine built over the stream is O(stories). The
 // event order itself stays implicit in the per-story time columns. Sources
 // exist for the corpus (replay of scraped/synthetic/mmapped data) and for
 // any explicit story list, so a synthetic generator run can be streamed
-// without materialising a Corpus first.
+// without materialising a Corpus first. A defect in the columns does not
+// throw here: it is recorded in the stream, and the engine throws it.
 
 #include <span>
 

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -103,6 +104,88 @@ TEST(BayesForward, FrontPageGainActsOnlyPastThePromotionRule) {
   const double below = expected_final_votes(gain12, e, stalled);
   EXPECT_LT(below, static_cast<double>(kPromotionVotes));
   EXPECT_EQ(below, expected_final_votes(gain1, e, stalled));
+}
+
+// The forward integral as a per-step exp/pow loop: every decay term
+// evaluated from the step's time. expected_final_votes carries the same
+// terms as running products; the two must agree to rounding.
+double closed_form_final_votes(const BayesFitParams& params,
+                               const BayesEvidence& evidence,
+                               const BayesFit& fit) {
+  double n = evidence.votes;
+  double audience = evidence.audience;
+  const double h = std::max(1.0, params.step_minutes);
+  bool promoted = n >= static_cast<double>(kPromotionVotes);
+  double promoted_at = promoted ? evidence.elapsed_minutes : 0.0;
+  for (double t = evidence.elapsed_minutes; t < params.horizon_minutes;
+       t += h) {
+    const double disc_visibility =
+        promoted ? params.front_page_gain *
+                       std::pow(0.5, (t - promoted_at) /
+                                         params.novelty_half_life)
+                 : std::exp(-t / params.upcoming_decay_minutes);
+    const double fan_visibility =
+        params.fan_decay_minutes > 0 ? std::exp(-t / params.fan_decay_minutes)
+                                     : 1.0;
+    double dn = fit.r_fan * fan_visibility * audience * h +
+                fit.r_disc * disc_visibility * h;
+    if (evidence.population > 0) {
+      dn *= std::max(0.0, 1.0 - n / evidence.population);
+      if (n + dn > evidence.population) dn = evidence.population - n;
+    }
+    n += dn;
+    audience += fit.audience_per_vote * dn;
+    if (!promoted && n >= static_cast<double>(kPromotionVotes)) {
+      promoted = true;
+      promoted_at = t;
+    }
+  }
+  return n;
+}
+
+TEST(BayesForward, RecurrenceMatchesClosedForm) {
+  struct Case {
+    const char* name;
+    BayesEvidence evidence;
+    double r_fan;
+    double r_disc;
+    double fan_decay_minutes;
+  };
+  const auto evidence = [](std::uint32_t votes, double elapsed,
+                           double audience, double population) {
+    BayesEvidence e;
+    e.votes = votes;
+    e.elapsed_minutes = elapsed;
+    e.audience = audience;
+    e.population = population;
+    return e;
+  };
+  const Case cases[] = {
+      {"promoted at the start", evidence(50, 90.0, 300.0, 0.0), 2e-4, 0.05,
+       2880.0},
+      {"crosses vote 43 mid-run", evidence(11, 120.0, 200.0, 0.0), 1e-4, 0.4,
+       2880.0},
+      {"stalled", evidence(11, 600.0, 40.0, 0.0), 0.0, 1e-3, 2880.0},
+      {"no fan decay", evidence(11, 60.0, 150.0, 0.0), 3e-4, 0.1, 0.0},
+      {"population-capped", evidence(11, 30.0, 5000.0, 2000.0), 5e-3, 2.0,
+       2880.0},
+  };
+  std::vector<double> finals;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    BayesFitParams p;
+    p.fan_decay_minutes = c.fan_decay_minutes;
+    BayesFit fit = fit_rates(p, c.evidence);
+    fit.r_fan = c.r_fan;
+    fit.r_disc = c.r_disc;
+    const double want = closed_form_final_votes(p, c.evidence, fit);
+    finals.push_back(expected_final_votes(p, c.evidence, fit));
+    EXPECT_NEAR(finals.back(), want, 1e-12 * want);
+  }
+  // The grid reaches every branch it names.
+  EXPECT_GE(finals[1], static_cast<double>(kPromotionVotes));
+  EXPECT_LT(finals[2], static_cast<double>(kPromotionVotes));
+  EXPECT_EQ(finals[4], cases[4].evidence.population);
 }
 
 // --- engine integration --------------------------------------------------

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/core/prefix_visibility.h"
+#include "src/data/snapshot.h"
 #include "src/data/snapshot_format.h"
 #include "src/data/synthetic.h"
 #include "src/obs/metrics.h"
@@ -212,58 +214,123 @@ TEST(EventStreamTest, EngineRejectsTamperedStreams) {
 TEST(EventStreamTest, PrefixCutMatchesBruteForceOrder) {
   // Equal times across stories, a single-vote story, and -0.0 next to
   // +0.0 (equal times, so slot order decides, whichever sign comes first).
-  const std::vector<std::vector<double>> columns = {
+  std::vector<std::vector<std::vector<double>>> streams = {{
       {-0.0, 0.0, 2.0, 2.0, 5.0},
       {0.0, -0.0, 2.0, 3.0},
       {2.0},
       {-1.5, 0.0, 2.0, 2.0, 2.0, 7.0},
       {-0.0, 5.0},
-  };
-  std::vector<platform::Story> owned;
-  platform::UserId next_voter = 0;
-  for (std::size_t slot = 0; slot < columns.size(); ++slot) {
-    platform::Story story;
-    story.id = static_cast<platform::StoryId>(slot);
-    story.submitter = next_voter;
-    story.times = columns[slot];
-    for (std::size_t k = 0; k < columns[slot].size(); ++k)
-      story.voters.push_back(next_voter++);
-    owned.push_back(std::move(story));
+  }};
+  // Random streams with heavy ties across and within stories, both zero
+  // signs and negative times, so the bisection's per-story brackets close
+  // at different probes.
+  stats::Rng rng(2024);
+  const double palette[] = {-3.0, -1.5, -0.0, 0.0, 0.5, 1.0, 2.0, 2.0, 7.5};
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::vector<double>>& columns = streams.emplace_back();
+    columns.resize(static_cast<std::size_t>(rng.uniform_int(5, 24)));
+    for (std::vector<double>& column : columns) {
+      column.resize(static_cast<std::size_t>(rng.uniform_int(1, 12)));
+      for (double& t : column)
+        t = palette[rng.uniform_int(
+            0, static_cast<std::int64_t>(std::size(palette)) - 1)];
+      // Sorted with -0.0 and 0.0 in whatever order they were drawn.
+      std::stable_sort(column.begin(), column.end());
+    }
   }
-  const std::vector<platform::StoryView> views(owned.begin(), owned.end());
-  const EventStream stream = build_event_stream(views);
   const graph::Digraph& network = small_corpus().corpus.network;
 
-  // Every vote's (time, slot, index) key, fully sorted.
-  using Key = std::tuple<double, std::uint32_t, std::uint32_t>;
-  std::vector<Key> keys;
-  for (std::uint32_t slot = 0; slot < columns.size(); ++slot)
-    for (std::uint32_t k = 0; k < columns[slot].size(); ++k)
-      keys.emplace_back(columns[slot][k], slot, k);
-  std::sort(keys.begin(), keys.end());
-  ASSERT_EQ(keys.size(), stream.total_events());
+  for (const std::vector<std::vector<double>>& columns : streams) {
+    SCOPED_TRACE("stream of " + std::to_string(columns.size()) + " stories");
+    std::vector<platform::Story> owned;
+    platform::UserId next_voter = 0;
+    for (std::size_t slot = 0; slot < columns.size(); ++slot) {
+      platform::Story story;
+      story.id = static_cast<platform::StoryId>(slot);
+      story.submitter = next_voter;
+      story.times = columns[slot];
+      for (std::size_t k = 0; k < columns[slot].size(); ++k)
+        story.voters.push_back(next_voter++);
+      owned.push_back(std::move(story));
+    }
+    const std::vector<platform::StoryView> views(owned.begin(), owned.end());
+    const EventStream stream = build_event_stream(views);
 
-  const auto expect_cut = [&](const StreamEngine& engine, std::uint64_t limit) {
-    std::vector<std::size_t> want(columns.size(), 0);
-    for (std::uint64_t i = 0; i < limit; ++i) ++want[std::get<1>(keys[i])];
-    EXPECT_EQ(engine.events_applied(), limit);
+    // Every vote's (time, slot, index) key, fully sorted.
+    using Key = std::tuple<double, std::uint32_t, std::uint32_t>;
+    std::vector<Key> keys;
     for (std::uint32_t slot = 0; slot < columns.size(); ++slot)
-      EXPECT_EQ(engine.query_story(slot).final_votes, want[slot])
-          << "slot " << slot << " at limit " << limit;
-  };
-  StreamEngine stepping(stream, network);
-  for (std::uint64_t limit = 0; limit <= keys.size(); ++limit) {
-    SCOPED_TRACE("limit " + std::to_string(limit));
-    StreamEngine fresh(stream, network);
-    fresh.run_until(limit);
-    expect_cut(fresh, limit);
-    StreamEngine halved(stream, network);
-    halved.run_until(limit / 2);
-    halved.run_until(limit);
-    expect_cut(halved, limit);
-    stepping.run_until(limit);
-    expect_cut(stepping, limit);
+      for (std::uint32_t k = 0; k < columns[slot].size(); ++k)
+        keys.emplace_back(columns[slot][k], slot, k);
+    std::sort(keys.begin(), keys.end());
+    ASSERT_EQ(keys.size(), stream.total_events());
+
+    const auto expect_cut = [&](const StreamEngine& engine,
+                                std::uint64_t limit) {
+      std::vector<std::size_t> want(columns.size(), 0);
+      for (std::uint64_t i = 0; i < limit; ++i) ++want[std::get<1>(keys[i])];
+      EXPECT_EQ(engine.events_applied(), limit);
+      for (std::uint32_t slot = 0; slot < columns.size(); ++slot)
+        EXPECT_EQ(engine.query_story(slot).final_votes, want[slot])
+            << "slot " << slot << " at limit " << limit;
+    };
+    StreamEngine stepping(stream, network);
+    for (std::uint64_t limit = 0; limit <= keys.size(); ++limit) {
+      SCOPED_TRACE("limit " + std::to_string(limit));
+      StreamEngine fresh(stream, network);
+      fresh.run_until(limit);
+      expect_cut(fresh, limit);
+      StreamEngine halved(stream, network);
+      halved.run_until(limit / 2);
+      halved.run_until(limit);
+      expect_cut(halved, limit);
+      stepping.run_until(limit);
+      expect_cut(stepping, limit);
+    }
   }
+}
+
+// The engine trusts build_event_stream's validation only for the table it
+// built: an edited copy, or a table assembled by hand, is refused rather
+// than re-validated.
+TEST(EventStreamTest, EngineRefusesATableNotBuiltByTheStream) {
+  const auto& corpus = small_corpus().corpus;
+  {
+    EventStream edited = small_stream();
+    std::swap(edited.stories[0], edited.stories[1]);
+    EXPECT_THROW(StreamEngine(edited, corpus.network), std::invalid_argument);
+  }
+  {
+    EventStream edited = small_stream();
+    platform::Story story;
+    story.id = edited.stories[0].id;
+    story.submitter = edited.stories[0].submitter;
+    story.voters.assign(edited.stories[0].voters().begin(),
+                        edited.stories[0].voters().end());
+    story.times.assign(edited.stories[0].times().begin(),
+                       edited.stories[0].times().end());
+    // Same ids, counts and contents; other column storage.
+    edited.stories[0] = story;
+    EXPECT_THROW(StreamEngine(edited, corpus.network), std::invalid_argument);
+  }
+  {
+    EventStream by_hand;
+    by_hand.stories = small_stream().stories;
+    by_hand.total = small_stream().total;
+    by_hand.identity = small_stream().identity;
+    EXPECT_THROW(StreamEngine(by_hand, corpus.network), std::invalid_argument);
+  }
+  // A copy of the built table is the same table.
+  const EventStream copy = small_stream();
+  StreamEngine engine(copy, corpus.network);
+  EXPECT_EQ(engine.fingerprint(),
+            StreamEngine(small_stream(), corpus.network).fingerprint());
+  // The empty stream, built, is accepted; default-constructed, it is not.
+  EXPECT_NO_THROW(StreamEngine(
+      build_event_stream(std::span<const platform::StoryView>{}),
+      corpus.network));
+  EXPECT_THROW(StreamEngine(EventStream{}, corpus.network),
+               std::invalid_argument);
 }
 
 // ------------------------------------------- batch/stream bit-identity ---
@@ -625,6 +692,109 @@ TEST_F(StreamTest, RestoreAtAnyCutMatchesAnUninterruptedRun) {
   }
 }
 
+// build_event_stream is the only O(votes) pass: over a mapped snapshot,
+// building engines, running, saving and restoring read no column pass.
+TEST_F(StreamTest, OnlyTheStreamBuildPassesOverTheColumns) {
+  const auto snap = file("corpus.diggsnap");
+  data::save_snapshot(small_corpus().corpus, snap);
+  const data::Corpus mapped = data::load_snapshot_mmap(snap);
+  const EventStream& in_memory = small_stream();  // built before the window
+  const obs::Counter& passes =
+      obs::Registry::global().counter("stream.column_passes");
+  const std::uint64_t before = passes.value();
+  const EventStream stream = build_event_stream(mapped);
+  EXPECT_EQ(passes.value(), before + 1);
+  EXPECT_EQ(stream.identity, in_memory.identity);
+
+  StreamEngine first(stream, mapped.network);
+  first.run_until(stream.total_events() / 2);
+  const auto ckpt = file("half.ckpt");
+  first.save_checkpoint(ckpt);
+  StreamEngine resumed(stream, mapped.network);
+  resumed.restore_checkpoint(ckpt);
+  resumed.run_all();
+  EXPECT_EQ(passes.value(), before + 1);
+
+  StreamEngine straight(in_memory, small_corpus().corpus.network);
+  straight.run_all();
+  EXPECT_EQ(resumed.fingerprint(), straight.fingerprint());
+  expect_same_result(straight.result(), resumed.result());
+}
+
+// Replay stores each story's influence after its applied prefix instead of
+// recounting it in result(): mid-stream, every story below the horizon
+// reports the recount's value, before and after a checkpoint round trip.
+TEST_F(StreamTest, MidStreamInfluenceMatchesARecount) {
+  const auto& corpus = small_corpus().corpus;
+  const auto ckpt = file("cut.ckpt");
+  std::size_t short_stories = 0;
+  for (const std::uint64_t cut :
+       {small_stream().total_events() / 7, small_stream().total_events() / 2}) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    StreamEngine engine(small_stream(), corpus.network);
+    engine.run_until(cut);
+    const StreamResult result = engine.result();
+    for (std::uint32_t slot = 0; slot < result.stories.size(); ++slot) {
+      const StoryOutcome& o = result.stories[slot];
+      if (o.final_votes >= StreamEngine::horizon()) continue;
+      std::array<std::uint32_t, StreamEngine::horizon()> curve{};
+      const auto out = std::span(curve).first(o.final_votes);
+      core::influence_curve(
+          small_stream().stories[slot].voters().first(o.final_votes),
+          corpus.network, out);
+      const std::size_t now = o.final_votes == 0 ? 0 : out.back();
+      EXPECT_EQ(o.influence.back(), now) << "slot " << slot;
+      ++short_stories;
+    }
+    engine.save_checkpoint(ckpt);
+    StreamEngine restored(small_stream(), corpus.network);
+    restored.restore_checkpoint(ckpt);
+    expect_same_result(result, restored.result());
+  }
+  EXPECT_GT(short_stories, 0u);
+}
+
+// The influence column is bounded by the graph's user count, and is 0 for a
+// story with no votes applied.
+TEST_F(StreamTest, RejectsInfluenceColumnOutOfRange) {
+  const auto& corpus = small_corpus().corpus;
+  StreamEngine engine(small_stream(), corpus.network);
+  engine.run_until(1000);
+  const std::size_t stories = corpus.story_count();
+  // Bayes is off, so STREAM_STATE ends with the u32 influence column.
+  const auto forge = [&](std::size_t slot, std::uint32_t value) {
+    std::vector<snapfmt::Section> sections = engine.checkpoint_sections();
+    std::vector<char> body = sections[1].body.bytes();
+    std::memcpy(body.data() + body.size() - 4 * (stories - slot), &value, 4);
+    sections[1].body = {};
+    sections[1].body.raw(body.data(), body.size());
+    const auto path = file("influence.ckpt");
+    snapfmt::write_section_file(path, sections);
+    return path;
+  };
+  const StreamResult result = engine.result();
+  std::size_t unstarted = stories;
+  for (std::size_t slot = 0; slot < stories; ++slot)
+    if (result.stories[slot].final_votes == 0) unstarted = slot;
+  ASSERT_LT(unstarted, stories);
+  for (const auto& [slot, value] :
+       {std::pair<std::size_t, std::uint32_t>{
+            0, static_cast<std::uint32_t>(corpus.network.node_count() + 1)},
+        {unstarted, 1u}}) {
+    StreamEngine fresh(small_stream(), corpus.network);
+    try {
+      fresh.restore_checkpoint(forge(slot, value));
+      FAIL() << "expected influence " << value << " at slot " << slot
+             << " to be refused";
+    } catch (const std::runtime_error& err) {
+      EXPECT_NE(std::string(err.what()).find("checkpoint influence out of range"),
+                std::string::npos)
+          << err.what();
+    }
+    EXPECT_EQ(fresh.events_applied(), 0u);
+  }
+}
+
 TEST_F(StreamTest, RejectsMalformedCheckpoints) {
   const auto& corpus = small_corpus().corpus;
   StreamEngine engine(small_stream(), corpus.network);
@@ -798,6 +968,7 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   state.column(std::vector<double>(stories, 0.0));       // promoted_time
   state.column(std::vector<std::uint32_t>(stories * 3, 0xffffffffu));
   state.column(std::vector<std::uint32_t>(stories * 3, 0xffffffffu));
+  state.column(std::vector<std::uint32_t>(stories, 0));  // influence now
 
   const auto path = file("forged.ckpt");
   snapfmt::write_section_file(path, sections);
@@ -811,7 +982,7 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   }
   // Only the current checkpoint version is read: the older layouts, the
   // never-written version 0 and future versions are all refused.
-  for (const std::uint32_t version : {0u, 2u, 3u, 4u, 6u}) {
+  for (const std::uint32_t version : {0u, 2u, 3u, 4u, 5u, 7u}) {
     snapfmt::Section forged[2] = {{snapfmt::kStreamMeta, {}}, sections[1]};
     forged[0].body.pod(version);
     forged[0].body.raw(meta.bytes().data() + 4, meta.size() - 4);
