@@ -74,7 +74,7 @@ ASAN_DIR=${ASAN_DIR:-build-asan}
 TSAN_DIR=${TSAN_DIR:-build-tsan}
 JOBS=${JOBS:-$(nproc)}
 WERROR=${WERROR:-OFF}
-TSAN_LABELS=${TSAN_LABELS:-'^(runtime_test|stream_test|obs_test|digg_hybrid_set_test|serve_test|simd_kernel_test|data_synthetic_test|data_snapshot_test|dynamics_model_test|dynamics_vote_model_test|core_prefix_visibility_test|core_experiment_test)$'}
+TSAN_LABELS=${TSAN_LABELS:-'^(runtime_test|stream_test|stream_bayes_test|obs_test|digg_hybrid_set_test|serve_test|simd_kernel_test|data_synthetic_test|data_snapshot_test|dynamics_model_test|dynamics_vote_model_test|core_prefix_visibility_test|core_experiment_test)$'}
 LARGE_USERS=${LARGE_USERS:-200000}
 LARGE_STORIES=${LARGE_STORIES:-200}
 

@@ -119,7 +119,7 @@ struct PredictReplyMsg {
   std::uint8_t found = 0;
   std::uint8_t has_c45 = 0;   // C4.5 hook fired (story passed v10, armed)
   std::uint8_t c45_yes = 0;
-  std::uint8_t has_bayes = 0; // Bayes fit fired (story passed fit_at)
+  std::uint8_t has_bayes = 0; // Bayes fit fired (passed v10, enabled)
   std::uint8_t bayes_yes = 0;
   double bayes_expected_final = 0.0;
 };

@@ -43,55 +43,55 @@ namespace digg::stream {
 /// front-page channel when its expected count crosses it.
 inline constexpr std::uint32_t kPromotionVotes = 43;
 
+/// The fit reads the timings of the first kFitVotes votes after the
+/// submitter's digg: the §5.2 decision point, at which the engine also
+/// scores the C4.5 tree, so the race between the two is apples-to-apples.
+inline constexpr std::uint32_t kFitVotes = 10;
+
+/// Gamma prior on the fan-channel rate (votes per watcher-minute): shape
+/// kFanPriorVotes, rate kFanPriorExposure. The prior mean ~5e-4 votes per
+/// watcher-minute regularises stories whose first votes arrive before any
+/// fan exposure accumulates.
+inline constexpr double kFanPriorVotes = 1.0;
+inline constexpr double kFanPriorExposure = 2000.0;
+/// Gamma prior on the discovery rate (votes per minute). Prior mean ~1 vote
+/// per 400 minutes — a dull story's background trickle.
+inline constexpr double kDiscPriorVotes = 1.0;
+inline constexpr double kDiscPriorMinutes = 400.0;
+
+/// Upcoming-queue visibility decay for the forward integration (same
+/// mechanism as the generative models: newer submissions push the story off
+/// the browsed pages).
+inline constexpr double kUpcomingDecayMinutes = 240.0;
+/// Fan-channel attention decay: fans act on a friend's digg within a
+/// recency window (both generative models implement this), so the fan rate
+/// fades with story age instead of compounding forever.
+inline constexpr double kFanDecayMinutes = 2880.0;
+/// Discovery-rate multiplier on promotion (front-page traffic dwarfs the
+/// queue's) and the Wu–Huberman novelty half-life it decays with.
+inline constexpr double kFrontPageGain = 12.0;
+inline constexpr double kNoveltyHalfLife = 1440.0;
+/// Mean-field integration step and horizon (minutes).
+inline constexpr double kStepMinutes = 30.0;
+inline constexpr double kHorizonMinutes = 4.0 * 24.0 * 60.0;
+/// Cap on the audience recruited per vote (fans of a mega-hub's voters
+/// overlap heavily; unbounded g makes the integration supercritical).
+inline constexpr double kMaxAudiencePerVote = 60.0;
+
 struct BayesFitParams {
   /// Master switch; disabled engines carry zero per-vote overhead.
   bool enabled = false;
-  /// Fit from the timings of the first `fit_at` votes after the
-  /// submitter's digg — 10 matches the §5.2 decision point, so the race
-  /// against the C4.5 tree is apples-to-apples. Must be covered by the
-  /// engine's cascade window (fit_at <= last cascade checkpoint).
-  std::uint32_t fit_at = 10;
-
-  /// Gamma prior on the fan-channel rate (votes per watcher-minute):
-  /// shape `fan_prior_votes`, rate `fan_prior_exposure`. The prior mean
-  /// ~5e-4 votes/watcher-minute regularises stories whose first votes
-  /// arrive before any fan exposure accumulates.
-  double fan_prior_votes = 1.0;
-  double fan_prior_exposure = 2000.0;
-  /// Gamma prior on the discovery rate (votes per minute). Prior mean
-  /// ~1 vote / 400 minutes — a dull story's background trickle.
-  double disc_prior_votes = 1.0;
-  double disc_prior_minutes = 400.0;
-
-  /// Upcoming-queue visibility decay for the forward integration (same
-  /// mechanism as the generative models: newer submissions push the story
-  /// off the browsed pages).
-  double upcoming_decay_minutes = 240.0;
-  /// Fan-channel attention decay: fans act on a friend's digg within a
-  /// recency window (both generative models implement this), so the fan
-  /// rate fades with story age instead of compounding forever.
-  double fan_decay_minutes = 2880.0;
-  /// Discovery-rate multiplier on promotion (front-page traffic dwarfs the
-  /// queue's) and the Wu–Huberman novelty half-life it decays with.
-  double front_page_gain = 12.0;
-  double novelty_half_life = 1440.0;
-  /// Mean-field integration step and horizon (minutes).
-  double step_minutes = 30.0;
-  double horizon_minutes = 4.0 * 24.0 * 60.0;
-  /// Cap on the audience recruited per vote (fans of a mega-hub's voters
-  /// overlap heavily; unbounded g makes the integration supercritical).
-  double max_audience_per_vote = 60.0;
 };
 
 /// The sufficient statistics at the fit point, as the engine hands them
 /// over: everything is O(1) state the engine already tracks.
 struct BayesEvidence {
-  std::uint32_t in_network_votes = 0;   // of the first fit_at votes
-  std::uint32_t out_network_votes = 0;  // fit_at - in_network_votes
+  std::uint32_t in_network_votes = 0;   // of the first kFitVotes votes
+  std::uint32_t out_network_votes = 0;  // kFitVotes - in_network_votes
   double exposure_watcher_minutes = 0;  // Σ influence · dt over the prefix
-  double elapsed_minutes = 0;           // time of vote fit_at since submission
-  double audience = 0;                  // fan-union influence after vote fit_at
-  std::uint32_t votes = 0;              // total votes so far (fit_at + 1)
+  double elapsed_minutes = 0;     // time of vote kFitVotes since submission
+  double audience = 0;            // fan-union influence after vote kFitVotes
+  std::uint32_t votes = 0;        // total votes so far (kFitVotes + 1)
   /// Platform user count: the forward integration's saturation bound (a
   /// story cannot collect more votes than there are users, and the fan
   /// cascade slows as the susceptible pool drains). 0 = unbounded.
@@ -106,14 +106,12 @@ struct BayesFit {
 };
 
 /// The conjugate posterior-mean fit. Pure; never throws.
-[[nodiscard]] BayesFit fit_rates(const BayesFitParams& params,
-                                 const BayesEvidence& evidence);
+[[nodiscard]] BayesFit fit_rates(const BayesEvidence& evidence);
 
 /// Mean-field forward integration of the fitted rates from the fit point
 /// to the horizon; returns the expected final vote count (>= evidence
 /// votes). Pure; never throws.
-[[nodiscard]] double expected_final_votes(const BayesFitParams& params,
-                                          const BayesEvidence& evidence,
+[[nodiscard]] double expected_final_votes(const BayesEvidence& evidence,
                                           const BayesFit& fit);
 
 }  // namespace digg::stream

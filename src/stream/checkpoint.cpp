@@ -28,7 +28,6 @@ struct Meta {
   std::uint64_t story_count = 0;
   std::uint64_t interesting_threshold = 0;
   bool bayes_enabled = false;
-  std::uint32_t bayes_fit_at = 0;
   bool live = false;
 };
 
@@ -47,7 +46,6 @@ Meta read_meta(const snapfmt::MmapSectionFile& file) {
   m.story_count = r.pod<std::uint64_t>();
   m.interesting_threshold = r.pod<std::uint64_t>();
   m.bayes_enabled = r.pod<std::uint32_t>() != 0;
-  m.bayes_fit_at = r.pod<std::uint32_t>();
   m.live = r.pod<std::uint32_t>() != 0;
   return m;
 }
@@ -94,14 +92,13 @@ std::vector<snapfmt::Section> StreamEngine::checkpoint_sections() const {
   sections[0].type = snapfmt::kStreamMeta;
   snapfmt::ByteBuffer& meta = sections[0].body;
   meta.pod<std::uint32_t>(kStreamCheckpointVersion);
-  meta.pod<std::uint32_t>(predictor_armed_ ? 1 : 0);
+  meta.pod<std::uint32_t>(params_.predictor != nullptr ? 1 : 0);
   meta.pod<std::uint64_t>(fingerprint_);
   meta.pod<std::uint64_t>(total_events());
   meta.pod<std::uint64_t>(events_applied_);
   meta.pod<std::uint64_t>(story_count);
   meta.pod<std::uint64_t>(params_.interesting_threshold);
   meta.pod<std::uint32_t>(params_.bayes.enabled ? 1 : 0);
-  meta.pod<std::uint32_t>(params_.bayes.fit_at);
   meta.pod<std::uint32_t>(live() ? 1 : 0);
 
   sections[1].type = snapfmt::kStreamState;
@@ -195,9 +192,8 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
   if (m.events_applied > m.total_events)
     throw std::runtime_error(ctx + "checkpoint events-applied out of range");
   if (m.interesting_threshold != params_.interesting_threshold ||
-      m.predictor_armed != predictor_armed_ ||
-      m.bayes_enabled != params_.bayes.enabled ||
-      (m.bayes_enabled && m.bayes_fit_at != params_.bayes.fit_at))
+      m.predictor_armed != (params_.predictor != nullptr) ||
+      m.bayes_enabled != params_.bayes.enabled)
     throw std::runtime_error(ctx + "checkpoint engine config mismatch");
 
   const std::size_t story_count =
@@ -282,13 +278,11 @@ void StreamEngine::restore_checkpoint(const std::filesystem::path& path) {
     if (((flags[slot] & kPromoted) != 0) != should_promote)
       throw std::runtime_error(ctx +
                                "checkpoint promotion flag inconsistent");
-    const bool should_predict = predictor_armed_ && applied[slot] > kPredictAt;
+    const bool should_predict = m.predictor_armed && applied[slot] > kPredictAt;
     if (((flags[slot] & kHasPrediction) != 0) != should_predict)
       throw std::runtime_error(ctx +
                                "checkpoint prediction flag inconsistent");
-    const bool should_bayes =
-        m.bayes_enabled &&
-        applied[slot] > static_cast<std::uint64_t>(m.bayes_fit_at);
+    const bool should_bayes = m.bayes_enabled && applied[slot] > kPredictAt;
     if (((flags[slot] & kHasBayes) != 0) != should_bayes)
       throw std::runtime_error(ctx + "checkpoint bayes flag inconsistent");
     for (std::size_t j = 0; j < cc.size(); ++j) {

@@ -18,10 +18,10 @@
 //     u64  total events        u64  events applied
 //     u64  story count         u64  interesting threshold
 //     u32  bayes fit enabled (0/1)
-//     u32  bayes fit_at
 //     u32  live mode (0/1)
-//   The checkpoint lists and the 43-vote promotion rule are fixed
-//   (engine.h), so the version number stands for them.
+//   The checkpoint lists, the vote-10 decision point of both predictors
+//   and the 43-vote promotion rule are fixed (engine.h, bayes.h), so the
+//   version number stands for them.
 //
 //   STREAM_STATE (17) — per-story progress columns, story-slot order:
 //     u64[S]      votes applied
@@ -56,6 +56,8 @@
 // Version 6 fingerprints the stream identity build_event_stream folds (so
 // a version-5 fingerprint no longer matches) and adds the influence
 // column, which spares result() an influence recount per short story.
+// Version 7 drops the Bayes fit point from STREAM_META: the fit now always
+// decides at vote 10, with the C4.5 hook (STREAM_STATE is unchanged).
 //
 // Restore-time validation (each with a distinct error): container magic /
 // version / checksum of every section (snapshot_format.cpp), checkpoint
@@ -75,7 +77,7 @@
 
 namespace digg::stream {
 
-inline constexpr std::uint32_t kStreamCheckpointVersion = 6;
+inline constexpr std::uint32_t kStreamCheckpointVersion = 7;
 
 /// Cheap peek at a checkpoint's STREAM_META section (full container
 /// integrity is still verified). Lets tools report progress or pick the

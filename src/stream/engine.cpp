@@ -53,18 +53,11 @@ constexpr std::uint32_t kLastCascade = kCascade.back();
 }  // namespace
 
 void StreamEngine::init_config() {
-  predictor_armed_ =
-      params_.predictor != nullptr &&
-      params_.predictor->feature_set() == core::FeatureSet::kPaper;
-  if (params_.bayes.enabled) {
-    // The fit classifies its first-k votes with the running in-network
-    // counter, which only ticks inside the cascade window — and fit_at+1
-    // <= last cascade+1 <= horizon keeps the fit inside the prefix both
-    // modes can read, so no horizon extension is needed.
-    if (params_.bayes.fit_at < 1 || params_.bayes.fit_at > kLastCascade)
-      throw std::invalid_argument(
-          "bayes.fit_at must be in [1, last cascade checkpoint]");
-  }
+  if (params_.predictor != nullptr &&
+      params_.predictor->feature_set() != core::FeatureSet::kPaper)
+    throw std::invalid_argument(
+        "stream predictor must be trained on the paper features (v10, "
+        "fans1)");
 }
 
 StreamEngine::StreamEngine(const graph::Digraph& network, StreamParams params)
@@ -185,15 +178,14 @@ StreamEngine::LivePrefix StreamEngine::live_prefix(std::uint32_t slot) const {
 void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
                                       platform::Minutes now,
                                       std::span<const std::uint32_t> curve) {
-  const bool fit_now =
-      params_.bayes.enabled &&
-      p.applied == static_cast<std::uint64_t>(params_.bayes.fit_at) + 1;
   // Influence after each prefix length. Live mode has no curve and recounts
-  // it only when an influence checkpoint or the fit point lands (at most
-  // horizon fan rows).
+  // it only when an influence checkpoint lands (at most horizon fan rows);
+  // the decision point's vote is one, so the Bayes fit reads it too.
+  static_assert(std::ranges::find(kInfluence, kPredictAt + 1) !=
+                kInfluence.end());
   std::array<std::uint32_t, horizon()> recount{};
   if (curve.empty() &&
-      (fit_now || std::ranges::find(kInfluence, p.applied) != kInfluence.end())) {
+      std::ranges::find(kInfluence, p.applied) != kInfluence.end()) {
     const auto out = std::span(recount).first(p.applied);
     core::influence_curve(voters_prefix(slot, p.applied), *network_, out);
     curve = out;
@@ -207,9 +199,10 @@ void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
   for (std::size_t j = 0; j < kCascade.size(); ++j) {
     if (static_cast<std::uint64_t>(kCascade[j]) + 1 != p.applied) continue;
     cascade_rec_[slot * kCascade.size() + j] = p.innetwork;
-    if (kCascade[j] == kPredictAt && predictor_armed_) {
-      // The §5.2 decision: its inputs (v10, fans1) are both final the
-      // instant vote 10 lands, so the story is scored here, once.
+    if (kCascade[j] != kPredictAt) continue;
+    // The §5.2 decision point: every input of both predictors is final the
+    // instant vote 10 lands, so the story is scored here, once.
+    if (params_.predictor != nullptr) {
       core::StoryFeatures f;
       f.story = story_id(slot);
       f.submitter = story_submitter(slot);
@@ -218,32 +211,32 @@ void StreamEngine::record_checkpoints(std::uint32_t slot, Progress& p,
       p.flags |= kHasPrediction;
       if (params_.predictor->predict(f)) p.flags |= kPredictedYes;
     }
-  }
-  if (fit_now) {
-    // Vote fit_at just landed: every sufficient statistic is final, so fit
-    // the rate model and integrate it forward — once per story, bounded by
-    // the integration step count, off the per-vote path. Exposure sums the
-    // influence before each vote times its gap, in vote order.
-    double exposure = 0.0;
-    for (std::uint32_t k = 1; k <= params_.bayes.fit_at; ++k)
-      exposure += static_cast<double>(curve[k - 1]) *
-                  (early_vote_time(slot, k) - early_vote_time(slot, k - 1));
-    BayesEvidence evidence;
-    evidence.in_network_votes = p.innetwork;
-    evidence.out_network_votes = params_.bayes.fit_at - p.innetwork;
-    evidence.exposure_watcher_minutes = exposure;
-    evidence.elapsed_minutes = now - early_vote_time(slot, 0);
-    evidence.audience = static_cast<double>(curve[p.applied - 1]);
-    evidence.votes = params_.bayes.fit_at + 1;
-    evidence.population = static_cast<double>(network_->node_count());
-    const BayesFit fit = fit_rates(params_.bayes, evidence);
-    const double expected =
-        expected_final_votes(params_.bayes, evidence, fit);
-    p.bayes_estimate = static_cast<float>(expected);
-    p.flags |= kHasBayes;
-    if (expected > static_cast<double>(params_.interesting_threshold))
-      p.flags |= kBayesYes;
-    obs::Registry::global().counter("stream.bayes_fits").inc();
+    if (params_.bayes.enabled) {
+      static obs::Counter& fits =
+          obs::Registry::global().counter("stream.bayes_fits");
+      // Fit the rate model and integrate it forward, off the per-vote path
+      // and bounded by the integration step count. Exposure sums the
+      // influence before each vote times its gap, in vote order.
+      double exposure = 0.0;
+      for (std::uint32_t k = 1; k <= kFitVotes; ++k)
+        exposure += static_cast<double>(curve[k - 1]) *
+                    (early_vote_time(slot, k) - early_vote_time(slot, k - 1));
+      BayesEvidence evidence;
+      evidence.in_network_votes = p.innetwork;
+      evidence.out_network_votes = kFitVotes - p.innetwork;
+      evidence.exposure_watcher_minutes = exposure;
+      evidence.elapsed_minutes = now - early_vote_time(slot, 0);
+      evidence.audience = static_cast<double>(curve[p.applied - 1]);
+      evidence.votes = kFitVotes + 1;
+      evidence.population = static_cast<double>(network_->node_count());
+      const double expected =
+          expected_final_votes(evidence, fit_rates(evidence));
+      p.bayes_estimate = static_cast<float>(expected);
+      p.flags |= kHasBayes;
+      if (expected > static_cast<double>(params_.interesting_threshold))
+        p.flags |= kBayesYes;
+      fits.inc();
+    }
   }
 }
 
@@ -257,7 +250,9 @@ void StreamEngine::apply_early_vote(std::uint32_t slot, Progress& p,
   ++p.applied;
   record_checkpoints(slot, p, time, curve);
   if (p.applied == horizon()) {
-    obs::Registry::global().counter("stream.stories_retired").inc();
+    static obs::Counter& retired =
+        obs::Registry::global().counter("stream.stories_retired");
+    retired.inc();
     obs::record_event(obs::EventKind::kStoryRetired, slot % kShardCount,
                       slot, p.applied);
   }

@@ -15,9 +15,9 @@
 //     recounted (at most `horizon` fan rows) when a checkpoint reads it;
 //   - checkpoints: v6/v10/v20 in-network counts and Fig. 3(a) influence
 //     are recorded when the checkpoint vote lands, and so are the online
-//     hooks — the (v10, fans1) prediction, the Bayes fit at vote fit_at
-//     (its exposure sum reads the curve in vote order), the June-2006
-//     43-vote promotion rule.
+//     hooks — the (v10, fans1) prediction and the Bayes fit, both at vote
+//     10 (the fit's exposure sum reads the curve in vote order), and the
+//     June-2006 43-vote promotion rule.
 //
 // Past the horizon (all checkpoints recorded) a vote changes only the vote
 // count: replay adds the rest of a slice in one step and reads the 43rd
@@ -100,17 +100,15 @@ struct StreamParams {
       1, 11, 21};
   /// Interestingness label threshold (§5.1): final votes > threshold.
   std::size_t interesting_threshold = core::kInterestingnessThreshold;
-  /// When set (and trained on FeatureSet::kPaper), the engine predicts
-  /// interestingness online the moment the v10 checkpoint records — the
-  /// §5.2 decision, taken at vote 10 instead of after the fact. The
-  /// predictor must outlive the engine.
+  /// When set, the engine predicts interestingness online the moment the
+  /// v10 checkpoint records — the §5.2 decision, taken at vote 10 instead
+  /// of after the fact. It must be trained on FeatureSet::kPaper (the
+  /// constructors refuse any other) and outlive the engine.
   const core::InterestingnessPredictor* predictor = nullptr;
-  /// Online Bayesian rate-model fit (bayes.h): when enabled, the instant
-  /// vote `fit_at` lands the engine fits per-channel rates from the first-k
-  /// timings and predicts the final vote count — the model-based rival to
-  /// the C4.5 hook above.
-  /// Requires fit_at >= 1 and fit_at <= the last cascade checkpoint (the
-  /// in-network classification window).
+  /// Online Bayesian rate-model fit (bayes.h): when enabled, the engine
+  /// fits per-channel rates from the first ten vote timings at the same
+  /// vote-10 decision point and predicts the final vote count — the
+  /// model-based rival to the C4.5 hook above.
   BayesFitParams bayes;
 };
 
@@ -129,8 +127,8 @@ struct StoryOutcome {
   /// Online §5.2 verdict at the v10 checkpoint (unset if the story never
   /// reached 10 votes, or no paper-feature predictor was supplied).
   std::optional<bool> predicted_interesting;
-  /// Online Bayesian verdict at the fit point (unset if the story never
-  /// reached bayes.fit_at votes, or the fit is disabled). The expected
+  /// Online Bayesian verdict at the v10 checkpoint (unset if the story
+  /// never reached 10 votes, or the fit is disabled). The expected
   /// final vote count backs the verdict and feeds calibration plots.
   std::optional<bool> bayes_interesting;
   double bayes_expected_final = 0.0;  // meaningful iff bayes_interesting set
@@ -163,13 +161,15 @@ class StreamEngine {
   /// build_event_stream recorded (vote columns disagreeing, a vote time
   /// not finite or out of order), for a story table that is not the one
   /// built, an event total not matching the columns, a submitter outside
-  /// the graph, or a Bayes fit point outside the cascade window.
+  /// the graph, or a predictor not trained on FeatureSet::kPaper.
   StreamEngine(const EventStream& stream, const graph::Digraph& network,
                StreamParams params = {});
 
   /// Live-ingest mode: an engine over `network` with no replay stream.
   /// Starts empty; stories and votes arrive through live_submit/live_vote
   /// (the src/serve ingest path). run_until/run_all are unavailable.
+  /// Throws std::invalid_argument for a predictor not trained on
+  /// FeatureSet::kPaper.
   explicit StreamEngine(const graph::Digraph& network,
                         StreamParams params = {});
 
@@ -281,8 +281,9 @@ class StreamEngine {
 
  private:
   static constexpr std::uint32_t kUnrecorded = 0xffffffffu;
-  /// The §5.2 decision point: the cascade checkpoint the C4.5 hook reads.
-  static constexpr std::uint32_t kPredictAt = 10;
+  /// The §5.2 decision point: the cascade checkpoint at which the C4.5
+  /// hook and the Bayes fit both decide.
+  static constexpr std::uint32_t kPredictAt = kFitVotes;
 
   struct Progress {
     std::uint64_t applied = 0;
@@ -357,14 +358,12 @@ class StreamEngine {
                           platform::Minutes now,
                           std::span<const std::uint32_t> curve);
 
-  /// Shared tail of both constructors: prediction arming and the Bayes fit
-  /// point check.
+  /// Shared tail of both constructors: the predictor's feature-set check.
   void init_config();
 
   const EventStream* stream_;  // nullptr in live mode
   const graph::Digraph* network_;
   StreamParams params_;
-  bool predictor_armed_ = false;  // a paper-feature predictor was supplied
   std::uint64_t fingerprint_ = 0;
   std::uint64_t events_applied_ = 0;
 

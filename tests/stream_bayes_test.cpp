@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "src/core/features.h"
+#include "src/core/predictor.h"
 #include "src/data/synthetic.h"
+#include "src/obs/metrics.h"
 #include "src/stream/checkpoint.h"
 #include "src/stream/engine.h"
 #include "src/stream/source.h"
@@ -29,104 +31,71 @@ namespace fs = std::filesystem;
 // --- pure-arithmetic unit tests -----------------------------------------
 
 TEST(BayesFit, PosteriorMeansMatchConjugateFormulas) {
-  BayesFitParams p;
   BayesEvidence e;
   e.in_network_votes = 4;
   e.out_network_votes = 6;
   e.exposure_watcher_minutes = 8000.0;
   e.elapsed_minutes = 600.0;
-  const BayesFit fit = fit_rates(p, e);
-  EXPECT_DOUBLE_EQ(fit.r_fan, (p.fan_prior_votes + 4.0) /
-                                  (p.fan_prior_exposure + 8000.0));
-  EXPECT_DOUBLE_EQ(fit.r_disc, (p.disc_prior_votes + 6.0) /
-                                   (p.disc_prior_minutes + 600.0));
+  const BayesFit fit = fit_rates(e);
+  EXPECT_DOUBLE_EQ(fit.r_fan,
+                   (kFanPriorVotes + 4.0) / (kFanPriorExposure + 8000.0));
+  EXPECT_DOUBLE_EQ(fit.r_disc,
+                   (kDiscPriorVotes + 6.0) / (kDiscPriorMinutes + 600.0));
 }
 
 TEST(BayesFit, NoEvidenceFallsBackToPrior) {
-  const BayesFitParams p;
-  const BayesFit fit = fit_rates(p, BayesEvidence{});
-  EXPECT_DOUBLE_EQ(fit.r_fan, p.fan_prior_votes / p.fan_prior_exposure);
-  EXPECT_DOUBLE_EQ(fit.r_disc, p.disc_prior_votes / p.disc_prior_minutes);
+  const BayesFit fit = fit_rates(BayesEvidence{});
+  EXPECT_DOUBLE_EQ(fit.r_fan, kFanPriorVotes / kFanPriorExposure);
+  EXPECT_DOUBLE_EQ(fit.r_disc, kDiscPriorVotes / kDiscPriorMinutes);
 }
 
 TEST(BayesFit, AudiencePerVoteIsCapped) {
-  BayesFitParams p;
   BayesEvidence e;
   e.votes = 2;
   e.audience = 1e6;  // a mega-hub's fan union
-  const BayesFit fit = fit_rates(p, e);
-  EXPECT_EQ(fit.audience_per_vote, p.max_audience_per_vote);
+  const BayesFit fit = fit_rates(e);
+  EXPECT_EQ(fit.audience_per_vote, kMaxAudiencePerVote);
 }
 
 TEST(BayesForward, PredictionNeverBelowObservedVotes) {
-  const BayesFitParams p;
   BayesEvidence e;
   e.votes = 11;
   e.elapsed_minutes = 300.0;
-  const double n = expected_final_votes(p, e, fit_rates(p, e));
+  const double n = expected_final_votes(e, fit_rates(e));
   EXPECT_GE(n, 11.0);
 }
 
 TEST(BayesForward, HotterRatesPredictMoreVotes) {
-  const BayesFitParams p;
   BayesEvidence e;
   e.votes = 11;
   e.elapsed_minutes = 120.0;
   e.audience = 400.0;
-  BayesFit cold = fit_rates(p, e);
+  BayesFit cold = fit_rates(e);
   BayesFit hot = cold;
   hot.r_fan *= 50.0;
   hot.r_disc *= 50.0;
-  EXPECT_GT(expected_final_votes(p, e, hot),
-            expected_final_votes(p, e, cold));
-}
-
-TEST(BayesForward, FrontPageGainActsOnlyPastThePromotionRule) {
-  BayesEvidence e;
-  e.votes = 11;
-  e.elapsed_minutes = 120.0;
-  e.audience = 200.0;
-  BayesFitParams gain12;
-  gain12.front_page_gain = 12.0;
-  BayesFitParams gain1 = gain12;
-  gain1.front_page_gain = 1.0;
-  // Enough discovery flow to cross kPromotionVotes in the queue: the
-  // front-page channel then carries the gain.
-  BayesFit crossing = fit_rates(gain12, e);
-  crossing.r_disc = 0.4;
-  EXPECT_GT(expected_final_votes(gain12, e, crossing),
-            expected_final_votes(gain1, e, crossing));
-  // A fit that stays below the rule never reaches the front page, so the
-  // gain cannot move it.
-  BayesFit stalled = crossing;
-  stalled.r_fan = 0.0;
-  stalled.r_disc = 1e-3;
-  const double below = expected_final_votes(gain12, e, stalled);
-  EXPECT_LT(below, static_cast<double>(kPromotionVotes));
-  EXPECT_EQ(below, expected_final_votes(gain1, e, stalled));
+  EXPECT_GT(expected_final_votes(e, hot), expected_final_votes(e, cold));
 }
 
 // The forward integral as a per-step exp/pow loop: every decay term
-// evaluated from the step's time. expected_final_votes carries the same
-// terms as running products; the two must agree to rounding.
-double closed_form_final_votes(const BayesFitParams& params,
-                               const BayesEvidence& evidence,
-                               const BayesFit& fit) {
+// evaluated from the step's time, with the front-page gain a parameter so
+// a test can vary what the library fixes at kFrontPageGain.
+// expected_final_votes carries the same terms as running products; the two
+// must agree to rounding.
+double closed_form_final_votes(const BayesEvidence& evidence,
+                               const BayesFit& fit,
+                               double front_page_gain = kFrontPageGain) {
   double n = evidence.votes;
   double audience = evidence.audience;
-  const double h = std::max(1.0, params.step_minutes);
+  const double h = kStepMinutes;
   bool promoted = n >= static_cast<double>(kPromotionVotes);
   double promoted_at = promoted ? evidence.elapsed_minutes : 0.0;
-  for (double t = evidence.elapsed_minutes; t < params.horizon_minutes;
-       t += h) {
+  for (double t = evidence.elapsed_minutes; t < kHorizonMinutes; t += h) {
     const double disc_visibility =
-        promoted ? params.front_page_gain *
-                       std::pow(0.5, (t - promoted_at) /
-                                         params.novelty_half_life)
-                 : std::exp(-t / params.upcoming_decay_minutes);
-    const double fan_visibility =
-        params.fan_decay_minutes > 0 ? std::exp(-t / params.fan_decay_minutes)
-                                     : 1.0;
+        promoted ? front_page_gain *
+                       std::pow(0.5, (t - promoted_at) / kNoveltyHalfLife)
+                 : std::exp(-t / kUpcomingDecayMinutes);
+    const double fan_visibility = std::exp(-t / kFanDecayMinutes);
     double dn = fit.r_fan * fan_visibility * audience * h +
                 fit.r_disc * disc_visibility * h;
     if (evidence.population > 0) {
@@ -143,13 +112,38 @@ double closed_form_final_votes(const BayesFitParams& params,
   return n;
 }
 
+TEST(BayesForward, FrontPageGainActsOnlyPastThePromotionRule) {
+  BayesEvidence e;
+  e.votes = 11;
+  e.elapsed_minutes = 120.0;
+  e.audience = 200.0;
+  // Enough discovery flow to cross kPromotionVotes in the queue: the
+  // front-page channel then carries the gain, so the library (gain
+  // kFrontPageGain) lands above the reference run without one.
+  BayesFit crossing = fit_rates(e);
+  crossing.r_disc = 0.4;
+  const double with_gain = expected_final_votes(e, crossing);
+  EXPECT_NEAR(with_gain, closed_form_final_votes(e, crossing),
+              1e-12 * with_gain);
+  EXPECT_GT(with_gain, closed_form_final_votes(e, crossing, 1.0));
+  // A fit that stays below the rule never reaches the front page, so the
+  // gain cannot move it.
+  BayesFit stalled = crossing;
+  stalled.r_fan = 0.0;
+  stalled.r_disc = 1e-3;
+  const double below = expected_final_votes(e, stalled);
+  EXPECT_LT(below, static_cast<double>(kPromotionVotes));
+  EXPECT_EQ(closed_form_final_votes(e, stalled, kFrontPageGain),
+            closed_form_final_votes(e, stalled, 1.0));
+  EXPECT_NEAR(below, closed_form_final_votes(e, stalled), 1e-12 * below);
+}
+
 TEST(BayesForward, RecurrenceMatchesClosedForm) {
   struct Case {
     const char* name;
     BayesEvidence evidence;
     double r_fan;
     double r_disc;
-    double fan_decay_minutes;
   };
   const auto evidence = [](std::uint32_t votes, double elapsed,
                            double audience, double population) {
@@ -161,31 +155,25 @@ TEST(BayesForward, RecurrenceMatchesClosedForm) {
     return e;
   };
   const Case cases[] = {
-      {"promoted at the start", evidence(50, 90.0, 300.0, 0.0), 2e-4, 0.05,
-       2880.0},
-      {"crosses vote 43 mid-run", evidence(11, 120.0, 200.0, 0.0), 1e-4, 0.4,
-       2880.0},
-      {"stalled", evidence(11, 600.0, 40.0, 0.0), 0.0, 1e-3, 2880.0},
-      {"no fan decay", evidence(11, 60.0, 150.0, 0.0), 3e-4, 0.1, 0.0},
-      {"population-capped", evidence(11, 30.0, 5000.0, 2000.0), 5e-3, 2.0,
-       2880.0},
+      {"promoted at the start", evidence(50, 90.0, 300.0, 0.0), 2e-4, 0.05},
+      {"crosses vote 43 mid-run", evidence(11, 120.0, 200.0, 0.0), 1e-4, 0.4},
+      {"stalled", evidence(11, 600.0, 40.0, 0.0), 0.0, 1e-3},
+      {"population-capped", evidence(11, 30.0, 5000.0, 2000.0), 5e-3, 2.0},
   };
   std::vector<double> finals;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    BayesFitParams p;
-    p.fan_decay_minutes = c.fan_decay_minutes;
-    BayesFit fit = fit_rates(p, c.evidence);
+    BayesFit fit = fit_rates(c.evidence);
     fit.r_fan = c.r_fan;
     fit.r_disc = c.r_disc;
-    const double want = closed_form_final_votes(p, c.evidence, fit);
-    finals.push_back(expected_final_votes(p, c.evidence, fit));
+    const double want = closed_form_final_votes(c.evidence, fit);
+    finals.push_back(expected_final_votes(c.evidence, fit));
     EXPECT_NEAR(finals.back(), want, 1e-12 * want);
   }
   // The grid reaches every branch it names.
   EXPECT_GE(finals[1], static_cast<double>(kPromotionVotes));
   EXPECT_LT(finals[2], static_cast<double>(kPromotionVotes));
-  EXPECT_EQ(finals[4], cases[4].evidence.population);
+  EXPECT_EQ(finals[3], cases[3].evidence.population);
 }
 
 // --- engine integration --------------------------------------------------
@@ -213,22 +201,99 @@ StreamParams bayes_params() {
   return p;
 }
 
-TEST(StreamBayes, FitsFireOnceStoriesPassTheFitPoint) {
-  StreamEngine engine(stream(), corpus().corpus.network, bayes_params());
-  engine.run_all();
-  const StreamResult result = engine.result();
+std::vector<core::StoryFeatures> front_page_features() {
+  return core::extract_features(corpus().corpus.front_page,
+                                corpus().corpus.network);
+}
+
+// Both hooks armed: the C4.5 tree and the Bayes fit decide together.
+StreamParams both_hooks() {
+  static const core::InterestingnessPredictor tree =
+      core::InterestingnessPredictor::train(front_page_features());
+  StreamParams p = bayes_params();
+  p.predictor = &tree;
+  return p;
+}
+
+// Each verdict exists exactly for stories that reached vote 10 (11 votes
+// counting the submitter's digg), and the two hooks decide together.
+void expect_one_decision_point(const StreamResult& result) {
   std::size_t fits = 0;
   for (const StoryOutcome& o : result.stories) {
-    // The verdict exists exactly for stories that reached fit_at + 1 votes.
-    EXPECT_EQ(o.bayes_interesting.has_value(), o.final_votes >= 11u);
+    EXPECT_EQ(o.bayes_interesting.has_value(),
+              o.final_votes >= kFitVotes + 1u);
+    EXPECT_EQ(o.predicted_interesting.has_value(),
+              o.bayes_interesting.has_value());
     if (!o.bayes_interesting) continue;
     ++fits;
-    EXPECT_GE(o.bayes_expected_final, 11.0);
+    EXPECT_GE(o.bayes_expected_final, kFitVotes + 1.0);
     EXPECT_EQ(*o.bayes_interesting,
               o.bayes_expected_final >
                   static_cast<double>(core::kInterestingnessThreshold));
   }
   ASSERT_GT(fits, 0u);
+  ASSERT_LT(fits, result.stories.size());  // some stories stop short
+}
+
+TEST(StreamBayes, FitsFireOnceStoriesPassTheFitPoint) {
+  StreamEngine engine(stream(), corpus().corpus.network, both_hooks());
+  engine.run_all();
+  const StreamResult result = engine.result();
+  expect_one_decision_point(result);
+  // Applied in 97-event steps, so slices end all around vote 10, the
+  // stream still fits each story once, to the same estimate.
+  StreamEngine stepped(stream(), corpus().corpus.network, both_hooks());
+  const obs::Counter& fits =
+      obs::Registry::global().counter("stream.bayes_fits");
+  const std::uint64_t fits_before = fits.value();
+  for (std::uint64_t n = 1; n <= stream().total_events(); n += 97)
+    stepped.run_until(n);
+  stepped.run_all();
+  EXPECT_EQ(stepped.result(), result);
+  EXPECT_EQ(fits.value() - fits_before,
+            static_cast<std::uint64_t>(std::count_if(
+                result.stories.begin(), result.stories.end(),
+                [](const StoryOutcome& o) { return o.bayes_interesting; })));
+}
+
+TEST(StreamBayes, LiveEngineDecidesAtTheSameVote) {
+  // The live engine recounts influence only at its checkpoints; the fit
+  // reads the vote-11 one, so it must land on the replay's verdicts.
+  const auto& net = corpus().corpus.network;
+  StreamEngine live(net, both_hooks());
+  for (const platform::StoryView& s : stream().stories) {
+    const std::uint32_t slot = live.live_submit(s.id, s.submitter,
+                                                s.times()[0]);
+    for (std::size_t k = 1; k < s.vote_count(); ++k)
+      live.live_vote(slot, s.voters()[k], s.times()[k]);
+  }
+  const StreamResult got = live.result();
+  expect_one_decision_point(got);
+  StreamEngine replay(stream(), net, both_hooks());
+  replay.run_all();
+  const StreamResult want = replay.result();
+  ASSERT_EQ(got.stories.size(), want.stories.size());
+  for (std::size_t i = 0; i < got.stories.size(); ++i) {
+    EXPECT_EQ(got.stories[i].predicted_interesting,
+              want.stories[i].predicted_interesting);
+    EXPECT_EQ(got.stories[i].bayes_interesting,
+              want.stories[i].bayes_interesting);
+    EXPECT_EQ(got.stories[i].bayes_expected_final,
+              want.stories[i].bayes_expected_final);
+  }
+}
+
+TEST(StreamBayes, ExtendedFeaturePredictorIsRefused) {
+  // The engine scores the tree from (v10, fans1) alone, so a tree trained
+  // on other features would go unscored: both constructors refuse it.
+  const core::InterestingnessPredictor extended =
+      core::InterestingnessPredictor::train(front_page_features(),
+                                            core::FeatureSet::kExtended);
+  StreamParams p = bayes_params();
+  p.predictor = &extended;
+  const auto& net = corpus().corpus.network;
+  EXPECT_THROW(StreamEngine(stream(), net, p), std::invalid_argument);
+  EXPECT_THROW(StreamEngine(net, p), std::invalid_argument);
 }
 
 TEST(StreamBayes, DisabledEngineEmitsNoVerdicts) {
@@ -262,16 +327,6 @@ TEST(StreamBayes, EstimatesTrackFinalVotesDirectionally) {
   EXPECT_GT(hi, lo);
 }
 
-TEST(StreamBayes, FitAtMustFitTheCascadeWindow) {
-  StreamParams p = bayes_params();
-  p.bayes.fit_at = 0;
-  EXPECT_THROW(StreamEngine(stream(), corpus().corpus.network, p),
-               std::invalid_argument);
-  p.bayes.fit_at = 21;  // last cascade checkpoint is 20
-  EXPECT_THROW(StreamEngine(stream(), corpus().corpus.network, p),
-               std::invalid_argument);
-}
-
 // --- checkpoints ---------------------------------------------------------
 
 class StreamBayesCkpt : public ::testing::Test {
@@ -295,7 +350,7 @@ class StreamBayesCkpt : public ::testing::Test {
 };
 
 TEST_F(StreamBayesCkpt, KillResumeIsBitIdenticalAcrossTheFitPoint) {
-  // Cut mid-stream so plenty of stories are still below fit_at: the
+  // Cut mid-stream so plenty of stories are still below vote 10: the
   // checkpoint carries no exposure, so the resumed engine must recount it
   // from the prefix, fit later, and land on exactly the uninterrupted
   // result.
@@ -347,12 +402,6 @@ TEST_F(StreamBayesCkpt, ConfigMismatchIsRefusedBothWays) {
   {
     StreamEngine bayes(stream(), net, bayes_params());
     EXPECT_THROW(bayes.restore_checkpoint(without), std::runtime_error);
-  }
-  {
-    StreamParams other = bayes_params();
-    other.bayes.fit_at = 6;
-    StreamEngine different(stream(), net, other);
-    EXPECT_THROW(different.restore_checkpoint(with), std::runtime_error);
   }
 }
 

@@ -957,7 +957,6 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   meta.pod<std::uint64_t>(stories);
   meta.pod<std::uint64_t>(core::kInterestingnessThreshold);
   meta.pod<std::uint32_t>(0);  // bayes fit disabled
-  meta.pod<std::uint32_t>(0);  // bayes fit_at (unread when disabled)
   meta.pod<std::uint32_t>(0);  // replay mode (not a live checkpoint)
 
   sections[1].type = snapfmt::kStreamState;
@@ -982,7 +981,7 @@ TEST_F(StreamTest, RejectsForgedProgressColumns) {
   }
   // Only the current checkpoint version is read: the older layouts, the
   // never-written version 0 and future versions are all refused.
-  for (const std::uint32_t version : {0u, 2u, 3u, 4u, 5u, 7u}) {
+  for (const std::uint32_t version : {0u, 2u, 3u, 4u, 5u, 6u, 8u}) {
     snapfmt::Section forged[2] = {{snapfmt::kStreamMeta, {}}, sections[1]};
     forged[0].body.pod(version);
     forged[0].body.raw(meta.bytes().data() + 4, meta.size() - 4);
