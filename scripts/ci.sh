@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification matrix, one configuration per invocation (or 'all'):
 #   release  Release build + full ctest suite (the tier-1 gate)
-#   asan     Debug build, -DDIGG_SANITIZE=address,undefined + full suite
+#   asan     Debug build, -DDIGG_SANITIZE=address,undefined and
+#            -D_GLIBCXX_ASSERTIONS (an out-of-range operator[] or a bad
+#            iterator aborts instead of reading past a buffer) + full suite
 #   tsan     RelWithDebInfo build, -DDIGG_SANITIZE=thread + the tests that
 #            exercise the thread pool (label filter TSAN_LABELS below —
 #            TSan slows single-threaded statistics tests ~10x for no
@@ -50,15 +52,23 @@
 #            seed 42, built in $RELEASE_DIR), which fails unless every
 #            figure's stdout is identical at DIGG_THREADS=1 and =4 and
 #            the all-figures run equals the per-figure runs concatenated
+#   reach    scripts/reachability.sh: builds figures, the examples, the
+#            bench/perf_* programs and perfbench at -O0 with
+#            -ffunction-sections, links them with --gc-sections, and fails
+#            when a src/ library function is kept by none of them and is
+#            not in scripts/reachability_allow.txt (or when an allow-list
+#            line is stale); it also lists the functions only bench/perf_*
+#            or perfbench keep, as information
 #   all      every configuration above, failing fast on the first broken one
 #
 # The GitHub Actions matrix (.github/workflows/ci.yml) runs one mode per
 # job via this script, so CI legs are reproducible locally with the same
 # command CI uses.
 #
-# Usage: scripts/ci.sh [release|asan|tsan|large|obs|serve|scenarios|all] [ctest args...]
-#   RELEASE_DIR / ASAN_DIR / TSAN_DIR
-#                build dirs (default build-release, build-asan, build-tsan)
+# Usage: scripts/ci.sh [release|asan|tsan|large|obs|serve|scenarios|reach|all] [ctest args...]
+#   RELEASE_DIR / ASAN_DIR / TSAN_DIR / REACH_DIR
+#                build dirs (default build-release, build-asan, build-tsan,
+#                build-reach)
 #   JOBS         parallelism (default nproc)
 #   WERROR       ON to add -Werror (CI sets this; local default OFF)
 #   TSAN_LABELS  ctest -L regex for the tsan leg
@@ -72,6 +82,7 @@ cd "$(dirname "$0")/.."
 RELEASE_DIR=${RELEASE_DIR:-build-release}
 ASAN_DIR=${ASAN_DIR:-build-asan}
 TSAN_DIR=${TSAN_DIR:-build-tsan}
+REACH_DIR=${REACH_DIR:-build-reach}
 JOBS=${JOBS:-$(nproc)}
 WERROR=${WERROR:-OFF}
 TSAN_LABELS=${TSAN_LABELS:-'^(runtime_test|stream_test|stream_bayes_test|obs_test|digg_hybrid_set_test|serve_test|simd_kernel_test|data_synthetic_test|data_snapshot_test|dynamics_model_test|dynamics_vote_model_test|core_prefix_visibility_test|core_experiment_test)$'}
@@ -80,7 +91,7 @@ LARGE_STORIES=${LARGE_STORIES:-200}
 
 MODE=all
 case "${1:-}" in
-  release|asan|tsan|large|obs|serve|scenarios|all)
+  release|asan|tsan|large|obs|serve|scenarios|reach|all)
     MODE=$1
     shift
     ;;
@@ -132,7 +143,7 @@ if [[ $MODE == release || $MODE == all ]]; then
 fi
 if [[ $MODE == asan || $MODE == all ]]; then
   run_config "$ASAN_DIR" "Debug+ASan/UBSan" -DCMAKE_BUILD_TYPE=Debug \
-    -DDIGG_SANITIZE=address,undefined
+    -DDIGG_SANITIZE=address,undefined -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS
 fi
 if [[ $MODE == tsan || $MODE == all ]]; then
   run_config "$TSAN_DIR" "TSan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -301,6 +312,11 @@ if [[ $MODE == large || $MODE == all ]]; then
   echo "== [large-corpus smoke] generate -> load -> replay -> kill/resume =="
   "$RELEASE_DIR"/bench/perf_corpus_io \
     --large-users "$LARGE_USERS" --large-stories "$LARGE_STORIES"
+fi
+
+if [[ $MODE == reach || $MODE == all ]]; then
+  echo "== [reach] every library function reached by a non-test binary =="
+  REACH_DIR="$REACH_DIR" JOBS="$JOBS" scripts/reachability.sh
 fi
 
 echo "ci.sh: $MODE green"

@@ -7,12 +7,6 @@
 
 namespace digg::core {
 
-std::size_t influence_after(const platform::StoryView& story,
-                            const graph::Digraph& network,
-                            std::size_t votes_counted) {
-  return influence_profile(story, network, {votes_counted})[0];
-}
-
 std::vector<std::size_t> influence_profile(
     const platform::StoryView& story, const graph::Digraph& network,
     const std::vector<std::size_t>& checkpoints) {

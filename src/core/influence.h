@@ -11,16 +11,12 @@
 
 namespace digg::core {
 
-/// Influence after the first `votes_counted` votes (including the
-/// submitter's digg; pass 1 for "at submission"). Voters themselves are not
-/// counted — they have already acted.
-[[nodiscard]] std::size_t influence_after(const platform::StoryView& story,
-                                          const graph::Digraph& network,
-                                          std::size_t votes_counted);
-
-/// Influence at several vote checkpoints from one core::influence_curve
-/// pass (prefix_visibility.h) over the first checkpoints.back() votes.
-/// `checkpoints` must be ascending; values beyond the vote record saturate.
+/// Influence after each checkpoint's number of votes (including the
+/// submitter's digg; 1 means "at submission"), from one
+/// core::influence_curve pass (prefix_visibility.h) over the first
+/// checkpoints.back() votes. Voters themselves are not counted — they have
+/// already acted. `checkpoints` must be ascending; values beyond the vote
+/// record saturate.
 [[nodiscard]] std::vector<std::size_t> influence_profile(
     const platform::StoryView& story, const graph::Digraph& network,
     const std::vector<std::size_t>& checkpoints);

@@ -19,19 +19,6 @@ void record_vote_column_bytes(const VoteStore& store) {
 
 }  // namespace
 
-Corpus& Corpus::operator=(const Corpus& other) {
-  if (this == &other) return *this;
-  network = other.network;
-  vote_store = other.vote_store;
-  front_page = other.front_page;
-  upcoming = other.upcoming;
-  top_users = other.top_users;
-  model_id = other.model_id;
-  backing = other.backing;  // borrowed spans stay valid across copies
-  rebind_views();  // copied views still point at other's arena
-  return *this;
-}
-
 Story& Corpus::add_story(const Story& story, Section section) {
   const std::uint32_t slot = vote_store.append(story.voters(), story.times());
   auto& bucket = section == Section::kFrontPage ? front_page : upcoming;

@@ -13,8 +13,8 @@
 // Storage is columnar: all vote records live in one arena (VoteStore) and a
 // data::Story is a platform::StoryView — metadata by value plus spans into
 // the arena. Stories enter through add_story(), which copies their votes in
-// and keeps every view bound; copying a Corpus rebinds views to the copied
-// arena, and moves are cheap (spans follow the moved heap buffers).
+// and keeps every view bound. A Corpus is move-only, and moves are cheap
+// (spans follow the moved heap buffers).
 
 #include <cstddef>
 #include <memory>
@@ -50,14 +50,16 @@ struct Corpus {
   std::string model_id = "two-mechanism";  // dynamics::kLegacyModelId
   /// The memory-mapped snapshot whose bytes `network`/`vote_store` borrow
   /// when the corpus came from load_snapshot_mmap. Null for corpora built
-  /// in memory (generation, the CSV loader); copies share the mapping.
+  /// in memory (generation, the CSV loader).
   std::shared_ptr<const snapfmt::MmapSectionFile> backing;
 
   enum class Section { kFrontPage, kUpcoming };
 
+  // Move-only: a mapped corpus borrows its bytes, and no caller needs a
+  // second arena.
   Corpus() = default;
-  Corpus(const Corpus& other) { *this = other; }
-  Corpus& operator=(const Corpus& other);
+  Corpus(const Corpus&) = delete;
+  Corpus& operator=(const Corpus&) = delete;
   Corpus(Corpus&&) noexcept = default;
   Corpus& operator=(Corpus&&) noexcept = default;
 
@@ -79,7 +81,7 @@ struct Corpus {
   [[nodiscard]] bool is_top_user(UserId user, std::size_t cutoff) const;
 
   /// Re-points every story view at this corpus's arena (used after the
-  /// arena relocates: add_story growth, corpus copies, snapshot loads).
+  /// arena relocates: add_story growth, snapshot loads).
   void rebind_views();
 
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);

@@ -143,11 +143,11 @@ void save_snapshot(const Corpus& corpus, const std::filesystem::path& path,
 /// duplicate voters and story ids. Throws std::runtime_error naming the
 /// file on any I/O, format, integrity or content error.
 ///
-/// The returned corpus keeps the mapping alive via Corpus::backing; copies
-/// share it. Zero-copy has one cost: a file that another process truncates
-/// in place while it is mapped raises SIGBUS on the next read of a lost
-/// page. This library's writers replace files by rename, so they never do
-/// that.
+/// The returned corpus keeps the mapping alive via Corpus::backing, which
+/// moves with it. Zero-copy has one cost: a file that another process
+/// truncates in place while it is mapped raises SIGBUS on the next read of
+/// a lost page. This library's writers replace files by rename, so they
+/// never do that.
 [[nodiscard]] Corpus load_snapshot_mmap(const std::filesystem::path& path);
 
 }  // namespace digg::data

@@ -5,26 +5,6 @@
 
 namespace digg::data {
 
-VoteStore& VoteStore::operator=(const VoteStore& other) {
-  if (this == &other) return *this;
-  borrowed_ = other.borrowed_;
-  if (borrowed_) {
-    // Borrowed stores share caller-owned columns; copy the views.
-    offsets_ = {0};
-    users_.clear();
-    times_.clear();
-    offsets_view_ = other.offsets_view_;
-    chunks_ = other.chunks_;
-  } else {
-    offsets_ = other.offsets_;
-    users_ = other.users_;
-    times_ = other.times_;
-    chunks_.clear();
-    offsets_view_ = offsets_;
-  }
-  return *this;
-}
-
 std::uint32_t VoteStore::append(std::span<const platform::UserId> voters,
                                 std::span<const platform::Minutes> times) {
   if (borrowed_)

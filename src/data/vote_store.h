@@ -8,7 +8,7 @@
 //
 // Slots are append-only and returned by append(); data::Story (a
 // platform::StoryView) records its slot so owners can rebind views after
-// the arena relocates (growth or corpus copies).
+// the arena relocates (growth).
 //
 // The store has two modes:
 //   - *owned* (default): the columns are vectors and append() grows them;
@@ -41,8 +41,8 @@ class VoteStore {
   VoteStore() { offsets_view_ = offsets_; }
   VoteStore(VoteStore&&) noexcept = default;  // moved vectors keep buffers
   VoteStore& operator=(VoteStore&&) noexcept = default;
-  VoteStore(const VoteStore& other) { *this = other; }
-  VoteStore& operator=(const VoteStore& other);
+  VoteStore(const VoteStore&) = delete;
+  VoteStore& operator=(const VoteStore&) = delete;
 
   /// Copies one story's columns into the arena; returns its slot.
   /// Throws std::invalid_argument if the columns differ in length and
@@ -83,8 +83,7 @@ class VoteStore {
   /// snapshot chunks). Validates that the offset table is monotone and
   /// that the chunks tile the story range exactly; throws
   /// std::invalid_argument on mismatch. The caller must keep the
-  /// underlying memory alive for the store's lifetime; copying a borrowed
-  /// store copies the spans, not the data.
+  /// underlying memory alive for the store's lifetime.
   [[nodiscard]] static VoteStore from_views(
       std::span<const std::uint64_t> offsets,
       std::vector<VoteChunkView> chunks);

@@ -147,30 +147,4 @@ void HybridSet::promote() {
   dead_.clear();
 }
 
-std::vector<std::uint32_t> HybridSet::to_vector() const {
-  std::vector<std::uint32_t> out;
-  out.reserve(size());
-  if (bitmap_) {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = words_[w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        out.push_back(static_cast<std::uint32_t>(w * 64 + bit));
-        word &= word - 1;
-      }
-    }
-    return out;
-  }
-  for (const std::uint32_t id : main_) {
-    if (!detail::unsorted_contains(dead_, id)) out.push_back(id);
-  }
-  std::vector<std::uint32_t> tail_sorted = tail_;
-  std::sort(tail_sorted.begin(), tail_sorted.end());
-  std::vector<std::uint32_t> merged;
-  merged.reserve(out.size() + tail_sorted.size());
-  std::merge(out.begin(), out.end(), tail_sorted.begin(), tail_sorted.end(),
-             std::back_inserter(merged));
-  return merged;
-}
-
 }  // namespace digg::platform

@@ -97,10 +97,6 @@ class HybridSet {
   [[nodiscard]] bool is_bitmap() const noexcept { return bitmap_; }
   [[nodiscard]] std::size_t universe() const noexcept { return universe_; }
 
-  /// Sorted contents (test/diagnostic helper; O(size) in bitmap mode plus a
-  /// scan of the words).
-  [[nodiscard]] std::vector<std::uint32_t> to_vector() const;
-
  private:
   /// Folds the staging buffers into main_ (array mode only). After flush,
   /// main_ alone is the set.

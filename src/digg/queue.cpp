@@ -10,27 +10,9 @@ void Listing::remove(StoryId id) {
   items_.erase(std::remove(items_.begin(), items_.end(), id), items_.end());
 }
 
-bool Listing::contains(StoryId id) const {
-  return std::find(items_.begin(), items_.end(), id) != items_.end();
-}
-
-std::vector<StoryId> Listing::page(std::size_t page_index) const {
-  const std::size_t begin = page_index * kStoriesPerPage;
-  if (begin >= items_.size()) return {};
-  const std::size_t end = std::min(begin + kStoriesPerPage, items_.size());
-  return {items_.begin() + static_cast<std::ptrdiff_t>(begin),
-          items_.begin() + static_cast<std::ptrdiff_t>(end)};
-}
-
 std::vector<StoryId> Listing::first_pages(std::size_t pages) const {
   const std::size_t end = std::min(pages * kStoriesPerPage, items_.size());
   return {items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(end)};
-}
-
-std::size_t Listing::position(StoryId id) const {
-  const auto it = std::find(items_.begin(), items_.end(), id);
-  return it == items_.end() ? npos
-                            : static_cast<std::size_t>(it - items_.begin());
 }
 
 }  // namespace digg::platform

@@ -32,20 +32,13 @@ class Listing {
   void remove(StoryId id);
 
   [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] bool contains(StoryId id) const;
 
-  /// Stories on the given 0-based page (newest first).
-  [[nodiscard]] std::vector<StoryId> page(std::size_t page_index) const;
   /// The newest `pages * kStoriesPerPage` stories.
   [[nodiscard]] std::vector<StoryId> first_pages(std::size_t pages) const;
-  /// 0-based position from the top, or npos if absent.
-  [[nodiscard]] std::size_t position(StoryId id) const;
 
   [[nodiscard]] const std::vector<StoryId>& items() const noexcept {
     return items_;
   }
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
   std::vector<StoryId> items_;  // newest first

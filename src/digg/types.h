@@ -81,7 +81,7 @@ struct Story {
 /// Story, so every analysis entry point takes `const StoryView&` and works
 /// on platform stories and corpus-resident stories alike. When the view is
 /// backed by a data::VoteStore, `store_slot()` identifies its row there so
-/// owners can rebind the spans after copying the store.
+/// owners can rebind the spans after the store relocates.
 class StoryView {
  public:
   StoryId id = 0;
@@ -139,7 +139,8 @@ class StoryView {
     return store_slot_;
   }
   /// Points the view at (possibly relocated) columns. Owners of the backing
-  /// storage call this after copies; `slot` tags the row for future rebinds.
+  /// storage call this after it relocates; `slot` tags the row for future
+  /// rebinds.
   void bind(std::span<const UserId> voters, std::span<const Minutes> times,
             std::uint32_t slot) noexcept {
     voters_ = voters;

@@ -78,18 +78,6 @@ std::span<const NodeId> Digraph::fans(NodeId u) const {
           in_offsets_[u + 1] - in_offsets_[u]};
 }
 
-bool Digraph::has_edge(NodeId u, NodeId v) const {
-  const auto row = friends(u);
-  return std::binary_search(row.begin(), row.end(), v);
-}
-
-std::vector<std::uint32_t> Digraph::out_degrees() const {
-  std::vector<std::uint32_t> out(node_count());
-  for (std::size_t u = 0; u < out.size(); ++u)
-    out[u] = static_cast<std::uint32_t>(out_offsets_[u + 1] - out_offsets_[u]);
-  return out;
-}
-
 std::vector<std::uint32_t> Digraph::in_degrees() const {
   std::vector<std::uint32_t> out(node_count());
   for (std::size_t u = 0; u < out.size(); ++u)

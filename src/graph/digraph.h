@@ -55,14 +55,9 @@ class Digraph {
   }
   [[nodiscard]] std::size_t fan_count(NodeId u) const { return fans(u).size(); }
 
-  /// True if the edge u -> v exists (u lists v as a friend). O(log deg).
-  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
-
-  /// Out-degree (friend count) of every node. uint32 — a degree never
-  /// exceeds the node count (NodeId is 32-bit), and the narrow vector
-  /// halves the footprint on million-node graphs.
-  [[nodiscard]] std::vector<std::uint32_t> out_degrees() const;
-  /// In-degree (fan count) of every node.
+  /// In-degree (fan count) of every node. uint32 — a degree never exceeds
+  /// the node count (NodeId is 32-bit), and the narrow vector halves the
+  /// footprint on million-node graphs.
   [[nodiscard]] std::vector<std::uint32_t> in_degrees() const;
 
   /// Raw CSR arrays, exposed for binary snapshot serialisation. Offset

@@ -345,13 +345,6 @@ std::vector<double> DecisionTree::predict_proba(
   return proba;
 }
 
-std::size_t DecisionTree::leaf_count() const {
-  std::size_t n = 0;
-  for (const Node& node : nodes_)
-    if (node.leaf) ++n;
-  return n;
-}
-
 std::size_t DecisionTree::depth_of(std::size_t node) const {
   const Node& n = nodes_[node];
   if (n.leaf) return 0;
@@ -408,15 +401,6 @@ std::string DecisionTree::render() const {
   std::string out;
   render_node(0, 0, out);
   return out;
-}
-
-std::vector<std::size_t> DecisionTree::used_attributes() const {
-  std::vector<std::size_t> used;
-  for (const Node& n : nodes_)
-    if (!n.leaf) used.push_back(n.attribute);
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  return used;
 }
 
 }  // namespace digg::ml

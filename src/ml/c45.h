@@ -42,16 +42,12 @@ class DecisionTree {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
-  [[nodiscard]] std::size_t leaf_count() const;
   [[nodiscard]] std::size_t depth() const;
 
   /// Fig. 5-style rendering, e.g.:
   ///   v10 <= 4
   ///   |  fans1 <= 85: yes (130/5)
   [[nodiscard]] std::string render() const;
-
-  /// Attributes actually used by internal nodes (indices, deduplicated).
-  [[nodiscard]] std::vector<std::size_t> used_attributes() const;
 
  private:
   struct Node {

@@ -27,12 +27,6 @@ void Dataset::add(std::vector<double> row, std::size_t label) {
   labels_.push_back(label);
 }
 
-const std::string& Dataset::attribute(std::size_t a) const {
-  if (a >= attributes_.size())
-    throw std::out_of_range("Dataset::attribute: bad index");
-  return attributes_[a];
-}
-
 const std::vector<double>& Dataset::row(std::size_t i) const {
   if (i >= rows_.size()) throw std::out_of_range("Dataset::row: bad index");
   return rows_[i];

@@ -40,7 +40,6 @@ class Dataset {
   [[nodiscard]] const std::vector<std::string>& attributes() const noexcept {
     return attributes_;
   }
-  [[nodiscard]] const std::string& attribute(std::size_t a) const;
   [[nodiscard]] const std::vector<std::string>& class_names() const noexcept {
     return class_names_;
   }

@@ -62,11 +62,6 @@ std::vector<double> Forest::predict_proba(
   return acc;
 }
 
-const DecisionTree& Forest::tree(std::size_t i) const {
-  if (i >= trees_.size()) throw std::out_of_range("Forest::tree");
-  return trees_[i];
-}
-
 Trainer forest_trainer(ForestParams params, std::uint64_t seed) {
   return [params, seed](const Dataset& data) -> Classifier {
     stats::Rng rng(seed);

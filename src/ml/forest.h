@@ -34,7 +34,6 @@ class Forest {
       const std::vector<double>& row) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return trees_.size(); }
-  [[nodiscard]] const DecisionTree& tree(std::size_t i) const;
 
  private:
   std::vector<DecisionTree> trees_;

@@ -200,10 +200,6 @@ void stop_exporter() {
   s->running.store(false, std::memory_order_release);
 }
 
-bool exporter_running() noexcept {
-  return state()->running.load(std::memory_order_acquire);
-}
-
 std::uint16_t exporter_port() noexcept {
   return state()->port.load(std::memory_order_acquire);
 }
@@ -232,20 +228,6 @@ std::string prometheus_name(std::string_view name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-std::string prometheus_label_escape(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\': out.append("\\\\"); break;
-      case '"': out.append("\\\""); break;
-      case '\n': out.append("\\n"); break;
-      default: out.push_back(c);
-    }
   }
   return out;
 }

@@ -44,7 +44,6 @@ std::uint16_t start_exporter(std::uint16_t port, unsigned tick_ms = 1000);
 /// Stops and joins the exporter thread. Safe when not running.
 void stop_exporter();
 
-[[nodiscard]] bool exporter_running() noexcept;
 /// Bound port while running, else 0.
 [[nodiscard]] std::uint16_t exporter_port() noexcept;
 
@@ -60,10 +59,6 @@ void maybe_start_exporter_from_env();
 /// outside [a-zA-Z0-9_:] becomes '_', with a leading '_' prepended if the
 /// first character is a digit. No "digg_" prefix — the renderer adds it.
 [[nodiscard]] std::string prometheus_name(std::string_view name);
-
-/// Label-value escaping per the exposition format: backslash, double quote
-/// and newline escape to \\, \" and \n.
-[[nodiscard]] std::string prometheus_label_escape(std::string_view value);
 
 /// Renders the full exposition document for a snapshot (the unit under
 /// test; the HTTP thread serves exactly this string).

@@ -186,8 +186,6 @@ const Registry::Impl* Registry::impl() const {
   return impl_;
 }
 
-Registry::~Registry() { delete impl_; }
-
 Counter& Registry::counter(std::string_view name) {
   env_init_once();
   Impl* im = impl();
@@ -306,14 +304,6 @@ std::string render_metrics_json(const MetricsSnapshot& snap) {
 }
 
 std::string Registry::to_json() const { return render_metrics_json(snapshot()); }
-
-void Registry::reset_for_test() {
-  Impl* im = impl();
-  std::lock_guard<std::mutex> lock(im->mutex);
-  im->counters.clear();
-  im->gauges.clear();
-  im->histograms.clear();
-}
 
 Registry& Registry::global() {
   // Leaked so instruments outlive every other static and atexit handler.

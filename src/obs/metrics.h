@@ -142,14 +142,10 @@ class Registry {
   /// emit a derived `<name>_p99` gauge (see render_metrics_json).
   [[nodiscard]] std::string to_json() const;
 
-  /// Zeroes nothing — drops every instrument (references die). Test hook;
-  /// do not call with instrumented code running on other threads.
-  void reset_for_test();
-
-  /// The process-wide registry all instrumented layers use.
+  /// The process-wide registry all instrumented layers use. It is never
+  /// destroyed, so neither is its Impl: instruments outlive every other
+  /// static and atexit handler.
   [[nodiscard]] static Registry& global();
-
-  ~Registry();
 
  private:
   Registry() = default;

@@ -34,16 +34,6 @@ int open_counter(std::uint64_t config, int group_fd) noexcept {
 
 }  // namespace
 
-bool perf_counters_supported() noexcept {
-  static const bool supported = [] {
-    const int fd = open_counter(PERF_COUNT_HW_CPU_CYCLES, -1);
-    if (fd < 0) return false;
-    ::close(fd);
-    return true;
-  }();
-  return supported;
-}
-
 PerfCounters::PerfCounters() {
   leader_fd_ = open_counter(PERF_COUNT_HW_CPU_CYCLES, -1);
   if (leader_fd_ < 0) return;  // no PMU: the whole group is invalid

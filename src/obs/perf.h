@@ -44,10 +44,6 @@ struct PerfReading {
   }
 };
 
-/// True when this process can open a user-space cycles counter (probed once
-/// and cached). False means every PerfCounters will read invalid.
-[[nodiscard]] bool perf_counters_supported() noexcept;
-
 /// A perf_event counter group for the calling process (all threads it
 /// spawns inherit the count). start()/stop() bracket the measured region;
 /// stop() returns the reading and the group can be restarted. All methods

@@ -301,16 +301,10 @@ bool recorder_enabled_from_env() {
   return v == "on" || v == "1";
 }
 
-std::size_t recorder_ring_capacity() noexcept { return ring_capacity(); }
-
 std::size_t recorder_events_from_env() {
   // A traced run defaults to the largest ring so the export is complete.
   return env_uint("DIGG_RECORDER_EVENTS", 16, 65536,
                   trace_path().empty() ? 256 : 65536);
-}
-
-std::size_t recorder_ring_count() noexcept {
-  return std::min(g_ring_count.load(std::memory_order_acquire), kMaxRings);
 }
 
 void record_event(EventKind kind, std::uint32_t dom, std::uint64_t a,

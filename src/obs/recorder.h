@@ -80,15 +80,11 @@ void set_recorder_enabled(bool on) noexcept;
 /// one warning for an empty or unknown value.
 [[nodiscard]] bool recorder_enabled_from_env();
 
-/// Events retained per thread ring: recorder_events_from_env(), fixed once
-/// the first ring exists.
-[[nodiscard]] std::size_t recorder_ring_capacity() noexcept;
 /// DIGG_RECORDER_EVENTS through env_uint (env.h): a value in [16, 65536],
 /// else the default — 256, or 65536 when DIGG_TRACE is set, so a traced
-/// run keeps its whole history.
+/// run keeps its whole history. Its value when the first ring is made is
+/// the events every thread ring retains.
 [[nodiscard]] std::size_t recorder_events_from_env();
-/// Rings registered so far (threads that have recorded at least once).
-[[nodiscard]] std::size_t recorder_ring_count() noexcept;
 
 /// Human-readable dump of every ring's surviving events, oldest to newest
 /// within a ring: `ring=<r> seq=<k> t_us=<t> kind=<name> dom=<d> a=<a>

@@ -164,10 +164,6 @@ void stop_watchdog() {
   s->running.store(false, std::memory_order_release);
 }
 
-bool watchdog_running() noexcept {
-  return state()->running.load(std::memory_order_acquire);
-}
-
 unsigned watchdog_ms_from_env() {
   return static_cast<unsigned>(env_uint(
       "DIGG_WATCHDOG_MS", 1, std::numeric_limits<unsigned>::max(), 0));

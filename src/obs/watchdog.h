@@ -48,7 +48,6 @@ class WatchdogTask {
 bool start_watchdog(unsigned interval_ms);
 /// Stops and joins the scanner. Safe when not running.
 void stop_watchdog();
-[[nodiscard]] bool watchdog_running() noexcept;
 
 /// DIGG_WATCHDOG_MS through env_uint (env.h): the interval in ms, or 0
 /// (watchdog off) when unset, zero or malformed.

@@ -40,27 +40,6 @@ std::vector<Bin> LinearHistogram::bins() const {
   return out;
 }
 
-double LinearHistogram::fraction_below(double value) const {
-  if (total_ == 0) return 0.0;
-  std::uint64_t below = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double hi = min_ + width_ * static_cast<double>(i + 1);
-    if (hi <= value) {
-      below += counts_[i];
-    } else {
-      // Partial bin: assume uniform density within the bin.
-      const double lo = min_ + width_ * static_cast<double>(i);
-      if (value > lo) {
-        const double frac = (value - lo) / width_;
-        below += static_cast<std::uint64_t>(
-            frac * static_cast<double>(counts_[i]));
-      }
-      break;
-    }
-  }
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
 LogHistogram::LogHistogram(double base) : base_(base) {
   if (!(base > 1.0)) throw std::invalid_argument("LogHistogram: base <= 1");
 }
@@ -97,21 +76,9 @@ std::uint64_t FrequencyCounter::count(std::int64_t value) const {
   return it == counts_.end() ? 0 : it->second;
 }
 
-std::int64_t FrequencyCounter::min_value() const {
-  if (counts_.empty()) throw std::logic_error("FrequencyCounter: empty");
-  return counts_.begin()->first;
-}
-
 std::int64_t FrequencyCounter::max_value() const {
   if (counts_.empty()) throw std::logic_error("FrequencyCounter: empty");
   return counts_.rbegin()->first;
-}
-
-std::uint64_t FrequencyCounter::count_at_least(std::int64_t threshold) const {
-  std::uint64_t acc = 0;
-  for (auto it = counts_.lower_bound(threshold); it != counts_.end(); ++it)
-    acc += it->second;
-  return acc;
 }
 
 std::vector<std::pair<std::int64_t, std::uint64_t>> FrequencyCounter::items()

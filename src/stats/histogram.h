@@ -34,9 +34,6 @@ class LinearHistogram {
   [[nodiscard]] Bin bin(std::size_t i) const;
   [[nodiscard]] std::vector<Bin> bins() const;
 
-  /// Fraction of observations strictly below `value`.
-  [[nodiscard]] double fraction_below(double value) const;
-
  private:
   double min_;
   double max_;
@@ -72,10 +69,7 @@ class FrequencyCounter {
   [[nodiscard]] std::uint64_t count(std::int64_t value) const;
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] bool empty() const noexcept { return total_ == 0; }
-  [[nodiscard]] std::int64_t min_value() const;  // throws if empty
   [[nodiscard]] std::int64_t max_value() const;  // throws if empty
-  /// Count of observations with value >= threshold.
-  [[nodiscard]] std::uint64_t count_at_least(std::int64_t threshold) const;
   /// (value, count) pairs in ascending value order.
   [[nodiscard]] std::vector<std::pair<std::int64_t, std::uint64_t>> items() const;
 

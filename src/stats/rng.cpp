@@ -5,29 +5,6 @@
 
 namespace digg::stats {
 
-PowerLawSampler::PowerLawSampler(double alpha, std::int64_t k_min,
-                                 std::int64_t k_max)
-    : alpha_(alpha), k_min_(k_min), k_max_(k_max) {
-  if (k_min < 1) throw std::invalid_argument("PowerLawSampler: k_min < 1");
-  if (k_max < k_min)
-    throw std::invalid_argument("PowerLawSampler: k_max < k_min");
-  if (alpha <= 0.0) throw std::invalid_argument("PowerLawSampler: alpha <= 0");
-  cdf_.reserve(static_cast<std::size_t>(k_max - k_min + 1));
-  double acc = 0.0;
-  for (std::int64_t k = k_min; k <= k_max; ++k) {
-    acc += std::pow(static_cast<double>(k), -alpha);
-    cdf_.push_back(acc);
-  }
-  for (double& c : cdf_) c /= acc;
-}
-
-std::int64_t PowerLawSampler::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  const auto idx = static_cast<std::int64_t>(it - cdf_.begin());
-  return k_min_ + std::min<std::int64_t>(idx, k_max_ - k_min_);
-}
-
 ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
   if (n == 0) throw std::invalid_argument("ZipfSampler: n == 0");
   if (s < 0.0) throw std::invalid_argument("ZipfSampler: s < 0");

@@ -104,25 +104,6 @@ class Rng {
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
 };
 
-/// Discrete power-law sampler: P(k) ∝ k^(-alpha) for k in [k_min, k_max].
-/// Used for fan-count and activity distributions (Fig. 2b is approximately a
-/// power law). Sampling is by inverse CDF over the precomputed table.
-class PowerLawSampler {
- public:
-  PowerLawSampler(double alpha, std::int64_t k_min, std::int64_t k_max);
-
-  [[nodiscard]] std::int64_t sample(Rng& rng) const;
-  [[nodiscard]] double alpha() const noexcept { return alpha_; }
-  [[nodiscard]] std::int64_t k_min() const noexcept { return k_min_; }
-  [[nodiscard]] std::int64_t k_max() const noexcept { return k_max_; }
-
- private:
-  double alpha_;
-  std::int64_t k_min_;
-  std::int64_t k_max_;
-  std::vector<double> cdf_;  // cumulative, normalized to 1 at the back
-};
-
 /// Zipf sampler over ranks 1..n with exponent s: P(rank) ∝ rank^(-s).
 /// Used to skew activity toward top users (§3: top 3% make 35% of
 /// submissions).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -44,8 +43,6 @@ std::string TextTable::render() const {
   return os.str();
 }
 
-void TextTable::print(std::ostream& os) const { os << render(); }
-
 std::string fmt(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, value);
@@ -55,12 +52,6 @@ std::string fmt(double value, int precision) {
 std::string fmt(std::int64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(value));
-  return buf;
-}
-
-std::string fmt(std::uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(value));
   return buf;
 }
 

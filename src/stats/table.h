@@ -4,7 +4,6 @@
 // reproduced figures are readable directly in terminal output.
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -23,7 +22,6 @@ class TextTable {
 
   /// Renders with a header underline and two-space column gaps.
   [[nodiscard]] std::string render() const;
-  void print(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;
@@ -33,7 +31,6 @@ class TextTable {
 /// Fixed-precision float formatting ("%.*f").
 [[nodiscard]] std::string fmt(double value, int precision = 2);
 [[nodiscard]] std::string fmt(std::int64_t value);
-[[nodiscard]] std::string fmt(std::uint64_t value);
 /// Percentage with one decimal, e.g. 0.357 -> "35.7%".
 [[nodiscard]] std::string fmt_pct(double fraction);
 

@@ -4,11 +4,12 @@
 
 #include "src/core/prefix_visibility.h"
 #include "src/digg/story.h"
+#include "tests/test_support.h"
 
 namespace digg::core {
 namespace {
 
-using platform::add_vote;
+using test::add_vote;
 using platform::make_story;
 using platform::Story;
 

@@ -5,11 +5,12 @@
 #include <algorithm>
 
 #include "src/digg/story.h"
+#include "tests/test_support.h"
 
 namespace digg::core {
 namespace {
 
-using platform::add_vote;
+using test::add_vote;
 using platform::make_story;
 
 // fans(0) = {1..10}; everyone else unconnected.

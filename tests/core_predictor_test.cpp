@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace digg::core {
 namespace {
 
@@ -55,8 +58,7 @@ TEST(MakeDataset, SchemaMatchesFeatureSet) {
   const ml::Dataset paper =
       InterestingnessPredictor::make_dataset(sample, FeatureSet::kPaper);
   EXPECT_EQ(paper.attribute_count(), 2u);
-  EXPECT_EQ(paper.attribute(0), "v10");
-  EXPECT_EQ(paper.attribute(1), "fans1");
+  EXPECT_EQ(paper.attributes(), (std::vector<std::string>{"v10", "fans1"}));
   EXPECT_EQ(paper.class_names()[1], "yes");
   EXPECT_EQ(paper.size(), 10u);
 

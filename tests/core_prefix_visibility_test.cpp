@@ -27,6 +27,7 @@
 #include "src/runtime/parallel.h"
 #include "src/runtime/thread_pool.h"
 #include "src/stats/rng.h"
+#include "tests/test_support.h"
 
 namespace digg::core {
 namespace {
@@ -67,7 +68,7 @@ platform::Story random_story(stats::Rng& rng, platform::StoryId id) {
   double t = 0.0;
   for (std::size_t k = 1; k < votes; ++k) {
     t += static_cast<double>(rng.uniform_int(0, 3)) * 0.75;
-    platform::add_vote(s, users[k], t);
+    test::add_vote(s, users[k], t);
   }
   return s;
 }

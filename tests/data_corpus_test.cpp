@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "src/data/snapshot.h"
 #include "src/digg/story.h"
+#include "tests/test_support.h"
 
 namespace digg::data {
 namespace {
 
-using platform::add_vote;
+using test::add_vote;
 using platform::make_story;
 
 Corpus tiny_corpus() {
@@ -129,6 +139,69 @@ TEST(Corpus, ValidateCatchesBadTopUser) {
   Corpus c = tiny_corpus();
   c.top_users.push_back(99);
   EXPECT_THROW(validate(c), std::runtime_error);
+}
+
+// A corpus owns its vote arena, and a mapped corpus borrows the snapshot's
+// bytes: neither may be copied, only moved.
+TEST(Corpus, IsMoveOnly) {
+  static_assert(!std::is_copy_constructible_v<Corpus>);
+  static_assert(!std::is_copy_assignable_v<Corpus>);
+  static_assert(std::is_nothrow_move_constructible_v<Corpus>);
+  static_assert(std::is_nothrow_move_assignable_v<Corpus>);
+  static_assert(!std::is_copy_constructible_v<VoteStore>);
+  static_assert(!std::is_copy_assignable_v<VoteStore>);
+  static_assert(std::is_nothrow_move_constructible_v<VoteStore>);
+  static_assert(std::is_nothrow_move_assignable_v<VoteStore>);
+  SUCCEED();
+}
+
+/// Every story's vote columns, read through its views, plus the top users.
+struct VoteRecord {
+  std::vector<std::vector<UserId>> voters;
+  std::vector<std::vector<platform::Minutes>> times;
+  std::vector<UserId> top_users;
+  bool operator==(const VoteRecord&) const = default;
+};
+
+VoteRecord record_of(const Corpus& c) {
+  VoteRecord r;
+  for (const auto* section : {&c.front_page, &c.upcoming}) {
+    for (const Story& s : *section) {
+      r.voters.emplace_back(s.voters().begin(), s.voters().end());
+      r.times.emplace_back(s.times().begin(), s.times().end());
+    }
+  }
+  r.top_users = c.top_users;
+  return r;
+}
+
+// Moving a corpus, by construction and by assignment, keeps every view
+// readable after the source is gone: in-memory arenas move their heap
+// buffers, and a mapped corpus moves its backing.
+void expect_moves_keep_votes(Corpus source) {
+  const VoteRecord before = record_of(source);
+  ASSERT_FALSE(before.voters.empty());
+  Corpus assigned;
+  {
+    Corpus constructed(std::move(source));
+    EXPECT_EQ(record_of(constructed), before);
+    assigned = std::move(constructed);
+  }
+  EXPECT_EQ(record_of(assigned), before);
+  EXPECT_NO_THROW(validate(assigned));
+}
+
+TEST(Corpus, MovedCorpusReadsTheSameVotes) {
+  expect_moves_keep_votes(tiny_corpus());
+
+  const auto path = std::filesystem::temp_directory_path() /
+                    ("digg_corpus_test_" + std::to_string(::getpid()) +
+                     ".snap");
+  save_snapshot(tiny_corpus(), path);
+  Corpus mapped = load_snapshot_mmap(path);
+  std::filesystem::remove(path);  // the mapping outlives the file name
+  ASSERT_NE(mapped.backing, nullptr);
+  expect_moves_keep_votes(std::move(mapped));
 }
 
 TEST(UserActivity, CountsFrontPageOnly) {

@@ -12,6 +12,7 @@
 #include "src/data/snapshot.h"
 #include "src/data/synthetic.h"
 #include "src/digg/story.h"
+#include "tests/test_support.h"
 
 namespace digg::data {
 namespace {
@@ -145,7 +146,7 @@ TEST_F(IoTest, ExtremeStoryIdsRoundTripThroughCsvAndSnapshot) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto submitter = static_cast<UserId>(i);
     platform::Story s = platform::make_story(ids[i], submitter, 10.0, 0.5);
-    platform::add_vote(s, (submitter + 1) % 3, 11.5);
+    test::add_vote(s, (submitter + 1) % 3, 11.5);
     original.add_story(s, Corpus::Section::kUpcoming);
   }
   save_corpus(original, dir_);

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -18,6 +19,7 @@
 #include "src/data/synthetic.h"
 #include "src/digg/story.h"
 #include "src/dynamics/model.h"
+#include "tests/test_support.h"
 
 namespace digg::data {
 namespace {
@@ -419,7 +421,7 @@ TEST_F(SnapshotTest, DuplicateStoryIdThrows) {
   twice.network = builder.build();
   for (const UserId submitter : {0u, 2u}) {
     platform::Story s = platform::make_story(7, submitter, 10.0, 0.5);
-    platform::add_vote(s, 1, 11.0);
+    test::add_vote(s, 1, 11.0);
     twice.add_story(s, Corpus::Section::kUpcoming);
   }
   save_snapshot(twice, snap());
@@ -468,17 +470,18 @@ TEST_F(SnapshotTest, InCsrThatIsNotTheTransposeThrows) {
 }
 
 TEST_F(SnapshotTest, MmapSurvivesCopyAndSourceRelease) {
-  // The mapping must stay alive through Corpus copies even after the
-  // original loaded corpus is gone (shared backing).
+  // The mapping must stay alive in the corpus a loaded one was moved into,
+  // after the loaded one is gone (the backing moves with it). Corpus is
+  // move-only, so a move is the only way to hand a mapped corpus on.
   save_snapshot(small_corpus(), snap());
-  Corpus copy;
+  Corpus kept;
   {
-    const Corpus mapped = load_snapshot_mmap(snap());
-    copy = mapped;
+    Corpus mapped = load_snapshot_mmap(snap());
+    kept = std::move(mapped);
   }
   fs::remove(snap());  // mapping survives unlinking on POSIX
-  EXPECT_NO_THROW(validate(copy));
-  EXPECT_GT(copy.vote_store.total_votes(), 0u);
+  EXPECT_NO_THROW(validate(kept));
+  EXPECT_GT(kept.vote_store.total_votes(), 0u);
 }
 
 // Saving over a snapshot that a live corpus has mapped must not touch the

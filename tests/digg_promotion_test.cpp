@@ -4,9 +4,12 @@
 
 #include "src/digg/platform.h"
 #include "src/digg/story.h"
+#include "tests/test_support.h"
 
 namespace digg::platform {
 namespace {
+
+using test::add_vote;
 
 // A hand-built story; the count and rate policies read only its columns.
 StoryState state_with_votes(std::size_t votes, Minutes spacing = 1.0) {

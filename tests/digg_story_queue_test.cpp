@@ -2,9 +2,12 @@
 
 #include "src/digg/queue.h"
 #include "src/digg/story.h"
+#include "tests/test_support.h"
 
 namespace digg::platform {
 namespace {
+
+using test::add_vote;
 
 TEST(Story, MakeStoryRecordsSubmitterDigg) {
   const Story s = make_story(1, 42, 100.0, 0.5);
@@ -46,19 +49,11 @@ TEST(Story, FirstVoteMustBeSubmitter) {
   EXPECT_EQ(s.vote_count(), 1u);
 }
 
-TEST(Story, HasVoted) {
-  Story s = make_story(0, 1, 0.0, 0.5);
-  add_vote(s, 2, 1.0);
-  EXPECT_TRUE(has_voted(s, 1));
-  EXPECT_TRUE(has_voted(s, 2));
-  EXPECT_FALSE(has_voted(s, 3));
-}
-
 TEST(Story, VotersInOrder) {
   Story s = make_story(0, 5, 0.0, 0.5);
   add_vote(s, 9, 1.0);
   add_vote(s, 3, 2.0);
-  const auto vs = voters(s);
+  const auto vs = StoryView(s).voters();
   EXPECT_EQ(std::vector<UserId>(vs.begin(), vs.end()),
             (std::vector<UserId>{5, 9, 3}));
 }
@@ -79,36 +74,26 @@ TEST(Listing, NewestFirstOrdering) {
   l.push_front(2);
   l.push_front(3);
   EXPECT_EQ(l.items(), (std::vector<StoryId>{3, 2, 1}));
-  EXPECT_EQ(l.position(3), 0u);
-  EXPECT_EQ(l.position(1), 2u);
 }
 
 TEST(Listing, RemoveAndContains) {
   Listing l;
   l.push_front(1);
   l.push_front(2);
-  EXPECT_TRUE(l.contains(1));
   l.remove(1);
-  EXPECT_FALSE(l.contains(1));
-  EXPECT_EQ(l.size(), 1u);
+  EXPECT_EQ(l.items(), (std::vector<StoryId>{2}));
   l.remove(99);  // no-op
   EXPECT_EQ(l.size(), 1u);
-}
-
-TEST(Listing, PositionOfMissingIsNpos) {
-  Listing l;
-  EXPECT_EQ(l.position(5), Listing::npos);
 }
 
 TEST(Listing, PagesOfFifteen) {
   Listing l;
   for (StoryId id = 0; id < 40; ++id) l.push_front(id);
-  const auto page0 = l.page(0);
+  const auto page0 = l.first_pages(1);
   ASSERT_EQ(page0.size(), kStoriesPerPage);
   EXPECT_EQ(page0.front(), 39u);  // newest on top
-  const auto page2 = l.page(2);
-  EXPECT_EQ(page2.size(), 10u);
-  EXPECT_TRUE(l.page(3).empty());
+  EXPECT_EQ(page0.back(), 25u);
+  EXPECT_EQ(l.first_pages(2).size(), 2 * kStoriesPerPage);
 }
 
 TEST(Listing, FirstPagesClampsToSize) {

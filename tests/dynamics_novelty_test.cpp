@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "src/digg/story.h"
+#include "tests/test_support.h"
 
 namespace digg::dynamics {
 namespace {
@@ -17,12 +18,12 @@ platform::Story story_with_half_life(double half_life, double amplitude,
   platform::Story s = platform::make_story(0, 0, 0.0, 0.5);
   s.promoted_at = 100.0;
   s.phase = platform::StoryPhase::kFrontPage;
-  platform::add_vote(s, 1, 50.0);  // one pre-promotion vote
+  test::add_vote(s, 1, 50.0);  // one pre-promotion vote
   for (std::size_t k = 1; k <= votes; ++k) {
     const double fraction = static_cast<double>(k) / amplitude;
     const double t =
         -half_life * std::log2(1.0 - fraction);  // invert the decay law
-    platform::add_vote(s, static_cast<platform::UserId>(k + 1), 100.0 + t);
+    test::add_vote(s, static_cast<platform::UserId>(k + 1), 100.0 + t);
   }
   return s;
 }
@@ -49,7 +50,7 @@ TEST(NoveltyFit, DistinguishesFastAndSlowDecay) {
 TEST(NoveltyFit, UnpromotedStoryReturnsNullopt) {
   platform::Story s = platform::make_story(0, 0, 0.0, 0.5);
   for (platform::UserId u = 1; u < 50; ++u)
-    platform::add_vote(s, u, static_cast<double>(u));
+    test::add_vote(s, u, static_cast<double>(u));
   EXPECT_FALSE(fit_novelty_decay(s).has_value());
 }
 
@@ -58,7 +59,7 @@ TEST(NoveltyFit, TooFewPostPromotionVotesReturnsNullopt) {
   s.promoted_at = 10.0;
   s.phase = platform::StoryPhase::kFrontPage;
   for (platform::UserId u = 1; u < 10; ++u)
-    platform::add_vote(s, u, 10.0 + static_cast<double>(u));
+    test::add_vote(s, u, 10.0 + static_cast<double>(u));
   EXPECT_FALSE(fit_novelty_decay(s, /*min_votes=*/20).has_value());
 }
 

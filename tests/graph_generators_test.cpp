@@ -7,6 +7,8 @@
 #include <numeric>
 #include <vector>
 
+#include "tests/test_support.h"
+
 namespace digg::graph {
 namespace {
 
@@ -46,7 +48,7 @@ TEST(ErdosRenyi, NoSelfLoops) {
   stats::Rng rng(2);
   const Digraph g = erdos_renyi(50, 0.2, rng);
   for (NodeId u = 0; u < g.node_count(); ++u)
-    EXPECT_FALSE(g.has_edge(u, u));
+    EXPECT_FALSE(test::has_edge(g, u, u));
 }
 
 TEST(ErdosRenyi, RejectsBadProbability) {

@@ -33,7 +33,7 @@ TEST(DecisionTree, LearnsSimpleThreshold) {
   EXPECT_EQ(tree.predict({3.0}), 0u);
   EXPECT_EQ(tree.predict({15.0}), 1u);
   EXPECT_EQ(tree.depth(), 1u);
-  EXPECT_EQ(tree.leaf_count(), 2u);
+  EXPECT_EQ(tree.node_count(), 3u);  // one split, two leaves
 }
 
 TEST(DecisionTree, ThresholdAtClassBoundaryMidpoint) {
@@ -65,8 +65,10 @@ TEST(DecisionTree, TwoAttributeInteraction) {
   EXPECT_EQ(tree.predict({8.0, 2.0}), 0u);
   EXPECT_EQ(tree.predict({2.0, 8.0}), 0u);
   EXPECT_EQ(tree.predict({2.0, 2.0}), 0u);
-  const auto used = tree.used_attributes();
-  EXPECT_EQ(used.size(), 2u);
+  // Both attributes split somewhere in the tree.
+  const std::string rendered = tree.render();
+  EXPECT_NE(rendered.find("x <="), std::string::npos);
+  EXPECT_NE(rendered.find("y <="), std::string::npos);
 }
 
 TEST(DecisionTree, MissingValueRoutedToMajorityBranch) {
@@ -92,7 +94,7 @@ TEST(DecisionTree, PruningCollapsesNoise) {
   const DecisionTree a = DecisionTree::train(d, pruned);
   const DecisionTree b = DecisionTree::train(d, unpruned);
   EXPECT_LE(a.node_count(), b.node_count());
-  EXPECT_LE(a.leaf_count(), 5u);
+  EXPECT_LE(a.node_count(), 9u);  // binary splits: at most 5 leaves
 }
 
 TEST(DecisionTree, MinInstancesStopsSplitting) {

@@ -24,7 +24,7 @@ TEST(Dataset, AddAndAccess) {
   EXPECT_DOUBLE_EQ(d.value(0, 0), 1.5);
   EXPECT_DOUBLE_EQ(d.value(1, 1), 1.0);
   EXPECT_EQ(d.label(0), 1u);
-  EXPECT_EQ(d.attribute(1), "y");
+  EXPECT_EQ(d.attributes()[1], "y");
   EXPECT_EQ(d.class_count(), 2u);
 }
 
@@ -76,7 +76,6 @@ TEST(Dataset, OutOfRangeAccessThrows) {
   d.add({1.0, 0.0}, 0);
   EXPECT_THROW(d.row(1), std::out_of_range);
   EXPECT_THROW(d.label(1), std::out_of_range);
-  EXPECT_THROW(d.attribute(2), std::out_of_range);
 }
 
 TEST(IsMissing, DetectsOnlyNan) {

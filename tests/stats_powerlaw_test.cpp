@@ -2,13 +2,89 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <stdexcept>
+#include <vector>
 
 #include "src/stats/rng.h"
 
 namespace digg::stats {
 namespace {
+
+/// The fits' data source: a discrete power law, P(k) ∝ k^(-alpha) for k in
+/// [k_min, k_max], sampled by inverse CDF over a precomputed table.
+class PowerLawSampler {
+ public:
+  PowerLawSampler(double alpha, std::int64_t k_min, std::int64_t k_max)
+      : k_min_(k_min), k_max_(k_max) {
+    if (k_min < 1) throw std::invalid_argument("PowerLawSampler: k_min < 1");
+    if (k_max < k_min)
+      throw std::invalid_argument("PowerLawSampler: k_max < k_min");
+    if (alpha <= 0.0)
+      throw std::invalid_argument("PowerLawSampler: alpha <= 0");
+    double acc = 0.0;
+    for (std::int64_t k = k_min; k <= k_max; ++k) {
+      acc += std::pow(static_cast<double>(k), -alpha);
+      cdf_.push_back(acc);
+    }
+    for (double& c : cdf_) c /= acc;
+  }
+
+  [[nodiscard]] std::int64_t sample(Rng& rng) const {
+    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), rng.uniform());
+    const auto idx = static_cast<std::int64_t>(it - cdf_.begin());
+    return k_min_ + std::min<std::int64_t>(idx, k_max_ - k_min_);
+  }
+
+ private:
+  std::int64_t k_min_;
+  std::int64_t k_max_;
+  std::vector<double> cdf_;  // cumulative, normalized to 1 at the back
+};
+
+TEST(PowerLawSampler, SamplesWithinRange) {
+  Rng rng(1);
+  PowerLawSampler sampler(2.0, 1, 100);
+  for (int i = 0; i < 2000; ++i) {
+    const auto v = sampler.sample(rng);
+    EXPECT_GE(v, 1);
+    EXPECT_LE(v, 100);
+  }
+}
+
+TEST(PowerLawSampler, HeavierTailForSmallerAlpha) {
+  Rng rng1(5);
+  Rng rng2(5);
+  PowerLawSampler steep(3.0, 1, 1000);
+  PowerLawSampler shallow(1.5, 1, 1000);
+  double steep_sum = 0.0;
+  double shallow_sum = 0.0;
+  for (int i = 0; i < 5000; ++i) {
+    steep_sum += static_cast<double>(steep.sample(rng1));
+    shallow_sum += static_cast<double>(shallow.sample(rng2));
+  }
+  EXPECT_GT(shallow_sum, steep_sum);
+}
+
+TEST(PowerLawSampler, OnesDominateForSteepAlpha) {
+  Rng rng(3);
+  PowerLawSampler sampler(3.0, 1, 1000);
+  int ones = 0;
+  const int n = 5000;
+  for (int i = 0; i < n; ++i)
+    if (sampler.sample(rng) == 1) ++ones;
+  // P(1) = 1/zeta(3) ~ 0.83 over a finite range.
+  EXPECT_GT(static_cast<double>(ones) / n, 0.7);
+}
+
+TEST(PowerLawSampler, RejectsBadParameters) {
+  EXPECT_THROW(PowerLawSampler(2.0, 0, 10), std::invalid_argument);
+  EXPECT_THROW(PowerLawSampler(2.0, 10, 5), std::invalid_argument);
+  EXPECT_THROW(PowerLawSampler(0.0, 1, 10), std::invalid_argument);
+}
 
 TEST(HurwitzZeta, MatchesRiemannZetaAtQ1) {
   // zeta(2) = pi^2/6, zeta(3) ~ 1.2020569...

@@ -185,47 +185,6 @@ TEST(RngSplit, ComposesWithFork) {
     EXPECT_DOUBLE_EQ(s1.uniform(), s2.uniform());
 }
 
-TEST(PowerLawSampler, SamplesWithinRange) {
-  Rng rng(1);
-  PowerLawSampler sampler(2.0, 1, 100);
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = sampler.sample(rng);
-    EXPECT_GE(v, 1);
-    EXPECT_LE(v, 100);
-  }
-}
-
-TEST(PowerLawSampler, HeavierTailForSmallerAlpha) {
-  Rng rng1(5);
-  Rng rng2(5);
-  PowerLawSampler steep(3.0, 1, 1000);
-  PowerLawSampler shallow(1.5, 1, 1000);
-  double steep_sum = 0.0;
-  double shallow_sum = 0.0;
-  for (int i = 0; i < 5000; ++i) {
-    steep_sum += static_cast<double>(steep.sample(rng1));
-    shallow_sum += static_cast<double>(shallow.sample(rng2));
-  }
-  EXPECT_GT(shallow_sum, steep_sum);
-}
-
-TEST(PowerLawSampler, OnesDominateForSteepAlpha) {
-  Rng rng(3);
-  PowerLawSampler sampler(3.0, 1, 1000);
-  int ones = 0;
-  const int n = 5000;
-  for (int i = 0; i < n; ++i)
-    if (sampler.sample(rng) == 1) ++ones;
-  // P(1) = 1/zeta(3) ~ 0.83 over a finite range.
-  EXPECT_GT(static_cast<double>(ones) / n, 0.7);
-}
-
-TEST(PowerLawSampler, RejectsBadParameters) {
-  EXPECT_THROW(PowerLawSampler(2.0, 0, 10), std::invalid_argument);
-  EXPECT_THROW(PowerLawSampler(2.0, 10, 5), std::invalid_argument);
-  EXPECT_THROW(PowerLawSampler(0.0, 1, 10), std::invalid_argument);
-}
-
 TEST(ZipfSampler, RanksWithinBounds) {
   Rng rng(1);
   ZipfSampler zipf(50, 1.0);
