@@ -1,7 +1,9 @@
 // Calibration report: prints how the synthetic corpus generator's latent
 // traits map onto observables (promotion rate, final votes, early cascade
-// mix), band by band. Use this when re-tuning SyntheticParams or the vote
-// model against the paper's measured marginals (Fig. 2a, §3 statistics).
+// mix), band by band. Use this when re-tuning the generator's calibration
+// constants (data/synthetic.cpp, the appeal bands in data/synthetic.h, the
+// vote models' .cpp files and dynamics/step_story.h) against the paper's
+// measured marginals (Fig. 2a, §3 statistics).
 
 #include <algorithm>
 #include <cstdio>
@@ -18,7 +20,7 @@ namespace {
 
 struct Band {
   const char* name;
-  double lo, hi;
+  digg::data::AppealBand range;
 };
 
 }  // namespace
@@ -27,7 +29,6 @@ int main(int argc, char** argv) {
   using namespace digg;
   const bench::Context ctx = bench::make_context(
       argc, argv, "Calibration report: latent traits vs observables");
-  const data::SyntheticParams& params = ctx.scenario.params;
   const data::SyntheticCorpus& synthetic = ctx.synthetic;
   const data::Corpus& corpus = synthetic.corpus;
   obs::log_info("calibration_report", "corpus ready",
@@ -43,9 +44,9 @@ int main(int argc, char** argv) {
   for (const data::Story& s : corpus.front_page) by_id[s.id] = &s;
   for (const data::Story& s : corpus.upcoming) by_id[s.id] = &s;
 
-  const Band bands[] = {{"dull", params.dull_lo, params.dull_hi},
-                        {"mid", params.mid_lo, params.mid_hi},
-                        {"hot", params.hot_lo, params.hot_hi}};
+  const Band bands[] = {{"dull", data::kDullAppeal},
+                        {"mid", data::kMidAppeal},
+                        {"hot", data::kHotAppeal}};
   stats::TextTable table({"band", "stories", "promoted", "med votes",
                           "p10 votes", "p90 votes", "med v10", "<500", ">1500"});
   for (const Band& band : bands) {
@@ -57,7 +58,8 @@ int main(int argc, char** argv) {
     std::size_t above1500 = 0;
     for (std::size_t id = 0; id < corpus.story_count(); ++id) {
       const double g = synthetic.traits[id].general;
-      if (g < band.lo || g >= band.hi || by_id[id] == nullptr) continue;
+      if (g < band.range.lo || g >= band.range.hi || by_id[id] == nullptr)
+        continue;
       const data::Story& s = *by_id[id];
       ++total;
       if (!s.promoted()) continue;

@@ -19,6 +19,7 @@
 #
 # Usage: scripts/bench_snapshot.sh [extra perf_micro args...]
 #   BUILD_DIR       build directory (default build-release)
+#   JOBS            build parallelism (default nproc)
 #   BENCH_MIN_TIME  --benchmark_min_time seconds (default 0.05; benchmark
 #                   1.7.x takes a bare float)
 #   SERVE_VOTES     perf_serve total vote volume (default 2000000; the
@@ -27,12 +28,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-release}
+JOBS=${JOBS:-$(nproc)}
 BENCH_MIN_TIME=${BENCH_MIN_TIME:-0.05}
 SERVE_VOTES=${SERVE_VOTES:-2000000}
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j --target perf_micro --target perf_corpus_io \
-  --target perf_stream --target perf_visibility --target perf_serve
+cmake --build "$BUILD_DIR" -j "$JOBS" --target perf_micro \
+  --target perf_corpus_io --target perf_stream --target perf_visibility \
+  --target perf_serve
 
 "$BUILD_DIR/bench/perf_micro" \
   --json BENCH_parallel.json \

@@ -301,7 +301,7 @@ if [[ $MODE == scenarios || $MODE == all ]]; then
   echo "== [scenario smoke] every scenario x both predictors =="
   "$RELEASE_DIR"/bench/figures --figure fig7_model_prediction --smoke
   echo "== [scenario smoke] figure stdout invariant across thread counts =="
-  BUILD_DIR="$RELEASE_DIR" scripts/figure_digests.sh 42
+  BUILD_DIR="$RELEASE_DIR" JOBS="$JOBS" scripts/figure_digests.sh 42
 fi
 
 if [[ $MODE == large || $MODE == all ]]; then

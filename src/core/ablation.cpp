@@ -53,18 +53,17 @@ MechanismAblationResult mechanism_ablation(const data::SyntheticParams& params,
     result.full =
         summarize_variant("full model", data::generate_corpus(params, rng).corpus);
   }
+  using Channels = dynamics::VoteModelParams::Channels;
   {
     data::SyntheticParams no_fan = params;
-    no_fan.vote_model.fan_consider_rate = 0.0;
+    no_fan.vote_model.channels = Channels::kNoFanChannel;
     stats::Rng rng(seed);
     result.no_fan_channel = summarize_variant(
         "no fan channel", data::generate_corpus(no_fan, rng).corpus);
   }
   {
     data::SyntheticParams no_discovery = params;
-    no_discovery.vote_model.upcoming_discovery_rate = 0.0;
-    no_discovery.vote_model.upcoming_background_rate = 0.0;
-    no_discovery.vote_model.front_page_rate = 0.0;
+    no_discovery.vote_model.channels = Channels::kNoDiscovery;
     stats::Rng rng(seed);
     result.no_discovery = summarize_variant(
         "no discovery", data::generate_corpus(no_discovery, rng).corpus);

@@ -21,21 +21,57 @@ namespace digg::data {
 
 namespace {
 
-double sample_general_appeal(const SyntheticParams& p, bool top_submitter,
-                             stats::Rng& rng) {
-  const double dull = top_submitter ? p.top_dull_fraction : p.dull_fraction;
-  const double hot = top_submitter ? p.top_hot_fraction : p.hot_fraction;
+/// Fraction of submissions made by the top_submitter_pool; within the pool
+/// submitters are Zipf-distributed (the busiest top users — who are also
+/// the best connected — submit disproportionately, §3's "top 3% made 35%
+/// of submissions").
+constexpr double kTopSubmitterFraction = 0.30;
+constexpr double kTopSubmitterZipf = 0.9;
+
+/// Window of the vote-rate rule: a story's last promotion_rate_votes votes
+/// must arrive within it.
+constexpr platform::Minutes kPromotionRateWindow = 4.0 * 60.0;
+/// Weight of an in-network (fan) vote under PromotionRule::kDiversity (the
+/// post-controversy direction Digg announced); out-of-network votes count
+/// 1.0.
+constexpr double kDiversityFanVoteWeight = 0.4;
+
+/// General-appeal mixture: the dull and hot fractions (the rest is
+/// middling).
+constexpr double kDullFraction = 0.22;
+constexpr double kHotFraction = 0.24;
+/// Top users submit far more, and their marginal story is duller — the §5
+/// observation ("many of the front-page stories submitted by best connected
+/// users were deemed to be uninteresting") and the root of the
+/// September-2006 top-user controversy. Their submissions use this mixture
+/// instead.
+constexpr double kTopDullFraction = 0.55;
+constexpr double kTopHotFraction = 0.05;
+
+/// Community appeal: base + slope * general + top-user boost + noise.
+constexpr double kCommunityBase = 0.15;
+constexpr double kCommunityGeneralSlope = 0.5;
+constexpr double kCommunityTopBoost = 0.40;
+constexpr double kCommunityNoise = 0.12;
+
+/// Minutes between consecutive submissions (1-2/minute on real Digg; we
+/// space them out since we only simulate the studied sample).
+constexpr platform::Minutes kSubmissionSpacing = 2.0;
+
+double sample_general_appeal(bool top_submitter, stats::Rng& rng) {
+  const double dull = top_submitter ? kTopDullFraction : kDullFraction;
+  const double hot = top_submitter ? kTopHotFraction : kHotFraction;
   const double u = rng.uniform();
-  if (u < dull) return rng.uniform(p.dull_lo, p.dull_hi);
-  if (u < dull + hot) return rng.uniform(p.hot_lo, p.hot_hi);
-  return rng.uniform(p.mid_lo, p.mid_hi);
+  if (u < dull) return rng.uniform(kDullAppeal.lo, kDullAppeal.hi);
+  if (u < dull + hot) return rng.uniform(kHotAppeal.lo, kHotAppeal.hi);
+  return rng.uniform(kMidAppeal.lo, kMidAppeal.hi);
 }
 
-double sample_community_appeal(const SyntheticParams& p, double general,
-                               double submitter_fan_pull, stats::Rng& rng) {
-  double c = p.community_base + p.community_general_slope * general +
-             p.community_top_boost * submitter_fan_pull +
-             rng.normal(0.0, p.community_noise);
+double sample_community_appeal(double general, double submitter_fan_pull,
+                               stats::Rng& rng) {
+  double c = kCommunityBase + kCommunityGeneralSlope * general +
+             kCommunityTopBoost * submitter_fan_pull +
+             rng.normal(0.0, kCommunityNoise);
   return std::clamp(c, 0.0, 1.0);
 }
 
@@ -45,11 +81,11 @@ std::unique_ptr<platform::PromotionPolicy> make_policy(
     case PromotionRule::kCountAndRate:
       return std::make_unique<platform::VoteRatePolicy>(
           p.promotion_threshold, p.promotion_rate_votes,
-          p.promotion_rate_window);
+          kPromotionRateWindow);
     case PromotionRule::kDiversity:
       return std::make_unique<platform::DiversityPolicy>(
           static_cast<double>(p.promotion_threshold),
-          p.diversity_fan_vote_weight);
+          kDiversityFanVoteWeight);
   }
   throw std::invalid_argument("generate_corpus: bad promotion_rule");
 }
@@ -130,10 +166,10 @@ GenerationCore run_generation(
   submissions.reserve(params.story_count);
   core.traits.reserve(params.story_count);
   const stats::ZipfSampler top_picker(params.top_submitter_pool,
-                                      params.top_submitter_zipf);
+                                      kTopSubmitterZipf);
   for (std::size_t k = 0; k < params.story_count; ++k) {
     platform::UserId submitter;
-    const bool top_submitter = rng.bernoulli(params.top_submitter_fraction);
+    const bool top_submitter = rng.bernoulli(kTopSubmitterFraction);
     if (top_submitter) {
       submitter = static_cast<platform::UserId>(top_picker.sample(rng) - 1);
     } else {
@@ -141,18 +177,18 @@ GenerationCore run_generation(
           0, static_cast<std::int64_t>(params.user_count) - 1));
     }
     dynamics::StoryTraits traits;
-    traits.general = sample_general_appeal(params, top_submitter, rng);
+    traits.general = sample_general_appeal(top_submitter, rng);
     const double fan_pull = std::min(
         1.0, static_cast<double>(site.network().fan_count(submitter)) / 100.0);
     traits.community =
-        sample_community_appeal(params, traits.general, fan_pull, rng);
+        sample_community_appeal(traits.general, fan_pull, rng);
     submissions.emplace_back(submitter, traits);
     core.traits.push_back(traits);
   }
 
   // 5. Every story, in parallel; each finished story's phase is final.
   core.stories.reserve(params.story_count);
-  dynamics::simulate_each(site, *sim, submissions, params.submission_spacing,
+  dynamics::simulate_each(site, *sim, submissions, kSubmissionSpacing,
                           [&](dynamics::SimulatedStory&& done) {
                             if (on_story) on_story(done.story);
                             core.stories.push_back(std::move(done.story));

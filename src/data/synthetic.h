@@ -36,57 +36,34 @@ namespace digg::data {
 /// votes (the post-controversy direction Digg announced).
 enum class PromotionRule { kCountAndRate, kDiversity };
 
+/// General-appeal bands of the story mixture (its fractions, like the rest
+/// of the calibration, are constants in synthetic.cpp); a story's appeal is
+/// uniform within the band the mixture picks.
+struct AppealBand {
+  double lo, hi;
+};
+inline constexpr AppealBand kDullAppeal{0.02, 0.13};
+inline constexpr AppealBand kMidAppeal{0.20, 0.38};
+inline constexpr AppealBand kHotAppeal{0.40, 0.90};
+
 struct SyntheticParams {
   std::size_t user_count = 120000;
   std::size_t story_count = 1100;
-  /// Fraction of submissions made by the best-connected users (ids below
-  /// top_submitter_pool). The paper's front page is dominated by top users.
-  /// Within the pool, submitters are Zipf-distributed (the busiest top
-  /// users — who are also the best connected — submit disproportionately,
-  /// §3's "top 3% made 35% of submissions").
-  double top_submitter_fraction = 0.30;
+  /// A share of submissions comes from the best-connected users (ids below
+  /// top_submitter_pool), Zipf-distributed within the pool. The paper's
+  /// front page is dominated by top users.
   std::size_t top_submitter_pool = 100;
-  double top_submitter_zipf = 0.9;
 
   /// Corpus generation promotes with the vote-count AND vote-rate rule
   /// (§3: the algorithm considers "the number of votes ... and the rate at
   /// which it receives them"). 43 votes is necessary, not sufficient: a
   /// story must also gather its last `promotion_rate_votes` votes within
-  /// `promotion_rate_window` minutes. This is what strands most dull
-  /// top-user submissions in the queue with 10-40 slow fan votes — the
-  /// population the §5.2 test set is scraped from.
+  /// four hours. This is what strands most dull top-user submissions in
+  /// the queue with 10-40 slow fan votes — the population the §5.2 test set
+  /// is scraped from. kDiversity makes the threshold a weighted vote mass.
   std::size_t promotion_threshold = 43;
   std::size_t promotion_rate_votes = 10;
-  platform::Minutes promotion_rate_window = 4.0 * 60.0;
   PromotionRule promotion_rule = PromotionRule::kCountAndRate;
-  /// Weight of an in-network (fan) vote under PromotionRule::kDiversity;
-  /// out-of-network votes count 1.0 and promotion_threshold becomes the
-  /// weighted-mass threshold.
-  double diversity_fan_vote_weight = 0.4;
-
-  /// General-appeal mixture: dull / middling / hot fractions and ranges.
-  double dull_fraction = 0.22;
-  double hot_fraction = 0.24;
-  double dull_lo = 0.02, dull_hi = 0.13;
-  double mid_lo = 0.20, mid_hi = 0.38;
-  double hot_lo = 0.40, hot_hi = 0.90;
-  /// Top users submit far more, and their marginal story is duller — the
-  /// §5 observation ("many of the front-page stories submitted by best
-  /// connected users were deemed to be uninteresting") and the root of the
-  /// September-2006 top-user controversy. Their submissions use this
-  /// mixture instead.
-  double top_dull_fraction = 0.55;
-  double top_hot_fraction = 0.05;
-
-  /// Community appeal: base + slope * general + top-user boost + noise.
-  double community_base = 0.15;
-  double community_general_slope = 0.5;
-  double community_top_boost = 0.40;
-  double community_noise = 0.12;
-
-  /// Minutes between consecutive submissions (1-2/minute on real Digg; we
-  /// space them out since we only simulate the studied sample).
-  platform::Minutes submission_spacing = 2.0;
 
   graph::PreferentialAttachmentParams network;
   /// Population activity profile; `user_count` above always overrides the

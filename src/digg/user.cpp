@@ -7,6 +7,14 @@
 
 namespace digg::platform {
 
+/// Fraction of users who submit at all; submission rates are further
+/// Zipf-skewed among them.
+constexpr double kSubmitterFraction = 0.15;
+constexpr double kBaseSubmissionRate = 0.05;
+/// How strongly heavy users favour the Friends interface (top users are the
+/// heaviest Friends-interface consumers in the paper's account).
+constexpr double kFriendsWeightBoost = 0.35;
+
 std::vector<UserProfile> generate_population(const PopulationParams& params,
                                              stats::Rng& rng) {
   if (params.user_count == 0)
@@ -27,18 +35,16 @@ std::vector<UserProfile> generate_population(const PopulationParams& params,
     // Heavy users lean more on the Friends interface.
     const double heaviness =
         std::min(1.0, u.activity_rate / (params.base_activity_rate * 20.0));
-    u.friends_interface_weight =
-        0.25 + params.friends_weight_boost * heaviness;
+    u.friends_interface_weight = 0.25 + kFriendsWeightBoost * heaviness;
     u.front_page_weight = 0.65 - 0.3 * heaviness;
     u.upcoming_weight = 1.0 - u.friends_interface_weight - u.front_page_weight;
 
     // Submissions: only a fraction of users submit; heavier users are far
     // more likely to, and submit more.
-    const double submit_p =
-        params.submitter_fraction * (0.5 + 1.5 * heaviness);
+    const double submit_p = kSubmitterFraction * (0.5 + 1.5 * heaviness);
     if (rng.bernoulli(std::min(1.0, submit_p))) {
       u.submission_rate =
-          params.base_submission_rate * zipf * std::exp(rng.normal(0.0, 0.5));
+          kBaseSubmissionRate * zipf * std::exp(rng.normal(0.0, 0.5));
     }
   }
   return users;

@@ -38,13 +38,6 @@ struct PopulationParams {
   double activity_zipf_exponent = 1.0;
   /// Mean activity of the median user (sessions/day).
   double base_activity_rate = 0.5;
-  /// Fraction of users who submit at all; submission rates are further
-  /// Zipf-skewed among them.
-  double submitter_fraction = 0.15;
-  double base_submission_rate = 0.05;
-  /// How strongly heavy users favour the Friends interface (top users are
-  /// the heaviest Friends-interface consumers in the paper's account).
-  double friends_weight_boost = 0.35;
 };
 
 /// Generates the population sorted so that user 0 is the most active (user

@@ -8,6 +8,14 @@
 
 namespace digg::dynamics {
 
+/// Digg probability per impression at general appeal 1.
+constexpr double kImpressionDiggProb = 0.12;
+/// Upcoming first-pages discovery: impressions/day over the newest
+/// `browsed_pages` worth of stories.
+constexpr double kUpcomingImpressionsPerDay = 25000.0;
+/// Background discovery, votes/day per upcoming story at appeal 1.
+constexpr double kUpcomingBackgroundRate = 25.0;
+
 SiteSimulator::SiteSimulator(platform::Platform& platform, SiteParams params,
                              TraitsSampler traits, stats::Rng rng)
     : platform_(&platform),
@@ -16,8 +24,7 @@ SiteSimulator::SiteSimulator(platform::Platform& platform, SiteParams params,
       rng_(std::move(rng)) {
   if (!traits_sampler_)
     throw std::invalid_argument("SiteSimulator: null traits sampler");
-  if (params_.step <= 0.0 || params_.duration < params_.step)
-    throw std::invalid_argument("SiteSimulator: bad step/duration");
+  check_step("SiteSimulator", params_.step, params_.duration);
 }
 
 bool SiteSimulator::pick_discovery_voter(const platform::VisibilitySet& vis,
@@ -50,13 +57,13 @@ void SiteSimulator::fan_step(platform::StoryId id, Minutes now,
   const platform::VisibilitySet& vis = platform_->visibility(id);
   const std::vector<UserId>& log = vis.exposure_log();
   for (; state.exposure_cursor < log.size(); ++state.exposure_cursor)
-    state.fans.engage(log[state.exposure_cursor], platform_->users(),
-                      params_.fan_engagement_scale, rng_);
+    state.fans.engage(log[state.exposure_cursor], platform_->users(), rng_);
   const bool promoted =
       platform_->story(id).phase == platform::StoryPhase::kFrontPage;
-  const double digg_p = fan_digg_p(params_, state.traits, promoted);
+  const double digg_p =
+      fan_digg_p(kTwoMechanismFanDigg, state.traits, promoted);
   const std::int64_t considering =
-      state.fans.draw_considering(params_.fan_consider_rate, dt_days, rng_);
+      state.fans.draw_considering(kFanConsiderRate, dt_days, rng_);
   state.fans.consider(considering, vis, digg_p, rng_, [&](UserId fan) {
     platform_->vote(id, fan, now);
   });
@@ -107,13 +114,12 @@ SiteResult SiteSimulator::run() {
         platform_->queue_params().browsed_pages);
     if (!first_pages.empty()) {
       const double per_story_impressions =
-          params_.upcoming_impressions_per_day * dt_days /
+          kUpcomingImpressionsPerDay * dt_days /
           static_cast<double>(first_pages.size());
       for (platform::StoryId id : first_pages) {
         const StoryState& state = states_[id];
-        const double mean = per_story_impressions *
-                            params_.impression_digg_prob *
-                            state.traits.general;
+        const double mean =
+            per_story_impressions * kImpressionDiggProb * state.traits.general;
         const std::int64_t votes = rng_.poisson(mean);
         for (std::int64_t k = 0; k < votes; ++k) {
           UserId voter;
@@ -128,7 +134,7 @@ SiteResult SiteSimulator::run() {
     for (platform::StoryId id : platform_->upcoming().items()) {
       const StoryState& state = states_[id];
       const double mean =
-          params_.upcoming_background_rate * state.traits.general * dt_days;
+          kUpcomingBackgroundRate * state.traits.general * dt_days;
       const std::int64_t votes = rng_.poisson(mean);
       for (std::int64_t k = 0; k < votes; ++k) {
         UserId voter;
@@ -148,7 +154,7 @@ SiteResult SiteSimulator::run() {
     for (platform::StoryId id : platform_->front_page().items()) {
       const platform::Story& s = platform_->story(id);
       const double age = now - *s.promoted_at;
-      const double novelty = std::pow(0.5, age / params_.novelty_half_life);
+      const double novelty = std::pow(0.5, age / kNoveltyHalfLife);
       if (novelty < 1e-3) continue;  // aged out of the attention pool
       // Readers' digging keeps appealing stories visible longer (feeds sort
       // by engagement), so the share couples novelty with revealed appeal.
@@ -163,8 +169,7 @@ SiteResult SiteSimulator::run() {
       for (std::size_t i = 0; i < front.size(); ++i) {
         const platform::StoryId id = front[i];
         const double mean = impressions * share[i] / share_sum *
-                            params_.impression_digg_prob *
-                            states_[id].traits.general;
+                            kImpressionDiggProb * states_[id].traits.general;
         const std::int64_t votes = rng_.poisson(mean);
         for (std::int64_t k = 0; k < votes; ++k) {
           UserId voter;
@@ -183,7 +188,7 @@ SiteResult SiteSimulator::run() {
         continue;
       }
       if (s.phase == platform::StoryPhase::kFrontPage &&
-          now - *s.promoted_at > 6.0 * params_.novelty_half_life) {
+          now - *s.promoted_at > 6.0 * kNoveltyHalfLife) {
         states_[id].closed = true;  // saturated; stop spending time on it
         continue;
       }

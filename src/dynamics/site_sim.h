@@ -34,6 +34,8 @@ namespace digg::dynamics {
 using TraitsSampler =
     std::function<StoryTraits(UserId submitter, stats::Rng& rng)>;
 
+/// Discovery constants are in site_sim.cpp; the fan channel and novelty
+/// half-life are the two-mechanism model's (step_story.h).
 struct SiteParams {
   /// Story submissions per day, site-wide.
   double submissions_per_day = 300.0;
@@ -41,22 +43,7 @@ struct SiteParams {
   /// day across all promoted stories. A reader diggs an impressed story
   /// with probability proportional to its general appeal.
   double front_page_impressions_per_day = 40000.0;
-  /// Digg probability per impression at general appeal 1.
-  double impression_digg_prob = 0.12;
-  /// Upcoming first-pages discovery (impressions/day over the newest
-  /// `browsed_pages` worth of stories) and background rate per story.
-  double upcoming_impressions_per_day = 25000.0;
-  double upcoming_background_rate = 25.0;  // per story at appeal 1
 
-  /// Fan channel (identical semantics to VoteModelParams).
-  double fan_consider_rate = 1.2;
-  double fan_engagement_scale = 0.5;
-  double fan_digg_floor = 0.01;
-  double fan_digg_community_scale = 0.08;
-  double fan_digg_general_scale = 0.04;
-  double post_promotion_community_factor = 0.25;
-
-  Minutes novelty_half_life = platform::kMinutesPerDay;
   Minutes step = 1.0;
   Minutes duration = 3.0 * platform::kMinutesPerDay;
 };

@@ -35,20 +35,46 @@ template <typename Weight>
 
 /// Digg probability of a fan who considers a story:
 ///   floor + community_scale * community + general_scale * general,
-/// capped at 1, with the community term damped by
-/// post_promotion_community_factor once the story is promoted (§5.1). Takes
-/// any params struct with those four fields.
-template <typename Params>
-[[nodiscard]] double fan_digg_p(const Params& params,
-                                const StoryTraits& traits, bool promoted) {
+/// capped at 1. A broadly interesting story also appeals to fans, while the
+/// community term lets narrowly interesting stories ride the network. Once
+/// the story is promoted, fans judge it more like the general audience does
+/// (the Friends interface is no longer the scarce discovery channel): the
+/// community term is multiplied by post_promotion_community_factor, and a
+/// small factor makes narrowly appealing stories *saturate* at low vote
+/// counts (§5.1: they spread "within that community only").
+struct FanDiggP {
+  double floor, community_scale, general_scale;
+  double post_promotion_community_factor;
+};
+[[nodiscard]] inline double fan_digg_p(const FanDiggP& c,
+                                       const StoryTraits& traits,
+                                       bool promoted) {
   const double community_scale =
-      promoted ? params.fan_digg_community_scale *
-                     params.post_promotion_community_factor
-               : params.fan_digg_community_scale;
-  return std::min(1.0, params.fan_digg_floor +
-                           community_scale * traits.community +
-                           params.fan_digg_general_scale * traits.general);
+      promoted ? c.community_scale * c.post_promotion_community_factor
+               : c.community_scale;
+  return std::min(1.0, c.floor + community_scale * traits.community +
+                           c.general_scale * traits.general);
 }
+
+// The two-mechanism calibration SiteSimulator shares with VoteSimulator.
+/// Keep mean_fans * p < 1 for random users or the cascade becomes
+/// supercritical globally.
+inline constexpr FanDiggP kTwoMechanismFanDigg{0.01, 0.08, 0.04, 0.25};
+/// The fan channel is a one-shot exposure process: when a user becomes a
+/// watcher (a fan of a prior voter), they will *consider* the story at most
+/// once — the Friends interface only surfaces recent activity (§3's
+/// 48-hour window), so a fan either acts on a story when they encounter it
+/// or never does. This is the per-day rate at which a pending watcher gets
+/// around to that encounter.
+inline constexpr double kFanConsiderRate = 1.2;
+/// Not every fan is an active Friends-interface user: a newly exposed
+/// watcher is *engaged* (will ever consider the story) with probability
+/// min(1, kFanEngagementScale * activity_rate). A mega-hub's audience is
+/// mostly casual accounts, so its effective wave is a fraction of its fan
+/// count — without this, a 15k-fan submitter trivially promotes anything.
+inline constexpr double kFanEngagementScale = 0.5;
+/// Front-page attention halves every day after promotion (Wu–Huberman).
+inline constexpr Minutes kNoveltyHalfLife = platform::kMinutesPerDay;
 
 /// Rejection-samples a user from `sampler` who has neither voted on nor
 /// watches the story (a watcher meets it through the Friends interface, not
@@ -58,15 +84,15 @@ template <typename Params>
     stats::Rng& rng);
 
 /// The two-mechanism model's one-shot fan channel: each newly exposed
-/// watcher is engaged with probability min(1, engagement_scale *
+/// watcher is engaged with probability min(1, kFanEngagementScale *
 /// activity_rate), activity 1 for a user without a profile; each tick a
 /// Poisson number of pending engaged watchers consider the story, once each.
 class EngagedFanPool {
  public:
   void engage(UserId watcher, const std::vector<platform::UserProfile>& users,
-              double engagement_scale, stats::Rng& rng) {
+              stats::Rng& rng) {
     const double engaged =
-        engagement_scale *
+        kFanEngagementScale *
         (watcher < users.size() ? users[watcher].activity_rate : 1.0);
     if (rng.bernoulli(std::min(1.0, engaged))) pending_.push_back(watcher);
   }

@@ -4,12 +4,44 @@
 #include <cmath>
 #include <functional>
 #include <queue>
-#include <stdexcept>
 #include <utility>
 
 #include "src/dynamics/step_story.h"
 
 namespace digg::dynamics {
+
+/// Multiplier on the friends-interface share of a watcher's sessions: their
+/// consideration clock fires at ω_u · w_friends · this (per day).
+constexpr double kFriendsRateScale = 2.0;
+/// A watcher who reaches the Friends page later than this after exposure
+/// never sees the story (the interface's recency window, §3: 48 hours).
+constexpr Minutes kFriendsRecencyWindow = 48.0 * 60.0;
+/// Digg probability when a watcher considers the story (fan_digg_p), with
+/// the same §5.1 post-promotion saturation as the two-mechanism model.
+constexpr FanDiggP kFanDigg{0.015, 0.10, 0.05, 0.30};
+
+/// Aggregate upcoming-queue browsing reaching a just-submitted story
+/// (sessions/day), decaying exponentially with queue age.
+constexpr double kUpcomingBrowseRate = 500.0;
+constexpr Minutes kUpcomingVisibilityDecay = 60.0;
+/// Age-independent browsing (deep-queue readers, search, external links).
+constexpr double kUpcomingBackgroundRate = 45.0;
+/// Digg probability of an upcoming-queue browser: p = floor + slope * general.
+constexpr double kUpcomingDiggFloor = 0.05;
+constexpr double kUpcomingDiggSlope = 0.60;
+
+/// Aggregate front-page traffic at the moment of promotion (sessions/day),
+/// halving every kFrontPageHalfLife minutes (Wu–Huberman).
+constexpr double kFrontPageBrowseRate = 2200.0;
+constexpr Minutes kFrontPageHalfLife = platform::kMinutesPerDay;
+/// Digg probability of a front-page browser: p = floor + slope * general.
+constexpr double kFrontPageDiggFloor = 0.02;
+constexpr double kFrontPageDiggSlope = 0.55;
+
+/// Per-user discovery weights are ω_u · channel weight, capped here
+/// (votes/day) so one hyperactive account cannot absorb an unbounded share
+/// of the discovery traffic (Fig. 2b's per-user tail).
+constexpr double kDiscoveryActivityCap = 25.0;
 
 StochasticSimulator::StochasticSimulator(const platform::Site& site,
                                          StochasticModelParams params,
@@ -18,19 +50,16 @@ StochasticSimulator::StochasticSimulator(const platform::Site& site,
       params_(params),
       rng_(std::move(rng)),
       front_sampler_(capped_sampler(
-          site.users(), params_.discovery_activity_cap,
+          site.users(), kDiscoveryActivityCap,
           [](const platform::UserProfile& u) {
             return u.activity_rate * u.front_page_weight;
           })),
       upcoming_sampler_(capped_sampler(
-          site.users(), params_.discovery_activity_cap,
+          site.users(), kDiscoveryActivityCap,
           [](const platform::UserProfile& u) {
             return u.activity_rate * u.upcoming_weight;
           })) {
   check_step("StochasticSimulator", params_.step, params_.horizon);
-  if (params_.session_rate_scale <= 0.0)
-    throw std::invalid_argument(
-        "StochasticSimulator: session_rate_scale <= 0");
 }
 
 StoryRun StochasticSimulator::run_story(platform::StoryState& state,
@@ -56,16 +85,16 @@ StoryRun StochasticSimulator::run_story(platform::StoryState& state,
                  ? users[watcher].activity_rate *
                        users[watcher].friends_interface_weight
                  : 1.0) *
-            params_.friends_rate_scale * params_.session_rate_scale;
+            kFriendsRateScale;
         if (rate_per_day <= 0.0) return;
         const Minutes delay =
             rng.exponential(rate_per_day / platform::kMinutesPerDay);
-        if (delay <= params_.friends_recency_window)
+        if (delay <= kFriendsRecencyWindow)
           clocks.push({t + delay, watcher});
       },
       [&](Minutes t, bool promoted, stats::Rng& rng, auto&& fan_vote) {
         // Fire every clock due this step, then draw the browsers.
-        const double p_fan = fan_digg_p(params_, traits, promoted);
+        const double p_fan = fan_digg_p(kFanDigg, traits, promoted);
         while (!clocks.empty() && clocks.top().first <= t) {
           const UserId watcher = clocks.top().second;
           clocks.pop();
@@ -80,25 +109,24 @@ StoryRun StochasticSimulator::run_story(platform::StoryState& state,
         if (!promoted) {
           const double queue_age = t - s.submitted_at;
           const double browse_rate =
-              (params_.upcoming_browse_rate *
-                   std::exp(-queue_age / params_.upcoming_visibility_decay) +
-               params_.upcoming_background_rate) *
-              params_.session_rate_scale * dt_days;
+              (kUpcomingBrowseRate *
+                   std::exp(-queue_age / kUpcomingVisibilityDecay) +
+               kUpcomingBackgroundRate) *
+              dt_days;
           return Discovery{
               rng.poisson(browse_rate),
-              std::min(1.0, params_.upcoming_digg_floor +
-                                params_.upcoming_digg_slope * traits.general),
+              std::min(1.0, kUpcomingDiggFloor +
+                                kUpcomingDiggSlope * traits.general),
               &upcoming_sampler_};
         }
         const double fp_age = t - *s.promoted_at;
         const double browse_rate =
-            params_.front_page_browse_rate *
-            std::pow(0.5, fp_age / params_.novelty_half_life) *
-            params_.session_rate_scale * dt_days;
+            kFrontPageBrowseRate *
+            std::pow(0.5, fp_age / kFrontPageHalfLife) * dt_days;
         return Discovery{
             rng.poisson(browse_rate),
-            std::min(1.0, params_.front_page_digg_floor +
-                              params_.front_page_digg_slope * traits.general),
+            std::min(1.0, kFrontPageDiggFloor +
+                              kFrontPageDiggSlope * traits.general),
             &front_sampler_};
       });
 }

@@ -40,50 +40,8 @@
 
 namespace digg::dynamics {
 
+/// Rates and digg probabilities are constants in stochastic_model.cpp.
 struct StochasticModelParams {
-  /// Global multiplier on every user's activity rate ω_u (sessions/day) —
-  /// the activity-mix scenarios scale the whole population up or down
-  /// without regenerating profiles.
-  double session_rate_scale = 1.0;
-  /// Multiplier on the friends-interface share of a watcher's sessions:
-  /// their consideration clock fires at ω_u · w_friends · this (per day).
-  double friends_rate_scale = 2.0;
-  /// A watcher who reaches the Friends page later than this after exposure
-  /// never sees the story (the interface's recency window, §3: 48 hours).
-  Minutes friends_recency_window = 48.0 * 60.0;
-  /// Digg probability when a watcher considers the story:
-  ///   p = floor + community_scale * community + general_scale * general.
-  double fan_digg_floor = 0.015;
-  double fan_digg_community_scale = 0.10;
-  double fan_digg_general_scale = 0.05;
-  /// Community-appeal multiplier after promotion (same §5.1 saturation
-  /// argument as the two-mechanism model).
-  double post_promotion_community_factor = 0.30;
-
-  /// Aggregate upcoming-queue browsing reaching a just-submitted story
-  /// (sessions/day), decaying exponentially with queue age.
-  double upcoming_browse_rate = 500.0;
-  Minutes upcoming_visibility_decay = 60.0;
-  /// Age-independent browsing (deep-queue readers, search, external links).
-  double upcoming_background_rate = 45.0;
-  /// Digg probability of an upcoming-queue browser:
-  ///   p = floor + slope * general.
-  double upcoming_digg_floor = 0.05;
-  double upcoming_digg_slope = 0.60;
-
-  /// Aggregate front-page traffic at the moment of promotion (sessions/day),
-  /// halving every novelty_half_life minutes (Wu–Huberman).
-  double front_page_browse_rate = 2200.0;
-  Minutes novelty_half_life = platform::kMinutesPerDay;
-  /// Digg probability of a front-page browser: p = floor + slope * general.
-  double front_page_digg_floor = 0.02;
-  double front_page_digg_slope = 0.55;
-
-  /// Per-user discovery weights are ω_u · channel weight, capped here
-  /// (votes/day) so one hyperactive account cannot absorb an unbounded
-  /// share of the discovery traffic (Fig. 2b's per-user tail).
-  double discovery_activity_cap = 25.0;
-
   /// Simulation step and horizon.
   Minutes step = 1.0;
   Minutes horizon = 4.0 * platform::kMinutesPerDay;

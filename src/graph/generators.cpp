@@ -7,6 +7,18 @@
 
 namespace digg::graph {
 
+/// Probability that a new preferential-attachment edge reciprocates an
+/// existing fan instead of preferentially attaching — produces the
+/// mutual-fan clusters visible in the top-user community.
+constexpr double kReciprocity = 0.15;
+/// Second growth phase: heavy users keep adding friends over the site's
+/// life, so early arrivals end with many *friends* as well as many fans
+/// (the paper's final figure: top users are high on both axes). Node u
+/// gains Poisson(kExtraFriendRate * (n/2/(u+1))^0.7) extra follow edges,
+/// capped at kExtraFriendCap, with preferentially chosen targets.
+constexpr double kExtraFriendRate = 0.5;
+constexpr std::size_t kExtraFriendCap = 150;
+
 Digraph erdos_renyi(std::size_t n, double p, stats::Rng& rng) {
   if (p < 0.0 || p > 1.0) throw std::invalid_argument("erdos_renyi: bad p");
   DigraphBuilder builder(n);
@@ -64,7 +76,7 @@ Digraph preferential_attachment(const PreferentialAttachmentParams& params,
       // creates mutual-follow pairs once the other side's preferential edges
       // land; exact fan-list tracking is not needed for calibration.
       const bool uniform_pick =
-          rng.bernoulli(params.reciprocity) && fan_count[u] > 0;
+          rng.bernoulli(kReciprocity) && fan_count[u] > 0;
       if (uniform_pick) {
         target = static_cast<NodeId>(rng.uniform_int(0, u - 1));
       } else {
@@ -92,33 +104,28 @@ Digraph preferential_attachment(const PreferentialAttachmentParams& params,
   }
 
   // Second growth phase: long-lived heavy users accumulate friends.
-  if (params.extra_friend_rate > 0.0) {
-    const double half_n = static_cast<double>(n) / 2.0;
-    for (NodeId u = 0; u < n; ++u) {
-      const double mean = std::min<double>(
-          static_cast<double>(params.extra_friend_cap),
-          params.extra_friend_rate *
-              std::pow(half_n / static_cast<double>(u + 1), 0.7));
-      if (mean < 1e-3) continue;
-      const std::int64_t extra =
-          std::min<std::int64_t>(rng.poisson(mean),
-                                 static_cast<std::int64_t>(
-                                     params.extra_friend_cap));
-      for (std::int64_t e = 0; e < extra; ++e) {
-        // Mostly uniform targets: heavy users browse widely, so their late
-        // friendships do not all concentrate on the existing hubs.
-        NodeId target;
-        if (urn.empty() || rng.bernoulli(0.65)) {
-          target = static_cast<NodeId>(
-              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-        } else {
-          target = urn[static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(urn.size()) - 1))];
-        }
-        if (target == u) continue;
-        builder.add_follow(u, target);  // duplicates removed at build()
-        urn.push_back(target);
+  const double half_n = static_cast<double>(n) / 2.0;
+  for (NodeId u = 0; u < n; ++u) {
+    const double mean = std::min<double>(
+        static_cast<double>(kExtraFriendCap),
+        kExtraFriendRate * std::pow(half_n / static_cast<double>(u + 1), 0.7));
+    if (mean < 1e-3) continue;
+    const std::int64_t extra = std::min<std::int64_t>(
+        rng.poisson(mean), static_cast<std::int64_t>(kExtraFriendCap));
+    for (std::int64_t e = 0; e < extra; ++e) {
+      // Mostly uniform targets: heavy users browse widely, so their late
+      // friendships do not all concentrate on the existing hubs.
+      NodeId target;
+      if (urn.empty() || rng.bernoulli(0.65)) {
+        target = static_cast<NodeId>(
+            rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      } else {
+        target = urn[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(urn.size()) - 1))];
       }
+      if (target == u) continue;
+      builder.add_follow(u, target);  // duplicates removed at build()
+      urn.push_back(target);
     }
   }
   return builder.build();

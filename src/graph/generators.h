@@ -26,25 +26,15 @@ struct PreferentialAttachmentParams {
   /// Additive smoothing: target selected with probability ∝ fans + smoothing.
   /// Smaller values give heavier tails (more dominant top users).
   double smoothing = 1.0;
-  /// Probability that a new edge reciprocates an existing fan instead of
-  /// preferentially attaching — produces the mutual-fan clusters visible in
-  /// the top-user community.
-  double reciprocity = 0.15;
-  /// Second growth phase: heavy users keep adding friends over the site's
-  /// life, so early arrivals end with many *friends* as well as many fans
-  /// (the paper's final figure: top users are high on both axes). Node u
-  /// gains Poisson(extra_friend_rate * (n/2/(u+1))^0.7) extra follow edges,
-  /// capped at extra_friend_cap, with preferentially chosen targets.
-  /// Set the rate to 0 to disable.
-  double extra_friend_rate = 0.5;
-  std::size_t extra_friend_cap = 150;
 };
 
 /// Grows a digraph by preferential attachment on *fan* counts: arriving user
 /// u follows existing users chosen with probability proportional to their
 /// current fan count (plus smoothing). Fan counts come out power-law
 /// distributed; early nodes become "top users" with orders of magnitude more
-/// fans, as in the paper's network snapshot.
+/// fans, as in the paper's network snapshot. A reciprocity mix and a second
+/// growth phase of extra friends for early arrivals are calibration
+/// constants in generators.cpp.
 [[nodiscard]] Digraph preferential_attachment(
     const PreferentialAttachmentParams& params, stats::Rng& rng);
 

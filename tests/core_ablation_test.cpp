@@ -2,18 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "src/data/synthetic.h"
+#include "tests/test_support.h"
+
 namespace digg::core {
 namespace {
 
+constexpr std::uint64_t kSeed = 42;
+
+data::SyntheticParams ablation_params() {
+  data::SyntheticParams params;
+  params.story_count = 250;
+  params.vote_model.step = 2.0;
+  return params;
+}
+
 // One shared ablation run (three corpus generations).
 const MechanismAblationResult& shared_result() {
-  static const MechanismAblationResult result = [] {
-    data::SyntheticParams params;
-    params.story_count = 250;
-    params.vote_model.step = 2.0;
-    return mechanism_ablation(params, 42);
-  }();
+  static const MechanismAblationResult result =
+      mechanism_ablation(ablation_params(), kSeed);
   return result;
+}
+
+std::uint64_t digest_of(const data::SyntheticParams& params) {
+  stats::Rng rng(kSeed);
+  return test::corpus_digest(data::generate_corpus(params, rng).corpus);
 }
 
 TEST(MechanismAblation, FullModelShowsPaperPhenomena) {
@@ -57,6 +72,26 @@ TEST(MechanismAblation, VariantNamesSet) {
   EXPECT_EQ(shared_result().full.name, "full model");
   EXPECT_EQ(shared_result().no_fan_channel.name, "no fan channel");
   EXPECT_EQ(shared_result().no_discovery.name, "no discovery");
+}
+
+// The two ablated corpora, pinned by digest: switching a channel off must
+// make the full model's draws with that channel's rates at zero.
+TEST(MechanismAblation, NoFanChannelCorpusRecorded) {
+  data::SyntheticParams params = ablation_params();
+  params.vote_model.channels =
+      dynamics::VoteModelParams::Channels::kNoFanChannel;
+  const std::uint64_t digest = digest_of(params);
+  EXPECT_EQ(digest, 0xab9ec9e96ae16cb4ull)
+      << std::hex << "digest 0x" << digest;
+}
+
+TEST(MechanismAblation, NoDiscoveryCorpusRecorded) {
+  data::SyntheticParams params = ablation_params();
+  params.vote_model.channels =
+      dynamics::VoteModelParams::Channels::kNoDiscovery;
+  const std::uint64_t digest = digest_of(params);
+  EXPECT_EQ(digest, 0xee1e86012b574a8eull)
+      << std::hex << "digest 0x" << digest;
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "src/data/snapshot.h"
 #include "src/dynamics/model.h"
 #include "src/runtime/thread_pool.h"
+#include "tests/test_support.h"
 
 namespace digg::data {
 namespace {
@@ -159,7 +160,7 @@ TEST(GenerateCorpus, RejectsBadParameters) {
 TEST(GenerateCorpus, UserCountOverridesNestedNetworkParams) {
   stats::Rng rng(8);
   SyntheticParams p = small_params();
-  p.user_count = 3000;  // network params still carry the default 20000
+  p.user_count = 3000;  // network.node_count still carries 120000
   const SyntheticCorpus syn = generate_corpus(p, rng);
   EXPECT_EQ(syn.corpus.user_count(), 3000u);
 }
@@ -424,41 +425,6 @@ TEST(Scenarios, UnknownNameThrowsListingKnownNames) {
 // Parallel per-story generation must reproduce them bit for bit, eager and
 // streamed, at any thread count.
 
-void mix_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;  // FNV-1a prime
-  }
-}
-
-template <typename T>
-void mix(std::uint64_t& h, const T& value) {
-  mix_bytes(h, &value, sizeof value);
-}
-
-std::uint64_t corpus_digest(const Corpus& corpus) {
-  std::vector<const Story*> stories;
-  for (const auto* list : {&corpus.front_page, &corpus.upcoming})
-    for (const Story& s : *list) stories.push_back(&s);
-  std::ranges::sort(stories, {}, [](const Story* s) { return s->id; });
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  for (const Story* s : stories) {
-    mix(h, s->id);
-    mix(h, s->submitter);
-    mix(h, s->submitted_at);
-    mix(h, s->quality);
-    mix(h, static_cast<std::uint8_t>(s->phase));
-    mix(h, static_cast<std::uint8_t>(s->promoted() ? 1 : 0));
-    mix(h, s->promoted_at.value_or(0.0));
-    mix(h, static_cast<std::uint64_t>(s->vote_count()));
-    mix_bytes(h, s->voters().data(), s->voters().size_bytes());
-    mix_bytes(h, s->times().data(), s->times().size_bytes());
-  }
-  for (const UserId u : corpus.top_users) mix(h, u);
-  return h;
-}
-
 std::string file_bytes(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -501,8 +467,8 @@ TEST_P(GoldenCorpus, EagerAndStreamedMatchAtOneAndFourThreads) {
 
     stats::Rng eager_rng(spec.seed);
     const SyntheticCorpus eager = generate_corpus(spec.params, eager_rng);
-    EXPECT_EQ(corpus_digest(eager.corpus), c.digest)
-        << std::hex << "eager digest 0x" << corpus_digest(eager.corpus);
+    EXPECT_EQ(test::corpus_digest(eager.corpus), c.digest)
+        << std::hex << "eager digest 0x" << test::corpus_digest(eager.corpus);
 
     const fs::path path =
         fs::temp_directory_path() /
@@ -513,8 +479,8 @@ TEST_P(GoldenCorpus, EagerAndStreamedMatchAtOneAndFourThreads) {
     (void)generate_corpus_to_snapshot(spec.params, stream_rng, path);
     {
       const Corpus loaded = load_snapshot_mmap(path);
-      EXPECT_EQ(corpus_digest(loaded), c.digest)
-          << std::hex << "streamed digest 0x" << corpus_digest(loaded);
+      EXPECT_EQ(test::corpus_digest(loaded), c.digest)
+          << std::hex << "streamed digest 0x" << test::corpus_digest(loaded);
     }
     snapshot_bytes[k] = file_bytes(path);
     fs::remove(path);

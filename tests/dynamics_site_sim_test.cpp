@@ -169,6 +169,10 @@ TEST(SiteSimulator, RejectsBadConstruction) {
   bad.step = 0.0;
   EXPECT_THROW(SiteSimulator(plat, bad, mixed_traits(), stats::Rng(1)),
                std::invalid_argument);
+  bad = fast_site();
+  bad.duration = bad.step / 2.0;
+  EXPECT_THROW(SiteSimulator(plat, bad, mixed_traits(), stats::Rng(1)),
+               std::invalid_argument);
   EXPECT_THROW(SiteSimulator(plat, fast_site(), nullptr, stats::Rng(1)),
                std::invalid_argument);
 }
